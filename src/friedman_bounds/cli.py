@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 input/IO error.
 Identical invocations (same flags, same seed) produce byte-identical output;
-the FRIEDMAN_BOUNDS_THREADS environment variable caps --threads without
-affecting any result.
+the FRIEDMAN_BOUNDS_THREADS environment variable (an integer >= 1, else a
+usage error) caps --threads without affecting any result.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ import math
 import os
 import sys
 
+from scipy.special import gammaincc
+
 from . import bounds as bounds_mod
 from . import coupling, exact, montecarlo, stein, testfunctions
-from .chisq import ChiSquareLaw, chisq_cdf
 from .errors import (BudgetError, DomainError, FriedmanBoundsError, NonFiniteError,
                      ParseError, TieError)
 from .ranks import friedman_statistic, load_csv
@@ -42,9 +43,12 @@ def _thread_cap(requested: int) -> int:
     cap = os.environ.get("FRIEDMAN_BOUNDS_THREADS")
     if cap is not None:
         try:
-            requested = min(requested, max(1, int(cap)))
+            limit = int(cap)
         except ValueError:
-            pass
+            limit = 0
+        if limit < 1:
+            raise DomainError(f"FRIEDMAN_BOUNDS_THREADS must be an integer >= 1, got {cap!r}")
+        requested = min(requested, limit)
     return max(1, requested)
 
 
@@ -68,7 +72,7 @@ def _cmd_test(args) -> int:
     ranks = load_csv(args.input, args.format)
     score = friedman_statistic(ranks)
     n, r = score.n, score.r
-    p_value = 1.0 - chisq_cdf(ChiSquareLaw(r - 1), score.f_r)
+    p_value = float(gammaincc((r - 1) / 2.0, score.f_r / 2.0))  # chi-square upper tail
     kol_raw = bounds_mod.bound_kolmogorov(n, r)
     kol = min(1.0, kol_raw)
     lo = max(0.0, p_value - kol)

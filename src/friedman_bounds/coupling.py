@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError
 from .exact import BUDGET_CAP, centered_doubled
+from .montecarlo import uniform_rows
 from .ranks import RankMatrix, ScoreVector, friedman_statistic
 
 __all__ = [
@@ -262,8 +263,7 @@ def regression_residual_mc(r: int, n: int, pairs: int, rng: np.random.Generator,
     done = 0
     while done < pairs:
         b = min(chunk, pairs - done)
-        ranks = rng.permuted(np.tile(np.arange(1, r + 1), (b * n, 1)), axis=1)
-        ranks = ranks.reshape(b, n, r)
+        ranks = uniform_rows(b * n, r, rng).reshape(b, n, r)
         rho_sum = ranks.sum(axis=1) - n * (r + 1) / 2.0
         s = c * rho_sum
         m = rng.integers(n, size=b)

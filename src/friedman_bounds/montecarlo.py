@@ -1,16 +1,34 @@
 """Samplers and distance estimators under the null hypothesis.
 
-Random rank matrices are drawn row-by-row with Fisher-Yates shuffles from
-counter-mode Philox streams, so any result is bit-reproducible from
-(seed, stream) and independent of worker count: work is split into
-fixed-size chunks, chunk c uses substream (stream << 20) + 1 + c, and the
-reduction runs in chunk order.
+Every draw comes from a counter-mode Philox stream, so any result is
+bit-reproducible from (seed, stream) and independent of worker count: work
+is split into fixed-size chunks, chunk c uses substream (stream << 20) + 1 + c,
+and the reduction runs in chunk order.
+
+A uniform row permutation of 1..r is one uniform index into a table of all
+r! permutations, built on first use for r <= 9; for r >= 10 no table fits and
+rows are Fisher-Yates shuffles.  F_r depends on a rank matrix only through
+its column sums, so the F_r sampler draws those sums by one of four paths,
+chosen from (r, n) alone:
+
+* counts, multinomial (r <= 9, 8 r! <= n): the n trials' permutation counts
+  are Multinomial(n, 1/r!) and the column sums are counts @ table; the cost
+  does not grow with n, and r = 2 is one binomial draw;
+* counts, bincount (r <= 9, r! <= n r, n < 8 r!): n uniform indices per
+  sample, counted, then counts @ table;
+* gather (r <= 9, r! > n r): the n table rows of the drawn indices, summed;
+* shuffle (r >= 10): n shuffled rows, summed.
+
+The paths draw the same law, not the same numbers.  The table-based paths
+replaced row shuffles for r <= 9, so at a fixed seed those draws differ from
+the ones of earlier versions; the thread-count contract above still holds.
 
 Kolmogorov distance estimates take the exact sup between the empirical step
 function and the continuous chi-square CDF (both one-sided gaps at every
-order statistic) and carry a DKW error bar; smooth-test-function gaps are
-computed exactly by enumeration whenever (r!)^n fits the budget and by
-Monte Carlo otherwise, with the method recorded in the estimate.
+order statistic) and carry a DKW error bar; the Wasserstein diagnostic is
+the exact integral of |ECDF - CDF|; smooth-test-function gaps are computed
+exactly by enumeration whenever (r!)^n fits the budget and by Monte Carlo
+otherwise, with the method recorded in the estimate.
 """
 
 from __future__ import annotations
@@ -18,8 +36,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations as iter_permutations
 
 import numpy as np
+from scipy.special import gammainc, gammaincc, gammaincinv
 
 from . import bounds as bounds_mod
 from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation
@@ -31,6 +52,7 @@ from .testfunctions import TestFunction, smoothing_indicator
 __all__ = [
     "RngContract",
     "DistanceEstimate",
+    "uniform_rows",
     "sample_rank_matrix",
     "estimate_kolmogorov",
     "exact_kolmogorov",
@@ -43,6 +65,7 @@ __all__ = [
 
 _CHUNK = 1 << 14
 _DKW_CONFIDENCE = 0.99
+_TABLE_MAX_R = 9  # 9! x 9 int16 entries are 6.5 MB; 10! x 10 would be 73 MB
 
 
 @dataclass(frozen=True)
@@ -58,8 +81,16 @@ class RngContract:
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, index: int) -> "RngContract":
-        """Chunk substream: disjoint for chunk indices below 2**20."""
-        return RngContract(seed=self.seed, stream=(self.stream << 20) + 1 + index)
+        """Chunk substream, disjoint from every other (stream, index) pair.
+
+        Keys stay distinct only while (stream << 20) + 1 + index fits in 64
+        bits, so the index must lie in [0, 2**20) and the stream in [0, 2**44).
+        """
+        key = (self.stream << 20) + 1 + index
+        if not (0 <= index < 2 ** 20 and self.stream >= 0 and key < 2 ** 64):
+            raise DomainError(f"substream {index} of stream {self.stream} does not fit in "
+                              "64 bits: need 0 <= index < 2**20 and 0 <= stream < 2**44")
+        return RngContract(seed=self.seed, stream=key)
 
 
 @dataclass(frozen=True)
@@ -70,27 +101,64 @@ class DistanceEstimate:
     method: str  # "exact-enumeration" or "monte-carlo"
 
 
+@lru_cache(maxsize=None)
+def _permutation_table(r: int) -> np.ndarray:
+    """All r! permutations of 1..r as rows, read-only (r <= 9 only)."""
+    table = np.array(list(iter_permutations(range(1, r + 1))), dtype=np.int16)
+    table.setflags(write=False)
+    return table
+
+
+def uniform_rows(count: int, r: int, gen: np.random.Generator) -> np.ndarray:
+    """``count`` independent uniform permutations of 1..r, one per row."""
+    if r <= _TABLE_MAX_R:
+        return _permutation_table(r)[gen.integers(math.factorial(r), size=count)]
+    return gen.permuted(np.tile(np.arange(1, r + 1), (count, 1)), axis=1)
+
+
 def sample_rank_matrix(n: int, r: int, rng: np.random.Generator) -> RankMatrix:
     """One matrix of n independent uniform row permutations of 1..r."""
     if n < 1 or r < 2:
         raise DomainError(f"need n >= 1 and r >= 2, got n={n}, r={r}")
-    rows = rng.permuted(np.tile(np.arange(1, r + 1), (n, 1)), axis=1)
-    return RankMatrix(rows)
+    return RankMatrix(uniform_rows(n, r, rng))
+
+
+def _sampler_path(r: int, n: int) -> str:
+    """The column-sum path for (r, n); see the module docstring."""
+    if r > _TABLE_MAX_R:
+        return "shuffle"
+    perms = math.factorial(r)
+    if perms > n * r:
+        return "gather"
+    return "multinomial" if 8 * perms <= n else "bincount"
+
+
+def _column_sums(gen: np.random.Generator, size: int, n: int, r: int) -> np.ndarray:
+    """Column sums of ``size`` independent uniform n x r rank matrices."""
+    path = _sampler_path(r, n)
+    if path in ("shuffle", "gather"):
+        return uniform_rows(size * n, r, gen).reshape(size, n, r).sum(axis=1)
+    table = _permutation_table(r)
+    perms = table.shape[0]
+    if path == "multinomial":
+        counts = gen.multinomial(n, np.full(perms, 1.0 / perms), size=size)
+    else:
+        idx = gen.integers(perms, size=(size, n))
+        idx += np.arange(size)[:, None] * perms
+        counts = np.bincount(idx.ravel(), minlength=size * perms).reshape(size, perms)
+    return counts @ table
 
 
 def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
                        threads: int = 1) -> np.ndarray:
     """F_r samples in fixed chunk order, reproducible for any thread count."""
-    template = np.arange(1, r + 1)
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, samples - i * _CHUNK) for i in range(n_chunks)]
     scale = 12.0 / (r * (r + 1) * n)
 
     def one_chunk(args) -> np.ndarray:
         index, size = args
-        gen = rng.substream(index).generator()
-        ranks = gen.permuted(np.tile(template, (size * n, 1)), axis=1)
-        colsum = ranks.reshape(size, n, r).sum(axis=1)
+        colsum = _column_sums(rng.substream(index).generator(), size, n, r)
         centered = colsum - n * (r + 1) / 2.0
         return scale * (centered * centered).sum(axis=1)
 
@@ -174,22 +242,43 @@ def h_vectorized(h: TestFunction, values: np.ndarray) -> np.ndarray:
     return np.array([h.fn(float(v)) for v in values])
 
 
+def _ecdf_l1_distance(values: np.ndarray, p: int) -> float:
+    """Exact integral over [0, inf) of |ECDF - CDF| for chi-square(p).
+
+    With G(z) = int_0^z F_p = z F_p(z) - p F_{p+2}(z), the ECDF level c on a
+    step [a, b) meets F_p at t = F_p^{-1}(c) clipped to the step, and the step
+    contributes G(a) + G(b) - 2 G(t) + c (2t - a - b).  Past the largest atom u
+    the ECDF is 1 and the tail contributes E[(Y - u)^+] = p Q_{p+2}(u) - u Q_p(u).
+    """
+    uniq, counts = np.unique(values, return_counts=True)
+    level = np.cumsum(counts) / values.size
+
+    def antiderivative(z):
+        return z * gammainc(p / 2.0, z / 2.0) - p * gammainc(p / 2.0 + 1.0, z / 2.0)
+
+    a = np.concatenate(([0.0], uniq[:-1]))
+    b = uniq
+    c = np.concatenate(([0.0], level[:-1]))
+    t = np.clip(2.0 * gammaincinv(p / 2.0, c), a, b)
+    steps = (antiderivative(a) + antiderivative(b) - 2.0 * antiderivative(t)
+             + c * (2.0 * t - a - b))
+    u = uniq[-1]
+    tail = p * gammaincc(p / 2.0 + 1.0, u / 2.0) - u * gammaincc(p / 2.0, u / 2.0)
+    return float(math.fsum(steps) + tail)
+
+
 def estimate_wasserstein(n: int, samples: int, rng: RngContract,
                          threads: int = 1) -> DistanceEstimate:
     """MC Wasserstein distance between L(F_2) and chi-square(1).
 
-    W1 equals the L1 distance between CDFs; the integrand |ECDF - CDF| is
-    integrated on a fine grid up to a cutoff where both CDFs are 1 to 1e-12.
-    The half-width is the conservative DKW sup bar times the integration
-    length (r = 2 diagnostics only).
+    W1 equals the L1 distance between CDFs, integrated exactly over each
+    step of the ECDF.  The half-width is the conservative DKW sup bar times a
+    cutoff past which both CDFs are 1 to 1e-12 (r = 2 diagnostics only).
     """
-    values = np.sort(_sample_statistics(n, 2, samples, rng, threads=threads))
-    cutoff = max(float(values[-1]), 1.0 + 40.0 * math.sqrt(2.0)) + 1.0
-    grid = np.linspace(0.0, cutoff, 200_001)
-    ecdf = np.searchsorted(values, grid, side="right") / samples
-    cdf = chisq_cdf_array(ChiSquareLaw(1), grid)
-    value = float(np.trapezoid(np.abs(ecdf - cdf), grid))
-    return DistanceEstimate(value=value, half_width=_dkw_half_width(samples) * cutoff,
+    values = _sample_statistics(n, 2, samples, rng, threads=threads)
+    cutoff = max(float(values.max()), 1.0 + 40.0 * math.sqrt(2.0)) + 1.0
+    return DistanceEstimate(value=_ecdf_l1_distance(values, 1),
+                            half_width=_dkw_half_width(samples) * cutoff,
                             samples=samples, method="monte-carlo")
 
 

@@ -40,6 +40,17 @@ def test_cmd_test_ranks(capsys, ranks_csv):
     assert 0.0 <= lo <= hi <= 1.0
 
 
+def test_cmd_test_tail_p_value(capsys, tmp_path):
+    # 40 identical rows at r = 3 give F_r = 80 and p = Q(1, 40) = exp(-40)
+    path = tmp_path / "tail.csv"
+    path.write_text("1,2,3\n" * 40)
+    code, out, _ = run(capsys, "test", str(path), "--format", "ranks", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["statistic"] == pytest.approx(80.0, rel=1e-12)
+    assert rep["p_value"] == pytest.approx(math.exp(-40.0), rel=1e-10)
+
+
 def test_cmd_test_zero_statistic(capsys, tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("1,2\n2,1\n")
@@ -197,3 +208,12 @@ def test_thread_env_cap_does_not_change_results(capsys, monkeypatch):
     monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", "1")
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3", ""])
+def test_thread_env_invalid_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", value)
+    code, out, err = run(capsys, "distance", "--r", "2", "--n", "10", "--samples", "2000",
+                         "--threads", "2")
+    assert code == 2 and out == ""
+    assert "FRIEDMAN_BOUNDS_THREADS" in err

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from friedman_bounds import ChiSquareLaw, DomainError, bound_kolmogorov, chisq_cdf
-from friedman_bounds.montecarlo import (RngContract, estimate_kolmogorov, estimate_smooth_gap,
+from friedman_bounds.exact import exact_f_distribution
+from friedman_bounds.montecarlo import (RngContract, _ecdf_l1_distance, _sample_statistics,
+                                        _sampler_path, estimate_kolmogorov, estimate_smooth_gap,
                                         estimate_wasserstein, exact_kolmogorov,
                                         exact_smooth_gap, rate_experiment, sample_rank_matrix,
                                         smoothing_function)
@@ -59,6 +61,103 @@ def test_sampler_uniformity_gof():
     expected = draws / 6.0
     stat = float(np.sum((counts - expected) ** 2 / expected))
     assert stat <= chisq_upper_quantile(5, 1e-6)
+
+
+# one (r, n) cell per F_r sampler path, each small enough for the exact law
+EXACT_PATH_CELLS = [("multinomial", 2, 20, 41), ("bincount", 3, 6, 42), ("gather", 4, 3, 43)]
+
+
+@pytest.mark.parametrize("path, r, n, seed", EXACT_PATH_CELLS)
+def test_sampler_path_matches_exact_law(path, r, n, seed):
+    # chi-square goodness of fit of the sampled atoms against the exact law
+    assert _sampler_path(r, n) == path
+    draws = 200_000
+    values = _sample_statistics(n, r, draws, RngContract(seed=seed))
+    # F_r * r(r+1)n/3 = 4 * sum of squared centered column sums, an integer
+    keys = np.rint(values * (r * (r + 1) * n / 3.0)).astype(np.int64)
+    atoms = exact_f_distribution(n, r)
+    atom_keys = []
+    for atom, _ in atoms:
+        key = atom * r * (r + 1) * n / 3
+        assert key.denominator == 1
+        atom_keys.append(int(key))
+    found, counts = np.unique(keys, return_counts=True)
+    assert set(found.tolist()) <= set(atom_keys)
+    observed = dict(zip(found.tolist(), counts.tolist()))
+    # merge neighbouring atoms until every bin expects at least 5 draws
+    bins, exp_acc, obs_acc = [], 0.0, 0
+    for key, (_, prob) in zip(atom_keys, atoms):
+        exp_acc += float(prob) * draws
+        obs_acc += observed.get(key, 0)
+        if exp_acc >= 5.0:
+            bins.append((obs_acc, exp_acc))
+            exp_acc, obs_acc = 0.0, 0
+    if exp_acc > 0.0:
+        last_obs, last_exp = bins.pop()
+        bins.append((last_obs + obs_acc, last_exp + exp_acc))
+    assert len(bins) >= 3
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    assert stat <= chisq_upper_quantile(len(bins) - 1, 1e-6), (path, r, n, stat, len(bins))
+
+
+def test_shuffle_path_moments():
+    # no exact law at r = 10: z-tests of E[F_r] = r - 1 and Var(F_r) = 2(r-1)(1-1/n)
+    r, n, draws = 10, 20, 100_000
+    assert _sampler_path(r, n) == "shuffle"
+    values = _sample_statistics(n, r, draws, RngContract(seed=44))
+    mean_target = r - 1.0
+    var_target = 2.0 * (r - 1) * (1.0 - 1.0 / n)
+    mean = float(values.mean())
+    assert abs(mean - mean_target) <= 5.0 * math.sqrt(var_target / draws)
+    centered = values - mean
+    var = float(np.mean(centered ** 2))
+    m4 = float(np.mean(centered ** 4))
+    assert abs(var - var_target) <= 5.0 * math.sqrt((m4 - var ** 2) / draws)
+
+
+@pytest.mark.parametrize("r, n", [(2, 20), (3, 6), (4, 3), (10, 20)])
+def test_sampler_paths_thread_invariant(r, n):
+    rng = RngContract(seed=45)
+    one = _sample_statistics(n, r, 40_000, rng, threads=1)
+    two = _sample_statistics(n, r, 40_000, rng, threads=2)
+    assert one.tobytes() == two.tobytes()
+
+
+def test_substream_index_and_stream_bounds():
+    top = RngContract(seed=1, stream=2 ** 44 - 1)
+    assert top.substream(2 ** 20 - 2).stream == 2 ** 64 - 1
+    with pytest.raises(DomainError):
+        top.substream(2 ** 20 - 1)  # the key would wrap to 0
+    with pytest.raises(DomainError):
+        RngContract(seed=1).substream(2 ** 20)
+    with pytest.raises(DomainError):
+        RngContract(seed=1).substream(-1)
+    with pytest.raises(DomainError):
+        RngContract(seed=1, stream=2 ** 44).substream(0)
+
+
+def test_wasserstein_integral_two_atom_law():
+    # ECDF of the exact F_2 law at n = 2 (atoms 0 and 2, mass 1/2 each)
+    values = np.array([0.0, 2.0] * 500)
+
+    def cdf1(t):
+        return math.erf(math.sqrt(t / 2.0))
+
+    def cdf3(t):
+        return cdf1(t) - math.sqrt(2.0 * t / math.pi) * math.exp(-t / 2.0)
+
+    def antiderivative(z):  # integral of cdf1 over [0, z]
+        return z * cdf1(z) - cdf3(z)
+
+    lo, hi = 0.0, 2.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if cdf1(mid) < 0.5 else (lo, mid)
+    median = (lo + hi) / 2.0
+    below = median / 2.0 - antiderivative(median)
+    between = antiderivative(2.0) - antiderivative(median) - (2.0 - median) / 2.0
+    tail = (1.0 - cdf3(2.0)) - 2.0 * (1.0 - cdf1(2.0))
+    assert _ecdf_l1_distance(values, 1) == pytest.approx(below + between + tail, rel=1e-12)
 
 
 def test_dkw_half_width_scaling():
