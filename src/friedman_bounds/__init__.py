@@ -12,9 +12,8 @@ from .bounds import (BoundReport, SharpCoefficients, SmoothNorms, bound_kolmogor
 from .chisq import ChiSquareLaw, chisq_cdf, chisq_expectation, chisq_mean_moments
 from .errors import (BudgetError, ConvergenceError, DomainError, FriedmanBoundsError,
                      InfiniteNormError, NonFiniteError, ParseError, TieError)
-from .ranks import (CenteredRanks, CovarianceMatrix, RankMatrix, ScoreVector, center,
-                    friedman_statistic, load_csv, ranks_from_scores, score_vector,
-                    theoretical_covariance)
+from .ranks import (CenteredRanks, RankMatrix, ScoreVector, center, friedman_statistic,
+                    load_csv, ranks_from_scores, score_vector, theoretical_covariance)
 
 __version__ = "0.1.0"
 
@@ -24,7 +23,7 @@ __all__ = [
     "sharp_coefficients", "ChiSquareLaw", "chisq_cdf", "chisq_expectation",
     "chisq_mean_moments", "BudgetError", "ConvergenceError", "DomainError",
     "FriedmanBoundsError", "InfiniteNormError", "NonFiniteError", "ParseError",
-    "TieError", "CenteredRanks", "CovarianceMatrix", "RankMatrix", "ScoreVector",
+    "TieError", "CenteredRanks", "RankMatrix", "ScoreVector",
     "center", "friedman_statistic", "load_csv", "ranks_from_scores", "score_vector",
     "theoretical_covariance", "__version__",
 ]

@@ -1,13 +1,12 @@
 """Chi-square distribution numerics.
 
-CDF values come from the regularized lower incomplete gamma function
-P(a, x), computed Cephes-style: a power series for x < a + 1 and a
-modified-Lentz continued fraction for the complement otherwise, both
-iterated to relative 1e-15.  Expectations of test functions are adaptive
-quadratures against the density on a finite window whose truncated tail
-contributes less than half the requested tolerance; the p = 1 density
-singularity at the origin is removed analytically by the substitution
-t = u**2.  No chi-square sampling and no quantile function live here.
+CDF values are the regularized lower incomplete gamma function P(a, x)
+from scipy.special.gammainc, and tail masses its complement gammaincc,
+which stays accurate where 1 - P would cancel.  Expectations of test
+functions are adaptive quadratures against the density on a finite window
+whose truncated tail contributes less than half the requested tolerance;
+the p = 1 density singularity at the origin is removed analytically by the
+substitution t = u**2.  No chi-square sampling and no quantile function live here.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import gammainc, gammaincc
 
 from .errors import ConvergenceError, DomainError
 
@@ -27,9 +27,6 @@ __all__ = [
     "chisq_mean_moments",
     "chisq_expectation",
 ]
-
-_REL_TOL = 1e-15
-_MAX_ITER = 600
 
 
 @dataclass(frozen=True)
@@ -47,121 +44,21 @@ def _as_df(law) -> int:
     return law.p if isinstance(law, ChiSquareLaw) else ChiSquareLaw(int(law)).p
 
 
-def _lower_series(a: float, x: float) -> float:
-    # P(a, x) = x^a e^-x / Gamma(a+1) * sum_k x^k / ((a+1)...(a+k)), x < a+1
-    if x == 0.0:
-        return 0.0
-    term = 1.0
-    total = 1.0
-    denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if term < total * _REL_TOL:
-            break
-    else:
-        raise ConvergenceError(f"incomplete gamma series stalled at a={a}, x={x}")
-    log_pre = a * math.log(x) - x - math.lgamma(a + 1.0)
-    return total * math.exp(log_pre)
-
-
-def _upper_cf(a: float, x: float) -> float:
-    # Q(a, x) by modified Lentz continued fraction, x >= a+1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < _REL_TOL:
-            break
-    else:
-        raise ConvergenceError(f"incomplete gamma continued fraction stalled at a={a}, x={x}")
-    log_pre = a * math.log(x) - x - math.lgamma(a)
-    return f * math.exp(log_pre)
-
-
-def _reg_lower_gamma(a: float, x: float) -> float:
-    if x < 0.0:
-        raise DomainError(f"incomplete gamma needs x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_series(a, x)
-    return 1.0 - _upper_cf(a, x)
-
-
 def chisq_cdf(law, z: float) -> float:
     """P(Y_p <= z) via the regularized lower incomplete gamma P(p/2, z/2)."""
     p = _as_df(law)
-    if z < 0.0:
+    if not z >= 0.0:  # also refuses NaN
         raise DomainError(f"chi-square CDF argument must be >= 0, got {z}")
-    return _reg_lower_gamma(p / 2.0, z / 2.0)
+    return float(gammainc(p / 2.0, z / 2.0))
 
 
 def chisq_cdf_array(law, z: np.ndarray) -> np.ndarray:
-    """Vectorized CDF: same series / continued-fraction split, per-element masks."""
+    """Vectorized CDF, elementwise P(p/2, z/2)."""
     p = _as_df(law)
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
+    if not np.all(z >= 0.0):  # also refuses NaN
         raise DomainError("chi-square CDF argument must be >= 0")
-    a = p / 2.0
-    x = z / 2.0
-    out = np.zeros_like(x)
-
-    ser = (x > 0.0) & (x < a + 1.0)
-    if np.any(ser):
-        xs = x[ser]
-        term = np.ones_like(xs)
-        total = np.ones_like(xs)
-        denom = a
-        for _ in range(_MAX_ITER):
-            denom += 1.0
-            term *= xs / denom
-            total += term
-            if np.all(term < total * _REL_TOL):
-                break
-        else:
-            raise ConvergenceError("vectorized incomplete gamma series stalled")
-        out[ser] = total * np.exp(a * np.log(xs) - xs - math.lgamma(a + 1.0))
-
-    cf = x >= a + 1.0
-    if np.any(cf):
-        xc = x[cf]
-        tiny = 1e-300
-        b = xc + 1.0 - a
-        c = np.full_like(xc, 1.0 / tiny)
-        d = 1.0 / b
-        f = d.copy()
-        for i in range(1, _MAX_ITER):
-            an = -i * (i - a)
-            b = b + 2.0
-            d = an * d + b
-            np.copyto(d, tiny, where=np.abs(d) < tiny)
-            c = b + an / c
-            np.copyto(c, tiny, where=np.abs(c) < tiny)
-            d = 1.0 / d
-            delta = d * c
-            f *= delta
-            if np.all(np.abs(delta - 1.0) < _REL_TOL):
-                break
-        else:
-            raise ConvergenceError("vectorized incomplete gamma continued fraction stalled")
-        out[cf] = 1.0 - f * np.exp(a * np.log(xc) - xc - math.lgamma(a))
-
-    return out
+    return gammainc(p / 2.0, z / 2.0)
 
 
 def chisq_mean_moments(law) -> tuple[int, int]:
@@ -178,14 +75,13 @@ def _density(p: int, t):
 def _tail_mass_bound(p: int, big_t: float, growth_degree: int, growth_coeff: float) -> float:
     """Upper bound on E[|h(Y)| 1{Y > T}] for |h(x)| <= coeff*(1 + x^degree)."""
     a = p / 2.0
-    mass = 1.0 - _reg_lower_gamma(a, big_t / 2.0)
+    mass = gammaincc(a, big_t / 2.0)
     if growth_degree == 0:
         return growth_coeff * mass
     # E[Y^d 1{Y>T}] = 2^d Gamma(a+d)/Gamma(a) * Q(a+d, T/2)
     d = growth_degree
-    moment_tail = math.exp(d * math.log(2.0) + math.lgamma(a + d) - math.lgamma(a)) * (
-        1.0 - _reg_lower_gamma(a + d, big_t / 2.0)
-    )
+    moment_tail = (math.exp(d * math.log(2.0) + math.lgamma(a + d) - math.lgamma(a))
+                   * gammaincc(a + d, big_t / 2.0))
     return growth_coeff * (mass + moment_tail)
 
 

@@ -11,10 +11,15 @@ displacement over (M, K, L) for a fixed ranking matrix gives the linear
 regression  E[S' - S | ranking] = -(2/(rn)) S,  and the unconditional
 increment covariance is  E[(S'_j - S_j)(S'_u - S_u)] = 4 sigma_ju / (rn).
 
-The verifiers below enumerate every ranking configuration and every
-(M, K, L) draw and check these identities in integer arithmetic on the
-doubled-rank scale, where the regression identity reads
-sum_draws dQ_j = -2 r Q_j exactly.
+Every one of these identities is a sum of per-trial terms, so the verifiers
+below enumerate the r! rows of one trial and the r^2 draws of (K, L), never
+the configurations, and their cost does not depend on n.  On the
+doubled-rank scale the regression identity reads sum_draws dQ_j = -2 r Q_j
+for a configuration; summed over its trials, it holds for every
+configuration at every n exactly when sum_{K,L} dQ(row) = -2 r row holds
+for every row.  The increment depends only on the resampled row, which is
+uniform whatever M is, so the increment moments are row averages scaled by
+c^2, and the product patterns are checked row draw by row draw.
 
 Products of increments over three or four coordinates vanish unless every
 coordinate lies in {K, L}; on those tuples the product is
@@ -24,28 +29,21 @@ coordinate lies in {K, L}; on those tuples the product is
 The all-equal and two-two quartic patterns carry sign +1, the three-one
 quartic split carries sign -1 (it does not vanish), and cubic products
 follow the same sign rule; the verifier checks the full signed rule on
-every configuration and draw.
+every row draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
-from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .exact import BUDGET_CAP, centered_doubled
+from .exact import _entry, centered_doubled
 from .montecarlo import uniform_rows
-from .ranks import RankMatrix, ScoreVector, friedman_statistic
 
 __all__ = [
-    "PairSample",
-    "LambdaMatrix",
-    "sample_pair",
     "verify_regression",
     "verify_increment_moments",
     "verify_triple_structure",
@@ -53,108 +51,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LambdaMatrix:
-    """Regression coefficient matrix Lambda = scale * I with scale = 2/(rn)."""
-
-    scale: float
-
-    @classmethod
-    def for_design(cls, n: int, r: int) -> "LambdaMatrix":
-        if n < 1 or r < 2:
-            raise DomainError(f"need n >= 1, r >= 2, got n={n}, r={r}")
-        return cls(scale=2.0 / (r * n))
-
-
-@dataclass(frozen=True, eq=False)
-class PairSample:
-    """One draw of the coupled pair: S, S' and the chosen (trial, K, L)."""
-
-    base: ScoreVector
-    swapped: ScoreVector
-    trial: int  # 0-based index of the resampled trial
-    k: int      # 0-based treatment indices
-    l: int
-
-
-def sample_pair(ranks: RankMatrix, rng: np.random.Generator) -> PairSample:
-    """Draw (M, K, L) and build the swapped score vector."""
-    n, r = ranks.n, ranks.r
-    m = int(rng.integers(n))
-    k = int(rng.integers(r))
-    l = int(rng.integers(r))
-    base = friedman_statistic(ranks)
-    c = math.sqrt(12.0 / (r * (r + 1) * n))
-    rho_m = (ranks.ranks[m] - (r + 1) / 2.0)
-    s_new = base.s.copy()
-    s_new[k] = base.s[k] - c * (rho_m[k] - rho_m[l])
-    s_new[l] = base.s[l] - c * (rho_m[l] - rho_m[k])
-    s_new.setflags(write=False)
-    swapped = ScoreVector(s=s_new, f_r=float(np.dot(s_new, s_new)), n=n, r=r)
-    return PairSample(base=base, swapped=swapped, trial=m, k=k, l=l)
-
-
-def _check_coupling_budget(r: int, n: int) -> int:
-    configs = math.factorial(r) ** n
-    if configs * n * r * r > BUDGET_CAP:
-        raise BudgetError(f"coupling enumeration (r!)^n * n * r^2 too large at r={r}, n={n}")
-    return configs
-
-
-def _entry(identity, r, n, status, lhs, rhs, note=""):
-    e = {"identity": identity, "r": r, "n": n, "status": status, "lhs": str(lhs), "rhs": str(rhs)}
-    if note:
-        e["note"] = note
-    return e
-
-
 def verify_regression(r: int, n: int) -> list[dict]:
-    """Per-configuration check: sum over draws of dQ_j equals -2r Q_j exactly.
+    """Per-row check: sum over (K, L) of dQ(row) equals -2r row exactly.
 
-    This conditions on the full ranking matrix, which is stronger than
-    conditioning on S and hence implies the regression identity
+    Summing the rows of a configuration gives sum_draws dQ_j = -2r Q_j for
+    every configuration at every n, and a configuration of n equal rows shows
+    the converse.  Conditioning on the full ranking matrix is stronger than
+    conditioning on S, so this implies the regression identity
     E[S'-S | S] = -(2/(rn)) S with Lambda = (2/(rn)) I.
     """
-    _check_coupling_budget(r, n)
     rows = list(iter_permutations(centered_doubled(r)))
     bad = 0
-    configs = 0
-    for config in iter_product(rows, repeat=n):
-        q = [sum(row[j] for row in config) for j in range(r)]
+    for row in rows:
         acc = [0] * r
-        for m in range(n):
-            row = config[m]
-            for k in range(r):
-                for l in range(r):
-                    d = row[l] - row[k]
-                    acc[k] += d
-                    acc[l] -= d
-        if any(acc[j] != -2 * r * q[j] for j in range(r)):
+        for k in range(r):
+            for l in range(r):
+                d = row[l] - row[k]
+                acc[k] += d
+                acc[l] -= d
+        if any(acc[j] != -2 * r * row[j] for j in range(r)):
             bad += 1
-        configs += 1
     return [_entry("regression sum_draws dQ = -2r Q per configuration", r, n,
                    "pass" if bad == 0 else "fail",
-                   f"{configs - bad} configurations exact", f"{configs} required")]
+                   f"{len(rows) - bad} rows exact", f"{len(rows)} required")]
 
 
 def verify_increment_moments(r: int, n: int) -> list[dict]:
-    """Unconditional E[(S'_j-S_j)(S'_u-S_u)] = 4 sigma_ju/(rn), exact."""
-    configs = _check_coupling_budget(r, n)
+    """Unconditional E[(S'_j-S_j)(S'_u-S_u)] = 4 sigma_ju/(rn), exact.
+
+    The increment depends only on the resampled row, so each moment is the
+    average over the r! rows and r^2 (K, L) draws of dQ_j dQ_u, times the
+    exact scale (c/2)^2 = 3/(r(r+1)n).
+    """
     rows = list(iter_permutations(centered_doubled(r)))
     diag = [0] * r          # sums of dQ_j^2
     off = [[0] * r for _ in range(r)]
-    for config in iter_product(rows, repeat=n):
-        for m in range(n):
-            row = config[m]
-            for k in range(r):
-                for l in range(r):
-                    d = row[l] - row[k]
-                    d2 = d * d
-                    diag[k] += d2
-                    diag[l] += d2
-                    off[k][l] -= d2
-                    off[l][k] -= d2
-    draws = configs * n * r * r
+    for row in rows:
+        for k in range(r):
+            for l in range(r):
+                d = row[l] - row[k]
+                d2 = d * d
+                diag[k] += d2
+                diag[l] += d2
+                off[k][l] -= d2
+                off[l][k] -= d2
+    draws = len(rows) * r * r
     scale = Fraction(3, r * (r + 1) * n)  # (c/2)^2 on the doubled scale
     out = []
     target_diag = Fraction(4 * (r - 1), r * r * n)
@@ -172,13 +113,15 @@ def verify_increment_moments(r: int, n: int) -> list[dict]:
 
 
 def verify_triple_structure(r: int, n: int) -> list[dict]:
-    """Vanishing patterns of increment products on every configuration and draw.
+    """Vanishing patterns of increment products on every row draw.
 
-    For each draw the swapped matrix is rebuilt and its column sums are
-    differenced against the originals (an independent path from the swap
-    formula); the verifier then checks dQ = d * e with e_K = 1, e_L = -1,
-    zero elsewhere, and evaluates the product of increments on each
-    multiplicity class of index tuples:
+    The increment depends only on the resampled row, so each of the r! rows
+    and r^2 (K, L) draws stands for every configuration and trial M holding
+    that row.  For each draw the swapped row is rebuilt and differenced
+    against the original (an independent path from the swap formula); the
+    verifier then checks dQ = d * e with e_K = 1, e_L = -1, zero elsewhere,
+    and evaluates the product of increments on each multiplicity class of
+    index tuples:
 
       quartic: all-equal in {K,L} -> +d^4;  two-two -> +d^4;
                three-one -> -d^4 (nonzero);  any index outside {K,L} -> 0;
@@ -186,53 +129,47 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
                outside index -> 0;
       K = L  -> every product 0.
     """
-    _check_coupling_budget(r, n)
     rows = list(iter_permutations(centered_doubled(r)))
     range_r = range(r)
     support_bad = 0
     quartic_bad = 0
     cubic_bad = 0
     draws = 0
-    for config in iter_product(rows, repeat=n):
-        cols = [sum(row[j] for row in config) for j in range_r]
-        for m in range(n):
-            row = config[m]
-            # honest partial sums over the unchanged trials, once per (config, m)
-            others = [sum(config[i][j] for i in range(n) if i != m) for j in range_r]
-            for k in range_r:
-                rk = row[k]
-                for l in range_r:
-                    draws += 1
-                    d = row[l] - rk
-                    if k == l:
-                        if d != 0:
-                            support_bad += 1
-                        continue
-                    swapped = list(row)
-                    swapped[k], swapped[l] = swapped[l], swapped[k]
-                    # swapped-matrix column sums, differenced against the originals
-                    dq = [others[j] + swapped[j] - cols[j] for j in range_r]
-                    if dq[k] != d or dq[l] != -d or any(
-                            dq[j] != 0 for j in range_r if j != k and j != l):
+    for row in rows:
+        for k in range_r:
+            rk = row[k]
+            for l in range_r:
+                draws += 1
+                d = row[l] - rk
+                if k == l:
+                    if d != 0:
                         support_bad += 1
-                        continue
-                    a = dq[k]
-                    b = dq[l]
-                    d2 = d * d
-                    d3 = d2 * d
-                    d4 = d2 * d2
-                    # quartic classes, products taken from the actual dq values
-                    if (a ** 4 != d4 or b ** 4 != d4 or a * a * b * b != d4
-                            or a ** 3 * b != -d4 or a * b ** 3 != -d4):
+                    continue
+                swapped = list(row)
+                swapped[k], swapped[l] = swapped[l], swapped[k]
+                # swapped-row column entries, differenced against the originals
+                dq = [swapped[j] - row[j] for j in range_r]
+                if dq[k] != d or dq[l] != -d or any(
+                        dq[j] != 0 for j in range_r if j != k and j != l):
+                    support_bad += 1
+                    continue
+                a = dq[k]
+                b = dq[l]
+                d2 = d * d
+                d3 = d2 * d
+                d4 = d2 * d2
+                # quartic classes, products taken from the actual dq values
+                if (a ** 4 != d4 or b ** 4 != d4 or a * a * b * b != d4
+                        or a ** 3 * b != -d4 or a * b ** 3 != -d4):
+                    quartic_bad += 1
+                # cubic classes
+                if (a ** 3 != d3 or b ** 3 != -d3
+                        or a * a * b != -d3 or a * b * b != d3):
+                    cubic_bad += 1
+                if r > 2:
+                    z = next(j for j in range_r if j != k and j != l)
+                    if a ** 3 * dq[z] != 0 or a * b * dq[z] != 0:
                         quartic_bad += 1
-                    # cubic classes
-                    if (a ** 3 != d3 or b ** 3 != -d3
-                            or a * a * b != -d3 or a * b * b != d3):
-                        cubic_bad += 1
-                    if r > 2:
-                        z = next(j for j in range_r if j != k and j != l)
-                        if a ** 3 * dq[z] != 0 or a * b * dq[z] != 0:
-                            quartic_bad += 1
     out = [
         _entry("increment support and swapped-path consistency", r, n,
                "pass" if support_bad == 0 else "fail",

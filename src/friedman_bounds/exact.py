@@ -1,21 +1,21 @@
 """Exact rational verification of every moment formula by enumeration.
 
 Centered ranks are handled as doubled integers (2*rho is an integer), so all
-moments are exact fractions.  Three enumeration engines cover the claims:
+moments are exact fractions.  Two enumeration engines cover the claims:
 
 * single-trial moments of rho-monomials in up to four distinct treatment
   coordinates: the marginal law of k coordinates of a uniform permutation is
   the uniform law on ordered k-tuples of distinct centered values, so those
   tuples are enumerated directly (each stands for (r-k)! full permutations);
 
-* column-sum laws: one or two coordinates convolved across independent
-  trials (exact integer counts), giving E[S_j^k] and the cross moments of
-  the score covariance for any n without touching the (r!)^n space;
-
-* full configuration enumeration for joint statistics (F_r, T_m), organized
-  as an exact transfer-matrix convolution of the column-sum vector across
-  trials - an associative regrouping of the (r!)^n sum with identical
-  results - and capped by BUDGET_CAP configurations.
+* column-sum laws: one exact convolution across independent trials of the
+  sums of k coordinates (integer counts).  With k = 1 or 2 it gives E[S_j^k]
+  and the cross moments of the score covariance for any n without touching
+  the (r!)^n space.  With k = r it is the full configuration enumeration
+  for the joint statistics (F_r, T_m), organized as a transfer-matrix
+  convolution of the column-sum vector - an associative regrouping of the
+  (r!)^n sum with identical results - and capped by BUDGET_CAP
+  configurations.
 
 Every verify_* function returns a list of JSON-ready entries
 {identity, r, n, status, lhs, rhs} and never raises on a failed identity.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
@@ -36,7 +35,6 @@ from .errors import BudgetError, DomainError
 
 __all__ = [
     "BUDGET_CAP",
-    "ExactMomentTable",
     "single_trial_moments",
     "joint_moments",
     "verify_lemma_formulas",
@@ -137,31 +135,22 @@ def _pair_expectation(r: int, fn) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _column_sum_counts(n: int, r: int) -> tuple[tuple[int, int], ...]:
-    """Counts of the doubled single-column sum; total weight r^n."""
-    vals = centered_doubled(r)
-    dist = {0: 1}
-    for _ in range(n):
-        nxt: dict[int, int] = {}
-        for s, c in dist.items():
-            for v in vals:
-                key = s + v
-                nxt[key] = nxt.get(key, 0) + c
-        dist = nxt
-    return tuple(sorted(dist.items()))
+def _sum_counts(r: int, k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Counts of the doubled column sums of k coordinates over n trials.
 
-
-@lru_cache(maxsize=None)
-def _pair_sum_counts(n: int, r: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Counts of two columns' doubled sums; total weight (r(r-1))^n."""
-    vals = centered_doubled(r)
-    moves = [(a, b) for a in vals for b in vals if a != b]
-    dist = {(0, 0): 1}
+    One trial's k coordinates are uniform on the ordered k-tuples of
+    distinct doubled ranks (single values for k = 1, ordered distinct pairs
+    for k = 2, full permutations for k = r), so the law of their sums is
+    the n-fold convolution of that uniform law; total weight
+    (r!/(r-k)!)^n.
+    """
+    moves = list(iter_permutations(centered_doubled(r), k))
+    dist: dict[tuple[int, ...], int] = {(0,) * k: 1}
     for _ in range(n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (s1, s2), c in dist.items():
-            for a, b in moves:
-                key = (s1 + a, s2 + b)
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, c in dist.items():
+            for move in moves:
+                key = tuple(s + v for s, v in zip(state, move))
                 nxt[key] = nxt.get(key, 0) + c
         dist = nxt
     return tuple(sorted(dist.items()))
@@ -169,8 +158,8 @@ def _pair_sum_counts(n: int, r: int) -> tuple[tuple[tuple[int, int], int], ...]:
 
 def _column_power_moment(n: int, r: int, k: int) -> Fraction:
     """E[S_j^k] for even k, exact: (c/2)^k E[Q^k] with c^2 = 12/(r(r+1)n)."""
-    counts = _column_sum_counts(n, r)
-    total = sum(c * q ** k for q, c in counts)
+    counts = _sum_counts(r, 1, n)
+    total = sum(c * q ** k for (q,), c in counts)
     weight = r ** n
     scale = Fraction(12, r * (r + 1) * n) ** (k // 2) / Fraction(2 ** k)
     return Fraction(total, weight) * scale
@@ -178,7 +167,7 @@ def _column_power_moment(n: int, r: int, k: int) -> Fraction:
 
 def _pair_moments(n: int, r: int) -> tuple[Fraction, Fraction]:
     """(E[S_j S_k], E[S_j^2 S_k^2]) for j != k, exact."""
-    counts = _pair_sum_counts(n, r)
+    counts = _sum_counts(r, 2, n)
     weight = (r * (r - 1)) ** n
     t11 = sum(c * q1 * q2 for (q1, q2), c in counts)
     t22 = sum(c * q1 * q1 * q2 * q2 for (q1, q2), c in counts)
@@ -193,27 +182,12 @@ def _pair_moments(n: int, r: int) -> tuple[Fraction, Fraction]:
 # full configuration statistics (F_r and T_m)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _vector_sum_counts(n: int, r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Counts of the full doubled column-sum vector; total weight (r!)^n."""
-    rows = list(iter_permutations(centered_doubled(r)))
-    dist: dict[tuple[int, ...], int] = {(0,) * r: 1}
-    for _ in range(n):
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, c in dist.items():
-            for row in rows:
-                key = tuple(s + v for s, v in zip(state, row))
-                nxt[key] = nxt.get(key, 0) + c
-        dist = nxt
-    return tuple(sorted(dist.items()))
-
-
 def exact_f_distribution(n: int, r: int) -> list[tuple[Fraction, Fraction]]:
     """Sorted atoms (value, probability) of F_r under the null, exact."""
     check_budget(r, n)
     weight = math.factorial(r) ** n
     sq_counts: dict[int, int] = {}
-    for state, c in _vector_sum_counts(n, r):
+    for state, c in _sum_counts(r, r, n):
         key = sum(q * q for q in state)
         sq_counts[key] = sq_counts.get(key, 0) + c
     scale = Fraction(3, r * (r + 1) * n)  # F = 3 * sum Q_j^2 / (r(r+1)n)
@@ -231,7 +205,7 @@ def point_mass_at_zero(n: int, r: int) -> Fraction:
 def _t_statistic_moments(n: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
     """((E[T_m])^2, E[T_m^2], E[T_m^4]) exact, via T = (c/4) sum_l Q_l D(l)."""
     rows = list(iter_permutations(centered_doubled(r)))
-    u_counts = _vector_sum_counts(n - 1, r)
+    u_counts = _sum_counts(r, r, n - 1)
     m1 = 0
     m2 = 0
     m4 = 0
@@ -252,24 +226,11 @@ def _t_statistic_moments(n: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
     )
 
 
-@dataclass
-class ExactMomentTable:
-    """Exact moments for one (r, n); n is None for single-trial tables."""
-
-    r: int
-    n: Optional[int]
-    entries: dict[str, Fraction] = field(default_factory=dict)
-
-    def __getitem__(self, key: str) -> Fraction:
-        return self.entries[key]
-
-
-def single_trial_moments(r: int) -> ExactMomentTable:
+def single_trial_moments(r: int) -> dict[str, Fraction]:
     """All single-trial rho moments needed by the lemma formulas, 2 <= r <= 10."""
     if not 2 <= r <= 10:
         raise DomainError(f"single-trial enumeration supports 2 <= r <= 10, got {r}")
-    t = ExactMomentTable(r=r, n=None)
-    e = t.entries
+    e: dict[str, Fraction] = {}
     e["E[rho]"] = rho_moment(r, (1,))
     e["E[rho^2]"] = rho_moment(r, (2,))
     e["E[rho^3]"] = rho_moment(r, (3,))
@@ -285,22 +246,21 @@ def single_trial_moments(r: int) -> ExactMomentTable:
         e["E[rho^2 rho' rho'']"] = rho_moment(r, (2, 1, 1))
     if r >= 4:
         e["E[rho rho' rho'' rho''']"] = rho_moment(r, (1, 1, 1, 1))
-    return t
+    return e
 
 
-def joint_moments(r: int, n: int) -> ExactMomentTable:
+def joint_moments(r: int, n: int) -> dict[str, Fraction]:
     """Exact joint moments of F_r, S_j and T_m over all (r!)^n configurations."""
     if r < 2 or n < 1:
         raise DomainError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
     check_budget(r, n)
-    t = ExactMomentTable(r=r, n=n)
-    e = t.entries
+    e: dict[str, Fraction] = {}
 
     weight = math.factorial(r) ** n
     scale = Fraction(3, r * (r + 1) * n)
     m1 = Fraction(0)
     m2 = Fraction(0)
-    for state, c in _vector_sum_counts(n, r):
+    for state, c in _sum_counts(r, r, n):
         w = sum(q * q for q in state)
         m1 += c * w
         m2 += c * w * w
@@ -319,7 +279,7 @@ def joint_moments(r: int, n: int) -> ExactMomentTable:
     e["E[T]^2"] = t1sq
     e["E[T^2]"] = t2
     e["E[T^4]"] = t4
-    return t
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +615,8 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     """
     if not 3 <= r <= 6:
         raise DomainError(f"decomposition check supports 3 <= r <= 6, got {r}")
+    if trials < 1:
+        raise DomainError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     out: list[dict] = []
     for arity in (2, 3, 4):

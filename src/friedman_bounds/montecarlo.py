@@ -47,7 +47,7 @@ from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation
 from .errors import DomainError
 from .exact import BUDGET_CAP, check_budget, exact_f_distribution
 from .ranks import RankMatrix
-from .testfunctions import TestFunction, smoothing_indicator
+from .testfunctions import TestFunction
 
 __all__ = [
     "RngContract",
@@ -60,7 +60,6 @@ __all__ = [
     "estimate_smooth_gap",
     "estimate_wasserstein",
     "rate_experiment",
-    "smoothing_function",
 ]
 
 _CHUNK = 1 << 14
@@ -152,6 +151,8 @@ def _column_sums(gen: np.random.Generator, size: int, n: int, r: int) -> np.ndar
 def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
                        threads: int = 1) -> np.ndarray:
     """F_r samples in fixed chunk order, reproducible for any thread count."""
+    if samples < 1000:
+        raise DomainError(f"need at least 1000 samples, got {samples}")
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, samples - i * _CHUNK) for i in range(n_chunks)]
     scale = 12.0 / (r * (r + 1) * n)
@@ -187,8 +188,6 @@ def _ecdf_sup_distance(values: np.ndarray, p: int) -> float:
 def estimate_kolmogorov(n: int, r: int, samples: int, rng: RngContract,
                         threads: int = 1) -> DistanceEstimate:
     """MC Kolmogorov distance between L(F_r) and chi-square(r-1), with DKW bar."""
-    if samples < 1000:
-        raise DomainError(f"need at least 1000 samples, got {samples}")
     values = _sample_statistics(n, r, samples, rng, threads=threads)
     return DistanceEstimate(
         value=_ecdf_sup_distance(values, r - 1),
@@ -280,11 +279,6 @@ def estimate_wasserstein(n: int, samples: int, rng: RngContract,
     return DistanceEstimate(value=_ecdf_l1_distance(values, 1),
                             half_width=_dkw_half_width(samples) * cutoff,
                             samples=samples, method="monte-carlo")
-
-
-def smoothing_function(alpha: float, z: float) -> TestFunction:
-    """Smoothed indicator h_{alpha,z} with exact norms 2/a, 8/a^2, 32/a^3."""
-    return smoothing_indicator(alpha, z)
 
 
 def _budget_allows(r: int, n: int) -> bool:

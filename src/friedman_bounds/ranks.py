@@ -25,7 +25,6 @@ __all__ = [
     "RankMatrix",
     "CenteredRanks",
     "ScoreVector",
-    "CovarianceMatrix",
     "ranks_from_scores",
     "center",
     "score_vector",
@@ -82,11 +81,6 @@ class CenteredRanks:
     def r(self) -> int:
         return self.doubled.shape[1]
 
-    @property
-    def rho(self) -> np.ndarray:
-        """Centered ranks as floats (each an exact multiple of 1/2)."""
-        return self.doubled / 2.0
-
 
 @dataclass(frozen=True, eq=False)
 class ScoreVector:
@@ -96,17 +90,6 @@ class ScoreVector:
     f_r: float
     n: int
     r: int
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceMatrix:
-    """Covariance of the score vector: (r-1)/r on the diagonal, -1/r off it."""
-
-    sigma: np.ndarray
-
-    @property
-    def r(self) -> int:
-        return self.sigma.shape[0]
 
 
 def ranks_from_scores(scores) -> RankMatrix:
@@ -154,13 +137,13 @@ def friedman_statistic(ranks: RankMatrix) -> ScoreVector:
     return score_vector(center(ranks))
 
 
-def theoretical_covariance(r: int) -> CovarianceMatrix:
-    """Exact covariance matrix of S: sigma_jj = (r-1)/r, sigma_jk = -1/r."""
+def theoretical_covariance(r: int) -> np.ndarray:
+    """Exact covariance matrix of S, read-only: (r-1)/r on the diagonal, -1/r off it."""
     if r < 2:
         raise DomainError(f"need r >= 2, got {r}")
     sigma = np.full((r, r), -1.0 / r)
     np.fill_diagonal(sigma, (r - 1.0) / r)
-    return CovarianceMatrix(_frozen(sigma))
+    return _frozen(sigma)
 
 
 def _is_number(token: str) -> bool:

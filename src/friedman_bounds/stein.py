@@ -28,7 +28,8 @@ from scipy import integrate
 
 from .chisq import ChiSquareLaw, chisq_expectation
 from .errors import ConvergenceError, DomainError
-from .exact import centered_doubled, check_budget
+from .exact import _sum_counts, check_budget
+from .ranks import theoretical_covariance
 from .testfunctions import TestFunction
 
 __all__ = [
@@ -182,59 +183,44 @@ def derivative_bound_check(p: int, h: TestFunction, k: int,
 def verify_operator_link(r: int, n: int, h: TestFunction, tol: float = 1e-5) -> dict:
     """Exact-enumeration check of the chi-square / multivariate-normal link.
 
-    With g(s) = f(sum_j s_j^2)/4 built from the numerical f', the enumeration
-    average of  grad' Sigma grad g(S) - S' grad g(S)  (full r x r contraction
-    with the theoretical covariance) must match the average of
+    With g(s) = f(sum_j s_j^2)/4 built from the numerical f', the average of
+    grad' Sigma grad g(S) - S' grad g(S)  (full r x r contraction with the
+    theoretical covariance) must match the average of
     F f''(F) + (r-1-F) f'(F)/2, and both must match E[h(F)] - E[h(Y_{r-1})].
+    The averages are exact sums over the column-sum states of all
+    configurations, each weighted by its count of configurations.
     """
-    from itertools import permutations as iter_permutations
-    from itertools import product as iter_product
-
     check_budget(r, n)
     p = r - 1
     sol = SteinSolution(p, h)
-    rows = list(iter_permutations(centered_doubled(r)))
     c = math.sqrt(12.0 / (r * (r + 1) * n))
-    sigma = np.full((r, r), -1.0 / r)
-    np.fill_diagonal(sigma, (r - 1.0) / r)
-
-    deriv_cache: dict[float, tuple[float, float]] = {}
-
-    def f_derivs(w: float) -> tuple[float, float]:
-        got = deriv_cache.get(w)
-        if got is None:
-            got = (sol.fprime(w), sol.derivative(2, w)) if w > 0 else (0.0, 0.0)
-            deriv_cache[w] = got
-        return got
+    sigma = theoretical_covariance(r)
 
     total_mvn = 0.0
     total_chisq = 0.0
     total_h = 0.0
-    count = 0
-    for config in iter_product(rows, repeat=n):
-        q = np.array([sum(row[j] for row in config) for j in range(r)], dtype=float)
-        s = c * q / 2.0
+    for state, count in _sum_counts(r, r, n):
+        s = c * np.array(state, dtype=float) / 2.0
         w = float(np.dot(s, s))
         if w == 0.0:
             # grad g = 0 and F f'' + (r-1-F) f'/2 needs f'(0+): both sides
             # of the operator identity are (r-1) f'(0)/2; f' extends
             # continuously with f'(0) = limit, realized here by a small x.
-            fp0 = sol.fprime(1e-9)
-            total_mvn += 0.5 * (r - 1) * fp0
-            total_chisq += 0.5 * (r - 1) * fp0
+            mvn = chisq = 0.5 * (r - 1) * sol.fprime(1e-9)
         else:
-            fp, fpp = f_derivs(w)
+            fp, fpp = sol.fprime(w), sol.derivative(2, w)
             # hessian of g: f''(w) s_j s_k + f'(w) delta_jk / 2
             hess = fpp * np.outer(s, s) + 0.5 * fp * np.eye(r)
-            mvn = float(np.sum(sigma * hess)) - float(np.dot(s, s)) * 0.5 * fp
-            total_mvn += mvn
-            total_chisq += w * fpp + 0.5 * (p - w) * fp
-        total_h += h.fn(w)
-        count += 1
+            mvn = float(np.sum(sigma * hess)) - w * 0.5 * fp
+            chisq = w * fpp + 0.5 * (p - w) * fp
+        total_mvn += count * mvn
+        total_chisq += count * chisq
+        total_h += count * h.fn(w)
 
-    mean_mvn = total_mvn / count
-    mean_chisq = total_chisq / count
-    gap_direct = total_h / count - sol.chisq_h
+    weight = math.factorial(r) ** n
+    mean_mvn = total_mvn / weight
+    mean_chisq = total_chisq / weight
+    gap_direct = total_h / weight - sol.chisq_h
     agree_ops = abs(mean_mvn - mean_chisq)
     agree_gap = abs(mean_chisq - gap_direct)
     return {

@@ -23,7 +23,7 @@ def test_cdf_examples():
     assert chisq_cdf(ChiSquareLaw(4), 1.0) == pytest.approx(mp_cdf(4, 1.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 10])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 10, 15, 30])
 def test_cdf_against_high_precision(p):
     for z in [1e-8, 0.01, 0.5, 1.0, 2.5, p, p + 5.0, p + 25.0, 3 * p + 60.0]:
         assert chisq_cdf(ChiSquareLaw(p), z) == pytest.approx(mp_cdf(p, z), abs=1e-12)
@@ -32,6 +32,10 @@ def test_cdf_against_high_precision(p):
 def test_cdf_domain():
     with pytest.raises(DomainError):
         chisq_cdf(ChiSquareLaw(2), -0.5)
+    with pytest.raises(DomainError):
+        chisq_cdf(ChiSquareLaw(2), float("nan"))
+    with pytest.raises(DomainError):
+        chisq_cdf_array(ChiSquareLaw(2), np.array([1.0, float("nan")]))
     with pytest.raises(DomainError):
         ChiSquareLaw(0)
 

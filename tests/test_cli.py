@@ -178,11 +178,35 @@ def test_cmd_verify_lemmas_suite(capsys):
 
 
 def test_cmd_verify_coupling_budget_entries(capsys):
+    # the per-row verifiers have no configuration budget: every cell runs
     code, out, _ = run(capsys, "verify", "--suite", "coupling", "--r-max", "5", "--n-max", "4")
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert any(e["status"] == "skip" for e in lines)  # budget-limited cells
-    assert not any(e["status"] == "fail" for e in lines)
+    assert len(lines) == 4 * 4 * 6  # r = 2..5, n = 1..4, six entries per cell
+    assert all(e["status"] == "pass" for e in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "identities", "--trials", "-5"),
+    ("--suite", "identities", "--trials", "0"),
+    ("--r-max", "1"),
+    ("--n-max", "0"),
+    ("--p-max", "0"),
+])
+def test_cmd_verify_vacuous_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "--r", "3", "--n", "5", "--metric", "cos", "--samples", "1"),
+    ("rate", "--r", "3", "--n", "5", "--mode", "mc", "--samples", "0"),
+])
+def test_mc_sample_floor_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "at least 1000 samples" in err
 
 
 def test_cmd_verify_stein_suite(capsys):

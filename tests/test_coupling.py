@@ -1,54 +1,16 @@
-"""Exchangeable-pair coupling: swap formula, regression, increments, patterns."""
+"""Exchangeable-pair coupling: regression, increments, patterns, exchangeability."""
 
-import math
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
-import numpy as np
 import pytest
 
-from friedman_bounds import RankMatrix
-from friedman_bounds.coupling import (LambdaMatrix, regression_residual_mc, sample_pair,
-                                      verify_increment_moments, verify_regression,
-                                      verify_triple_structure)
+from friedman_bounds import coupling
+from friedman_bounds.coupling import (regression_residual_mc, verify_increment_moments,
+                                      verify_regression, verify_triple_structure)
 from friedman_bounds.exact import all_pass, centered_doubled
 from friedman_bounds.montecarlo import RngContract
-
-
-def test_lambda_matrix():
-    assert LambdaMatrix.for_design(3, 2).scale == pytest.approx(1 / 3)
-    assert LambdaMatrix.for_design(1, 2).scale == 1.0
-
-
-def test_swap_hand_example():
-    # r=2, n=1, ranks [[1,2]], forced draw M=1, K=1, L=2
-    ranks = RankMatrix([[1, 2]])
-    found = None
-    for seed in range(200):
-        pair = sample_pair(ranks, RngContract(seed=seed).generator())
-        if (pair.k, pair.l) == (0, 1):
-            found = pair
-            break
-    assert found is not None
-    inv = 1 / math.sqrt(2)
-    assert found.base.s == pytest.approx([-inv, inv])
-    assert found.swapped.s == pytest.approx([inv, -inv])
-    # swapping both coordinates of a 2-vector is the sign flip: S' = -S
-
-
-def test_sample_pair_invariants():
-    gen = RngContract(seed=123).generator()
-    for _ in range(300):
-        ranks = RankMatrix(gen.permuted(np.tile(np.arange(1, 5), (3, 1)), axis=1))
-        pair = sample_pair(ranks, gen)
-        assert abs(pair.swapped.s.sum()) <= 1e-12
-        moved = np.flatnonzero(pair.swapped.s != pair.base.s)
-        assert set(moved).issubset({pair.k, pair.l})
-        dk = pair.swapped.s[pair.k] - pair.base.s[pair.k]
-        dl = pair.swapped.s[pair.l] - pair.base.s[pair.l]
-        assert dk == pytest.approx(-dl, abs=1e-12)
-        if pair.k == pair.l:
-            assert np.array_equal(pair.swapped.s, pair.base.s)
 
 
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
@@ -56,7 +18,7 @@ def test_regression_exact(r, n):
     assert all_pass(verify_regression(r, n))
 
 
-@pytest.mark.parametrize("r,n", [(2, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("r,n", [(2, 1), (3, 2), (4, 2), (4, 4), (5, 3), (5, 4)])
 def test_increment_moments_exact(r, n):
     report = verify_increment_moments(r, n)
     assert all_pass(report)
@@ -77,6 +39,23 @@ def test_increment_example_values():
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
 def test_triple_structure_exact(r, n):
     assert all_pass(verify_triple_structure(r, n))
+
+
+def test_regression_rejects_uncentered_rows(monkeypatch):
+    # ranks 1..r do not sum to 0, so sum_{K,L} dQ(row) = 2 sum(row) - 2r row != -2r row
+    monkeypatch.setattr(coupling, "centered_doubled", lambda r: list(range(1, r + 1)))
+    for r, n in [(2, 1), (3, 2), (4, 3)]:
+        [entry] = verify_regression(r, n)
+        assert entry["status"] == "fail"
+        assert entry["lhs"] == "0 rows exact"
+
+
+def test_verifier_cost_does_not_grow_with_n():
+    start = time.perf_counter()
+    report = verify_triple_structure(5, 4)
+    assert time.perf_counter() - start < 1.0
+    assert all_pass(report)
+    assert report[0]["rhs"] == f"{120 * 25} required"
 
 
 def test_exchangeability_histogram():

@@ -10,9 +10,8 @@ from friedman_bounds.exact import exact_f_distribution
 from friedman_bounds.montecarlo import (RngContract, _ecdf_l1_distance, _sample_statistics,
                                         _sampler_path, estimate_kolmogorov, estimate_smooth_gap,
                                         estimate_wasserstein, exact_kolmogorov,
-                                        exact_smooth_gap, rate_experiment, sample_rank_matrix,
-                                        smoothing_function)
-from friedman_bounds.testfunctions import cosine, identity, power
+                                        exact_smooth_gap, rate_experiment, sample_rank_matrix)
+from friedman_bounds.testfunctions import cosine, identity, power, smoothing_indicator
 
 
 def chisq_upper_quantile(p, alpha):
@@ -223,7 +222,7 @@ def test_wasserstein_below_prop_bound():
 
 def test_smoothing_function_shape():
     alpha, z = 0.8, 3.0
-    h = smoothing_function(alpha, z)
+    h = smoothing_indicator(alpha, z)
     assert h.fn(z - alpha) == 1.0
     assert h.fn(z - alpha - 5.0) == 1.0
     assert h.fn(z) == 0.0
@@ -240,7 +239,7 @@ def test_smoothing_function_shape():
 
 def test_smoothing_function_smoothness_at_knots():
     alpha, z = 1.3, 2.0
-    h = smoothing_function(alpha, z)
+    h = smoothing_indicator(alpha, z)
     knots = [z - alpha, z - 0.75 * alpha, z - 0.25 * alpha, z]
     eps = 1e-7
     for x in knots:
@@ -258,7 +257,7 @@ def test_smoothing_function_smoothness_at_knots():
 
 def test_smoothing_function_exact_knot_values():
     # continuity is exact at the four knots of the core ramp
-    h = smoothing_function(2.0, 0.0)  # maps x in [-2, 0] onto the core [-1, 1]
+    h = smoothing_indicator(2.0, 0.0)  # maps x in [-2, 0] onto the core [-1, 1]
     assert h.fn(-2.0) == 1.0
     assert h.fn(-1.5) == pytest.approx(1 - (2 / 3) * (1 / 2) ** 3, abs=1e-12)
     assert h.fn(-1.0) == pytest.approx(0.5, abs=1e-12)

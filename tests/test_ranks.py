@@ -41,9 +41,9 @@ def test_ranks_from_scores_ties_and_nonfinite():
 
 
 def test_center_examples():
-    assert center(RankMatrix([[1, 2, 3]])).rho.tolist() == [[-1.0, 0.0, 1.0]]
-    assert center(RankMatrix([[2, 1]])).rho.tolist() == [[0.5, -0.5]]
-    assert center(RankMatrix([[3, 1, 4, 2]])).rho.tolist() == [[0.5, -1.5, 1.5, -0.5]]
+    assert (center(RankMatrix([[1, 2, 3]])).doubled / 2).tolist() == [[-1.0, 0.0, 1.0]]
+    assert (center(RankMatrix([[2, 1]])).doubled / 2).tolist() == [[0.5, -0.5]]
+    assert (center(RankMatrix([[3, 1, 4, 2]])).doubled / 2).tolist() == [[0.5, -1.5, 1.5, -0.5]]
     assert center(RankMatrix([[3, 1, 4, 2]])).doubled.sum() == 0
 
 
@@ -71,9 +71,9 @@ def test_rank_matrix_validation():
 
 
 def test_theoretical_covariance_examples():
-    cov = theoretical_covariance(2).sigma
+    cov = theoretical_covariance(2)
     assert cov.tolist() == [[0.5, -0.5], [-0.5, 0.5]]
-    cov = theoretical_covariance(4).sigma
+    cov = theoretical_covariance(4)
     assert np.allclose(np.diag(cov), 0.75)
     assert cov[0, 1] == -0.25
     with pytest.raises(DomainError):
@@ -82,7 +82,7 @@ def test_theoretical_covariance_examples():
 
 @pytest.mark.parametrize("r", [2, 3, 5, 9])
 def test_covariance_structure(r):
-    sigma = theoretical_covariance(r).sigma
+    sigma = theoretical_covariance(r)
     assert np.max(np.abs(sigma.sum(axis=1))) < 1e-15
     # projection: Sigma^2 = Sigma, eigenvalues {0, 1 x (r-1)}
     assert np.max(np.abs(sigma @ sigma - sigma)) < 1e-12
