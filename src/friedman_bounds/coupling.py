@@ -19,7 +19,8 @@ for a configuration; summed over its trials, it holds for every
 configuration at every n exactly when sum_{K,L} dQ(row) = -2 r row holds
 for every row.  The increment depends only on the resampled row, which is
 uniform whatever M is, so the increment moments are row averages scaled by
-c^2, and the product patterns are checked row draw by row draw.
+c^2, and the product patterns are checked row draw by row draw.  The r! r^2
+row draws are charged to the exact engine's budget (BudgetError beyond it).
 
 Products of increments over three or four coordinates vanish unless every
 coordinate lies in {K, L}; on those tuples the product is
@@ -40,7 +41,7 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 
-from .exact import _entry, centered_doubled
+from .exact import _check_terms, _entry, centered_doubled
 from .montecarlo import uniform_rows
 
 __all__ = [
@@ -49,6 +50,12 @@ __all__ = [
     "verify_triple_structure",
     "regression_residual_mc",
 ]
+
+
+def _rows(r: int) -> list[tuple[int, ...]]:
+    """The r! rows of one trial, charged as the r! r^2 row draws each verifier makes."""
+    _check_terms(f"the coupling row draws at r={r}", math.factorial(r) * r * r)
+    return list(iter_permutations(centered_doubled(r)))
 
 
 def verify_regression(r: int, n: int) -> list[dict]:
@@ -60,7 +67,7 @@ def verify_regression(r: int, n: int) -> list[dict]:
     conditioning on S, so this implies the regression identity
     E[S'-S | S] = -(2/(rn)) S with Lambda = (2/(rn)) I.
     """
-    rows = list(iter_permutations(centered_doubled(r)))
+    rows = _rows(r)
     bad = 0
     for row in rows:
         acc = [0] * r
@@ -83,7 +90,7 @@ def verify_increment_moments(r: int, n: int) -> list[dict]:
     average over the r! rows and r^2 (K, L) draws of dQ_j dQ_u, times the
     exact scale (c/2)^2 = 3/(r(r+1)n).
     """
-    rows = list(iter_permutations(centered_doubled(r)))
+    rows = _rows(r)
     diag = [0] * r          # sums of dQ_j^2
     off = [[0] * r for _ in range(r)]
     for row in rows:
@@ -129,7 +136,7 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
                outside index -> 0;
       K = L  -> every product 0.
     """
-    rows = list(iter_permutations(centered_doubled(r)))
+    rows = _rows(r)
     range_r = range(r)
     support_bad = 0
     quartic_bad = 0

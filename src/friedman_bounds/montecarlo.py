@@ -26,9 +26,10 @@ the ones of earlier versions; the thread-count contract above still holds.
 Kolmogorov distance estimates take the exact sup between the empirical step
 function and the continuous chi-square CDF (both one-sided gaps at every
 order statistic) and carry a DKW error bar; the Wasserstein diagnostic is
-the exact integral of |ECDF - CDF|; smooth-test-function gaps are computed
-exactly by enumeration whenever (r!)^n fits the budget and by Monte Carlo
-otherwise, with the method recorded in the estimate.
+the exact integral of |ECDF - CDF|; rate_experiment computes smooth
+test-function gaps exactly whenever the exact engine fits its budget
+(exact.BUDGET_CAP enumerated terms) and by Monte Carlo otherwise, with the
+method recorded in each row.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from scipy.special import gammainc, gammaincc, gammaincinv
 
 from . import bounds as bounds_mod
 from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation
-from .errors import DomainError
-from .exact import BUDGET_CAP, check_budget, exact_f_distribution
+from .errors import BudgetError, DomainError
+from .exact import exact_f_distribution
 from .ranks import RankMatrix
 from .testfunctions import TestFunction
 
@@ -281,17 +282,14 @@ def estimate_wasserstein(n: int, samples: int, rng: RngContract,
                             samples=samples, method="monte-carlo")
 
 
-def _budget_allows(r: int, n: int) -> bool:
-    return math.factorial(r) ** n <= BUDGET_CAP
-
-
 def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "auto",
                     samples: int = 1_000_000, rng: RngContract | None = None,
                     threads: int = 1) -> list[dict]:
     """Gap-versus-bound table across n.
 
-    mode 'exact' forces enumeration (BudgetError beyond the cap), 'mc' forces
-    sampling, 'auto' prefers enumeration whenever (r!)^n fits the budget.
+    mode 'exact' forces enumeration (BudgetError beyond the exact engine's
+    budget), 'mc' forces sampling, 'auto' tries enumeration and falls back
+    to sampling on BudgetError.
     Each row records the gap, n*gap, the applicable smooth bounds, and
     whether the gap stays below the selected bound (None when no smooth
     bound applies to this h).
@@ -303,16 +301,18 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
     norms = bounds_mod.SmoothNorms(h1=h.norm(1), h2=h.norm(2), h3=h.norm(3))
     rows = []
     for n in n_list:
-        use_exact = mode == "exact" or (mode == "auto" and _budget_allows(r, n))
-        if use_exact:
-            check_budget(r, n)
-            gap = exact_smooth_gap(n, r, h)
-            half = 0.0
-            method = "exact-enumeration"
-            count = math.factorial(r) ** n
-        else:
+        est = None
+        if mode != "mc":
+            try:
+                est = DistanceEstimate(value=exact_smooth_gap(n, r, h), half_width=0.0,
+                                       samples=math.factorial(r) ** n,
+                                       method="exact-enumeration")
+            except BudgetError:
+                if mode == "exact":
+                    raise
+        if est is None:
             est = estimate_smooth_gap(n, r, h, samples, rng.substream(n), threads=threads)
-            gap, half, method, count = est.value, est.half_width, est.method, est.samples
+        gap, half = est.value, est.half_width
         report = bounds_mod.bound_report(n, r, norms)
         ok = None if report.selected is None else bool(gap <= report.selected + half)
         rows.append({
@@ -322,8 +322,8 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
             "gap": gap,
             "n_times_gap": n * gap,
             "half_width": half,
-            "method": method,
-            "samples": count,
+            "method": est.method,
+            "samples": est.samples,
             "bound_compact": report.compact,
             "bound_sharp": report.sharp,
             "bound_trivial": report.trivial,

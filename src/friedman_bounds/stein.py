@@ -28,7 +28,7 @@ from scipy import integrate
 
 from .chisq import ChiSquareLaw, chisq_expectation
 from .errors import ConvergenceError, DomainError
-from .exact import _sum_counts, check_budget
+from .exact import _sum_counts
 from .ranks import theoretical_covariance
 from .testfunctions import TestFunction
 
@@ -187,10 +187,10 @@ def verify_operator_link(r: int, n: int, h: TestFunction, tol: float = 1e-5) -> 
     grad' Sigma grad g(S) - S' grad g(S)  (full r x r contraction with the
     theoretical covariance) must match the average of
     F f''(F) + (r-1-F) f'(F)/2, and both must match E[h(F)] - E[h(Y_{r-1})].
-    The averages are exact sums over the column-sum states of all
-    configurations, each weighted by its count of configurations.
+    The averages are exact sums over the sorted column-sum states of the
+    exact engine, each weighted by its count of configurations; the engine
+    raises BudgetError past its budget.
     """
-    check_budget(r, n)
     p = r - 1
     sol = SteinSolution(p, h)
     c = math.sqrt(12.0 / (r * (r + 1) * n))

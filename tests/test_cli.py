@@ -186,9 +186,22 @@ def test_cmd_verify_coupling_budget_entries(capsys):
     assert all(e["status"] == "pass" for e in lines)
 
 
+def test_cmd_verify_coupling_over_budget_is_one_skip_per_cell(capsys):
+    # r = 6 costs 720 * 36 row draws and runs; r = 7 costs 5040 * 49 > 200000
+    code, out, _ = run(capsys, "verify", "--suite", "coupling", "--r-max", "7", "--n-max", "2")
+    assert code == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert all(e["status"] == "pass" for e in lines if e["r"] <= 6)
+    assert len([e for e in lines if e["r"] == 6]) == 2 * 6
+    skips = [e for e in lines if e["r"] == 7]
+    assert [(e["n"], e["status"]) for e in skips] == [(1, "skip"), (2, "skip")]
+    assert all("246960 enumerated terms" in e["note"] for e in skips)
+
+
 @pytest.mark.parametrize("argv", [
     ("--suite", "identities", "--trials", "-5"),
     ("--suite", "identities", "--trials", "0"),
+    ("--suite", "identities", "--r-max", "2"),
     ("--r-max", "1"),
     ("--n-max", "0"),
     ("--p-max", "0"),

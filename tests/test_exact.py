@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friedman_bounds import BudgetError, DomainError, RankMatrix, friedman_statistic
+from friedman_bounds import BudgetError, DomainError, RankMatrix, exact, friedman_statistic
 from friedman_bounds.exact import (all_pass, beta_fourth_moment_direct, centered_doubled,
                                    exact_f_distribution, joint_moments, mono_moment,
                                    point_mass_at_zero, rho_moment, single_trial_moments,
@@ -62,10 +62,54 @@ def test_joint_examples():
 
 
 def test_joint_budget():
-    with pytest.raises(BudgetError):
-        joint_moments(6, 4)  # 720^4 is far beyond the cap
-    with pytest.raises(BudgetError):
-        exact_f_distribution(5, 5)
+    # the F_r convolution at r=7, n=3 charges 5040 moves for each state before
+    # each trial: 1 state, then 1 (one sorted row), then the sorted states
+    # after two trials, which are the sorted sums base + row
+    base = centered_doubled(7)
+    two = {tuple(sorted(a + b for a, b in zip(base, row))) for row in permutations(base)}
+    terms = 5040 * (2 + len(two))
+    with pytest.raises(BudgetError, match=rf"r=7, n=3 needs {terms} enumerated terms"):
+        joint_moments(7, 3)
+    with pytest.raises(BudgetError, match=r"r=5, n=100 needs \d+ enumerated terms, "
+                                          r"which exceeds the cap 200000"):
+        exact_f_distribution(100, 5)
+    assert sum(p for _, p in exact_f_distribution(5, 5)) == 1  # 93,600 terms fit
+
+
+def test_beta_fourth_moment_budget():
+    # one permutation is fixed, so the cost is r! terms: r = 8 fits, r = 9 does not
+    assert beta_fourth_moment_direct(8) <= Fraction(79, 345600) * 8 ** 10
+    with pytest.raises(BudgetError, match="r=9 needs 362880 enumerated terms"):
+        beta_fourth_moment_direct(9)
+    [entry] = [e for e in verify_inequalities(9) if "beta" in e["identity"] and e["r"] == 9]
+    assert entry["status"] == "skip" and "362880" in entry["note"]
+
+
+def test_column_law_cell_over_budget_is_a_skip(monkeypatch):
+    # the pair convolution at (3, 4) needs 210 terms: under a cap of 100 that
+    # cell is one skip entry naming the count, and (3, 3) still runs
+    monkeypatch.setattr(exact, "BUDGET_CAP", 100)
+    exact._sum_counts.cache_clear()
+    report = verify_lemma_formulas(r_max=3, n_max=4)
+    assert all_pass(report)
+    column = [e for e in report if e["r"] == 3 and e["identity"] == "column-law identities"]
+    assert [(e["n"], e["status"]) for e in column] == [(4, "skip")]
+    assert "r=3, n=4 needs 210 enumerated terms" in column[0]["note"]
+    assert any(e["identity"] == "E[S^6] closed form" and (e["r"], e["n"]) == (3, 3)
+               for e in report)
+
+
+@pytest.mark.parametrize("r,n", [(3, 4), (4, 3), (5, 2)])
+def test_f_law_vs_configuration_tally(r, n):
+    # the sorted-state law of F_r against a tally over every configuration
+    tally = {}
+    for config in product(permutations(centered_doubled(r)), repeat=n):
+        w = sum(sum(col) ** 2 for col in zip(*config))
+        tally[w] = tally.get(w, 0) + 1
+    total = math.factorial(r) ** n
+    scale = Fraction(3, r * (r + 1) * n)
+    assert exact_f_distribution(n, r) == [(scale * w, Fraction(c, total))
+                                          for w, c in sorted(tally.items())]
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (2, 4), (3, 2)])
@@ -82,7 +126,7 @@ def test_cross_path_consistency(r, n):
     assert mean == pytest.approx(float(jm["E[F]"]), rel=1e-10)
 
 
-@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_t_statistic_moments_vs_direct(r, n):
     # direct tally of T_1 = sum_l S_l rho_1(l) over the full configuration
     # space, on the doubled-integer scale: T = (c/4) sum_l Q_l D_1(l)

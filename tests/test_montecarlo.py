@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from friedman_bounds import ChiSquareLaw, DomainError, bound_kolmogorov, chisq_cdf
+from friedman_bounds import BudgetError, ChiSquareLaw, DomainError, bound_kolmogorov, chisq_cdf
 from friedman_bounds.exact import exact_f_distribution
 from friedman_bounds.montecarlo import (RngContract, _ecdf_l1_distance, _sample_statistics,
                                         _sampler_path, estimate_kolmogorov, estimate_smooth_gap,
@@ -208,9 +208,14 @@ def test_rate_experiment_table():
         assert row["gap_below_bound"] is True
         assert row["gap"] <= row["bound_compact"]
 
-    rows = rate_experiment(3, [16], power(2), mode="auto", samples=50_000,
+    rows = rate_experiment(3, [16], power(2), mode="auto")
+    assert rows[0]["method"] == "exact-enumeration"  # 6^16 configurations, few states
+    assert rows[0]["n_times_gap"] == pytest.approx(4.0, abs=1e-12)
+    rows = rate_experiment(6, [8], power(2), mode="auto", samples=50_000,
                            rng=RngContract(seed=3))
-    assert rows[0]["method"] == "monte-carlo"  # 6^16 exceeds the budget
+    assert rows[0]["method"] == "monte-carlo"  # the exact engine is over budget
+    with pytest.raises(BudgetError):
+        rate_experiment(6, [8], power(2), mode="exact")
 
 
 def test_wasserstein_below_prop_bound():
