@@ -12,8 +12,8 @@ from .bounds import (BoundReport, SharpCoefficients, SmoothNorms, bound_kolmogor
 from .chisq import ChiSquareLaw, chisq_cdf, chisq_expectation, chisq_mean_moments
 from .errors import (BudgetError, ConvergenceError, DomainError, FriedmanBoundsError,
                      InfiniteNormError, NonFiniteError, ParseError, TieError)
-from .ranks import (CenteredRanks, RankMatrix, ScoreVector, center, friedman_statistic,
-                    load_csv, ranks_from_scores, score_vector, theoretical_covariance)
+from .ranks import (RankMatrix, ScoreVector, friedman_statistic, load_csv, ranks_from_scores,
+                    theoretical_covariance)
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "sharp_coefficients", "ChiSquareLaw", "chisq_cdf", "chisq_expectation",
     "chisq_mean_moments", "BudgetError", "ConvergenceError", "DomainError",
     "FriedmanBoundsError", "InfiniteNormError", "NonFiniteError", "ParseError",
-    "TieError", "CenteredRanks", "RankMatrix", "ScoreVector",
-    "center", "friedman_statistic", "load_csv", "ranks_from_scores", "score_vector",
-    "theoretical_covariance", "__version__",
+    "TieError", "RankMatrix", "ScoreVector", "friedman_statistic", "load_csv",
+    "ranks_from_scores", "theoretical_covariance", "__version__",
 ]

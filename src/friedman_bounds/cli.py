@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 input/IO error.
 Identical invocations (same flags, same seed) produce byte-identical output;
-the FRIEDMAN_BOUNDS_THREADS environment variable (an integer >= 1, else a
-usage error) caps --threads without affecting any result.
+--threads and the FRIEDMAN_BOUNDS_THREADS environment variable that caps it
+(each an integer >= 1, else a usage error) never affect any result.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ def _dump(obj) -> str:
 
 
 def _thread_cap(requested: int) -> int:
+    if requested < 1:
+        raise DomainError(f"--threads must be an integer >= 1, got {requested}")
     cap = os.environ.get("FRIEDMAN_BOUNDS_THREADS")
     if cap is not None:
         try:
@@ -49,7 +51,7 @@ def _thread_cap(requested: int) -> int:
         if limit < 1:
             raise DomainError(f"FRIEDMAN_BOUNDS_THREADS must be an integer >= 1, got {cap!r}")
         requested = min(requested, limit)
-    return max(1, requested)
+    return requested
 
 
 def _test_function(name: str, t: float) -> testfunctions.TestFunction:
@@ -234,6 +236,8 @@ def _cmd_distance(args) -> int:
     elif args.metric == "wasserstein":
         if args.r != 2:
             raise DomainError("the Wasserstein diagnostic is available for r = 2 only")
+        if args.mode != "mc":
+            raise DomainError(f"--metric wasserstein must run with --mode mc, got {args.mode!r}")
         est = montecarlo.estimate_wasserstein(args.n, args.samples, rng, threads=threads)
         bound = bounds_mod.bound_r2_special(args.n, "wasserstein")
         ok = est.value <= bound + est.half_width

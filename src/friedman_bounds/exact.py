@@ -124,6 +124,12 @@ def _pair_expectation(r: int, fn) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _law_prefix(r: int, k: int) -> tuple[list, list[int]]:
+    """The growing store behind _sum_counts(r, k, .): the laws after 0, 1, ...
+    trials and the running term total charged before each trial."""
+    return [(((0,) * k, 1),)], []
+
+
 def _sum_counts(r: int, k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Counts of the sorted doubled column sums of k coordinates over n trials.
 
@@ -138,21 +144,24 @@ def _sum_counts(r: int, k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ..
     moments; |s|^2 and s' (I - J/r) s for the operator link; for T_m a sum
     over all r! last rows d of a function invariant under permuting (u, d)
     together).  Before each trial the budget is charged with the running
-    total of states times moves.
+    total of states times moves.  The laws of every (r, k) are kept, so a
+    larger n extends the longest one trial at a time, and an n past the
+    trial where the total first exceeds the cap fails without convolving.
     """
+    laws, charges = _law_prefix(r, k)
     moves = list(iter_permutations(centered_doubled(r), k))
-    dist: dict[tuple[int, ...], int] = {(0,) * k: 1}
-    terms = 0
-    for _ in range(n):
-        terms += len(dist) * len(moves)
-        _check_terms(f"the convolution of {k} column sums at r={r}, n={n}", terms)
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, c in dist.items():
-            for move in moves:
-                key = tuple(sorted([s + v for s, v in zip(state, move)]))
-                nxt[key] = nxt.get(key, 0) + c
-        dist = nxt
-    return tuple(sorted(dist.items()))
+    for t in range(n):
+        if t == len(charges):
+            charges.append((charges[-1] if charges else 0) + len(laws[t]) * len(moves))
+        _check_terms(f"the convolution of {k} column sums at r={r}, n={n}", charges[t])
+        if t + 1 == len(laws):
+            nxt: dict[tuple[int, ...], int] = {}
+            for state, c in laws[t]:
+                for move in moves:
+                    key = tuple(sorted([s + v for s, v in zip(state, move)]))
+                    nxt[key] = nxt.get(key, 0) + c
+            laws.append(tuple(sorted(nxt.items())))
+    return laws[n]
 
 
 def _column_power_moment(n: int, r: int, k: int) -> Fraction:

@@ -47,14 +47,12 @@ from . import bounds as bounds_mod
 from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation
 from .errors import BudgetError, DomainError
 from .exact import exact_f_distribution
-from .ranks import RankMatrix
 from .testfunctions import TestFunction
 
 __all__ = [
     "RngContract",
     "DistanceEstimate",
     "uniform_rows",
-    "sample_rank_matrix",
     "estimate_kolmogorov",
     "exact_kolmogorov",
     "exact_smooth_gap",
@@ -114,13 +112,6 @@ def uniform_rows(count: int, r: int, gen: np.random.Generator) -> np.ndarray:
     if r <= _TABLE_MAX_R:
         return _permutation_table(r)[gen.integers(math.factorial(r), size=count)]
     return gen.permuted(np.tile(np.arange(1, r + 1), (count, 1)), axis=1)
-
-
-def sample_rank_matrix(n: int, r: int, rng: np.random.Generator) -> RankMatrix:
-    """One matrix of n independent uniform row permutations of 1..r."""
-    if n < 1 or r < 2:
-        raise DomainError(f"need n >= 1 and r >= 2, got n={n}, r={r}")
-    return RankMatrix(uniform_rows(n, r, rng))
 
 
 def _sampler_path(r: int, n: int) -> str:

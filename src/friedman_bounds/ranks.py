@@ -1,20 +1,23 @@
-"""Rank data, centering, standardized scores and the Friedman statistic.
+"""Rank data, standardized scores and the Friedman statistic.
 
 The data model: ``n`` independent trials each rank ``r`` treatments, so row
-``i`` of a rank matrix is a permutation ``pi_i`` of ``{1, ..., r}``.  Centered
-ranks ``rho_i(j) = pi_i(j) - (r+1)/2`` are half-integers; they are stored
-internally as doubled integers (``2*rho``) so that row sums and small-case
-moments stay exact.  Floating point enters only in the standardized scores
+``i`` of a rank matrix is a permutation ``pi_i`` of ``{1, ..., r}``.  The
+statistic depends on the matrix only through its column sums: with centered
+ranks ``rho_i(j) = pi_i(j) - (r+1)/2``, the doubled column sums
+``2 sum_i rho_i(j) = 2 sum_i pi_i(j) - n(r+1)`` are exact integers, and
+floating point enters only in the standardized scores
 
     S_j = sqrt(12 / (r (r+1) n)) * sum_i rho_i(j),
 
-and the Friedman statistic ``F_r = sum_j S_j**2``.
+and the Friedman statistic ``F_r = sum_j S_j**2``.  A CSV goes from the file
+to ``F_r`` without a Python loop over its rows: one ``np.loadtxt`` parse, one
+stable ``argsort`` that also finds ties, one column sum.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +26,15 @@ from .errors import DomainError, NonFiniteError, ParseError, TieError
 
 __all__ = [
     "RankMatrix",
-    "CenteredRanks",
     "ScoreVector",
     "ranks_from_scores",
-    "center",
-    "score_vector",
     "friedman_statistic",
     "theoretical_covariance",
     "load_csv",
 ]
+
+# a line holding something besides blanks and commas
+_DATA_LINE = re.compile(r"^.*[^\s,].*$", re.MULTILINE)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -46,16 +49,19 @@ class RankMatrix:
     ranks: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.ranks, dtype=np.int64)
+        a = np.asarray(self.ranks)
         if a.ndim != 2:
             raise DomainError("rank matrix must be two-dimensional")
         n, r = a.shape
         if n < 1 or r < 2:
             raise DomainError(f"need n >= 1 trials and r >= 2 treatments, got {n} x {r}")
-        expected = np.arange(1, r + 1)
-        if not np.all(np.sort(a, axis=1) == expected):
-            bad = int(np.flatnonzero(np.any(np.sort(a, axis=1) != expected, axis=1))[0])
-            raise DomainError(f"row {bad} is not a permutation of 1..{r}")
+        fractional = ~(np.isfinite(a) & (a == np.floor(a))).all(axis=1)
+        if fractional.any():
+            raise DomainError(f"row {int(np.flatnonzero(fractional)[0])} has a non-integer rank")
+        a = a.astype(np.int64)
+        bad = np.flatnonzero((np.sort(a, axis=1) != np.arange(1, r + 1)).any(axis=1))
+        if bad.size:
+            raise DomainError(f"row {int(bad[0])} is not a permutation of 1..{r}")
         object.__setattr__(self, "ranks", _frozen(a))
 
     @property
@@ -65,21 +71,6 @@ class RankMatrix:
     @property
     def r(self) -> int:
         return self.ranks.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class CenteredRanks:
-    """Centered ranks rho_i(j) = pi_i(j) - (r+1)/2, held as doubled integers."""
-
-    doubled: np.ndarray  # 2*rho, so every entry is an odd/even integer of |.| <= r-1
-
-    @property
-    def n(self) -> int:
-        return self.doubled.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.doubled.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +86,9 @@ class ScoreVector:
 def ranks_from_scores(scores) -> RankMatrix:
     """Rank each row of a raw score matrix (1 = smallest).
 
-    Raises TieError if any row contains duplicated scores and NonFiniteError
-    if any entry is NaN or infinite; the null model has no provision for ties.
+    Raises TieError naming the first row that contains duplicated scores and
+    NonFiniteError if any entry is NaN or infinite; the null model has no
+    provision for ties.
     """
     a = np.asarray(scores, dtype=float)
     if a.ndim != 2:
@@ -106,35 +98,22 @@ def ranks_from_scores(scores) -> RankMatrix:
     n, r = a.shape
     if n < 1 or r < 2:
         raise DomainError(f"need n >= 1 trials and r >= 2 treatments, got {n} x {r}")
-    for i in range(n):
-        if len(set(a[i].tolist())) != r:
-            raise TieError(i)
     order = np.argsort(a, axis=1, kind="stable")
+    tied = (np.diff(np.take_along_axis(a, order, axis=1), axis=1) == 0).any(axis=1)
+    if tied.any():
+        raise TieError(int(np.flatnonzero(tied)[0]))
     ranks = np.empty_like(order)
-    rows = np.arange(n)[:, None]
-    ranks[rows, order] = np.arange(1, r + 1)
+    np.put_along_axis(ranks, order, np.arange(1, r + 1), axis=1)
     return RankMatrix(ranks)
 
 
-def center(ranks: RankMatrix) -> CenteredRanks:
-    """Subtract the row mean (r+1)/2 from every rank; rows then sum to 0."""
-    doubled = 2 * ranks.ranks - (ranks.r + 1)
-    return CenteredRanks(_frozen(doubled))
-
-
-def score_vector(centered: CenteredRanks) -> ScoreVector:
-    """Standardized column sums S_j and the statistic F_r = sum_j S_j^2."""
-    n, r = centered.n, centered.r
-    scale = math.sqrt(12.0 / (r * (r + 1) * n))
-    col = centered.doubled.sum(axis=0)  # exact integers, = 2 * sum_i rho_i(j)
-    s = scale * (col / 2.0)
-    f_r = float(np.dot(s, s))
-    return ScoreVector(s=_frozen(s), f_r=f_r, n=n, r=r)
-
-
 def friedman_statistic(ranks: RankMatrix) -> ScoreVector:
-    """Convenience composition: center then score."""
-    return score_vector(center(ranks))
+    """Standardized column sums S_j and the statistic F_r = sum_j S_j^2."""
+    n, r = ranks.n, ranks.r
+    scale = math.sqrt(12.0 / (r * (r + 1) * n))
+    col = 2 * ranks.ranks.sum(axis=0) - n * (r + 1)  # exact integers, = 2 * sum_i rho_i(j)
+    s = scale * (col / 2.0)
+    return ScoreVector(s=_frozen(s), f_r=float(np.dot(s, s)), n=n, r=r)
 
 
 def theoretical_covariance(r: int) -> np.ndarray:
@@ -146,45 +125,58 @@ def theoretical_covariance(r: int) -> np.ndarray:
     return _frozen(sigma)
 
 
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+def _parse(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+
+def _first_bad_row(lines: list[str], width: int) -> int:
+    """Index of the first line that is not ``width`` numbers, given that one is not.
+
+    Bisects on windows, so it parses about as many lines as ``lines`` holds.
+    """
+    lo, hi = 0, len(lines)  # the first bad line lies in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            good = _parse(lines[lo:mid]).shape[1] == width
+        except ValueError:
+            good = False
+        lo, hi = (mid, hi) if good else (lo, mid)
+    return lo
 
 
 def load_csv(path, fmt: str) -> RankMatrix:
     """Read a CSV of trials (rows) by treatments (columns).
 
     ``fmt='scores'`` ranks real values within each row; ``fmt='ranks'``
-    expects integer permutations of 1..r.  A non-numeric first row is treated
-    as a header and skipped.
+    expects integer permutations of 1..r.  A first row with a field that
+    ``float()`` rejects is a header and is skipped, as are blank and
+    comma-only rows; fields may be quoted.  Errors name the 0-based data row
+    (counted after the header and the skipped rows).
     """
     if fmt not in ("scores", "ranks"):
         raise DomainError(f"unknown format {fmt!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(t.strip() for t in row)]
-    if rows and not all(_is_number(t) for t in rows[0]):
-        rows = rows[1:]
-    if not rows:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
+        lines = _DATA_LINE.findall(fh.read())
+    if lines:
+        try:  # the header rule reads the first line alone with float()
+            [float(t.strip().strip('"')) for t in lines[0].split(",")]
+        except ValueError:
+            lines = lines[1:]
+    if not lines:
         raise ParseError(f"{path}: no data rows")
-    width = len(rows[0])
-    data = []
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-        try:
-            data.append([float(t) for t in row])
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {i}: {exc}") from exc
-    a = np.array(data, dtype=float)
+    try:
+        a = _parse(lines)
+    except ValueError:
+        width = lines[0].count(",") + 1
+        i = _first_bad_row(lines, width)
+        fields = lines[i].count(",") + 1
+        if fields != width:
+            raise ParseError(f"{path}: row {i} has {fields} fields, expected {width}") from None
+        raise ParseError(f"{path}: row {i}: {lines[i]!r} is not {width} numbers") from None
     if fmt == "scores":
         return ranks_from_scores(a)
-    ints = a.astype(np.int64)
-    if not np.all(ints == a):
-        raise ParseError(f"{path}: rank entries must be integers")
     try:
-        return RankMatrix(ints)
+        return RankMatrix(a)
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from exc

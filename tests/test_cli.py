@@ -2,7 +2,9 @@
 
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from friedman_bounds.cli import main
@@ -84,6 +86,40 @@ def test_cmd_test_errors(capsys, tmp_path):
 
     code, _, err = run(capsys, "test", str(tmp_path / "missing.csv"))
     assert code == 3
+
+
+def test_cmd_test_single_column_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("score\n0.5\n1.5\n")
+    code, out, err = run(capsys, "test", str(path), "--json")
+    assert code == 2 and out == ""
+    assert "r >= 2" in err
+
+
+def test_cmd_test_seeded_scores_equal_ranks(capsys, tmp_path):
+    # 2000 x 5 tie-free scores with a header give the same report as their
+    # ranks, and F_r agrees with the exact value from the column rank sums
+    n, r = 2000, 5
+    gen = np.random.default_rng(20240605)
+    scores = gen.permuted(np.tile(np.arange(r, dtype=float), (n, 1)), axis=1)
+    scores = scores * 1.25 + gen.standard_normal((n, 1))  # tie-free within each row
+    ranks = np.argsort(np.argsort(scores, axis=1), axis=1) + 1
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("t1,t2,t3,t4,t5\n"
+                          + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                    for row in scores))
+    ranks_csv = tmp_path / "ranks.csv"
+    ranks_csv.write_text("".join(",".join(str(int(v)) for v in row) + "\n" for row in ranks))
+    code, out_scores, _ = run(capsys, "test", str(scores_csv), "--json")
+    assert code == 0
+    code, out_ranks, _ = run(capsys, "test", str(ranks_csv), "--format", "ranks", "--json")
+    assert code == 0
+    assert out_scores == out_ranks
+    sums = [int(v) for v in ranks.sum(axis=0)]
+    exact = Fraction(12, n * r * (r + 1)) * sum(v * v for v in sums) - 3 * n * (r + 1)
+    rep = json.loads(out_scores)
+    assert (rep["n"], rep["r"]) == (n, r)
+    assert rep["statistic"] == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
 
 
 def test_cmd_bounds_values(capsys):
@@ -220,6 +256,21 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "at least 1000 samples" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("distance", "--r", "2", "--n", "10", "--metric", "wasserstein", "--mode", "exact",
+      "--samples", "2000"), "--metric wasserstein must run with --mode mc, got 'exact'"),
+    (("distance", "--r", "2", "--n", "10", "--samples", "2000", "--threads", "0"),
+     "--threads must be an integer >= 1, got 0"),
+    (("rate", "--r", "3", "--n", "5", "--mode", "mc", "--samples", "2000", "--threads", "-2"),
+     "--threads must be an integer >= 1, got -2"),
+])
+def test_ignored_flag_is_usage_error(capsys, argv, message):
+    # flags that would otherwise be dropped or clamped without a word
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_cmd_verify_stein_suite(capsys):

@@ -87,9 +87,10 @@ def test_beta_fourth_moment_budget():
 
 def test_column_law_cell_over_budget_is_a_skip(monkeypatch):
     # the pair convolution at (3, 4) needs 210 terms: under a cap of 100 that
-    # cell is one skip entry naming the count, and (3, 3) still runs
+    # cell is one skip entry naming the count, and (3, 3) still runs; the
+    # cached laws, warmed here under the default cap, do not bypass it
+    exact._sum_counts(3, 2, 5)
     monkeypatch.setattr(exact, "BUDGET_CAP", 100)
-    exact._sum_counts.cache_clear()
     report = verify_lemma_formulas(r_max=3, n_max=4)
     assert all_pass(report)
     column = [e for e in report if e["r"] == 3 and e["identity"] == "column-law identities"]

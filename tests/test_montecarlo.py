@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from friedman_bounds import BudgetError, ChiSquareLaw, DomainError, bound_kolmogorov, chisq_cdf
+from friedman_bounds import (BudgetError, ChiSquareLaw, DomainError, RankMatrix,
+                             bound_kolmogorov, chisq_cdf)
 from friedman_bounds.exact import exact_f_distribution
 from friedman_bounds.montecarlo import (RngContract, _ecdf_l1_distance, _sample_statistics,
                                         _sampler_path, estimate_kolmogorov, estimate_smooth_gap,
                                         estimate_wasserstein, exact_kolmogorov,
-                                        exact_smooth_gap, rate_experiment, sample_rank_matrix)
+                                        exact_smooth_gap, rate_experiment, uniform_rows)
 from friedman_bounds.testfunctions import cosine, identity, power, smoothing_indicator
 
 
@@ -31,12 +32,12 @@ def chisq_upper_quantile(p, alpha):
 
 def test_sampler_shapes_and_determinism():
     gen = RngContract(seed=9).generator()
-    m = sample_rank_matrix(5, 4, gen)
+    m = RankMatrix(uniform_rows(5, 4, gen))
     assert m.n == 5 and m.r == 4
-    m1 = sample_rank_matrix(3, 3, RngContract(seed=1, stream=2).generator())
-    m2 = sample_rank_matrix(3, 3, RngContract(seed=1, stream=2).generator())
+    m1 = RankMatrix(uniform_rows(3, 3, RngContract(seed=1, stream=2).generator()))
+    m2 = RankMatrix(uniform_rows(3, 3, RngContract(seed=1, stream=2).generator()))
     assert np.array_equal(m1.ranks, m2.ranks)
-    m3 = sample_rank_matrix(3, 3, RngContract(seed=1, stream=3).generator())
+    m3 = RankMatrix(uniform_rows(3, 3, RngContract(seed=1, stream=3).generator()))
     assert not np.array_equal(m1.ranks, m3.ranks)
 
 

@@ -1,4 +1,4 @@
-"""Rank ingestion, centering, scores and the statistic."""
+"""Rank ingestion, scores and the statistic."""
 
 import math
 
@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friedman_bounds import (DomainError, NonFiniteError, RankMatrix, TieError, center,
-                             friedman_statistic, ranks_from_scores, score_vector,
+from friedman_bounds import (DomainError, NonFiniteError, ParseError, RankMatrix, TieError,
+                             friedman_statistic, load_csv, ranks_from_scores,
                              theoretical_covariance)
-from friedman_bounds.montecarlo import RngContract, sample_rank_matrix
+from friedman_bounds.montecarlo import RngContract, uniform_rows
 
 
 def reference_statistic(rows):
@@ -40,23 +40,16 @@ def test_ranks_from_scores_ties_and_nonfinite():
         ranks_from_scores([[1.0, float("inf"), 3.0]])
 
 
-def test_center_examples():
-    assert (center(RankMatrix([[1, 2, 3]])).doubled / 2).tolist() == [[-1.0, 0.0, 1.0]]
-    assert (center(RankMatrix([[2, 1]])).doubled / 2).tolist() == [[0.5, -0.5]]
-    assert (center(RankMatrix([[3, 1, 4, 2]])).doubled / 2).tolist() == [[0.5, -1.5, 1.5, -0.5]]
-    assert center(RankMatrix([[3, 1, 4, 2]])).doubled.sum() == 0
-
-
 def test_score_vector_examples():
-    sv = score_vector(center(RankMatrix([[1, 2, 3]])))
+    sv = friedman_statistic(RankMatrix([[1, 2, 3]]))
     assert sv.s == pytest.approx([-1.0, 0.0, 1.0])
     assert sv.f_r == pytest.approx(2.0)
 
-    sv = score_vector(center(RankMatrix([[1, 2], [2, 1]])))
+    sv = friedman_statistic(RankMatrix([[1, 2], [2, 1]]))
     assert sv.s == pytest.approx([0.0, 0.0])
     assert sv.f_r == 0.0
 
-    sv = score_vector(center(RankMatrix([[1, 2], [1, 2]])))
+    sv = friedman_statistic(RankMatrix([[1, 2], [1, 2]]))
     assert sv.s[0] == pytest.approx(-1.0)
     assert sv.f_r == pytest.approx(2.0)
 
@@ -68,6 +61,10 @@ def test_rank_matrix_validation():
         RankMatrix([[0, 1]])
     with pytest.raises(DomainError):
         RankMatrix([[1], [1]])  # r must be >= 2
+    with pytest.raises(DomainError, match="row 1 has a non-integer rank"):
+        RankMatrix([[1.0, 2.0, 3.0], [2.9, 1.0, 3.0]])  # never truncated to [2, 1, 3]
+    with pytest.raises(DomainError):
+        RankMatrix([[1.0, float("nan")]])
 
 
 def test_theoretical_covariance_examples():
@@ -96,7 +93,7 @@ def test_covariance_structure(r):
 @given(r=st.integers(2, 6), n=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=120, deadline=None)
 def test_score_invariants(r, n, seed):
-    ranks = sample_rank_matrix(n, r, RngContract(seed=seed).generator())
+    ranks = RankMatrix(uniform_rows(n, r, RngContract(seed=seed).generator()))
     sv = friedman_statistic(ranks)
     assert abs(sv.s.sum()) <= 1e-12 * r
     assert sv.f_r >= 0.0
@@ -113,3 +110,57 @@ def test_rank_invariance_under_monotone_maps(r, n, seed, a, b):
     base = ranks_from_scores(scores)
     assert ranks_from_scores(a * scores + b).ranks.tolist() == base.ranks.tolist()
     assert ranks_from_scores(np.exp(scores)).ranks.tolist() == base.ranks.tolist()
+
+
+def write(tmp_path, text, name="data.csv"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_load_csv_header_blank_and_quoted_rows(tmp_path):
+    # a first row with any non-numeric field is a header; blank, whitespace-only
+    # and comma-only rows are skipped; quoted fields hold numbers
+    path = write(tmp_path, "a,b,c\n3,1,2\n\n,,\n  \n , ,\n1,3,2\n")
+    assert load_csv(path, "ranks").ranks.tolist() == [[3, 1, 2], [1, 3, 2]]
+    path = write(tmp_path, '"x","y","z"\n"0.5","1.5","-2"\n 7 ,"8",-1e3\n')
+    assert load_csv(path, "scores").ranks.tolist() == [[2, 3, 1], [2, 3, 1]]
+    path = write(tmp_path, "1,2\r\n\r\n2,1\r\n")
+    assert load_csv(path, "ranks").ranks.tolist() == [[1, 2], [2, 1]]
+    # a UTF-8 byte-order mark does not turn the first data row into a header
+    path = write(tmp_path, "\ufeff3,1,2\n2,1,3\n")
+    assert load_csv(path, "ranks").ranks.tolist() == [[3, 1, 2], [2, 1, 3]]
+
+
+@pytest.mark.parametrize("text,row", [
+    ("1,2,3\n\n3,1,2\n1,2\n", 2),          # ragged, after a skipped blank row
+    ("a,b,c\n1,2,3\n2,1\n", 1),             # ragged, after a header
+    ("1,2,3\n2,3,1\n3,1,2,4\n", 2),         # too many fields
+    ("1,2,3\n2,x,1\n", 1),                  # non-numeric token
+    ("1,2\n3\x0c4,1\n", 1),                  # a form feed inside a row is no line break
+    ("a,b,c\n1,2,3\n,,\n3,2,1\n2,1,oops\n", 2),
+])
+def test_load_csv_bad_row_is_named(tmp_path, text, row):
+    path = write(tmp_path, text)
+    for fmt in ("scores", "ranks"):
+        with pytest.raises(ParseError, match=f"row {row}\\b"):
+            load_csv(path, fmt)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "a,b,c\n", "a,b,c\n\n,,\n"])
+def test_load_csv_without_data_rows(tmp_path, text):
+    with pytest.raises(ParseError, match="no data rows"):
+        load_csv(write(tmp_path, text), "scores")
+
+
+def test_load_csv_rank_entries_must_be_integers(tmp_path):
+    with pytest.raises(ParseError):
+        load_csv(write(tmp_path, "1,2,3\n2.5,1,3\n"), "ranks")
+    with pytest.raises(ParseError):
+        load_csv(write(tmp_path, "1,2,3\n1,1,3\n"), "ranks")
+
+
+def test_load_csv_rejects_digit_group_underscores(tmp_path):
+    # float() reads "1_000" as 1000; the CSV parser does not
+    with pytest.raises(ParseError, match="row 1"):
+        load_csv(write(tmp_path, "1,2,3\n1_000,2,3\n"), "scores")
