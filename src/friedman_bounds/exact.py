@@ -1,18 +1,21 @@
 """Exact rational verification of every moment formula by enumeration.
 
 Centered ranks are handled as doubled integers (2*rho is an integer), so all
-moments are exact fractions.  Two enumeration engines cover the claims:
+moments are exact fractions.  The claims are covered by:
 
 * single-trial moments of rho-monomials in up to four distinct treatment
   coordinates: the marginal law of k coordinates of a uniform permutation is
   the uniform law on ordered k-tuples of distinct centered values, so those
   tuples are enumerated directly (each stands for (r-k)! full permutations);
 
-* column-sum laws: one exact convolution across independent trials of the
-  sums of k coordinates (integer counts), over sorted states.  With k = 1 or
-  2 it gives E[S_j^k] and the cross moments of the score covariance; with
-  k = r it gives the joint statistics (F_r, T_m), each state weighted by its
-  count of configurations, without touching the (r!)^n space.
+* moments of sums of n i.i.d. trials (S_j, the pair (S_j, S_k), T_m, and
+  from them E[F_r] and E[F_r^2]): the joint cumulants of such a sum are n
+  times those of one trial, so the moments follow exactly at a cost that
+  does not depend on n;
+
+* the law of F_r: one exact convolution across trials of the full
+  column-sum vector, over sorted states, each weighted by its count of
+  configurations, without touching the (r!)^n space.
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 (_check_terms raises BudgetError naming the cell, the term count and the cap).
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -100,10 +104,7 @@ def rho_moment(r: int, powers: tuple[int, ...]) -> Fraction:
 
 def mono_moment(r: int, indices: tuple[int, ...]) -> Fraction:
     """E[prod_i rho(indices[i])] for an index tuple that may repeat entries."""
-    powers: dict[int, int] = {}
-    for idx in indices:
-        powers[idx] = powers.get(idx, 0) + 1
-    return rho_moment(r, tuple(sorted(powers.values(), reverse=True)))
+    return rho_moment(r, tuple(sorted(Counter(indices).values(), reverse=True)))
 
 
 def _poly_expectation(r: int, fn) -> Fraction:
@@ -120,83 +121,110 @@ def _pair_expectation(r: int, fn) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# column-sum laws (exact convolution across trials)
+# sums of n i.i.d. trials: moments from cumulants, and the F_r law
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _law_prefix(r: int, k: int) -> tuple[list, list[int]]:
-    """The growing store behind _sum_counts(r, k, .): the laws after 0, 1, ...
-    trials and the running term total charged before each trial."""
-    return [(((0,) * k, 1),)], []
+def _iid_sum_moments(law, n: int, degrees: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    """E[prod_i X_i^a_i] for every a <= degrees, X the sum of n i.i.d. trials.
 
-
-def _sum_counts(r: int, k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Counts of the sorted doubled column sums of k coordinates over n trials.
-
-    One trial's k coordinates are uniform on the ordered k-tuples of
-    distinct doubled ranks (single values for k = 1, ordered distinct pairs
-    for k = 2, full permutations for k = r), so the law of their sums is
-    the n-fold convolution of that uniform law; total weight
-    (r!/(r-k)!)^n.  Each state is sorted after every trial, which is exact:
-    the moves are closed under permuting coordinates, so sorting commutes
-    with each trial, and every caller is symmetric in the k coordinates
-    (sums of squares and symmetric products for F_r, the S- and pair
-    moments; |s|^2 and s' (I - J/r) s for the operator link; for T_m a sum
-    over all r! last rows d of a function invariant under permuting (u, d)
-    together).  Before each trial the budget is charged with the running
-    total of states times moves.  The laws of every (r, k) are kept, so a
-    larger n extends the longest one trial at a time, and an n past the
-    trial where the total first exceeds the cap fails without convolving.
+    `law` is one trial's (value tuple, count) pairs.  The joint cumulants of
+    the sum are n times those of one trial, so the cost does not depend on
+    n.  Moments m and cumulants k are linked, for the first coordinate i with
+    a_i > 0 and e its unit vector, by m_a = sum_{b <= a-e} C(a-e, b) k_{b+e}
+    m_{a-e-b}, whose b = a-e term is k_a itself.
     """
-    laws, charges = _law_prefix(r, k)
-    moves = list(iter_permutations(centered_doubled(r), k))
+    total = sum(c for _, c in law)
+    index = list(iter_product(*(range(d + 1) for d in degrees)))  # b <= a precedes a
+
+    def lower(a, kappa, m):  # the recursion's terms with b != a-e
+        i = next(i for i, p in enumerate(a) if p)
+        top = a[:i] + (a[i] - 1,) + a[i + 1:]
+        return sum(math.prod(map(math.comb, top, b)) * kappa[b[:i] + (b[i] + 1,) + b[i + 1:]]
+                   * m[tuple(t - s for t, s in zip(top, b))]
+                   for b in iter_product(*(range(t + 1) for t in top)) if b != top)
+
+    trial = {a: Fraction(sum(c * math.prod(map(pow, x, a)) for x, c in law), total)
+             for a in index}
+    kappa: dict[tuple[int, ...], Fraction] = {}
+    n_kappa: dict[tuple[int, ...], Fraction] = {}
+    moments = {index[0]: Fraction(1)}
+    for a in index[1:]:
+        kappa[a] = trial[a] - lower(a, kappa, trial)
+        n_kappa[a] = n * kappa[a]
+        moments[a] = n_kappa[a] + lower(a, n_kappa, moments)
+    return moments
+
+
+def _s_moments(r: int, n: int) -> dict[str, Fraction]:
+    """E[S^2], E[S^4], E[S^6], E[S_j S_k] and E[S_j^2 S_k^2] (j != k), exact.
+
+    One trial adds an ordered pair of distinct doubled ranks to the doubled
+    column sums (Q_j, Q_k), and S = (c/2) Q with (c/2)^2 = 3/(r(r+1)n).
+    """
+    pairs = [(pair, 1) for pair in iter_permutations(centered_doubled(r), 2)]
+    m = _iid_sum_moments(pairs, n, (6, 2))
+    q = Fraction(3, r * (r + 1) * n)
+    exponents = {"E[S^2]": (2, 0), "E[S^4]": (4, 0), "E[S^6]": (6, 0),
+                 "E[S_j S_k]": (1, 1), "E[S_j^2 S_k^2]": (2, 2)}  # all of even degree
+    return {key: q ** (sum(a) // 2) * m[a] for key, a in exponents.items()}
+
+
+@lru_cache(maxsize=None)
+def _overlap_counts(r: int) -> tuple[tuple[tuple[int], int], ...]:
+    base = centered_doubled(r)
+    counts = Counter(sum(x * y for x, y in zip(base, row)) for row in iter_permutations(base))
+    return tuple(((y,), c) for y, c in sorted(counts.items()))
+
+
+def _overlap_law(r: int) -> tuple[tuple[tuple[int], int], ...]:
+    """Counts of Y = sum_l v_l v_pi(l) over the r! permutations pi, with v
+    the doubled ranks; the budget is charged on every call, cached or not."""
+    _check_terms(f"the law of sum_l v_l v_pi(l) at r={r}", math.factorial(r))
+    return _overlap_counts(r)
+
+
+@lru_cache(maxsize=None)
+def _law_prefix(r: int) -> tuple[list, list[int]]:
+    """The growing store behind _sum_counts(r, .): the laws after 0, 1, ...
+    trials and the running term total charged before each trial."""
+    return [(((0,) * r, 1),)], []
+
+
+def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Counts of the sorted doubled column sums over n trials.
+
+    One trial's row is uniform on the r! permutations of the doubled ranks,
+    so the law of the column sums is the n-fold convolution of that uniform
+    law; total weight (r!)^n.  Each state is sorted after every trial, which
+    is exact: the moves are closed under permuting coordinates, so sorting
+    commutes with each trial, and both callers are symmetric in the columns
+    (the sum of squares for F_r; |s|^2 and s' (I - J/r) s for the operator
+    link).  Before each trial the budget is charged with the running total
+    of states times moves.  The laws of every r are kept, so a larger n
+    extends the longest one trial at a time, and an n past the trial where
+    the total first exceeds the cap fails without convolving.
+    """
+    laws, charges = _law_prefix(r)
+    moves = list(iter_permutations(centered_doubled(r)))
     for t in range(n):
         if t == len(charges):
             charges.append((charges[-1] if charges else 0) + len(laws[t]) * len(moves))
-        _check_terms(f"the convolution of {k} column sums at r={r}, n={n}", charges[t])
+        _check_terms(f"the convolution of {r} column sums at r={r}, n={n}", charges[t])
         if t + 1 == len(laws):
-            nxt: dict[tuple[int, ...], int] = {}
+            nxt: Counter = Counter()
             for state, c in laws[t]:
                 for move in moves:
-                    key = tuple(sorted([s + v for s, v in zip(state, move)]))
-                    nxt[key] = nxt.get(key, 0) + c
+                    nxt[tuple(sorted([s + v for s, v in zip(state, move)]))] += c
             laws.append(tuple(sorted(nxt.items())))
     return laws[n]
 
 
-def _column_power_moment(n: int, r: int, k: int) -> Fraction:
-    """E[S_j^k] for even k, exact: (c/2)^k E[Q^k] with c^2 = 12/(r(r+1)n)."""
-    counts = _sum_counts(r, 1, n)
-    total = sum(c * q ** k for (q,), c in counts)
-    weight = r ** n
-    scale = Fraction(12, r * (r + 1) * n) ** (k // 2) / Fraction(2 ** k)
-    return Fraction(total, weight) * scale
-
-
-def _pair_moments(n: int, r: int) -> tuple[Fraction, Fraction]:
-    """(E[S_j S_k], E[S_j^2 S_k^2]) for j != k, exact."""
-    counts = _sum_counts(r, 2, n)
-    weight = (r * (r - 1)) ** n
-    t11 = sum(c * q1 * q2 for (q1, q2), c in counts)
-    t22 = sum(c * q1 * q1 * q2 * q2 for (q1, q2), c in counts)
-    c2 = Fraction(12, r * (r + 1) * n)
-    return (
-        Fraction(t11, weight) * c2 / 4,
-        Fraction(t22, weight) * c2 * c2 / 16,
-    )
-
-
-# ---------------------------------------------------------------------------
-# full configuration statistics (F_r and T_m)
-# ---------------------------------------------------------------------------
-
 def exact_f_distribution(n: int, r: int) -> list[tuple[Fraction, Fraction]]:
     """Sorted atoms (value, probability) of F_r under the null, exact."""
     weight = math.factorial(r) ** n
-    sq_counts: dict[int, int] = {}
-    for state, c in _sum_counts(r, r, n):
-        key = sum(q * q for q in state)
-        sq_counts[key] = sq_counts.get(key, 0) + c
+    sq_counts: Counter = Counter()
+    for state, c in _sum_counts(r, n):
+        sq_counts[sum(q * q for q in state)] += c
     scale = Fraction(3, r * (r + 1) * n)  # F = 3 * sum Q_j^2 / (r(r+1)n)
     return [(scale * k, Fraction(c, weight)) for k, c in sorted(sq_counts.items())]
 
@@ -207,28 +235,16 @@ def point_mass_at_zero(n: int, r: int) -> Fraction:
 
 
 def _t_statistic_moments(n: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
-    """((E[T_m])^2, E[T_m^2], E[T_m^4]) exact, via T = (c/4) sum_l Q_l D(l)."""
-    rows = list(iter_permutations(centered_doubled(r)))
-    u_counts = _sum_counts(r, r, n - 1)
-    _check_terms(f"the T_m pass at r={r}, n={n}", len(u_counts) * len(rows))
-    m1 = 0
-    m2 = 0
-    m4 = 0
-    for u, cu in u_counts:
-        for row in rows:
-            x = sum((uq + d) * d for uq, d in zip(u, row))
-            m1 += cu * x
-            x2 = x * x
-            m2 += cu * x2
-            m4 += cu * x2 * x2
-    weight = math.factorial(r) ** n
+    """((E[T_m])^2, E[T_m^2], E[T_m^4]) exact, via T = (c/4) x.
+
+    For trial m's doubled row d, x = sum_l Q_l d_l is |d|^2 plus n-1 i.i.d.
+    copies of Y = sum_l v_l v_pi(l), whose law does not depend on d.
+    """
+    shift = sum(v * v for v in centered_doubled(r))
+    y = _iid_sum_moments(_overlap_law(r), n - 1, (4,))
+    x = [sum(math.comb(k, j) * shift ** (k - j) * y[j,] for j in range(k + 1)) for k in range(5)]
     c2_over_16 = Fraction(3, 4 * r * (r + 1) * n)  # (c/4)^2 with c^2 = 12/(r(r+1)n)
-    mean = Fraction(m1, weight)
-    return (
-        c2_over_16 * mean * mean,
-        c2_over_16 * Fraction(m2, weight),
-        c2_over_16 * c2_over_16 * Fraction(m4, weight),
-    )
+    return c2_over_16 * x[1] ** 2, c2_over_16 * x[2], c2_over_16 ** 2 * x[4]
 
 
 def single_trial_moments(r: int) -> dict[str, Fraction]:
@@ -255,26 +271,15 @@ def single_trial_moments(r: int) -> dict[str, Fraction]:
 
 
 def joint_moments(r: int, n: int) -> dict[str, Fraction]:
-    """Exact joint moments of F_r, S_j and T_m over all (r!)^n configurations."""
+    """Exact joint moments of F_r, S_j and T_m at any n (the T_m law costs r! terms)."""
     if r < 2 or n < 1:
         raise DomainError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
-    e: dict[str, Fraction] = {}
-    atoms = exact_f_distribution(n, r)
-    e["E[F]"] = sum(a * p for a, p in atoms)
-    e["E[F^2]"] = sum(a * a * p for a, p in atoms)
+    s = _s_moments(r, n)
+    e = {"E[F]": r * s["E[S^2]"],
+         "E[F^2]": r * s["E[S^4]"] + r * (r - 1) * s["E[S_j^2 S_k^2]"]}
     e["Var(F)"] = e["E[F^2]"] - e["E[F]"] ** 2
-
-    e["E[S^2]"] = _column_power_moment(n, r, 2)
-    e["E[S^4]"] = _column_power_moment(n, r, 4)
-    e["E[S^6]"] = _column_power_moment(n, r, 6)
-    s11, s22 = _pair_moments(n, r)
-    e["E[S_j S_k]"] = s11
-    e["E[S_j^2 S_k^2]"] = s22
-
-    t1sq, t2, t4 = _t_statistic_moments(n, r)
-    e["E[T]^2"] = t1sq
-    e["E[T^2]"] = t2
-    e["E[T^4]"] = t4
+    e.update(s)
+    e["E[T]^2"], e["E[T^2]"], e["E[T^4]"] = _t_statistic_moments(n, r)
     return e
 
 
@@ -317,9 +322,10 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
 
     Single-trial identities run for r in 2..r_max; column-law identities
     (variance, S-moment closed forms) and joint F/T identities for every n
-    in 1..n_max where the exact engine fits BUDGET_CAP, one skipped entry
-    naming the term count per cell otherwise.  Infeasible identities (three
-    distinct coordinates at r = 2) are reported as skipped, not failed.
+    in 1..n_max, at a cost that does not depend on n.  The joint cells need
+    the r! terms of the overlap law behind T_m: from r = 9 on, each is one
+    skipped entry naming that count.  Infeasible identities (three distinct
+    coordinates at r = 2) are reported as skipped, not failed.
     """
     out: list[dict] = []
     for r in range(2, r_max + 1):
@@ -398,12 +404,7 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
 
         # column laws: score covariance and the S-moment closed forms
         for n in range(1, n_max + 1):
-            try:
-                s2, s4, s6 = (_column_power_moment(n, r, k) for k in (2, 4, 6))
-                s11, s22 = _pair_moments(n, r)
-            except BudgetError as exc:
-                out.append(_entry("column-law identities", r, n, "skip", "-", "-", str(exc)))
-                continue
+            s2, s4, s6, s11, s22 = _s_moments(r, n).values()
             out.append(_eq_entry("Var(S_j) = (r-1)/r", r, n, s2, Fraction(r - 1, r)))
             out.append(_eq_entry("Cov(S_j,S_k) = -1/r", r, n, s11, Fraction(-1, r)))
             out.append(_eq_entry("E[S^4] closed form", r, n, s4, closed_s4(r, n)))
@@ -412,7 +413,7 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
             out.append(_le_entry("E[S^6] <= 15", r, n, s6, Fraction(15)))
             out.append(_eq_entry("E[S_j^2 S_k^2] closed form", r, n, s22, closed_s2s2(r, n)))
 
-        # joint laws: the full column-sum vector
+        # joint moments: F_r and T_m
         for n in range(1, n_max + 1):
             try:
                 jm = joint_moments(r, n)
@@ -583,11 +584,9 @@ def beta_fourth_moment_direct(r: int) -> Fraction:
     """E[(sum_l rho(l) rho'(l))^4] over two independent permutations, direct.
 
     beta(pi, pi') = beta(id, pi' pi^-1) and pi' pi^-1 is uniform whatever pi
-    is, so the first permutation is fixed and the r! second ones enumerated.
+    is, so beta = Y/4 with Y read from the r! terms of the overlap law.
     """
-    _check_terms(f"E[beta^4] at r={r}", math.factorial(r))
-    base = centered_doubled(r)
-    total = sum(sum(x * y for x, y in zip(base, pk)) ** 4 for pk in iter_permutations(base))
+    total = sum(c * y ** 4 for (y,), c in _overlap_law(r))
     return Fraction(total, math.factorial(r) * 4 ** 4)  # doubled twice: (2*2)^4
 
 

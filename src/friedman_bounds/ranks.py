@@ -174,9 +174,7 @@ def load_csv(path, fmt: str) -> RankMatrix:
         if fields != width:
             raise ParseError(f"{path}: row {i} has {fields} fields, expected {width}") from None
         raise ParseError(f"{path}: row {i}: {lines[i]!r} is not {width} numbers") from None
-    if fmt == "scores":
-        return ranks_from_scores(a)
     try:
-        return RankMatrix(a)
+        return ranks_from_scores(a) if fmt == "scores" else RankMatrix(a)
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -199,7 +199,7 @@ def verify_operator_link(r: int, n: int, h: TestFunction, tol: float = 1e-5) -> 
     total_mvn = 0.0
     total_chisq = 0.0
     total_h = 0.0
-    for state, count in _sum_counts(r, r, n):
+    for state, count in _sum_counts(r, n):
         s = c * np.array(state, dtype=float) / 2.0
         w = float(np.dot(s, s))
         if w == 0.0:

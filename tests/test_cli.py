@@ -88,12 +88,14 @@ def test_cmd_test_errors(capsys, tmp_path):
     assert code == 3
 
 
-def test_cmd_test_single_column_is_usage_error(capsys, tmp_path):
+@pytest.mark.parametrize("fmt", ["scores", "ranks"])
+def test_cmd_test_single_column_is_parse_error(capsys, tmp_path, fmt):
+    # the same malformed file gets the input exit code under either format
     path = tmp_path / "one.csv"
     path.write_text("score\n0.5\n1.5\n")
-    code, out, err = run(capsys, "test", str(path), "--json")
-    assert code == 2 and out == ""
-    assert "r >= 2" in err
+    code, out, err = run(capsys, "test", str(path), "--format", fmt, "--json")
+    assert code == 3 and out == ""
+    assert str(path) in err and "r >= 2" in err
 
 
 def test_cmd_test_seeded_scores_equal_ranks(capsys, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from friedman_bounds import BudgetError, DomainError, RankMatrix, exact, friedman_statistic
 from friedman_bounds.exact import (all_pass, beta_fourth_moment_direct, centered_doubled,
+                                   closed_s2s2, closed_s4, closed_s6,
                                    exact_f_distribution, joint_moments, mono_moment,
                                    point_mass_at_zero, rho_moment, single_trial_moments,
                                    verify_index_decomposition, verify_inequalities,
@@ -62,14 +63,12 @@ def test_joint_examples():
 
 
 def test_joint_budget():
-    # the F_r convolution at r=7, n=3 charges 5040 moves for each state before
-    # each trial: 1 state, then 1 (one sorted row), then the sorted states
-    # after two trials, which are the sorted sums base + row
-    base = centered_doubled(7)
-    two = {tuple(sorted(a + b for a, b in zip(base, row))) for row in permutations(base)}
-    terms = 5040 * (2 + len(two))
-    with pytest.raises(BudgetError, match=rf"r=7, n=3 needs {terms} enumerated terms"):
-        joint_moments(7, 3)
+    # the joint moments cost the r! terms of the overlap law behind T_m, at
+    # any n: r = 7 fits where the F_r law at n = 3 used to be refused, and
+    # r = 9 does not
+    assert joint_moments(7, 3)["E[F]"] == 6
+    with pytest.raises(BudgetError, match="r=9 needs 362880 enumerated terms"):
+        joint_moments(9, 2)
     with pytest.raises(BudgetError, match=r"r=5, n=100 needs \d+ enumerated terms, "
                                           r"which exceeds the cap 200000"):
         exact_f_distribution(100, 5)
@@ -85,19 +84,21 @@ def test_beta_fourth_moment_budget():
     assert entry["status"] == "skip" and "362880" in entry["note"]
 
 
-def test_column_law_cell_over_budget_is_a_skip(monkeypatch):
-    # the pair convolution at (3, 4) needs 210 terms: under a cap of 100 that
-    # cell is one skip entry naming the count, and (3, 3) still runs; the
-    # cached laws, warmed here under the default cap, do not bypass it
-    exact._sum_counts(3, 2, 5)
+def test_joint_cell_over_budget_is_a_skip(monkeypatch):
+    # under a cap of 100 the r = 5 overlap law (120 terms) is over budget, so
+    # each r = 5 joint cell is one skip entry naming the count, while the
+    # column-law cells, which have no budget, still pass; the law, cached
+    # here under the default cap, does not bypass it
+    joint_moments(5, 1)
     monkeypatch.setattr(exact, "BUDGET_CAP", 100)
-    report = verify_lemma_formulas(r_max=3, n_max=4)
+    report = verify_lemma_formulas(r_max=5, n_max=3)
     assert all_pass(report)
-    column = [e for e in report if e["r"] == 3 and e["identity"] == "column-law identities"]
-    assert [(e["n"], e["status"]) for e in column] == [(4, "skip")]
-    assert "r=3, n=4 needs 210 enumerated terms" in column[0]["note"]
-    assert any(e["identity"] == "E[S^6] closed form" and (e["r"], e["n"]) == (3, 3)
-               for e in report)
+    joint = [e for e in report if e["r"] == 5 and e["identity"] == "joint F/T identities"]
+    assert [(e["n"], e["status"]) for e in joint] == [(1, "skip"), (2, "skip"), (3, "skip")]
+    assert all("r=5 needs 120 enumerated terms" in e["note"] for e in joint)
+    column = [e for e in report if e["r"] == 5 and e["n"] is not None
+              and e["identity"] != "joint F/T identities"]
+    assert len(column) == 3 * 7 and all(e["status"] == "pass" for e in column)
 
 
 @pytest.mark.parametrize("r,n", [(3, 4), (4, 3), (5, 2)])
@@ -127,7 +128,7 @@ def test_cross_path_consistency(r, n):
     assert mean == pytest.approx(float(jm["E[F]"]), rel=1e-10)
 
 
-@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
 def test_t_statistic_moments_vs_direct(r, n):
     # direct tally of T_1 = sum_l S_l rho_1(l) over the full configuration
     # space, on the doubled-integer scale: T = (c/4) sum_l Q_l D_1(l)
@@ -149,9 +150,9 @@ def test_t_statistic_moments_vs_direct(r, n):
     assert scale * scale * (m4 / count) == jm["E[T^4]"]
 
 
-@pytest.mark.parametrize("r,n", [(2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 2), (4, 2), (5, 2)])
 def test_pair_moments_vs_vector_distribution(r, n):
-    # the two-column convolution against a tally over full configurations
+    # the pair moments against a tally over full configurations
     jm = joint_moments(r, n)
     t11 = Fraction(0)
     t22 = Fraction(0)
@@ -165,6 +166,38 @@ def test_pair_moments_vs_vector_distribution(r, n):
     c2 = Fraction(12, r * (r + 1) * n)
     assert c2 / 4 * (t11 / count) == jm["E[S_j S_k]"]
     assert c2 * c2 / 16 * (t22 / count) == jm["E[S_j^2 S_k^2]"]
+
+
+@pytest.mark.parametrize("r,n", [(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 9)]
+                         + [(r, n) for r in (4, 5) for n in range(1, 6)]
+                         + [(6, n) for n in range(1, 4)])
+def test_f_law_moments_equal_joint_moments(r, n):
+    # the law of F_r, wherever it fits the budget, stays the reference for
+    # E[F], E[F^2] and Var(F) from the S-moments
+    atoms = exact_f_distribution(n, r)
+    mean = sum(a * p for a, p in atoms)
+    second = sum(a * a * p for a, p in atoms)
+    jm = joint_moments(r, n)
+    assert (mean, second, second - mean ** 2) == (jm["E[F]"], jm["E[F^2]"], jm["Var(F)"])
+
+
+def test_joint_moments_cost_does_not_depend_on_n():
+    # a million trials cost as little as one: every closed form holds exactly
+    n = 10 ** 6
+    for r in range(2, 9):
+        jm = joint_moments(r, n)
+        assert jm["E[S^4]"] == closed_s4(r, n)
+        assert jm["E[S^6]"] == closed_s6(r, n)
+        assert jm["E[S_j^2 S_k^2]"] == closed_s2s2(r, n)
+        assert jm["E[F]"] == r - 1
+        assert jm["E[F^2]"] == r * r - 1 - Fraction(2 * (r - 1), n)
+        assert jm["E[T]^2"] == Fraction(r * (r + 1) * (r - 1) ** 2, 12 * n)
+        assert jm["E[T^2]"] == Fraction(r * (r * r - 1), 12) * (1 + Fraction(r - 2, n))
+    # the lemmas suite at r <= 8 skips only the two r = 2 three-treatment entries
+    report = verify_lemma_formulas(8, 40) + verify_inequalities(8)
+    skips = [e for e in report if e["status"] == "skip"]
+    assert all_pass(report)
+    assert [(e["r"], e["note"]) for e in skips] == [(2, "needs three distinct treatments")] * 2
 
 
 def test_point_mass_at_zero_closed_form():
