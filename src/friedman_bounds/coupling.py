@@ -39,16 +39,12 @@ import math
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 
-import numpy as np
-
 from .exact import _check_terms, _entry, centered_doubled
-from .montecarlo import uniform_rows
 
 __all__ = [
     "verify_regression",
     "verify_increment_moments",
     "verify_triple_structure",
-    "regression_residual_mc",
 ]
 
 
@@ -192,39 +188,3 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
     ]
     return out
 
-
-def regression_residual_mc(r: int, n: int, pairs: int, rng: np.random.Generator,
-                           chunk: int = 1 << 14) -> dict:
-    """Monte Carlo check that E[(S'-S) + (2/(rn)) S] = 0, componentwise.
-
-    Returns the componentwise mean residual, its standard errors, and the
-    largest |z| score over components.
-    """
-    c = math.sqrt(12.0 / (r * (r + 1) * n))
-    lam = 2.0 / (r * n)
-    total = np.zeros(r)
-    total_sq = np.zeros(r)
-    done = 0
-    while done < pairs:
-        b = min(chunk, pairs - done)
-        ranks = uniform_rows(b * n, r, rng).reshape(b, n, r)
-        rho_sum = ranks.sum(axis=1) - n * (r + 1) / 2.0
-        s = c * rho_sum
-        m = rng.integers(n, size=b)
-        k = rng.integers(r, size=b)
-        l = rng.integers(r, size=b)
-        rows_m = ranks[np.arange(b), m, :] - (r + 1) / 2.0
-        rho_k = rows_m[np.arange(b), k]
-        rho_l = rows_m[np.arange(b), l]
-        delta = np.zeros((b, r))
-        np.add.at(delta, (np.arange(b), k), -c * (rho_k - rho_l))
-        np.add.at(delta, (np.arange(b), l), -c * (rho_l - rho_k))
-        resid = delta + lam * s
-        total += resid.sum(axis=0)
-        total_sq += (resid ** 2).sum(axis=0)
-        done += b
-    mean = total / pairs
-    var = total_sq / pairs - mean ** 2
-    se = np.sqrt(np.maximum(var, 1e-300) / pairs)
-    z = np.abs(mean) / se
-    return {"mean": mean, "se": se, "max_abs_z": float(z.max()), "pairs": pairs}

@@ -124,34 +124,47 @@ def _pair_expectation(r: int, fn) -> Fraction:
 # sums of n i.i.d. trials: moments from cumulants, and the F_r law
 # ---------------------------------------------------------------------------
 
-def _iid_sum_moments(law, n: int, degrees: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    """E[prod_i X_i^a_i] for every a <= degrees, X the sum of n i.i.d. trials.
+def _recursion_rest(a: tuple[int, ...], kappa, m) -> Fraction:
+    """The terms with b != a-e of m_a = sum_{b <= a-e} C(a-e, b) k_{b+e} m_{a-e-b}.
 
-    `law` is one trial's (value tuple, count) pairs.  The joint cumulants of
-    the sum are n times those of one trial, so the cost does not depend on
-    n.  Moments m and cumulants k are linked, for the first coordinate i with
-    a_i > 0 and e its unit vector, by m_a = sum_{b <= a-e} C(a-e, b) k_{b+e}
-    m_{a-e-b}, whose b = a-e term is k_a itself.
+    Moments m and cumulants k are linked by that recursion, for the first
+    coordinate i with a_i > 0 and e its unit vector; its b = a-e term is k_a.
+    """
+    i = next(i for i, p in enumerate(a) if p)
+    top = a[:i] + (a[i] - 1,) + a[i + 1:]
+    return sum(math.prod(map(math.comb, top, b)) * kappa[b[:i] + (b[i] + 1,) + b[i + 1:]]
+               * m[tuple(t - s for t, s in zip(top, b))]
+               for b in iter_product(*(range(t + 1) for t in top)) if b != top)
+
+
+@lru_cache(maxsize=None)
+def _trial_cumulants(law: tuple, degrees: tuple[int, ...]) -> tuple:
+    """One trial's joint cumulants as (a, k_a) pairs for 0 < a <= degrees, b <= a first.
+
+    `law` is the trial's (value tuple, count) pairs, as a tuple so that the
+    cumulants, which do not depend on n, are computed once per law.
     """
     total = sum(c for _, c in law)
     index = list(iter_product(*(range(d + 1) for d in degrees)))  # b <= a precedes a
-
-    def lower(a, kappa, m):  # the recursion's terms with b != a-e
-        i = next(i for i, p in enumerate(a) if p)
-        top = a[:i] + (a[i] - 1,) + a[i + 1:]
-        return sum(math.prod(map(math.comb, top, b)) * kappa[b[:i] + (b[i] + 1,) + b[i + 1:]]
-                   * m[tuple(t - s for t, s in zip(top, b))]
-                   for b in iter_product(*(range(t + 1) for t in top)) if b != top)
-
     trial = {a: Fraction(sum(c * math.prod(map(pow, x, a)) for x, c in law), total)
              for a in index}
     kappa: dict[tuple[int, ...], Fraction] = {}
-    n_kappa: dict[tuple[int, ...], Fraction] = {}
-    moments = {index[0]: Fraction(1)}
     for a in index[1:]:
-        kappa[a] = trial[a] - lower(a, kappa, trial)
-        n_kappa[a] = n * kappa[a]
-        moments[a] = n_kappa[a] + lower(a, n_kappa, moments)
+        kappa[a] = trial[a] - _recursion_rest(a, kappa, trial)
+    return tuple(kappa.items())
+
+
+def _iid_sum_moments(law: tuple, n: int, degrees: tuple[int, ...]) -> dict[tuple, Fraction]:
+    """E[prod_i X_i^a_i] for every a <= degrees, X the sum of n i.i.d. trials.
+
+    The joint cumulants of the sum are n times those of one trial
+    (_trial_cumulants), so the cost does not depend on n.
+    """
+    n_kappa: dict[tuple[int, ...], Fraction] = {}
+    moments = {(0,) * len(degrees): Fraction(1)}
+    for a, kappa in _trial_cumulants(law, degrees):
+        n_kappa[a] = n * kappa
+        moments[a] = n_kappa[a] + _recursion_rest(a, n_kappa, moments)
     return moments
 
 
@@ -161,7 +174,7 @@ def _s_moments(r: int, n: int) -> dict[str, Fraction]:
     One trial adds an ordered pair of distinct doubled ranks to the doubled
     column sums (Q_j, Q_k), and S = (c/2) Q with (c/2)^2 = 3/(r(r+1)n).
     """
-    pairs = [(pair, 1) for pair in iter_permutations(centered_doubled(r), 2)]
+    pairs = tuple((pair, 1) for pair in iter_permutations(centered_doubled(r), 2))
     m = _iid_sum_moments(pairs, n, (6, 2))
     q = Fraction(3, r * (r + 1) * n)
     exponents = {"E[S^2]": (2, 0), "E[S^4]": (4, 0), "E[S^6]": (6, 0),
@@ -274,7 +287,11 @@ def joint_moments(r: int, n: int) -> dict[str, Fraction]:
     """Exact joint moments of F_r, S_j and T_m at any n (the T_m law costs r! terms)."""
     if r < 2 or n < 1:
         raise DomainError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
-    s = _s_moments(r, n)
+    return _joint_from_s(r, n, _s_moments(r, n))
+
+
+def _joint_from_s(r: int, n: int, s: dict[str, Fraction]) -> dict[str, Fraction]:
+    """joint_moments(r, n) from the cell's S-moments s = _s_moments(r, n)."""
     e = {"E[F]": r * s["E[S^2]"],
          "E[F^2]": r * s["E[S^4]"] + r * (r - 1) * s["E[S_j^2 S_k^2]"]}
     e["Var(F)"] = e["E[F^2]"] - e["E[F]"] ** 2
@@ -403,8 +420,9 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
                 + 5 * rr * (rr ** 2 - 1) / 4 * rho ** 4 + rr * rho ** 6))
 
         # column laws: score covariance and the S-moment closed forms
-        for n in range(1, n_max + 1):
-            s2, s4, s6, s11, s22 = _s_moments(r, n).values()
+        s_cells = [_s_moments(r, n) for n in range(1, n_max + 1)]
+        for n, s_moments in enumerate(s_cells, 1):
+            s2, s4, s6, s11, s22 = s_moments.values()
             out.append(_eq_entry("Var(S_j) = (r-1)/r", r, n, s2, Fraction(r - 1, r)))
             out.append(_eq_entry("Cov(S_j,S_k) = -1/r", r, n, s11, Fraction(-1, r)))
             out.append(_eq_entry("E[S^4] closed form", r, n, s4, closed_s4(r, n)))
@@ -414,9 +432,9 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
             out.append(_eq_entry("E[S_j^2 S_k^2] closed form", r, n, s22, closed_s2s2(r, n)))
 
         # joint moments: F_r and T_m
-        for n in range(1, n_max + 1):
+        for n, s_moments in enumerate(s_cells, 1):
             try:
-                jm = joint_moments(r, n)
+                jm = _joint_from_s(r, n, s_moments)
             except BudgetError as exc:
                 out.append(_entry("joint F/T identities", r, n, "skip", "-", "-", str(exc)))
                 continue

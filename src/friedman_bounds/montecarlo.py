@@ -8,20 +8,25 @@ and the reduction runs in chunk order.
 A uniform row permutation of 1..r is one uniform index into a table of all
 r! permutations, built on first use for r <= 9; for r >= 10 no table fits and
 rows are Fisher-Yates shuffles.  F_r depends on a rank matrix only through
-its column sums, so the F_r sampler draws those sums by one of four paths,
+its column sums, so the F_r sampler draws those sums by one of three paths,
 chosen from (r, n) alone:
 
-* counts, multinomial (r <= 9, 8 r! <= n): the n trials' permutation counts
-  are Multinomial(n, 1/r!) and the column sums are counts @ table; the cost
-  does not grow with n, and r = 2 is one binomial draw;
-* counts, bincount (r <= 9, r! <= n r, n < 8 r!): n uniform indices per
-  sample, counted, then counts @ table;
-* gather (r <= 9, r! > n r): the n table rows of the drawn indices, summed;
+* multinomial (r <= 9, 8 r! <= n): the n trials' permutation counts are
+  Multinomial(n, 1/r!) and the column sums are counts @ table; the cost does
+  not grow with n, and r = 2 is one binomial draw;
+* packed (r <= 9, n < 8 r!): n uniform indices per sample, each replaced by
+  its permutation packed into one 64-bit word (entries 1..r-1, minus 1, in
+  b = 64 // (r-1) bit fields), summed over blocks of trials too short for a
+  field to carry into the next, then unpacked; the last column is
+  n r(r+1)/2 minus the others;
 * shuffle (r >= 10): n shuffled rows, summed.
 
-The paths draw the same law, not the same numbers.  The table-based paths
-replaced row shuffles for r <= 9, so at a fixed seed those draws differ from
-the ones of earlier versions; the thread-count contract above still holds.
+The paths draw the same law, not the same numbers.  The packed path draws
+the same indices, and returns the same column sums, as the gather and
+bincount paths it replaced, so its draws are unchanged from those.  The
+table-based paths replaced row shuffles for r <= 9, so at a fixed seed those
+draws differ from the ones of older versions; the thread-count contract
+above still holds.
 
 Kolmogorov distance estimates take the exact sup between the empirical step
 function and the continuous chi-square CDF (both one-sided gaps at every
@@ -63,7 +68,8 @@ __all__ = [
 
 _CHUNK = 1 << 14
 _DKW_CONFIDENCE = 0.99
-_TABLE_MAX_R = 9  # 9! x 9 int16 entries are 6.5 MB; 10! x 10 would be 73 MB
+_TABLE_MAX_R = 9  # 9! x 9 int16 entries are 6.5 MB, the packed table's 9! words
+                  # 2.9 MB; 10! x 10 would be 73 MB
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,17 @@ def _permutation_table(r: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _packed_table(r: int) -> np.ndarray:
+    """The rows of _permutation_table(r) as words: entry k+1, minus 1, at bit
+    k*b with b = 64 // (r-1); the last entry is left out (r >= 2, r <= 9)."""
+    bits = 64 // (r - 1)
+    head = _permutation_table(r)[:, :-1].astype(np.int64) - 1
+    packed = (head << np.arange(0, bits * (r - 1), bits, dtype=np.int64)).sum(axis=1)
+    packed.setflags(write=False)
+    return packed
+
+
 def uniform_rows(count: int, r: int, gen: np.random.Generator) -> np.ndarray:
     """``count`` independent uniform permutations of 1..r, one per row."""
     if r <= _TABLE_MAX_R:
@@ -118,26 +135,31 @@ def _sampler_path(r: int, n: int) -> str:
     """The column-sum path for (r, n); see the module docstring."""
     if r > _TABLE_MAX_R:
         return "shuffle"
-    perms = math.factorial(r)
-    if perms > n * r:
-        return "gather"
-    return "multinomial" if 8 * perms <= n else "bincount"
+    return "multinomial" if 8 * math.factorial(r) <= n else "packed"
 
 
 def _column_sums(gen: np.random.Generator, size: int, n: int, r: int) -> np.ndarray:
     """Column sums of ``size`` independent uniform n x r rank matrices."""
     path = _sampler_path(r, n)
-    if path in ("shuffle", "gather"):
+    if path == "shuffle":
         return uniform_rows(size * n, r, gen).reshape(size, n, r).sum(axis=1)
-    table = _permutation_table(r)
-    perms = table.shape[0]
     if path == "multinomial":
+        table = _permutation_table(r)
+        perms = table.shape[0]
         counts = gen.multinomial(n, np.full(perms, 1.0 / perms), size=size)
-    else:
-        idx = gen.integers(perms, size=(size, n))
-        idx += np.arange(size)[:, None] * perms
-        counts = np.bincount(idx.ravel(), minlength=size * perms).reshape(size, perms)
-    return counts @ table
+        return counts @ table
+    packed = _packed_table(r)
+    bits = 64 // (r - 1)
+    # a field holds at most 2**bits - 1, and each trial adds at most r - 1 to it
+    block = min(n, ((1 << bits) - 1) // (r - 1))
+    idx = gen.integers(packed.size, size=(size, n))
+    np.take(packed, idx, out=idx, mode="clip")  # mode="raise" would buffer out
+    words = np.add.reduceat(idx.view(np.uint64), np.arange(0, n, block), axis=1)
+    shifts = np.arange(0, bits * (r - 1), bits, dtype=np.uint64)
+    fields = (words[..., None] >> shifts) & np.uint64((1 << bits) - 1)
+    head = fields.sum(axis=1, dtype=np.int64) + n
+    last = n * r * (r + 1) // 2 - head.sum(axis=1, keepdims=True)
+    return np.concatenate([head, last], axis=1)
 
 
 def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,

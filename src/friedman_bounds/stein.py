@@ -34,7 +34,6 @@ from .testfunctions import TestFunction
 
 __all__ = [
     "SteinSolution",
-    "solve_fprime",
     "stein_residual",
     "derivative_bound_check",
     "verify_operator_link",
@@ -116,13 +115,6 @@ class SteinSolution:
                     + 16.0 * f(x - step) - f(x - 2 * step)) / (12.0 * step ** 2)
         return (f(x + 2 * step) - 2.0 * f(x + step)
                 + 2.0 * f(x - step) - f(x - 2 * step)) / (2.0 * step ** 3)
-
-
-def solve_fprime(p: int, h: TestFunction, x: float, tol: float = 1e-11,
-                 solution: SteinSolution | None = None) -> float:
-    """f'(x) for the chi-square Stein equation with test function h."""
-    sol = solution if solution is not None else SteinSolution(p, h, tol=tol)
-    return sol.fprime(x)
 
 
 def stein_residual(p: int, h: TestFunction, x: float,

@@ -202,6 +202,26 @@ def test_cmd_distance_deterministic(capsys):
     assert out1 == out2
 
 
+# stdout pinned at fixed seeds, so any change in the sampler's draws fails here
+GOLDEN_DISTANCE = [
+    (("--r", "8", "--n", "50", "--samples", "20000", "--seed", "5"),
+     '{"bound": 1.0, "estimate": 0.007312107775422405, "half_width": 0.011509037065006824, '
+     '"method": "monte-carlo", "metric": "kolmogorov", "n": 50, "r": 8, "samples": 20000, '
+     '"within_bound": true}\n'),
+    (("--r", "5", "--n", "200", "--samples", "20000", "--seed", "7"),
+     '{"bound": 1.0, "estimate": 0.007161391373020631, "half_width": 0.011509037065006824, '
+     '"method": "monte-carlo", "metric": "kolmogorov", "n": 200, "r": 5, "samples": 20000, '
+     '"within_bound": true}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", GOLDEN_DISTANCE)
+def test_cmd_distance_golden_stdout(capsys, argv, stdout):
+    code, out, _ = run(capsys, "distance", *argv)
+    assert code == 0
+    assert out == stdout
+
+
 def test_cmd_distance_wasserstein_requires_r2(capsys):
     code, _, err = run(capsys, "distance", "--r", "3", "--n", "5",
                        "--metric", "wasserstein", "--samples", "2000")

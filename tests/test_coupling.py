@@ -7,10 +7,9 @@ from itertools import permutations, product
 import pytest
 
 from friedman_bounds import coupling
-from friedman_bounds.coupling import (regression_residual_mc, verify_increment_moments,
-                                      verify_regression, verify_triple_structure)
+from friedman_bounds.coupling import (verify_increment_moments, verify_regression,
+                                      verify_triple_structure)
 from friedman_bounds.exact import all_pass, centered_doubled
-from friedman_bounds.montecarlo import RngContract
 
 
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
@@ -75,7 +74,3 @@ def test_exchangeability_histogram():
                         hist[(w, w2)] = hist.get((w, w2), 0) + 1
         assert all(hist[key] == hist.get((key[1], key[0]), 0) for key in hist)
 
-
-def test_mc_regression_consistency():
-    out = regression_residual_mc(6, 50, 1_000_000, RngContract(seed=2024).generator())
-    assert out["max_abs_z"] <= 5.0

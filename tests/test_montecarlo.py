@@ -8,10 +8,11 @@ import pytest
 from friedman_bounds import (BudgetError, ChiSquareLaw, DomainError, RankMatrix,
                              bound_kolmogorov, chisq_cdf)
 from friedman_bounds.exact import exact_f_distribution
-from friedman_bounds.montecarlo import (RngContract, _ecdf_l1_distance, _sample_statistics,
-                                        _sampler_path, estimate_kolmogorov, estimate_smooth_gap,
-                                        estimate_wasserstein, exact_kolmogorov,
-                                        exact_smooth_gap, rate_experiment, uniform_rows)
+from friedman_bounds.montecarlo import (RngContract, _column_sums, _ecdf_l1_distance,
+                                        _sample_statistics, _sampler_path, estimate_kolmogorov,
+                                        estimate_smooth_gap, estimate_wasserstein,
+                                        exact_kolmogorov, exact_smooth_gap, rate_experiment,
+                                        uniform_rows)
 from friedman_bounds.testfunctions import cosine, identity, power, smoothing_indicator
 
 
@@ -63,8 +64,26 @@ def test_sampler_uniformity_gof():
     assert stat <= chisq_upper_quantile(5, 1e-6)
 
 
-# one (r, n) cell per F_r sampler path, each small enough for the exact law
-EXACT_PATH_CELLS = [("multinomial", 2, 20, 41), ("bincount", 3, 6, 42), ("gather", 4, 3, 43)]
+# F_r sampler cells small enough for the exact law: the packed cells have
+# r! <= n r (3, 6) and r! > n r (4, 3)
+EXACT_PATH_CELLS = [("multinomial", 2, 20, 41), ("packed", 3, 6, 42), ("packed", 4, 3, 43)]
+
+# packed cells for r = 2..9, with n on both sides of each carry-free block
+# edge: 31, 73 and 170 trials at r = 9, 8 and 7
+PACKED_CELLS = [(2, 1), (2, 15), (3, 7), (3, 47), (4, 10), (5, 200), (6, 100), (7, 170),
+                (7, 171), (8, 50), (8, 73), (8, 74), (9, 31), (9, 32), (9, 40), (9, 63)]
+
+
+@pytest.mark.parametrize("r, n", PACKED_CELLS)
+def test_packed_column_sums_equal_summed_rows(r, n):
+    # the packed path draws the same indices as the table rows of uniform_rows
+    assert _sampler_path(r, n) == "packed"
+    size = 300
+    key = RngContract(seed=46, stream=r * 1000 + n)
+    got = _column_sums(key.generator(), size, n, r)
+    want = uniform_rows(size * n, r, key.generator()).reshape(size, n, r).sum(axis=1)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("path, r, n, seed", EXACT_PATH_CELLS)
@@ -115,7 +134,7 @@ def test_shuffle_path_moments():
     assert abs(var - var_target) <= 5.0 * math.sqrt((m4 - var ** 2) / draws)
 
 
-@pytest.mark.parametrize("r, n", [(2, 20), (3, 6), (4, 3), (10, 20)])
+@pytest.mark.parametrize("r, n", [(2, 20), (3, 6), (4, 3), (9, 40), (10, 20)])
 def test_sampler_paths_thread_invariant(r, n):
     rng = RngContract(seed=45)
     one = _sample_statistics(n, r, 40_000, rng, threads=1)

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from friedman_bounds.stein import (SteinSolution, derivative_bound_check, solve_fprime,
-                                   standard_grid, stein_residual, verify_operator_link)
+from friedman_bounds.stein import (SteinSolution, derivative_bound_check, standard_grid,
+                                   stein_residual, verify_operator_link)
 from friedman_bounds.testfunctions import constant, cosine, identity, sine
 
 
@@ -26,10 +26,6 @@ def test_constant_test_function_gives_zero():
     sol = SteinSolution(3, constant(4.2))
     for x in (0.2, 2.0, 11.0):
         assert sol.fprime(x) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_solve_fprime_helper():
-    assert solve_fprime(4, identity(), 1.0) == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_residual_examples():
