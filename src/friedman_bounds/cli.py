@@ -139,8 +139,7 @@ def _coupling_suite(r_max: int, n_max: int) -> list[dict]:
                 cell = (coupling.verify_regression(r, n) + coupling.verify_increment_moments(r, n)
                         + coupling.verify_triple_structure(r, n))
             except BudgetError as exc:
-                cell = [{"identity": "coupling identities", "r": r, "n": n, "status": "skip",
-                         "lhs": "-", "rhs": "-", "note": str(exc)}]
+                cell = [exact._entry("coupling identities", r, n, "skip", "-", "-", str(exc))]
             out.extend(cell)
     return out
 
@@ -153,29 +152,26 @@ def _stein_suite(p_max: int) -> list[dict]:
         for h in functions:
             sol = stein.SteinSolution(p, h)
             worst = max(stein.stein_residual(p, h, float(x), solution=sol) for x in grid)
-            out.append({"identity": "stein residual <= 1e-5 on grid", "r": None, "n": None,
-                        "status": "pass" if worst <= 1e-5 else "fail",
-                        "lhs": f"{worst:.3e}", "rhs": "1e-5", "note": f"p={p}, h={h.label}"})
+            out.append(exact._entry("stein residual <= 1e-5 on grid", None, None,
+                                    "pass" if worst <= 1e-5 else "fail",
+                                    f"{worst:.3e}", "1e-5", f"p={p}, h={h.label}"))
     ident = testfunctions.identity()
     sol = stein.SteinSolution(3, ident)
     dev = max(abs(sol.fprime(float(x)) + 2.0) for x in stein.standard_grid(3, points=40))
-    out.append({"identity": "h(t)=t gives f' = -2", "r": None, "n": None,
-                "status": "pass" if dev <= 1e-8 else "fail",
-                "lhs": f"{dev:.3e}", "rhs": "1e-8", "note": "p=3"})
+    out.append(exact._entry("h(t)=t gives f' = -2", None, None,
+                            "pass" if dev <= 1e-8 else "fail", f"{dev:.3e}", "1e-8", "p=3"))
     for p, k in ((4, 2), (8, 3)):
         rep = stein.derivative_bound_check(p, testfunctions.cosine(1.0), k,
                                            grid=stein.standard_grid(p, points=50))
-        ok = all(rep["holds"].values())
-        out.append({"identity": f"derivative caps hold (k={k})", "r": None, "n": None,
-                    "status": "pass" if ok else "fail",
-                    "lhs": f"{rep['observed_sup']:.6g}",
-                    "rhs": str({k2: round(v, 6) for k2, v in rep["caps"].items()}),
-                    "note": f"p={p}"})
+        out.append(exact._entry(f"derivative caps hold (k={k})", None, None,
+                                "pass" if all(rep["holds"].values()) else "fail",
+                                f"{rep['observed_sup']:.6g}",
+                                str({k2: round(v, 6) for k2, v in rep["caps"].items()}),
+                                f"p={p}"))
     lem = stein.verify_operator_link(3, 2, testfunctions.cosine(1.0))
-    out.append({"identity": "operator-link two-path agreement", "r": 3, "n": 2,
-                "status": lem["status"],
-                "lhs": f"{lem['operator_agreement']:.3e} / {lem['stein_identity_residual']:.3e}",
-                "rhs": "1e-5"})
+    out.append(exact._entry("operator-link two-path agreement", 3, 2, lem["status"],
+                            f"{lem['operator_agreement']:.3e} / "
+                            f"{lem['stein_identity_residual']:.3e}", "1e-5"))
     return out
 
 

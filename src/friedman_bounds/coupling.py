@@ -11,16 +11,21 @@ displacement over (M, K, L) for a fixed ranking matrix gives the linear
 regression  E[S' - S | ranking] = -(2/(rn)) S,  and the unconditional
 increment covariance is  E[(S'_j - S_j)(S'_u - S_u)] = 4 sigma_ju / (rn).
 
-Every one of these identities is a sum of per-trial terms, so the verifiers
-below enumerate the r! rows of one trial and the r^2 draws of (K, L), never
-the configurations, and their cost does not depend on n.  On the
-doubled-rank scale the regression identity reads sum_draws dQ_j = -2 r Q_j
-for a configuration; summed over its trials, it holds for every
-configuration at every n exactly when sum_{K,L} dQ(row) = -2 r row holds
-for every row.  The increment depends only on the resampled row, which is
-uniform whatever M is, so the increment moments are row averages scaled by
-c^2, and the product patterns are checked row draw by row draw.  The r! r^2
-row draws are charged to the exact engine's budget (BudgetError beyond it).
+Every one of these identities is a sum of per-trial terms, so one pass
+enumerates the r! rows of one trial and the r^2 draws of (K, L), never the
+configurations.  Each draw's increment dQ is built once, on the
+doubled-rank scale, as the swapped row minus the row, and the pass tallies
+everything the three verifiers report; they only format entries for
+(r, n).  The pass is cached, so each r is enumerated once per process
+whatever n, and its r! r^2 row draws are charged to the exact engine's
+budget on every call (BudgetError beyond it).
+
+The regression identity reads sum_draws dQ_j = -2 r Q_j for a
+configuration; summed over its trials, it holds for every configuration at
+every n exactly when sum_{K,L} dQ(row) = -2 r row holds for every row.  The
+increment depends only on the resampled row, which is uniform whatever M
+is, so the increment moments are row averages scaled by c^2, and the
+product patterns are checked row draw by row draw.
 
 Products of increments over three or four coordinates vanish unless every
 coordinate lies in {K, L}; on those tuples the product is
@@ -37,7 +42,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations as iter_permutations
+from typing import NamedTuple
 
 from .exact import _check_terms, _entry, centered_doubled
 
@@ -48,112 +55,39 @@ __all__ = [
 ]
 
 
-def _rows(r: int) -> list[tuple[int, ...]]:
-    """The r! rows of one trial, charged as the r! r^2 row draws each verifier makes."""
-    _check_terms(f"the coupling row draws at r={r}", math.factorial(r) * r * r)
-    return list(iter_permutations(centered_doubled(r)))
+class _SwapTally(NamedTuple):
+    rows: int
+    draws: int
+    regression_bad: int     # rows whose summed increments miss -2r row
+    products: tuple         # products[j][u] = sum over draws of dQ_j dQ_u
+    support_bad: int
+    quartic_bad: int
+    cubic_bad: int
 
 
-def verify_regression(r: int, n: int) -> list[dict]:
-    """Per-row check: sum over (K, L) of dQ(row) equals -2r row exactly.
-
-    Summing the rows of a configuration gives sum_draws dQ_j = -2r Q_j for
-    every configuration at every n, and a configuration of n equal rows shows
-    the converse.  Conditioning on the full ranking matrix is stronger than
-    conditioning on S, so this implies the regression identity
-    E[S'-S | S] = -(2/(rn)) S with Lambda = (2/(rn)) I.
-    """
-    rows = _rows(r)
-    bad = 0
-    for row in rows:
-        acc = [0] * r
-        for k in range(r):
-            for l in range(r):
-                d = row[l] - row[k]
-                acc[k] += d
-                acc[l] -= d
-        if any(acc[j] != -2 * r * row[j] for j in range(r)):
-            bad += 1
-    return [_entry("regression sum_draws dQ = -2r Q per configuration", r, n,
-                   "pass" if bad == 0 else "fail",
-                   f"{len(rows) - bad} rows exact", f"{len(rows)} required")]
-
-
-def verify_increment_moments(r: int, n: int) -> list[dict]:
-    """Unconditional E[(S'_j-S_j)(S'_u-S_u)] = 4 sigma_ju/(rn), exact.
-
-    The increment depends only on the resampled row, so each moment is the
-    average over the r! rows and r^2 (K, L) draws of dQ_j dQ_u, times the
-    exact scale (c/2)^2 = 3/(r(r+1)n).
-    """
-    rows = _rows(r)
-    diag = [0] * r          # sums of dQ_j^2
-    off = [[0] * r for _ in range(r)]
-    for row in rows:
-        for k in range(r):
-            for l in range(r):
-                d = row[l] - row[k]
-                d2 = d * d
-                diag[k] += d2
-                diag[l] += d2
-                off[k][l] -= d2
-                off[l][k] -= d2
-    draws = len(rows) * r * r
-    scale = Fraction(3, r * (r + 1) * n)  # (c/2)^2 on the doubled scale
-    out = []
-    target_diag = Fraction(4 * (r - 1), r * r * n)
-    target_off = Fraction(-4, r * r * n)
-    ok_diag = all(scale * Fraction(diag[j], draws) == target_diag for j in range(r))
-    out.append(_entry("E[(S'_j-S_j)^2] = 4(r-1)/(r^2 n)", r, n,
-                      "pass" if ok_diag else "fail",
-                      str(scale * Fraction(diag[0], draws)), str(target_diag)))
-    ok_off = all(scale * Fraction(off[j][u], draws) == target_off
-                 for j in range(r) for u in range(r) if u != j)
-    out.append(_entry("E[(S'_j-S_j)(S'_u-S_u)] = -4/(r^2 n), j != u", r, n,
-                      "pass" if ok_off else "fail",
-                      str(scale * Fraction(off[0][1], draws)), str(target_off)))
-    return out
-
-
-def verify_triple_structure(r: int, n: int) -> list[dict]:
-    """Vanishing patterns of increment products on every row draw.
-
-    The increment depends only on the resampled row, so each of the r! rows
-    and r^2 (K, L) draws stands for every configuration and trial M holding
-    that row.  For each draw the swapped row is rebuilt and differenced
-    against the original (an independent path from the swap formula); the
-    verifier then checks dQ = d * e with e_K = 1, e_L = -1, zero elsewhere,
-    and evaluates the product of increments on each multiplicity class of
-    index tuples:
-
-      quartic: all-equal in {K,L} -> +d^4;  two-two -> +d^4;
-               three-one -> -d^4 (nonzero);  any index outside {K,L} -> 0;
-      cubic:   all-K -> +d^3;  all-L -> -d^3;  two-one -> -d^3 / +d^3;
-               outside index -> 0;
-      K = L  -> every product 0.
-    """
-    rows = _rows(r)
+@lru_cache(maxsize=None)
+def _swap_pass(rows: tuple[tuple[int, ...], ...]) -> _SwapTally:
+    """The one pass over the rows of a trial and the r^2 (K, L) swap draws of each."""
+    r = len(rows[0])
     range_r = range(r)
-    support_bad = 0
-    quartic_bad = 0
-    cubic_bad = 0
-    draws = 0
+    products = [[0] * r for _ in range_r]
+    regression_bad = support_bad = quartic_bad = cubic_bad = 0
     for row in rows:
+        summed = [0] * r
         for k in range_r:
-            rk = row[k]
             for l in range_r:
-                draws += 1
-                d = row[l] - rk
-                if k == l:
-                    if d != 0:
-                        support_bad += 1
-                    continue
                 swapped = list(row)
-                swapped[k], swapped[l] = swapped[l], swapped[k]
-                # swapped-row column entries, differenced against the originals
-                dq = [swapped[j] - row[j] for j in range_r]
+                swapped[k], swapped[l] = row[l], row[k]
+                dq = [s - x for s, x in zip(swapped, row)]
+                support = [j for j in range_r if dq[j]]
+                for j in support:
+                    summed[j] += dq[j]
+                    for u in support:
+                        products[j][u] += dq[j] * dq[u]
+                # support rule: dQ = d e with e_K = 1, e_L = -1, zero elsewhere
+                d = row[l] - row[k]
                 if dq[k] != d or dq[l] != -d or any(
-                        dq[j] != 0 for j in range_r if j != k and j != l):
+                        dq[j] for j in range_r if j != k and j != l):
                     support_bad += 1
                     continue
                 a = dq[k]
@@ -173,18 +107,81 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
                     z = next(j for j in range_r if j != k and j != l)
                     if a ** 3 * dq[z] != 0 or a * b * dq[z] != 0:
                         quartic_bad += 1
-    out = [
+        if any(summed[j] != -2 * r * row[j] for j in range_r):
+            regression_bad += 1
+    return _SwapTally(len(rows), len(rows) * r * r, regression_bad,
+                      tuple(map(tuple, products)), support_bad, quartic_bad, cubic_bad)
+
+
+def _tally(r: int) -> _SwapTally:
+    """The swap pass at r; its r! r^2 row draws are charged on every call, cached or not."""
+    _check_terms(f"the coupling row draws at r={r}", math.factorial(r) * r * r)
+    return _swap_pass(tuple(iter_permutations(centered_doubled(r))))
+
+
+def verify_regression(r: int, n: int) -> list[dict]:
+    """Per-row check: sum over (K, L) of dQ(row) equals -2r row exactly.
+
+    Summing the rows of a configuration gives sum_draws dQ_j = -2r Q_j for
+    every configuration at every n, and a configuration of n equal rows shows
+    the converse.  Conditioning on the full ranking matrix is stronger than
+    conditioning on S, so this implies the regression identity
+    E[S'-S | S] = -(2/(rn)) S with Lambda = (2/(rn)) I.
+    """
+    t = _tally(r)
+    return [_entry("regression sum_draws dQ = -2r Q per configuration", r, n,
+                   "pass" if t.regression_bad == 0 else "fail",
+                   f"{t.rows - t.regression_bad} rows exact", f"{t.rows} required")]
+
+
+def verify_increment_moments(r: int, n: int) -> list[dict]:
+    """Unconditional E[(S'_j-S_j)(S'_u-S_u)] = 4 sigma_ju/(rn), exact.
+
+    The increment depends only on the resampled row, so each moment is the
+    average over the r! rows and r^2 (K, L) draws of dQ_j dQ_u, times the
+    exact scale (c/2)^2 = 3/(r(r+1)n).
+    """
+    t = _tally(r)
+    scale = Fraction(3, r * (r + 1) * n)  # (c/2)^2 on the doubled scale
+    moment = [[scale * Fraction(p, t.draws) for p in line] for line in t.products]
+    target_diag = Fraction(4 * (r - 1), r * r * n)
+    target_off = Fraction(-4, r * r * n)
+    ok_diag = all(moment[j][j] == target_diag for j in range(r))
+    ok_off = all(moment[j][u] == target_off for j in range(r) for u in range(r) if u != j)
+    return [
+        _entry("E[(S'_j-S_j)^2] = 4(r-1)/(r^2 n)", r, n, "pass" if ok_diag else "fail",
+               moment[0][0], target_diag),
+        _entry("E[(S'_j-S_j)(S'_u-S_u)] = -4/(r^2 n), j != u", r, n,
+               "pass" if ok_off else "fail", moment[0][1], target_off),
+    ]
+
+
+def verify_triple_structure(r: int, n: int) -> list[dict]:
+    """Vanishing patterns of increment products on every row draw.
+
+    The increment depends only on the resampled row, so each of the r! rows
+    and r^2 (K, L) draws stands for every configuration and trial M holding
+    that row.  The pass checks that the swapped row minus the row is
+    dQ = d * e with e_K = 1, e_L = -1, zero elsewhere, and evaluates the
+    product of increments on each multiplicity class of index tuples:
+
+      quartic: all-equal in {K,L} -> +d^4;  two-two -> +d^4;
+               three-one -> -d^4 (nonzero);  any index outside {K,L} -> 0;
+      cubic:   all-K -> +d^3;  all-L -> -d^3;  two-one -> -d^3 / +d^3;
+               outside index -> 0;
+      K = L  -> every product 0.
+    """
+    t = _tally(r)
+    return [
         _entry("increment support and swapped-path consistency", r, n,
-               "pass" if support_bad == 0 else "fail",
-               f"{draws - support_bad} draws exact", f"{draws} required"),
+               "pass" if t.support_bad == 0 else "fail",
+               f"{t.draws - t.support_bad} draws exact", f"{t.draws} required"),
         _entry("quartic product pattern (+d^4 on all-equal and 2-2, -d^4 on 3-1, 0 outside)",
-               r, n, "pass" if quartic_bad == 0 else "fail",
-               f"{draws - quartic_bad} draws exact", f"{draws} required",
+               r, n, "pass" if t.quartic_bad == 0 else "fail",
+               f"{t.draws - t.quartic_bad} draws exact", f"{t.draws} required",
                "three-one splits are nonzero with sign -1"),
         _entry("cubic product pattern (signed, 0 outside)", r, n,
-               "pass" if cubic_bad == 0 else "fail",
-               f"{draws - cubic_bad} draws exact", f"{draws} required",
+               "pass" if t.cubic_bad == 0 else "fail",
+               f"{t.draws - t.cubic_bad} draws exact", f"{t.draws} required",
                "the all-L cube carries sign -1"),
     ]
-    return out
-

@@ -67,7 +67,8 @@ def _check_terms(cell: str, terms: int) -> None:
                           f"the cap {BUDGET_CAP}")
 
 
-def _entry(identity: str, r: int, n: Optional[int], status: str, lhs, rhs, note: str = "") -> dict:
+def _entry(identity: str, r: Optional[int], n: Optional[int], status: str, lhs, rhs,
+           note: str = "") -> dict:
     e = {"identity": identity, "r": r, "n": n, "status": status, "lhs": str(lhs), "rhs": str(rhs)}
     if note:
         e["note"] = note
@@ -107,17 +108,10 @@ def mono_moment(r: int, indices: tuple[int, ...]) -> Fraction:
     return rho_moment(r, tuple(sorted(Counter(indices).values(), reverse=True)))
 
 
-def _poly_expectation(r: int, fn) -> Fraction:
-    """E[fn(rho)] with fn taking the exact rho value (a Fraction)."""
-    vals = [Fraction(v, 2) for v in centered_doubled(r)]
-    return Fraction(sum(fn(v) for v in vals), r)
-
-
-def _pair_expectation(r: int, fn) -> Fraction:
-    """E[fn(rho, rho')] over two distinct coordinates of one trial."""
-    vals = [Fraction(v, 2) for v in centered_doubled(r)]
-    pairs = list(iter_permutations(vals, 2))
-    return sum(fn(a, b) for a, b in pairs) / len(pairs)
+def _tuple_mean(r: int, k: int, fn) -> Fraction:
+    """Exact mean of fn over the ordered k-tuples of distinct centered ranks of one trial."""
+    tuples = list(iter_permutations([Fraction(v, 2) for v in centered_doubled(r)], k))
+    return sum(fn(*t) for t in tuples) / len(tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +190,6 @@ def _overlap_law(r: int) -> tuple[tuple[tuple[int], int], ...]:
     return _overlap_counts(r)
 
 
-@lru_cache(maxsize=None)
-def _law_prefix(r: int) -> tuple[list, list[int]]:
-    """The growing store behind _sum_counts(r, .): the laws after 0, 1, ...
-    trials and the running term total charged before each trial."""
-    return [(((0,) * r, 1),)], []
-
-
 def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Counts of the sorted doubled column sums over n trials.
 
@@ -213,23 +200,21 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     commutes with each trial, and both callers are symmetric in the columns
     (the sum of squares for F_r; |s|^2 and s' (I - J/r) s for the operator
     link).  Before each trial the budget is charged with the running total
-    of states times moves.  The laws of every r are kept, so a larger n
-    extends the longest one trial at a time, and an n past the trial where
-    the total first exceeds the cap fails without convolving.
+    of states times the r! moves, so a cell past the cap fails at the first
+    trial that would exceed it, before any of that trial's moves is built.
     """
-    laws, charges = _law_prefix(r)
-    moves = list(iter_permutations(centered_doubled(r)))
-    for t in range(n):
-        if t == len(charges):
-            charges.append((charges[-1] if charges else 0) + len(laws[t]) * len(moves))
-        _check_terms(f"the convolution of {r} column sums at r={r}, n={n}", charges[t])
-        if t + 1 == len(laws):
-            nxt: Counter = Counter()
-            for state, c in laws[t]:
-                for move in moves:
-                    nxt[tuple(sorted([s + v for s, v in zip(state, move)]))] += c
-            laws.append(tuple(sorted(nxt.items())))
-    return laws[n]
+    base = centered_doubled(r)
+    law: tuple = (((0,) * r, 1),)
+    charged = 0
+    for _ in range(n):
+        charged += len(law) * math.factorial(r)
+        _check_terms(f"the convolution of {r} column sums at r={r}, n={n}", charged)
+        nxt: Counter = Counter()
+        for state, c in law:
+            for move in iter_permutations(base):
+                nxt[tuple(sorted([s + v for s, v in zip(state, move)]))] += c
+        law = tuple(sorted(nxt.items()))
+    return law
 
 
 def exact_f_distribution(n: int, r: int) -> list[tuple[Fraction, Fraction]]:
@@ -374,25 +359,25 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
 
         # polynomial moment identities (single trial)
         rr = Fraction(r)
-        lhs = _poly_expectation(r, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 2 * v ** 2)
+        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 2 * v ** 2)
         rhs = (rr ** 2 - 1) * (47 * rr ** 6 - 322 * rr ** 4 + 875 * rr ** 2 - 936) / 20160
         out.append(_eq_entry("E[((r^2-1)/4 rho + rho^3)^2 rho^2] closed form", r, None, lhs, rhs))
 
-        lhs = _poly_expectation(r, lambda v: ((rr ** 2 - 1) - 12 * v ** 2) ** 2 * v ** 4)
+        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) - 12 * v ** 2) ** 2 * v ** 4)
         rhs = (rr ** 2 - 1) * (rr ** 2 - 4) * (9 * rr ** 4 - 118 * rr ** 2 + 445) / 420
         out.append(_eq_entry("E[((r^2-1)-12rho^2)^2 rho^4] closed form", r, None, lhs, rhs))
 
-        lhs = _poly_expectation(r, lambda v: ((rr ** 2 - 1) - 12 * v ** 2) ** 4)
+        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) - 12 * v ** 2) ** 4)
         rhs = Fraction(48, 35) * (rr ** 2 - 1) * (rr ** 2 - 4) * (rr ** 4 - 17 * rr ** 2 + 100)
         out.append(_eq_entry("E[((r^2-1)-12rho^2)^4] closed form", r, None, lhs, rhs))
 
-        lhs = _pair_expectation(r, lambda a, b: (a - b) ** 2)
+        lhs = _tuple_mean(r, 2, lambda a, b: (a - b) ** 2)
         out.append(_eq_entry("E[(rho-rho')^2] = r(r+1)/6", r, None, lhs, rr * (rr + 1) / 6))
-        lhs = _pair_expectation(r, lambda a, b: (a - b) ** 4)
+        lhs = _tuple_mean(r, 2, lambda a, b: (a - b) ** 4)
         out.append(_eq_entry("E[(rho-rho')^4] = r(r+1)(2r^2-3)/30", r, None,
                              lhs, rr * (rr + 1) * (2 * rr ** 2 - 3) / 30))
-        lhs = _pair_expectation(
-            r, lambda a, b: (Fraction(6, r * (r + 1)) * (a - b) ** 2 - 1) ** 2)
+        lhs = _tuple_mean(
+            r, 2, lambda a, b: (Fraction(6, r * (r + 1)) * (a - b) ** 2 - 1) ** 2)
         out.append(_eq_entry("E[(6(rho-rho')^2/(r(r+1)) - 1)^2] closed form", r, None,
                              lhs, (rr - 2) * (7 * rr + 9) / (5 * rr * (rr + 1))))
 
@@ -492,13 +477,13 @@ def verify_inequalities(r_max: int = 8) -> list[dict]:
         out.append(_le_entry("E[rho^12] <= r^12/53248", r, None, m[12], rr ** 12 / 53248))
         out.append(_le_entry("E[rho^16] <= r^16/1114112", r, None, m[16], rr ** 16 / 1114112))
 
-        lhs = _poly_expectation(r, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 2 * v ** 2)
+        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 2 * v ** 2)
         out.append(_le_entry("E[((r^2-1)/4 rho + rho^3)^2 rho^2] <= 0.00234 r^8",
                              r, None, lhs, Fraction("0.00234") * rr ** 8))
-        lhs = _pair_expectation(r, lambda a, b: ((rr ** 2 - 1) / 4 * a + a ** 3) ** 2 * b ** 2)
+        lhs = _tuple_mean(r, 2, lambda a, b: ((rr ** 2 - 1) / 4 * a + a ** 3) ** 2 * b ** 2)
         out.append(_le_entry("E[((r^2-1)/4 rho + rho^3)^2 rho'^2] <= 0.00240 r^8",
                              r, None, lhs, Fraction("0.00240") * rr ** 8))
-        lhs = _poly_expectation(r, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 4)
+        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 4)
         out.append(_le_entry("E[((r^2-1)/4 rho + rho^3)^4] <= 1763 r^12/3843840",
                              r, None, lhs, Fraction(1763, 3843840) * rr ** 12))
 
@@ -519,19 +504,18 @@ def verify_inequalities(r_max: int = 8) -> list[dict]:
                              r, None, chain3, 0.09116 * r ** 7))
 
         # quartic-weight inequalities
-        lhs = _poly_expectation(r, lambda v: ((rr ** 2 - 1) - 12 * v ** 2) ** 2 * v ** 4)
+        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) - 12 * v ** 2) ** 2 * v ** 4)
         out.append(_le_entry("E[((r^2-1)-12rho^2)^2 rho^4] <= 3r^8/140",
                              r, None, lhs, 3 * rr ** 8 / 140))
-        lhs = _pair_expectation(r, lambda a, b: ((rr ** 2 - 1) - 12 * a ** 2) ** 2 * b ** 4)
+        lhs = _tuple_mean(r, 2, lambda a, b: ((rr ** 2 - 1) - 12 * a ** 2) ** 2 * b ** 4)
         out.append(_le_entry("E[((r^2-1)-12rho^2)^2 rho'^4] <= 0.02440 r^8",
                              r, None, lhs, Fraction("0.02440") * rr ** 8))
-        lhs = _pair_expectation(r, lambda a, b: ((rr ** 2 - 1) - 12 * a ** 2) ** 2 * a ** 2 * b ** 2)
+        lhs = _tuple_mean(r, 2, lambda a, b: ((rr ** 2 - 1) - 12 * a ** 2) ** 2 * a ** 2 * b ** 2)
         out.append(_le_entry("E[((r^2-1)-12rho^2)^2 rho^2 rho'^2] <= 0.02292 r^8",
                              r, None, lhs, Fraction("0.02292") * rr ** 8))
         if r >= 3:
-            triples = list(iter_permutations([Fraction(v, 2) for v in centered_doubled(r)], 3))
-            lhs = sum(((rr ** 2 - 1) - 12 * a ** 2) ** 2 * b ** 4 * c ** 4
-                      for a, b, c in triples) / len(triples)
+            lhs = _tuple_mean(
+                r, 3, lambda a, b, c: ((rr ** 2 - 1) - 12 * a ** 2) ** 2 * b ** 4 * c ** 4)
             out.append(_le_entry("E[((r^2-1)-12rho^2)^2 rho'^4 rho''^4] <= 0.00111 r^12",
                                  r, None, lhs, Fraction("0.00111") * rr ** 12))
         else:
@@ -539,8 +523,8 @@ def verify_inequalities(r_max: int = 8) -> list[dict]:
                               "needs three distinct treatments"))
 
         # squared normalized spread
-        lhs = _pair_expectation(
-            r, lambda a, b: (Fraction(6, r * (r + 1)) * (a - b) ** 2 - 1) ** 2)
+        lhs = _tuple_mean(
+            r, 2, lambda a, b: (Fraction(6, r * (r + 1)) * (a - b) ** 2 - 1) ** 2)
         out.append(_eq_entry("normalized spread second moment closed form (k != l)", r, None,
                              lhs, (rr - 2) * (7 * rr + 9) / (5 * rr * (rr + 1))))
         out.append(_le_entry("normalized spread second moment <= 7/5 (k != l)", r, None, lhs, Fraction(7, 5)))

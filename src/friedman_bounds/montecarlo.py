@@ -225,10 +225,10 @@ def exact_kolmogorov(n: int, r: int) -> DistanceEstimate:
                             samples=math.factorial(r) ** n, method="exact-enumeration")
 
 
-def _chisq_side(h: TestFunction, p: int, tol: float = 1e-10) -> float:
+def _chisq_side(h: TestFunction, p: int) -> float:
     if h.chisq_closed_form is not None:
         return h.chisq_closed_form(p)
-    return chisq_expectation(ChiSquareLaw(p), h, tol=tol)
+    return chisq_expectation(ChiSquareLaw(p), h, tol=1e-10)
 
 
 def exact_smooth_gap(n: int, r: int, h: TestFunction) -> float:

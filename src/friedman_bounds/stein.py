@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_FPRIME_TOL = 1e-11  # absolute accuracy of each f' value
 
 
 @dataclass
@@ -49,7 +50,6 @@ class SteinSolution:
 
     p: int
     h: TestFunction
-    tol: float = 1e-11
     chisq_h: float = field(init=False)
 
     def __post_init__(self):
@@ -70,8 +70,8 @@ class SteinSolution:
             return hit
         p = self.p
         log_pre = x / 2.0 - (p / 2.0) * math.log(x)
-        # quadrature target so the scaled result is accurate to tol
-        eps_abs = max(self.tol * math.exp(-log_pre), 1e-280)
+        # quadrature target so the scaled result is accurate to _FPRIME_TOL
+        eps_abs = max(_FPRIME_TOL * math.exp(-log_pre), 1e-280)
         if x <= p + 2.0:
             if p == 1:
                 # t = u^2: integrand 2 e^{-u^2/2} [h(u^2) - chisq_h]
@@ -135,8 +135,7 @@ def standard_grid(p: int, points: int = 200) -> np.ndarray:
 
 
 def derivative_bound_check(p: int, h: TestFunction, k: int,
-                           grid: np.ndarray | None = None,
-                           solution: SteinSolution | None = None) -> dict:
+                           grid: np.ndarray | None = None) -> dict:
     """Grid sup of |f^(k)| against each applicable cap.
 
     Caps with an infinite h-norm are skipped (they hold vacuously).  The
@@ -145,7 +144,7 @@ def derivative_bound_check(p: int, h: TestFunction, k: int,
     """
     if k not in (1, 2, 3, 4):
         raise DomainError(f"k must be 1..4, got {k}")
-    sol = solution if solution is not None else SteinSolution(p, h)
+    sol = SteinSolution(p, h)
     xs = standard_grid(p) if grid is None else np.asarray(grid, dtype=float)
     observed = max(abs(sol.derivative(k, float(x))) for x in xs)
     denom = p + 2 * k - 2
@@ -172,7 +171,7 @@ def derivative_bound_check(p: int, h: TestFunction, k: int,
     }
 
 
-def verify_operator_link(r: int, n: int, h: TestFunction, tol: float = 1e-5) -> dict:
+def verify_operator_link(r: int, n: int, h: TestFunction) -> dict:
     """Exact-enumeration check of the chi-square / multivariate-normal link.
 
     With g(s) = f(sum_j s_j^2)/4 built from the numerical f', the average of
@@ -181,7 +180,7 @@ def verify_operator_link(r: int, n: int, h: TestFunction, tol: float = 1e-5) -> 
     F f''(F) + (r-1-F) f'(F)/2, and both must match E[h(F)] - E[h(Y_{r-1})].
     The averages are exact sums over the sorted column-sum states of the
     exact engine, each weighted by its count of configurations; the engine
-    raises BudgetError past its budget.
+    raises BudgetError past its budget.  Both agreements must be within 1e-5.
     """
     p = r - 1
     sol = SteinSolution(p, h)
@@ -224,5 +223,5 @@ def verify_operator_link(r: int, n: int, h: TestFunction, tol: float = 1e-5) -> 
         "direct_gap": gap_direct,
         "operator_agreement": agree_ops,
         "stein_identity_residual": agree_gap,
-        "status": "pass" if (agree_ops <= tol and agree_gap <= tol) else "fail",
+        "status": "pass" if (agree_ops <= 1e-5 and agree_gap <= 1e-5) else "fail",
     }

@@ -39,9 +39,6 @@ class TestFunction:
     chisq_closed_form: Optional[Callable[[int], float]] = field(default=None, compare=False)
     vector_fn: Optional[Callable] = field(default=None, compare=False)  # ndarray -> ndarray
 
-    def __call__(self, x: float) -> float:
-        return self.fn(x)
-
     def norm(self, k: int) -> float:
         """sup-norm of the k-th derivative (k = 0 is the function itself)."""
         return self.norms[k]

@@ -3,11 +3,13 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from friedman_bounds.cli import main
+from friedman_bounds import coupling
+from friedman_bounds.cli import _coupling_suite, main
 
 
 def run(capsys, *argv):
@@ -254,6 +256,21 @@ def test_cmd_verify_coupling_over_budget_is_one_skip_per_cell(capsys):
     skips = [e for e in lines if e["r"] == 7]
     assert [(e["n"], e["status"]) for e in skips] == [(1, "skip"), (2, "skip")]
     assert all("246960 enumerated terms" in e["note"] for e in skips)
+
+
+def test_cmd_verify_coupling_golden_stdout(capsys):
+    # stdout pinned before the three verifiers shared one swap pass,
+    # including the four r = 7 skips
+    golden = Path(__file__).parent / "golden" / "verify_coupling_r7_n4.jsonl"
+    code, out, _ = run(capsys, "verify", "--suite", "coupling", "--r-max", "7", "--n-max", "4")
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_coupling_suite_runs_the_swap_pass_once_per_r():
+    coupling._swap_pass.cache_clear()
+    _coupling_suite(5, 4)
+    assert coupling._swap_pass.cache_info().misses == 4  # r = 2..5, whatever n
 
 
 @pytest.mark.parametrize("argv", [

@@ -49,6 +49,16 @@ def test_regression_rejects_uncentered_rows(monkeypatch):
         assert entry["lhs"] == "0 rows exact"
 
 
+def test_regression_rejects_uncentered_rows_after_warm_cache(monkeypatch):
+    # the swap pass is cached on the rows, not on r, so a warm r = 3 entry
+    # must not hide rows that change under the same r
+    assert all_pass(verify_regression(3, 1))
+    monkeypatch.setattr(coupling, "centered_doubled", lambda r: list(range(1, r + 1)))
+    [entry] = verify_regression(3, 1)
+    assert entry["status"] == "fail"
+    assert entry["lhs"] == "0 rows exact"
+
+
 def test_verifier_cost_does_not_grow_with_n():
     start = time.perf_counter()
     report = verify_triple_structure(5, 4)

@@ -75,6 +75,17 @@ def test_joint_budget():
     assert sum(p for _, p in exact_f_distribution(5, 5)) == 1  # 93,600 terms fit
 
 
+def test_convolution_over_budget_builds_no_moves(monkeypatch):
+    # r = 12 has 479001600 moves, far too many to hold: the budget must
+    # refuse the first trial before any move is drawn
+    def no_moves(*args):
+        raise AssertionError("a move was built before the budget check")
+
+    monkeypatch.setattr(exact, "iter_permutations", no_moves)
+    with pytest.raises(BudgetError, match="r=12, n=1 needs 479001600 enumerated terms"):
+        exact_f_distribution(1, 12)
+
+
 def test_beta_fourth_moment_budget():
     # one permutation is fixed, so the cost is r! terms: r = 8 fits, r = 9 does not
     assert beta_fourth_moment_direct(8) <= Fraction(79, 345600) * 8 ** 10
