@@ -6,7 +6,10 @@ which stays accurate where 1 - P would cancel.  Expectations of test
 functions are adaptive quadratures against the density on a finite window
 whose truncated tail contributes less than half the requested tolerance;
 the p = 1 density singularity at the origin is removed analytically by the
-substitution t = u**2.  No chi-square sampling and no quantile function live here.
+substitution t = u**2.  The quadrature loads scipy.integrate on first use,
+not at import: it pulls in scipy.optimize and scipy.linalg, several tenths of
+a second that a CDF or p-value caller never needs.  No chi-square sampling
+and no quantile function live here.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammainc, gammaincc
 
 from .errors import ConvergenceError, DomainError
@@ -86,6 +88,8 @@ def _tail_mass_bound(p: int, big_t: float, growth_degree: int, growth_coeff: flo
 
 
 def _quad(fn, lo, hi, tol):
+    from scipy import integrate  # here, not at import: it is most of the package's start-up
+
     val, err = integrate.quad(fn, lo, hi, epsabs=tol, epsrel=1e-13, limit=400)
     if err > max(tol, 1e-13 * abs(val)) * 10.0:
         raise ConvergenceError(f"quadrature error estimate {err:.3e} exceeds budget {tol:.3e}")

@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 input/IO error.
 Identical invocations (same flags, same seed) produce byte-identical output;
 --threads and the FRIEDMAN_BOUNDS_THREADS environment variable that caps it
 (each an integer >= 1, else a usage error) never affect any result.
+Each handler imports the modules it runs, so `bounds` loads neither numpy
+nor scipy, and only the calls that integrate load scipy.integrate.
 """
 
 from __future__ import annotations
@@ -21,13 +23,9 @@ import math
 import os
 import sys
 
-from scipy.special import gammaincc
-
 from . import bounds as bounds_mod
-from . import coupling, exact, montecarlo, stein, testfunctions
 from .errors import (BudgetError, DomainError, FriedmanBoundsError, NonFiniteError,
                      ParseError, TieError)
-from .ranks import friedman_statistic, load_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -54,7 +52,9 @@ def _thread_cap(requested: int) -> int:
     return requested
 
 
-def _test_function(name: str, t: float) -> testfunctions.TestFunction:
+def _test_function(name: str, t: float):
+    from . import testfunctions
+
     if name == "cos":
         return testfunctions.cosine(t)
     if name == "sin":
@@ -71,6 +71,10 @@ def _test_function(name: str, t: float) -> testfunctions.TestFunction:
 # ---------------------------------------------------------------------------
 
 def _cmd_test(args) -> int:
+    from scipy.special import gammaincc
+
+    from .ranks import friedman_statistic, load_csv
+
     ranks = load_csv(args.input, args.format)
     score = friedman_statistic(ranks)
     n, r = score.n, score.r
@@ -132,6 +136,8 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _coupling_suite(r_max: int, n_max: int) -> list[dict]:
+    from . import coupling, exact
+
     out = []
     for r in range(2, r_max + 1):
         for n in range(1, n_max + 1):
@@ -145,6 +151,8 @@ def _coupling_suite(r_max: int, n_max: int) -> list[dict]:
 
 
 def _stein_suite(p_max: int) -> list[dict]:
+    from . import exact, stein, testfunctions
+
     out = []
     functions = [testfunctions.cosine(1.0), testfunctions.sine(1.0), testfunctions.identity()]
     for p in range(1, p_max + 1):
@@ -176,9 +184,11 @@ def _stein_suite(p_max: int) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
-    if args.r_max < 2 or args.n_max < 1 or args.p_max < 1:
-        raise DomainError(f"need --r-max >= 2, --n-max >= 1 and --p-max >= 1, got "
-                          f"{args.r_max}, {args.n_max} and {args.p_max}")
+    from . import exact
+
+    if args.r_max < 2 or args.n_max < 1 or args.p_max < 1 or args.trials < 1:
+        raise DomainError(f"need --r-max >= 2, --n-max >= 1, --p-max >= 1 and --trials >= 1, "
+                          f"got {args.r_max}, {args.n_max}, {args.p_max} and {args.trials}")
     if args.suite == "identities" and args.r_max < 3:
         raise DomainError(f"--suite identities needs --r-max >= 3, got {args.r_max}")
     suites = []
@@ -206,6 +216,8 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_distance(args) -> int:
+    from . import montecarlo, testfunctions
+
     threads = _thread_cap(args.threads)
     rng = montecarlo.RngContract(seed=args.seed)
     if args.metric == "kolmogorov":
@@ -257,6 +269,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    from . import montecarlo
+
     threads = _thread_cap(args.threads)
     try:
         n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]

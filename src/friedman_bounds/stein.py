@@ -16,6 +16,10 @@ never refute the bounds
     |f^(k)| <= (2/k) |h^(k)|
     |f^(k)| <= ((2 sqrt(pi) + sqrt(2)/e)/sqrt(p+2k-2) + 4/(p+2k-2)) |h^(k-1)|
     |f^(k)| <= (4/(p+2k-2)) (3 |h^(k-1)| + 2 |h^(k-2)|),   k >= 2.
+
+The quadrature loads scipy.integrate on the first f' evaluation, not at
+import: it pulls in scipy.optimize and scipy.linalg, several tenths of a
+second that a caller of the statistic, its bounds or the sampler never needs.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .chisq import ChiSquareLaw, chisq_expectation
 from .errors import ConvergenceError, DomainError
@@ -68,6 +71,8 @@ class SteinSolution:
         hit = self._cache.get(x)
         if hit is not None:
             return hit
+        from scipy import integrate  # here, not at import: it is most of the package's start-up
+
         p = self.p
         log_pre = x / 2.0 - (p / 2.0) * math.log(x)
         # quadrature target so the scaled result is accurate to _FPRIME_TOL

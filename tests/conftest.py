@@ -1,6 +1,29 @@
-"""Always show one line per acceptance criterion in the terminal summary."""
+"""Always show one line per acceptance criterion in the terminal summary, and
+give tests a fresh interpreter to run the package in."""
 
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture()
+def fresh_python():
+    """Run a script in a new interpreter that imports the package from src/
+    and return the JSON value on the last line of its stdout."""
+    def run(script: str, *argv: str):
+        paths = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

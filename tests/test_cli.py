@@ -280,6 +280,8 @@ def test_coupling_suite_runs_the_swap_pass_once_per_r():
     ("--r-max", "1"),
     ("--n-max", "0"),
     ("--p-max", "0"),
+    ("--suite", "lemmas", "--trials", "0"),
+    ("--suite", "stein", "--trials", "-3"),
 ])
 def test_cmd_verify_vacuous_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
@@ -344,3 +346,27 @@ def test_thread_env_invalid_is_usage_error(capsys, monkeypatch, value):
                          "--threads", "2")
     assert code == 2 and out == ""
     assert "FRIEDMAN_BOUNDS_THREADS" in err
+
+
+def loads(modules: list[str], package: str) -> bool:
+    return any(m == package or m.startswith(package + ".") for m in modules)
+
+
+def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
+    def modules_loaded_by(*argv):
+        code, modules = fresh_python("import json, sys\n"
+                                     "from friedman_bounds.cli import main\n"
+                                     "code = main(sys.argv[1:])\n"
+                                     "print(json.dumps([code, sorted(sys.modules)]))\n", *argv)
+        assert code == 0
+        return modules
+
+    bounds = modules_loaded_by("bounds", "--n", "100", "--r", "3", "--json")
+    assert not loads(bounds, "numpy") and not loads(bounds, "scipy")
+    for argv in (("test", scores_csv, "--json"),
+                 ("distance", "--r", "3", "--n", "5", "--samples", "2000",
+                  "--metric", "kolmogorov")):
+        assert not loads(modules_loaded_by(*argv), "scipy.integrate"), argv
+    # the Stein suite integrates, so the checks above cannot pass vacuously
+    assert loads(modules_loaded_by("verify", "--suite", "stein", "--p-max", "1"),
+                 "scipy.integrate")
