@@ -2,14 +2,21 @@
 
 CDF values are the regularized lower incomplete gamma function P(a, x)
 from scipy.special.gammainc, and tail masses its complement gammaincc,
-which stays accurate where 1 - P would cancel.  Expectations of test
-functions are adaptive quadratures against the density on a finite window
-whose truncated tail contributes less than half the requested tolerance;
-the p = 1 density singularity at the origin is removed analytically by the
-substitution t = u**2.  The quadrature loads scipy.integrate on first use,
-not at import: it pulls in scipy.optimize and scipy.linalg, several tenths of
-a second that a CDF or p-value caller never needs.  No chi-square sampling
-and no quantile function live here.
+which stays accurate where 1 - P would cancel.  No chi-square sampling and
+no quantile function live here.
+
+Every chi-square integral in the package, E[h(Y_p)] here and the Stein
+solution f' in ``stein``, is one composite Gauss rule: 20-node
+Gauss-Legendre panels, evaluated as numpy arrays over all nodes and over a
+whole array of integrals at once.  E[h(Y_p)] is truncated at a point T whose
+discarded tail, bounded through h's declared growth and the incomplete gamma
+function, is below half the tolerance; the substitution t = u^2 turns the
+density t^{p/2-1} e^{-t/2} dt into 2 u^{p-1} e^{-u^2/2} du, smooth at the
+origin for every p >= 1.  The panel count starts from the window length and
+h's |h'| norm and doubles until the rule and its refinement (twice the
+panels) agree to the tolerance; past a fixed cap the integral raises
+ConvergenceError.  A test function's knots, where it is only piecewise
+smooth, are panel breakpoints.
 """
 
 from __future__ import annotations
@@ -69,13 +76,8 @@ def chisq_mean_moments(law) -> tuple[int, int]:
     return p, p * p + 2 * p
 
 
-def _density(p: int, t):
-    a = p / 2.0
-    return np.exp((a - 1.0) * np.log(t) - t / 2.0 - a * math.log(2.0) - math.lgamma(a))
-
-
-def _tail_mass_bound(p: int, big_t: float, growth_degree: int, growth_coeff: float) -> float:
-    """Upper bound on E[|h(Y)| 1{Y > T}] for |h(x)| <= coeff*(1 + x^degree)."""
+def _tail_mass_bound(p: int, big_t, growth_degree: int, growth_coeff: float):
+    """Upper bound on E[|h(Y)| 1{Y > T}] for |h(x)| <= coeff*(1 + x^degree); T may be an array."""
     a = p / 2.0
     mass = gammaincc(a, big_t / 2.0)
     if growth_degree == 0:
@@ -87,21 +89,69 @@ def _tail_mass_bound(p: int, big_t: float, growth_degree: int, growth_coeff: flo
     return growth_coeff * (mass + moment_tail)
 
 
-def _quad(fn, lo, hi, tol):
-    from scipy import integrate  # here, not at import: it is most of the package's start-up
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+_MAX_PANELS = 4096   # refinement cap of the panel rule
+_NODE_BLOCK = 1 << 18  # nodes evaluated at once, which bounds the rule's memory
 
-    val, err = integrate.quad(fn, lo, hi, epsabs=tol, epsrel=1e-13, limit=400)
-    if err > max(tol, 1e-13 * abs(val)) * 10.0:
-        raise ConvergenceError(f"quadrature error estimate {err:.3e} exceeds budget {tol:.3e}")
-    return val
+
+def _panel_rule(g, hi: np.ndarray, knots: np.ndarray, panels: int, cols: tuple) -> np.ndarray:
+    """Composite Gauss-Legendre sums of g over [0, hi[i]], one per row i.
+
+    Row i is cut into ``panels`` equal panels and again at each of its knots
+    (``knots[i]``) inside (0, hi[i]); a knot outside adds an empty panel at
+    hi[i].  g is called on node arrays of shape (rows, panels + knots, 20),
+    with each array of ``cols`` cut to the same rows and shaped (rows, 1, 1).
+    """
+    out = np.empty(hi.size)
+    step = max(1, _NODE_BLOCK // ((panels + knots.shape[1]) * _NODES.size))
+    for start in range(0, hi.size, step):
+        rows = slice(start, start + step)
+        top = hi[rows, None]
+        cuts = knots[rows]
+        edges = np.sort(np.concatenate([np.linspace(0.0, 1.0, panels + 1) * top,
+                                        np.where((cuts > 0.0) & (cuts < top), cuts, top)],
+                                       axis=1), axis=1)
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        vals = g(mid[..., None] + half[..., None] * _NODES, *(c[rows, None, None] for c in cols))
+        out[rows] = np.einsum("rk,rkn,n->r", half, vals, _WEIGHTS)
+    return out
+
+
+def _converged_rule(g, hi: np.ndarray, knots: np.ndarray, window: float, slope: float,
+                    tol: float, where, cols: tuple = ()) -> np.ndarray:
+    """The panel rule, its panel count doubled until it and its refinement
+    agree within tol (or 1e-13 relative) on every row; returns the refined sums.
+
+    The count starts from the window's length in t and |h'| <= slope, so
+    that a panel holds about one period of h.  Past _MAX_PANELS it raises
+    ConvergenceError naming ``where(i)`` for the first row that still
+    disagrees, with both estimates.
+    """
+    panels = 1 + int(window / 12.0 + (slope * window / 8.0 if math.isfinite(slope) else 0.0))
+    panels = min(panels, _MAX_PANELS // 2)
+    coarse = _panel_rule(g, hi, knots, panels, cols)
+    while True:
+        panels *= 2
+        fine = _panel_rule(g, hi, knots, panels, cols)
+        miss = ~(np.abs(fine - coarse) <= np.maximum(tol, 1e-13 * np.abs(fine)))
+        if not miss.any():
+            return fine
+        if panels >= _MAX_PANELS:
+            i = int(np.argmax(miss))
+            raise ConvergenceError(f"panel rule did not converge for {where(i)}: "
+                                   f"{panels // 2} panels give {float(coarse[i])!r}, "
+                                   f"{panels} give {float(fine[i])!r}")
+        coarse = fine
 
 
 def chisq_expectation(law, h, tol: float = 1e-10) -> float:
-    """E[h(Y_p)] by adaptive quadrature of h against the chi-square density.
+    """E[h(Y_p)] by the panel rule in u = sqrt(t) against the chi-square density.
 
-    ``h`` is a plain callable or a TestFunction; a TestFunction's declared
-    polynomial growth is used to pick the truncation point T so that the
-    discarded tail contributes < tol/2.
+    ``h`` is a TestFunction or a plain callable that takes arrays; a
+    TestFunction's declared polynomial growth picks the truncation point T so
+    that the discarded tail contributes < tol/2, its |h'| norm the starting
+    panel count, and its knots the panel breakpoints.
     """
     p = _as_df(law)
     if tol <= 0.0:
@@ -116,16 +166,13 @@ def chisq_expectation(law, h, tol: float = 1e-10) -> float:
         if big_t > 1e8:
             raise ConvergenceError("could not find a truncation point for the tail")
 
-    if p == 1:
-        # t = u^2 removes the t^{-1/2} endpoint singularity exactly
-        pre = 1.0 / math.sqrt(2.0 * math.pi)
+    # t = u^2: the density is 2 u^{p-1} e^{-u^2/2} / (2^{p/2} Gamma(p/2)) in u
+    log_norm = (1.0 - p / 2.0) * math.log(2.0) - math.lgamma(p / 2.0)
 
-        def integrand(u):
-            return 2.0 * pre * math.exp(-u * u / 2.0) * fn(u * u)
+    def integrand(u):
+        return np.exp(log_norm + (p - 1) * np.log(u) - 0.5 * u * u) * fn(u * u)
 
-        return _quad(integrand, 0.0, math.sqrt(big_t), tol / 2.0)
-
-    def integrand(t):
-        return float(_density(p, t)) * fn(t)
-
-    return _quad(integrand, 0.0, big_t, tol / 2.0)
+    knots = np.sqrt(np.clip(np.asarray(getattr(h, "knots", ()), dtype=float), 0.0, big_t))
+    return float(_converged_rule(integrand, np.array([math.sqrt(big_t)]), knots[None, :],
+                                 big_t, getattr(h, "norms", (0.0, 0.0))[1], tol / 2.0,
+                                 lambda i: f"E[h(Y_{p})]")[0])

@@ -4,22 +4,32 @@ The equation  x f''(x) + (p - x) f'(x) / 2 = h(x) - E[h(Y_p)]  is solved by
 
     f'(x) = e^{x/2} x^{-p/2} int_0^x t^{p/2-1} e^{-t/2} [h(t) - E h(Y_p)] dt.
 
-Because the full integral over (0, inf) vanishes, the same f' also equals
-minus the tail integral from x to infinity; past the distribution's bulk the
-lower form suffers catastrophic cancellation, so evaluation switches to the
-tail form there.  The p = 1 endpoint singularity t^{-1/2} is removed by the
-substitution t = u^2.  Higher derivatives come from central finite
-differences of f' with step eps^(1/(k+2)) max(1, x); a grid sup is a lower
-bound of the true sup-norm, so the derivative-cap checks can confirm but
-never refute the bounds
+Each f' value is the panel rule of ``chisq`` (20-node Gauss-Legendre
+panels), evaluated over a whole array of x at once, in one of two forms:
+
+* lower form, x <= p + 2: t = x v^2 (the substitution t = u^2 scaled to
+  u = sqrt(x) v) gives  f'(x) = int_0^1 2 v^{p-1} e^{x(1-v^2)/2}
+  [h(x v^2) - E h] dv, smooth for every p >= 1, with no prefactor to
+  overflow;
+* tail form, x > p + 2: the full integral over (0, inf) vanishes, so f' is
+  minus the integral from x to infinity, which avoids the lower form's
+  cancellation past the bulk.  The shift t = x + s cancels e^{x/2} exactly:
+  f'(x) = -x^{-p/2} int_0^S (x+s)^{p/2-1} e^{-s/2} [h(x+s) - E h] ds, with
+  S the first of 16 * 1.25^j whose discarded tail, bounded through the
+  chi-square tail masses and h's declared growth, is below _FPRIME_TOL/100
+  at every x of the call.
+
+The panel count starts from the window (x or S) and h's |h'| norm and
+doubles until the rule and its refinement agree within half of _FPRIME_TOL;
+past a fixed cap f' raises ConvergenceError with x, p and both estimates.
+Higher derivatives come from central finite differences of f' with step
+eps^(1/(k+2)) max(1, x), the five stencil points of every x in one f' call;
+a grid sup is a lower bound of the true sup-norm, so the derivative-cap
+checks can confirm but never refute the bounds
 
     |f^(k)| <= (2/k) |h^(k)|
     |f^(k)| <= ((2 sqrt(pi) + sqrt(2)/e)/sqrt(p+2k-2) + 4/(p+2k-2)) |h^(k-1)|
     |f^(k)| <= (4/(p+2k-2)) (3 |h^(k-1)| + 2 |h^(k-2)|),   k >= 2.
-
-The quadrature loads scipy.integrate on the first f' evaluation, not at
-import: it pulls in scipy.optimize and scipy.linalg, several tenths of a
-second that a caller of the statistic, its bounds or the sampler never needs.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chisq import ChiSquareLaw, chisq_expectation
+from .chisq import ChiSquareLaw, _converged_rule, _tail_mass_bound, chisq_expectation
 from .errors import ConvergenceError, DomainError
 from .exact import _sum_counts
 from .ranks import theoretical_covariance
@@ -45,11 +55,22 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _FPRIME_TOL = 1e-11  # absolute accuracy of each f' value
+_OFFSETS = np.arange(-2.0, 3.0)  # stencil points x + j*step
+# central-difference weights on f'(x + j*step), j = -2..2, for f^(k) * step^(k-1);
+# fourth order for k = 2, 3, so the truncation error stays below the rule's noise
+_STENCILS = {2: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
+             3: np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0,
+             4: np.array([-1.0, 2.0, 0.0, -2.0, 1.0]) / 2.0}
+
+
+def _like(x, values: np.ndarray):
+    """A float for a scalar x, else ``values`` in the shape of x."""
+    return float(values) if np.ndim(x) == 0 else values
 
 
 @dataclass
 class SteinSolution:
-    """Cached solution data for one (p, h): the centered h and f' evaluator."""
+    """Solution data for one (p, h): E h(Y_p) and the f' evaluator."""
 
     p: int
     h: TestFunction
@@ -59,76 +80,91 @@ class SteinSolution:
         if self.p < 1:
             raise DomainError(f"need p >= 1, got {self.p}")
         self.chisq_h = chisq_expectation(ChiSquareLaw(self.p), self.h, tol=1e-10)
-        self._cache: dict[float, float] = {}
 
-    def _weighted(self, t: float) -> float:
-        # t^{p/2-1} e^{-t/2} [h(t) - chisq_h]
-        return t ** (self.p / 2.0 - 1.0) * math.exp(-t / 2.0) * (self.h.fn(t) - self.chisq_h)
+    def fprime(self, x):
+        """f'(x) for a float or an array of x > 0: a float, or an array of x's shape."""
+        xs = np.asarray(x, dtype=float)
+        if not np.all(xs > 0.0):  # also refuses NaN
+            raise DomainError(f"f' is evaluated on x > 0, got {np.min(xs)}")
+        flat = xs.ravel()
+        out = np.empty(flat.size)
+        lower = flat <= self.p + 2.0
+        if lower.any():
+            out[lower] = self._lower(flat[lower])
+        if not lower.all():
+            out[~lower] = self._tail(flat[~lower])
+        return _like(x, out.reshape(xs.shape))
 
-    def fprime(self, x: float) -> float:
-        if x <= 0.0:
-            raise DomainError(f"f' is evaluated on x > 0, got {x}")
-        hit = self._cache.get(x)
-        if hit is not None:
-            return hit
-        from scipy import integrate  # here, not at import: it is most of the package's start-up
+    def _where(self, xs: np.ndarray):
+        return lambda i: f"f'(x={float(xs[i])!r}) at p={self.p}, h={self.h.label}"
 
-        p = self.p
-        log_pre = x / 2.0 - (p / 2.0) * math.log(x)
-        # quadrature target so the scaled result is accurate to _FPRIME_TOL
-        eps_abs = max(_FPRIME_TOL * math.exp(-log_pre), 1e-280)
-        if x <= p + 2.0:
-            if p == 1:
-                # t = u^2: integrand 2 e^{-u^2/2} [h(u^2) - chisq_h]
-                val, err = integrate.quad(
-                    lambda u: 2.0 * math.exp(-u * u / 2.0) * (self.h.fn(u * u) - self.chisq_h),
-                    0.0, math.sqrt(x), epsabs=eps_abs, epsrel=1e-13, limit=300)
-            else:
-                val, err = integrate.quad(self._weighted, 0.0, x,
-                                          epsabs=eps_abs, epsrel=1e-13, limit=300)
-        else:
-            # tail form: the full integral vanishes, so int_0^x = -int_x^inf
-            val, err = integrate.quad(self._weighted, x, np.inf,
-                                      epsabs=eps_abs, epsrel=1e-13, limit=300)
-            val = -val
-        if err > 100.0 * max(eps_abs, 1e-13 * abs(val)):
-            raise ConvergenceError(
-                f"Stein quadrature error {err:.2e} at x={x} exceeds budget {eps_abs:.2e}")
-        out = math.exp(log_pre) * val
-        self._cache[x] = out
-        return out
+    def _lower(self, xs: np.ndarray) -> np.ndarray:
+        p, fn, eh = self.p, self.h.fn, self.chisq_h
 
-    def derivative(self, k: int, x: float) -> float:
-        """f^(k)(x): k = 1 is f' itself, k in 2..4 by central differences of f'.
+        def integrand(v, x):
+            return (2.0 * np.exp((p - 1) * np.log(v) + 0.5 * x * (1.0 - v * v))
+                    * (fn(x * v * v) - eh))
 
-        Steps follow eps^(1/(k+2)) max(1, x); the first and second differences
-        use fourth-order central stencils so the truncation error stays below
-        the quadrature noise across the standard grid.
+        knots = np.sqrt(np.maximum(np.asarray(self.h.knots, dtype=float) / xs[:, None], 0.0))
+        return _converged_rule(integrand, np.ones(xs.size), knots, float(xs.max()),
+                               self.h.norm(1), _FPRIME_TOL / 2.0, self._where(xs), cols=(xs,))
+
+    def _tail(self, xs: np.ndarray) -> np.ndarray:
+        p, h, eh = self.p, self.h, self.chisq_h
+        a = p / 2.0
+        # The discarded part is e^{x/2} x^{-a} int_{x+S}^inf t^{a-1} e^{-t/2} |h - E h| dt,
+        # with |h - E h| <= (coeff + |E h|)(1 + t^degree).  Its budget is far below
+        # the rule's, so that truncation never shows in f'.
+        scale = np.exp(xs / 2.0 - a * np.log(xs) + a * math.log(2.0) + math.lgamma(a))
+        span = 16.0
+        while not np.all(scale * _tail_mass_bound(p, xs + span, h.growth_degree,
+                                                  h.growth_coeff + abs(eh)) < _FPRIME_TOL / 100.0):
+            span *= 1.25
+            if span > 1e8:
+                raise ConvergenceError(f"no truncation point for f' at p={p}, h={h.label}, "
+                                       f"x up to {float(xs.max())!r}")
+
+        def integrand(s, x):
+            return np.exp((a - 1.0) * np.log1p(s / x) - 0.5 * s) * (h.fn(x + s) - eh) / x
+
+        knots = np.asarray(h.knots, dtype=float) - xs[:, None]
+        return -_converged_rule(integrand, np.full(xs.size, span), knots, span, h.norm(1),
+                                _FPRIME_TOL / 2.0, self._where(xs), cols=(xs,))
+
+    def _derivatives(self, k: int, x) -> tuple[np.ndarray, np.ndarray]:
+        """(f'(x), f^(k)(x)) from one f' call on the five-point stencil of every x."""
+        xs = np.asarray(x, dtype=float)
+        step = np.minimum(_EPS ** (1.0 / (k + 2)) * np.maximum(1.0, xs), xs / 8.0)
+        f = self.fprime(xs[..., None] + step[..., None] * _OFFSETS)
+        return f[..., 2], (f @ _STENCILS[k]) / step ** (k - 1)
+
+    def derivative(self, k: int, x):
+        """f^(k)(x) for a float or an array: k = 1 is f' itself, k in 2..4 by
+        central differences of f'.
+
+        Steps follow eps^(1/(k+2)) max(1, x), capped at x/8 so that every
+        stencil point stays positive.
         """
         if k == 1:
             return self.fprime(x)
         if k not in (2, 3, 4):
             raise DomainError(f"derivatives supported for k in 1..4, got {k}")
-        step = _EPS ** (1.0 / (k + 2)) * max(1.0, x)
-        step = min(step, x / 8.0)  # keep all stencil points positive
-        f = self.fprime
-        if k == 2:
-            return (-f(x + 2 * step) + 8.0 * f(x + step)
-                    - 8.0 * f(x - step) + f(x - 2 * step)) / (12.0 * step)
-        if k == 3:
-            return (-f(x + 2 * step) + 16.0 * f(x + step) - 30.0 * f(x)
-                    + 16.0 * f(x - step) - f(x - 2 * step)) / (12.0 * step ** 2)
-        return (f(x + 2 * step) - 2.0 * f(x + step)
-                + 2.0 * f(x - step) - f(x - 2 * step)) / (2.0 * step ** 3)
+        return _like(x, self._derivatives(k, x)[1])
 
 
-def stein_residual(p: int, h: TestFunction, x: float,
-                   solution: SteinSolution | None = None) -> float:
-    """|x f''(x) + (p-x) f'(x)/2 - (h(x) - E h(Y_p))| with finite-difference f''."""
+def stein_residual(p: int, h: TestFunction, x,
+                   solution: SteinSolution | None = None):
+    """|x f''(x) + (p-x) f'(x)/2 - (h(x) - E h(Y_p))| with finite-difference f''.
+
+    ``x`` is a float or an array; ``solution`` must be the one for (p, h).
+    """
     sol = solution if solution is not None else SteinSolution(p, h)
-    fp = sol.fprime(x)
-    fpp = sol.derivative(2, x)
-    return abs(x * fpp + 0.5 * (p - x) * fp - (h.fn(x) - sol.chisq_h))
+    if sol.p != p or sol.h != h:
+        raise DomainError(f"solution is for p={sol.p}, h={sol.h.label}, "
+                          f"not p={p}, h={h.label}")
+    xs = np.asarray(x, dtype=float)
+    fp, fpp = sol._derivatives(2, xs)
+    return _like(x, np.abs(xs * fpp + 0.5 * (p - xs) * fp - (h.fn(xs) - sol.chisq_h)))
 
 
 def standard_grid(p: int, points: int = 200) -> np.ndarray:
@@ -151,7 +187,7 @@ def derivative_bound_check(p: int, h: TestFunction, k: int,
         raise DomainError(f"k must be 1..4, got {k}")
     sol = SteinSolution(p, h)
     xs = standard_grid(p) if grid is None else np.asarray(grid, dtype=float)
-    observed = max(abs(sol.derivative(k, float(x))) for x in xs)
+    observed = float(np.max(np.abs(sol.derivative(k, xs))))
     denom = p + 2 * k - 2
     caps = {}
     if math.isfinite(h.norm(k)):
@@ -192,31 +228,21 @@ def verify_operator_link(r: int, n: int, h: TestFunction) -> dict:
     c = math.sqrt(12.0 / (r * (r + 1) * n))
     sigma = theoretical_covariance(r)
 
-    total_mvn = 0.0
-    total_chisq = 0.0
-    total_h = 0.0
-    for state, count in _sum_counts(r, n):
-        s = c * np.array(state, dtype=float) / 2.0
-        w = float(np.dot(s, s))
-        if w == 0.0:
-            # grad g = 0 and F f'' + (r-1-F) f'/2 needs f'(0+): both sides
-            # of the operator identity are (r-1) f'(0)/2; f' extends
-            # continuously with f'(0) = limit, realized here by a small x.
-            mvn = chisq = 0.5 * (r - 1) * sol.fprime(1e-9)
-        else:
-            fp, fpp = sol.fprime(w), sol.derivative(2, w)
-            # hessian of g: f''(w) s_j s_k + f'(w) delta_jk / 2
-            hess = fpp * np.outer(s, s) + 0.5 * fp * np.eye(r)
-            mvn = float(np.sum(sigma * hess)) - w * 0.5 * fp
-            chisq = w * fpp + 0.5 * (p - w) * fp
-        total_mvn += count * mvn
-        total_chisq += count * chisq
-        total_h += count * h.fn(w)
+    states, counts = zip(*_sum_counts(r, n))
+    s = c * np.array(states, dtype=float) / 2.0
+    counts = np.array(counts, dtype=float)
+    w = np.einsum("ij,ij->i", s, s)
+    # The state S = 0 (w = 0) needs f'(0+), realized by x = 1e-9: there s = 0
+    # and w = 0, so f'' drops out and both operators are (r-1) f'(0)/2.
+    fp, fpp = sol._derivatives(2, np.maximum(w, 1e-9))
+    # hessian of g: f''(w) s_j s_k + f'(w) delta_jk / 2
+    mvn = fpp * np.einsum("ij,jk,ik->i", s, sigma, s) + 0.5 * fp * np.trace(sigma) - 0.5 * w * fp
+    chisq = w * fpp + 0.5 * (p - w) * fp
 
     weight = math.factorial(r) ** n
-    mean_mvn = total_mvn / weight
-    mean_chisq = total_chisq / weight
-    gap_direct = total_h / weight - sol.chisq_h
+    mean_mvn = float(counts @ mvn) / weight
+    mean_chisq = float(counts @ chisq) / weight
+    gap_direct = float(counts @ h.fn(w)) / weight - sol.chisq_h
     agree_ops = abs(mean_mvn - mean_chisq)
     agree_gap = abs(mean_chisq - gap_direct)
     return {

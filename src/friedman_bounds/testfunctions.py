@@ -3,9 +3,10 @@
 Every bound in the package is stated for classes of smooth test functions,
 so each TestFunction carries the sup-norms of itself and its first four
 derivatives (math.inf marks an unbounded one), its polynomial growth (for
-quadrature truncation), and a closed-form chi-square expectation when one
-exists (cosine and sine via the characteristic function (1-2it)^(-p/2),
-monomials via p(p+2)...(p+2k-2)).
+quadrature truncation), the knots where it is only piecewise smooth (panel
+breakpoints of the quadrature), and a closed-form chi-square expectation
+when one exists (cosine and sine via the characteristic function
+(1-2it)^(-p/2), monomials via p(p+2)...(p+2k-2)).
 """
 
 from __future__ import annotations
@@ -31,13 +32,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
-    fn: Callable[[float], float]
+    """A test function h on [0, inf) and what the bounds and quadratures need of it.
+
+    ``fn`` is one numpy callable that takes a float or an ndarray alike and
+    returns values of its shape.  |h(x)| <= growth_coeff (1 + x^growth_degree).
+    Two test functions are equal when all but ``fn`` and the closed form
+    are: each constructor call builds new closures, and the label names the
+    function.
+    """
+
+    fn: Callable = field(compare=False)
     norms: tuple[float, float, float, float, float]  # sup|h|, |h'|, ..., |h''''|
     label: str
     growth_degree: int = 0
     growth_coeff: float = 1.0
     chisq_closed_form: Optional[Callable[[int], float]] = field(default=None, compare=False)
-    vector_fn: Optional[Callable] = field(default=None, compare=False)  # ndarray -> ndarray
+    knots: tuple[float, ...] = ()  # points where h is only piecewise smooth
 
     def norm(self, k: int) -> float:
         """sup-norm of the k-th derivative (k = 0 is the function itself)."""
@@ -56,22 +66,20 @@ def _chf_expectation(t: float, trig: str):
 def cosine(t: float) -> TestFunction:
     """h(x) = cos(tx); the k-th derivative has sup-norm t^k."""
     return TestFunction(
-        fn=lambda x: math.cos(t * x),
+        fn=lambda x: np.cos(t * x),
         norms=(1.0, abs(t), t * t, abs(t) ** 3, t ** 4),
         label=f"cos({t:g}x)",
         chisq_closed_form=_chf_expectation(t, "cos"),
-        vector_fn=lambda xs: np.cos(t * xs),
     )
 
 
 def sine(t: float) -> TestFunction:
     """h(x) = sin(tx)."""
     return TestFunction(
-        fn=lambda x: math.sin(t * x),
+        fn=lambda x: np.sin(t * x),
         norms=(1.0, abs(t), t * t, abs(t) ** 3, t ** 4),
         label=f"sin({t:g}x)",
         chisq_closed_form=_chf_expectation(t, "sin"),
-        vector_fn=lambda xs: np.sin(t * xs),
     )
 
 
@@ -97,7 +105,6 @@ def power(k: int) -> TestFunction:
         label=f"x^{k}",
         growth_degree=k,
         chisq_closed_form=lambda p: _chisq_raw_moment(p, k),
-        vector_fn=lambda xs: xs ** k,
     )
 
 
@@ -107,24 +114,22 @@ def identity() -> TestFunction:
 
 def constant(c: float = 1.0) -> TestFunction:
     return TestFunction(
-        fn=lambda x: c,
+        fn=lambda x: np.full(np.shape(x), float(c))[()],
         norms=(abs(c), 0.0, 0.0, 0.0, 0.0),
         label=f"const({c:g})",
         chisq_closed_form=lambda p: c,
     )
 
 
-def _bump_core(x: float) -> float:
+_BUMP_KNOTS = (-1.0, -0.5, 0.5, 1.0)
+
+
+def _bump_core(x):
     # Five-piece C^2 cubic ramp from 1 (x <= -1) down to 0 (x >= 1).
-    if x <= -1.0:
-        return 1.0
-    if x <= -0.5:
-        return 1.0 - (2.0 / 3.0) * (x + 1.0) ** 3
-    if x <= 0.5:
-        return (2.0 / 3.0) * x ** 3 - x + 0.5
-    if x <= 1.0:
-        return (2.0 / 3.0) * (1.0 - x) ** 3
-    return 0.0
+    x = np.asarray(x, dtype=float)
+    return np.select([x <= -1.0, x <= -0.5, x <= 0.5, x <= 1.0],
+                     [1.0, 1.0 - (2.0 / 3.0) * (x + 1.0) ** 3, (2.0 / 3.0) * x ** 3 - x + 0.5,
+                      (2.0 / 3.0) * (1.0 - x) ** 3], 0.0)[()]
 
 
 def smoothing_indicator(alpha: float, z: float) -> TestFunction:
@@ -141,4 +146,5 @@ def smoothing_indicator(alpha: float, z: float) -> TestFunction:
         fn=lambda x: _bump_core(1.0 + two_over * (x - z)),
         norms=(1.0, 2.0 / alpha, 8.0 / alpha ** 2, 32.0 / alpha ** 3, math.inf),
         label=f"smoothed_indicator(alpha={alpha:g}, z={z:g})",
+        knots=tuple(z + 0.5 * alpha * (c - 1.0) for c in _BUMP_KNOTS),
     )

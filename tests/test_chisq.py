@@ -8,7 +8,8 @@ import pytest
 
 from friedman_bounds import ChiSquareLaw, DomainError, chisq_cdf, chisq_expectation, chisq_mean_moments
 from friedman_bounds.chisq import chisq_cdf_array
-from friedman_bounds.testfunctions import constant, cosine, identity, power
+from friedman_bounds.errors import ConvergenceError
+from friedman_bounds.testfunctions import constant, cosine, identity, power, smoothing_indicator
 
 
 def mp_cdf(p, z):
@@ -85,3 +86,51 @@ def test_expectation_characteristic_function(p, t):
     got = chisq_expectation(ChiSquareLaw(p), cosine(t), 1e-10)
     expected = ((1.0 - 2.0j * t) ** (-p / 2.0)).real
     assert got == pytest.approx(expected, rel=1e-8, abs=1e-10)
+
+
+def mp_smoothing_expectation(p, alpha, z):
+    """E[h(Y_p)] for the smoothed indicator, exactly per piece: on each piece h
+    is a cubic in y, and E[Y^k 1{a < Y <= b}] = 2^k Gamma(p/2+k)/Gamma(p/2)
+    (P(p/2+k, b/2) - P(p/2+k, a/2))."""
+    with mpmath.workdps(30):
+        a0, alpha, z = mpmath.mpf(p) / 2, mpmath.mpf(alpha), mpmath.mpf(z)
+
+        def moment(k, lo, hi):
+            lo, hi = max(lo, 0), max(hi, 0)
+            return (2 ** k * mpmath.gamma(a0 + k) / mpmath.gamma(a0)
+                    * mpmath.gammainc(a0 + k, lo / 2, hi / 2, regularized=True))
+
+        # core(c) on [-1, -1/2], [-1/2, 1/2], [1/2, 1] as coefficients of 1, c, c^2, c^3
+        pieces = [(-1, -0.5, [mpmath.mpf(1) / 3, -2, -2, -mpmath.mpf(2) / 3]),
+                  (-0.5, 0.5, [mpmath.mpf(1) / 2, -1, 0, mpmath.mpf(2) / 3]),
+                  (0.5, 1, [mpmath.mpf(2) / 3, -2, 2, -mpmath.mpf(2) / 3])]
+        # c = b0 + b1 y
+        b1 = 2 / alpha
+        b0 = 1 - b1 * z
+        total = moment(0, -1, z - alpha)  # h = 1 below the ramp
+        for c_lo, c_hi, coeffs in pieces:
+            lo, hi = z + alpha * (c_lo - 1) / 2, z + alpha * (c_hi - 1) / 2
+            for j, cj in enumerate(coeffs):
+                for k in range(j + 1):
+                    total += (cj * mpmath.binomial(j, k) * b0 ** (j - k) * b1 ** k
+                              * moment(k, lo, hi))
+        return float(total)
+
+
+@pytest.mark.parametrize("p", [1, 3, 6])
+@pytest.mark.parametrize("alpha,z", [(0.5, 2.0), (1.0, 4.0), (2.0, 1.0), (0.1, 7.3),
+                                     (0.05, 0.5), (3.0, 2.0)])
+def test_expectation_smoothing_indicator_exact(p, alpha, z):
+    # the knots are panel breakpoints, so each piece is a polynomial times the
+    # density on its own panels and the rule is accurate far below its tolerance
+    got = chisq_expectation(ChiSquareLaw(p), smoothing_indicator(alpha, z), 1e-10)
+    assert got == pytest.approx(mp_smoothing_expectation(p, alpha, z), abs=1e-12)
+
+
+def test_expectation_plain_callable_on_arrays():
+    assert chisq_expectation(ChiSquareLaw(3), np.square) == pytest.approx(15.0, rel=1e-10)
+
+
+def test_expectation_frequency_past_the_panel_cap_raises():
+    with pytest.raises(ConvergenceError, match="E\\[h\\(Y_3\\)\\].*panels give"):
+        chisq_expectation(ChiSquareLaw(3), cosine(1e4))

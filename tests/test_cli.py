@@ -363,10 +363,13 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
 
     bounds = modules_loaded_by("bounds", "--n", "100", "--r", "3", "--json")
     assert not loads(bounds, "numpy") and not loads(bounds, "scipy")
+    # every chi-square integral is the package's own panel rule
     for argv in (("test", scores_csv, "--json"),
                  ("distance", "--r", "3", "--n", "5", "--samples", "2000",
-                  "--metric", "kolmogorov")):
+                  "--metric", "kolmogorov"),
+                 ("verify", "--suite", "all", "--r-max", "3", "--n-max", "2")):
         assert not loads(modules_loaded_by(*argv), "scipy.integrate"), argv
-    # the Stein suite integrates, so the checks above cannot pass vacuously
-    assert loads(modules_loaded_by("verify", "--suite", "stein", "--p-max", "1"),
-                 "scipy.integrate")
+    # the Stein call loads what it runs, so the checks above cannot pass vacuously
+    stein = modules_loaded_by("verify", "--suite", "stein", "--p-max", "1")
+    assert loads(stein, "friedman_bounds.stein") and loads(stein, "numpy")
+    assert not loads(stein, "scipy.integrate")

@@ -13,7 +13,8 @@ from friedman_bounds.montecarlo import (RngContract, _column_sums, _ecdf_l1_dist
                                         estimate_smooth_gap, estimate_wasserstein,
                                         exact_kolmogorov, exact_smooth_gap, rate_experiment,
                                         uniform_rows)
-from friedman_bounds.testfunctions import cosine, identity, power, smoothing_indicator
+from friedman_bounds.testfunctions import (constant, cosine, identity, power, sine,
+                                           smoothing_indicator)
 
 
 def chisq_upper_quantile(p, alpha):
@@ -288,6 +289,17 @@ def test_smoothing_function_exact_knot_values():
     assert h.fn(-1.0) == pytest.approx(0.5, abs=1e-12)
     assert h.fn(-0.5) == pytest.approx((2 / 3) * (1 / 2) ** 3, abs=1e-12)
     assert h.fn(0.0) == 0.0
+
+
+@pytest.mark.parametrize("h", [cosine(1.5), sine(0.5), identity(), power(3), constant(2.5),
+                               smoothing_indicator(1.3, 2.0)], ids=lambda h: h.label)
+def test_fn_takes_floats_and_arrays_alike(h):
+    xs = np.linspace(0.0, 5.0, 101)
+    values = h.fn(xs)
+    assert values.shape == xs.shape
+    singles = [h.fn(float(x)) for x in xs]
+    assert all(np.ndim(v) == 0 for v in singles)
+    assert np.allclose(values, singles, rtol=1e-15, atol=0.0)
 
 
 def test_estimate_below_kolmogorov_bound_small_case():

@@ -2,17 +2,20 @@
 
 import dataclasses
 
+import mpmath
+import numpy as np
 import pytest
 
+from friedman_bounds.errors import ConvergenceError, DomainError
 from friedman_bounds.stein import (SteinSolution, derivative_bound_check, standard_grid,
                                    stein_residual, verify_operator_link)
-from friedman_bounds.testfunctions import constant, cosine, identity, sine
+from friedman_bounds.testfunctions import constant, cosine, identity, power, sine
 
 
 def shifted(h, c):
     return dataclasses.replace(h, fn=lambda x: h.fn(x) + c, label=f"{h.label}+{c}",
                                growth_coeff=h.growth_coeff + abs(c),
-                               chisq_closed_form=None, vector_fn=None)
+                               chisq_closed_form=None)
 
 
 def test_identity_gives_constant_fprime():
@@ -92,3 +95,77 @@ def test_operator_link_examples():
 def test_operator_link_other_designs():
     for r, n in [(2, 2), (2, 3), (4, 1)]:
         assert verify_operator_link(r, n, cosine(0.5))["status"] == "pass"
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_square_has_linear_fprime(p):
+    # h(t) = t^2 solves the Stein equation with f'(x) = -2x - 2p - 4, on both
+    # sides of the lower/tail switch at x = p + 2
+    grid = standard_grid(p)
+    assert grid.min() < p + 2.0 < grid.max()
+    got = SteinSolution(p, power(2)).fprime(grid)
+    assert np.max(np.abs(got - (-2.0 * grid - 2.0 * p - 4.0))) <= 1e-10
+
+
+def mp_cos_fprime(p, t, x):
+    """30-digit f' for h = cos(t x): with z = 1/2 - it, the integral of
+    s^{a-1} e^{-s/2} cos(ts) over (0, x) is Re z^{-a} gamma(a, z x)."""
+    with mpmath.workdps(30):
+        a, t, x = mpmath.mpf(p) / 2, mpmath.mpf(t), mpmath.mpf(x)
+        z = mpmath.mpf(1) / 2 - 1j * t
+        mean = mpmath.re((1 - 2j * t) ** (-a))
+        body = (mpmath.re(z ** (-a) * mpmath.gammainc(a, 0, z * x))
+                - mean * 2 ** a * mpmath.gammainc(a, 0, x / 2))
+        return float(mpmath.exp(x / 2) * x ** (-a) * body)
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("p", [1, 2, 5, 10])
+def test_cosine_fprime_against_incomplete_gamma(p, t):
+    xs = np.array([0.4, p + 1.5, p + 2.5, p + 6.0, p + 20.0])
+    got = SteinSolution(p, cosine(t)).fprime(xs)
+    for x, value in zip(xs, got):
+        assert value == pytest.approx(mp_cos_fprime(p, t, x), abs=1e-10), (p, t, x)
+
+
+def test_array_and_scalar_calls_agree():
+    sol = SteinSolution(3, cosine(2.0))
+    grid = standard_grid(3, points=40)
+    assert isinstance(sol.fprime(2.0), float) and isinstance(sol.derivative(2, 2.0), float)
+    assert sol.fprime(grid[:36].reshape(4, 9)).shape == (4, 9)
+    for k in (1, 2, 3, 4):
+        together = sol.derivative(k, grid)
+        alone = [sol.derivative(k, float(x)) for x in grid]
+        assert np.allclose(together, alone, rtol=0.0, atol=1e-11 * 10 ** k), k
+    residuals = stein_residual(3, sol.h, grid, solution=sol)
+    assert residuals == pytest.approx([stein_residual(3, sol.h, float(x), solution=sol)
+                                       for x in grid], abs=1e-8)
+
+
+def test_fprime_refuses_nonpositive_x():
+    sol = SteinSolution(2, cosine(1.0))
+    for bad in (0.0, -1.0, float("nan"), np.array([1.0, 0.0])):
+        with pytest.raises(DomainError):
+            sol.fprime(bad)
+
+
+def test_residual_refuses_a_solution_for_another_problem():
+    sol = SteinSolution(3, cosine(1.0))
+    assert stein_residual(3, cosine(1.0), 2.0, solution=sol) <= 1e-6  # an equal h is fine
+    with pytest.raises(DomainError, match="p=3"):
+        stein_residual(4, cosine(1.0), 2.0, solution=sol)
+    with pytest.raises(DomainError, match="sin"):
+        stein_residual(3, sine(1.0), 2.0, solution=sol)
+    with pytest.raises(DomainError):
+        stein_residual(3, cosine(2.0), 2.0, solution=sol)
+
+
+def test_frequency_past_the_panel_cap_raises():
+    with pytest.raises(ConvergenceError):
+        SteinSolution(3, cosine(1e4))
+    # E h of that h is past the cap too, so reach the f' rule with h swapped in afterwards
+    sol = SteinSolution(3, cosine(1.0))
+    sol.h = cosine(1e6)
+    for x in (2.0, 9.0):  # lower and tail form
+        with pytest.raises(ConvergenceError, match=rf"x={x}.*p=3.*panels give"):
+            sol.fprime(x)
