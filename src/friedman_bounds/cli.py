@@ -217,6 +217,10 @@ def _cmd_verify(args) -> int:
 def _cmd_distance(args) -> int:
     from . import montecarlo, testfunctions
 
+    if args.r < 2:
+        raise DomainError(f"need r >= 2, got {args.r}")
+    if args.n < 1:
+        raise DomainError(f"need n >= 1, got {args.n}")
     threads = _thread_cap(args.threads)
     rng = montecarlo.RngContract(seed=args.seed)
     if args.metric == "kolmogorov":

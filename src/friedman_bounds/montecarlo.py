@@ -5,28 +5,35 @@ bit-reproducible from (seed, stream) and independent of worker count: work
 is split into fixed-size chunks, chunk c uses substream (stream << 20) + 1 + c,
 and the reduction runs in chunk order.
 
-A uniform row permutation of 1..r is one uniform index into a table of all
-r! permutations, built on first use for r <= 9; for r >= 10 no table fits and
-rows are Fisher-Yates shuffles.  F_r depends on a rank matrix only through
-its column sums, so the F_r sampler draws those sums by one of three paths,
-chosen from (r, n) alone:
+A uniform row permutation of 1..r is one uniform index into r!.  For
+r <= 9 it indexes a table of all r! permutations, built on first use.  For
+10 <= r <= 12 no r!-entry table fits, so the index is split: with
+k = r // 2, values 1..k go to a uniform k-subset A of the columns, in an
+order p from the k! table, and values k+1..r go to the other columns, in an
+order q from the (r-k)! table.  (A, p, q) -> permutation is a bijection onto
+S_r, so the rows are exactly uniform.  For r >= 13 rows are Fisher-Yates
+shuffles.  F_r depends on a rank matrix only through its column sums, so the
+F_r sampler draws those sums by one of three paths, chosen from (r, n) alone:
 
 * multinomial (r <= 9, 8 r! <= n): the n trials' permutation counts are
   Multinomial(n, 1/r!) and the column sums are counts @ table; the cost does
   not grow with n, and r = 2 is one binomial draw;
-* packed (r <= 9, n < 8 r!): n uniform indices per sample, each replaced by
-  its permutation packed into one 64-bit word (entries 1..r-1, minus 1, in
-  b = 64 // (r-1) bit fields), summed over blocks of trials too short for a
-  field to carry into the next, then unpacked; the last column is
-  n r(r+1)/2 minus the others;
-* shuffle (r >= 10): n shuffled rows, summed.
+* packed (r <= 12, and n < 8 r! for r <= 9): n uniform indices per sample,
+  each replaced by its permutation packed into one 64-bit word (entries
+  1..r-1, minus 1, in b = 64 // (r-1) bit fields), summed over blocks of
+  trials too short for a field to carry into the next, then unpacked; the
+  last column is n r(r+1)/2 minus the others.  For r <= 9 the word is one
+  table entry; for 10 <= r <= 12 it is low[A, p] + high[A, q], two table
+  words whose fields are disjoint;
+* shuffle (r >= 13): n shuffled rows, summed.
 
 The paths draw the same law, not the same numbers.  The packed path draws
-the same indices, and returns the same column sums, as the gather and
-bincount paths it replaced, so its draws are unchanged from those.  The
-table-based paths replaced row shuffles for r <= 9, so at a fixed seed those
-draws differ from the ones of older versions; the thread-count contract
-above still holds.
+the same indices, and returns the same column sums, as uniform_rows, so its
+column sums equal summed uniform_rows rows for every r <= 12.  Draws at a
+fixed seed changed twice: the table-based paths replaced row shuffles for
+r <= 9, and later the split words replaced them for 10 <= r <= 12, so those
+draws differ from the ones of older versions; draws for r >= 13 are still
+shuffles, and the thread-count contract above holds on every path.
 
 Kolmogorov distance estimates take the exact sup between the empirical step
 function and the continuous chi-square CDF (both one-sided gaps at every
@@ -43,7 +50,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as iter_permutations
+from itertools import combinations
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaincinv
@@ -70,6 +77,8 @@ _CHUNK = 1 << 14
 _DKW_CONFIDENCE = 0.99
 _TABLE_MAX_R = 9  # 9! x 9 int16 entries are 6.5 MB, the packed table's 9! words
                   # 2.9 MB; 10! x 10 would be 73 MB
+_PACKED_MAX_R = 12  # the split tables hold 665,280 words each at r = 12 (5.3 MB);
+                    # at r = 13 the high one would hold 8.6M words (69 MB)
 
 
 @dataclass(frozen=True)
@@ -107,35 +116,100 @@ class DistanceEstimate:
 
 @lru_cache(maxsize=None)
 def _permutation_table(r: int) -> np.ndarray:
-    """All r! permutations of 1..r as rows, read-only (r <= 9 only)."""
-    table = np.array(list(iter_permutations(range(1, r + 1))), dtype=np.int16)
+    """All r! permutations of 1..r as rows in lexicographic order, read-only.
+
+    Rows with first entry f are f followed by the (r-1)-table with its
+    entries >= f shifted up by one, which keeps the order lexicographic.
+    """
+    table = np.ones((1, 1), dtype=np.int16)
+    for m in range(2, r + 1):
+        first = np.repeat(np.arange(1, m + 1, dtype=np.int16), table.shape[0])[:, None]
+        rest = np.tile(table, (m, 1))
+        rest += rest >= first
+        table = np.concatenate([first, rest], axis=1)
     table.setflags(write=False)
     return table
+
+
+def _field_weights(r: int) -> np.ndarray:
+    """2**(k*b) for column k < r-1 with b = 64 // (r-1), and 0 for the last."""
+    bits = 64 // (r - 1)
+    return np.append(np.int64(1) << np.arange(0, bits * (r - 1), bits, dtype=np.int64), 0)
 
 
 @lru_cache(maxsize=None)
 def _packed_table(r: int) -> np.ndarray:
     """The rows of _permutation_table(r) as words: entry k+1, minus 1, at bit
     k*b with b = 64 // (r-1); the last entry is left out (r >= 2, r <= 9)."""
-    bits = 64 // (r - 1)
-    head = _permutation_table(r)[:, :-1].astype(np.int64) - 1
-    packed = (head << np.arange(0, bits * (r - 1), bits, dtype=np.int64)).sum(axis=1)
+    packed = (_permutation_table(r).astype(np.int64) - 1) @ _field_weights(r)
     packed.setflags(write=False)
     return packed
+
+
+@lru_cache(maxsize=None)
+def _split_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high word tables for 10 <= r <= 12, read-only.
+
+    With k = r // 2 and A the a-th k-subset of the columns (sorted, in
+    combinations order), low[a k! + p] packs values 1..k in the order of row p
+    of the k! table into the columns of A, and high[a (r-k)! + q] packs values
+    k+1..r in the order of row q of the (r-k)! table into the other columns.
+    """
+    k = r // 2
+    subsets = np.array(list(combinations(range(r), k)))
+    rest = np.array([[c for c in range(r) if c not in s] for s in subsets.tolist()])
+    weights = _field_weights(r)
+    low = (_permutation_table(k).astype(np.int64) - 1) @ weights[subsets].T
+    high = (_permutation_table(r - k).astype(np.int64) + (k - 1)) @ weights[rest].T
+    low, high = low.T.ravel(), high.T.ravel()
+    low.setflags(write=False)
+    high.setflags(write=False)
+    return low, high
+
+
+def _split_words(idx: np.ndarray, r: int) -> np.ndarray:
+    """Replace each index j in [0, r!) by its word, in place (10 <= r <= 12).
+
+    j = (a k! + p) (r-k)! + q names the triple (A, p, q), and its word is
+    low[a k! + p] + high[a (r-k)! + q].
+    """
+    k = r // 2
+    low, high = _split_tables(r)
+    k_perms, rest_perms = math.factorial(k), math.factorial(r - k)
+    low_idx = idx // rest_perms
+    idx -= low_idx * rest_perms
+    idx += low_idx // k_perms * rest_perms
+    np.take(high, idx, out=idx, mode="clip")  # mode="raise" would buffer out
+    np.take(low, low_idx, out=low_idx, mode="clip")
+    idx += low_idx
+    return idx
+
+
+def _packed_words(gen: np.random.Generator, shape, r: int) -> np.ndarray:
+    """Uniform permutations of 1..r as packed words, one uniform index into r!
+    each (r <= 12)."""
+    idx = gen.integers(math.factorial(r), size=shape)
+    if r > _TABLE_MAX_R:
+        return _split_words(idx, r)
+    np.take(_packed_table(r), idx, out=idx, mode="clip")  # mode="raise" would buffer out
+    return idx
 
 
 def uniform_rows(count: int, r: int, gen: np.random.Generator) -> np.ndarray:
     """``count`` independent uniform permutations of 1..r, one per row."""
     if r <= _TABLE_MAX_R:
         return _permutation_table(r)[gen.integers(math.factorial(r), size=count)]
-    return gen.permuted(np.tile(np.arange(1, r + 1), (count, 1)), axis=1)
+    if r <= _PACKED_MAX_R:
+        return _column_sums(gen, count, 1, r)  # a row is the column sums of one trial
+    tile = np.tile(np.arange(1, r + 1), (count, 1))
+    return gen.permuted(tile, axis=1, out=tile)
 
 
 def _sampler_path(r: int, n: int) -> str:
     """The column-sum path for (r, n); see the module docstring."""
-    if r > _TABLE_MAX_R:
+    if r > _PACKED_MAX_R:
         return "shuffle"
-    return "multinomial" if 8 * math.factorial(r) <= n else "packed"
+    return "multinomial" if r <= _TABLE_MAX_R and 8 * math.factorial(r) <= n else "packed"
 
 
 def _column_sums(gen: np.random.Generator, size: int, n: int, r: int) -> np.ndarray:
@@ -148,13 +222,11 @@ def _column_sums(gen: np.random.Generator, size: int, n: int, r: int) -> np.ndar
         perms = table.shape[0]
         counts = gen.multinomial(n, np.full(perms, 1.0 / perms), size=size)
         return counts @ table
-    packed = _packed_table(r)
     bits = 64 // (r - 1)
     # a field holds at most 2**bits - 1, and each trial adds at most r - 1 to it
     block = min(n, ((1 << bits) - 1) // (r - 1))
-    idx = gen.integers(packed.size, size=(size, n))
-    np.take(packed, idx, out=idx, mode="clip")  # mode="raise" would buffer out
-    words = np.add.reduceat(idx.view(np.uint64), np.arange(0, n, block), axis=1)
+    words = np.add.reduceat(_packed_words(gen, (size, n), r).view(np.uint64),
+                            np.arange(0, n, block), axis=1)
     shifts = np.arange(0, bits * (r - 1), bits, dtype=np.uint64)
     fields = (words[..., None] >> shifts) & np.uint64((1 << bits) - 1)
     head = fields.sum(axis=1, dtype=np.int64) + n

@@ -306,9 +306,17 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
      "--threads must be an integer >= 1, got 0"),
     (("rate", "--r", "3", "--n", "5", "--mode", "mc", "--samples", "2000", "--threads", "-2"),
      "--threads must be an integer >= 1, got -2"),
+    (("distance", "--r", "3", "--n", "0"), "need n >= 1, got 0"),
+    (("distance", "--r", "3", "--n", "0", "--mode", "exact"), "need n >= 1, got 0"),
+    (("distance", "--r", "3", "--n", "0", "--metric", "cos"), "need n >= 1, got 0"),
+    (("distance", "--r", "3", "--n", "0", "--metric", "cos", "--mode", "exact"),
+     "need n >= 1, got 0"),
+    (("distance", "--r", "3", "--n", "-3"), "need n >= 1, got -3"),
+    (("distance", "--r", "1", "--n", "5"), "need r >= 2, got 1"),
+    (("distance", "--r", "1", "--n", "5", "--mode", "exact"), "need r >= 2, got 1"),
 ])
 def test_ignored_flag_is_usage_error(capsys, argv, message):
-    # flags that would otherwise be dropped or clamped without a word
+    # flags that would otherwise be dropped or clamped without a word, or crash
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err

@@ -1,6 +1,7 @@
 """Samplers, distance estimators, and the smoothing test function."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from friedman_bounds import (BudgetError, ChiSquareLaw, DomainError, RankMatrix,
                              bound_kolmogorov, chisq_cdf)
 from friedman_bounds.exact import exact_f_distribution
 from friedman_bounds.montecarlo import (RngContract, _column_sums, _ecdf_l1_distance,
-                                        _sample_statistics, _sampler_path, estimate_kolmogorov,
+                                        _permutation_table, _sample_statistics, _sampler_path,
+                                        _split_words, estimate_kolmogorov,
                                         estimate_smooth_gap, estimate_wasserstein,
                                         exact_kolmogorov, exact_smooth_gap, rate_experiment,
                                         uniform_rows)
@@ -69,10 +71,46 @@ def test_sampler_uniformity_gof():
 # r! <= n r (3, 6) and r! > n r (4, 3)
 EXACT_PATH_CELLS = [("multinomial", 2, 20, 41), ("packed", 3, 6, 42), ("packed", 4, 3, 43)]
 
-# packed cells for r = 2..9, with n on both sides of each carry-free block
-# edge: 31, 73 and 170 trials at r = 9, 8 and 7
+# packed cells for r = 2..12, with n on both sides of each carry-free block
+# edge: 170, 73, 31, 14, 6 and 2 trials at r = 7, 8, 9, 10, 11 and 12
 PACKED_CELLS = [(2, 1), (2, 15), (3, 7), (3, 47), (4, 10), (5, 200), (6, 100), (7, 170),
-                (7, 171), (8, 50), (8, 73), (8, 74), (9, 31), (9, 32), (9, 40), (9, 63)]
+                (7, 171), (8, 50), (8, 73), (8, 74), (9, 31), (9, 32), (9, 40), (9, 63),
+                (10, 14), (10, 15), (11, 6), (11, 7), (12, 2), (12, 3)]
+
+
+@pytest.mark.parametrize("r", range(2, 10))
+def test_permutation_table_is_itertools_order(r):
+    want = np.array(list(permutations(range(1, r + 1))), dtype=np.int16)
+    got = _permutation_table(r)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_split_words_are_a_bijection_at_r10():
+    # the 10! indices name 10! (subset, low order, high order) triples, and
+    # their words are distinct, so each names a different permutation
+    r = 10
+    words = _split_words(np.arange(math.factorial(r), dtype=np.int64), r)
+    assert words.size == math.factorial(r)
+    assert (np.diff(np.sort(words)) > 0).all()
+    # every word is a packed permutation: fields 0..r-2, minus 1, all distinct
+    bits = 64 // (r - 1)
+    fields = (words[::97, None] >> np.arange(0, bits * (r - 1), bits)) & ((1 << bits) - 1)
+    assert fields.max() <= r - 1
+    assert (np.diff(np.sort(fields, axis=1), axis=1) > 0).all()
+
+
+@pytest.mark.parametrize("r, seed", [(11, 48), (12, 49)])
+def test_split_rows_are_uniform(r, seed):
+    draws = 200_000
+    rows = uniform_rows(draws, r, RngContract(seed=seed).generator())
+    assert (np.sort(rows, axis=1) == np.arange(1, r + 1)).all()
+    counts = np.stack([np.bincount(rows[:, c], minlength=r + 1)[1:] for c in range(r)])
+    expected = draws / r
+    # (column, value) indicators of a uniform permutation have covariance
+    # (I - J/r) x (I - J/r) / (r - 1), so this Pearson sum times (r - 1)/r is
+    # chi-square with (r - 1)**2 degrees of freedom
+    stat = float(np.sum((counts - expected) ** 2 / expected)) * (r - 1) / r
+    assert stat <= chisq_upper_quantile((r - 1) ** 2, 1e-6), (r, stat)
 
 
 @pytest.mark.parametrize("r, n", PACKED_CELLS)
@@ -120,11 +158,10 @@ def test_sampler_path_matches_exact_law(path, r, n, seed):
     assert stat <= chisq_upper_quantile(len(bins) - 1, 1e-6), (path, r, n, stat, len(bins))
 
 
-def test_shuffle_path_moments():
-    # no exact law at r = 10: z-tests of E[F_r] = r - 1 and Var(F_r) = 2(r-1)(1-1/n)
-    r, n, draws = 10, 20, 100_000
-    assert _sampler_path(r, n) == "shuffle"
-    values = _sample_statistics(n, r, draws, RngContract(seed=44))
+def assert_f_moments(r, n, seed):
+    # no exact law: z-tests of E[F_r] = r - 1 and Var(F_r) = 2(r-1)(1-1/n)
+    draws = 100_000
+    values = _sample_statistics(n, r, draws, RngContract(seed=seed))
     mean_target = r - 1.0
     var_target = 2.0 * (r - 1) * (1.0 - 1.0 / n)
     mean = float(values.mean())
@@ -135,7 +172,18 @@ def test_shuffle_path_moments():
     assert abs(var - var_target) <= 5.0 * math.sqrt((m4 - var ** 2) / draws)
 
 
-@pytest.mark.parametrize("r, n", [(2, 20), (3, 6), (4, 3), (9, 40), (10, 20)])
+def test_split_path_moments():
+    assert _sampler_path(10, 20) == "packed"
+    assert_f_moments(10, 20, seed=44)
+
+
+def test_shuffle_path_moments():
+    assert _sampler_path(13, 20) == "shuffle"
+    assert_f_moments(13, 20, seed=44)
+
+
+@pytest.mark.parametrize("r, n", [(2, 20), (3, 6), (4, 3), (9, 40), (10, 20), (12, 3),
+                                  (13, 5)])
 def test_sampler_paths_thread_invariant(r, n):
     rng = RngContract(seed=45)
     one = _sample_statistics(n, r, 40_000, rng, threads=1)
