@@ -27,7 +27,7 @@ never exceeds 1, so reports carry both the raw and the clamped value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import DomainError, InfiniteNormError
@@ -185,31 +185,11 @@ class BoundReport:
     jensen: str = JENSEN_FORMULA
 
     def to_dict(self) -> dict:
-        coeff = None
+        d = asdict(self)
         if self.coefficients is not None:
-            coeff = {
-                "A_n": self.coefficients.a_n,
-                "B_n": self.coefficients.b_n,
-                "C_T": self.coefficients.c_t,
-                "beta1": self.coefficients.beta1,
-                "beta2": self.coefficients.beta2,
-                "beta3": self.coefficients.beta3,
-            }
-        return {
-            "n": self.n,
-            "r": self.r,
-            "norms": {"h1": self.norms.h1, "h2": self.norms.h2, "h3": self.norms.h3},
-            "compact": self.compact,
-            "sharp": self.sharp,
-            "trivial": self.trivial,
-            "kolmogorov_raw": self.kolmogorov_raw,
-            "kolmogorov": self.kolmogorov,
-            "wasserstein_r2": self.wasserstein_r2,
-            "smooth_r2": self.smooth_r2,
-            "selected": self.selected,
-            "coefficients": coeff,
-            "jensen": self.jensen,
-        }
+            for field, key in (("a_n", "A_n"), ("b_n", "B_n"), ("c_t", "C_T")):
+                d["coefficients"][key] = d["coefficients"].pop(field)
+        return d
 
 
 def bound_report(n: int, r: int, norms: SmoothNorms = SmoothNorms()) -> BoundReport:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -79,11 +78,10 @@ def _cmd_test(args) -> int:
     score = friedman_statistic(ranks)
     n, r = score.n, score.r
     p_value = float(gammaincc((r - 1) / 2.0, score.f_r / 2.0))  # chi-square upper tail
-    kol_raw = bounds_mod.bound_kolmogorov(n, r)
-    kol = min(1.0, kol_raw)
-    lo = max(0.0, p_value - kol)
-    hi = min(1.0, p_value + kol)
     unit = bounds_mod.bound_report(n, r, bounds_mod.SmoothNorms(1.0, 1.0, 1.0))
+    kol_raw, kol = unit.kolmogorov_raw, unit.kolmogorov
+    lo = max(0.0, p_value - kol)
+    hi = min(p_value + kol, 1.0)
     report = {
         "n": n,
         "r": r,
@@ -190,10 +188,14 @@ def _cmd_verify(args) -> int:
                           f"got {args.r_max}, {args.n_max}, {args.p_max} and {args.trials}")
     if args.suite == "identities" and args.r_max < 3:
         raise DomainError(f"--suite identities needs --r-max >= 3, got {args.r_max}")
+    if args.suite in ("lemmas", "all") and args.r_max > 10:
+        raise DomainError(f"--suite {args.suite} needs --r-max <= 10, got {args.r_max}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     suites = []
     if args.suite in ("lemmas", "all"):
         suites.append(exact.verify_lemma_formulas(args.r_max, args.n_max))
-        suites.append(exact.verify_inequalities(min(args.r_max, 10)))
+        suites.append(exact.verify_inequalities(args.r_max))
     if args.suite in ("identities", "all"):
         for r in range(3, min(args.r_max, 6) + 1):
             suites.append(exact.verify_index_decomposition(r, trials=args.trials, seed=args.seed))
@@ -217,43 +219,30 @@ def _cmd_verify(args) -> int:
 def _cmd_distance(args) -> int:
     from . import montecarlo, testfunctions
 
-    if args.r < 2:
-        raise DomainError(f"need r >= 2, got {args.r}")
-    if args.n < 1:
-        raise DomainError(f"need n >= 1, got {args.n}")
     threads = _thread_cap(args.threads)
     rng = montecarlo.RngContract(seed=args.seed)
+    norms = bounds_mod.SmoothNorms()
     if args.metric == "kolmogorov":
         if args.mode == "exact":
             est = montecarlo.exact_kolmogorov(args.n, args.r)
         else:
             est = montecarlo.estimate_kolmogorov(args.n, args.r, args.samples, rng,
                                                  threads=threads)
-        bound = min(1.0, bounds_mod.bound_kolmogorov(args.n, args.r))
-        ok = est.value <= bound + est.half_width
     elif args.metric == "cos":
         h = testfunctions.cosine(args.t)
         norms = bounds_mod.SmoothNorms(h.norm(1), h.norm(2), h.norm(3))
-        if args.mode == "exact":
-            est = montecarlo.DistanceEstimate(
-                value=montecarlo.exact_smooth_gap(args.n, args.r, h),
-                half_width=0.0, samples=math.factorial(args.r) ** args.n,
-                method="exact-enumeration")
-        else:
-            est = montecarlo.estimate_smooth_gap(args.n, args.r, h, args.samples, rng,
-                                                 threads=threads)
-        bound = bounds_mod.bound_report(args.n, args.r, norms).selected
-        ok = est.value <= bound + est.half_width
-    elif args.metric == "wasserstein":
+        est = montecarlo.smooth_gap(args.n, args.r, h, args.mode, args.samples, rng,
+                                    threads=threads)
+    else:  # argparse restricts --metric to the three names
         if args.r != 2:
             raise DomainError("the Wasserstein diagnostic is available for r = 2 only")
         if args.mode != "mc":
             raise DomainError(f"--metric wasserstein must run with --mode mc, got {args.mode!r}")
         est = montecarlo.estimate_wasserstein(args.n, args.samples, rng, threads=threads)
-        bound = bounds_mod.bound_r2_special(args.n, "wasserstein")
-        ok = est.value <= bound + est.half_width
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown metric {args.metric!r}")
+    report = bounds_mod.bound_report(args.n, args.r, norms)
+    bound = {"kolmogorov": report.kolmogorov, "cos": report.selected,
+             "wasserstein": report.wasserstein_r2}[args.metric]
+    ok = est.within(bound)
     row = {
         "metric": args.metric,
         "n": args.n,
@@ -263,7 +252,7 @@ def _cmd_distance(args) -> int:
         "samples": est.samples,
         "method": est.method,
         "bound": bound,
-        "within_bound": bool(ok),
+        "within_bound": ok,
     }
     if args.metric == "cos":
         row["t"] = args.t

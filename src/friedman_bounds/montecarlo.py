@@ -29,19 +29,15 @@ F_r sampler draws those sums by one of three paths, chosen from (r, n) alone:
 
 The paths draw the same law, not the same numbers.  The packed path draws
 the same indices, and returns the same column sums, as uniform_rows, so its
-column sums equal summed uniform_rows rows for every r <= 12.  Draws at a
-fixed seed changed twice: the table-based paths replaced row shuffles for
-r <= 9, and later the split words replaced them for 10 <= r <= 12, so those
-draws differ from the ones of older versions; draws for r >= 13 are still
-shuffles, and the thread-count contract above holds on every path.
+column sums equal summed uniform_rows rows for every r <= 12.  The
+thread-count contract above holds on every path.
 
-Kolmogorov distance estimates take the exact sup between the empirical step
-function and the continuous chi-square CDF (both one-sided gaps at every
-order statistic) and carry a DKW error bar; the Wasserstein diagnostic is
-the exact integral of |ECDF - CDF|; rate_experiment computes smooth
-test-function gaps exactly whenever the exact engine fits its budget
-(exact.BUDGET_CAP enumerated terms) and by Monte Carlo otherwise, with the
-method recorded in each row.
+Kolmogorov distances, exact or sampled, take both one-sided gaps at every
+atom of the step function; sampled ones carry a DKW error bar.  The
+Wasserstein diagnostic is the exact integral of |ECDF - CDF|.  smooth_gap
+computes smooth test-function gaps exactly, by Monte Carlo, or ('auto')
+exactly whenever the exact engine fits its budget (exact.BUDGET_CAP
+enumerated terms), with the method recorded in the result.
 """
 
 from __future__ import annotations
@@ -69,6 +65,7 @@ __all__ = [
     "exact_kolmogorov",
     "exact_smooth_gap",
     "estimate_smooth_gap",
+    "smooth_gap",
     "estimate_wasserstein",
     "rate_experiment",
 ]
@@ -83,14 +80,18 @@ _PACKED_MAX_R = 12  # the split tables hold 665,280 words each at r = 12 (5.3 MB
 
 @dataclass(frozen=True)
 class RngContract:
-    """Deterministic counter-mode RNG handle: (seed, stream) fixes all draws."""
+    """Counter-mode RNG handle: (seed, stream), each in [0, 2**64), fixes all draws."""
 
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        if not (0 <= self.seed < 2 ** 64 and 0 <= self.stream < 2 ** 64):
+            raise DomainError(f"seed and stream must lie in [0, 2**64), "
+                              f"got {self.seed} and {self.stream}")
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & (2 ** 64 - 1), self.stream & (2 ** 64 - 1)],
-                       dtype=np.uint64)
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, index: int) -> "RngContract":
@@ -100,7 +101,7 @@ class RngContract:
         bits, so the index must lie in [0, 2**20) and the stream in [0, 2**44).
         """
         key = (self.stream << 20) + 1 + index
-        if not (0 <= index < 2 ** 20 and self.stream >= 0 and key < 2 ** 64):
+        if not (0 <= index < 2 ** 20 and key < 2 ** 64):
             raise DomainError(f"substream {index} of stream {self.stream} does not fit in "
                               "64 bits: need 0 <= index < 2**20 and 0 <= stream < 2**44")
         return RngContract(seed=self.seed, stream=key)
@@ -112,6 +113,15 @@ class DistanceEstimate:
     half_width: float
     samples: int
     method: str  # "exact-enumeration" or "monte-carlo"
+
+    def within(self, bound: float) -> bool:
+        """The gate: the value is at most the bound plus the error bar."""
+        return bool(self.value <= bound + self.half_width)
+
+
+def _exact_estimate(value: float, n: int, r: int) -> DistanceEstimate:
+    return DistanceEstimate(value=value, half_width=0.0, samples=math.factorial(r) ** n,
+                            method="exact-enumeration")
 
 
 @lru_cache(maxsize=None)
@@ -237,6 +247,7 @@ def _column_sums(gen: np.random.Generator, size: int, n: int, r: int) -> np.ndar
 def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
                        threads: int = 1) -> np.ndarray:
     """F_r samples in fixed chunk order, reproducible for any thread count."""
+    bounds_mod._check_nr(n, r)
     if samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {samples}")
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
@@ -262,39 +273,35 @@ def _dkw_half_width(samples: int) -> float:
     return math.sqrt(math.log(2.0 / (1.0 - _DKW_CONFIDENCE)) / (2.0 * samples))
 
 
-def _ecdf_sup_distance(values: np.ndarray, p: int) -> float:
-    """Exact sup |ECDF - CDF|: both one-sided gaps at every atom."""
-    uniq, counts = np.unique(values, return_counts=True)
-    after = np.cumsum(counts) / values.size
-    before = after - counts / values.size
-    cdf = chisq_cdf_array(ChiSquareLaw(p), uniq)
-    return float(np.max(np.maximum(after - cdf, cdf - before)))
+def _sup_gap(atoms: np.ndarray, after: np.ndarray, jumps: np.ndarray, p: int) -> float:
+    """Exact sup |F - CDF| for a step function F on sorted atoms, with F equal
+    to ``after`` at each atom and to ``after - jumps`` just before it."""
+    cdf = chisq_cdf_array(ChiSquareLaw(p), atoms)
+    return float(np.max(np.maximum(after - cdf, cdf - (after - jumps))))
+
+
+def _exact_atoms(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact atoms of F_r and their probabilities, as floats."""
+    bounds_mod._check_nr(n, r)
+    atoms = exact_f_distribution(n, r)
+    return (np.array([float(a) for a, _ in atoms]), np.array([float(p) for _, p in atoms]))
 
 
 def estimate_kolmogorov(n: int, r: int, samples: int, rng: RngContract,
                         threads: int = 1) -> DistanceEstimate:
     """MC Kolmogorov distance between L(F_r) and chi-square(r-1), with DKW bar."""
     values = _sample_statistics(n, r, samples, rng, threads=threads)
-    return DistanceEstimate(
-        value=_ecdf_sup_distance(values, r - 1),
-        half_width=_dkw_half_width(samples),
-        samples=samples,
-        method="monte-carlo",
-    )
+    uniq, counts = np.unique(values, return_counts=True)
+    return DistanceEstimate(value=_sup_gap(uniq, np.cumsum(counts) / samples,
+                                           counts / samples, r - 1),
+                            half_width=_dkw_half_width(samples), samples=samples,
+                            method="monte-carlo")
 
 
 def exact_kolmogorov(n: int, r: int) -> DistanceEstimate:
     """Exact d_K via enumeration of the atom law of F_r (budget permitting)."""
-    atoms = exact_f_distribution(n, r)
-    law = ChiSquareLaw(r - 1)
-    xs = np.array([float(a) for a, _ in atoms])
-    probs = np.array([float(p) for _, p in atoms])
-    after = np.cumsum(probs)
-    before = after - probs
-    cdf = chisq_cdf_array(law, xs)
-    value = float(np.max(np.maximum(after - cdf, cdf - before)))
-    return DistanceEstimate(value=value, half_width=0.0,
-                            samples=math.factorial(r) ** n, method="exact-enumeration")
+    xs, probs = _exact_atoms(n, r)
+    return _exact_estimate(_sup_gap(xs, np.cumsum(probs), probs, r - 1), n, r)
 
 
 def _chisq_side(h: TestFunction, p: int) -> float:
@@ -305,9 +312,7 @@ def _chisq_side(h: TestFunction, p: int) -> float:
 
 def exact_smooth_gap(n: int, r: int, h: TestFunction) -> float:
     """|E[h(F_r)] - E[h(Y_{r-1})]| with the first term an exact atom average."""
-    atoms = exact_f_distribution(n, r)
-    values = np.array([float(a) for a, _ in atoms])
-    probs = np.array([float(p) for _, p in atoms])
+    values, probs = _exact_atoms(n, r)
     mean_h = math.fsum(probs * h.fn(values))
     return abs(mean_h - _chisq_side(h, r - 1))
 
@@ -321,6 +326,25 @@ def estimate_smooth_gap(n: int, r: int, h: TestFunction, samples: int,
     half = 2.576 * float(hv.std(ddof=1)) / math.sqrt(samples)
     return DistanceEstimate(value=abs(mean - _chisq_side(h, r - 1)),
                             half_width=half, samples=samples, method="monte-carlo")
+
+
+def smooth_gap(n: int, r: int, h: TestFunction, mode: str, samples: int,
+               rng: RngContract, threads: int = 1) -> DistanceEstimate:
+    """|E[h(F_r)] - E[h(Y_{r-1})]|, exact or sampled.
+
+    mode 'exact' enumerates (BudgetError beyond the exact engine's budget),
+    'mc' samples, and 'auto' enumerates and falls back to sampling on
+    BudgetError.
+    """
+    if mode not in ("exact", "mc", "auto"):
+        raise DomainError(f"unknown mode {mode!r}")
+    if mode != "mc":
+        try:
+            return _exact_estimate(exact_smooth_gap(n, r, h), n, r)
+        except BudgetError:
+            if mode == "exact":
+                raise
+    return estimate_smooth_gap(n, r, h, samples, rng, threads=threads)
 
 
 def _ecdf_l1_distance(values: np.ndarray, p: int) -> float:
@@ -366,36 +390,22 @@ def estimate_wasserstein(n: int, samples: int, rng: RngContract,
 def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "auto",
                     samples: int = 1_000_000, rng: RngContract | None = None,
                     threads: int = 1) -> list[dict]:
-    """Gap-versus-bound table across n.
+    """Gap-versus-bound table across n, one smooth_gap per n (see its modes;
+    the row for n samples substream n of ``rng``).
 
-    mode 'exact' forces enumeration (BudgetError beyond the exact engine's
-    budget), 'mc' forces sampling, 'auto' tries enumeration and falls back
-    to sampling on BudgetError.
     Each row records the gap, n*gap, the applicable smooth bounds, and
     whether the gap stays below the selected bound (None when no smooth
     bound applies to this h).
     """
-    if mode not in ("exact", "mc", "auto"):
-        raise DomainError(f"unknown mode {mode!r}")
     if rng is None:
         rng = RngContract(seed=0)
     norms = bounds_mod.SmoothNorms(h1=h.norm(1), h2=h.norm(2), h3=h.norm(3))
     rows = []
     for n in n_list:
-        est = None
-        if mode != "mc":
-            try:
-                est = DistanceEstimate(value=exact_smooth_gap(n, r, h), half_width=0.0,
-                                       samples=math.factorial(r) ** n,
-                                       method="exact-enumeration")
-            except BudgetError:
-                if mode == "exact":
-                    raise
-        if est is None:
-            est = estimate_smooth_gap(n, r, h, samples, rng.substream(n), threads=threads)
+        est = smooth_gap(n, r, h, mode, samples, rng.substream(n), threads=threads)
         gap, half = est.value, est.half_width
         report = bounds_mod.bound_report(n, r, norms)
-        ok = None if report.selected is None else bool(gap <= report.selected + half)
+        ok = None if report.selected is None else est.within(report.selected)
         rows.append({
             "n": n,
             "r": r,

@@ -267,6 +267,16 @@ def test_cmd_verify_coupling_golden_stdout(capsys):
     assert out == golden.read_text()
 
 
+def test_results_golden_stdout(capsys):
+    # exit codes and stdout pinned before distance and rate shared one
+    # exact-or-sampled gap path, one exact record and one gate
+    golden = Path(__file__).parent / "golden" / "results.jsonl"
+    for line in golden.read_text().splitlines():
+        call = json.loads(line)
+        code, out, _ = run(capsys, *call["argv"])
+        assert (code, out) == (call["code"], call["stdout"]), call["argv"]
+
+
 def test_coupling_suite_runs_the_swap_pass_once_per_r():
     coupling._swap_pass.cache_clear()
     _coupling_suite(5, 4)
@@ -314,6 +324,19 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
     (("distance", "--r", "3", "--n", "-3"), "need n >= 1, got -3"),
     (("distance", "--r", "1", "--n", "5"), "need r >= 2, got 1"),
     (("distance", "--r", "1", "--n", "5", "--mode", "exact"), "need r >= 2, got 1"),
+    (("rate", "--r", "1", "--n", "3", "--mode", "mc", "--h", "cos", "--samples", "1000"),
+     "need r >= 2, got 1"),
+    (("rate", "--r", "0", "--n", "3"), "need r >= 2, got 0"),
+    (("distance", "--r", "3", "--n", "5", "--samples", "2000", "--seed", "-1"),
+     "seed and stream must lie in [0, 2**64), got -1 and 0"),
+    (("distance", "--r", "3", "--n", "5", "--samples", "2000", "--seed", str(2 ** 64)),
+     f"seed and stream must lie in [0, 2**64), got {2 ** 64} and 0"),
+    (("rate", "--r", "3", "--n", "5", "--seed", "-1"),
+     "seed and stream must lie in [0, 2**64), got -1 and 0"),
+    (("verify", "--suite", "identities", "--seed", "-3"), "--seed must be >= 0, got -3"),
+    (("verify", "--suite", "lemmas", "--r-max", "11"),
+     "--suite lemmas needs --r-max <= 10, got 11"),
+    (("verify", "--r-max", "11"), "--suite all needs --r-max <= 10, got 11"),
 ])
 def test_ignored_flag_is_usage_error(capsys, argv, message):
     # flags that would otherwise be dropped or clamped without a word, or crash

@@ -48,7 +48,7 @@ def test_sampler_shapes_and_determinism():
 def test_sampler_r2_frequencies():
     gen = RngContract(seed=31).generator()
     draws = 100_000
-    rows = gen.permuted(np.tile(np.arange(1, 3), (draws, 1)), axis=1)
+    rows = uniform_rows(draws, 2, gen)
     frac = np.mean(rows[:, 0] == 1)
     sigma = 0.5 / math.sqrt(draws)
     assert abs(frac - 0.5) <= 4 * sigma
@@ -58,7 +58,7 @@ def test_sampler_uniformity_gof():
     # frequencies of the 6 permutations at r=3 pass a GOF test at alpha=1e-6
     draws = 1_000_000
     gen = RngContract(seed=77).generator()
-    rows = gen.permuted(np.tile(np.arange(1, 4), (draws, 1)), axis=1)
+    rows = uniform_rows(draws, 3, gen)
     codes = rows[:, 0] * 9 + rows[:, 1] * 3 + rows[:, 2]
     _, counts = np.unique(codes, return_counts=True)
     assert len(counts) == 6
@@ -202,6 +202,11 @@ def test_substream_index_and_stream_bounds():
         RngContract(seed=1).substream(-1)
     with pytest.raises(DomainError):
         RngContract(seed=1, stream=2 ** 44).substream(0)
+    # seeds and streams are Philox key words: none outside [0, 2**64) aliases one inside
+    RngContract(seed=2 ** 64 - 1, stream=2 ** 64 - 1).generator()
+    for seed, stream in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)):
+        with pytest.raises(DomainError):
+            RngContract(seed=seed, stream=stream)
 
 
 def test_wasserstein_integral_two_atom_law():
