@@ -6,7 +6,10 @@ behind the bounds (exact, coupling, stein), and Monte Carlo distance
 estimation (montecarlo).  The `friedman-bounds` CLI fronts all of it.
 
 The chisq and ranks names resolve on first access (PEP 562), so importing
-the package, or the CLI for `bounds`, loads neither numpy nor scipy.
+the package, or the CLI for `bounds`, loads neither numpy nor scipy.  No
+module imports scipy at module level: scipy.special is imported by the
+functions that evaluate the incomplete gamma function (the chi-square CDF,
+the Wasserstein integral and `test`'s p-value), on first call.
 """
 
 from importlib import import_module

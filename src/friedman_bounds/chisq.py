@@ -1,18 +1,20 @@
 """Chi-square distribution numerics.
 
 CDF values are the regularized lower incomplete gamma function P(a, x)
-from scipy.special.gammainc, and tail masses its complement gammaincc,
-which stays accurate where 1 - P would cancel.  No chi-square sampling and
-no quantile function live here.
+from scipy.special.gammainc, imported inside the CDF functions so that
+callers that never evaluate a CDF do not load scipy.special.  Truncation
+points only need an upper bound on a tail mass Q(a, x) = 1 - P(a, x); they
+take the elementary bound of _q_upper, so no truncation evaluates Q itself.
+No chi-square sampling and no quantile function live here.
 
 Every chi-square integral in the package, E[h(Y_p)] here and the Stein
 solution f' in ``stein``, is one composite Gauss rule: 20-node
 Gauss-Legendre panels, evaluated as numpy arrays over all nodes and over a
 whole array of integrals at once.  E[h(Y_p)] is truncated at a point T whose
-discarded tail, bounded through h's declared growth and the incomplete gamma
-function, is below half the tolerance; the substitution t = u^2 turns the
-density t^{p/2-1} e^{-t/2} dt into 2 u^{p-1} e^{-u^2/2} du, smooth at the
-origin for every p >= 1.  The panel count starts from the window length and
+discarded tail, bounded through h's declared growth and _q_upper, is below
+half the tolerance; the substitution t = u^2 turns the density
+t^{p/2-1} e^{-t/2} dt into 2 u^{p-1} e^{-u^2/2} du, smooth at the origin for
+every p >= 1.  The panel count starts from the window length and
 h's |h'| norm and doubles until the rule and its refinement (twice the
 panels) agree to the tolerance; past a fixed cap the integral raises
 ConvergenceError.  A test function's knots, where it is only piecewise
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from .errors import ConvergenceError, DomainError
 
@@ -55,6 +56,8 @@ def _as_df(law) -> int:
 
 def chisq_cdf(law, z: float) -> float:
     """P(Y_p <= z) via the regularized lower incomplete gamma P(p/2, z/2)."""
+    from scipy.special import gammainc
+
     p = _as_df(law)
     if not z >= 0.0:  # also refuses NaN
         raise DomainError(f"chi-square CDF argument must be >= 0, got {z}")
@@ -63,6 +66,8 @@ def chisq_cdf(law, z: float) -> float:
 
 def chisq_cdf_array(law, z: np.ndarray) -> np.ndarray:
     """Vectorized CDF, elementwise P(p/2, z/2)."""
+    from scipy.special import gammainc
+
     p = _as_df(law)
     z = np.asarray(z, dtype=float)
     if not np.all(z >= 0.0):  # also refuses NaN
@@ -76,16 +81,33 @@ def chisq_mean_moments(law) -> tuple[int, int]:
     return p, p * p + 2 * p
 
 
+def _q_upper(a: float, x):
+    """Upper bound on Q(a, x) = Gamma(a, x) / Gamma(a), elementwise in x.
+
+    Gamma(a, x) = x^{a-1} e^{-x} int_0^inf (1 + s/x)^{a-1} e^{-s} ds.  For
+    a <= 1 the factor (1 + s/x)^{a-1} is at most 1; for a > 1 it is at most
+    e^{(a-1)s/x}, which integrates to x / (x - a + 1) when x > a - 1.
+    Elsewhere the bound is Q <= 1.
+    """
+    x = np.asarray(x, dtype=float)
+    ok = x > max(a - 1.0, 0.0)
+    xs = np.where(ok, x, a + 1.0)  # any point where the logs below are finite
+    log_q = (a - 1.0) * np.log(xs) - xs - math.lgamma(a)
+    if a > 1.0:
+        log_q += np.log(xs / (xs - a + 1.0))
+    return np.where(ok, np.exp(np.minimum(log_q, 0.0)), 1.0)
+
+
 def _tail_mass_bound(p: int, big_t, growth_degree: int, growth_coeff: float):
     """Upper bound on E[|h(Y)| 1{Y > T}] for |h(x)| <= coeff*(1 + x^degree); T may be an array."""
     a = p / 2.0
-    mass = gammaincc(a, big_t / 2.0)
+    mass = _q_upper(a, big_t / 2.0)
     if growth_degree == 0:
         return growth_coeff * mass
     # E[Y^d 1{Y>T}] = 2^d Gamma(a+d)/Gamma(a) * Q(a+d, T/2)
     d = growth_degree
     moment_tail = (math.exp(d * math.log(2.0) + math.lgamma(a + d) - math.lgamma(a))
-                   * gammaincc(a + d, big_t / 2.0))
+                   * _q_upper(a + d, big_t / 2.0))
     return growth_coeff * (mass + moment_tail)
 
 

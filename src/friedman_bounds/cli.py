@@ -12,7 +12,10 @@ Identical invocations (same flags, same seed) produce byte-identical output;
 --threads and the FRIEDMAN_BOUNDS_THREADS environment variable that caps it
 (each an integer >= 1, else a usage error) never affect any result.
 Each handler imports the modules it runs, so `bounds` loads neither numpy
-nor scipy.
+nor scipy.  scipy.special is loaded only where an incomplete-gamma value is
+computed: by `test` (its p-value) and by `distance --metric kolmogorov` or
+`wasserstein` (the chi-square CDF); `verify`, `rate` and `distance --metric
+cos` never load it.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from typing import Optional
 
+from .bounds import _check_nr
 from .errors import BudgetError, DomainError
 
 __all__ = [
@@ -219,6 +220,7 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 def exact_f_distribution(n: int, r: int) -> list[tuple[Fraction, Fraction]]:
     """Sorted atoms (value, probability) of F_r under the null, exact."""
+    _check_nr(n, r)
     weight = math.factorial(r) ** n
     sq_counts: Counter = Counter()
     for state, c in _sum_counts(r, n):
@@ -560,26 +562,44 @@ def verify_inequalities(r_max: int = 8) -> list[dict]:
 # four-index sum decomposition
 # ---------------------------------------------------------------------------
 
-def _decompose_check(r: int, f, arity: int) -> tuple[Fraction, Fraction]:
-    """(full ordered sum, distinct-index regrouping) for a symmetric f."""
+@lru_cache(maxsize=None)
+def _decomposition(r: int, arity: int) -> tuple[tuple[int, ...], tuple]:
+    """The ordered arity-tuples over range(r), in product order, as positions.
+
+    Returns the index of each tuple's multiset in combinations_with_replacement
+    order, and the distinct-index regrouping as (weight, positions) classes:
+    for a symmetric f the full ordered sum equals the sum over the classes of
+    weight times the class's sum of f.
+    """
     idxs = range(r)
-    lhs = sum(f[t] for t in iter_product(idxs, repeat=arity))
+
+    def at(*t):
+        return sum(i * r ** k for k, i in enumerate(reversed(t)))
+
+    multisets = {m: i for i, m in enumerate(combinations_with_replacement(idxs, arity))}
+    index = tuple(multisets[tuple(sorted(t))] for t in iter_product(idxs, repeat=arity))
+    pairs = [(l, j) for l in idxs for j in idxs if j != l]
     if arity == 2:
-        rhs = sum(f[(l, l)] for l in idxs)
-        rhs += sum(f[(l, j)] for l in idxs for j in idxs if j != l)
+        classes = [(1, [at(l, l) for l in idxs]), (1, [at(l, j) for l, j in pairs])]
     elif arity == 3:
-        rhs = sum(f[(j, j, j)] for j in idxs)
-        rhs += 3 * sum(f[(l, j, j)] for l in idxs for j in idxs if j != l)
-        rhs += sum(f[t] for t in iter_permutations(idxs, 3))
+        classes = [(1, [at(j, j, j) for j in idxs]), (3, [at(l, j, j) for l, j in pairs]),
+                   (1, [at(*t) for t in iter_permutations(idxs, 3)])]
     elif arity == 4:
-        rhs = sum(f[(j, j, j, j)] for j in idxs)
-        rhs += 4 * sum(f[(l, j, j, j)] for l in idxs for j in idxs if j != l)
-        rhs += 3 * sum(f[(l, l, s, s)] for l in idxs for s in idxs if s != l)
-        rhs += 6 * sum(f[(l, j, s, s)] for l, j, s in iter_permutations(idxs, 3))
-        rhs += sum(f[t] for t in iter_permutations(idxs, 4))
+        classes = [(1, [at(j, j, j, j) for j in idxs]),
+                   (4, [at(l, j, j, j) for l, j in pairs]),
+                   (3, [at(l, l, s, s) for l, s in pairs]),
+                   (6, [at(l, j, s, s) for l, j, s in iter_permutations(idxs, 3)]),
+                   (1, [at(*t) for t in iter_permutations(idxs, 4)])]
     else:
         raise DomainError(f"unsupported arity {arity}")
-    return lhs, rhs
+    return index, tuple((w, tuple(pos)) for w, pos in classes)
+
+
+def _decompose_check(r: int, f: list, arity: int) -> tuple[Fraction, Fraction]:
+    """(full ordered sum, distinct-index regrouping) for a symmetric f given
+    as its values on the ordered tuples in product order."""
+    _, classes = _decomposition(r, arity)
+    return sum(f), sum(w * sum([f[i] for i in pos]) for w, pos in classes)
 
 
 def beta_fourth_moment_direct(r: int) -> Fraction:
@@ -608,24 +628,22 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
     out: list[dict] = []
     for arity in (2, 3, 4):
+        index, _ = _decomposition(r, arity)
         failures = 0
         for _ in range(trials):
-            g = {m: rng.randint(-50, 50)
-                 for m in combinations_with_replacement(range(r), arity)}
-            f = {t: g[tuple(sorted(t))] for t in iter_product(range(r), repeat=arity)}
-            lhs, rhs = _decompose_check(r, f, arity)
+            g = [rng.randint(-50, 50) for _ in combinations_with_replacement(range(r), arity)]
+            lhs, rhs = _decompose_check(r, [g[m] for m in index], arity)
             if lhs != rhs:
                 failures += 1
         out.append(_entry(f"{arity}-index decomposition, {trials} random symmetric f",
                           r, None, "pass" if failures == 0 else "fail",
                           f"{trials - failures} exact", f"{trials} required"))
 
-    ones = {t: Fraction(1) for t in iter_product(range(r), repeat=4)}
-    lhs, rhs = _decompose_check(r, ones, 4)
+    lhs, rhs = _decompose_check(r, [Fraction(1)] * r ** 4, 4)
     out.append(_eq_entry("4-index decomposition, f = 1 (counting case)", r, None, lhs, rhs))
     out.append(_eq_entry("f = 1 total = r^4", r, None, lhs, Fraction(r ** 4)))
 
-    beta = {t: mono_moment(r, t) ** 2 for t in iter_product(range(r), repeat=4)}
+    beta = [mono_moment(r, t) ** 2 for t in iter_product(range(r), repeat=4)]
     lhs, rhs = _decompose_check(r, beta, 4)
     out.append(_eq_entry("4-index decomposition, f = (E[rho^(4 indices)])^2", r, None, lhs, rhs))
     out.append(_eq_entry("E[beta^4] tuple sum = direct enumeration", r, None,

@@ -49,7 +49,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaincinv
 
 from . import bounds as bounds_mod
 from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation
@@ -282,7 +281,6 @@ def _sup_gap(atoms: np.ndarray, after: np.ndarray, jumps: np.ndarray, p: int) ->
 
 def _exact_atoms(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact atoms of F_r and their probabilities, as floats."""
-    bounds_mod._check_nr(n, r)
     atoms = exact_f_distribution(n, r)
     return (np.array([float(a) for a, _ in atoms]), np.array([float(p) for _, p in atoms]))
 
@@ -355,6 +353,8 @@ def _ecdf_l1_distance(values: np.ndarray, p: int) -> float:
     contributes G(a) + G(b) - 2 G(t) + c (2t - a - b).  Past the largest atom u
     the ECDF is 1 and the tail contributes E[(Y - u)^+] = p Q_{p+2}(u) - u Q_p(u).
     """
+    from scipy.special import gammainc, gammaincc, gammaincinv
+
     uniq, counts = np.unique(values, return_counts=True)
     level = np.cumsum(counts) / values.size
 

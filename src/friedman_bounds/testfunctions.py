@@ -63,8 +63,19 @@ def _chf_expectation(t: float, trig: str):
     return closed
 
 
+def _check_frequency(t: float) -> None:
+    # the norms carry t^4, so t must be finite and t^4 must not overflow
+    try:
+        fourth = t ** 4
+    except OverflowError:
+        fourth = math.inf
+    if not math.isfinite(fourth):
+        raise DomainError(f"frequency t must be finite with a finite t^4, got {t!r}")
+
+
 def cosine(t: float) -> TestFunction:
     """h(x) = cos(tx); the k-th derivative has sup-norm t^k."""
+    _check_frequency(t)
     return TestFunction(
         fn=lambda x: np.cos(t * x),
         norms=(1.0, abs(t), t * t, abs(t) ** 3, t ** 4),
@@ -75,6 +86,7 @@ def cosine(t: float) -> TestFunction:
 
 def sine(t: float) -> TestFunction:
     """h(x) = sin(tx)."""
+    _check_frequency(t)
     return TestFunction(
         fn=lambda x: np.sin(t * x),
         norms=(1.0, abs(t), t * t, abs(t) ** 3, t ** 4),

@@ -337,6 +337,16 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
     (("verify", "--suite", "lemmas", "--r-max", "11"),
      "--suite lemmas needs --r-max <= 10, got 11"),
     (("verify", "--r-max", "11"), "--suite all needs --r-max <= 10, got 11"),
+    (("distance", "--r", "3", "--n", "4", "--metric", "cos", "--t", "inf"),
+     "frequency t must be finite with a finite t^4, got inf"),
+    (("distance", "--r", "3", "--n", "4", "--metric", "cos", "--mode", "exact", "--t", "1e300"),
+     "frequency t must be finite with a finite t^4, got 1e+300"),
+    (("rate", "--r", "3", "--n", "2,4", "--h", "cos", "--t", "inf"),
+     "frequency t must be finite with a finite t^4, got inf"),
+    (("rate", "--r", "3", "--n", "2,4", "--h", "sin", "--t", "nan"),
+     "frequency t must be finite with a finite t^4, got nan"),
+    (("rate", "--r", "3", "--n", "2,4", "--h", "cos", "--t=-1e100"),
+     "frequency t must be finite with a finite t^4, got -1e+100"),
 ])
 def test_ignored_flag_is_usage_error(capsys, argv, message):
     # flags that would otherwise be dropped or clamped without a word, or crash
@@ -394,12 +404,19 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
 
     bounds = modules_loaded_by("bounds", "--n", "100", "--r", "3", "--json")
     assert not loads(bounds, "numpy") and not loads(bounds, "scipy")
-    # every chi-square integral is the package's own panel rule
-    for argv in (("test", scores_csv, "--json"),
+    # only a call that reports an incomplete-gamma value loads scipy.special:
+    # truncation points use an elementary tail bound, and rate's x^2 side is closed form
+    cdf_calls = (("test", scores_csv, "--json"),
                  ("distance", "--r", "3", "--n", "5", "--samples", "2000",
-                  "--metric", "kolmogorov"),
-                 ("verify", "--suite", "all", "--r-max", "3", "--n-max", "2")):
-        assert not loads(modules_loaded_by(*argv), "scipy.integrate"), argv
+                  "--metric", "kolmogorov"))
+    no_cdf_calls = (("verify", "--suite", "all", "--r-max", "3", "--n-max", "2"),
+                    ("rate", "--r", "3", "--n", "2,4", "--h", "x2"),
+                    ("distance", "--metric", "cos", "--r", "3", "--n", "4", "--mode", "exact"))
+    for argv in cdf_calls + no_cdf_calls:
+        modules = modules_loaded_by(*argv)
+        # every chi-square integral is the package's own panel rule
+        assert not loads(modules, "scipy.integrate"), argv
+        assert loads(modules, "scipy.special") == (argv in cdf_calls), argv
     # the Stein call loads what it runs, so the checks above cannot pass vacuously
     stein = modules_loaded_by("verify", "--suite", "stein", "--p-max", "1")
     assert loads(stein, "friedman_bounds.stein") and loads(stein, "numpy")

@@ -218,6 +218,17 @@ def test_point_mass_at_zero_closed_form():
         assert point_mass_at_zero(n, 2) == Fraction(math.comb(n, k), 2 ** n)
 
 
+@pytest.mark.parametrize("n, r, message", [(0, 3, "need n >= 1, got 0"),
+                                             (3, 0, "need r >= 2, got 0"),
+                                             (3, 1, "need r >= 2, got 1")])
+def test_exact_law_refuses_degenerate_cells(n, r, message):
+    # once a ZeroDivisionError at n = 0 or r = 0, and P(F = 0) = 1 at r = 1
+    with pytest.raises(DomainError, match=message):
+        exact_f_distribution(n, r)
+    with pytest.raises(DomainError, match=message):
+        point_mass_at_zero(n, r)
+
+
 def test_f_distribution_is_a_law():
     atoms = exact_f_distribution(3, 3)
     assert sum(p for _, p in atoms) == 1
@@ -262,6 +273,32 @@ def test_decomposition_suite():
     counting = [e for e in verify_index_decomposition(4, trials=1, seed=0)
                 if "counting" in e["identity"]]
     assert counting[0]["lhs"] == "256"
+
+
+@pytest.mark.parametrize("r", [3, 4, 6])
+def test_decomposition_tables_match_the_tuple_loops(r):
+    # the cached positions pick the same tuples as loops over index tuples do:
+    # f is not symmetric here, so a wrong position changes the regrouped sum
+    import random
+    rng = random.Random(r)
+    idxs = range(r)
+    for arity in (2, 3, 4):
+        f = {t: rng.randint(-50, 50) for t in product(idxs, repeat=arity)}
+        pairs = [(l, j) for l in idxs for j in idxs if j != l]
+        if arity == 2:
+            rhs = sum(f[(l, l)] for l in idxs) + sum(f[t] for t in pairs)
+        elif arity == 3:
+            rhs = (sum(f[(j, j, j)] for j in idxs) + 3 * sum(f[(l, j, j)] for l, j in pairs)
+                   + sum(f[t] for t in permutations(idxs, 3)))
+        else:
+            rhs = (sum(f[(j, j, j, j)] for j in idxs) + 4 * sum(f[(l, j, j, j)] for l, j in pairs)
+                   + 3 * sum(f[(l, l, s, s)] for l, s in pairs)
+                   + 6 * sum(f[(l, j, s, s)] for l, j, s in permutations(idxs, 3))
+                   + sum(f[t] for t in permutations(idxs, 4)))
+        assert exact._decompose_check(r, list(f.values()), arity) == (sum(f.values()), rhs)
+        index, _ = exact._decomposition(r, arity)
+        multisets = sorted({tuple(sorted(t)) for t in f})
+        assert [multisets[m] for m in index] == [tuple(sorted(t)) for t in f]
 
 
 def test_beta_fourth_moment():
