@@ -5,11 +5,9 @@ exact verification machinery for every moment formula and coupling identity
 behind the bounds (exact, coupling, stein), and Monte Carlo distance
 estimation (montecarlo).  The `friedman-bounds` CLI fronts all of it.
 
-The chisq and ranks names resolve on first access (PEP 562), so importing
-the package, or the CLI for `bounds`, loads neither numpy nor scipy.  No
-module imports scipy at module level: scipy.special is imported by the
-functions that evaluate the incomplete gamma function (the chi-square CDF,
-the Wasserstein integral and `test`'s p-value), on first call.
+The package's one dependency is numpy.  The chisq and ranks names resolve
+on first access (PEP 562), so importing the package, or the CLI for
+`bounds`, does not load it.
 """
 
 from importlib import import_module

@@ -1,11 +1,19 @@
-"""Chi-square distribution numerics.
+"""Chi-square distribution numerics, in numpy and the math module only.
 
-CDF values are the regularized lower incomplete gamma function P(a, x)
-from scipy.special.gammainc, imported inside the CDF functions so that
-callers that never evaluate a CDF do not load scipy.special.  Truncation
-points only need an upper bound on a tail mass Q(a, x) = 1 - P(a, x); they
-take the elementary bound of _q_upper, so no truncation evaluates Q itself.
-No chi-square sampling and no quantile function live here.
+The degrees of freedom p are a positive integer, so the upper tail
+Q_p(z) = P(Y_p > z), the regularized upper incomplete gamma Q(p/2, z/2), is
+a finite sum (x = z/2):
+
+  even p:  Q_p(z) = e^{-x} sum_{k < p/2} x^k / k!
+  odd p:   Q_p(z) = erfc(sqrt(x)) + sum_{k < (p-1)/2} e^{-x} x^{k+1/2} / Gamma(k + 3/2)
+
+chisq_tail evaluates it elementwise: each term is the last one times x / j,
+and where e^{-x} would leave the normal floats each term is taken in log
+space instead, so no power of x and no e^{-x} overflows or underflows on
+its own.  It has no iteration and no tolerance.  The CDF is 1 - Q_p.
+Truncation points only need an upper bound on a tail mass Q(a, x); they
+take the elementary bound of _q_upper.  No chi-square sampling and no
+quantile function live here.
 
 Every chi-square integral in the package, E[h(Y_p)] here and the Stein
 solution f' in ``stein``, is one composite Gauss rule: 20-node
@@ -34,6 +42,7 @@ __all__ = [
     "ChiSquareLaw",
     "chisq_cdf",
     "chisq_cdf_array",
+    "chisq_tail",
     "chisq_mean_moments",
     "chisq_expectation",
 ]
@@ -54,25 +63,50 @@ def _as_df(law) -> int:
     return law.p if isinstance(law, ChiSquareLaw) else ChiSquareLaw(int(law)).p
 
 
-def chisq_cdf(law, z: float) -> float:
-    """P(Y_p <= z) via the regularized lower incomplete gamma P(p/2, z/2)."""
-    from scipy.special import gammainc
+_LOG_TERMS_FROM = 700.0  # e^{-x} is a normal float up to x = 708
 
+
+def chisq_tail(law, z) -> np.ndarray:
+    """Q_p(z) = P(Y_p > z) elementwise, exactly 1 at z = 0 and 0 at z = +inf.
+
+    The terms e^{-x} x^j / Gamma(j + 1), j = k or k + 1/2, run from
+    e^{-x} x^{j_0} / Gamma(j_0 + 1), each the last one times x / j; as x is
+    exact, each is within a few ulps (the exp of a term's logarithm would
+    lose about eps * x).  Past x = _LOG_TERMS_FROM, where e^{-x} nears the
+    bottom of the float range, each term is the exp of its logarithm.  For odd p the
+    erfc(sqrt(x)) term is math.erfc per element.
+    """
     p = _as_df(law)
-    if not z >= 0.0:  # also refuses NaN
-        raise DomainError(f"chi-square CDF argument must be >= 0, got {z}")
-    return float(gammainc(p / 2.0, z / 2.0))
+    z = np.asarray(z, dtype=float)
+    bad = ~(z >= 0.0)  # also refuses NaN
+    if bad.any():
+        raise DomainError(f"chi-square CDF argument must be >= 0, got {z[bad].flat[0]}")
+    x = 0.5 * z
+    inside = (x > 0.0) & (x < math.inf)
+    xs = np.where(inside, x, 1.0)  # any point where the terms below are finite
+    if p % 2:
+        half, roots = 0.5, np.sqrt(xs)
+        q = np.fromiter(map(math.erfc, roots.ravel().tolist()), float, xs.size).reshape(xs.shape)
+        term = np.exp(-xs) * roots / math.gamma(1.5)
+    else:
+        half, q, term = 0.0, np.zeros_like(xs), np.exp(-xs)
+    far, log_x = xs > _LOG_TERMS_FROM, np.log(xs)
+    for k in range(p // 2):
+        j = k + half
+        if k:
+            term = term * (xs / j)
+        q += np.where(far, np.exp(j * log_x - xs - math.lgamma(j + 1.0)), term)
+    return np.where(inside, np.minimum(q, 1.0), np.where(x > 0.0, 0.0, 1.0))
+
+
+def chisq_cdf(law, z: float) -> float:
+    """P(Y_p <= z) = 1 - Q_p(z)."""
+    return float(1.0 - chisq_tail(law, z))
 
 
 def chisq_cdf_array(law, z: np.ndarray) -> np.ndarray:
-    """Vectorized CDF, elementwise P(p/2, z/2)."""
-    from scipy.special import gammainc
-
-    p = _as_df(law)
-    z = np.asarray(z, dtype=float)
-    if not np.all(z >= 0.0):  # also refuses NaN
-        raise DomainError("chi-square CDF argument must be >= 0")
-    return gammainc(p / 2.0, z / 2.0)
+    """Vectorized CDF, elementwise 1 - Q_p(z)."""
+    return 1.0 - chisq_tail(law, z)
 
 
 def chisq_mean_moments(law) -> tuple[int, int]:

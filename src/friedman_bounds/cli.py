@@ -11,11 +11,10 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 input/IO error.
 Identical invocations (same flags, same seed) produce byte-identical output;
 --threads and the FRIEDMAN_BOUNDS_THREADS environment variable that caps it
 (each an integer >= 1, else a usage error) never affect any result.
-Each handler imports the modules it runs, so `bounds` loads neither numpy
-nor scipy.  scipy.special is loaded only where an incomplete-gamma value is
-computed: by `test` (its p-value) and by `distance --metric kolmogorov` or
-`wasserstein` (the chi-square CDF); `verify`, `rate` and `distance --metric
-cos` never load it.
+Each handler imports the modules it runs, so `bounds` loads no numpy.  No
+subcommand loads scipy: the package imports numpy only, and its chi-square
+tail is a closed form (see ``chisq``).  A flag that a call would ignore, such
+as --t without a cos or sin test function, is a usage error.
 """
 
 from __future__ import annotations
@@ -54,6 +53,16 @@ def _thread_cap(requested: int) -> int:
     return requested
 
 
+def _frequency(t: float | None, uses_t: bool, flags: str) -> float:
+    """--t, which defaults to 1 and is refused where ``flags`` build no cos or sin."""
+    if t is None:
+        return 1.0
+    if not uses_t:
+        raise DomainError(f"--t applies to cos and sin test functions only, got --t {t!r} "
+                          f"with {flags}")
+    return t
+
+
 def _test_function(name: str, t: float):
     from . import testfunctions
 
@@ -73,14 +82,13 @@ def _test_function(name: str, t: float):
 # ---------------------------------------------------------------------------
 
 def _cmd_test(args) -> int:
-    from scipy.special import gammaincc
-
+    from .chisq import chisq_tail
     from .ranks import friedman_statistic, load_csv
 
     ranks = load_csv(args.input, args.format)
     score = friedman_statistic(ranks)
     n, r = score.n, score.r
-    p_value = float(gammaincc((r - 1) / 2.0, score.f_r / 2.0))  # chi-square upper tail
+    p_value = float(chisq_tail(r - 1, score.f_r))
     unit = bounds_mod.bound_report(n, r, bounds_mod.SmoothNorms(1.0, 1.0, 1.0))
     kol_raw, kol = unit.kolmogorov_raw, unit.kolmogorov
     lo = max(0.0, p_value - kol)
@@ -222,6 +230,7 @@ def _cmd_verify(args) -> int:
 def _cmd_distance(args) -> int:
     from . import montecarlo, testfunctions
 
+    t = _frequency(args.t, args.metric == "cos", f"--metric {args.metric}")
     threads = _thread_cap(args.threads)
     rng = montecarlo.RngContract(seed=args.seed)
     norms = bounds_mod.SmoothNorms()
@@ -232,7 +241,7 @@ def _cmd_distance(args) -> int:
             est = montecarlo.estimate_kolmogorov(args.n, args.r, args.samples, rng,
                                                  threads=threads)
     elif args.metric == "cos":
-        h = testfunctions.cosine(args.t)
+        h = testfunctions.cosine(t)
         norms = bounds_mod.SmoothNorms(h.norm(1), h.norm(2), h.norm(3))
         est = montecarlo.smooth_gap(args.n, args.r, h, args.mode, args.samples, rng,
                                     threads=threads)
@@ -258,7 +267,7 @@ def _cmd_distance(args) -> int:
         "within_bound": ok,
     }
     if args.metric == "cos":
-        row["t"] = args.t
+        row["t"] = t
     print(_dump(row))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -266,6 +275,7 @@ def _cmd_distance(args) -> int:
 def _cmd_rate(args) -> int:
     from . import montecarlo
 
+    t = _frequency(args.t, args.h in ("cos", "sin"), f"--h {args.h}")
     threads = _thread_cap(args.threads)
     try:
         n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
@@ -273,7 +283,7 @@ def _cmd_rate(args) -> int:
         raise DomainError(f"bad --n list {args.n!r}: {exc}") from exc
     if not n_list or any(n < 1 for n in n_list):
         raise DomainError(f"bad --n list {args.n!r}")
-    h = _test_function(args.h, args.t)
+    h = _test_function(args.h, t)
     rows = montecarlo.rate_experiment(args.r, n_list, h, mode=args.mode,
                                       samples=args.samples,
                                       rng=montecarlo.RngContract(seed=args.seed),
@@ -329,14 +339,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--mode", choices=("exact", "mc"), default="mc")
     p_dist.add_argument("--samples", type=int, default=1_000_000)
     p_dist.add_argument("--seed", type=int, default=0)
-    p_dist.add_argument("--t", type=float, default=1.0)
+    p_dist.add_argument("--t", type=float, help="cos frequency (default 1)")
     p_dist.add_argument("--threads", type=int, default=1)
     p_dist.set_defaults(fn=_cmd_distance)
 
     p_rate = sub.add_parser("rate", help="gap-versus-bound table across n")
     p_rate.add_argument("--r", type=int, required=True)
     p_rate.add_argument("--h", choices=("x", "x2", "cos", "sin"), default="x2")
-    p_rate.add_argument("--t", type=float, default=1.0)
+    p_rate.add_argument("--t", type=float, help="cos or sin frequency (default 1)")
     p_rate.add_argument("--n", type=str, required=True, help="comma-separated trial counts")
     p_rate.add_argument("--mode", choices=("auto", "exact", "mc"), default="auto")
     p_rate.add_argument("--samples", type=int, default=1_000_000)

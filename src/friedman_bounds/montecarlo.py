@@ -51,7 +51,7 @@ from itertools import combinations
 import numpy as np
 
 from . import bounds as bounds_mod
-from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation
+from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation, chisq_tail
 from .errors import BudgetError, DomainError
 from .exact import exact_f_distribution
 from .testfunctions import TestFunction
@@ -71,6 +71,7 @@ __all__ = [
 
 _CHUNK = 1 << 14
 _DKW_CONFIDENCE = 0.99
+_BISECTIONS = 60  # leave t within 2^-61 of a step's length of the crossing
 _TABLE_MAX_R = 9  # 9! x 9 int16 entries are 6.5 MB, the packed table's 9! words
                   # 2.9 MB; 10! x 10 would be 73 MB
 _PACKED_MAX_R = 12  # the split tables hold 665,280 words each at r = 12 (5.3 MB);
@@ -348,28 +349,34 @@ def smooth_gap(n: int, r: int, h: TestFunction, mode: str, samples: int,
 def _ecdf_l1_distance(values: np.ndarray, p: int) -> float:
     """Exact integral over [0, inf) of |ECDF - CDF| for chi-square(p).
 
-    With G(z) = int_0^z F_p = z F_p(z) - p F_{p+2}(z), the ECDF level c on a
-    step [a, b) meets F_p at t = F_p^{-1}(c) clipped to the step, and the step
-    contributes G(a) + G(b) - 2 G(t) + c (2t - a - b).  Past the largest atom u
-    the ECDF is 1 and the tail contributes E[(Y - u)^+] = p Q_{p+2}(u) - u Q_p(u).
+    With H(z) = E[(Y - z)^+] = p Q_{p+2}(z) - z Q_p(z), int_0^z F_p = z - p + H(z).
+    The ECDF level c on a step [a, b) meets F_p at the point t where
+    F_p(t) = c, or at the end of the step nearer that point, and the step
+    contributes H(a) + H(b) - 2 H(t) + (1 - c)(a + b - 2t).  That sum is
+    stationary in t at the crossing, so t is bisected _BISECTIONS times inside
+    [a, b].  Past the largest atom u the ECDF is 1 and the tail contributes H(u).
     """
-    from scipy.special import gammainc, gammaincc, gammaincinv
-
     uniq, counts = np.unique(values, return_counts=True)
     level = np.cumsum(counts) / values.size
+    law, law2 = ChiSquareLaw(p), ChiSquareLaw(p + 2)
 
-    def antiderivative(z):
-        return z * gammainc(p / 2.0, z / 2.0) - p * gammainc(p / 2.0 + 1.0, z / 2.0)
+    def excess(z):
+        return p * chisq_tail(law2, z) - z * chisq_tail(law, z)
 
     a = np.concatenate(([0.0], uniq[:-1]))
     b = uniq
     c = np.concatenate(([0.0], level[:-1]))
-    t = np.clip(2.0 * gammaincinv(p / 2.0, c), a, b)
-    steps = (antiderivative(a) + antiderivative(b) - 2.0 * antiderivative(t)
-             + c * (2.0 * t - a - b))
-    u = uniq[-1]
-    tail = p * gammaincc(p / 2.0 + 1.0, u / 2.0) - u * gammaincc(p / 2.0, u / 2.0)
-    return float(math.fsum(steps) + tail)
+    at_a = chisq_cdf_array(law, a)
+    cross = (at_a < c) & (c < chisq_cdf_array(law, b))
+    lo, hi = a[cross], b[cross]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        below = chisq_cdf_array(law, mid) < c[cross]
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    t = np.where(c <= at_a, a, b)
+    t[cross] = 0.5 * (lo + hi)
+    steps = excess(a) + excess(b) - 2.0 * excess(t) + (1.0 - c) * (a + b - 2.0 * t)
+    return float(math.fsum(steps) + excess(uniq[-1]))
 
 
 def estimate_wasserstein(n: int, samples: int, rng: RngContract,

@@ -1,6 +1,7 @@
 """Chi-square CDF and expectation numerics against independent oracles."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.special import gammaincc
 
 from friedman_bounds import ChiSquareLaw, DomainError, chisq_cdf, chisq_expectation, chisq_mean_moments
-from friedman_bounds.chisq import _q_upper, _tail_mass_bound, chisq_cdf_array
+from friedman_bounds.chisq import _q_upper, _tail_mass_bound, chisq_cdf_array, chisq_tail
 from friedman_bounds.errors import ConvergenceError
 from friedman_bounds.testfunctions import constant, cosine, identity, power, smoothing_indicator
 
@@ -50,6 +51,38 @@ def test_cdf_monotone_and_limits(p):
     assert np.all(np.diff(vals) >= -1e-15)
     assert vals[0] == 0.0
     assert vals[-1] > 1.0 - 1e-10
+
+
+TAIL_ZS = np.concatenate(([1e-8, 1e-5, 1e-3, 0.05], np.geomspace(0.2, 1400.0, 36),
+                          [1402.0, 1600.0, 3000.0]))
+
+
+@pytest.mark.parametrize("p", [*range(1, 31), 49, 99, 199])
+def test_tail_against_high_precision(p):
+    # relative accuracy deep in the tail: the closed form against the 50-digit
+    # Q(p/2, z/2), out to z = 1400 and past z = 1400, where the terms are taken
+    # in log space (Q > 1e-300 there at the larger p only)
+    got = chisq_tail(ChiSquareLaw(p), TAIL_ZS)
+    with mpmath.workdps(50):
+        for z, q in zip(TAIL_ZS, got):
+            ref = mpmath.gammainc(mpmath.mpf(p) / 2, mpmath.mpf(z) / 2, mpmath.inf,
+                                  regularized=True)
+            if ref > mpmath.mpf("1e-300"):
+                assert abs(q - ref) <= 1e-12 * ref, (p, z, q, float(ref))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8, 29, 30])
+def test_tail_endpoints_exact_and_quiet(p):
+    law = ChiSquareLaw(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tail = chisq_tail(law, np.array([0.0, 1e300, math.inf]))
+        assert tail.tolist() == [1.0, 0.0, 0.0]
+        assert chisq_tail(law, math.inf) == 0.0 and chisq_tail(law, 0.0) == 1.0
+        assert chisq_cdf(law, math.inf) == 1.0 and chisq_cdf(law, 1e300) == 1.0
+        assert chisq_cdf_array(law, np.array([math.inf]))[0] == 1.0
+    with pytest.raises(DomainError):
+        chisq_tail(law, np.array([2.0, -1e-300]))
 
 
 def test_cdf_array_matches_scalar():

@@ -207,7 +207,7 @@ def test_cmd_distance_deterministic(capsys):
 # stdout pinned at fixed seeds, so any change in the sampler's draws fails here
 GOLDEN_DISTANCE = [
     (("--r", "8", "--n", "50", "--samples", "20000", "--seed", "5"),
-     '{"bound": 1.0, "estimate": 0.007312107775422405, "half_width": 0.011509037065006824, '
+     '{"bound": 1.0, "estimate": 0.007312107775422683, "half_width": 0.011509037065006824, '
      '"method": "monte-carlo", "metric": "kolmogorov", "n": 50, "r": 8, "samples": 20000, '
      '"within_bound": true}\n'),
     (("--r", "5", "--n", "200", "--samples", "20000", "--seed", "7"),
@@ -347,6 +347,18 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
      "frequency t must be finite with a finite t^4, got nan"),
     (("rate", "--r", "3", "--n", "2,4", "--h", "cos", "--t=-1e100"),
      "frequency t must be finite with a finite t^4, got -1e+100"),
+    (("rate", "--r", "3", "--n", "2,4", "--h", "x2", "--t", "inf"),
+     "--t applies to cos and sin test functions only, got --t inf with --h x2"),
+    (("rate", "--r", "3", "--n", "2,4", "--h", "x", "--t", "1"),
+     "--t applies to cos and sin test functions only, got --t 1.0 with --h x"),
+    (("distance", "--r", "3", "--n", "4", "--metric", "kolmogorov", "--t", "nan"),
+     "--t applies to cos and sin test functions only, got --t nan with --metric kolmogorov"),
+    (("distance", "--r", "3", "--n", "4", "--metric", "kolmogorov", "--mode", "exact",
+      "--t", "1"),
+     "--t applies to cos and sin test functions only, got --t 1.0 with --metric kolmogorov"),
+    (("distance", "--r", "2", "--n", "5", "--metric", "wasserstein", "--samples", "2000",
+      "--t", "2"),
+     "--t applies to cos and sin test functions only, got --t 2.0 with --metric wasserstein"),
 ])
 def test_ignored_flag_is_usage_error(capsys, argv, message):
     # flags that would otherwise be dropped or clamped without a word, or crash
@@ -404,20 +416,17 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
 
     bounds = modules_loaded_by("bounds", "--n", "100", "--r", "3", "--json")
     assert not loads(bounds, "numpy") and not loads(bounds, "scipy")
-    # only a call that reports an incomplete-gamma value loads scipy.special:
-    # truncation points use an elementary tail bound, and rate's x^2 side is closed form
-    cdf_calls = (("test", scores_csv, "--json"),
-                 ("distance", "--r", "3", "--n", "5", "--samples", "2000",
-                  "--metric", "kolmogorov"))
-    no_cdf_calls = (("verify", "--suite", "all", "--r-max", "3", "--n-max", "2"),
-                    ("rate", "--r", "3", "--n", "2,4", "--h", "x2"),
-                    ("distance", "--metric", "cos", "--r", "3", "--n", "4", "--mode", "exact"))
-    for argv in cdf_calls + no_cdf_calls:
-        modules = modules_loaded_by(*argv)
-        # every chi-square integral is the package's own panel rule
-        assert not loads(modules, "scipy.integrate"), argv
-        assert loads(modules, "scipy.special") == (argv in cdf_calls), argv
+    # the chi-square tail is a closed form and every chi-square integral is the
+    # package's own panel rule, so no call loads scipy, not even one that reports a CDF value
+    calls = (("test", scores_csv, "--json"),
+             ("distance", "--r", "3", "--n", "5", "--samples", "2000", "--metric", "kolmogorov"),
+             ("distance", "--metric", "wasserstein", "--r", "2", "--n", "5", "--samples", "2000"),
+             ("verify", "--suite", "all", "--r-max", "3", "--n-max", "2"),
+             ("rate", "--r", "3", "--n", "2,4", "--h", "x2"),
+             ("distance", "--metric", "cos", "--r", "3", "--n", "4", "--mode", "exact"))
+    for argv in calls:
+        assert not loads(modules_loaded_by(*argv), "scipy"), argv
     # the Stein call loads what it runs, so the checks above cannot pass vacuously
     stein = modules_loaded_by("verify", "--suite", "stein", "--p-max", "1")
     assert loads(stein, "friedman_bounds.stein") and loads(stein, "numpy")
-    assert not loads(stein, "scipy.integrate")
+    assert not loads(stein, "scipy")
