@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,7 +146,12 @@ def _tail_mass_bound(p: int, big_t, growth_degree: int, growth_coeff: float):
     return growth_coeff * (mass + moment_tail)
 
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+@lru_cache(maxsize=None)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 20-node Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(20)
+
+
 _MAX_PANELS = 4096   # refinement cap of the panel rule
 _NODE_BLOCK = 1 << 18  # nodes evaluated at once, which bounds the rule's memory
 
@@ -158,8 +164,9 @@ def _panel_rule(g, hi: np.ndarray, knots: np.ndarray, panels: int, cols: tuple) 
     hi[i].  g is called on node arrays of shape (rows, panels + knots, 20),
     with each array of ``cols`` cut to the same rows and shaped (rows, 1, 1).
     """
+    nodes, weights = _gauss_rule()
     out = np.empty(hi.size)
-    step = max(1, _NODE_BLOCK // ((panels + knots.shape[1]) * _NODES.size))
+    step = max(1, _NODE_BLOCK // ((panels + knots.shape[1]) * nodes.size))
     for start in range(0, hi.size, step):
         rows = slice(start, start + step)
         top = hi[rows, None]
@@ -169,8 +176,8 @@ def _panel_rule(g, hi: np.ndarray, knots: np.ndarray, panels: int, cols: tuple) 
                                        axis=1), axis=1)
         mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
         half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-        vals = g(mid[..., None] + half[..., None] * _NODES, *(c[rows, None, None] for c in cols))
-        out[rows] = np.einsum("rk,rkn,n->r", half, vals, _WEIGHTS)
+        vals = g(mid[..., None] + half[..., None] * nodes, *(c[rows, None, None] for c in cols))
+        out[rows] = np.einsum("rk,rkn,n->r", half, vals, weights)
     return out
 
 

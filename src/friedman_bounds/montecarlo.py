@@ -15,22 +15,31 @@ S_r, so the rows are exactly uniform.  For r >= 13 rows are Fisher-Yates
 shuffles.  F_r depends on a rank matrix only through its column sums, so the
 F_r sampler draws those sums by one of three paths, chosen from (r, n) alone:
 
-* multinomial (r <= 9, 8 r! <= n): the n trials' permutation counts are
-  Multinomial(n, 1/r!) and the column sums are counts @ table; the cost does
-  not grow with n, and r = 2 is one binomial draw;
-* packed (r <= 12, and n < 8 r! for r <= 9): n uniform indices per sample,
-  each replaced by its permutation packed into one 64-bit word (entries
-  1..r-1, minus 1, in b = 64 // (r-1) bit fields), summed over blocks of
-  trials too short for a field to carry into the next, then unpacked; the
-  last column is n r(r+1)/2 minus the others.  For r <= 9 the word is one
-  table entry; for 10 <= r <= 12 it is low[A, p] + high[A, q], two table
-  words whose fields are disjoint;
+* multinomial (r <= 9, n >= c r!): the n trials' permutation counts are
+  Multinomial(n, 1/r!) and the column sums are counts @ table; r = 2 is one
+  binomial draw.  c = 30 is where numpy draws each binomial by BTPE instead
+  of by inversion, so the cost stops growing with n; c is 56 at r = 3 and
+  38 at r = 4, where the block tables below keep the packed path cheaper
+  for longer (measured per chunk);
+* packed (r <= 12, and n < c r! for r <= 9): each permutation is packed into
+  one 64-bit word (entries 1..r-1, minus 1, in b = 64 // (r-1) bit fields).
+  For r <= 9 the words of k trials are one entry of a block table of
+  (r!)^k words, k the most with (r!)^k <= 2^16 (16, 6, 3, 2 at r = 2..5,
+  else 1): a uniform index names k independent uniform permutations, one
+  per base-r! digit, and n mod k trials left over read one more index
+  modulo (r!)^(n mod k).  For 10 <= r <= 12 a word is low[A, p] + high[A, q],
+  two table words whose fields are disjoint.  The words are summed over
+  blocks too short for a field to carry into the next, then unpacked; the
+  last column is n r(r+1)/2 minus the others;
 * shuffle (r >= 13): n shuffled rows, summed.
 
-The paths draw the same law, not the same numbers.  The packed path draws
-the same indices, and returns the same column sums, as uniform_rows, so its
-column sums equal summed uniform_rows rows for every r <= 12.  The
-thread-count contract above holds on every path.
+The paths draw the same law, not the same numbers.  Where k = 1 the packed
+path draws the same indices as uniform_rows, so its column sums equal
+summed uniform_rows rows.  Each chunk draws its rows in slabs of about
+_SLAB_WORDS words (indices, counts or rows), which bounds its memory
+whatever n and r! are; a slab continues the generator where the last one
+stopped, so the draws do not depend on the slab size.  The thread-count
+contract above holds on every path.
 
 Kolmogorov distances, exact or sampled, take both one-sided gaps at every
 atom of the step function; sampled ones carry a DKW error bar.  The
@@ -43,7 +52,6 @@ enumerated terms), with the method recorded in the result.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -53,7 +61,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation, chisq_tail
 from .errors import BudgetError, DomainError
-from .exact import exact_f_distribution
 from .testfunctions import TestFunction
 
 __all__ = [
@@ -76,6 +83,10 @@ _TABLE_MAX_R = 9  # 9! x 9 int16 entries are 6.5 MB, the packed table's 9! words
                   # 2.9 MB; 10! x 10 would be 73 MB
 _PACKED_MAX_R = 12  # the split tables hold 665,280 words each at r = 12 (5.3 MB);
                     # at r = 13 the high one would hold 8.6M words (69 MB)
+# trials per packed index, k: the most with (r!)^k <= 2^16 (a 512 KB table), 1 for r >= 6
+_BLOCK_TRIALS = {2: 16, 3: 6, 4: 3, 5: 2}
+_SLAB_WORDS = 1 << 22  # a chunk draws its rows in slabs of about this many words
+_MULTINOMIAL_FACTOR = {3: 56, 4: 38}  # multinomial from n = c r! on, c = 30 at other r <= 9
 
 
 @dataclass(frozen=True)
@@ -148,15 +159,6 @@ def _field_weights(r: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _packed_table(r: int) -> np.ndarray:
-    """The rows of _permutation_table(r) as words: entry k+1, minus 1, at bit
-    k*b with b = 64 // (r-1); the last entry is left out (r >= 2, r <= 9)."""
-    packed = (_permutation_table(r).astype(np.int64) - 1) @ _field_weights(r)
-    packed.setflags(write=False)
-    return packed
-
-
-@lru_cache(maxsize=None)
 def _split_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     """Low and high word tables for 10 <= r <= 12, read-only.
 
@@ -195,13 +197,42 @@ def _split_words(idx: np.ndarray, r: int) -> np.ndarray:
     return idx
 
 
-def _packed_words(gen: np.random.Generator, shape, r: int) -> np.ndarray:
-    """Uniform permutations of 1..r as packed words, one uniform index into r!
-    each (r <= 12)."""
-    idx = gen.integers(math.factorial(r), size=shape)
+@lru_cache(maxsize=None)
+def _block_table(r: int, k: int) -> np.ndarray:
+    """Packed words of k trials (r <= 9), read-only.
+
+    The one-trial words are the rows of _permutation_table(r): entry c+1,
+    minus 1, at bit c b with b = 64 // (r-1), the last entry left out.  Entry
+    i (r!)^(k-1) + j of the k-trial table is one-trial word i plus entry j of
+    the (k-1)-trial table, so a uniform index names k independent uniform
+    permutations, one per base-r! digit.
+    """
+    if k == 1:
+        table = (_permutation_table(r).astype(np.int64) - 1) @ _field_weights(r)
+    else:
+        table = (_block_table(r, 1)[:, None] + _block_table(r, k - 1)).ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _packed_words(gen: np.random.Generator, rows: int, n: int, r: int) -> np.ndarray:
+    """Packed words of n uniform trials per row (r <= 12), one uniform index
+    into (r!)^k per k = _BLOCK_TRIALS.get(r, 1) trials.
+
+    The n mod k trials left over take one more index, read modulo (r!)^(n mod k),
+    which is uniform because that power divides (r!)^k.  At k = 1 these are
+    the indices of uniform_rows.
+    """
+    k = _BLOCK_TRIALS.get(r, 1)
+    perms = math.factorial(r)
+    full, rem = divmod(n, k)
+    idx = gen.integers(perms ** k, size=(rows, full + (rem > 0)))
     if r > _TABLE_MAX_R:
         return _split_words(idx, r)
-    np.take(_packed_table(r), idx, out=idx, mode="clip")  # mode="raise" would buffer out
+    last = _block_table(r, rem)[idx[:, -1] % perms ** rem] if rem else None
+    np.take(_block_table(r, k), idx, out=idx, mode="clip")  # mode="raise" would buffer out
+    if rem:
+        idx[:, -1] = last
     return idx
 
 
@@ -219,29 +250,45 @@ def _sampler_path(r: int, n: int) -> str:
     """The column-sum path for (r, n); see the module docstring."""
     if r > _PACKED_MAX_R:
         return "shuffle"
-    return "multinomial" if r <= _TABLE_MAX_R and 8 * math.factorial(r) <= n else "packed"
+    if r <= _TABLE_MAX_R and n >= _MULTINOMIAL_FACTOR.get(r, 30) * math.factorial(r):
+        return "multinomial"
+    return "packed"
 
 
-def _column_sums(gen: np.random.Generator, size: int, n: int, r: int) -> np.ndarray:
-    """Column sums of ``size`` independent uniform n x r rank matrices."""
-    path = _sampler_path(r, n)
+def _slab_sums(gen: np.random.Generator, rows: int, n: int, r: int, path: str) -> np.ndarray:
+    """Column sums of ``rows`` independent uniform n x r rank matrices by ``path``."""
     if path == "shuffle":
-        return uniform_rows(size * n, r, gen).reshape(size, n, r).sum(axis=1)
+        return uniform_rows(rows * n, r, gen).reshape(rows, n, r).sum(axis=1)
     if path == "multinomial":
         table = _permutation_table(r)
         perms = table.shape[0]
-        counts = gen.multinomial(n, np.full(perms, 1.0 / perms), size=size)
+        counts = gen.multinomial(n, np.full(perms, 1.0 / perms), size=rows)
         return counts @ table
     bits = 64 // (r - 1)
-    # a field holds at most 2**bits - 1, and each trial adds at most r - 1 to it
-    block = min(n, ((1 << bits) - 1) // (r - 1))
-    words = np.add.reduceat(_packed_words(gen, (size, n), r).view(np.uint64),
-                            np.arange(0, n, block), axis=1)
+    # a field holds at most 2**bits - 1, and each word adds at most k (r - 1) to it
+    block = ((1 << bits) - 1) // (r - 1) // _BLOCK_TRIALS.get(r, 1)
+    words = _packed_words(gen, rows, n, r).view(np.uint64)
+    words = np.add.reduceat(words, np.arange(0, words.shape[1], block), axis=1)
     shifts = np.arange(0, bits * (r - 1), bits, dtype=np.uint64)
     fields = (words[..., None] >> shifts) & np.uint64((1 << bits) - 1)
     head = fields.sum(axis=1, dtype=np.int64) + n
     last = n * r * (r + 1) // 2 - head.sum(axis=1, keepdims=True)
     return np.concatenate([head, last], axis=1)
+
+
+def _column_sums(gen: np.random.Generator, size: int, n: int, r: int) -> np.ndarray:
+    """Column sums of ``size`` independent uniform n x r rank matrices.
+
+    The rows are drawn in slabs that hold at most about _SLAB_WORDS words at
+    once; a slab's draws continue the generator where the last one stopped,
+    so the sums do not depend on the slab size.
+    """
+    path = _sampler_path(r, n)
+    width = {"shuffle": n * r, "multinomial": math.factorial(r),
+             "packed": -(-n // _BLOCK_TRIALS.get(r, 1))}[path]
+    step = max(1, _SLAB_WORDS // width)
+    return np.concatenate([_slab_sums(gen, min(step, size - start), n, r, path)
+                           for start in range(0, size, step)])
 
 
 def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
@@ -262,6 +309,8 @@ def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
 
     jobs = list(enumerate(sizes))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(one_chunk, jobs))
     else:
@@ -282,6 +331,8 @@ def _sup_gap(atoms: np.ndarray, after: np.ndarray, jumps: np.ndarray, p: int) ->
 
 def _exact_atoms(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact atoms of F_r and their probabilities, as floats."""
+    from .exact import exact_f_distribution
+
     atoms = exact_f_distribution(n, r)
     return (np.array([float(a) for a, _ in atoms]), np.array([float(p) for _, p in atoms]))
 

@@ -211,7 +211,7 @@ GOLDEN_DISTANCE = [
      '"method": "monte-carlo", "metric": "kolmogorov", "n": 50, "r": 8, "samples": 20000, '
      '"within_bound": true}\n'),
     (("--r", "5", "--n", "200", "--samples", "20000", "--seed", "7"),
-     '{"bound": 1.0, "estimate": 0.007161391373020631, "half_width": 0.011509037065006824, '
+     '{"bound": 1.0, "estimate": 0.005763560782233612, "half_width": 0.011509037065006824, '
      '"method": "monte-carlo", "metric": "kolmogorov", "n": 200, "r": 5, "samples": 20000, '
      '"within_bound": true}\n'),
 ]
@@ -424,8 +424,18 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
              ("verify", "--suite", "all", "--r-max", "3", "--n-max", "2"),
              ("rate", "--r", "3", "--n", "2,4", "--h", "x2"),
              ("distance", "--metric", "cos", "--r", "3", "--n", "4", "--mode", "exact"))
-    for argv in calls:
-        assert not loads(modules_loaded_by(*argv), "scipy"), argv
+    loaded = {argv: modules_loaded_by(*argv) for argv in calls}
+    for argv, modules in loaded.items():
+        assert not loads(modules, "scipy"), argv
+    # a threads-1 Monte Carlo distance runs no exact law, thread pool or quadrature
+    mc_distance = calls[1:3] + (("distance", "--metric", "cos", "--r", "4", "--n", "6",
+                                 "--samples", "2000"),)
+    for argv in mc_distance:
+        modules = loaded.get(argv) or modules_loaded_by(*argv)
+        for name in ("friedman_bounds.exact", "fractions", "concurrent.futures",
+                     "numpy.polynomial"):
+            assert not loads(modules, name), (argv, name)
+    assert loads(loaded[calls[-1]], "friedman_bounds.exact")  # the exact distance
     # the Stein call loads what it runs, so the checks above cannot pass vacuously
     stein = modules_loaded_by("verify", "--suite", "stein", "--p-max", "1")
     assert loads(stein, "friedman_bounds.stein") and loads(stein, "numpy")

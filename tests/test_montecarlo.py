@@ -1,13 +1,14 @@
 """Samplers, distance estimators, and the smoothing test function."""
 
 import math
-from itertools import permutations
+import tracemalloc
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 from friedman_bounds import (BudgetError, ChiSquareLaw, DomainError, RankMatrix,
-                             bound_kolmogorov, chisq_cdf)
+                             bound_kolmogorov, chisq_cdf, montecarlo)
 from friedman_bounds.exact import exact_f_distribution
 from friedman_bounds.montecarlo import (RngContract, _column_sums, _ecdf_l1_distance,
                                         _permutation_table, _sample_statistics, _sampler_path,
@@ -68,14 +69,41 @@ def test_sampler_uniformity_gof():
 
 
 # F_r sampler cells small enough for the exact law: the packed cells have
-# r! <= n r (3, 6) and r! > n r (4, 3)
-EXACT_PATH_CELLS = [("multinomial", 2, 20, 41), ("packed", 3, 6, 42), ("packed", 4, 3, 43)]
+# r! <= n r (3, 6) and r! > n r (4, 3); (3, 7), (3, 47), (4, 10) and (5, 3) end in
+# a part-block of 1, 5, 1 and 1 trials; (2, 64) is past r = 2's multinomial crossover
+EXACT_PATH_CELLS = [("multinomial", 2, 64, 41), ("packed", 3, 6, 42), ("packed", 4, 3, 43),
+                    ("packed", 3, 7, 50), ("packed", 3, 47, 51), ("packed", 4, 10, 52),
+                    ("packed", 5, 3, 53)]
 
-# packed cells for r = 2..12, with n on both sides of each carry-free block
-# edge: 170, 73, 31, 14, 6 and 2 trials at r = 7, 8, 9, 10, 11 and 12
-PACKED_CELLS = [(2, 1), (2, 15), (3, 7), (3, 47), (4, 10), (5, 200), (6, 100), (7, 170),
-                (7, 171), (8, 50), (8, 73), (8, 74), (9, 31), (9, 32), (9, 40), (9, 63),
-                (10, 14), (10, 15), (11, 6), (11, 7), (12, 2), (12, 3)]
+# packed cells for r = 2..12: n on both sides of each carry-free block edge (819, 170,
+# 73, 31, 14, 6 and 2 trials at r = 6..12), n with and without a part-block for r <= 5,
+# and the last packed n before the multinomial crossover at r = 2, 3 and 4
+PACKED_CELLS = [(2, 1), (2, 15), (2, 59), (3, 7), (3, 47), (3, 335), (4, 10), (4, 911),
+                (5, 199), (5, 200), (6, 100), (6, 819), (6, 820), (7, 170), (7, 171), (8, 50),
+                (8, 73), (8, 74), (9, 31), (9, 32), (9, 40), (9, 63), (10, 14), (10, 15),
+                (11, 6), (11, 7), (12, 2), (12, 3)]
+
+
+def block_trials(r):
+    """Trials per index: the most k with (r!)**k <= 2**16, or 1."""
+    return max([1] + [k for k in range(2, 17) if math.factorial(r) ** k <= 2 ** 16])
+
+
+def decoded_rows(idx, r):
+    """The permutation rows that uniform indices into r! name: a row of the r!
+    table for r <= 9, and for 10 <= r <= 12 the (subset, low order, high
+    order) triple j = (a h! + p) (r-h)! + q with h = r // 2."""
+    if r <= 9:
+        return _permutation_table(r)[idx].astype(np.int64)
+    h = r // 2
+    subsets = np.array(list(combinations(range(r), h)))
+    rest = np.array([[c for c in range(r) if c not in s] for s in subsets.tolist()])
+    low, q = np.divmod(idx, math.factorial(r - h))
+    a, p = np.divmod(low, math.factorial(h))
+    rows = np.empty((idx.size, r), dtype=np.int64)
+    np.put_along_axis(rows, subsets[a], _permutation_table(h)[p], axis=1)
+    np.put_along_axis(rows, rest[a], _permutation_table(r - h)[q] + h, axis=1)
+    return rows
 
 
 @pytest.mark.parametrize("r", range(2, 10))
@@ -113,14 +141,31 @@ def test_split_rows_are_uniform(r, seed):
     assert stat <= chisq_upper_quantile((r - 1) ** 2, 1e-6), (r, stat)
 
 
+def test_block_trials():
+    got = [montecarlo._BLOCK_TRIALS.get(r, 1) for r in range(2, 13)]
+    assert got == [block_trials(r) for r in range(2, 13)] == [16, 6, 3, 2] + [1] * 7
+
+
 @pytest.mark.parametrize("r, n", PACKED_CELLS)
 def test_packed_column_sums_equal_summed_rows(r, n):
-    # the packed path draws the same indices as the table rows of uniform_rows
+    # the packed path draws one index into (r!)**k per k trials, and the last
+    # n mod k trials read one more index modulo (r!)**(n mod k); redraw those
+    # indices, decode each into its k (or n mod k) digits in base r!, most
+    # significant first, and sum the rows the digits name
     assert _sampler_path(r, n) == "packed"
     size = 300
     key = RngContract(seed=46, stream=r * 1000 + n)
     got = _column_sums(key.generator(), size, n, r)
-    want = uniform_rows(size * n, r, key.generator()).reshape(size, n, r).sum(axis=1)
+    perms, k = math.factorial(r), block_trials(r)
+    full, rem = divmod(n, k)
+    idx = key.generator().integers(perms ** k, size=(size, full + (rem > 0)))
+    used = np.ones(idx.shape + (k,), dtype=bool)
+    if rem:
+        idx[:, -1] %= perms ** rem
+        used[:, -1, :k - rem] = False
+    digits = idx[..., None] // perms ** np.arange(k - 1, -1, -1) % perms
+    rows = decoded_rows(digits[used], r).reshape(size, n, r)
+    want = rows.sum(axis=1)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
 
@@ -182,13 +227,37 @@ def test_shuffle_path_moments():
     assert_f_moments(13, 20, seed=44)
 
 
-@pytest.mark.parametrize("r, n", [(2, 20), (3, 6), (4, 3), (9, 40), (10, 20), (12, 3),
-                                  (13, 5)])
+@pytest.mark.parametrize("r, n", [(2, 20), (2, 64), (3, 6), (3, 50), (4, 3), (5, 199),
+                                  (9, 40), (10, 20), (12, 3), (13, 5)])
 def test_sampler_paths_thread_invariant(r, n):
     rng = RngContract(seed=45)
     one = _sample_statistics(n, r, 40_000, rng, threads=1)
     two = _sample_statistics(n, r, 40_000, rng, threads=2)
     assert one.tobytes() == two.tobytes()
+
+
+@pytest.mark.parametrize("r, n", [(2, 64), (4, 912), (3, 47), (5, 199), (6, 820), (10, 15),
+                                  (12, 3), (13, 5)])
+def test_column_sums_do_not_depend_on_the_slab_size(r, n, monkeypatch):
+    # a slab's draws continue the generator where the last one stopped, on
+    # every path: multinomial, packed (with and without a part-block, split
+    # words) and shuffle
+    whole = _column_sums(RngContract(seed=47).generator(), 333, n, r)
+    monkeypatch.setattr(montecarlo, "_SLAB_WORDS", 50)
+    slabs = _column_sums(RngContract(seed=47).generator(), 333, n, r)
+    assert whole.tobytes() == slabs.tobytes()
+
+
+def test_chunk_memory_is_bounded_by_the_slab():
+    # one slab of 1000 rows of 40,000 packed words would hold 320 MB
+    assert _sampler_path(7, 40_000) == "packed"
+    tracemalloc.start()
+    try:
+        _sample_statistics(40_000, 7, 1000, RngContract(seed=48))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * montecarlo._SLAB_WORDS * 2, peak
 
 
 def test_substream_index_and_stream_bounds():
