@@ -11,16 +11,17 @@ chisq_tail evaluates it elementwise: each term is the last one times x / j,
 and where e^{-x} would leave the normal floats each term is taken in log
 space instead, so no power of x and no e^{-x} overflows or underflows on
 its own.  It has no iteration and no tolerance.  The CDF is 1 - Q_p.
-Truncation points only need an upper bound on a tail mass Q(a, x); they
-take the elementary bound of _q_upper.  No chi-square sampling and no
+Truncation points come from an upper bound on the tail mass
+E[|h(Y_p)| 1{Y_p > T}] through h's declared growth; at integer p each of
+its terms is a tail Q_{p+2d}(T) itself.  No chi-square sampling and no
 quantile function live here.
 
 Every chi-square integral in the package, E[h(Y_p)] here and the Stein
 solution f' in ``stein``, is one composite Gauss rule: 20-node
 Gauss-Legendre panels, evaluated as numpy arrays over all nodes and over a
 whole array of integrals at once.  E[h(Y_p)] is truncated at a point T whose
-discarded tail, bounded through h's declared growth and _q_upper, is below
-half the tolerance; the substitution t = u^2 turns the density
+discarded tail, bounded through h's declared growth, is below half the
+tolerance; the substitution t = u^2 turns the density
 t^{p/2-1} e^{-t/2} dt into 2 u^{p-1} e^{-u^2/2} du, smooth at the origin for
 every p >= 1.  The panel count starts from the window length and
 h's |h'| norm and doubles until the rule and its refinement (twice the
@@ -116,33 +117,18 @@ def chisq_mean_moments(law) -> tuple[int, int]:
     return p, p * p + 2 * p
 
 
-def _q_upper(a: float, x):
-    """Upper bound on Q(a, x) = Gamma(a, x) / Gamma(a), elementwise in x.
-
-    Gamma(a, x) = x^{a-1} e^{-x} int_0^inf (1 + s/x)^{a-1} e^{-s} ds.  For
-    a <= 1 the factor (1 + s/x)^{a-1} is at most 1; for a > 1 it is at most
-    e^{(a-1)s/x}, which integrates to x / (x - a + 1) when x > a - 1.
-    Elsewhere the bound is Q <= 1.
-    """
-    x = np.asarray(x, dtype=float)
-    ok = x > max(a - 1.0, 0.0)
-    xs = np.where(ok, x, a + 1.0)  # any point where the logs below are finite
-    log_q = (a - 1.0) * np.log(xs) - xs - math.lgamma(a)
-    if a > 1.0:
-        log_q += np.log(xs / (xs - a + 1.0))
-    return np.where(ok, np.exp(np.minimum(log_q, 0.0)), 1.0)
-
-
 def _tail_mass_bound(p: int, big_t, growth_degree: int, growth_coeff: float):
-    """Upper bound on E[|h(Y)| 1{Y > T}] for |h(x)| <= coeff*(1 + x^degree); T may be an array."""
-    a = p / 2.0
-    mass = _q_upper(a, big_t / 2.0)
+    """Upper bound on E[|h(Y)| 1{Y > T}] for |h(x)| <= coeff*(1 + x^degree); T may be an array.
+
+    E[Y^d 1{Y > T}] = 2^d Gamma(a+d)/Gamma(a) Q(a+d, T/2) with a = p/2, and
+    Q(a+d, T/2) is the chi-square tail Q_{p+2d}(T).
+    """
+    mass = chisq_tail(p, big_t)
     if growth_degree == 0:
         return growth_coeff * mass
-    # E[Y^d 1{Y>T}] = 2^d Gamma(a+d)/Gamma(a) * Q(a+d, T/2)
-    d = growth_degree
+    d, a = growth_degree, p / 2.0
     moment_tail = (math.exp(d * math.log(2.0) + math.lgamma(a + d) - math.lgamma(a))
-                   * _q_upper(a + d, big_t / 2.0))
+                   * chisq_tail(p + 2 * d, big_t))
     return growth_coeff * (mass + moment_tail)
 
 

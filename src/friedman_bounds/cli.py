@@ -201,8 +201,9 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"--suite identities needs --r-max >= 3, got {args.r_max}")
     if args.suite in ("lemmas", "all") and args.r_max > 10:
         raise DomainError(f"--suite {args.suite} needs --r-max <= 10, got {args.r_max}")
-    if args.seed < 0:
-        raise DomainError(f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.seed < 2 ** 64:  # the identities draws take a Philox key
+        raise DomainError(f"--seed must be {'>= 0' if args.seed < 0 else '< 2**64'}, "
+                          f"got {args.seed}")
     suites = []
     if args.suite in ("lemmas", "all"):
         suites.append(exact.verify_lemma_formulas(args.r_max, args.n_max))

@@ -13,12 +13,16 @@ increment covariance is  E[(S'_j - S_j)(S'_u - S_u)] = 4 sigma_ju / (rn).
 
 Every one of these identities is a sum of per-trial terms, so one pass
 enumerates the r! rows of one trial and the r^2 draws of (K, L), never the
-configurations.  Each draw's increment dQ is built once, on the
-doubled-rank scale, as the swapped row minus the row, and the pass tallies
-everything the three verifiers report; they only format entries for
-(r, n).  The pass is cached, so each r is enumerated once per process
-whatever n, and its r! r^2 row draws are charged to the exact engine's
-budget on every call (BudgetError beyond it).
+configurations.  The pass is one exact int64 numpy computation over the
+increment array dQ[row, K, L, :], the swapped row minus the row on the
+doubled-rank scale, of shape (r!, r, r, r): the regression sums reduce it
+over (K, L), the product matrix is dQ^T dQ over all row draws, and the
+support, quartic and cubic rules are counted as masks, the last two only
+on draws that pass the support rule.  It tallies everything the three
+verifiers report; they only format entries for (r, n).  The pass is cached
+on the rows, so each r is enumerated once per process whatever n, and its
+r! r^2 row draws are charged to the exact engine's budget on every call,
+before any array is built (BudgetError beyond it).
 
 The regression identity reads sum_draws dQ_j = -2 r Q_j for a
 configuration; summed over its trials, it holds for every configuration at
@@ -46,6 +50,8 @@ from functools import lru_cache
 from itertools import permutations as iter_permutations
 from typing import NamedTuple
 
+import numpy as np
+
 from .exact import _check_terms, _entry, centered_doubled
 
 __all__ = [
@@ -67,50 +73,35 @@ class _SwapTally(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _swap_pass(rows: tuple[tuple[int, ...], ...]) -> _SwapTally:
-    """The one pass over the rows of a trial and the r^2 (K, L) swap draws of each."""
-    r = len(rows[0])
-    range_r = range(r)
-    products = [[0] * r for _ in range_r]
-    regression_bad = support_bad = quartic_bad = cubic_bad = 0
-    for row in rows:
-        summed = [0] * r
-        for k in range_r:
-            for l in range_r:
-                swapped = list(row)
-                swapped[k], swapped[l] = row[l], row[k]
-                dq = [s - x for s, x in zip(swapped, row)]
-                support = [j for j in range_r if dq[j]]
-                for j in support:
-                    summed[j] += dq[j]
-                    for u in support:
-                        products[j][u] += dq[j] * dq[u]
-                # support rule: dQ = d e with e_K = 1, e_L = -1, zero elsewhere
-                d = row[l] - row[k]
-                if dq[k] != d or dq[l] != -d or any(
-                        dq[j] for j in range_r if j != k and j != l):
-                    support_bad += 1
-                    continue
-                a = dq[k]
-                b = dq[l]
-                d2 = d * d
-                d3 = d2 * d
-                d4 = d2 * d2
-                # quartic classes, products taken from the actual dq values
-                if (a ** 4 != d4 or b ** 4 != d4 or a * a * b * b != d4
-                        or a ** 3 * b != -d4 or a * b ** 3 != -d4):
-                    quartic_bad += 1
-                # cubic classes
-                if (a ** 3 != d3 or b ** 3 != -d3
-                        or a * a * b != -d3 or a * b * b != d3):
-                    cubic_bad += 1
-                if r > 2:
-                    z = next(j for j in range_r if j != k and j != l)
-                    if a ** 3 * dq[z] != 0 or a * b * dq[z] != 0:
-                        quartic_bad += 1
-        if any(summed[j] != -2 * r * row[j] for j in range_r):
-            regression_bad += 1
-    return _SwapTally(len(rows), len(rows) * r * r, regression_bad,
-                      tuple(map(tuple, products)), support_bad, quartic_bad, cubic_bad)
+    """The one array pass over the rows of a trial and the r^2 (K, L) swap draws of each."""
+    row = np.array(rows, dtype=np.int64)
+    r = row.shape[1]
+    k, l, j = np.ogrid[:r, :r, :r]
+    swap = np.where(j == k, l, np.where(j == l, k, j))  # swap[K, L, j] = swap(K, L)(j)
+    dq = row[:, swap] - row[:, None, None, :]
+    products = dq.reshape(-1, r).T @ dq.reshape(-1, r)
+    regression_bad = np.count_nonzero((dq.sum(axis=(1, 2)) != -2 * r * row).any(axis=1))
+    # support rule: dQ = d e with e_K = 1, e_L = -1, zero elsewhere
+    d = row[:, None, :] - row[:, :, None]  # d[row, K, L] = row[L] - row[K]
+    e = (j == k).astype(np.int64) - (j == l)
+    ok = (dq == d[..., None] * e).all(axis=3)
+    k, l = k[..., 0], l[..., 0]
+    # quartic classes, products taken from the actual dq values
+    a, b = dq[:, k, l, k], dq[:, k, l, l]
+    d2 = d * d
+    d3, d4 = d2 * d, d2 * d2
+    quartic = ((a ** 4 != d4) | (b ** 4 != d4) | (a * a * b * b != d4)
+               | (a ** 3 * b != -d4) | (a * b ** 3 != -d4))
+    quartic_bad = np.count_nonzero(ok & quartic)
+    if r > 2:  # z[K, L] is the first index outside {K, L}
+        z = np.array([[min({0, 1, 2} - {kk, ll}) for ll in range(r)] for kk in range(r)])
+        dz = dq[:, k, l, z]
+        quartic_bad += np.count_nonzero(ok & ((a ** 3 * dz != 0) | (a * b * dz != 0)))
+    cubic = ((a ** 3 != d3) | (b ** 3 != -d3)
+             | (a * a * b != -d3) | (a * b * b != d3))
+    return _SwapTally(len(rows), len(rows) * r * r, int(regression_bad),
+                      tuple(map(tuple, products.tolist())), int(ok.size - np.count_nonzero(ok)),
+                      int(quartic_bad), int(np.count_nonzero(ok & cubic)))
 
 
 def _tally(r: int) -> _SwapTally:

@@ -27,7 +27,6 @@ Every verify_* function returns a list of JSON-ready entries
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -602,6 +601,25 @@ def _decompose_check(r: int, f: list, arity: int) -> tuple[Fraction, Fraction]:
     return sum(f), sum(w * sum([f[i] for i in pos]) for w, pos in classes)
 
 
+@lru_cache(maxsize=None)
+def _multiset_weights(r: int, arity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per multiset m: the ordered tuples that hold m, and the weight that the
+    distinct-index regrouping gives m.
+
+    For f[t] = g[multiset of t] the two sums of _decompose_check are the dot
+    products of g with these two vectors.
+    """
+    index, classes = _decomposition(r, arity)
+    full = [0] * (max(index) + 1)
+    regrouped = [0] * len(full)
+    for m in index:
+        full[m] += 1
+    for w, pos in classes:
+        for i in pos:
+            regrouped[index[i]] += w
+    return tuple(full), tuple(regrouped)
+
+
 def beta_fourth_moment_direct(r: int) -> Fraction:
     """E[(sum_l rho(l) rho'(l))^4] over two independent permutations, direct.
 
@@ -612,39 +630,63 @@ def beta_fourth_moment_direct(r: int) -> Fraction:
     return Fraction(total, math.factorial(r) * 4 ** 4)  # doubled twice: (2*2)^4
 
 
+_TRIAL_BLOCK = 1 << 16  # random symmetric f drawn at once, which bounds the draws' memory
+
+
+def _trial_sums(r: int, arity: int, g):
+    """Each trial's (full ordered sum, regrouped sum) for f[t] = g[trial, multiset of t]."""
+    import numpy as np
+
+    full, regrouped = _multiset_weights(r, arity)
+    return g @ np.array(full, dtype=np.int64), g @ np.array(regrouped, dtype=np.int64)
+
+
 def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     """Check the 2-, 3- and 4-index distinct-sum decompositions exactly.
 
     Runs `trials` seeded random symmetric integer functions per arity (one
-    draw per multiset of indices, f[t] = g[sorted(t)]), the all-ones
-    counting case, and the fourth-moment instance
+    draw in [-50, 50] per multiset of indices, f[t] = g[sorted(t)]), the
+    all-ones counting case, and the fourth-moment instance
     f(l,j,s,t) = (E[rho(l)rho(j)rho(s)rho(t)])^2, whose decomposed total is
     cross-checked against a direct two-permutation enumeration.
+
+    The draws come from one Philox generator keyed by (seed, 0), so seed
+    lies in [0, 2**64); each arity draws its trials in blocks of at most
+    _TRIAL_BLOCK.  Both sums of a trial are integer dot products of g with
+    the per-multiset weights of _multiset_weights, and the two fixed cases
+    sum exact integers (over a common denominator for the fourth-moment f).
     """
+    import numpy as np
+
     if not 3 <= r <= 6:
         raise DomainError(f"decomposition check supports 3 <= r <= 6, got {r}")
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
-    rng = random.Random(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     out: list[dict] = []
     for arity in (2, 3, 4):
-        index, _ = _decomposition(r, arity)
+        multisets = len(_multiset_weights(r, arity)[0])
         failures = 0
-        for _ in range(trials):
-            g = [rng.randint(-50, 50) for _ in combinations_with_replacement(range(r), arity)]
-            lhs, rhs = _decompose_check(r, [g[m] for m in index], arity)
-            if lhs != rhs:
-                failures += 1
+        for start in range(0, trials, _TRIAL_BLOCK):
+            g = rng.integers(-50, 51, size=(min(_TRIAL_BLOCK, trials - start), multisets))
+            lhs, rhs = _trial_sums(r, arity, g)
+            failures += int(np.count_nonzero(lhs != rhs))
         out.append(_entry(f"{arity}-index decomposition, {trials} random symmetric f",
                           r, None, "pass" if failures == 0 else "fail",
                           f"{trials - failures} exact", f"{trials} required"))
 
-    lhs, rhs = _decompose_check(r, [Fraction(1)] * r ** 4, 4)
-    out.append(_eq_entry("4-index decomposition, f = 1 (counting case)", r, None, lhs, rhs))
-    out.append(_eq_entry("f = 1 total = r^4", r, None, lhs, Fraction(r ** 4)))
+    full, regrouped = _multiset_weights(r, 4)
+    out.append(_eq_entry("4-index decomposition, f = 1 (counting case)", r, None,
+                         sum(full), sum(regrouped)))
+    out.append(_eq_entry("f = 1 total = r^4", r, None, sum(full), r ** 4))
 
-    beta = [mono_moment(r, t) ** 2 for t in iter_product(range(r), repeat=4)]
-    lhs, rhs = _decompose_check(r, beta, 4)
+    beta = [mono_moment(r, m) ** 2 for m in combinations_with_replacement(range(r), 4)]
+    denominator = math.lcm(*(b.denominator for b in beta))
+    numerators = [b.numerator * (denominator // b.denominator) for b in beta]
+    lhs = Fraction(sum(map(math.prod, zip(full, numerators))), denominator)
+    rhs = Fraction(sum(map(math.prod, zip(regrouped, numerators))), denominator)
     out.append(_eq_entry("4-index decomposition, f = (E[rho^(4 indices)])^2", r, None, lhs, rhs))
     out.append(_eq_entry("E[beta^4] tuple sum = direct enumeration", r, None,
                          lhs, beta_fourth_moment_direct(r)))

@@ -10,8 +10,11 @@ floating point enters only in the standardized scores
     S_j = sqrt(12 / (r (r+1) n)) * sum_i rho_i(j),
 
 and the Friedman statistic ``F_r = sum_j S_j**2``.  A CSV goes from the file
-to ``F_r`` without a Python loop over its rows: one ``np.loadtxt`` parse, one
-stable ``argsort`` that also finds ties, one column sum.
+to ``F_r`` without a Python loop over its rows: one ``np.loadtxt`` parse of
+the file past its header, one stable ``argsort`` that also finds ties, one
+column sum.  Only a file that this parse refuses has its data lines picked
+out by a regular expression, which drops blank-field rows or names the bad
+row.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -125,8 +129,10 @@ def theoretical_covariance(r: int) -> np.ndarray:
     return _frozen(sigma)
 
 
-def _parse(lines: list[str]) -> np.ndarray:
-    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+def _parse(source, skiprows: int = 0) -> np.ndarray:
+    """Comma-separated numbers from a path or a list of lines."""
+    return np.loadtxt(source, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                      skiprows=skiprows, encoding="utf-8-sig")
 
 
 def _first_bad_row(lines: list[str], width: int) -> int:
@@ -157,23 +163,30 @@ def load_csv(path, fmt: str) -> RankMatrix:
     if fmt not in ("scores", "ranks"):
         raise DomainError(f"unknown format {fmt!r}")
     with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
-        lines = _DATA_LINE.findall(fh.read())
-    if lines:
-        try:  # the header rule reads the first line alone with float()
-            [float(t.strip().strip('"')) for t in lines[0].split(",")]
-        except ValueError:
-            lines = lines[1:]
-    if not lines:
+        data = ((i, line) for i, line in enumerate(fh) if _DATA_LINE.match(line))
+        skip, first = next(data, (0, None))
+        if first is not None:
+            try:  # the header rule reads the first data line alone with float()
+                [float(t.strip().strip('"')) for t in first.split(",")]
+            except ValueError:
+                skip, first = next(data, (0, None))
+    if first is None:
         raise ParseError(f"{path}: no data rows")
-    try:
-        a = _parse(lines)
-    except ValueError:
-        width = lines[0].count(",") + 1
-        i = _first_bad_row(lines, width)
-        fields = lines[i].count(",") + 1
-        if fields != width:
-            raise ParseError(f"{path}: row {i} has {fields} fields, expected {width}") from None
-        raise ParseError(f"{path}: row {i}: {lines[i]!r} is not {width} numbers") from None
+    try:  # the file as it stands, past the lines before its first data row
+        a = _parse(path, skip)
+    except ValueError:  # a blank-field row to drop, or a bad row to name
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = _DATA_LINE.findall("".join(islice(fh, skip, None)))
+        try:
+            a = _parse(lines)
+        except ValueError:
+            width = lines[0].count(",") + 1
+            i = _first_bad_row(lines, width)
+            fields = lines[i].count(",") + 1
+            if fields != width:
+                raise ParseError(f"{path}: row {i} has {fields} fields, "
+                                 f"expected {width}") from None
+            raise ParseError(f"{path}: row {i}: {lines[i]!r} is not {width} numbers") from None
     try:
         return ranks_from_scores(a) if fmt == "scores" else RankMatrix(a)
     except DomainError as exc:

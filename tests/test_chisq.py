@@ -9,7 +9,7 @@ import pytest
 from scipy.special import gammaincc
 
 from friedman_bounds import ChiSquareLaw, DomainError, chisq_cdf, chisq_expectation, chisq_mean_moments
-from friedman_bounds.chisq import _q_upper, _tail_mass_bound, chisq_cdf_array, chisq_tail
+from friedman_bounds.chisq import _tail_mass_bound, chisq_cdf_array, chisq_tail
 from friedman_bounds.errors import ConvergenceError
 from friedman_bounds.testfunctions import constant, cosine, identity, power, smoothing_indicator
 
@@ -172,7 +172,7 @@ def test_expectation_frequency_past_the_panel_cap_raises():
 
 @pytest.mark.parametrize("p", range(1, 31))
 def test_tail_mass_bound_is_an_upper_bound(p):
-    # the truncation tails use the elementary bound on Q(a, x), not gammaincc;
+    # the truncation tails use the closed-form chisq_tail, not gammaincc;
     # the exact tail is E[(1 + Y^d) 1{Y > T}] = Q(a, T/2) + 2^d Gamma(a+d)/Gamma(a) Q(a+d, T/2)
     a = p / 2.0
     big_t = 2.0 * np.geomspace(1e-3, 2000.0, 400)
@@ -184,13 +184,3 @@ def test_tail_mass_bound_is_an_upper_bound(p):
         bound = _tail_mass_bound(p, big_t, d, 1.0)
         assert np.all(bound >= exact * (1.0 - 1e-12)), (p, d)
         assert _tail_mass_bound(p, float(big_t[200]), d, 1.0) == bound[200]
-
-
-@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 4.0, 15.0, 30.0])
-def test_q_upper_is_tight_past_the_bulk(a):
-    # past x = 2a + 5 the bound is within 10% of Q, so a truncation point
-    # chosen through it lies barely past the one Q itself would give
-    x = np.linspace(2.0 * a + 5.0, 600.0, 300)
-    exact = gammaincc(a, x)
-    assert np.all(_q_upper(a, x) <= 1.1 * exact)
-    assert np.all(_q_upper(a, np.array([-1.0, 0.0, max(a - 1.0, 0.0)])) == 1.0)

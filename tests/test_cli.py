@@ -269,7 +269,9 @@ def test_cmd_verify_coupling_golden_stdout(capsys):
 
 def test_results_golden_stdout(capsys):
     # exit codes and stdout pinned before distance and rate shared one
-    # exact-or-sampled gap path, one exact record and one gate
+    # exact-or-sampled gap path, one exact record and one gate, and (the
+    # r-max 6 verify line) before the swap pass and the decomposition
+    # trials became array passes
     golden = Path(__file__).parent / "golden" / "results.jsonl"
     for line in golden.read_text().splitlines():
         call = json.loads(line)
@@ -365,6 +367,19 @@ def test_ignored_flag_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("seed, code", [(-1, 2), (0, 0), (2 ** 64 - 1, 0), (2 ** 64, 2)])
+def test_cmd_verify_seed_is_a_philox_key_word(capsys, seed, code):
+    # the identities draws are keyed by (seed, 0), so --seed lies in [0, 2**64)
+    got, out, err = run(capsys, "verify", "--suite", "identities", "--r-max", "3",
+                        "--trials", "3", "--seed", str(seed))
+    assert got == code
+    if code:
+        assert out == ""
+        assert f"--seed must be {'>= 0' if seed < 0 else '< 2**64'}, got {seed}" in err
+    else:
+        assert all(json.loads(line)["status"] == "pass" for line in out.splitlines())
 
 
 def test_cmd_verify_stein_suite(capsys):

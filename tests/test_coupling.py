@@ -1,5 +1,6 @@
 """Exchangeable-pair coupling: regression, increments, patterns, exchangeability."""
 
+import random
 import time
 from fractions import Fraction
 from itertools import permutations, product
@@ -10,6 +11,68 @@ from friedman_bounds import coupling
 from friedman_bounds.coupling import (verify_increment_moments, verify_regression,
                                       verify_triple_structure)
 from friedman_bounds.exact import all_pass, centered_doubled
+
+
+def _reference_swap_pass(rows):
+    """The swap pass as one Python loop per row draw, the array pass's reference."""
+    r = len(rows[0])
+    range_r = range(r)
+    products = [[0] * r for _ in range_r]
+    regression_bad = support_bad = quartic_bad = cubic_bad = 0
+    for row in rows:
+        summed = [0] * r
+        for k in range_r:
+            for l in range_r:
+                swapped = list(row)
+                swapped[k], swapped[l] = row[l], row[k]
+                dq = [s - x for s, x in zip(swapped, row)]
+                support = [j for j in range_r if dq[j]]
+                for j in support:
+                    summed[j] += dq[j]
+                    for u in support:
+                        products[j][u] += dq[j] * dq[u]
+                d = row[l] - row[k]
+                if dq[k] != d or dq[l] != -d or any(
+                        dq[j] for j in range_r if j != k and j != l):
+                    support_bad += 1
+                    continue
+                a = dq[k]
+                b = dq[l]
+                d2 = d * d
+                d3 = d2 * d
+                d4 = d2 * d2
+                if (a ** 4 != d4 or b ** 4 != d4 or a * a * b * b != d4
+                        or a ** 3 * b != -d4 or a * b ** 3 != -d4):
+                    quartic_bad += 1
+                if (a ** 3 != d3 or b ** 3 != -d3
+                        or a * a * b != -d3 or a * b * b != d3):
+                    cubic_bad += 1
+                if r > 2:
+                    z = next(j for j in range_r if j != k and j != l)
+                    if a ** 3 * dq[z] != 0 or a * b * dq[z] != 0:
+                        quartic_bad += 1
+        if any(summed[j] != -2 * r * row[j] for j in range_r):
+            regression_bad += 1
+    return coupling._SwapTally(len(rows), len(rows) * r * r, regression_bad,
+                               tuple(map(tuple, products)), support_bad, quartic_bad, cubic_bad)
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+@pytest.mark.parametrize("values", ["centered", "uncentered", "random"])
+def test_swap_pass_matches_the_reference_loop(r, values):
+    # "uncentered" are the rows of the monkeypatched tests below, whose
+    # regression fails; "random" rows are arbitrary integers, not permutations
+    if values == "centered":
+        rows = tuple(permutations(centered_doubled(r)))
+    elif values == "uncentered":
+        rows = tuple(permutations(range(1, r + 1)))
+    else:
+        rng = random.Random(r)
+        rows = tuple(tuple(rng.randint(-9, 9) for _ in range(r)) for _ in range(40))
+    got, want = coupling._swap_pass(rows), _reference_swap_pass(rows)
+    assert got._fields == want._fields
+    for field, a, b in zip(want._fields, got, want):
+        assert a == b and type(a) is type(b), field
 
 
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])

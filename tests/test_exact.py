@@ -275,6 +275,52 @@ def test_decomposition_suite():
     assert counting[0]["lhs"] == "256"
 
 
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_decomposition_trial_sums_match_the_gathered_f(r):
+    # each trial's two dot products equal both sums of _decompose_check on
+    # the f that the trial's multiset draws g give every ordered tuple
+    import numpy as np
+    g = np.random.Generator(np.random.Philox(key=r)).integers(-50, 51, size=(5, 126))
+    for arity in (2, 3, 4):
+        index, _ = exact._decomposition(r, arity)
+        block = g[:, :len(exact._multiset_weights(r, arity)[0])]
+        lhs, rhs = exact._trial_sums(r, arity, block)
+        for t in range(len(block)):
+            f = [int(block[t, m]) for m in index]
+            assert exact._decompose_check(r, f, arity) == (lhs[t], rhs[t])
+
+
+def test_decomposition_does_not_depend_on_the_trial_block(monkeypatch):
+    def reports():
+        return [verify_index_decomposition(r, trials=30, seed=5) for r in (3, 4, 5, 6)]
+
+    whole = reports()
+    monkeypatch.setattr(exact, "_TRIAL_BLOCK", 7)
+    assert reports() == whole
+    # with one regrouped weight off by one, a trial fails iff its draw for that
+    # multiset is nonzero, so the failure counts read the draws themselves
+    weights = exact._multiset_weights
+
+    def off_by_one(r, arity):
+        full, regrouped = weights(r, arity)
+        return full, (regrouped[0] + 1,) + regrouped[1:]
+
+    monkeypatch.setattr(exact, "_multiset_weights", off_by_one)
+    blocked = reports()
+    monkeypatch.setattr(exact, "_TRIAL_BLOCK", 1 << 16)
+    assert reports() == blocked
+    counts = [e["lhs"] for rep in blocked for e in rep if "random symmetric f" in e["identity"]]
+    assert all(e["status"] == "fail" for rep in blocked for e in rep
+               if "random symmetric f" in e["identity"])
+    assert counts != ["0 exact"] * len(counts)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_decomposition_seed_outside_the_philox_key_is_refused(seed):
+    with pytest.raises(DomainError, match="seed must lie in"):
+        verify_index_decomposition(3, trials=1, seed=seed)
+
+
 @pytest.mark.parametrize("r", [3, 4, 6])
 def test_decomposition_tables_match_the_tuple_loops(r):
     # the cached positions pick the same tuples as loops over index tuples do:
