@@ -14,14 +14,18 @@ its own.  It has no iteration and no tolerance.  The CDF is 1 - Q_p.
 Truncation points come from an upper bound on the tail mass
 E[|h(Y_p)| 1{Y_p > T}] through h's declared growth; at integer p each of
 its terms is a tail Q_{p+2d}(T) itself.  No chi-square sampling and no
-quantile function live here.
+quantile function live here.  Every function takes the degrees of freedom
+as a ChiSquareLaw or an integer (a numpy integer too); 2.5, 2.0 or "3" is a
+DomainError, never rounded.
 
 Every chi-square integral in the package, E[h(Y_p)] here and the Stein
 solution f' in ``stein``, is one composite Gauss rule: 20-node
 Gauss-Legendre panels, evaluated as numpy arrays over all nodes and over a
-whole array of integrals at once.  E[h(Y_p)] is truncated at a point T whose
-discarded tail, bounded through h's declared growth, is below half the
-tolerance; the substitution t = u^2 turns the density
+whole array of integrals at once.  E[h(Y_p)] takes h as a TestFunction
+only, whose declared growth bounds the tail: a plain callable could grow
+past any truncation point, so it is a DomainError.  The integral is
+truncated at a point T whose discarded tail is below half of the one
+accuracy _TOL = 1e-10; the substitution t = u^2 turns the density
 t^{p/2-1} e^{-t/2} dt into 2 u^{p-1} e^{-u^2/2} du, smooth at the origin for
 every p >= 1.  The panel count starts from the window length and
 h's |h'| norm and doubles until the rule and its refinement (twice the
@@ -33,6 +37,7 @@ smooth, are panel breakpoints.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,12 +62,14 @@ class ChiSquareLaw:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
-            raise DomainError(f"degrees of freedom must be a positive integer, got {self.p}")
+        # any integer type passes (numpy's too) and is stored as an int; nothing is rounded
+        if not hasattr(self.p, "__index__") or self.p < 1:
+            raise DomainError(f"degrees of freedom must be a positive integer, got {self.p!r}")
+        object.__setattr__(self, "p", operator.index(self.p))
 
 
 def _as_df(law) -> int:
-    return law.p if isinstance(law, ChiSquareLaw) else ChiSquareLaw(int(law)).p
+    return (law if isinstance(law, ChiSquareLaw) else ChiSquareLaw(law)).p
 
 
 _LOG_TERMS_FROM = 700.0  # e^{-x} is a normal float up to x = 708
@@ -123,13 +130,10 @@ def _tail_mass_bound(p: int, big_t, growth_degree: int, growth_coeff: float):
     E[Y^d 1{Y > T}] = 2^d Gamma(a+d)/Gamma(a) Q(a+d, T/2) with a = p/2, and
     Q(a+d, T/2) is the chi-square tail Q_{p+2d}(T).
     """
-    mass = chisq_tail(p, big_t)
-    if growth_degree == 0:
-        return growth_coeff * mass
     d, a = growth_degree, p / 2.0
-    moment_tail = (math.exp(d * math.log(2.0) + math.lgamma(a + d) - math.lgamma(a))
-                   * chisq_tail(p + 2 * d, big_t))
-    return growth_coeff * (mass + moment_tail)
+    moment = math.exp(d * math.log(2.0) + math.lgamma(a + d) - math.lgamma(a))  # E[Y^d]
+    moment_tail = chisq_tail(p + 2 * d, big_t) if d else 0.0
+    return growth_coeff * (chisq_tail(p, big_t) + moment * moment_tail)
 
 
 @lru_cache(maxsize=None)
@@ -138,6 +142,7 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(20)
 
 
+_TOL = 1e-10  # absolute accuracy of E[h(Y_p)]: half for the tail, half for the rule
 _MAX_PANELS = 4096   # refinement cap of the panel rule
 _NODE_BLOCK = 1 << 18  # nodes evaluated at once, which bounds the rule's memory
 
@@ -194,23 +199,20 @@ def _converged_rule(g, hi: np.ndarray, knots: np.ndarray, window: float, slope: 
         coarse = fine
 
 
-def chisq_expectation(law, h, tol: float = 1e-10) -> float:
+def chisq_expectation(law, h) -> float:
     """E[h(Y_p)] by the panel rule in u = sqrt(t) against the chi-square density.
 
-    ``h`` is a TestFunction or a plain callable that takes arrays; a
-    TestFunction's declared polynomial growth picks the truncation point T so
-    that the discarded tail contributes < tol/2, its |h'| norm the starting
-    panel count, and its knots the panel breakpoints.
+    ``h`` is a TestFunction: its declared polynomial growth picks the
+    truncation point T so that the discarded tail contributes < _TOL/2, its
+    |h'| norm the starting panel count, and its knots the panel breakpoints.
     """
-    p = _as_df(law)
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
-    fn = getattr(h, "fn", h)
-    degree = int(getattr(h, "growth_degree", 0))
-    coeff = float(getattr(h, "growth_coeff", 1.0))
+    from .testfunctions import TestFunction  # here, so that the tail alone loads no test functions
 
+    p = _as_df(law)
+    if not isinstance(h, TestFunction):
+        raise DomainError(f"E[h(Y_p)] needs a TestFunction, which declares its growth, got {h!r}")
     big_t = p + 10.0 * math.sqrt(2.0 * p) + 10.0
-    while _tail_mass_bound(p, big_t, degree, coeff) >= tol / 2.0:
+    while _tail_mass_bound(p, big_t, h.growth_degree, h.growth_coeff) >= _TOL / 2.0:
         big_t *= 2.0
         if big_t > 1e8:
             raise ConvergenceError("could not find a truncation point for the tail")
@@ -219,9 +221,8 @@ def chisq_expectation(law, h, tol: float = 1e-10) -> float:
     log_norm = (1.0 - p / 2.0) * math.log(2.0) - math.lgamma(p / 2.0)
 
     def integrand(u):
-        return np.exp(log_norm + (p - 1) * np.log(u) - 0.5 * u * u) * fn(u * u)
+        return np.exp(log_norm + (p - 1) * np.log(u) - 0.5 * u * u) * h.fn(u * u)
 
-    knots = np.sqrt(np.clip(np.asarray(getattr(h, "knots", ()), dtype=float), 0.0, big_t))
+    knots = np.sqrt(np.clip(np.asarray(h.knots, dtype=float), 0.0, big_t))
     return float(_converged_rule(integrand, np.array([math.sqrt(big_t)]), knots[None, :],
-                                 big_t, getattr(h, "norms", (0.0, 0.0))[1], tol / 2.0,
-                                 lambda i: f"E[h(Y_{p})]")[0])
+                                 big_t, h.norm(1), _TOL / 2.0, lambda i: f"E[h(Y_{p})]")[0])

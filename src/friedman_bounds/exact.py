@@ -162,18 +162,23 @@ def _iid_sum_moments(law: tuple, n: int, degrees: tuple[int, ...]) -> dict[tuple
     return moments
 
 
+@lru_cache(maxsize=None)
 def _s_moments(r: int, n: int) -> dict[str, Fraction]:
     """E[S^2], E[S^4], E[S^6], E[S_j S_k] and E[S_j^2 S_k^2] (j != k), exact.
 
-    One trial adds an ordered pair of distinct doubled ranks to the doubled
-    column sums (Q_j, Q_k), and S = (c/2) Q with (c/2)^2 = 3/(r(r+1)n).
+    One trial adds a doubled rank to the doubled column sum Q_j, uniform on
+    the r values, and an ordered pair of distinct ones to (Q_j, Q_k); S =
+    (c/2) Q with (c/2)^2 = 3/(r(r+1)n).  The powers of S_j come from the one
+    coordinate to degree 6, the mixed ones from the pair to degree (2, 2).
+    Cached per cell, which the lemma checks and joint_moments share; the
+    dict is read-only by convention.
     """
-    pairs = tuple((pair, 1) for pair in iter_permutations(centered_doubled(r), 2))
-    m = _iid_sum_moments(pairs, n, (6, 2))
+    base = centered_doubled(r)
+    one = _iid_sum_moments(tuple(((v,), 1) for v in base), n, (6,))
+    two = _iid_sum_moments(tuple((pair, 1) for pair in iter_permutations(base, 2)), n, (2, 2))
     q = Fraction(3, r * (r + 1) * n)
-    exponents = {"E[S^2]": (2, 0), "E[S^4]": (4, 0), "E[S^6]": (6, 0),
-                 "E[S_j S_k]": (1, 1), "E[S_j^2 S_k^2]": (2, 2)}  # all of even degree
-    return {key: q ** (sum(a) // 2) * m[a] for key, a in exponents.items()}
+    return {"E[S^2]": q * one[2,], "E[S^4]": q ** 2 * one[4,], "E[S^6]": q ** 3 * one[6,],
+            "E[S_j S_k]": q * two[1, 1], "E[S_j^2 S_k^2]": q ** 2 * two[2, 2]}
 
 
 @lru_cache(maxsize=None)
@@ -273,11 +278,7 @@ def joint_moments(r: int, n: int) -> dict[str, Fraction]:
     """Exact joint moments of F_r, S_j and T_m at any n (the T_m law costs r! terms)."""
     if r < 2 or n < 1:
         raise DomainError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
-    return _joint_from_s(r, n, _s_moments(r, n))
-
-
-def _joint_from_s(r: int, n: int, s: dict[str, Fraction]) -> dict[str, Fraction]:
-    """joint_moments(r, n) from the cell's S-moments s = _s_moments(r, n)."""
+    s = _s_moments(r, n)
     e = {"E[F]": r * s["E[S^2]"],
          "E[F^2]": r * s["E[S^4]"] + r * (r - 1) * s["E[S_j^2 S_k^2]"]}
     e["Var(F)"] = e["E[F^2]"] - e["E[F]"] ** 2
@@ -406,9 +407,8 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
                 + 5 * rr * (rr ** 2 - 1) / 4 * rho ** 4 + rr * rho ** 6))
 
         # column laws: score covariance and the S-moment closed forms
-        s_cells = [_s_moments(r, n) for n in range(1, n_max + 1)]
-        for n, s_moments in enumerate(s_cells, 1):
-            s2, s4, s6, s11, s22 = s_moments.values()
+        for n in range(1, n_max + 1):
+            s2, s4, s6, s11, s22 = _s_moments(r, n).values()
             out.append(_eq_entry("Var(S_j) = (r-1)/r", r, n, s2, Fraction(r - 1, r)))
             out.append(_eq_entry("Cov(S_j,S_k) = -1/r", r, n, s11, Fraction(-1, r)))
             out.append(_eq_entry("E[S^4] closed form", r, n, s4, closed_s4(r, n)))
@@ -418,9 +418,9 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
             out.append(_eq_entry("E[S_j^2 S_k^2] closed form", r, n, s22, closed_s2s2(r, n)))
 
         # joint moments: F_r and T_m
-        for n, s_moments in enumerate(s_cells, 1):
+        for n in range(1, n_max + 1):
             try:
-                jm = _joint_from_s(r, n, s_moments)
+                jm = joint_moments(r, n)
             except BudgetError as exc:
                 out.append(_entry("joint F/T identities", r, n, "skip", "-", "-", str(exc)))
                 continue

@@ -298,6 +298,8 @@ def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
     if samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {samples}")
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
+    if n_chunks > 1 << 20:  # one substream per chunk; refused before any chunk is drawn
+        raise DomainError(f"{samples} samples need {n_chunks} chunks, over the 2**20 of a stream")
     sizes = [min(_CHUNK, samples - i * _CHUNK) for i in range(n_chunks)]
     scale = 12.0 / (r * (r + 1) * n)
 
@@ -357,7 +359,7 @@ def exact_kolmogorov(n: int, r: int) -> DistanceEstimate:
 def _chisq_side(h: TestFunction, p: int) -> float:
     if h.chisq_closed_form is not None:
         return h.chisq_closed_form(p)
-    return chisq_expectation(ChiSquareLaw(p), h, tol=1e-10)
+    return chisq_expectation(ChiSquareLaw(p), h)
 
 
 def exact_smooth_gap(n: int, r: int, h: TestFunction) -> float:

@@ -158,10 +158,28 @@ def load_csv(path, fmt: str) -> RankMatrix:
     expects integer permutations of 1..r.  A first row with a field that
     ``float()`` rejects is a header and is skipped, as are blank and
     comma-only rows; fields may be quoted.  Errors name the 0-based data row
-    (counted after the header and the skipped rows).
+    (counted after the header and the skipped rows), or for a file that is not
+    UTF-8 the offset of its first bad byte.
     """
     if fmt not in ("scores", "ranks"):
         raise DomainError(f"unknown format {fmt!r}")
+    try:
+        a = _read_numbers(path)
+    except UnicodeDecodeError:  # its offset counts from a decoder chunk: find the byte
+        with open(path, "rb") as fh:
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        raise
+    try:
+        return ranks_from_scores(a) if fmt == "scores" else RankMatrix(a)
+    except DomainError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read_numbers(path) -> np.ndarray:
+    """The data rows of a CSV as one float array (see load_csv)."""
     with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
         data = ((i, line) for i, line in enumerate(fh) if _DATA_LINE.match(line))
         skip, first = next(data, (0, None))
@@ -173,12 +191,12 @@ def load_csv(path, fmt: str) -> RankMatrix:
     if first is None:
         raise ParseError(f"{path}: no data rows")
     try:  # the file as it stands, past the lines before its first data row
-        a = _parse(path, skip)
+        return _parse(path, skip)
     except ValueError:  # a blank-field row to drop, or a bad row to name
         with open(path, encoding="utf-8-sig") as fh:
             lines = _DATA_LINE.findall("".join(islice(fh, skip, None)))
         try:
-            a = _parse(lines)
+            return _parse(lines)
         except ValueError:
             width = lines[0].count(",") + 1
             i = _first_bad_row(lines, width)
@@ -187,7 +205,3 @@ def load_csv(path, fmt: str) -> RankMatrix:
                 raise ParseError(f"{path}: row {i} has {fields} fields, "
                                  f"expected {width}") from None
             raise ParseError(f"{path}: row {i}: {lines[i]!r} is not {width} numbers") from None
-    try:
-        return ranks_from_scores(a) if fmt == "scores" else RankMatrix(a)
-    except DomainError as exc:
-        raise ParseError(f"{path}: {exc}") from exc

@@ -79,7 +79,7 @@ class SteinSolution:
     def __post_init__(self):
         if self.p < 1:
             raise DomainError(f"need p >= 1, got {self.p}")
-        self.chisq_h = chisq_expectation(ChiSquareLaw(self.p), self.h, tol=1e-10)
+        self.chisq_h = chisq_expectation(ChiSquareLaw(self.p), self.h)
 
     def fprime(self, x):
         """f'(x) for a float or an array of x > 0: a float, or an array of x's shape."""

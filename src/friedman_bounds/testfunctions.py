@@ -5,8 +5,13 @@ so each TestFunction carries the sup-norms of itself and its first four
 derivatives (math.inf marks an unbounded one), its polynomial growth (for
 quadrature truncation), the knots where it is only piecewise smooth (panel
 breakpoints of the quadrature), and a closed-form chi-square expectation
-when one exists (cosine and sine via the characteristic function
-(1-2it)^(-p/2), monomials via p(p+2)...(p+2k-2)).
+when one exists (cosine and sine, from one builder, via the characteristic
+function (1-2it)^(-p/2), monomials via p(p+2)...(p+2k-2)).
+
+Each builder keeps the contract it declares: |h(x)| <= growth_coeff
+(1 + x^growth_degree) on [0, inf), and each finite norms[k] bounds |h^(k)|.
+chisq.chisq_expectation takes nothing but a TestFunction and truncates its
+integral by that growth, so a wrong declaration is a wrong integral.
 """
 
 from __future__ import annotations
@@ -54,52 +59,31 @@ class TestFunction:
         return self.norms[k]
 
 
-def _chf_expectation(t: float, trig: str):
-    # E[cos(tY_p)] + i E[sin(tY_p)] = (1 - 2it)^(-p/2)
-    def closed(p: int) -> float:
-        val = (1.0 - 2.0j * t) ** (-p / 2.0)
-        return val.real if trig == "cos" else val.imag
-
-    return closed
-
-
-def _check_frequency(t: float) -> None:
-    # the norms carry t^4, so t must be finite and t^4 must not overflow
-    try:
+def _wave(t: float, name: str, wave, part) -> TestFunction:
+    """h(x) = wave(tx), wave = cos or sin: the k-th derivative has sup-norm |t|^k,
+    and E[h(Y_p)] is ``part`` of E[e^{itY_p}] = (1 - 2it)^(-p/2)."""
+    try:  # the norms carry t^4, so t must be finite and t^4 must not overflow
         fourth = t ** 4
     except OverflowError:
         fourth = math.inf
     if not math.isfinite(fourth):
         raise DomainError(f"frequency t must be finite with a finite t^4, got {t!r}")
+    return TestFunction(
+        fn=lambda x: wave(t * x),
+        norms=(1.0, abs(t), t * t, abs(t) ** 3, fourth),
+        label=f"{name}({t:g}x)",
+        chisq_closed_form=lambda p: part((1.0 - 2.0j * t) ** (-p / 2.0)),
+    )
 
 
 def cosine(t: float) -> TestFunction:
-    """h(x) = cos(tx); the k-th derivative has sup-norm t^k."""
-    _check_frequency(t)
-    return TestFunction(
-        fn=lambda x: np.cos(t * x),
-        norms=(1.0, abs(t), t * t, abs(t) ** 3, t ** 4),
-        label=f"cos({t:g}x)",
-        chisq_closed_form=_chf_expectation(t, "cos"),
-    )
+    """h(x) = cos(tx)."""
+    return _wave(t, "cos", np.cos, lambda z: z.real)
 
 
 def sine(t: float) -> TestFunction:
     """h(x) = sin(tx)."""
-    _check_frequency(t)
-    return TestFunction(
-        fn=lambda x: np.sin(t * x),
-        norms=(1.0, abs(t), t * t, abs(t) ** 3, t ** 4),
-        label=f"sin({t:g}x)",
-        chisq_closed_form=_chf_expectation(t, "sin"),
-    )
-
-
-def _chisq_raw_moment(p: int, k: int) -> float:
-    out = 1.0
-    for j in range(k):
-        out *= p + 2 * j
-    return out
+    return _wave(t, "sin", np.sin, lambda z: z.imag)
 
 
 def power(k: int) -> TestFunction:
@@ -116,7 +100,7 @@ def power(k: int) -> TestFunction:
         norms=tuple(norms),
         label=f"x^{k}",
         growth_degree=k,
-        chisq_closed_form=lambda p: _chisq_raw_moment(p, k),
+        chisq_closed_form=lambda p: math.prod(p + 2.0 * j for j in range(k)),  # E[Y_p^k]
     )
 
 
@@ -125,10 +109,12 @@ def identity() -> TestFunction:
 
 
 def constant(c: float = 1.0) -> TestFunction:
+    """h(x) = c, declared with the growth coefficient |c|."""
     return TestFunction(
         fn=lambda x: np.full(np.shape(x), float(c))[()],
         norms=(abs(c), 0.0, 0.0, 0.0, 0.0),
         label=f"const({c:g})",
+        growth_coeff=abs(c),
         chisq_closed_form=lambda p: c,
     )
 

@@ -1,6 +1,7 @@
 """Chi-square CDF and expectation numerics against independent oracles."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -41,6 +42,28 @@ def test_cdf_domain():
         chisq_cdf_array(ChiSquareLaw(2), np.array([1.0, float("nan")]))
     with pytest.raises(DomainError):
         ChiSquareLaw(0)
+
+
+DF_TAKERS = {"tail": lambda p: chisq_tail(p, 3.0), "cdf": lambda p: chisq_cdf(p, 3.0),
+             "cdf_array": lambda p: chisq_cdf_array(p, np.array([0.5, 3.0])),
+             "mean_moments": chisq_mean_moments}
+
+
+@pytest.mark.parametrize("df", [2.5, 2.0, 2.9, "3", None, 0, -1, np.float64(3.0)])
+@pytest.mark.parametrize("call", DF_TAKERS.values(), ids=DF_TAKERS.keys())
+def test_degrees_of_freedom_are_never_coerced(call, df):
+    # int() would run 2.5 and 2.9 at 2 degrees of freedom and accept "3"
+    with pytest.raises(DomainError, match=re.escape(f"positive integer, got {df!r}")):
+        call(df)
+
+
+@pytest.mark.parametrize("call", DF_TAKERS.values(), ids=DF_TAKERS.keys())
+def test_degrees_of_freedom_take_any_integer_type(call):
+    expected = np.asarray(call(3))
+    for df in (np.int64(3), np.int32(3), ChiSquareLaw(3), ChiSquareLaw(np.int64(3))):
+        assert np.array_equal(np.asarray(call(df)), expected)
+    assert ChiSquareLaw(np.int64(3)) == ChiSquareLaw(3)
+    assert type(ChiSquareLaw(np.int64(3)).p) is int
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 9])
@@ -99,9 +122,9 @@ def test_mean_moments():
 
 
 def test_expectation_examples():
-    assert chisq_expectation(ChiSquareLaw(5), identity(), 1e-10) == pytest.approx(5.0, abs=1e-9)
-    assert chisq_expectation(ChiSquareLaw(4), cosine(1.0), 1e-10) == pytest.approx(-0.12, abs=1e-9)
-    assert chisq_expectation(ChiSquareLaw(3), constant(1.0), 1e-10) == pytest.approx(1.0, abs=1e-10)
+    assert chisq_expectation(ChiSquareLaw(5), identity()) == pytest.approx(5.0, abs=1e-9)
+    assert chisq_expectation(ChiSquareLaw(4), cosine(1.0)) == pytest.approx(-0.12, abs=1e-9)
+    assert chisq_expectation(ChiSquareLaw(3), constant(1.0)) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 7])
@@ -110,14 +133,14 @@ def test_expectation_monomials(p, k):
     expected = 1.0
     for j in range(k):
         expected *= p + 2 * j
-    got = chisq_expectation(ChiSquareLaw(p), power(k), 1e-9)
+    got = chisq_expectation(ChiSquareLaw(p), power(k))
     assert got == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize("p", [1, 3, 6])
 @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])
 def test_expectation_characteristic_function(p, t):
-    got = chisq_expectation(ChiSquareLaw(p), cosine(t), 1e-10)
+    got = chisq_expectation(ChiSquareLaw(p), cosine(t))
     expected = ((1.0 - 2.0j * t) ** (-p / 2.0)).real
     assert got == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
@@ -157,12 +180,29 @@ def mp_smoothing_expectation(p, alpha, z):
 def test_expectation_smoothing_indicator_exact(p, alpha, z):
     # the knots are panel breakpoints, so each piece is a polynomial times the
     # density on its own panels and the rule is accurate far below its tolerance
-    got = chisq_expectation(ChiSquareLaw(p), smoothing_indicator(alpha, z), 1e-10)
+    got = chisq_expectation(ChiSquareLaw(p), smoothing_indicator(alpha, z))
     assert got == pytest.approx(mp_smoothing_expectation(p, alpha, z), abs=1e-12)
 
 
-def test_expectation_plain_callable_on_arrays():
-    assert chisq_expectation(ChiSquareLaw(3), np.square) == pytest.approx(15.0, rel=1e-10)
+def test_expectation_square_as_power():
+    assert chisq_expectation(ChiSquareLaw(3), power(2)) == pytest.approx(15.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("h", [np.square, lambda x: x ** 8, math.cos, 1.0, None])
+def test_expectation_refuses_anything_but_a_test_function(h):
+    # a plain callable declares no growth, so no truncation point is safe for it:
+    # x^8 truncated as if it were bounded is off by 77 at p = 1
+    with pytest.raises(DomainError, match="needs a TestFunction"):
+        chisq_expectation(ChiSquareLaw(1), h)
+
+
+def test_expectation_constant_declares_its_growth():
+    # |c| is the growth coefficient, so the discarded tail of a large constant stays
+    # below the tolerance: within it and rounding of c, where a coefficient of 1 is
+    # 4e-8 off at c = 3e6
+    for c in (-5.0, 0.0, 3e6):
+        slack = 1e-10 + 8.0 * np.finfo(float).eps * abs(c)
+        assert chisq_expectation(ChiSquareLaw(2), constant(c)) == pytest.approx(c, abs=slack)
 
 
 def test_expectation_frequency_past_the_panel_cap_raises():

@@ -126,6 +126,64 @@ def test_cmd_test_seeded_scores_equal_ranks(capsys, tmp_path):
     assert rep["statistic"] == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
 
 
+def test_cmd_test_non_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,2,3\n" * 3 + b"caf\xe9,2,3\n")
+    code, out, err = run(capsys, "test", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}: not UTF-8 text at byte 21\n"
+
+
+def test_cmd_test_text_report(capsys, ranks_csv, tmp_path):
+    code, out, _ = run(capsys, "test", ranks_csv, "--format", "ranks")
+    assert code == 0
+    assert out == ("Friedman rank test: n=2 trials, r=3 treatments\n"
+                   "  statistic F_r            4\n"
+                   "  approximate p-value      0.1353352832   (chi-square, 2 df)\n"
+                   "  Kolmogorov bound         1   (raw 125.426)\n"
+                   "  certified p interval     [0, 1]\n"
+                   "  note: the distance bound is vacuous at this sample size;\n"
+                   "        the interval certifies nothing beyond [0, 1].\n")
+    # 10,100 trials at r = 2 give a bound below 1, and no note
+    many = tmp_path / "many.csv"
+    many.write_text("1,2\n2,1\n" * 5000 + "1,2\n" * 100)
+    code, out, _ = run(capsys, "test", str(many), "--format", "ranks")
+    assert code == 0
+    assert out == ("Friedman rank test: n=10100 trials, r=2 treatments\n"
+                   "  statistic F_r            0.9900990099\n"
+                   "  approximate p-value      0.3197181768   (chi-square, 1 df)\n"
+                   "  Kolmogorov bound         0.009448873158   (raw 0.00944887)\n"
+                   "  certified p interval     [0.3102693037, 0.32916705]\n")
+
+
+def test_cmd_bounds_text_report(capsys):
+    jensen = "  jensen           C(r) * n**(-r/(r+1))  [C(r) non-explicit]\n"
+    # n = 1 has no sharp bound and no coefficients
+    code, out, _ = run(capsys, "bounds", "--n", "1", "--r", "5")
+    assert code == 0
+    assert out == ("bounds at n=1, r=5, norms=(1, 1, 1)\n"
+                   "  compact          57400\n"
+                   "  trivial          8\n"
+                   "  kolmogorov_raw   126.6456746\n"
+                   "  kolmogorov       1\n"
+                   "  selected         8\n" + jensen)
+    # r = 2 adds the Wasserstein and smooth r = 2 bounds
+    code, out, _ = run(capsys, "bounds", "--n", "10000", "--r", "2",
+                       "--h1", "2", "--h2", "0.5", "--h3", "0")
+    assert code == 0
+    assert out == ("bounds at n=10000, r=2, norms=(2, 0.5, 0)\n"
+                   "  compact          0.34410862\n"
+                   "  sharp            0.3367774588\n"
+                   "  trivial          4\n"
+                   "  kolmogorov_raw   0.009496\n"
+                   "  kolmogorov       0.009496\n"
+                   "  wasserstein_r2   0.8748\n"
+                   "  smooth_r2        0.017251075\n"
+                   "  selected         0.017251075\n"
+                   "  coefficients     A_n=3.00018, B_n=126.041, C_T=0.145853, "
+                   "beta1=291.947, beta2=2199.99, beta3=3403.48\n" + jensen)
+
+
 def test_cmd_bounds_values(capsys):
     code, out, _ = run(capsys, "bounds", "--n", "100", "--r", "3",
                        "--h1", "1", "--h2", "1", "--h3", "1", "--json")
@@ -442,6 +500,10 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
     loaded = {argv: modules_loaded_by(*argv) for argv in calls}
     for argv, modules in loaded.items():
         assert not loads(modules, "scipy"), argv
+    # the p-value is a chi-square tail alone: the test-function check of
+    # chisq_expectation is imported where it runs, so ingest loads no test functions
+    assert not loads(loaded[calls[0]], "friedman_bounds.testfunctions")
+    assert loads(loaded[calls[-1]], "friedman_bounds.testfunctions")
     # a threads-1 Monte Carlo distance runs no exact law, thread pool or quadrature
     mc_distance = calls[1:3] + (("distance", "--metric", "cos", "--r", "4", "--n", "6",
                                  "--samples", "2000"),)

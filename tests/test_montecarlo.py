@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from friedman_bounds import (BudgetError, ChiSquareLaw, DomainError, RankMatrix,
-                             bound_kolmogorov, chisq_cdf, montecarlo)
+                             bound_kolmogorov, chisq_cdf, chisq_expectation, montecarlo)
 from friedman_bounds.exact import exact_f_distribution
 from friedman_bounds.montecarlo import (RngContract, _column_sums, _ecdf_l1_distance,
                                         _permutation_table, _sample_statistics, _sampler_path,
                                         _split_words, estimate_kolmogorov,
                                         estimate_smooth_gap, estimate_wasserstein,
                                         exact_kolmogorov, exact_smooth_gap, rate_experiment,
-                                        uniform_rows)
+                                        smooth_gap, uniform_rows)
 from friedman_bounds.testfunctions import (constant, cosine, identity, power, sine,
                                            smoothing_indicator)
 
@@ -278,6 +278,19 @@ def test_substream_index_and_stream_bounds():
             RngContract(seed=seed, stream=stream)
 
 
+@pytest.mark.parametrize("samples", [2 ** 34 + 1, 2 ** 40])
+def test_samples_past_the_substreams_are_refused_before_any_draw(samples, monkeypatch):
+    # 2**20 chunks of 2**14 samples is the most one stream holds
+    def no_draw(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(montecarlo, "_column_sums", no_draw)
+    with pytest.raises(DomainError, match=f"{samples} samples need {-(-samples // 2 ** 14)} "):
+        _sample_statistics(5, 3, samples, RngContract(seed=1))
+    with pytest.raises(DomainError, match="over the 2\\*\\*20 of a stream"):
+        estimate_kolmogorov(5, 3, samples, RngContract(seed=1))
+
+
 def test_wasserstein_integral_two_atom_law():
     # ECDF of the exact F_2 law at n = 2 (atoms 0 and 2, mass 1/2 each)
     values = np.array([0.0, 2.0] * 500)
@@ -364,6 +377,23 @@ def test_exact_smooth_gap_examples():
     gap = exact_smooth_gap(8, 3, cosine(0.01))
     target = 0.01 ** 2 * 2 / 8
     assert abs(gap - target) <= 0.25 * target
+
+
+@pytest.mark.parametrize("alpha,z", [(0.5, 2.0), (2.0, 5.0)])
+def test_smooth_gap_without_a_closed_form_integrates_the_chisq_side(alpha, z):
+    # the smoothed indicator has no closed form, so the chi-square side is the
+    # panel rule: the gap is the exact atom average minus chisq_expectation
+    h = smoothing_indicator(alpha, z)
+    assert h.chisq_closed_form is None
+    values, probs = (np.array([float(v) for v in col])
+                     for col in zip(*exact_f_distribution(4, 3)))
+    chisq_side = chisq_expectation(ChiSquareLaw(2), h)
+    # 1{x <= z - alpha} <= h(x) <= 1{x <= z}
+    assert chisq_cdf(ChiSquareLaw(2), z - alpha) < chisq_side < chisq_cdf(ChiSquareLaw(2), z)
+    expected = abs(math.fsum(probs * h.fn(values)) - chisq_side)
+    assert exact_smooth_gap(4, 3, h) == expected
+    est = smooth_gap(4, 3, h, "auto", 2000, RngContract(seed=1))
+    assert (est.value, est.method) == (expected, "exact-enumeration")
 
 
 def test_estimate_smooth_gap_brackets_exact():

@@ -1,6 +1,7 @@
 """Rank ingestion, scores and the statistic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,3 +165,24 @@ def test_load_csv_rejects_digit_group_underscores(tmp_path):
     # float() reads "1_000" as 1000; the CSV parser does not
     with pytest.raises(ParseError, match="row 1"):
         load_csv(write(tmp_path, "1,2,3\n1_000,2,3\n"), "scores")
+
+
+def non_utf8_csv(tmp_path, position):
+    """A CSV with one 0xe9 byte in its header or 6,000 rows down, and that byte's offset."""
+    head = b"\xef\xbb\xbftreatment a,b,c\n"  # a byte-order mark counts as bytes too
+    body = b"3,1,2\n" * 6000
+    if position == "header":
+        data = head.replace(b" a", b" \xe9") + body
+    else:
+        data = head + body + b"2,1,\xe9\n" + b"1,2,3\n" * 100
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    return str(path), data.index(b"\xe9")
+
+
+@pytest.mark.parametrize("position", ["header", "row 6000"])
+def test_load_csv_non_utf8_is_a_parse_error_at_its_byte(tmp_path, position):
+    path, offset = non_utf8_csv(tmp_path, position)
+    for fmt in ("scores", "ranks"):
+        with pytest.raises(ParseError, match=f"{re.escape(path)}: not UTF-8 text at byte {offset}$"):
+            load_csv(path, fmt)
