@@ -15,8 +15,8 @@ Truncation points come from an upper bound on the tail mass
 E[|h(Y_p)| 1{Y_p > T}] through h's declared growth; at integer p each of
 its terms is a tail Q_{p+2d}(T) itself.  No chi-square sampling and no
 quantile function live here.  Every function takes the degrees of freedom
-as a ChiSquareLaw or an integer (a numpy integer too); 2.5, 2.0 or "3" is a
-DomainError, never rounded.
+as a ChiSquareLaw or an integer (a numpy integer too); 2.5, 2.0, "3" or
+True is a DomainError, never rounded.
 
 Every chi-square integral in the package, E[h(Y_p)] here and the Stein
 solution f' in ``stein``, is one composite Gauss rule: 20-node
@@ -62,8 +62,10 @@ class ChiSquareLaw:
     p: int
 
     def __post_init__(self):
-        # any integer type passes (numpy's too) and is stored as an int; nothing is rounded
-        if not hasattr(self.p, "__index__") or self.p < 1:
+        # any integer type passes (numpy's too) and is stored as an int; nothing is
+        # rounded, and a bool, which has __index__, is not a count
+        if (isinstance(self.p, (bool, np.bool_)) or not hasattr(self.p, "__index__")
+                or self.p < 1):
             raise DomainError(f"degrees of freedom must be a positive integer, got {self.p!r}")
         object.__setattr__(self, "p", operator.index(self.p))
 

@@ -14,7 +14,9 @@ Identical invocations (same flags, same seed) produce byte-identical output;
 Each handler imports the modules it runs, so `bounds` loads no numpy.  No
 subcommand loads scipy: the package imports numpy only, and its chi-square
 tail is a closed form (see ``chisq``).  A flag that a call would ignore, such
-as --t without a cos or sin test function, is a usage error.
+as --t without a cos or sin test function, is a usage error.  `verify` checks
+its flags and prints: each suite, with its budget skips and pass rules, lives
+in the module whose identities it checks (exact, coupling, stein).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 
 from . import bounds as bounds_mod
 from .errors import (BudgetError, DomainError, FriedmanBoundsError, NonFiniteError,
@@ -144,53 +147,6 @@ def _cmd_bounds(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _coupling_suite(r_max: int, n_max: int) -> list[dict]:
-    from . import coupling, exact
-
-    out = []
-    for r in range(2, r_max + 1):
-        for n in range(1, n_max + 1):
-            try:
-                cell = (coupling.verify_regression(r, n) + coupling.verify_increment_moments(r, n)
-                        + coupling.verify_triple_structure(r, n))
-            except BudgetError as exc:
-                cell = [exact._entry("coupling identities", r, n, "skip", "-", "-", str(exc))]
-            out.extend(cell)
-    return out
-
-
-def _stein_suite(p_max: int) -> list[dict]:
-    from . import exact, stein, testfunctions
-
-    out = []
-    functions = [testfunctions.cosine(1.0), testfunctions.sine(1.0), testfunctions.identity()]
-    for p in range(1, p_max + 1):
-        grid = stein.standard_grid(p, points=60)
-        for h in functions:
-            worst = float(stein.stein_residual(p, h, grid).max())
-            out.append(exact._entry("stein residual <= 1e-5 on grid", None, None,
-                                    "pass" if worst <= 1e-5 else "fail",
-                                    f"{worst:.3e}", "1e-5", f"p={p}, h={h.label}"))
-    ident = testfunctions.identity()
-    sol = stein.SteinSolution(3, ident)
-    dev = float(abs(sol.fprime(stein.standard_grid(3, points=40)) + 2.0).max())
-    out.append(exact._entry("h(t)=t gives f' = -2", None, None,
-                            "pass" if dev <= 1e-8 else "fail", f"{dev:.3e}", "1e-8", "p=3"))
-    for p, k in ((4, 2), (8, 3)):
-        rep = stein.derivative_bound_check(p, testfunctions.cosine(1.0), k,
-                                           grid=stein.standard_grid(p, points=50))
-        out.append(exact._entry(f"derivative caps hold (k={k})", None, None,
-                                "pass" if all(rep["holds"].values()) else "fail",
-                                f"{rep['observed_sup']:.6g}",
-                                str({k2: round(v, 6) for k2, v in rep["caps"].items()}),
-                                f"p={p}"))
-    lem = stein.verify_operator_link(3, 2, testfunctions.cosine(1.0))
-    out.append(exact._entry("operator-link two-path agreement", 3, 2, lem["status"],
-                            f"{lem['operator_agreement']:.3e} / "
-                            f"{lem['stein_identity_residual']:.3e}", "1e-5"))
-    return out
-
-
 def _cmd_verify(args) -> int:
     from . import exact
 
@@ -204,24 +160,22 @@ def _cmd_verify(args) -> int:
     if not 0 <= args.seed < 2 ** 64:  # the identities draws take a Philox key
         raise DomainError(f"--seed must be {'>= 0' if args.seed < 0 else '< 2**64'}, "
                           f"got {args.seed}")
-    suites = []
-    if args.suite in ("lemmas", "all"):
-        suites.append(exact.verify_lemma_formulas(args.r_max, args.n_max))
-        suites.append(exact.verify_inequalities(args.r_max))
-    if args.suite in ("identities", "all"):
-        for r in range(3, min(args.r_max, 6) + 1):
-            suites.append(exact.verify_index_decomposition(r, trials=args.trials, seed=args.seed))
-    if args.suite in ("coupling", "all"):
-        suites.append(_coupling_suite(args.r_max, args.n_max))
-    if args.suite in ("stein", "all"):
-        suites.append(_stein_suite(args.p_max))
-    ok = True
-    for suite in suites:
-        for entry in suite:
-            print(_dump(entry))
-            if entry["status"] == "fail":
-                ok = False
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    # suite -> its calls as (module, function, arguments); a module is imported when it runs
+    suites = {
+        "lemmas": [("exact", "verify_lemma_formulas", (args.r_max, args.n_max)),
+                   ("exact", "verify_inequalities", (args.r_max,))],
+        "identities": [("exact", "verify_index_decomposition", (r, args.trials, args.seed))
+                       for r in range(3, min(args.r_max, 6) + 1)],
+        "coupling": [("coupling", "verify_suite", (args.r_max, args.n_max))],
+        "stein": [("stein", "verify_suite", (args.p_max,))],
+    }
+    report = []
+    for name in suites if args.suite == "all" else [args.suite]:
+        for module, fn, fn_args in suites[name]:
+            report += getattr(import_module(f".{module}", __package__), fn)(*fn_args)
+    for entry in report:
+        print(_dump(entry))
+    return EXIT_OK if exact.all_pass(report) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

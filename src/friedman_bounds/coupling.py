@@ -22,7 +22,8 @@ on draws that pass the support rule.  It tallies everything the three
 verifiers report; they only format entries for (r, n).  The pass is cached
 on the rows, so each r is enumerated once per process whatever n, and its
 r! r^2 row draws are charged to the exact engine's budget on every call,
-before any array is built (BudgetError beyond it).
+before any array is built (BudgetError beyond it; verify_suite, which runs
+the three over a grid of cells, reports such a cell as one skipped entry).
 
 The regression identity reads sum_draws dQ_j = -2 r Q_j for a
 configuration; summed over its trials, it holds for every configuration at
@@ -52,12 +53,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import BudgetError
 from .exact import _check_terms, _entry, centered_doubled
 
 __all__ = [
     "verify_regression",
     "verify_increment_moments",
     "verify_triple_structure",
+    "verify_suite",
 ]
 
 
@@ -176,3 +179,17 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
                f"{t.draws - t.cubic_bad} draws exact", f"{t.draws} required",
                "the all-L cube carries sign -1"),
     ]
+
+
+def verify_suite(r_max: int, n_max: int) -> list[dict]:
+    """The three verifiers at every cell r in 2..r_max, n in 1..n_max; a cell
+    past the budget is one skipped entry naming its cost."""
+    out = []
+    for r in range(2, r_max + 1):
+        for n in range(1, n_max + 1):
+            try:
+                out += (verify_regression(r, n) + verify_increment_moments(r, n)
+                        + verify_triple_structure(r, n))
+            except BudgetError as exc:
+                out.append(_entry("coupling identities", r, n, "skip", "-", "-", str(exc)))
+    return out

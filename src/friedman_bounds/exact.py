@@ -40,7 +40,6 @@ from .errors import BudgetError, DomainError
 
 __all__ = [
     "BUDGET_CAP",
-    "single_trial_moments",
     "joint_moments",
     "verify_lemma_formulas",
     "verify_inequalities",
@@ -251,26 +250,12 @@ def _t_statistic_moments(n: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
     return c2_over_16 * x[1] ** 2, c2_over_16 * x[2], c2_over_16 ** 2 * x[4]
 
 
-def single_trial_moments(r: int) -> dict[str, Fraction]:
-    """All single-trial rho moments needed by the lemma formulas, 2 <= r <= 10."""
-    if not 2 <= r <= 10:
-        raise DomainError(f"single-trial enumeration supports 2 <= r <= 10, got {r}")
-    e: dict[str, Fraction] = {}
-    e["E[rho]"] = rho_moment(r, (1,))
-    e["E[rho^2]"] = rho_moment(r, (2,))
-    e["E[rho^3]"] = rho_moment(r, (3,))
-    e["E[rho^4]"] = rho_moment(r, (4,))
-    e["E[rho^6]"] = rho_moment(r, (6,))
-    e["E[rho^8]"] = rho_moment(r, (8,))
-    e["E[rho rho']"] = rho_moment(r, (1, 1))
-    e["E[rho^2 rho']"] = rho_moment(r, (2, 1))
-    e["E[rho^3 rho']"] = rho_moment(r, (3, 1))
-    e["E[rho^2 rho'^2]"] = rho_moment(r, (2, 2))
-    if r >= 3:
-        e["E[rho rho' rho'']"] = rho_moment(r, (1, 1, 1))
-        e["E[rho^2 rho' rho'']"] = rho_moment(r, (2, 1, 1))
-    if r >= 4:
-        e["E[rho rho' rho'' rho''']"] = rho_moment(r, (1, 1, 1, 1))
+def _f_moments(r: int, n: int) -> dict[str, Fraction]:
+    """E[F], E[F^2] and Var(F) from the S moments, as F = sum_j S_j^2."""
+    s = _s_moments(r, n)
+    e = {"E[F]": r * s["E[S^2]"],
+         "E[F^2]": r * s["E[S^4]"] + r * (r - 1) * s["E[S_j^2 S_k^2]"]}
+    e["Var(F)"] = e["E[F^2]"] - e["E[F]"] ** 2
     return e
 
 
@@ -278,32 +263,14 @@ def joint_moments(r: int, n: int) -> dict[str, Fraction]:
     """Exact joint moments of F_r, S_j and T_m at any n (the T_m law costs r! terms)."""
     if r < 2 or n < 1:
         raise DomainError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
-    s = _s_moments(r, n)
-    e = {"E[F]": r * s["E[S^2]"],
-         "E[F^2]": r * s["E[S^4]"] + r * (r - 1) * s["E[S_j^2 S_k^2]"]}
-    e["Var(F)"] = e["E[F^2]"] - e["E[F]"] ** 2
-    e.update(s)
+    e = {**_f_moments(r, n), **_s_moments(r, n)}
     e["E[T]^2"], e["E[T^2]"], e["E[T^4]"] = _t_statistic_moments(n, r)
     return e
 
 
 # ---------------------------------------------------------------------------
-# closed forms for the single-trial moments
+# closed forms
 # ---------------------------------------------------------------------------
-
-def _closed_single(r: int) -> dict[str, Fraction]:
-    rr = Fraction(r)
-    return {
-        "E[rho^2]": (rr ** 2 - 1) / 12,
-        "E[rho rho']": -(rr + 1) / 12,
-        "E[rho^4]": (rr ** 2 - 1) * (3 * rr ** 2 - 7) / 240,
-        "E[rho^3 rho']": -(rr + 1) * (3 * rr ** 2 - 7) / 240,
-        "E[rho^2 rho'^2]": (rr + 1) * (5 * rr ** 3 - 9 * rr ** 2 - 5 * rr + 21) / 720,
-        "E[rho^6]": (rr ** 2 - 1) * (3 * rr ** 4 - 18 * rr ** 2 + 31) / 1344,
-        "E[rho^2 rho' rho'']": -(rr - 3) * (rr + 1) * (5 * rr + 7) / 720,
-        "|E[rho rho' rho'' rho''']|": (rr + 1) * (5 * rr + 7) / 240,
-    }
-
 
 def closed_s4(r: int, n: int) -> Fraction:
     return Fraction(3 * (r - 1) * ((5 * n - 2) * r * r - 5 * n - 2), 5 * n * r * r * (r + 1))
@@ -324,43 +291,51 @@ def closed_s2s2(r: int, n: int) -> Fraction:
 def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
     """Check every exact moment equality behind the error bounds.
 
-    Single-trial identities run for r in 2..r_max; column-law identities
-    (variance, S-moment closed forms) and joint F/T identities for every n
-    in 1..n_max, at a cost that does not depend on n.  The joint cells need
-    the r! terms of the overlap law behind T_m: from r = 9 on, each is one
-    skipped entry naming that count.  Infeasible identities (three distinct
+    Single-trial identities run for r in 2..r_max, r_max <= 10; column-law
+    identities (variance, S-moment closed forms) and the F_r and T_m
+    identities for every n in 1..n_max, at a cost that does not depend on n.
+    The F_r identities read the S moments alone.  The T_m identities need the
+    r! terms of the overlap law: from r = 9 on, each cell's are one skipped
+    entry naming that count.  Infeasible identities (three distinct
     coordinates at r = 2) are reported as skipped, not failed.
     """
+    if r_max > 10:
+        raise DomainError(f"single-trial enumeration supports r <= 10, got {r_max}")
     out: list[dict] = []
     for r in range(2, r_max + 1):
-        moments = single_trial_moments(r)
-        closed = _closed_single(r)
-
-        for key in ("E[rho]", "E[rho^3]", "E[rho^2 rho']"):
-            out.append(_eq_entry(f"{key} = 0", r, None, moments[key], Fraction(0)))
-        if r >= 3:
-            out.append(_eq_entry("E[rho rho' rho''] = 0", r, None,
-                                 moments["E[rho rho' rho'']"], Fraction(0)))
-        else:
-            out.append(_entry("E[rho rho' rho''] = 0", r, None, "skip", "-", "-",
-                              "needs three distinct treatments"))
-
-        for key in ("E[rho^2]", "E[rho rho']", "E[rho^4]", "E[rho^3 rho']",
-                    "E[rho^2 rho'^2]", "E[rho^6]"):
-            out.append(_eq_entry(f"{key} closed form", r, None, moments[key], closed[key]))
-        if r >= 3:
-            out.append(_eq_entry("E[rho^2 rho' rho''] closed form", r, None,
-                                 moments["E[rho^2 rho' rho'']"], closed["E[rho^2 rho' rho'']"]))
-        if r >= 4:
-            val = moments["E[rho rho' rho'' rho''']"]
-            out.append(_eq_entry("|E[rho rho' rho'' rho''']| closed form", r, None,
-                                 abs(val), closed["|E[rho rho' rho'' rho''']|"]))
+        rr = Fraction(r)
+        # (identity, powers of rho, rho', ... at distinct coordinates, closed form);
+        # an identity in |...| compares the absolute value
+        for name, powers, closed in (
+                ("E[rho] = 0", (1,), 0),
+                ("E[rho^3] = 0", (3,), 0),
+                ("E[rho^2 rho'] = 0", (2, 1), 0),
+                ("E[rho rho' rho''] = 0", (1, 1, 1), 0),
+                ("E[rho^2] closed form", (2,), (rr ** 2 - 1) / 12),
+                ("E[rho rho'] closed form", (1, 1), -(rr + 1) / 12),
+                ("E[rho^4] closed form", (4,), (rr ** 2 - 1) * (3 * rr ** 2 - 7) / 240),
+                ("E[rho^3 rho'] closed form", (3, 1), -(rr + 1) * (3 * rr ** 2 - 7) / 240),
+                ("E[rho^2 rho'^2] closed form", (2, 2),
+                 (rr + 1) * (5 * rr ** 3 - 9 * rr ** 2 - 5 * rr + 21) / 720),
+                ("E[rho^6] closed form", (6,),
+                 (rr ** 2 - 1) * (3 * rr ** 4 - 18 * rr ** 2 + 31) / 1344),
+                ("E[rho^2 rho' rho''] closed form", (2, 1, 1),
+                 -(rr - 3) * (rr + 1) * (5 * rr + 7) / 720),
+                ("|E[rho rho' rho'' rho''']| closed form", (1, 1, 1, 1),
+                 (rr + 1) * (5 * rr + 7) / 240)):
+            if len(powers) > r:  # only E[rho rho' rho''] = 0 at r = 2 is reported, as a skip
+                if closed == 0:
+                    out.append(_entry(name, r, None, "skip", "-", "-",
+                                      "needs three distinct treatments"))
+                continue
+            val = rho_moment(r, powers)
+            out.append(_eq_entry(name, r, None, abs(val) if name[0] == "|" else val, closed))
+        if r >= 4:  # val is the four-coordinate moment
             out.append(_entry("sign of E[rho rho' rho'' rho''']", r, None, "pass",
                               "+" if val > 0 else ("0" if val == 0 else "-"),
                               "recorded", "the source states only the absolute value"))
 
         # polynomial moment identities (single trial)
-        rr = Fraction(r)
         lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 2 * v ** 2)
         rhs = (rr ** 2 - 1) * (47 * rr ** 6 - 322 * rr ** 4 + 875 * rr ** 2 - 936) / 20160
         out.append(_eq_entry("E[((r^2-1)/4 rho + rho^3)^2 rho^2] closed form", r, None, lhs, rhs))
@@ -408,37 +383,39 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
 
         # column laws: score covariance and the S-moment closed forms
         for n in range(1, n_max + 1):
-            s2, s4, s6, s11, s22 = _s_moments(r, n).values()
-            out.append(_eq_entry("Var(S_j) = (r-1)/r", r, n, s2, Fraction(r - 1, r)))
-            out.append(_eq_entry("Cov(S_j,S_k) = -1/r", r, n, s11, Fraction(-1, r)))
-            out.append(_eq_entry("E[S^4] closed form", r, n, s4, closed_s4(r, n)))
-            out.append(_le_entry("E[S^4] <= 3 - 6/(5n)", r, n, s4, 3 - Fraction(6, 5 * n)))
-            out.append(_eq_entry("E[S^6] closed form", r, n, s6, closed_s6(r, n)))
-            out.append(_le_entry("E[S^6] <= 15", r, n, s6, Fraction(15)))
-            out.append(_eq_entry("E[S_j^2 S_k^2] closed form", r, n, s22, closed_s2s2(r, n)))
+            s = _s_moments(r, n)
+            out.append(_eq_entry("Var(S_j) = (r-1)/r", r, n, s["E[S^2]"], Fraction(r - 1, r)))
+            out.append(_eq_entry("Cov(S_j,S_k) = -1/r", r, n, s["E[S_j S_k]"], Fraction(-1, r)))
+            out.append(_eq_entry("E[S^4] closed form", r, n, s["E[S^4]"], closed_s4(r, n)))
+            out.append(_le_entry("E[S^4] <= 3 - 6/(5n)", r, n, s["E[S^4]"],
+                                 3 - Fraction(6, 5 * n)))
+            out.append(_eq_entry("E[S^6] closed form", r, n, s["E[S^6]"], closed_s6(r, n)))
+            out.append(_le_entry("E[S^6] <= 15", r, n, s["E[S^6]"], Fraction(15)))
+            out.append(_eq_entry("E[S_j^2 S_k^2] closed form", r, n, s["E[S_j^2 S_k^2]"],
+                                 closed_s2s2(r, n)))
 
-        # joint moments: F_r and T_m
+        # F_r from the S moments at every r; T_m from the overlap law, within the budget
         for n in range(1, n_max + 1):
+            f, nn = _f_moments(r, n), Fraction(n)
+            out.append(_eq_entry("E[F] = r-1", r, n, f["E[F]"], rr - 1))
+            out.append(_eq_entry("E[F^2] = r^2-1-2(r-1)/n", r, n, f["E[F^2]"],
+                                 rr ** 2 - 1 - 2 * (rr - 1) / nn))
+            out.append(_eq_entry("Var(F) = 2(r-1)(1-1/n)", r, n, f["Var(F)"],
+                                 2 * (rr - 1) * (1 - 1 / nn)))
             try:
-                jm = joint_moments(r, n)
+                t_mean_sq, t2, t4 = _t_statistic_moments(n, r)
             except BudgetError as exc:
-                out.append(_entry("joint F/T identities", r, n, "skip", "-", "-", str(exc)))
+                out.append(_entry("T_m identities", r, n, "skip", "-", "-", str(exc)))
                 continue
-            rrn = Fraction(r), Fraction(n)
-            out.append(_eq_entry("E[F] = r-1", r, n, jm["E[F]"], rrn[0] - 1))
-            out.append(_eq_entry("E[F^2] = r^2-1-2(r-1)/n", r, n, jm["E[F^2]"],
-                                 rrn[0] ** 2 - 1 - 2 * (rrn[0] - 1) / rrn[1]))
-            out.append(_eq_entry("Var(F) = 2(r-1)(1-1/n)", r, n, jm["Var(F)"],
-                                 2 * (rrn[0] - 1) * (1 - 1 / rrn[1])))
-            out.append(_eq_entry("E[T]^2 = r(r+1)(r-1)^2/(12n)", r, n, jm["E[T]^2"],
-                                 rrn[0] * (rrn[0] + 1) * (rrn[0] - 1) ** 2 / (12 * rrn[1])))
-            out.append(_eq_entry("E[T^2] = r(r^2-1)(1+(r-2)/n)/12", r, n, jm["E[T^2]"],
-                                 rrn[0] * (rrn[0] ** 2 - 1) / 12 * (1 + (rrn[0] - 2) / rrn[1])))
+            out.append(_eq_entry("E[T]^2 = r(r+1)(r-1)^2/(12n)", r, n, t_mean_sq,
+                                 rr * (rr + 1) * (rr - 1) ** 2 / (12 * nn)))
+            out.append(_eq_entry("E[T^2] = r(r^2-1)(1+(r-2)/n)/12", r, n, t2,
+                                 rr * (rr ** 2 - 1) / 12 * (1 + (rr - 2) / nn)))
             if n >= 2:
-                out.append(_le_entry("E[T^2] <= r^3(1+r/n)/12", r, n, jm["E[T^2]"],
-                                     rrn[0] ** 3 / 12 * (1 + rrn[0] / rrn[1])))
-                c_t = Fraction(7, 48) + rrn[0] ** 2 / (36 * rrn[1] ** 2) + Fraction(1, 5 * n)
-                out.append(_le_entry("E[T^4] <= C_T r^6", r, n, jm["E[T^4]"], c_t * rrn[0] ** 6))
+                out.append(_le_entry("E[T^2] <= r^3(1+r/n)/12", r, n, t2,
+                                     rr ** 3 / 12 * (1 + rr / nn)))
+                c_t = Fraction(7, 48) + rr ** 2 / (36 * nn ** 2) + Fraction(1, 5 * n)
+                out.append(_le_entry("E[T^4] <= C_T r^6", r, n, t4, c_t * rr ** 6))
     return out
 
 

@@ -451,12 +451,17 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
                     samples: int = 1_000_000, rng: RngContract | None = None,
                     threads: int = 1) -> list[dict]:
     """Gap-versus-bound table across n, one smooth_gap per n (see its modes;
-    the row for n samples substream n of ``rng``).
+    the row for n samples substream n of ``rng``, so every n is below 2**20,
+    which is checked before any row is computed).
 
     Each row records the gap, n*gap, the applicable smooth bounds, and
     whether the gap stays below the selected bound (None when no smooth
     bound applies to this h).
     """
+    for n in n_list:  # before any row is computed
+        if n >= 2 ** 20:
+            raise DomainError(f"the row for n draws from substream n, so n must be "
+                              f"below 2**20, got n={n}")
     if rng is None:
         rng = RngContract(seed=0)
     norms = bounds_mod.SmoothNorms(h1=h.norm(1), h2=h.norm(2), h3=h.norm(3))

@@ -30,6 +30,10 @@ checks can confirm but never refute the bounds
     |f^(k)| <= (2/k) |h^(k)|
     |f^(k)| <= ((2 sqrt(pi) + sqrt(2)/e)/sqrt(p+2k-2) + 4/(p+2k-2)) |h^(k-1)|
     |f^(k)| <= (4/(p+2k-2)) (3 |h^(k-1)| + 2 |h^(k-2)|),   k >= 2.
+
+verify_suite runs these checks and the operator link as verify entries, each
+with its own pass rule: residuals and the operator link within 1e-5, the
+h(t) = t equality case f' = -2 within 1e-8.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ import numpy as np
 
 from .chisq import ChiSquareLaw, _converged_rule, _tail_mass_bound, chisq_expectation
 from .errors import ConvergenceError, DomainError
-from .exact import _sum_counts
+from .exact import _entry, _sum_counts
 from .ranks import theoretical_covariance
-from .testfunctions import TestFunction
+from .testfunctions import TestFunction, cosine, identity, sine
 
 __all__ = [
     "SteinSolution",
@@ -51,6 +55,7 @@ __all__ = [
     "derivative_bound_check",
     "verify_operator_link",
     "standard_grid",
+    "verify_suite",
 ]
 
 _EPS = np.finfo(float).eps
@@ -256,3 +261,32 @@ def verify_operator_link(r: int, n: int, h: TestFunction) -> dict:
         "stein_identity_residual": agree_gap,
         "status": "pass" if (agree_ops <= 1e-5 and agree_gap <= 1e-5) else "fail",
     }
+
+
+def verify_suite(p_max: int) -> list[dict]:
+    """Residuals at p = 1..p_max, the f' = -2 equality case, two derivative-cap
+    checks and the operator link, as verify entries."""
+    out = []
+    functions = (cosine(1.0), sine(1.0), identity())
+    for p in range(1, p_max + 1):
+        grid = standard_grid(p, points=60)
+        for h in functions:
+            worst = float(stein_residual(p, h, grid).max())
+            out.append(_entry("stein residual <= 1e-5 on grid", None, None,
+                              "pass" if worst <= 1e-5 else "fail",
+                              f"{worst:.3e}", "1e-5", f"p={p}, h={h.label}"))
+    dev = float(abs(SteinSolution(3, identity()).fprime(standard_grid(3, points=40)) + 2.0).max())
+    out.append(_entry("h(t)=t gives f' = -2", None, None,
+                      "pass" if dev <= 1e-8 else "fail", f"{dev:.3e}", "1e-8", "p=3"))
+    for p, k in ((4, 2), (8, 3)):
+        rep = derivative_bound_check(p, cosine(1.0), k, grid=standard_grid(p, points=50))
+        out.append(_entry(f"derivative caps hold (k={k})", None, None,
+                          "pass" if all(rep["holds"].values()) else "fail",
+                          f"{rep['observed_sup']:.6g}",
+                          str({name: round(v, 6) for name, v in rep["caps"].items()}),
+                          f"p={p}"))
+    link = verify_operator_link(3, 2, cosine(1.0))
+    out.append(_entry("operator-link two-path agreement", 3, 2, link["status"],
+                      f"{link['operator_agreement']:.3e} / "
+                      f"{link['stein_identity_residual']:.3e}", "1e-5"))
+    return out

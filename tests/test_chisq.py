@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from friedman_bounds import ChiSquareLaw, DomainError, chisq_cdf, chisq_expectation, chisq_mean_moments
+from friedman_bounds import (ChiSquareLaw, DomainError, chisq, chisq_cdf, chisq_expectation,
+                             chisq_mean_moments)
 from friedman_bounds.chisq import _tail_mass_bound, chisq_cdf_array, chisq_tail
 from friedman_bounds.errors import ConvergenceError
 from friedman_bounds.testfunctions import constant, cosine, identity, power, smoothing_indicator
@@ -49,10 +50,12 @@ DF_TAKERS = {"tail": lambda p: chisq_tail(p, 3.0), "cdf": lambda p: chisq_cdf(p,
              "mean_moments": chisq_mean_moments}
 
 
-@pytest.mark.parametrize("df", [2.5, 2.0, 2.9, "3", None, 0, -1, np.float64(3.0)])
+@pytest.mark.parametrize("df", [2.5, 2.0, 2.9, "3", None, 0, -1, np.float64(3.0), True,
+                                np.True_])
 @pytest.mark.parametrize("call", DF_TAKERS.values(), ids=DF_TAKERS.keys())
 def test_degrees_of_freedom_are_never_coerced(call, df):
-    # int() would run 2.5 and 2.9 at 2 degrees of freedom and accept "3"
+    # int() would run 2.5 and 2.9 at 2 degrees of freedom and accept "3"; a bool
+    # has __index__ but is no count, where True would run at 1 degree of freedom
     with pytest.raises(DomainError, match=re.escape(f"positive integer, got {df!r}")):
         call(df)
 
@@ -203,6 +206,25 @@ def test_expectation_constant_declares_its_growth():
     for c in (-5.0, 0.0, 3e6):
         slack = 1e-10 + 8.0 * np.finfo(float).eps * abs(c)
         assert chisq_expectation(ChiSquareLaw(2), constant(c)) == pytest.approx(c, abs=slack)
+
+
+def test_panel_rule_refines_until_two_counts_agree(monkeypatch):
+    # E[cos(t Y_p)] agrees at the first doubling even at t = 1000, because the
+    # starting count follows |h'|; a slope of 0 for cos(200 u) starts at one
+    # panel, so the rule doubles until each row matches sin(200 hi)/200
+    counts = []
+    rule = chisq._panel_rule
+
+    def counted(g, hi, knots, panels, cols):
+        counts.append(panels)
+        return rule(g, hi, knots, panels, cols)
+
+    monkeypatch.setattr(chisq, "_panel_rule", counted)
+    hi = np.array([1.0, 2.0])
+    got = chisq._converged_rule(lambda u: np.cos(200.0 * u), hi, np.empty((2, 0)), 1.0, 0.0,
+                                1e-12, str)
+    assert counts[:4] == [1, 2, 4, 8] and len(counts) > 4
+    assert got == pytest.approx(np.sin(200.0 * hi) / 200.0, rel=0, abs=1e-13)
 
 
 def test_expectation_frequency_past_the_panel_cap_raises():

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from friedman_bounds import coupling
-from friedman_bounds.cli import _coupling_suite, main
+from friedman_bounds import bounds, coupling, exact, montecarlo
+from friedman_bounds.cli import main
 
 
 def run(capsys, *argv):
@@ -339,7 +339,7 @@ def test_results_golden_stdout(capsys):
 
 def test_coupling_suite_runs_the_swap_pass_once_per_r():
     coupling._swap_pass.cache_clear()
-    _coupling_suite(5, 4)
+    coupling.verify_suite(5, 4)
     assert coupling._swap_pass.cache_info().misses == 4  # r = 2..5, whatever n
 
 
@@ -449,6 +449,55 @@ def test_cmd_verify_stein_suite(capsys):
     assert not any(e["status"] == "fail" for e in lines)
 
 
+def test_cmd_verify_exits_1_on_a_failing_entry(capsys, monkeypatch):
+    failing = {"identity": "stand-in", "r": 2, "n": None, "status": "fail", "lhs": "1",
+               "rhs": "0"}
+    monkeypatch.setattr(exact, "verify_lemma_formulas", lambda r_max, n_max: [])
+    monkeypatch.setattr(exact, "verify_inequalities", lambda r_max: [failing])
+    code, out, _ = run(capsys, "verify", "--suite", "lemmas")
+    assert code == 1
+    assert [json.loads(line) for line in out.splitlines()] == [failing]
+
+
+def test_cmd_distance_wasserstein_row(capsys):
+    code, out, _ = run(capsys, "distance", "--metric", "wasserstein", "--r", "2", "--n", "5",
+                       "--samples", "2000")
+    row = json.loads(out)
+    assert code == 0 and row["within_bound"] is True
+    assert row["bound"] == bounds.bound_report(5, 2, bounds.SmoothNorms()).wasserstein_r2
+    assert (row["metric"], row["method"], row["samples"]) == ("wasserstein", "monte-carlo", 2000)
+    assert 0.0 <= row["estimate"] <= row["bound"] and "t" not in row
+
+
+def test_cmd_rate_identity_gap_is_zero(capsys):
+    # E[F_r] = r - 1 = E[Y_{r-1}], so the exact gap for h(x) = x vanishes at every n
+    code, out, _ = run(capsys, "rate", "--r", "3", "--n", "2,4", "--h", "x")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [(row["n"], row["h"], row["method"]) for row in rows] == [
+        (2, "x^1", "exact-enumeration"), (4, "x^1", "exact-enumeration")]
+    assert all(abs(row["gap"]) <= 1e-12 and row["gap_below_bound"] for row in rows)
+
+
+def test_cmd_rate_exits_1_on_a_row_above_its_bound(capsys, monkeypatch):
+    rows = [{"n": 2, "gap_below_bound": None}, {"n": 4, "gap_below_bound": False}]
+    monkeypatch.setattr(montecarlo, "rate_experiment", lambda *args, **kwargs: rows)
+    code, out, _ = run(capsys, "rate", "--r", "3", "--n", "2,4")
+    assert code == 1
+    assert [json.loads(line) for line in out.splitlines()] == rows
+
+
+def test_cmd_rate_n_past_the_substreams_is_refused_before_any_row(capsys, monkeypatch):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was computed before the n list was checked")
+
+    monkeypatch.setattr(montecarlo, "smooth_gap", no_row)
+    code, out, err = run(capsys, "rate", "--r", "3", "--n", f"2,{2 ** 20}", "--mode", "mc",
+                         "--samples", "1000")
+    assert code == 2 and out == ""
+    assert f"below 2**20, got n={2 ** 20}" in err
+
+
 def test_cmd_distance_exact_beyond_budget(capsys):
     code, _, err = run(capsys, "distance", "--r", "5", "--n", "100", "--mode", "exact",
                        "--metric", "kolmogorov")
@@ -517,3 +566,15 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
     stein = modules_loaded_by("verify", "--suite", "stein", "--p-max", "1")
     assert loads(stein, "friedman_bounds.stein") and loads(stein, "numpy")
     assert not loads(stein, "scipy")
+    # each verify suite imports its own modules only
+    assert not loads(stein, "friedman_bounds.coupling")
+    lemmas = modules_loaded_by("verify", "--suite", "lemmas", "--r-max", "3", "--n-max", "2")
+    assert loads(lemmas, "friedman_bounds.exact")
+    for name in ("numpy", "friedman_bounds.coupling", "friedman_bounds.stein",
+                 "friedman_bounds.chisq"):
+        assert not loads(lemmas, name), name
+    pair = modules_loaded_by("verify", "--suite", "coupling", "--r-max", "3", "--n-max", "2")
+    assert loads(pair, "friedman_bounds.coupling")
+    for name in ("friedman_bounds.stein", "friedman_bounds.chisq",
+                 "friedman_bounds.testfunctions"):
+        assert not loads(pair, name), name

@@ -12,8 +12,7 @@ from friedman_bounds import BudgetError, DomainError, RankMatrix, exact, friedma
 from friedman_bounds.exact import (all_pass, beta_fourth_moment_direct, centered_doubled,
                                    closed_s2s2, closed_s4, closed_s6,
                                    exact_f_distribution, joint_moments, mono_moment,
-                                   point_mass_at_zero, rho_moment, single_trial_moments,
-                                   verify_index_decomposition, verify_inequalities,
+                                   point_mass_at_zero, rho_moment, verify_index_decomposition, verify_inequalities,
                                    verify_lemma_formulas)
 
 
@@ -44,12 +43,10 @@ def test_marginal_enumeration_equals_full_permutation_sum(r):
         assert rho_moment(r, powers) == brute
 
 
-def test_single_trial_table_and_domain():
-    table = single_trial_moments(3)
-    assert table["E[rho^2]"] == Fraction(2, 3)
-    assert table["E[rho rho']"] == Fraction(-1, 3)
-    with pytest.raises(DomainError):
-        single_trial_moments(11)
+def test_single_trial_domain():
+    # the lemma suite refuses r > 10 before it enumerates anything
+    with pytest.raises(DomainError, match="supports r <= 10, got 11"):
+        verify_lemma_formulas(r_max=11, n_max=1)
     with pytest.raises(DomainError):
         rho_moment(2, (1, 1, 1))
 
@@ -97,19 +94,33 @@ def test_beta_fourth_moment_budget():
 
 def test_joint_cell_over_budget_is_a_skip(monkeypatch):
     # under a cap of 100 the r = 5 overlap law (120 terms) is over budget, so
-    # each r = 5 joint cell is one skip entry naming the count, while the
-    # column-law cells, which have no budget, still pass; the law, cached
-    # here under the default cap, does not bypass it
+    # each r = 5 cell's T_m identities are one skip entry naming the count,
+    # while the column-law and F identities, which have no budget, still
+    # pass; the law, cached here under the default cap, does not bypass it
     joint_moments(5, 1)
     monkeypatch.setattr(exact, "BUDGET_CAP", 100)
     report = verify_lemma_formulas(r_max=5, n_max=3)
     assert all_pass(report)
-    joint = [e for e in report if e["r"] == 5 and e["identity"] == "joint F/T identities"]
-    assert [(e["n"], e["status"]) for e in joint] == [(1, "skip"), (2, "skip"), (3, "skip")]
-    assert all("r=5 needs 120 enumerated terms" in e["note"] for e in joint)
-    column = [e for e in report if e["r"] == 5 and e["n"] is not None
-              and e["identity"] != "joint F/T identities"]
-    assert len(column) == 3 * 7 and all(e["status"] == "pass" for e in column)
+    cells = [e for e in report if e["r"] == 5 and e["n"] is not None]
+    skips = [e for e in cells if e["status"] == "skip"]
+    assert [(e["identity"], e["n"]) for e in skips] == [("T_m identities", n) for n in (1, 2, 3)]
+    assert all("r=5 needs 120 enumerated terms" in e["note"] for e in skips)
+    assert len(cells) == 3 * (7 + 3 + 1) and all(e["status"] == "pass" for e in cells
+                                                  if e not in skips)
+    assert [e["identity"] for e in cells if e["n"] == 2][-4:] == [
+        "E[F] = r-1", "E[F^2] = r^2-1-2(r-1)/n", "Var(F) = 2(r-1)(1-1/n)", "T_m identities"]
+
+
+def test_f_identities_run_past_the_overlap_budget():
+    # at r = 9 the overlap law behind T_m needs 9! terms, past the cap, but
+    # E[F], E[F^2] and Var(F) read the S moments alone and are checked
+    report = [e for e in verify_lemma_formulas(r_max=9, n_max=2) if e["r"] == 9]
+    assert all_pass(report)
+    f = [(e["n"], e["lhs"]) for e in report if e["identity"].startswith(("E[F", "Var(F"))]
+    assert f == [(1, "8"), (1, "64"), (1, "0"), (2, "8"), (2, "72"), (2, "8")]
+    skips = [e for e in report if e["status"] == "skip"]
+    assert [(e["identity"], e["n"]) for e in skips] == [("T_m identities", n) for n in (1, 2)]
+    assert all("r=9 needs 362880 enumerated terms" in e["note"] for e in skips)
 
 
 @pytest.mark.parametrize("r,n", [(3, 4), (4, 3), (5, 2)])

@@ -148,6 +148,18 @@ def test_load_csv_bad_row_is_named(tmp_path, text, row):
             load_csv(path, fmt)
 
 
+@pytest.mark.parametrize("bad,message", [("2,x,1", "row 3: '2,x,1' is not 3 numbers"),
+                                         ("2,1", "row 3 has 2 fields, expected 3")])
+def test_load_csv_bad_row_in_the_first_half_is_named(tmp_path, bad, message):
+    # the bisection's first window already holds the bad row, so parsing that
+    # window fails and the search narrows to the front of the file
+    lines = ["1,2,3"] * 40
+    lines[3] = bad
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message):
+        load_csv(path, "ranks")
+
+
 @pytest.mark.parametrize("text", ["", "\n\n", "a,b,c\n", "a,b,c\n\n,,\n"])
 def test_load_csv_without_data_rows(tmp_path, text):
     with pytest.raises(ParseError, match="no data rows"):
