@@ -146,7 +146,7 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
 
 _TOL = 1e-10  # absolute accuracy of E[h(Y_p)]: half for the tail, half for the rule
 _MAX_PANELS = 4096   # refinement cap of the panel rule
-_NODE_BLOCK = 1 << 18  # nodes evaluated at once, which bounds the rule's memory
+_NODE_BLOCK = 1 << 14  # nodes per block, so each float temporary (128 KB) stays in the per-core L2
 
 
 def _panel_rule(g, hi: np.ndarray, knots: np.ndarray, panels: int, cols: tuple) -> np.ndarray:
@@ -170,7 +170,10 @@ def _panel_rule(g, hi: np.ndarray, knots: np.ndarray, panels: int, cols: tuple) 
         mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
         half = 0.5 * (edges[:, 1:] - edges[:, :-1])
         vals = g(mid[..., None] + half[..., None] * nodes, *(c[rows, None, None] for c in cols))
-        out[rows] = np.einsum("rk,rkn,n->r", half, vals, weights)
+        # each row's terms summed one after another in node order, so a row's
+        # sum does not depend on how many rows share its block
+        terms = (half[..., None] * vals * weights).reshape(len(half), -1)
+        out[rows] = np.cumsum(terms, axis=1, out=terms)[:, -1]
     return out
 
 

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, DomainError
 from .exact import _check_terms, _entry, centered_doubled
 
 __all__ = [
@@ -184,6 +184,8 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
 def verify_suite(r_max: int, n_max: int) -> list[dict]:
     """The three verifiers at every cell r in 2..r_max, n in 1..n_max; a cell
     past the budget is one skipped entry naming its cost."""
+    if r_max < 2 or n_max < 1:
+        raise DomainError(f"need r_max >= 2 and n_max >= 1, got r_max={r_max}, n_max={n_max}")
     out = []
     for r in range(2, r_max + 1):
         for n in range(1, n_max + 1):

@@ -15,7 +15,10 @@ moments are exact fractions.  The claims are covered by:
 
 * the law of F_r: one exact convolution across trials of the full
   column-sum vector, over sorted states, each weighted by its count of
-  configurations, without touching the (r!)^n space.
+  configurations, without touching the (r!)^n space.  Each trial is one
+  numpy pass over the states times the r! moves: rows sorted, keyed as
+  int64 in a mixed radix that keeps tuple order, merged by np.unique, with
+  exact Python-int counts summed on an object array.
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 (_check_terms raises BudgetError naming the cell, the term count and the cap).
@@ -195,7 +198,7 @@ def _overlap_law(r: int) -> tuple[tuple[tuple[int], int], ...]:
 
 
 def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Counts of the sorted doubled column sums over n trials.
+    """Counts of the sorted doubled column sums over n trials, in tuple order.
 
     One trial's row is uniform on the r! permutations of the doubled ranks,
     so the law of the column sums is the n-fold convolution of that uniform
@@ -205,20 +208,33 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     (the sum of squares for F_r; |s|^2 and s' (I - J/r) s for the operator
     link).  Before each trial the budget is charged with the running total
     of states times the r! moves, so a cell past the cap fails at the first
-    trial that would exceed it, before any of that trial's moves is built.
+    trial that would exceed it; the moves are built after the first charge.
+
+    A trial is one array pass: every (state, move) sum is sorted along its
+    row and keyed as one int64 in mixed radix 2n(r-1)+1 (a column sum lies
+    in [-n(r-1), n(r-1)]), which orders keys as the tuples are ordered;
+    np.unique merges equal keys, and np.add.at sums their counts on an
+    object array, so counts stay exact Python ints past 2^63.
     """
-    base = centered_doubled(r)
-    law: tuple = (((0,) * r, 1),)
-    charged = 0
+    import numpy as np
+
+    radix = 2 * n * (r - 1) + 1
+    states, counts = np.zeros((1, r), np.int64), np.ones(1, object)
+    moves, charged = None, 0
     for _ in range(n):
-        charged += len(law) * math.factorial(r)
+        charged += len(states) * math.factorial(r)
         _check_terms(f"the convolution of {r} column sums at r={r}, n={n}", charged)
-        nxt: Counter = Counter()
-        for state, c in law:
-            for move in iter_permutations(base):
-                nxt[tuple(sorted([s + v for s, v in zip(state, move)]))] += c
-        law = tuple(sorted(nxt.items()))
-    return law
+        if moves is None:
+            if radix ** r > np.iinfo(np.int64).max:
+                raise BudgetError(f"the state keys at r={r}, n={n} need {radix}^{r}, past int64")
+            moves = np.array(list(iter_permutations(centered_doubled(r))), np.int64)
+        sums = np.sort((states[:, None, :] + moves).reshape(-1, r), axis=1)
+        keys = (sums + n * (r - 1)) @ radix ** np.arange(r - 1, -1, -1, dtype=np.int64)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        summed = np.zeros(len(first), object)
+        np.add.at(summed, inverse, np.repeat(counts, len(moves)))
+        states, counts = sums[first], summed
+    return tuple(zip(map(tuple, states.tolist()), counts.tolist()))
 
 
 def exact_f_distribution(n: int, r: int) -> list[tuple[Fraction, Fraction]]:
@@ -299,6 +315,8 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
     entry naming that count.  Infeasible identities (three distinct
     coordinates at r = 2) are reported as skipped, not failed.
     """
+    if r_max < 2 or n_max < 1:
+        raise DomainError(f"need r_max >= 2 and n_max >= 1, got r_max={r_max}, n_max={n_max}")
     if r_max > 10:
         raise DomainError(f"single-trial enumeration supports r <= 10, got {r_max}")
     out: list[dict] = []
@@ -427,6 +445,8 @@ def verify_inequalities(r_max: int = 8) -> list[dict]:
     E[S^4] <= 3, E[S^6] <= 15 substituted as in the proofs) are evaluated in
     floating point from exact rho moments.
     """
+    if r_max < 2:
+        raise DomainError(f"need r_max >= 2, got r_max={r_max}")
     if r_max > 10:
         raise DomainError(f"single-trial enumeration supports r <= 10, got {r_max}")
     out: list[dict] = []

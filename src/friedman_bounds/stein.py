@@ -177,7 +177,8 @@ def standard_grid(p: int, points: int = 200) -> np.ndarray:
     hi = p + 20.0 * math.sqrt(p)
     geo = np.geomspace(0.05, hi, points // 2)
     lin = np.linspace(0.05, hi, points - points // 2)
-    return np.unique(np.concatenate([geo, lin]))
+    # sorted(set()) rather than np.unique, whose plain form imports numpy.ma
+    return np.array(sorted({*geo.tolist(), *lin.tolist()}))
 
 
 def derivative_bound_check(p: int, h: TestFunction, k: int,
@@ -266,6 +267,8 @@ def verify_operator_link(r: int, n: int, h: TestFunction) -> dict:
 def verify_suite(p_max: int) -> list[dict]:
     """Residuals at p = 1..p_max, the f' = -2 equality case, two derivative-cap
     checks and the operator link, as verify entries."""
+    if p_max < 1:
+        raise DomainError(f"need p_max >= 1, got p_max={p_max}")
     out = []
     functions = (cosine(1.0), sine(1.0), identity())
     for p in range(1, p_max + 1):

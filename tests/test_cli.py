@@ -549,6 +549,9 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
     loaded = {argv: modules_loaded_by(*argv) for argv in calls}
     for argv, modules in loaded.items():
         assert not loads(modules, "scipy"), argv
+        # np.unique without indices imports numpy.ma; the exact engine and
+        # the Stein grid go without it
+        assert not loads(modules, "numpy.ma"), argv
     # the p-value is a chi-square tail alone: the test-function check of
     # chisq_expectation is imported where it runs, so ingest loads no test functions
     assert not loads(loaded[calls[0]], "friedman_bounds.testfunctions")

@@ -7,7 +7,7 @@ from itertools import permutations, product
 
 import pytest
 
-from friedman_bounds import coupling
+from friedman_bounds import DomainError, coupling
 from friedman_bounds.coupling import (verify_increment_moments, verify_regression,
                                       verify_triple_structure)
 from friedman_bounds.exact import all_pass, centered_doubled
@@ -147,3 +147,9 @@ def test_exchangeability_histogram():
                         hist[(w, w2)] = hist.get((w, w2), 0) + 1
         assert all(hist[key] == hist.get((key[1], key[0]), 0) for key in hist)
 
+
+@pytest.mark.parametrize("r_max, n_max, match", [(3, 0, "n_max=0"), (1, 3, "r_max=1")])
+def test_suite_refuses_vacuous_ranges(r_max, n_max, match):
+    # an empty range would return no entry, which all_pass reads as green
+    with pytest.raises(DomainError, match=match):
+        coupling.verify_suite(r_max, n_max)

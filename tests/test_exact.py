@@ -1,7 +1,9 @@
 """Exact enumeration oracle: moments, lemma suites, decompositions."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
@@ -51,6 +53,18 @@ def test_single_trial_domain():
         rho_moment(2, (1, 1, 1))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: verify_lemma_formulas(1, 3), "r_max=1"),
+    (lambda: verify_lemma_formulas(4, 0), "n_max=0"),
+    (lambda: verify_inequalities(1), "r_max=1"),
+])
+def test_vacuous_ranges_are_refused(call, match):
+    # an empty range would return no entry (or no column-law cell), which
+    # all_pass reads as green
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def test_joint_examples():
     jm = joint_moments(3, 2)
     assert jm["E[F]"] == 2
@@ -81,6 +95,77 @@ def test_convolution_over_budget_builds_no_moves(monkeypatch):
     monkeypatch.setattr(exact, "iter_permutations", no_moves)
     with pytest.raises(BudgetError, match="r=12, n=1 needs 479001600 enumerated terms"):
         exact_f_distribution(1, 12)
+
+
+def _reference_sum_counts(r, n):
+    """The Counter loop the array engine replaced, as its reference: yields the
+    sorted (state, count) law after each of n trials, charging the budget as
+    exact._sum_counts does."""
+    base = centered_doubled(r)
+    law = (((0,) * r, 1),)
+    charged = 0
+    for _ in range(n):
+        charged += len(law) * math.factorial(r)
+        exact._check_terms(f"the convolution of {r} column sums at r={r}, n={n}", charged)
+        nxt = Counter()
+        for state, c in law:
+            for move in permutations(base):
+                nxt[tuple(sorted([s + v for s, v in zip(state, move)]))] += c
+        law = tuple(sorted(nxt.items()))
+        yield law
+
+
+@lru_cache(maxsize=None)
+def _admitted_laws(r):
+    """The reference law at every n the budget admits for r, in order of n."""
+    laws = []
+    with pytest.raises(BudgetError):
+        laws.extend(_reference_sum_counts(r, 10 ** 6))
+    return tuple(laws)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_array_engine_matches_the_reference_at_every_cell(r):
+    # states, their order and Python-int counts; every admitted n for r >= 3,
+    # and at r = 2, whose 631 cells each rerun the engine from its first
+    # trial, n <= 64 and the last admitted n
+    laws = _admitted_laws(r)
+    cells = range(1, len(laws) + 1) if r > 2 else [*range(1, 65), len(laws)]
+    for n in cells:
+        got = exact._sum_counts(r, n)
+        assert got == laws[n - 1], (r, n)
+        assert {type(x) for state, c in got for x in (*state, c)} == {int}
+
+
+def test_array_engine_counts_stay_exact_past_int64():
+    got = exact._sum_counts(3, 32)
+    assert got == _admitted_laws(3)[31]
+    assert max(c for _, c in got) > 2 ** 63 and sum(c for _, c in got) == 6 ** 32
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_array_engine_refuses_where_the_reference_does(r):
+    # the first over-budget n: same message, so the same term count
+    n = len(_admitted_laws(r)) + 1
+    with pytest.raises(BudgetError) as want:
+        list(_reference_sum_counts(r, n))
+    with pytest.raises(BudgetError) as got:
+        exact._sum_counts(r, n)
+    assert str(got.value) == str(want.value)
+
+
+def test_state_keys_fit_int64_at_every_admitted_cell(monkeypatch):
+    # a cell's largest key is below radix^r, radix = 2n(r-1)+1; from r = 9 on
+    # the first trial's r! moves alone are over budget
+    for r in range(2, 9):
+        n = len(_admitted_laws(r))
+        assert n >= 1 and (2 * n * (r - 1) + 1) ** r <= 2 ** 63 - 1, r
+    assert _admitted_laws(9) == ()
+    # past int64 the engine refuses before it builds a move
+    monkeypatch.setattr(exact, "BUDGET_CAP", 10 ** 12)
+    monkeypatch.setattr(exact, "iter_permutations", None)
+    with pytest.raises(BudgetError, match=r"r=14, n=1 need 27\^14, past int64"):
+        exact._sum_counts(14, 1)
 
 
 def test_beta_fourth_moment_budget():

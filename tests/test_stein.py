@@ -6,9 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from friedman_bounds import chisq, chisq_expectation
 from friedman_bounds.errors import ConvergenceError, DomainError
 from friedman_bounds.stein import (SteinSolution, derivative_bound_check, standard_grid,
-                                   stein_residual, verify_operator_link)
+                                   stein_residual, verify_operator_link, verify_suite)
 from friedman_bounds.testfunctions import constant, cosine, identity, power, sine
 
 
@@ -169,3 +170,26 @@ def test_frequency_past_the_panel_cap_raises():
     for x in (2.0, 9.0):  # lower and tail form
         with pytest.raises(ConvergenceError, match=rf"x={x}.*p=3.*panels give"):
             sol.fprime(x)
+
+
+
+def test_suite_refuses_no_degrees_of_freedom():
+    # p_max = 0 would run no residual
+    with pytest.raises(DomainError, match="p_max=0"):
+        verify_suite(0)
+
+
+def _panel_outputs():
+    return (verify_suite(3),
+            [chisq_expectation(p, h) for p in range(1, 7)
+             for h in (cosine(1.0), sine(1.0), power(2))],
+            SteinSolution(3, cosine(1.0)).fprime(standard_grid(3)).tolist())
+
+
+@pytest.mark.parametrize("block", [7 * 20, 1 << 18])
+def test_node_block_changes_no_digit(monkeypatch, block):
+    # a row's panel sum does not depend on how rows are grouped into blocks:
+    # 7 * 20 nodes is one row of 7 panels, 2^18 the block size before
+    default = _panel_outputs()
+    monkeypatch.setattr(chisq, "_NODE_BLOCK", block)
+    assert _panel_outputs() == default
