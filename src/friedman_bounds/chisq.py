@@ -178,21 +178,27 @@ def _panel_rule(g, hi: np.ndarray, knots: np.ndarray, panels: int, cols: tuple) 
 
 
 def _converged_rule(g, hi: np.ndarray, knots: np.ndarray, window: float, slope: float,
-                    tol: float, where, cols: tuple = ()) -> np.ndarray:
+                    tol: float, where, cols: tuple = (), post=None) -> np.ndarray:
     """The panel rule, its panel count doubled until it and its refinement
-    agree within tol (or 1e-13 relative) on every row; returns the refined sums.
+    agree within tol (or 1e-13 relative) on every value; returns the refined values.
 
-    The count starts from the window's length in t and |h'| <= slope, so
-    that a panel holds about one period of h.  Past _MAX_PANELS it raises
-    ConvergenceError naming ``where(i)`` for the first row that still
+    The values are the row sums, or ``post`` of them when given, so that
+    the rule is refined until what the caller returns has converged.  The
+    count starts from the window's length in t and |h'| <= slope, so that a
+    panel holds about one period of h.  Past _MAX_PANELS it raises
+    ConvergenceError naming ``where(i)`` for the first value that still
     disagrees, with both estimates.
     """
+    def rule(panels: int) -> np.ndarray:
+        sums = _panel_rule(g, hi, knots, panels, cols)
+        return sums if post is None else post(sums)
+
     panels = 1 + int(window / 12.0 + (slope * window / 8.0 if math.isfinite(slope) else 0.0))
     panels = min(panels, _MAX_PANELS // 2)
-    coarse = _panel_rule(g, hi, knots, panels, cols)
+    coarse = rule(panels)
     while True:
         panels *= 2
-        fine = _panel_rule(g, hi, knots, panels, cols)
+        fine = rule(panels)
         miss = ~(np.abs(fine - coarse) <= np.maximum(tol, 1e-13 * np.abs(fine)))
         if not miss.any():
             return fine

@@ -45,7 +45,7 @@ Kolmogorov distances, exact or sampled, take both one-sided gaps at every
 atom of the step function; sampled ones carry a DKW error bar.  The
 Wasserstein diagnostic is the exact integral of |ECDF - CDF|.  smooth_gap
 computes smooth test-function gaps exactly, by Monte Carlo, or ('auto')
-exactly whenever the exact engine fits its budget (exact.BUDGET_CAP
+exactly whenever the exact engine fits its budget (exact_law.BUDGET_CAP
 enumerated terms), with the method recorded in the result.
 """
 
@@ -333,7 +333,7 @@ def _sup_gap(atoms: np.ndarray, after: np.ndarray, jumps: np.ndarray, p: int) ->
 
 def _exact_atoms(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact atoms of F_r and their probabilities, as floats."""
-    from .exact import exact_f_distribution
+    from .exact_law import exact_f_distribution
 
     atoms = exact_f_distribution(n, r)
     return (np.array([float(a) for a, _ in atoms]), np.array([float(p) for _, p in atoms]))

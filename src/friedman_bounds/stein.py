@@ -12,16 +12,31 @@ panels), evaluated over a whole array of x at once, in one of two forms:
   [h(x v^2) - E h] dv, smooth for every p >= 1, with no prefactor to
   overflow;
 * tail form, x > p + 2: the full integral over (0, inf) vanishes, so f' is
-  minus the integral from x to infinity, which avoids the lower form's
-  cancellation past the bulk.  The shift t = x + s cancels e^{x/2} exactly:
-  f'(x) = -x^{-p/2} int_0^S (x+s)^{p/2-1} e^{-s/2} [h(x+s) - E h] ds, with
-  S the first of 16 * 1.25^j whose discarded tail, bounded through the
-  chi-square tail masses and h's declared growth, is below _FPRIME_TOL/100
-  at every x of the call.
+  minus J(x) = e^{x/2} x^{-p/2} int_x^inf t^{p/2-1} e^{-t/2} [h(t) - E h] dt,
+  which avoids the lower form's cancellation past the bulk.  All x of a
+  call share one backward sweep over the sorted x_1 <= ... <= x_m, with
+  J(x_j) = I_j + e^{-(x_{j+1}-x_j)/2} (x_{j+1}/x_j)^{p/2} J(x_{j+1}): I_j is
+  the integral over [x_j, x_{j+1}] in the shift t = x_j + s, which cancels
+  e^{x_j/2} exactly, int (1+s/x_j)^{p/2-1} e^{-s/2} [h(x_j+s) - E h] ds / x_j,
+  and the sweep starts from J = 0 at x_m + S.  The carry factor is below 1
+  for x > p, so the recurrence damps rounding.  S is the first of
+  16 * 1.25^j whose discarded tail, bounded in logarithms through h's
+  declared growth, is below _FPRIME_TOL/100 at x_m; the scale
+  e^{x/2} x^{-p/2} grows past p, so that truncation covers every x below.
+  A gap wider than S ends a run of x, which is swept on its own from its
+  largest x plus that x's own S.  Each gap and each [x_k, x_k + S_k] is
+  cut into rows no longer than _PIECE, so the cost grows with the number
+  of x plus the length swept, not with their product, and never with how
+  far apart the x lie.
 
-The panel count starts from the window (x or S) and h's |h'| norm and
-doubles until the rule and its refinement agree within half of _FPRIME_TOL;
+The panel count starts from the window (x, or _PIECE in the sweep) and h's
+|h'| norm and doubles until the rule and its refinement agree within half of
+_FPRIME_TOL on every returned f' value (the sweep's output, not its rows);
 past a fixed cap f' raises ConvergenceError with x, p and both estimates.
+A value depends on the other x of its call only at noise level: through
+the shared panel count in both forms, and through S and the rows of the
+sweep in the tail form.
+
 Higher derivatives come from central finite differences of f' with step
 eps^(1/(k+2)) max(1, x), the five stencil points of every x in one f' call;
 a grid sup is a lower bound of the true sup-norm, so the derivative-cap
@@ -43,9 +58,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chisq import ChiSquareLaw, _converged_rule, _tail_mass_bound, chisq_expectation
+from .chisq import ChiSquareLaw, _converged_rule, chisq_expectation
 from .errors import ConvergenceError, DomainError
-from .exact import _entry, _sum_counts
+from .exact import _entry
+from .exact_law import _sum_counts
 from .ranks import theoretical_covariance
 from .testfunctions import TestFunction, cosine, identity, sine
 
@@ -60,12 +76,40 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _FPRIME_TOL = 1e-11  # absolute accuracy of each f' value
+_PIECE = 4.0  # longest row of the tail sweep: at |h'| <= 1 a row starts at one panel
 _OFFSETS = np.arange(-2.0, 3.0)  # stencil points x + j*step
 # central-difference weights on f'(x + j*step), j = -2..2, for f^(k) * step^(k-1);
 # fourth order for k = 2, 3, so the truncation error stays below the rule's noise
 _STENCILS = {2: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
              3: np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0,
              4: np.array([-1.0, 2.0, 0.0, -2.0, 1.0]) / 2.0}
+
+
+def _tail_span(p: int, h: TestFunction, eh: float, x: float) -> float:
+    """The first S = 16 * 1.25^j whose discarded tail at x is below _FPRIME_TOL/100.
+
+    The discarded part is x^{-a} int_S^inf (x+s)^{a-1} e^{-s/2} |h(x+s) - E h| ds
+    with a = p/2 and |h - E h| <= c (1 + t^d), c = growth_coeff + |E h|.  For
+    q = a-1 and a-1+d, (x+s)^q <= (x+S)^q e^{q+ (s-S)/(x+S)}, so the term of q
+    is at most c x^{-a} (x+S)^q e^{-S/2} / (1/2 - q+/(x+S)); the test is made on
+    logarithms, so that no e^{x/2} or tail mass leaves the floats at any x.
+    The cut at x + S also keeps the discarded tail of every x' in (p, x)
+    within budget, since e^{x'/2} x'^{-a} grows on (p, inf).
+    """
+    a, d = p / 2.0, h.growth_degree
+    c = h.growth_coeff + abs(eh)
+    log_budget = math.log(_FPRIME_TOL / 100.0) - (math.log(c) if c > 0.0 else -math.inf)
+    span = 16.0
+    while span <= 1e8:
+        top = x + span
+        if top > 2.0 * (a - 1.0 + d):
+            logs = [a * math.log1p(span / x) + (q - a) * math.log(top)
+                    - math.log(0.5 - max(q, 0.0) / top) for q in (a - 1.0, a - 1.0 + d)]
+            big = max(logs)
+            if big + math.log(sum(math.exp(v - big) for v in logs)) - 0.5 * span < log_budget:
+                return span
+        span *= 1.25
+    raise ConvergenceError(f"no truncation point for f' at p={p}, h={h.label}, x up to {x!r}")
 
 
 def _like(x, values: np.ndarray):
@@ -89,8 +133,9 @@ class SteinSolution:
     def fprime(self, x):
         """f'(x) for a float or an array of x > 0: a float, or an array of x's shape."""
         xs = np.asarray(x, dtype=float)
-        if not np.all(xs > 0.0):  # also refuses NaN
-            raise DomainError(f"f' is evaluated on x > 0, got {np.min(xs)}")
+        bad = ~((xs > 0.0) & (xs < math.inf))  # also refuses NaN
+        if bad.any():
+            raise DomainError(f"f' is evaluated on finite x > 0, got {xs[bad].flat[0]}")
         flat = xs.ravel()
         out = np.empty(flat.size)
         lower = flat <= self.p + 2.0
@@ -117,24 +162,43 @@ class SteinSolution:
     def _tail(self, xs: np.ndarray) -> np.ndarray:
         p, h, eh = self.p, self.h, self.chisq_h
         a = p / 2.0
-        # The discarded part is e^{x/2} x^{-a} int_{x+S}^inf t^{a-1} e^{-t/2} |h - E h| dt,
-        # with |h - E h| <= (coeff + |E h|)(1 + t^degree).  Its budget is far below
-        # the rule's, so that truncation never shows in f'.
-        scale = np.exp(xs / 2.0 - a * np.log(xs) + a * math.log(2.0) + math.lgamma(a))
-        span = 16.0
-        while not np.all(scale * _tail_mass_bound(p, xs + span, h.growth_degree,
-                                                  h.growth_coeff + abs(eh)) < _FPRIME_TOL / 100.0):
-            span *= 1.25
-            if span > 1e8:
-                raise ConvergenceError(f"no truncation point for f' at p={p}, h={h.label}, "
-                                       f"x up to {float(xs.max())!r}")
+        order = np.argsort(xs, kind="stable")
+        sx = xs[order]
+        # segments: each gap of the sorted x, and [x_k, x_k + S_k] after the largest
+        # x_k of each run (a gap wider than S = S_m ends a run), so that far-apart
+        # x sweep apart; a repeated x is a segment of length 0
+        span = _tail_span(p, h, eh, float(sx[-1]))
+        seg = np.append(np.diff(sx), span)
+        tops = np.flatnonzero(seg > span)
+        seg[tops] = [_tail_span(p, h, eh, x) for x in sx[tops].tolist()]
+        tops = np.append(tops, sx.size - 1)
+        # rows: each segment cut into equal pieces no longer than _PIECE
+        pieces = np.maximum(np.ceil(seg / _PIECE), 1.0).astype(np.int64)
+        first = np.cumsum(pieces) - pieces  # the row that starts at sx[j]
+        length = np.repeat(seg / pieces, pieces)
+        within = np.arange(pieces.sum()) - np.repeat(first, pieces)
+        starts = np.repeat(sx, pieces) + within * length
+        # J at a row's start is its integral plus carry times J at its end,
+        # and J = 0 at the end of each run's last row
+        carry = np.exp(a * np.log1p(length / starts) - 0.5 * length)
+        carry[first[tops] + pieces[tops] - 1] = 0.0
+        carry = carry.tolist()
+
+        def sweep(rows: np.ndarray) -> np.ndarray:
+            j, out, rows = 0.0, [0.0] * len(carry), rows.tolist()
+            for i in range(len(carry) - 1, -1, -1):
+                j = out[i] = rows[i] + carry[i] * j
+            return -np.array(out)[first]
 
         def integrand(s, x):
             return np.exp((a - 1.0) * np.log1p(s / x) - 0.5 * s) * (h.fn(x + s) - eh) / x
 
-        knots = np.asarray(h.knots, dtype=float) - xs[:, None]
-        return -_converged_rule(integrand, np.full(xs.size, span), knots, span, h.norm(1),
-                                _FPRIME_TOL / 2.0, self._where(xs), cols=(xs,))
+        knots = np.asarray(h.knots, dtype=float) - starts[:, None]
+        fp = _converged_rule(integrand, length, knots, _PIECE, h.norm(1), _FPRIME_TOL / 2.0,
+                             self._where(sx), cols=(starts,), post=sweep)
+        out = np.empty(xs.size)
+        out[order] = fp
+        return out
 
     def _derivatives(self, k: int, x) -> tuple[np.ndarray, np.ndarray]:
         """(f'(x), f^(k)(x)) from one f' call on the five-point stencil of every x."""

@@ -561,10 +561,13 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
                                  "--samples", "2000"),)
     for argv in mc_distance:
         modules = loaded.get(argv) or modules_loaded_by(*argv)
-        for name in ("friedman_bounds.exact", "fractions", "concurrent.futures",
-                     "numpy.polynomial"):
+        for name in ("friedman_bounds.exact", "friedman_bounds.exact_law", "fractions",
+                     "concurrent.futures", "numpy.polynomial"):
             assert not loads(modules, name), (argv, name)
-    assert loads(loaded[calls[-1]], "friedman_bounds.exact")  # the exact distance
+    # the exact distance and rate read the exact law and load none of the verifiers
+    for argv in calls[-2:]:
+        assert loads(loaded[argv], "friedman_bounds.exact_law"), argv
+        assert not loads(loaded[argv], "friedman_bounds.exact"), argv
     # the Stein call loads what it runs, so the checks above cannot pass vacuously
     stein = modules_loaded_by("verify", "--suite", "stein", "--p-max", "1")
     assert loads(stein, "friedman_bounds.stein") and loads(stein, "numpy")

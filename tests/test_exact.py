@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friedman_bounds import BudgetError, DomainError, RankMatrix, exact, friedman_statistic
+from friedman_bounds import (BudgetError, DomainError, RankMatrix, exact, exact_law,
+                            friedman_statistic)
 from friedman_bounds.exact import (all_pass, beta_fourth_moment_direct, centered_doubled,
                                    closed_s2s2, closed_s4, closed_s6,
                                    exact_f_distribution, joint_moments, mono_moment,
@@ -92,7 +93,7 @@ def test_convolution_over_budget_builds_no_moves(monkeypatch):
     def no_moves(*args):
         raise AssertionError("a move was built before the budget check")
 
-    monkeypatch.setattr(exact, "iter_permutations", no_moves)
+    monkeypatch.setattr(exact_law, "iter_permutations", no_moves)
     with pytest.raises(BudgetError, match="r=12, n=1 needs 479001600 enumerated terms"):
         exact_f_distribution(1, 12)
 
@@ -100,13 +101,13 @@ def test_convolution_over_budget_builds_no_moves(monkeypatch):
 def _reference_sum_counts(r, n):
     """The Counter loop the array engine replaced, as its reference: yields the
     sorted (state, count) law after each of n trials, charging the budget as
-    exact._sum_counts does."""
+    exact_law._sum_counts does."""
     base = centered_doubled(r)
     law = (((0,) * r, 1),)
     charged = 0
     for _ in range(n):
         charged += len(law) * math.factorial(r)
-        exact._check_terms(f"the convolution of {r} column sums at r={r}, n={n}", charged)
+        exact_law._check_terms(f"the convolution of {r} column sums at r={r}, n={n}", charged)
         nxt = Counter()
         for state, c in law:
             for move in permutations(base):
@@ -132,13 +133,13 @@ def test_array_engine_matches_the_reference_at_every_cell(r):
     laws = _admitted_laws(r)
     cells = range(1, len(laws) + 1) if r > 2 else [*range(1, 65), len(laws)]
     for n in cells:
-        got = exact._sum_counts(r, n)
+        got = exact_law._sum_counts(r, n)
         assert got == laws[n - 1], (r, n)
         assert {type(x) for state, c in got for x in (*state, c)} == {int}
 
 
 def test_array_engine_counts_stay_exact_past_int64():
-    got = exact._sum_counts(3, 32)
+    got = exact_law._sum_counts(3, 32)
     assert got == _admitted_laws(3)[31]
     assert max(c for _, c in got) > 2 ** 63 and sum(c for _, c in got) == 6 ** 32
 
@@ -150,7 +151,7 @@ def test_array_engine_refuses_where_the_reference_does(r):
     with pytest.raises(BudgetError) as want:
         list(_reference_sum_counts(r, n))
     with pytest.raises(BudgetError) as got:
-        exact._sum_counts(r, n)
+        exact_law._sum_counts(r, n)
     assert str(got.value) == str(want.value)
 
 
@@ -162,10 +163,10 @@ def test_state_keys_fit_int64_at_every_admitted_cell(monkeypatch):
         assert n >= 1 and (2 * n * (r - 1) + 1) ** r <= 2 ** 63 - 1, r
     assert _admitted_laws(9) == ()
     # past int64 the engine refuses before it builds a move
-    monkeypatch.setattr(exact, "BUDGET_CAP", 10 ** 12)
-    monkeypatch.setattr(exact, "iter_permutations", None)
+    monkeypatch.setattr(exact_law, "BUDGET_CAP", 10 ** 12)
+    monkeypatch.setattr(exact_law, "iter_permutations", None)
     with pytest.raises(BudgetError, match=r"r=14, n=1 need 27\^14, past int64"):
-        exact._sum_counts(14, 1)
+        exact_law._sum_counts(14, 1)
 
 
 def test_beta_fourth_moment_budget():
@@ -183,7 +184,7 @@ def test_joint_cell_over_budget_is_a_skip(monkeypatch):
     # while the column-law and F identities, which have no budget, still
     # pass; the law, cached here under the default cap, does not bypass it
     joint_moments(5, 1)
-    monkeypatch.setattr(exact, "BUDGET_CAP", 100)
+    monkeypatch.setattr(exact_law, "BUDGET_CAP", 100)
     report = verify_lemma_formulas(r_max=5, n_max=3)
     assert all_pass(report)
     cells = [e for e in report if e["r"] == 5 and e["n"] is not None]

@@ -1,16 +1,18 @@
 """Stein equation solver: residuals, derivative caps, the operator link."""
 
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from friedman_bounds import chisq, chisq_expectation
+from friedman_bounds import chisq, chisq_expectation, stein
 from friedman_bounds.errors import ConvergenceError, DomainError
 from friedman_bounds.stein import (SteinSolution, derivative_bound_check, standard_grid,
                                    stein_residual, verify_operator_link, verify_suite)
-from friedman_bounds.testfunctions import constant, cosine, identity, power, sine
+from friedman_bounds.testfunctions import (constant, cosine, identity, power, sine,
+                                           smoothing_indicator)
 
 
 def shifted(h, c):
@@ -193,3 +195,109 @@ def test_node_block_changes_no_digit(monkeypatch, block):
     default = _panel_outputs()
     monkeypatch.setattr(chisq, "_NODE_BLOCK", block)
     assert _panel_outputs() == default
+
+
+def reference_tail(sol, xs):
+    """The per-x tail integral the sweep replaced, as its reference: every x
+    integrates its own copy of the tail from x to x + S, with S the first
+    16 * 1.25^j whose tail-mass bound is below _FPRIME_TOL/100 at every x."""
+    p, h, eh = sol.p, sol.h, sol.chisq_h
+    a = p / 2.0
+    scale = np.exp(xs / 2.0 - a * np.log(xs) + a * math.log(2.0) + math.lgamma(a))
+    span = 16.0
+    while not np.all(scale * chisq._tail_mass_bound(p, xs + span, h.growth_degree,
+                                                    h.growth_coeff + abs(eh))
+                     < stein._FPRIME_TOL / 100.0):
+        span *= 1.25
+
+    def integrand(s, x):
+        return np.exp((a - 1.0) * np.log1p(s / x) - 0.5 * s) * (h.fn(x + s) - eh) / x
+
+    knots = np.asarray(h.knots, dtype=float) - xs[:, None]
+    return -chisq._converged_rule(integrand, np.full(xs.size, span), knots, span, h.norm(1),
+                                  stein._FPRIME_TOL / 2.0, str, cols=(xs,))
+
+
+def stencil_points(p, points=200):
+    """Every point of the f'' stencils on standard_grid(p), flattened."""
+    grid = standard_grid(p, points)
+    step = np.minimum(np.finfo(float).eps ** 0.25 * np.maximum(1.0, grid), grid / 8.0)
+    return (grid[:, None] + step[:, None] * np.arange(-2.0, 3.0)).ravel()
+
+
+SWEEP_FUNCTIONS = {"cos": lambda p: cosine(1.0), "sin": lambda p: sine(1.0),
+                   "x": lambda p: identity(), "cos3": lambda p: cosine(3.0),
+                   "indicator": lambda p: smoothing_indicator(1.0, p + 4.0)}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FUNCTIONS))
+@pytest.mark.parametrize("p", range(1, 9))
+def test_tail_sweep_matches_the_per_x_reference(p, name):
+    sol = SteinSolution(p, SWEEP_FUNCTIONS[name](p))
+    xs = stencil_points(p)
+    xs = xs[xs > p + 2.0]
+    assert np.max(np.abs(sol.fprime(xs) - reference_tail(sol, xs))) <= 1e-12
+
+
+def test_tail_sweep_takes_x_in_any_order_with_repeats():
+    sol = SteinSolution(4, smoothing_indicator(1.0, 8.0))
+    grid = stencil_points(4, points=60)
+    xs = np.random.default_rng(5).permutation(np.concatenate([grid, grid[::7], grid[-3:]]))
+    got = sol.fprime(xs)
+    for x, value in zip(grid, sol.fprime(grid)):
+        assert np.all(got[xs == x] == value), x
+
+
+def test_tail_value_alone_agrees_with_the_grid():
+    for p in (1, 6):
+        sol = SteinSolution(p, cosine(1.0))
+        xs = stencil_points(p, points=60)
+        together = sol.fprime(xs)
+        for i in range(0, xs.size, 37):
+            assert sol.fprime(float(xs[i])) == pytest.approx(together[i], abs=1e-12), xs[i]
+
+
+@pytest.mark.parametrize("p", [1, 6])
+def test_residual_grid_evaluates_h_on_few_nodes(p):
+    # each tail x used to integrate its own copy of the tail: 139,858 h
+    # evaluations at p = 1 and 169,258 at p = 6 for one 60-point grid
+    calls = []
+    base = cosine(1.0)
+    h = dataclasses.replace(base, fn=lambda x: calls.append(np.size(x)) or base.fn(x))
+    sol = SteinSolution(p, h)
+    calls.clear()
+    stein_residual(p, h, standard_grid(p, points=60), solution=sol)
+    assert sum(calls) <= 40_000
+
+
+def mp_tail_fprime(p, x):
+    """20-digit f'(x) = -x^{-a} int_0^inf (x+s)^{a-1} e^{-s/2} [cos(x+s) - E cos(Y_p)] ds
+    by mpmath quadrature, a = p/2."""
+    with mpmath.workdps(20):
+        a, x = mpmath.mpf(p) / 2, mpmath.mpf(x)
+        mean = mpmath.re((1 - 2j) ** (-a))
+
+        def g(s):
+            return (1 + s / x) ** (a - 1) * mpmath.exp(-s / 2) * (mpmath.cos(x + s) - mean) / x
+        return float(-mpmath.quad(g, mpmath.linspace(0, 90, 16) + [mpmath.inf]))
+
+
+@pytest.mark.parametrize("p", [1, 3, 8])
+def test_fprime_at_large_x(p):
+    # e^{x/2} overflowed the truncation test from x = 1,500 on
+    sol = SteinSolution(p, cosine(1.0))
+    xs = np.array([1_500.0, 1e4])
+    together = sol.fprime(xs)
+    for i, x in enumerate(xs):
+        want = mp_tail_fprime(p, x)
+        assert together[i] == pytest.approx(want, abs=1e-12), x
+        assert sol.fprime(x) == pytest.approx(want, abs=1e-12), x
+    # x far apart sweep apart: each value as if alone, and no rows between them
+    calls = []
+    sol.h = dataclasses.replace(sol.h, fn=lambda x: calls.append(np.size(x)) or np.cos(x))
+    far = np.array([p + 4.0, 1e4, 1e6, 1e4 + 60.0])
+    together = sol.fprime(far)
+    assert sum(calls) <= 20_000
+    assert np.allclose(together, [sol.fprime(x) for x in far], rtol=0.0, atol=1e-12)
+    with pytest.raises(DomainError, match="finite x > 0, got inf"):
+        sol.fprime(math.inf)
