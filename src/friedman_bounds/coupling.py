@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .exact import _check_terms, _entry, centered_doubled
+from .exact_law import _check_terms, _entry, centered_doubled
 
 __all__ = [
     "verify_regression",

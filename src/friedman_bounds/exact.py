@@ -13,15 +13,18 @@ moments are exact fractions.  The claims are covered by:
   times those of one trial, so the moments follow exactly at a cost that
   does not depend on n;
 
-* the law of F_r: the engine of ``exact_law``, whose names this module
-  re-exports, checked here against the moments above.
+* the law of F_r: the record of ``exact_law`` (f_law), read here as exact
+  rational atoms (exact_f_distribution) and P(F_r = 0); tests/test_exact.py
+  (test_f_law_moments_equal_joint_moments) checks its E[F], E[F^2] and
+  Var(F) against the moments above.
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 of ``exact_law`` (_check_terms raises BudgetError naming the cell, the term
 count and the cap).
 
 Every verify_* function returns a list of JSON-ready entries
-{identity, r, n, status, lhs, rhs} and never raises on a failed identity.
+{identity, r, n, status, lhs, rhs} in the format of ``exact_law._entry``
+and never raises on a failed identity.
 """
 
 from __future__ import annotations
@@ -33,11 +36,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
-from typing import Optional
 
 from .errors import BudgetError, DomainError
-from .exact_law import (BUDGET_CAP, _check_terms, centered_doubled, exact_f_distribution,
-                        point_mass_at_zero)
+from .exact_law import BUDGET_CAP, _check_terms, _entry, all_pass, centered_doubled, f_law
 
 __all__ = [
     "BUDGET_CAP",
@@ -53,24 +54,12 @@ __all__ = [
 ]
 
 
-def _entry(identity: str, r: Optional[int], n: Optional[int], status: str, lhs, rhs,
-           note: str = "") -> dict:
-    e = {"identity": identity, "r": r, "n": n, "status": status, "lhs": str(lhs), "rhs": str(rhs)}
-    if note:
-        e["note"] = note
-    return e
-
-
-def _eq_entry(identity: str, r: int, n: Optional[int], lhs, rhs, note: str = "") -> dict:
+def _eq_entry(identity: str, r: int, n: int | None, lhs, rhs, note: str = "") -> dict:
     return _entry(identity, r, n, "pass" if lhs == rhs else "fail", lhs, rhs, note)
 
 
-def _le_entry(identity: str, r: int, n: Optional[int], lhs, rhs, note: str = "") -> dict:
+def _le_entry(identity: str, r: int, n: int | None, lhs, rhs, note: str = "") -> dict:
     return _entry(identity, r, n, "pass" if lhs <= rhs else "fail", lhs, rhs, note)
-
-
-def all_pass(report: list[dict]) -> bool:
-    return all(e["status"] != "fail" for e in report)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +199,19 @@ def joint_moments(r: int, n: int) -> dict[str, Fraction]:
     e = {**_f_moments(r, n), **_s_moments(r, n)}
     e["E[T]^2"], e["E[T^2]"], e["E[T^4]"] = _t_statistic_moments(n, r)
     return e
+
+
+def exact_f_distribution(n: int, r: int) -> list[tuple[Fraction, Fraction]]:
+    """Sorted atoms (value, probability) of F_r under the null, exact."""
+    law = f_law(n, r)  # F = 3 |Q|^2 / (r(r+1)n)
+    return [(Fraction(3 * k, r * (r + 1) * n), Fraction(c, law.total))
+            for k, c in zip(law.keys, law.counts)]
+
+
+def point_mass_at_zero(n: int, r: int) -> Fraction:
+    """Exact P(F_r = 0)."""
+    law = f_law(n, r)
+    return Fraction(law.counts[0], law.total) if law.keys[0] == 0 else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,24 +9,46 @@ Python-int counts summed on an object array.
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 (_check_terms raises BudgetError naming the cell, the term count and the
-cap); every exact layer of the package charges it.  This module is small
-on purpose: `rate` and `distance --mode exact` read the law and load
-nothing of the verifiers in ``exact``.
+cap); every exact layer of the package charges it.
+
+f_law returns the law as one frozen record, FLaw: the integer keys |Q|^2
+(Q the doubled column sums, F_r = 3 |Q|^2 / (r(r+1)n)) in increasing order,
+their exact counts, the total (r!)^n and the number of sorted column-sum
+states the engine summed over.  Every exact consumer reads that record:
+the float atoms of the exact rows in ``montecarlo``, which report its
+states, and the rational atoms and P(F_r = 0) in ``exact``.
+
+This module is small on purpose, and integer-only: `rate` and `distance
+--mode exact` read the law, and the coupling and Stein suites the verify
+entry format, without loading the verifiers in ``exact`` or ``fractions``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from itertools import permutations as iter_permutations
+from typing import NamedTuple
 
 from .bounds import _check_nr
 from .errors import BudgetError
 
-__all__ = ["BUDGET_CAP", "centered_doubled", "exact_f_distribution", "point_mass_at_zero"]
+__all__ = ["BUDGET_CAP", "FLaw", "all_pass", "centered_doubled", "f_law"]
 
 BUDGET_CAP = 200_000
+
+
+def _entry(identity: str, r: int | None, n: int | None, status: str, lhs, rhs,
+           note: str = "") -> dict:
+    """One verify entry {identity, r, n, status, lhs, rhs[, note]}, the format of every suite."""
+    e = {"identity": identity, "r": r, "n": n, "status": status, "lhs": str(lhs), "rhs": str(rhs)}
+    if note:
+        e["note"] = note
+    return e
+
+
+def all_pass(report: list[dict]) -> bool:
+    return all(e["status"] != "fail" for e in report)
 
 
 def centered_doubled(r: int) -> list[int]:
@@ -81,17 +103,21 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(zip(map(tuple, states.tolist()), counts.tolist()))
 
 
-def exact_f_distribution(n: int, r: int) -> list[tuple[Fraction, Fraction]]:
-    """Sorted atoms (value, probability) of F_r under the null, exact."""
+class FLaw(NamedTuple):
+    """The exact null law of F_r: |Q|^2 = keys[i] with probability counts[i] / total."""
+
+    keys: tuple[int, ...]  # |Q|^2 in increasing order, Q the doubled column sums
+    counts: tuple[int, ...]  # exact Python ints
+    total: int  # (r!)^n
+    states: int  # the sorted column-sum states the engine summed over
+
+
+def f_law(n: int, r: int) -> FLaw:
+    """The exact null law of F_r, the record every exact consumer reads."""
     _check_nr(n, r)
-    weight = math.factorial(r) ** n
+    law = _sum_counts(r, n)
     sq_counts: Counter = Counter()
-    for state, c in _sum_counts(r, n):
+    for state, c in law:
         sq_counts[sum(q * q for q in state)] += c
-    scale = Fraction(3, r * (r + 1) * n)  # F = 3 * sum Q_j^2 / (r(r+1)n)
-    return [(scale * k, Fraction(c, weight)) for k, c in sorted(sq_counts.items())]
-
-
-def point_mass_at_zero(n: int, r: int) -> Fraction:
-    """Exact P(F_r = 0)."""
-    return dict(exact_f_distribution(n, r)).get(Fraction(0), Fraction(0))
+    keys, counts = zip(*sorted(sq_counts.items()))
+    return FLaw(keys, counts, math.factorial(r) ** n, len(law))

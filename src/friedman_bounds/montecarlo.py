@@ -46,7 +46,9 @@ atom of the step function; sampled ones carry a DKW error bar.  The
 Wasserstein diagnostic is the exact integral of |ECDF - CDF|.  smooth_gap
 computes smooth test-function gaps exactly, by Monte Carlo, or ('auto')
 exactly whenever the exact engine fits its budget (exact_law.BUDGET_CAP
-enumerated terms), with the method recorded in the result.
+enumerated terms), with the method recorded in the result.  A result's
+``samples`` counts its Monte Carlo draws, or on an exact row the sorted
+column-sum states the exact engine summed over (exact_law.FLaw.states).
 """
 
 from __future__ import annotations
@@ -122,17 +124,12 @@ class RngContract:
 class DistanceEstimate:
     value: float
     half_width: float
-    samples: int
+    samples: int  # Monte Carlo draws, or the exact engine's states on an exact row
     method: str  # "exact-enumeration" or "monte-carlo"
 
     def within(self, bound: float) -> bool:
         """The gate: the value is at most the bound plus the error bar."""
         return bool(self.value <= bound + self.half_width)
-
-
-def _exact_estimate(value: float, n: int, r: int) -> DistanceEstimate:
-    return DistanceEstimate(value=value, half_width=0.0, samples=math.factorial(r) ** n,
-                            method="exact-enumeration")
 
 
 @lru_cache(maxsize=None)
@@ -331,12 +328,16 @@ def _sup_gap(atoms: np.ndarray, after: np.ndarray, jumps: np.ndarray, p: int) ->
     return float(np.max(np.maximum(after - cdf, cdf - (after - jumps))))
 
 
-def _exact_atoms(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exact atoms of F_r and their probabilities, as floats."""
-    from .exact_law import exact_f_distribution
+def _exact_row(n: int, r: int, statistic) -> DistanceEstimate:
+    """An exact row: ``statistic(values, probs)`` of the atoms of F_r and their
+    probabilities as floats, each correctly rounded from its exact value, with
+    the states the exact engine summed over as its ``samples``."""
+    from .exact_law import f_law
 
-    atoms = exact_f_distribution(n, r)
-    return (np.array([float(a) for a, _ in atoms]), np.array([float(p) for _, p in atoms]))
+    law = f_law(n, r)
+    values = 3.0 * np.array(law.keys) / (r * (r + 1) * n)
+    probs = np.array([c / law.total for c in law.counts])
+    return DistanceEstimate(statistic(values, probs), 0.0, law.states, "exact-enumeration")
 
 
 def estimate_kolmogorov(n: int, r: int, samples: int, rng: RngContract,
@@ -352,8 +353,7 @@ def estimate_kolmogorov(n: int, r: int, samples: int, rng: RngContract,
 
 def exact_kolmogorov(n: int, r: int) -> DistanceEstimate:
     """Exact d_K via enumeration of the atom law of F_r (budget permitting)."""
-    xs, probs = _exact_atoms(n, r)
-    return _exact_estimate(_sup_gap(xs, np.cumsum(probs), probs, r - 1), n, r)
+    return _exact_row(n, r, lambda xs, probs: _sup_gap(xs, np.cumsum(probs), probs, r - 1))
 
 
 def _chisq_side(h: TestFunction, p: int) -> float:
@@ -362,11 +362,14 @@ def _chisq_side(h: TestFunction, p: int) -> float:
     return chisq_expectation(ChiSquareLaw(p), h)
 
 
+def _exact_smooth_row(n: int, r: int, h: TestFunction) -> DistanceEstimate:
+    return _exact_row(n, r, lambda xs, probs: abs(math.fsum(probs * h.fn(xs))
+                                                  - _chisq_side(h, r - 1)))
+
+
 def exact_smooth_gap(n: int, r: int, h: TestFunction) -> float:
     """|E[h(F_r)] - E[h(Y_{r-1})]| with the first term an exact atom average."""
-    values, probs = _exact_atoms(n, r)
-    mean_h = math.fsum(probs * h.fn(values))
-    return abs(mean_h - _chisq_side(h, r - 1))
+    return _exact_smooth_row(n, r, h).value
 
 
 def estimate_smooth_gap(n: int, r: int, h: TestFunction, samples: int,
@@ -392,7 +395,7 @@ def smooth_gap(n: int, r: int, h: TestFunction, mode: str, samples: int,
         raise DomainError(f"unknown mode {mode!r}")
     if mode != "mc":
         try:
-            return _exact_estimate(exact_smooth_gap(n, r, h), n, r)
+            return _exact_smooth_row(n, r, h)
         except BudgetError:
             if mode == "exact":
                 raise
@@ -448,7 +451,7 @@ def estimate_wasserstein(n: int, samples: int, rng: RngContract,
 
 
 def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "auto",
-                    samples: int = 1_000_000, rng: RngContract | None = None,
+                    samples: int = 1_000_000, rng: RngContract = RngContract(seed=0),
                     threads: int = 1) -> list[dict]:
     """Gap-versus-bound table across n, one smooth_gap per n (see its modes;
     the row for n samples substream n of ``rng``, so every n is below 2**20,
@@ -462,22 +465,19 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
         if n >= 2 ** 20:
             raise DomainError(f"the row for n draws from substream n, so n must be "
                               f"below 2**20, got n={n}")
-    if rng is None:
-        rng = RngContract(seed=0)
     norms = bounds_mod.SmoothNorms(h1=h.norm(1), h2=h.norm(2), h3=h.norm(3))
     rows = []
     for n in n_list:
         est = smooth_gap(n, r, h, mode, samples, rng.substream(n), threads=threads)
-        gap, half = est.value, est.half_width
         report = bounds_mod.bound_report(n, r, norms)
         ok = None if report.selected is None else est.within(report.selected)
         rows.append({
             "n": n,
             "r": r,
             "h": h.label,
-            "gap": gap,
-            "n_times_gap": n * gap,
-            "half_width": half,
+            "gap": est.value,
+            "n_times_gap": n * est.value,
+            "half_width": est.half_width,
             "method": est.method,
             "samples": est.samples,
             "bound_compact": report.compact,

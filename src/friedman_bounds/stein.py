@@ -60,8 +60,7 @@ import numpy as np
 
 from .chisq import ChiSquareLaw, _converged_rule, chisq_expectation
 from .errors import ConvergenceError, DomainError
-from .exact import _entry
-from .exact_law import _sum_counts
+from .exact_law import _entry, _sum_counts
 from .ranks import theoretical_covariance
 from .testfunctions import TestFunction, cosine, identity, sine
 

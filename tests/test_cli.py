@@ -329,7 +329,8 @@ def test_results_golden_stdout(capsys):
     # exit codes and stdout pinned before distance and rate shared one
     # exact-or-sampled gap path, one exact record and one gate, and (the
     # r-max 6 verify line) before the swap pass and the decomposition
-    # trials became array passes
+    # trials became array passes; samples on the exact rows re-pinned when
+    # it became the engine's state count
     golden = Path(__file__).parent / "golden" / "results.jsonl"
     for line in golden.read_text().splitlines():
         call = json.loads(line)
@@ -564,16 +565,21 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
         for name in ("friedman_bounds.exact", "friedman_bounds.exact_law", "fractions",
                      "concurrent.futures", "numpy.polynomial"):
             assert not loads(modules, name), (argv, name)
-    # the exact distance and rate read the exact law and load none of the verifiers
+    # the exact distance and rate read the exact-law record as ints and floats:
+    # they load none of the verifiers and no fractions
     for argv in calls[-2:]:
         assert loads(loaded[argv], "friedman_bounds.exact_law"), argv
         assert not loads(loaded[argv], "friedman_bounds.exact"), argv
+        assert not loads(loaded[argv], "fractions"), argv
     # the Stein call loads what it runs, so the checks above cannot pass vacuously
     stein = modules_loaded_by("verify", "--suite", "stein", "--p-max", "1")
     assert loads(stein, "friedman_bounds.stein") and loads(stein, "numpy")
     assert not loads(stein, "scipy")
-    # each verify suite imports its own modules only
+    # each verify suite imports its own modules only; the entry format lives
+    # in exact_law, so the Stein and coupling suites load none of the lemma verifiers
     assert not loads(stein, "friedman_bounds.coupling")
+    assert loads(stein, "friedman_bounds.exact_law")
+    assert not loads(stein, "friedman_bounds.exact")
     lemmas = modules_loaded_by("verify", "--suite", "lemmas", "--r-max", "3", "--n-max", "2")
     assert loads(lemmas, "friedman_bounds.exact")
     for name in ("numpy", "friedman_bounds.coupling", "friedman_bounds.stein",
@@ -581,6 +587,6 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
         assert not loads(lemmas, name), name
     pair = modules_loaded_by("verify", "--suite", "coupling", "--r-max", "3", "--n-max", "2")
     assert loads(pair, "friedman_bounds.coupling")
-    for name in ("friedman_bounds.stein", "friedman_bounds.chisq",
+    for name in ("friedman_bounds.exact", "friedman_bounds.stein", "friedman_bounds.chisq",
                  "friedman_bounds.testfunctions"):
         assert not loads(pair, name), name

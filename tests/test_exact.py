@@ -313,6 +313,10 @@ def test_point_mass_at_zero_closed_form():
     for k in (1, 2, 3):
         n = 2 * k
         assert point_mass_at_zero(n, 2) == Fraction(math.comb(n, k), 2 ** n)
+    # no zero atom: Q_1 = -Q_2 is odd at r = 2 with odd n, and nonzero at (1, 3)
+    for n, r in ((1, 2), (3, 2), (5, 2), (11, 2), (1, 3)):
+        assert exact_f_distribution(n, r)[0][0] > 0
+        assert point_mass_at_zero(n, r) == Fraction(0)
 
 
 @pytest.mark.parametrize("n, r, message", [(0, 3, "need n >= 1, got 0"),

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from friedman_bounds import (BudgetError, ChiSquareLaw, DomainError, RankMatrix,
-                             bound_kolmogorov, chisq_cdf, chisq_expectation, montecarlo)
+                             bound_kolmogorov, chisq_cdf, chisq_expectation, exact_law,
+                             montecarlo)
 from friedman_bounds.exact import exact_f_distribution
 from friedman_bounds.montecarlo import (RngContract, _column_sums, _ecdf_l1_distance,
                                         _permutation_table, _sample_statistics, _sampler_path,
@@ -420,6 +421,33 @@ def test_rate_experiment_table():
     assert rows[0]["method"] == "monte-carlo"  # the exact engine is over budget
     with pytest.raises(BudgetError):
         rate_experiment(6, [8], power(2), mode="exact")
+
+
+def test_exact_rows_report_the_states_summed():
+    # samples on an exact row is the engine's sorted column-sum states, not (r!)^n
+    assert exact_kolmogorov(5, 4).samples == len(exact_law._sum_counts(4, 5)) == 131
+    est = smooth_gap(4, 3, cosine(1.0), "exact", 2000, RngContract(seed=1))
+    assert est.samples == len(exact_law._sum_counts(3, 4))
+    rows = rate_experiment(3, [2, 32], power(2))
+    assert [row["method"] for row in rows] == ["exact-enumeration"] * 2
+    assert [row["samples"] for row in rows] == [len(exact_law._sum_counts(3, n))
+                                                for n in (2, 32)] == [5, 545]
+
+
+@pytest.mark.parametrize("r, n", [(2, 1), (2, 200), (3, 32), (4, 5), (5, 3), (6, 3), (7, 1)])
+def test_exact_row_floats_are_the_rounded_rational_atoms(r, n):
+    # the float atoms and probabilities of an exact row are float() of the
+    # exact rationals, bit for bit, also where counts pass 2^63 (r = 3, n = 32)
+    seen = {}
+
+    def statistic(values, probs):
+        seen["values"], seen["probs"] = values, probs
+        return 0.0
+
+    montecarlo._exact_row(n, r, statistic)
+    atoms = exact_f_distribution(n, r)
+    assert seen["values"].tolist() == [float(a) for a, _ in atoms]
+    assert seen["probs"].tolist() == [float(p) for _, p in atoms]
 
 
 def test_wasserstein_below_prop_bound():
