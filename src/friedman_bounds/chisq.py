@@ -130,12 +130,12 @@ def _tail_mass_bound(p: int, big_t, growth_degree: int, growth_coeff: float):
     """Upper bound on E[|h(Y)| 1{Y > T}] for |h(x)| <= coeff*(1 + x^degree); T may be an array.
 
     E[Y^d 1{Y > T}] = 2^d Gamma(a+d)/Gamma(a) Q(a+d, T/2) with a = p/2, and
-    Q(a+d, T/2) is the chi-square tail Q_{p+2d}(T).
+    Q(a+d, T/2) is the chi-square tail Q_{p+2d}(T); at d = 0 that term is
+    Q_p(T) itself, since the contract allows |h| up to 2 coeff there.
     """
     d, a = growth_degree, p / 2.0
     moment = math.exp(d * math.log(2.0) + math.lgamma(a + d) - math.lgamma(a))  # E[Y^d]
-    moment_tail = chisq_tail(p + 2 * d, big_t) if d else 0.0
-    return growth_coeff * (chisq_tail(p, big_t) + moment * moment_tail)
+    return growth_coeff * (chisq_tail(p, big_t) + moment * chisq_tail(p + 2 * d, big_t))
 
 
 @lru_cache(maxsize=None)

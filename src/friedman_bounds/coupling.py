@@ -17,9 +17,10 @@ configurations.  The pass is one exact int64 numpy computation over the
 increment array dQ[row, K, L, :], the swapped row minus the row on the
 doubled-rank scale, of shape (r!, r, r, r): the regression sums reduce it
 over (K, L), the product matrix is dQ^T dQ over all row draws, and the
-support, quartic and cubic rules are counted as masks, the last two only
-on draws that pass the support rule.  It tallies everything the three
-verifiers report; they only format entries for (r, n).  The pass is cached
+support, quartic and cubic rules are counted as masks on every draw, so
+an increment off the support rule also fails each product pattern it
+breaks.  It tallies everything the three verifiers report; they only
+format entries for (r, n).  The pass is cached
 on the rows, so each r is enumerated once per process whatever n, and its
 r! r^2 row draws are charged to the exact engine's budget on every call,
 before any array is built (BudgetError beyond it; verify_suite, which runs
@@ -95,16 +96,15 @@ def _swap_pass(rows: tuple[tuple[int, ...], ...]) -> _SwapTally:
     d3, d4 = d2 * d, d2 * d2
     quartic = ((a ** 4 != d4) | (b ** 4 != d4) | (a * a * b * b != d4)
                | (a ** 3 * b != -d4) | (a * b ** 3 != -d4))
-    quartic_bad = np.count_nonzero(ok & quartic)
     if r > 2:  # z[K, L] is the first index outside {K, L}
         z = np.array([[min({0, 1, 2} - {kk, ll}) for ll in range(r)] for kk in range(r)])
         dz = dq[:, k, l, z]
-        quartic_bad += np.count_nonzero(ok & ((a ** 3 * dz != 0) | (a * b * dz != 0)))
+        quartic |= (a ** 3 * dz != 0) | (a * b * dz != 0)
     cubic = ((a ** 3 != d3) | (b ** 3 != -d3)
              | (a * a * b != -d3) | (a * b * b != d3))
     return _SwapTally(len(rows), len(rows) * r * r, int(regression_bad),
                       tuple(map(tuple, products.tolist())), int(ok.size - np.count_nonzero(ok)),
-                      int(quartic_bad), int(np.count_nonzero(ok & cubic)))
+                      int(np.count_nonzero(quartic)), int(np.count_nonzero(cubic)))
 
 
 def _tally(r: int) -> _SwapTally:

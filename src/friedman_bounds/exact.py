@@ -38,10 +38,9 @@ from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
 from .errors import BudgetError, DomainError
-from .exact_law import BUDGET_CAP, _check_terms, _entry, all_pass, centered_doubled, f_law
+from .exact_law import _check_terms, _entry, all_pass, centered_doubled, f_law
 
 __all__ = [
-    "BUDGET_CAP",
     "joint_moments",
     "verify_lemma_formulas",
     "verify_inequalities",

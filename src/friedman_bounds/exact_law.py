@@ -16,7 +16,9 @@ f_law returns the law as one frozen record, FLaw: the integer keys |Q|^2
 their exact counts, the total (r!)^n and the number of sorted column-sum
 states the engine summed over.  Every exact consumer reads that record:
 the float atoms of the exact rows in ``montecarlo``, which report its
-states, and the rational atoms and P(F_r = 0) in ``exact``.
+states, the rational atoms and P(F_r = 0) in ``exact``, and the Stein
+half of the operator link in ``stein``.  law_floats is the one float view
+of the record, shared by the exact rows and the link.
 
 This module is small on purpose, and integer-only: `rate` and `distance
 --mode exact` read the law, and the coupling and Stein suites the verify
@@ -33,7 +35,7 @@ from typing import NamedTuple
 from .bounds import _check_nr
 from .errors import BudgetError
 
-__all__ = ["BUDGET_CAP", "FLaw", "all_pass", "centered_doubled", "f_law"]
+__all__ = ["BUDGET_CAP", "FLaw", "all_pass", "centered_doubled", "f_law", "law_floats"]
 
 BUDGET_CAP = 200_000
 
@@ -70,11 +72,11 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     so the law of the column sums is the n-fold convolution of that uniform
     law; total weight (r!)^n.  Each state is sorted after every trial, which
     is exact: the moves are closed under permuting coordinates, so sorting
-    commutes with each trial, and both callers are symmetric in the columns
-    (the sum of squares for F_r; |s|^2 and s' (I - J/r) s for the operator
-    link).  Before each trial the budget is charged with the running total
-    of states times the r! moves, so a cell past the cap fails at the first
-    trial that would exceed it; the moves are built after the first charge.
+    commutes with each trial, and the one caller, f_law, reads a state only
+    through its sum of squares.  Before each trial the budget is charged
+    with the running total of states times the r! moves, so a cell past the
+    cap fails at the first trial that would exceed it; the moves are built
+    after the first charge.
 
     A trial is one array pass: every (state, move) sum is sorted along its
     row and keyed as one int64 in mixed radix 2n(r-1)+1 (a column sum lies
@@ -121,3 +123,14 @@ def f_law(n: int, r: int) -> FLaw:
         sq_counts[sum(q * q for q in state)] += c
     keys, counts = zip(*sorted(sq_counts.items()))
     return FLaw(keys, counts, math.factorial(r) ** n, len(law))
+
+
+def law_floats(law: FLaw, n: int, r: int):
+    """The atoms 3 keys / (r(r+1)n) of ``law`` = f_law(n, r) and their
+    probabilities counts / total, as float arrays, each correctly rounded
+    from its exact value (Python int division, no Fraction)."""
+    import numpy as np
+
+    values = 3.0 * np.array(law.keys) / (r * (r + 1) * n)
+    probs = np.array([c / law.total for c in law.counts])
+    return values, probs

@@ -332,12 +332,11 @@ def _exact_row(n: int, r: int, statistic) -> DistanceEstimate:
     """An exact row: ``statistic(values, probs)`` of the atoms of F_r and their
     probabilities as floats, each correctly rounded from its exact value, with
     the states the exact engine summed over as its ``samples``."""
-    from .exact_law import f_law
+    from .exact_law import f_law, law_floats
 
     law = f_law(n, r)
-    values = 3.0 * np.array(law.keys) / (r * (r + 1) * n)
-    probs = np.array([c / law.total for c in law.counts])
-    return DistanceEstimate(statistic(values, probs), 0.0, law.states, "exact-enumeration")
+    return DistanceEstimate(statistic(*law_floats(law, n, r)), 0.0, law.states,
+                            "exact-enumeration")
 
 
 def estimate_kolmogorov(n: int, r: int, samples: int, rng: RngContract,

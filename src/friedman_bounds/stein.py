@@ -46,6 +46,12 @@ checks can confirm but never refute the bounds
     |f^(k)| <= ((2 sqrt(pi) + sqrt(2)/e)/sqrt(p+2k-2) + 4/(p+2k-2)) |h^(k-1)|
     |f^(k)| <= (4/(p+2k-2)) (3 |h^(k-1)| + 2 |h^(k-2)|),   k >= 2.
 
+The operator link has two halves.  The multivariate-normal generator with
+covariance Sigma equals the chi-square one at every state, for every f',
+exactly when Sigma fixes each row of one trial and has trace r - 1, so that
+half reads the r! rows of one trial; the Stein-identity half reads the
+atoms of the exact law f_law(n, r).
+
 verify_suite runs these checks and the operator link as verify entries, each
 with its own pass rule: residuals and the operator link within 1e-5, the
 h(t) = t equality case f' = -2 within 1e-8.
@@ -55,12 +61,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
 from .chisq import ChiSquareLaw, _converged_rule, chisq_expectation
 from .errors import ConvergenceError, DomainError
-from .exact_law import _entry, _sum_counts
+from .exact_law import _entry, centered_doubled, f_law, law_floats
 from .ranks import theoretical_covariance
 from .testfunctions import TestFunction, cosine, identity, sine
 
@@ -282,43 +289,40 @@ def derivative_bound_check(p: int, h: TestFunction, k: int,
 
 
 def verify_operator_link(r: int, n: int, h: TestFunction) -> dict:
-    """Exact-enumeration check of the chi-square / multivariate-normal link.
+    """Exact check of the chi-square / multivariate-normal operator link, in two halves.
 
-    With g(s) = f(sum_j s_j^2)/4 built from the numerical f', the average of
-    grad' Sigma grad g(S) - S' grad g(S)  (full r x r contraction with the
-    theoretical covariance) must match the average of
-    F f''(F) + (r-1-F) f'(F)/2, and both must match E[h(F)] - E[h(Y_{r-1})].
-    The averages are exact sums over the sorted column-sum states of the
-    exact engine, each weighted by its count of configurations; the engine
-    raises BudgetError past its budget.  Both agreements must be within 1e-5.
+    With g(s) = f(|s|^2)/4 built from the numerical f' and F = |S|^2, the
+    multivariate-normal generator grad' Sigma grad g(S) - S' grad g(S) minus
+    the chi-square one, F f''(F) + (r-1-F) f'(F)/2, is
+    f''(F) (S' Sigma S - F) + f'(F) (tr Sigma - (r-1))/2.  Every state S is a
+    sum of trial rows, so the link holds at every state, for every f', exactly
+    when Sigma = theoretical_covariance(r) fixes each of the r! rows of one
+    trial and has trace r - 1; ``operator_agreement`` is the largest departure
+    from those two facts, |Sigma x - x| over the rows x of doubled centered
+    ranks (exact integers, so only Sigma can depart) and |tr Sigma - (r-1)|.
+
+    The other half depends on a state only through F, so it reads the atoms
+    of f_law(n, r): the mean of the chi-square generator must match
+    E h(F) - E h(Y_{r-1}) (``stein_identity_residual``).  The law is read
+    first, so a cell past the budget raises BudgetError before any row is
+    built.  Both numbers must be within 1e-5.
     """
     p = r - 1
+    values, probs = law_floats(f_law(n, r), n, r)
     sol = SteinSolution(p, h)
-    c = math.sqrt(12.0 / (r * (r + 1) * n))
+    # The atom F = 0 needs f'(0+), realized by x = 1e-9: there F f'' drops out
+    # and the chi-square generator is (r-1) f'(0)/2.
+    fp, fpp = sol._derivatives(2, np.maximum(values, 1e-9))
+    mean_chisq = float(probs @ (values * fpp + 0.5 * (p - values) * fp))
+    gap_direct = float(probs @ h.fn(values)) - sol.chisq_h
+    rows = np.array(list(permutations(centered_doubled(r))), dtype=float)
     sigma = theoretical_covariance(r)
-
-    states, counts = zip(*_sum_counts(r, n))
-    s = c * np.array(states, dtype=float) / 2.0
-    counts = np.array(counts, dtype=float)
-    w = np.einsum("ij,ij->i", s, s)
-    # The state S = 0 (w = 0) needs f'(0+), realized by x = 1e-9: there s = 0
-    # and w = 0, so f'' drops out and both operators are (r-1) f'(0)/2.
-    fp, fpp = sol._derivatives(2, np.maximum(w, 1e-9))
-    # hessian of g: f''(w) s_j s_k + f'(w) delta_jk / 2
-    mvn = fpp * np.einsum("ij,jk,ik->i", s, sigma, s) + 0.5 * fp * np.trace(sigma) - 0.5 * w * fp
-    chisq = w * fpp + 0.5 * (p - w) * fp
-
-    weight = math.factorial(r) ** n
-    mean_mvn = float(counts @ mvn) / weight
-    mean_chisq = float(counts @ chisq) / weight
-    gap_direct = float(counts @ h.fn(w)) / weight - sol.chisq_h
-    agree_ops = abs(mean_mvn - mean_chisq)
+    agree_ops = max(float(np.abs(rows @ sigma.T - rows).max()), abs(float(np.trace(sigma)) - p))
     agree_gap = abs(mean_chisq - gap_direct)
     return {
         "r": r,
         "n": n,
         "h": h.label,
-        "mvn_operator_mean": mean_mvn,
         "chisq_operator_mean": mean_chisq,
         "direct_gap": gap_direct,
         "operator_agreement": agree_ops,

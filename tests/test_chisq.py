@@ -235,14 +235,14 @@ def test_expectation_frequency_past_the_panel_cap_raises():
 @pytest.mark.parametrize("p", range(1, 31))
 def test_tail_mass_bound_is_an_upper_bound(p):
     # the truncation tails use the closed-form chisq_tail, not gammaincc;
-    # the exact tail is E[(1 + Y^d) 1{Y > T}] = Q(a, T/2) + 2^d Gamma(a+d)/Gamma(a) Q(a+d, T/2)
+    # the exact tail is E[(1 + Y^d) 1{Y > T}] = Q(a, T/2) + 2^d Gamma(a+d)/Gamma(a) Q(a+d, T/2),
+    # which at d = 0 is the contract's Q + Q, not Q alone
     a = p / 2.0
     big_t = 2.0 * np.geomspace(1e-3, 2000.0, 400)
     for d in range(5):
-        exact = gammaincc(a, big_t / 2.0)
-        if d:
-            exact = exact + (math.exp(d * math.log(2.0) + math.lgamma(a + d) - math.lgamma(a))
-                             * gammaincc(a + d, big_t / 2.0))
+        exact = gammaincc(a, big_t / 2.0) + (
+            math.exp(d * math.log(2.0) + math.lgamma(a + d) - math.lgamma(a))
+            * gammaincc(a + d, big_t / 2.0))
         bound = _tail_mass_bound(p, big_t, d, 1.0)
         assert np.all(bound >= exact * (1.0 - 1e-12)), (p, d)
         assert _tail_mass_bound(p, float(big_t[200]), d, 1.0) == bound[200]

@@ -330,7 +330,8 @@ def test_results_golden_stdout(capsys):
     # exact-or-sampled gap path, one exact record and one gate, and (the
     # r-max 6 verify line) before the swap pass and the decomposition
     # trials became array passes; samples on the exact rows re-pinned when
-    # it became the engine's state count
+    # it became the engine's state count, and the operator-link lhs when its
+    # covariance half became a check on one trial's rows
     golden = Path(__file__).parent / "golden" / "results.jsonl"
     for line in golden.read_text().splitlines():
         call = json.loads(line)

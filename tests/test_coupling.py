@@ -35,22 +35,20 @@ def _reference_swap_pass(rows):
                 if dq[k] != d or dq[l] != -d or any(
                         dq[j] for j in range_r if j != k and j != l):
                     support_bad += 1
-                    continue
                 a = dq[k]
                 b = dq[l]
                 d2 = d * d
                 d3 = d2 * d
                 d4 = d2 * d2
+                # dz: the first coordinate outside {K, L}, 0 when there is none
+                dz = next((dq[j] for j in range_r if j != k and j != l), 0)
                 if (a ** 4 != d4 or b ** 4 != d4 or a * a * b * b != d4
-                        or a ** 3 * b != -d4 or a * b ** 3 != -d4):
+                        or a ** 3 * b != -d4 or a * b ** 3 != -d4
+                        or a ** 3 * dz != 0 or a * b * dz != 0):
                     quartic_bad += 1
                 if (a ** 3 != d3 or b ** 3 != -d3
                         or a * a * b != -d3 or a * b * b != d3):
                     cubic_bad += 1
-                if r > 2:
-                    z = next(j for j in range_r if j != k and j != l)
-                    if a ** 3 * dq[z] != 0 or a * b * dq[z] != 0:
-                        quartic_bad += 1
         if any(summed[j] != -2 * r * row[j] for j in range_r):
             regression_bad += 1
     return coupling._SwapTally(len(rows), len(rows) * r * r, regression_bad,

@@ -85,6 +85,8 @@ def test_joint_budget():
                                           r"which exceeds the cap 200000"):
         exact_f_distribution(100, 5)
     assert sum(p for _, p in exact_f_distribution(5, 5)) == 1  # 93,600 terms fit
+    # the budget lives in exact_law alone: a copy in exact would not change it
+    assert not hasattr(exact, "BUDGET_CAP")
 
 
 def test_convolution_over_budget_builds_no_moves(monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from friedman_bounds import chisq, chisq_expectation, stein
-from friedman_bounds.errors import ConvergenceError, DomainError
+from friedman_bounds.errors import BudgetError, ConvergenceError, DomainError
 from friedman_bounds.stein import (SteinSolution, derivative_bound_check, standard_grid,
                                    stein_residual, verify_operator_link, verify_suite)
 from friedman_bounds.testfunctions import (constant, cosine, identity, power, sine,
@@ -96,8 +96,50 @@ def test_operator_link_examples():
 
 
 def test_operator_link_other_designs():
-    for r, n in [(2, 2), (2, 3), (4, 1)]:
+    for r, n in [(2, 2), (2, 3), (4, 1), (4, 3), (5, 2)]:
         assert verify_operator_link(r, n, cosine(0.5))["status"] == "pass"
+
+
+def wrong_trace(r):
+    # I - J/(r+1) fixes every row (a row sums to 0), but its trace is r - r/(r+1)
+    return np.eye(r) - 1.0 / (r + 1)
+
+
+def perturbed_pair(r):
+    sigma = np.eye(r) - 1.0 / r
+    sigma[0, 1] += 0.1
+    sigma[1, 0] += 0.1
+    return sigma
+
+
+@pytest.mark.parametrize("wrong", [wrong_trace, perturbed_pair])
+def test_operator_link_fails_on_a_wrong_covariance(monkeypatch, wrong):
+    monkeypatch.setattr(stein, "theoretical_covariance", wrong)
+    for r, n in [(3, 2), (4, 3)]:
+        out = verify_operator_link(r, n, cosine(1.0))
+        assert out["status"] == "fail"
+        assert out["operator_agreement"] >= 0.1
+        assert out["stein_identity_residual"] <= 1e-5  # the Stein half reads no Sigma
+
+
+def test_operator_agreement_is_the_same_for_every_h():
+    # the covariance half reads Sigma and one trial's rows, never f'
+    for r, n in [(3, 2), (5, 2)]:
+        got = {verify_operator_link(r, n, h)["operator_agreement"]
+               for h in (cosine(1.0), sine(1.0), identity(), constant(2.0))}
+        assert len(got) == 1, (r, n, got)
+
+
+def test_operator_link_refuses_bad_cells_before_building_rows(monkeypatch):
+    def no_sigma(r):
+        raise AssertionError("the covariance was read before the law")
+
+    monkeypatch.setattr(stein, "theoretical_covariance", no_sigma)
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="need n >= 1"):
+            verify_operator_link(3, n, cosine(1.0))
+    with pytest.raises(BudgetError, match="r=3, n=64"):
+        verify_operator_link(3, 64, cosine(1.0))
 
 
 @pytest.mark.parametrize("p", range(1, 11))
