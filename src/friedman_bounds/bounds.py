@@ -30,7 +30,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .errors import DomainError, InfiniteNormError
+from .errors import DomainError, InfiniteNormError, check_count
 
 __all__ = [
     "SmoothNorms",
@@ -79,13 +79,6 @@ class SharpCoefficients:
     beta3: float
 
 
-def _check_nr(n: int, r: int, min_n: int = 1) -> None:
-    if n < min_n:
-        raise DomainError(f"need n >= {min_n}, got {n}")
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
-
-
 def _require_finite(*norms: float) -> None:
     if any(not math.isfinite(v) for v in norms):
         raise InfiniteNormError("bound requires finite derivative norms")
@@ -93,7 +86,7 @@ def _require_finite(*norms: float) -> None:
 
 def bound_compact(n: int, r: int, norms: SmoothNorms) -> float:
     """Compact smooth-test-function bound, valid for all n >= 1, r >= 2."""
-    _check_nr(n, r)
+    n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
     _require_finite(norms.h1, norms.h2, norms.h3)
     q = r / n
     return q * (293.0 * norms.h1 + (2269.0 + 431.0 * q) * norms.h2 + (3533.0 + 646.0 * q) * norms.h3)
@@ -101,7 +94,7 @@ def bound_compact(n: int, r: int, norms: SmoothNorms) -> float:
 
 def sharp_coefficients(n: int, r: int) -> SharpCoefficients:
     """Coefficient table of the sharper bound (defined for n >= 2)."""
-    _check_nr(n, r, min_n=2)
+    n, r = check_count(n, 2, "n"), check_count(r, 2, "r")
     a_n = 3.0 + 9.0 / (5.0 * n) - 21.0 / (5.0 * n * n)
     sq = math.sqrt(a_n)
     b_n = (
@@ -128,16 +121,14 @@ def bound_sharp(n: int, r: int, norms: SmoothNorms) -> float:
 
 def bound_trivial(r: int, h1: float) -> float:
     """Mean-value bound 2(r-1) h1, valid for every n."""
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
+    r = check_count(r, 2, "r")
     _require_finite(h1)
     return 2.0 * (r - 1) * h1
 
 
 def bound_r2_special(n: int, which: str, norms: Optional[SmoothNorms] = None) -> float:
     """r = 2 specials: 'wasserstein' needs no norms, 'smooth' needs h1, h2."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = check_count(n, 1, "n")
     if which == "wasserstein":
         return (87.0 + 48.0 / math.sqrt(n)) / math.sqrt(n)
     if which == "smooth":
@@ -150,7 +141,7 @@ def bound_r2_special(n: int, which: str, norms: Optional[SmoothNorms] = None) ->
 
 def bound_kolmogorov(n: int, r: int) -> float:
     """Raw (unclamped) Kolmogorov distance bound; three per-r regimes."""
-    _check_nr(n, r)
+    n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
     if r == 2:
         return 0.9496 / math.sqrt(n)
     if r == 3:
@@ -200,7 +191,7 @@ def bound_report(n: int, r: int, norms: SmoothNorms = SmoothNorms()) -> BoundRep
     entries (infinite norms, n = 1 for the sharp bound) are omitted rather
     than raised.
     """
-    _check_nr(n, r)
+    n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
     finite123 = norms.all_finite
     finite1 = math.isfinite(norms.h1)
     finite12 = finite1 and math.isfinite(norms.h2)

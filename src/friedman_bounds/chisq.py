@@ -37,13 +37,12 @@ smooth, are panel breakpoints.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_count
 
 __all__ = [
     "ChiSquareLaw",
@@ -62,12 +61,7 @@ class ChiSquareLaw:
     p: int
 
     def __post_init__(self):
-        # any integer type passes (numpy's too) and is stored as an int; nothing is
-        # rounded, and a bool, which has __index__, is not a count
-        if (isinstance(self.p, (bool, np.bool_)) or not hasattr(self.p, "__index__")
-                or self.p < 1):
-            raise DomainError(f"degrees of freedom must be a positive integer, got {self.p!r}")
-        object.__setattr__(self, "p", operator.index(self.p))
+        object.__setattr__(self, "p", check_count(self.p, 1, "p"))  # stored as an int
 
 
 def _as_df(law) -> int:

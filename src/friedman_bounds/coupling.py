@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, check_count
 from .exact_law import _check_terms, _entry, centered_doubled
 
 __all__ = [
@@ -122,6 +122,7 @@ def verify_regression(r: int, n: int) -> list[dict]:
     conditioning on S, so this implies the regression identity
     E[S'-S | S] = -(2/(rn)) S with Lambda = (2/(rn)) I.
     """
+    r, n = check_count(r, 2, "r"), check_count(n, 1, "n")
     t = _tally(r)
     return [_entry("regression sum_draws dQ = -2r Q per configuration", r, n,
                    "pass" if t.regression_bad == 0 else "fail",
@@ -135,6 +136,7 @@ def verify_increment_moments(r: int, n: int) -> list[dict]:
     average over the r! rows and r^2 (K, L) draws of dQ_j dQ_u, times the
     exact scale (c/2)^2 = 3/(r(r+1)n).
     """
+    r, n = check_count(r, 2, "r"), check_count(n, 1, "n")
     t = _tally(r)
     scale = Fraction(3, r * (r + 1) * n)  # (c/2)^2 on the doubled scale
     moment = [[scale * Fraction(p, t.draws) for p in line] for line in t.products]
@@ -165,6 +167,7 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
                outside index -> 0;
       K = L  -> every product 0.
     """
+    r, n = check_count(r, 2, "r"), check_count(n, 1, "n")
     t = _tally(r)
     return [
         _entry("increment support and swapped-path consistency", r, n,
@@ -184,8 +187,7 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
 def verify_suite(r_max: int, n_max: int) -> list[dict]:
     """The three verifiers at every cell r in 2..r_max, n in 1..n_max; a cell
     past the budget is one skipped entry naming its cost."""
-    if r_max < 2 or n_max < 1:
-        raise DomainError(f"need r_max >= 2 and n_max >= 1, got r_max={r_max}, n_max={n_max}")
+    r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")
     out = []
     for r in range(2, r_max + 1):
         for n in range(1, n_max + 1):

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one count rule."""
+
+import operator
 
 
 class FriedmanBoundsError(Exception):
@@ -7,6 +9,23 @@ class FriedmanBoundsError(Exception):
 
 class DomainError(FriedmanBoundsError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+def check_count(value, least: int, name: str) -> int:
+    """``value`` as an int, if it is an integer >= ``least``; else a DomainError naming ``name``.
+
+    Any integer type passes (numpy's too).  Nothing is rounded: 2.5, 2.0,
+    "3", None and a bool, which has __index__ but is no count, are refused.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise DomainError(f"need {name} >= {least}, got {count}")
+    return count
 
 
 class TieError(FriedmanBoundsError, ValueError):

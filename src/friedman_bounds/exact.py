@@ -37,7 +37,7 @@ from itertools import combinations_with_replacement
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, check_count
 from .exact_law import _check_terms, _entry, all_pass, centered_doubled, f_law
 
 __all__ = [
@@ -65,11 +65,10 @@ def _le_entry(identity: str, r: int, n: int | None, lhs, rhs, note: str = "") ->
 # single-trial rho moments
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: r = 3.0 must miss the entry of r = 3 and be refused
 def rho_moment(r: int, powers: tuple[int, ...]) -> Fraction:
     """E[rho(1)^p1 * rho(2)^p2 * ...] over distinct coordinates of one trial."""
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
+    r = check_count(r, 2, "r")
     if len(powers) > r:
         raise DomainError(f"{len(powers)} distinct coordinates need r >= {len(powers)}")
     tuples = list(iter_permutations(centered_doubled(r), len(powers)))
@@ -193,8 +192,7 @@ def _f_moments(r: int, n: int) -> dict[str, Fraction]:
 
 def joint_moments(r: int, n: int) -> dict[str, Fraction]:
     """Exact joint moments of F_r, S_j and T_m at any n (the T_m law costs r! terms)."""
-    if r < 2 or n < 1:
-        raise DomainError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
+    r, n = check_count(r, 2, "r"), check_count(n, 1, "n")
     e = {**_f_moments(r, n), **_s_moments(r, n)}
     e["E[T]^2"], e["E[T^2]"], e["E[T^4]"] = _t_statistic_moments(n, r)
     return e
@@ -244,8 +242,7 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
     entry naming that count.  Infeasible identities (three distinct
     coordinates at r = 2) are reported as skipped, not failed.
     """
-    if r_max < 2 or n_max < 1:
-        raise DomainError(f"need r_max >= 2 and n_max >= 1, got r_max={r_max}, n_max={n_max}")
+    r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")
     if r_max > 10:
         raise DomainError(f"single-trial enumeration supports r <= 10, got {r_max}")
     out: list[dict] = []
@@ -374,8 +371,7 @@ def verify_inequalities(r_max: int = 8) -> list[dict]:
     E[S^4] <= 3, E[S^6] <= 15 substituted as in the proofs) are evaluated in
     floating point from exact rho moments.
     """
-    if r_max < 2:
-        raise DomainError(f"need r_max >= 2, got r_max={r_max}")
+    r_max = check_count(r_max, 2, "r_max")
     if r_max > 10:
         raise DomainError(f"single-trial enumeration supports r <= 10, got {r_max}")
     out: list[dict] = []
@@ -584,11 +580,11 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     """
     import numpy as np
 
-    if not 3 <= r <= 6:
+    r, trials = check_count(r, 3, "r"), check_count(trials, 1, "trials")
+    seed = check_count(seed, 0, "seed")
+    if r > 6:
         raise DomainError(f"decomposition check supports 3 <= r <= 6, got {r}")
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
-    if not 0 <= seed < 2 ** 64:
+    if seed >= 2 ** 64:
         raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     out: list[dict] = []

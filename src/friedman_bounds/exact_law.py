@@ -32,8 +32,7 @@ from collections import Counter
 from itertools import permutations as iter_permutations
 from typing import NamedTuple
 
-from .bounds import _check_nr
-from .errors import BudgetError
+from .errors import BudgetError, check_count
 
 __all__ = ["BUDGET_CAP", "FLaw", "all_pass", "centered_doubled", "f_law", "law_floats"]
 
@@ -116,7 +115,7 @@ class FLaw(NamedTuple):
 
 def f_law(n: int, r: int) -> FLaw:
     """The exact null law of F_r, the record every exact consumer reads."""
-    _check_nr(n, r)
+    n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
     law = _sum_counts(r, n)
     sq_counts: Counter = Counter()
     for state, c in law:

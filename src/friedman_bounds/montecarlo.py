@@ -62,7 +62,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation, chisq_tail
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, check_count
 from .testfunctions import TestFunction
 
 __all__ = [
@@ -99,9 +99,11 @@ class RngContract:
     stream: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.seed < 2 ** 64 and 0 <= self.stream < 2 ** 64):
-            raise DomainError(f"seed and stream must lie in [0, 2**64), "
-                              f"got {self.seed} and {self.stream}")
+        seed, stream = check_count(self.seed, 0, "seed"), check_count(self.stream, 0, "stream")
+        if max(seed, stream) >= 2 ** 64:
+            raise DomainError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream", stream)
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
@@ -291,9 +293,8 @@ def _column_sums(gen: np.random.Generator, size: int, n: int, r: int) -> np.ndar
 def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
                        threads: int = 1) -> np.ndarray:
     """F_r samples in fixed chunk order, reproducible for any thread count."""
-    bounds_mod._check_nr(n, r)
-    if samples < 1000:
-        raise DomainError(f"need at least 1000 samples, got {samples}")
+    n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
+    samples = check_count(samples, 1000, "samples")
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     if n_chunks > 1 << 20:  # one substream per chunk; refused before any chunk is drawn
         raise DomainError(f"{samples} samples need {n_chunks} chunks, over the 2**20 of a stream")

@@ -26,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ParseError, TieError
+from .errors import DomainError, NonFiniteError, ParseError, TieError, check_count
 
 __all__ = [
     "RankMatrix",
@@ -122,8 +122,7 @@ def friedman_statistic(ranks: RankMatrix) -> ScoreVector:
 
 def theoretical_covariance(r: int) -> np.ndarray:
     """Exact covariance matrix of S, read-only: (r-1)/r on the diagonal, -1/r off it."""
-    if r < 2:
-        raise DomainError(f"need r >= 2, got {r}")
+    r = check_count(r, 2, "r")
     sigma = np.full((r, r), -1.0 / r)
     np.fill_diagonal(sigma, (r - 1.0) / r)
     return _frozen(sigma)

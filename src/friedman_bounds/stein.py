@@ -66,7 +66,7 @@ from itertools import permutations
 import numpy as np
 
 from .chisq import ChiSquareLaw, _converged_rule, chisq_expectation
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_count
 from .exact_law import _entry, centered_doubled, f_law, law_floats
 from .ranks import theoretical_covariance
 from .testfunctions import TestFunction, cosine, identity, sine
@@ -132,8 +132,7 @@ class SteinSolution:
     chisq_h: float = field(init=False)
 
     def __post_init__(self):
-        if self.p < 1:
-            raise DomainError(f"need p >= 1, got {self.p}")
+        self.p = check_count(self.p, 1, "p")
         self.chisq_h = chisq_expectation(ChiSquareLaw(self.p), self.h)
 
     def fprime(self, x):
@@ -244,6 +243,7 @@ def stein_residual(p: int, h: TestFunction, x,
 
 def standard_grid(p: int, points: int = 200) -> np.ndarray:
     """Geometric + linear mix on (0, p + 20 sqrt(p)]; the default check grid."""
+    p = check_count(p, 1, "p")
     hi = p + 20.0 * math.sqrt(p)
     geo = np.geomspace(0.05, hi, points // 2)
     lin = np.linspace(0.05, hi, points - points // 2)
@@ -334,8 +334,7 @@ def verify_operator_link(r: int, n: int, h: TestFunction) -> dict:
 def verify_suite(p_max: int) -> list[dict]:
     """Residuals at p = 1..p_max, the f' = -2 equality case, two derivative-cap
     checks and the operator link, as verify entries."""
-    if p_max < 1:
-        raise DomainError(f"need p_max >= 1, got p_max={p_max}")
+    p_max = check_count(p_max, 1, "p_max")
     out = []
     functions = (cosine(1.0), sine(1.0), identity())
     for p in range(1, p_max + 1):
@@ -356,7 +355,7 @@ def verify_suite(p_max: int) -> list[dict]:
                           str({name: round(v, 6) for name, v in rep["caps"].items()}),
                           f"p={p}"))
     link = verify_operator_link(3, 2, cosine(1.0))
-    out.append(_entry("operator-link two-path agreement", 3, 2, link["status"],
-                      f"{link['operator_agreement']:.3e} / "
+    out.append(_entry("operator-link: Sigma fixes one trial's rows / Stein identity on f_law",
+                      3, 2, link["status"], f"{link['operator_agreement']:.3e} / "
                       f"{link['stein_identity_residual']:.3e}", "1e-5"))
     return out

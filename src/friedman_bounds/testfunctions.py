@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 __all__ = [
     "TestFunction",
@@ -88,8 +88,7 @@ def sine(t: float) -> TestFunction:
 
 def power(k: int) -> TestFunction:
     """h(x) = x^k on [0, inf): derivatives below order k are unbounded."""
-    if k < 1:
-        raise DomainError("power test functions need k >= 1")
+    k = check_count(k, 1, "k")
     norms = [math.inf] * 5
     if k <= 4:
         norms[k] = float(math.factorial(k))
@@ -110,6 +109,8 @@ def identity() -> TestFunction:
 
 def constant(c: float = 1.0) -> TestFunction:
     """h(x) = c, declared with the growth coefficient |c|."""
+    if not math.isfinite(c):
+        raise DomainError(f"constant c must be finite, got {c!r}")
     return TestFunction(
         fn=lambda x: np.full(np.shape(x), float(c))[()],
         norms=(abs(c), 0.0, 0.0, 0.0, 0.0),
@@ -137,8 +138,10 @@ def smoothing_indicator(alpha: float, z: float) -> TestFunction:
     Lipschitz second derivative; exact norms 2/alpha, 8/alpha^2, 32/alpha^3.
     The fourth derivative does not exist everywhere, so its slot is inf.
     """
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:  # also refuses NaN
+        raise DomainError(f"alpha must be finite and positive, got {alpha!r}")
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
     two_over = 2.0 / alpha
     return TestFunction(
         fn=lambda x: _bump_core(1.0 + two_over * (x - z)),

@@ -56,7 +56,9 @@ DF_TAKERS = {"tail": lambda p: chisq_tail(p, 3.0), "cdf": lambda p: chisq_cdf(p,
 def test_degrees_of_freedom_are_never_coerced(call, df):
     # int() would run 2.5 and 2.9 at 2 degrees of freedom and accept "3"; a bool
     # has __index__ but is no count, where True would run at 1 degree of freedom
-    with pytest.raises(DomainError, match=re.escape(f"positive integer, got {df!r}")):
+    message = (f"need p >= 1, got {df}" if type(df) is int
+               else f"p must be an integer, got {df!r}")
+    with pytest.raises(DomainError, match=re.escape(message)):
         call(df)
 
 

@@ -146,7 +146,10 @@ def test_exchangeability_histogram():
         assert all(hist[key] == hist.get((key[1], key[0]), 0) for key in hist)
 
 
-@pytest.mark.parametrize("r_max, n_max, match", [(3, 0, "n_max=0"), (1, 3, "r_max=1")])
+@pytest.mark.parametrize("r_max, n_max, match", [
+    pytest.param(3, 0, "need n_max >= 1, got 0", id="3-0-n_max=0"),
+    pytest.param(1, 3, "need r_max >= 2, got 1", id="1-3-r_max=1"),
+])
 def test_suite_refuses_vacuous_ranges(r_max, n_max, match):
     # an empty range would return no entry, which all_pass reads as green
     with pytest.raises(DomainError, match=match):

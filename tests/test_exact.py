@@ -55,9 +55,12 @@ def test_single_trial_domain():
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: verify_lemma_formulas(1, 3), "r_max=1"),
-    (lambda: verify_lemma_formulas(4, 0), "n_max=0"),
-    (lambda: verify_inequalities(1), "r_max=1"),
+    pytest.param(lambda: verify_lemma_formulas(1, 3), "need r_max >= 2, got 1",
+                 id="<lambda>-r_max=1_0"),
+    pytest.param(lambda: verify_lemma_formulas(4, 0), "need n_max >= 1, got 0",
+                 id="<lambda>-n_max=0"),
+    pytest.param(lambda: verify_inequalities(1), "need r_max >= 2, got 1",
+                 id="<lambda>-r_max=1_1"),
 ])
 def test_vacuous_ranges_are_refused(call, match):
     # an empty range would return no entry (or no column-law cell), which
@@ -420,7 +423,8 @@ def test_decomposition_does_not_depend_on_the_trial_block(monkeypatch):
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_decomposition_seed_outside_the_philox_key_is_refused(seed):
-    with pytest.raises(DomainError, match="seed must lie in"):
+    match = "need seed >= 0, got -1" if seed < 0 else "seed must lie in"
+    with pytest.raises(DomainError, match=match):
         verify_index_decomposition(3, trials=1, seed=seed)
 
 

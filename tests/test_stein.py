@@ -219,7 +219,7 @@ def test_frequency_past_the_panel_cap_raises():
 
 def test_suite_refuses_no_degrees_of_freedom():
     # p_max = 0 would run no residual
-    with pytest.raises(DomainError, match="p_max=0"):
+    with pytest.raises(DomainError, match="need p_max >= 1, got 0"):
         verify_suite(0)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from friedman_bounds import testfunctions
+from friedman_bounds.errors import DomainError
 from friedman_bounds.testfunctions import (constant, cosine, identity, power, sine,
                                            smoothing_indicator)
 
@@ -55,3 +56,25 @@ def test_declared_norms_bound_central_differences(h):
         rounding = 8.0 * np.abs(stencil).max(axis=0) + slope * (xs + k * step)
         slack = 2 ** k * EPS * rounding / step ** k
         assert np.all(np.abs(diff) <= norm * (1.0 + 1e-12) + slack), (k, norm)
+
+
+@pytest.mark.parametrize("alpha, z, match", [
+    (float("nan"), 1.0, "alpha must be finite and positive, got nan"),
+    (math.inf, 1.0, "alpha must be finite and positive, got inf"),
+    (0.0, 1.0, "alpha must be finite and positive, got 0.0"),
+    (-0.5, 1.0, "alpha must be finite and positive, got -0.5"),
+    (0.5, float("nan"), "z must be finite, got nan"),
+    (0.5, math.inf, "z must be finite, got inf"),
+    (0.5, -math.inf, "z must be finite, got -inf"),
+])
+def test_smoothing_indicator_refuses_a_bad_width_or_edge(alpha, z, match):
+    # a NaN alpha passed `alpha <= 0` and gave E[h(Y_p)] = 0.0 with no error
+    with pytest.raises(DomainError, match=f"^{match}$"):
+        smoothing_indicator(alpha, z)
+
+
+@pytest.mark.parametrize("c", [float("nan"), math.inf, -math.inf])
+def test_constant_refuses_a_non_finite_value(c):
+    # a NaN constant ended in a ConvergenceError that blamed the panel rule
+    with pytest.raises(DomainError, match=f"^constant c must be finite, got {c}$"):
+        constant(c)
