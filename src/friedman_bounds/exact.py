@@ -216,10 +216,12 @@ def point_mass_at_zero(n: int, r: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def closed_s4(r: int, n: int) -> Fraction:
+    r, n = check_count(r, 2, "r"), check_count(n, 1, "n")
     return Fraction(3 * (r - 1) * ((5 * n - 2) * r * r - 5 * n - 2), 5 * n * r * r * (r + 1))
 
 
 def closed_s6(r: int, n: int) -> Fraction:
+    r, n = check_count(r, 2, "r"), check_count(n, 1, "n")
     num = 3 * (r - 1) * (
         35 * n * n * (r * r - 1) ** 2 - 42 * n * (r ** 4 - 1) + 16 * (r ** 4 + r * r + 1)
     )
@@ -227,6 +229,7 @@ def closed_s6(r: int, n: int) -> Fraction:
 
 
 def closed_s2s2(r: int, n: int) -> Fraction:
+    r, n = check_count(r, 2, "r"), check_count(n, 1, "n")
     num = 5 * n * (r ** 3 - r * r + r + 3) - 4 * r * r - 10 * r + 6
     return Fraction(num, 5 * n * r * r * (r + 1))
 

@@ -461,6 +461,7 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
     whether the gap stays below the selected bound (None when no smooth
     bound applies to this h).
     """
+    n_list = [check_count(n, 1, "n") for n in n_list]
     for n in n_list:  # before any row is computed
         if n >= 2 ** 20:
             raise DomainError(f"the row for n draws from substream n, so n must be "

@@ -11,10 +11,14 @@ floating point enters only in the standardized scores
 
 and the Friedman statistic ``F_r = sum_j S_j**2``.  A CSV goes from the file
 to ``F_r`` without a Python loop over its rows: one ``np.loadtxt`` parse of
-the file past its header, one stable ``argsort`` that also finds ties, one
-column sum.  Only a file that this parse refuses has its data lines picked
-out by a regular expression, which drops blank-field rows or names the bad
-row.
+the file past its header, one column sum, and between them, for scores, one
+``argsort`` whose ordered view also finds ties, or, for ranks, one row sort
+that checks the permutations.  A rank file is parsed as int64 first, so a
+file of plain integers needs no float parse and no integral check.  Only a
+file that the float parse refuses has its data lines picked out by a regular
+expression, which drops blank-field rows or names the bad row.  Every check
+is a reduction over the whole array; the bad row is looked for only once a
+check fails.
 """
 
 from __future__ import annotations
@@ -46,6 +50,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _first_row(flags: np.ndarray) -> int:
+    """Index of the first row with a flag set, given that one is."""
+    return int(np.flatnonzero(flags.any(axis=1))[0])
+
+
 @dataclass(frozen=True, eq=False)
 class RankMatrix:
     """An n x r integer array whose rows are permutations of 1..r."""
@@ -59,14 +68,21 @@ class RankMatrix:
         n, r = a.shape
         if n < 1 or r < 2:
             raise DomainError(f"need n >= 1 trials and r >= 2 treatments, got {n} x {r}")
-        fractional = ~(np.isfinite(a) & (a == np.floor(a))).all(axis=1)
-        if fractional.any():
-            raise DomainError(f"row {int(np.flatnonzero(fractional)[0])} has a non-integer rank")
-        a = a.astype(np.int64)
-        bad = np.flatnonzero((np.sort(a, axis=1) != np.arange(1, r + 1)).any(axis=1))
-        if bad.size:
-            raise DomainError(f"row {int(bad[0])} is not a permutation of 1..{r}")
-        object.__setattr__(self, "ranks", _frozen(a))
+        if a.dtype.kind not in "iu":  # an integer array holds no fraction, NaN or inf
+            fractional = ~(np.isfinite(a) & (a == np.floor(a)))
+            if fractional.any():
+                raise DomainError(f"row {_first_row(fractional)} has a non-integer rank")
+        wrong = np.sort(a, axis=1) != np.arange(1, r + 1)
+        if wrong.any():
+            raise DomainError(f"row {_first_row(wrong)} is not a permutation of 1..{r}")
+        object.__setattr__(self, "ranks", _frozen(a.astype(np.int64)))
+
+    @classmethod
+    def _of_permutations(cls, ranks: np.ndarray) -> RankMatrix:
+        """Wrap an int64 array whose rows are permutations of 1..r by construction."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "ranks", _frozen(ranks))
+        return matrix
 
     @property
     def n(self) -> int:
@@ -102,13 +118,16 @@ def ranks_from_scores(scores) -> RankMatrix:
     n, r = a.shape
     if n < 1 or r < 2:
         raise DomainError(f"need n >= 1 trials and r >= 2 treatments, got {n} x {r}")
-    order = np.argsort(a, axis=1, kind="stable")
-    tied = (np.diff(np.take_along_axis(a, order, axis=1), axis=1) == 0).any(axis=1)
+    # any sort will do: distinct values have one order, and ties are refused
+    # before a rank is read
+    order = np.argsort(a, axis=1)
+    ordered = np.take_along_axis(a, order, axis=1)
+    tied = ordered[:, 1:] == ordered[:, :-1]
     if tied.any():
-        raise TieError(int(np.flatnonzero(tied)[0]))
-    ranks = np.empty_like(order)
+        raise TieError(_first_row(tied))
+    ranks = np.empty((n, r), dtype=np.int64)
     np.put_along_axis(ranks, order, np.arange(1, r + 1), axis=1)
-    return RankMatrix(ranks)
+    return RankMatrix._of_permutations(ranks)
 
 
 def friedman_statistic(ranks: RankMatrix) -> ScoreVector:
@@ -128,10 +147,10 @@ def theoretical_covariance(r: int) -> np.ndarray:
     return _frozen(sigma)
 
 
-def _parse(source, skiprows: int = 0) -> np.ndarray:
+def _parse(source, skiprows: int = 0, dtype=float) -> np.ndarray:
     """Comma-separated numbers from a path or a list of lines."""
-    return np.loadtxt(source, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                      skiprows=skiprows, encoding="utf-8-sig")
+    return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                      ndmin=2, skiprows=skiprows, encoding="utf-8-sig")
 
 
 def _first_bad_row(lines: list[str], width: int) -> int:
@@ -163,7 +182,7 @@ def load_csv(path, fmt: str) -> RankMatrix:
     if fmt not in ("scores", "ranks"):
         raise DomainError(f"unknown format {fmt!r}")
     try:
-        a = _read_numbers(path)
+        a = _read_numbers(path, integers=fmt == "ranks")
     except UnicodeDecodeError:  # its offset counts from a decoder chunk: find the byte
         with open(path, "rb") as fh:
             try:
@@ -177,8 +196,9 @@ def load_csv(path, fmt: str) -> RankMatrix:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _read_numbers(path) -> np.ndarray:
-    """The data rows of a CSV as one float array (see load_csv)."""
+def _read_numbers(path, integers: bool) -> np.ndarray:
+    """The data rows of a CSV as one array (see load_csv): int64 if ``integers``
+    and every field is a plain integer, else float."""
     with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
         data = ((i, line) for i, line in enumerate(fh) if _DATA_LINE.match(line))
         skip, first = next(data, (0, None))
@@ -189,6 +209,13 @@ def _read_numbers(path) -> np.ndarray:
                 skip, first = next(data, (0, None))
     if first is None:
         raise ParseError(f"{path}: no data rows")
+    if integers:
+        try:
+            return _parse(path, skip, np.int64)
+        except UnicodeDecodeError:
+            raise
+        except ValueError:  # "2.0", "1e0", "nan", a blank field or a bad row
+            pass
     try:  # the file as it stands, past the lines before its first data row
         return _parse(path, skip)
     except ValueError:  # a blank-field row to drop, or a bad row to name

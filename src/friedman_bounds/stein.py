@@ -219,10 +219,11 @@ class SteinSolution:
         Steps follow eps^(1/(k+2)) max(1, x), capped at x/8 so that every
         stencil point stays positive.
         """
+        k = check_count(k, 1, "k")
+        if k > 4:
+            raise DomainError(f"derivatives supported for k in 1..4, got {k}")
         if k == 1:
             return self.fprime(x)
-        if k not in (2, 3, 4):
-            raise DomainError(f"derivatives supported for k in 1..4, got {k}")
         return _like(x, self._derivatives(k, x)[1])
 
 
@@ -259,7 +260,8 @@ def derivative_bound_check(p: int, h: TestFunction, k: int,
     observed value is a grid maximum, hence a lower bound of the true sup:
     this check can confirm the caps, never refute them.
     """
-    if k not in (1, 2, 3, 4):
+    k = check_count(k, 1, "k")
+    if k > 4:
         raise DomainError(f"k must be 1..4, got {k}")
     sol = SteinSolution(p, h)
     xs = standard_grid(p) if grid is None else np.asarray(grid, dtype=float)

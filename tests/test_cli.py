@@ -325,18 +325,22 @@ def test_cmd_verify_coupling_golden_stdout(capsys):
     assert out == golden.read_text()
 
 
-def test_results_golden_stdout(capsys):
+def test_results_golden_stdout(capsys, monkeypatch):
     # exit codes and stdout pinned before distance and rate shared one
     # exact-or-sampled gap path, one exact record and one gate, and (the
     # r-max 6 verify line) before the swap pass and the decomposition
     # trials became array passes; samples on the exact rows re-pinned when
     # it became the engine's state count, and the operator-link lhs when its
-    # covariance half became a check on one trial's rows
-    golden = Path(__file__).parent / "golden" / "results.jsonl"
-    for line in golden.read_text().splitlines():
+    # covariance half became a check on one trial's rows.  The `test` lines,
+    # with their stderr, were pinned before rank files got an integer parse
+    # and scores a plain argsort; their CSVs sit next to the golden file.
+    golden = Path(__file__).parent / "golden"
+    monkeypatch.chdir(golden)
+    for line in (golden / "results.jsonl").read_text().splitlines():
         call = json.loads(line)
-        code, out, _ = run(capsys, *call["argv"])
+        code, out, err = run(capsys, *call["argv"])
         assert (code, out) == (call["code"], call["stdout"]), call["argv"]
+        assert err == call.get("stderr", err), call["argv"]
 
 
 def test_coupling_suite_runs_the_swap_pass_once_per_r():

@@ -49,9 +49,14 @@ COUNT_TAKERS = {
     **{f"{fn.__name__}:{arg}": (fn, dict(r=3, n=2), least)
        for fn in (coupling.verify_regression, coupling.verify_increment_moments,
                   coupling.verify_triple_structure) for arg, least in (("r", 2), ("n", 1))},
+    **{f"{fn.__name__}:{arg}": (fn, dict(r=3, n=2), least)
+       for fn in (exact.closed_s4, exact.closed_s6, exact.closed_s2s2)
+       for arg, least in (("r", 2), ("n", 1))},
     "coupling.verify_suite:r_max": (coupling.verify_suite, dict(r_max=3, n_max=2), 2),
     "coupling.verify_suite:n_max": (coupling.verify_suite, dict(r_max=3, n_max=2), 1),
     "SteinSolution:p": (stein.SteinSolution, dict(p=2, h=COS), 1),
+    "SteinSolution.derivative:k": (stein.SteinSolution(2, COS).derivative, dict(k=2, x=1.0), 1),
+    "derivative_bound_check:k": (stein.derivative_bound_check, dict(p=2, h=COS, k=2), 1),
     "stein.verify_suite:p_max": (stein.verify_suite, dict(p_max=1), 1),
     "standard_grid:p": (stein.standard_grid, dict(p=3), 1),
     "theoretical_covariance:r": (ranks.theoretical_covariance, dict(r=3), 2),
@@ -105,6 +110,24 @@ def test_counts_take_any_integer_type(key):
     expected = _view(_call(key, plain))
     for cast in (np.int64, np.int32):
         assert _view(_call(key, cast(plain))) == expected
+
+
+@pytest.mark.parametrize("value", REFUSED.values(), ids=REFUSED.keys())
+def test_rate_experiment_counts_every_n_before_its_substream_cap(value):
+    # a "3" in the list once met the 2**20 comparison first, as a TypeError
+    if value is BELOW:
+        value, message = 0, "need n >= 1, got 0"
+    else:
+        message = f"n must be an integer, got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        montecarlo.rate_experiment(3, [2, value, 2 ** 20], testfunctions.power(2))
+
+
+def test_derivative_orders_above_four_are_refused():
+    with pytest.raises(DomainError, match=r"^derivatives supported for k in 1\.\.4, got 5$"):
+        stein.SteinSolution(2, COS).derivative(5, 1.0)
+    with pytest.raises(DomainError, match=r"^k must be 1\.\.4, got 5$"):
+        stein.derivative_bound_check(2, COS, 5)
 
 
 @pytest.mark.parametrize("build, field", [

@@ -2,12 +2,14 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from friedman_bounds import ranks as ranks_module
 from friedman_bounds import (DomainError, NonFiniteError, ParseError, RankMatrix, TieError,
                              friedman_statistic, load_csv, ranks_from_scores,
                              theoretical_covariance)
@@ -198,3 +200,88 @@ def test_load_csv_non_utf8_is_a_parse_error_at_its_byte(tmp_path, position):
     for fmt in ("scores", "ranks"):
         with pytest.raises(ParseError, match=f"{re.escape(path)}: not UTF-8 text at byte {offset}$"):
             load_csv(path, fmt)
+
+
+def stable_argsort_ranks(scores):
+    """The ranking formula before the plain argsort: one stable argsort, ties
+    found by a zero difference on the ordered view, row by row."""
+    a = np.asarray(scores, dtype=float)
+    order = np.argsort(a, axis=1, kind="stable")
+    tied = (np.diff(np.take_along_axis(a, order, axis=1), axis=1) == 0).any(axis=1)
+    if tied.any():
+        raise TieError(int(np.flatnonzero(tied)[0]))
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, a.shape[1] + 1), axis=1)
+    return ranks
+
+
+@given(r=st.integers(2, 60), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       ties=st.integers(0, 3), zeros=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_ranks_from_scores_matches_the_stable_argsort_formula(r, n, seed, ties, zeros):
+    gen = np.random.default_rng(seed)
+    scores = np.round(gen.standard_normal((n, r)), 2)  # ties of their own at large r
+    for _ in range(ties):  # a copied score ties its row
+        i, j, k = gen.integers(n), *gen.choice(r, 2, replace=False)
+        scores[i, j] = scores[i, k]
+    if zeros:  # -0.0 == 0.0: a tie, or alone in its row a score like any other
+        i, j, k = gen.integers(n), *gen.choice(r, 2, replace=False)
+        scores[i, j], scores[i, k] = -0.0, (0.0 if gen.integers(2) else 5.0)
+    try:
+        expected = stable_argsort_ranks(scores)
+    except TieError as tie:
+        with pytest.raises(TieError) as err:
+            ranks_from_scores(scores)
+        assert err.value.row == tie.row
+    else:
+        got = ranks_from_scores(scores).ranks
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, expected)
+
+
+def test_ranks_and_float_ranks_load_alike(tmp_path):
+    rows = np.random.default_rng(3).permuted(np.tile(np.arange(1, 7), (50, 1)), axis=1)
+    plain = write(tmp_path, "\n".join(",".join(map(str, row)) for row in rows) + "\n", "a.csv")
+    dotted = write(tmp_path, "\n".join(",".join(f"{v}.0" for v in row) for row in rows) + "\n",
+                   "b.csv")
+    for path in (plain, dotted):
+        got = load_csv(path, "ranks").ranks
+        assert got.dtype == np.int64 and np.array_equal(got, rows)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("1,2,3\n1_000,2,3\n", "row 1: '1_000,2,3' is not 3 numbers"),
+    ("1e0,2,3\n3,1,2\n", [[1, 2, 3], [3, 1, 2]]),
+    (f"1,2,3\n{2 ** 70},1,2\n", "row 1 is not a permutation of 1..3"),
+    (f"1,2,3\n{2 ** 63 - 1},1,2\n", "row 1 is not a permutation of 1..3"),
+    ("1,2,3\n,,\n3,1,2\n", [[1, 2, 3], [3, 1, 2]]),
+    ("a,b,c\n1,2,3\n2,3,1\n", [[1, 2, 3], [2, 3, 1]]),
+    ("1,2,3\n2,1.5,3\n", "row 1 has a non-integer rank"),
+])
+def test_rank_files_off_the_integer_parse_keep_their_result(tmp_path, text, expected):
+    # results and error texts as before rank files had an integer parse; the
+    # one cast that warned (an entry past int64 read as a float) is gone
+    path = write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expected, str):
+            with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+                load_csv(path, "ranks")
+        else:
+            got = load_csv(path, "ranks").ranks
+            assert got.dtype == np.int64 and got.tolist() == expected
+
+
+def test_an_integer_rank_file_never_reaches_the_float_parse(tmp_path, monkeypatch):
+    parse = ranks_module._parse
+
+    def integers_only(source, skiprows=0, dtype=float):
+        if dtype is float:
+            raise AssertionError("float parse reached")
+        return parse(source, skiprows, dtype)
+
+    monkeypatch.setattr(ranks_module, "_parse", integers_only)
+    path = write(tmp_path, "t1,t2,t3\n 3 ,\"1\",+2\n\n2,3,1\n")
+    assert load_csv(path, "ranks").ranks.tolist() == [[3, 1, 2], [2, 3, 1]]
+    with pytest.raises(AssertionError, match="float parse reached"):
+        load_csv(write(tmp_path, "3,1,2\n2.0,3,1\n"), "ranks")

@@ -52,3 +52,17 @@ def test_total_is_the_sum_of_the_module_rows(src_lines, capsys):
         p.relative_to(src).as_posix() for p in src.rglob("*.py"))
     for column in (1, 2):
         assert int(total[column]) == sum(int(row[column]) for row in modules)
+
+
+def test_ab_calls_times_one_call_on_both_trees(capsys):
+    spec = importlib.util.spec_from_file_location("ab_calls", TOOL.parent / "ab_calls.py")
+    ab_calls = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_calls)
+    root = str(TOOL.parents[1])
+    assert ab_calls.main(["--rounds", "2", root, root, "--", "bounds", "--n", "5", "--r", "3"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["tree", "wall_s", "in_call_s", "codes"]
+    assert [row.split()[:2] for row in rows] == [["A", root], ["B", root]]
+    for row in rows:
+        wall, in_call, codes = row.split()[2:]
+        assert 0 < float(in_call) < float(wall) and codes == "[0]"

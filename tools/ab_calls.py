@@ -1,0 +1,64 @@
+"""Time one CLI call in fresh interpreters, alternating between two source trees.
+
+    python3 tools/ab_calls.py [--rounds N] TREE_A TREE_B -- ARGV...
+
+Each round runs ``friedman_bounds.cli.main(ARGV)`` once with TREE_A/src and
+once with TREE_B/src on the path, in a new interpreter each time; the tree
+that goes first alternates between rounds, so drift in the machine's speed
+falls on both.  Per tree it prints the median whole-call wall time (interpreter
+start to exit) and the median in-call time (``main`` alone, its imports
+included), over the rounds, and the exit codes ``main`` returned.  Standard
+library only; relative paths in ARGV are read from the current directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+CHILD = """\
+import contextlib, io, sys, time
+from friedman_bounds.cli import main
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(time.perf_counter() - start, code)
+"""
+
+
+def one_call(tree: str, argv: list[str]) -> tuple[float, float, int]:
+    """(whole-call wall s, in-call s, exit code) of one fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    wall = time.perf_counter() - start
+    in_call, code = proc.stdout.split()
+    return wall, float(in_call), int(code)
+
+
+def main(args: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, default=12)
+    parser.add_argument("trees", nargs=2, metavar="TREE")
+    parser.add_argument("argv", nargs="+", help="the CLI call, after --")
+    ns = parser.parse_args(args)
+    runs: list[list[tuple[float, float, int]]] = [[], []]
+    for i in range(ns.rounds):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            runs[side].append(one_call(ns.trees[side], ns.argv))
+    print(f"{'tree':<40} {'wall_s':>8} {'in_call_s':>10}  codes")
+    for label, tree, side in zip("AB", ns.trees, runs):
+        wall, in_call, codes = zip(*side)
+        print(f"{label + ' ' + tree:<40} {statistics.median(wall):>8.4f} "
+              f"{statistics.median(in_call):>10.4f}  {sorted(set(codes))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
