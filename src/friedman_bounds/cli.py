@@ -10,7 +10,9 @@ Subcommands:
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 input/IO error.
 Identical invocations (same flags, same seed) produce byte-identical output;
 --threads and the FRIEDMAN_BOUNDS_THREADS environment variable that caps it
-(each an integer >= 1, else a usage error) never affect any result.
+(each an integer >= 1, else a usage error) never affect any result.  The
+Monte Carlo work of `distance` and `rate` runs on as many threads as the
+process has CPUs to run on, unless --threads or the variable says fewer.
 Each handler imports the modules it runs, so `bounds` loads no numpy.  No
 subcommand loads scipy: the package imports numpy only, and its chi-square
 tail is a closed form (see ``chisq``).  A flag that a call would ignore, such
@@ -41,7 +43,14 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _thread_cap(requested: int) -> int:
+def _thread_cap(requested: int | None) -> int:
+    """--threads, or without it the CPUs this process may run on, capped by
+    FRIEDMAN_BOUNDS_THREADS."""
+    if requested is None:
+        try:
+            requested = len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity on this platform
+            requested = os.cpu_count() or 1
     if requested < 1:
         raise DomainError(f"--threads must be an integer >= 1, got {requested}")
     cap = os.environ.get("FRIEDMAN_BOUNDS_THREADS")
@@ -183,7 +192,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_distance(args) -> int:
-    from . import montecarlo, testfunctions
+    from . import montecarlo
 
     t = _frequency(args.t, args.metric == "cos", f"--metric {args.metric}")
     threads = _thread_cap(args.threads)
@@ -196,7 +205,7 @@ def _cmd_distance(args) -> int:
             est = montecarlo.estimate_kolmogorov(args.n, args.r, args.samples, rng,
                                                  threads=threads)
     elif args.metric == "cos":
-        h = testfunctions.cosine(t)
+        h = _test_function("cos", t)
         norms = bounds_mod.SmoothNorms(h.norm(1), h.norm(2), h.norm(3))
         est = montecarlo.smooth_gap(args.n, args.r, h, args.mode, args.samples, rng,
                                     threads=threads)
@@ -292,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--samples", type=int, default=1_000_000)
     p_dist.add_argument("--seed", type=int, default=0)
     p_dist.add_argument("--t", type=float, help="cos frequency (default 1)")
-    p_dist.add_argument("--threads", type=int, default=1)
+    p_dist.add_argument("--threads", type=int, help="sampling threads (default: the usable CPUs)")
     p_dist.set_defaults(fn=_cmd_distance)
 
     p_rate = sub.add_parser("rate", help="gap-versus-bound table across n")
@@ -303,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--mode", choices=("auto", "exact", "mc"), default="auto")
     p_rate.add_argument("--samples", type=int, default=1_000_000)
     p_rate.add_argument("--seed", type=int, default=0)
-    p_rate.add_argument("--threads", type=int, default=1)
+    p_rate.add_argument("--threads", type=int, help="sampling threads (default: the usable CPUs)")
     p_rate.set_defaults(fn=_cmd_rate)
     return parser
 

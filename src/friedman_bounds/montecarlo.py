@@ -36,10 +36,14 @@ F_r sampler draws those sums by one of three paths, chosen from (r, n) alone:
 The paths draw the same law, not the same numbers.  Where k = 1 the packed
 path draws the same indices as uniform_rows, so its column sums equal
 summed uniform_rows rows.  Each chunk draws its rows in slabs of about
-_SLAB_WORDS words (indices, counts or rows), which bounds its memory
-whatever n and r! are; a slab continues the generator where the last one
-stopped, so the draws do not depend on the slab size.  The thread-count
-contract above holds on every path.
+_SLAB_WORDS / w words (indices, counts or rows), w the number of workers
+drawing chunks at once, so a call holds about _SLAB_WORDS words of draws
+whatever n, r! and the thread count are; a slab continues the generator where
+the last one stopped, so the draws do not depend on the slab size.  The
+thread-count contract above holds on every path: with ``threads`` > 1, that
+many workers (the calling thread one of them, never more than the chunks)
+take chunk indices from one shared iterator, and the results are
+concatenated in chunk order.
 
 Kolmogorov distances, exact or sampled, take both one-sided gaps at every
 atom of the step function; sampled ones carry a DKW error bar.  The
@@ -54,16 +58,20 @@ column-sum states the exact engine summed over (exact_law.FLaw.states).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation, chisq_tail
 from .errors import BudgetError, DomainError, check_count
-from .testfunctions import TestFunction
+
+if TYPE_CHECKING:  # annotations only, so a Kolmogorov or Wasserstein call loads no test functions
+    from .testfunctions import TestFunction
 
 __all__ = [
     "RngContract",
@@ -87,7 +95,7 @@ _PACKED_MAX_R = 12  # the split tables hold 665,280 words each at r = 12 (5.3 MB
                     # at r = 13 the high one would hold 8.6M words (69 MB)
 # trials per packed index, k: the most with (r!)^k <= 2^16 (a 512 KB table), 1 for r >= 6
 _BLOCK_TRIALS = {2: 16, 3: 6, 4: 3, 5: 2}
-_SLAB_WORDS = 1 << 22  # a chunk draws its rows in slabs of about this many words
+_SLAB_WORDS = 1 << 22  # a call's chunks draw their rows in slabs of about this many words
 _MULTINOMIAL_FACTOR = {3: 56, 4: 38}  # multinomial from n = c r! on, c = 30 at other r <= 9
 
 
@@ -275,17 +283,18 @@ def _slab_sums(gen: np.random.Generator, rows: int, n: int, r: int, path: str) -
     return np.concatenate([head, last], axis=1)
 
 
-def _column_sums(gen: np.random.Generator, size: int, n: int, r: int) -> np.ndarray:
+def _column_sums(gen: np.random.Generator, size: int, n: int, r: int,
+                 workers: int = 1) -> np.ndarray:
     """Column sums of ``size`` independent uniform n x r rank matrices.
 
-    The rows are drawn in slabs that hold at most about _SLAB_WORDS words at
-    once; a slab's draws continue the generator where the last one stopped,
-    so the sums do not depend on the slab size.
+    The rows are drawn in slabs that hold at most about _SLAB_WORDS / workers
+    words at once; a slab's draws continue the generator where the last one
+    stopped, so the sums do not depend on the slab size.
     """
     path = _sampler_path(r, n)
     width = {"shuffle": n * r, "multinomial": math.factorial(r),
              "packed": -(-n // _BLOCK_TRIALS.get(r, 1))}[path]
-    step = max(1, _SLAB_WORDS // width)
+    step = max(1, _SLAB_WORDS // workers // width)
     return np.concatenate([_slab_sums(gen, min(step, size - start), n, r, path)
                            for start in range(0, size, step)])
 
@@ -300,21 +309,37 @@ def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
         raise DomainError(f"{samples} samples need {n_chunks} chunks, over the 2**20 of a stream")
     sizes = [min(_CHUNK, samples - i * _CHUNK) for i in range(n_chunks)]
     scale = 12.0 / (r * (r + 1) * n)
+    workers = min(threads, n_chunks)
 
-    def one_chunk(args) -> np.ndarray:
-        index, size = args
-        colsum = _column_sums(rng.substream(index).generator(), size, n, r)
+    def one_chunk(index: int) -> np.ndarray:
+        colsum = _column_sums(rng.substream(index).generator(), sizes[index], n, r, workers)
         centered = colsum - n * (r + 1) / 2.0
         return scale * (centered * centered).sum(axis=1)
 
-    jobs = list(enumerate(sizes))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    parts: list = [None] * n_chunks
+    errors: dict[int, BaseException] = {}
+    chunks = iter(range(n_chunks))  # shared: each index goes to exactly one worker
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_chunk, jobs))
-    else:
-        parts = [one_chunk(j) for j in jobs]
+    def work() -> None:
+        # indices leave the iterator in order, so once a chunk has failed every
+        # lower chunk has started, and the lowest failure is the same at any thread count
+        for index in chunks:
+            if errors:
+                return
+            try:
+                parts[index] = one_chunk(index)
+            except BaseException as exc:
+                errors[index] = exc
+
+    # the calling thread is a worker too, so one worker runs every chunk inline
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
     return np.concatenate(parts)
 
 

@@ -175,9 +175,9 @@ def load_csv(path, fmt: str) -> RankMatrix:
     ``fmt='scores'`` ranks real values within each row; ``fmt='ranks'``
     expects integer permutations of 1..r.  A first row with a field that
     ``float()`` rejects is a header and is skipped, as are blank and
-    comma-only rows; fields may be quoted.  Errors name the 0-based data row
-    (counted after the header and the skipped rows), or for a file that is not
-    UTF-8 the offset of its first bad byte.
+    comma-only rows; fields may be quoted.  Errors start with the path and
+    name the 0-based data row (counted after the header and the skipped rows),
+    or for a file that is not UTF-8 the offset of its first bad byte.
     """
     if fmt not in ("scores", "ranks"):
         raise DomainError(f"unknown format {fmt!r}")
@@ -192,6 +192,11 @@ def load_csv(path, fmt: str) -> RankMatrix:
         raise
     try:
         return ranks_from_scores(a) if fmt == "scores" else RankMatrix(a)
+    except TieError as exc:
+        raise TieError(exc.row, f"{path}: {exc}") from None
+    except NonFiniteError:
+        raise NonFiniteError(f"{path}: row {_first_row(~np.isfinite(a))} has a non-finite "
+                             "score") from None
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -2,13 +2,15 @@
 
 import json
 import math
+import os
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from friedman_bounds import bounds, coupling, exact, montecarlo
+from friedman_bounds import bounds, cli, coupling, exact, montecarlo
 from friedman_bounds.cli import main
 
 
@@ -520,6 +522,66 @@ def test_thread_env_cap_does_not_change_results(capsys, monkeypatch):
     assert out1 == out2
 
 
+# three chunks of samples or more, so that the workers really run
+THREADED_CALLS = [
+    ("distance", "--r", "8", "--n", "20", "--samples", "40000", "--seed", "11"),
+    ("distance", "--metric", "cos", "--r", "6", "--n", "20", "--samples", "40000", "--seed", "12"),
+    ("distance", "--metric", "wasserstein", "--r", "2", "--n", "30", "--samples", "40000",
+     "--seed", "13"),
+    ("rate", "--mode", "mc", "--r", "3", "--n", "5,7", "--samples", "40000", "--seed", "14"),
+]
+
+
+@pytest.mark.parametrize("argv", THREADED_CALLS, ids=lambda argv: " ".join(argv[:4]))
+def test_default_threads_print_the_one_thread_bytes(capsys, monkeypatch, argv):
+    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS", raising=False)
+    results = [run(capsys, *argv), run(capsys, *argv, "--threads", "1"),
+               run(capsys, *argv, "--threads", "3")]
+    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", "1")
+    results.append(run(capsys, *argv))
+    assert results[0][1] != "" and results[0][2] == ""
+    assert all(result == results[0] for result in results), results
+
+
+def test_default_threads_are_the_usable_cpus_capped_by_the_env(capsys, monkeypatch):
+    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._thread_cap(None) == 3
+    assert cli._thread_cap(2) == 2 and cli._thread_cap(7) == 7  # --threads keeps its meaning
+    real = montecarlo._column_sums
+    calls = []  # (workers, thread ident) of every chunk
+
+    def column_sums(gen, size, n, r, workers=1):
+        calls.append((workers, threading.get_ident()))
+        return real(gen, size, n, r, workers)
+
+    monkeypatch.setattr(montecarlo, "_column_sums", column_sums)
+
+    def workers_for(samples):
+        calls.clear()
+        code, _, _ = run(capsys, "distance", "--r", "3", "--n", "5", "--samples", str(samples))
+        assert code == 0
+        workers = {w for w, _ in calls}
+        assert len(workers) == 1 and len({ident for _, ident in calls}) <= min(workers)
+        return workers.pop()
+
+    chunk = montecarlo._CHUNK
+    assert workers_for(4 * chunk) == 3
+    assert workers_for(2 * chunk) == 2  # never more workers than chunks
+    assert workers_for(chunk) == 1
+    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", "2")
+    assert cli._thread_cap(None) == 2
+    assert workers_for(4 * chunk) == 2
+    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", "8")
+    assert cli._thread_cap(None) == 3  # the cap does not raise the default
+    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._thread_cap(None) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._thread_cap(None) == 1
+
+
 @pytest.mark.parametrize("value", ["two", "0", "-3", ""])
 def test_thread_env_invalid_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", value)
@@ -533,7 +595,8 @@ def loads(modules: list[str], package: str) -> bool:
     return any(m == package or m.startswith(package + ".") for m in modules)
 
 
-def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
+def test_subcommands_load_only_what_they_run(fresh_python, scores_csv, monkeypatch):
+    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS", raising=False)  # calls run on the default threads
     def modules_loaded_by(*argv):
         code, modules = fresh_python("import json, sys\n"
                                      "from friedman_bounds.cli import main\n"
@@ -562,14 +625,21 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
     # chisq_expectation is imported where it runs, so ingest loads no test functions
     assert not loads(loaded[calls[0]], "friedman_bounds.testfunctions")
     assert loads(loaded[calls[-1]], "friedman_bounds.testfunctions")
-    # a threads-1 Monte Carlo distance runs no exact law, thread pool or quadrature
+    # a Monte Carlo distance runs no exact law, executor or quadrature, also
+    # where its chunks run on worker threads (40,000 samples are three chunks)
+    threaded = ("distance", "--r", "3", "--n", "5", "--samples", "40000")
     mc_distance = calls[1:3] + (("distance", "--metric", "cos", "--r", "4", "--n", "6",
-                                 "--samples", "2000"),)
+                                 "--samples", "2000"), threaded)
     for argv in mc_distance:
         modules = loaded.get(argv) or modules_loaded_by(*argv)
         for name in ("friedman_bounds.exact", "friedman_bounds.exact_law", "fractions",
                      "concurrent.futures", "numpy.polynomial"):
             assert not loads(modules, name), (argv, name)
+    # test functions are loaded by the calls that evaluate one: not by a
+    # Kolmogorov or Wasserstein distance, sampled or exact
+    exact = modules_loaded_by("distance", "--mode", "exact", "--r", "4", "--n", "5")
+    for modules in (loaded[calls[1]], loaded[calls[2]], exact):
+        assert not loads(modules, "friedman_bounds.testfunctions")
     # the exact distance and rate read the exact-law record as ints and floats:
     # they load none of the verifiers and no fractions
     for argv in calls[-2:]:

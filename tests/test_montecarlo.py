@@ -1,6 +1,8 @@
 """Samplers, distance estimators, and the smoothing test function."""
 
 import math
+import threading
+import time
 import tracemalloc
 from itertools import combinations, permutations
 
@@ -259,6 +261,64 @@ def test_chunk_memory_is_bounded_by_the_slab():
     finally:
         tracemalloc.stop()
     assert peak < 8 * montecarlo._SLAB_WORDS * 2, peak
+
+
+def test_worker_memory_is_bounded_per_call(monkeypatch):
+    # three chunks on two workers: each draws in slabs of _SLAB_WORDS // 2 words,
+    # so the call holds about what one thread holds (two whole slabs would
+    # double it, to just under the 64 MB bound)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    peaks = {}
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            _sample_statistics(40_000, 7, 3000, RngContract(seed=48), threads=threads)
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] < 8 * montecarlo._SLAB_WORDS * 2, peaks
+    assert peaks[2] < 1.25 * peaks[1], peaks
+
+
+def failing_chunks(monkeypatch, failing: set[int]) -> None:
+    """Make _column_sums raise ValueError(c) on each chunk c in ``failing``,
+    read from the chunk's substream key (stream 0, so chunk c has key 1 + c).
+    The lowest of them fails last, after a pause, so that on several workers
+    a higher chunk has failed first."""
+    real = montecarlo._column_sums
+
+    def column_sums(gen, size, n, r, workers=1):
+        chunk = int(gen.bit_generator.state["state"]["key"][1]) - 1
+        if chunk in failing:
+            if chunk == min(failing) and len(failing) > 1:
+                time.sleep(0.3)
+            raise ValueError(chunk)
+        return real(gen, size, n, r, workers)
+
+    monkeypatch.setattr(montecarlo, "_column_sums", column_sums)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("failing, raised", [({2}, 2), ({1, 3}, 1), ({3, 0}, 0)])
+def test_a_failed_chunk_raises_after_every_worker_joins(monkeypatch, threads, failing, raised):
+    failing_chunks(monkeypatch, failing)
+    before = threading.active_count()
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(_sample_statistics(5, 4, 4 * montecarlo._CHUNK, RngContract(seed=49),
+                                              threads=threads))
+        except ValueError as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=call)  # so that a hang fails the test instead of the run
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    [exc] = outcome
+    assert isinstance(exc, ValueError) and exc.args == (raised,)
+    assert threading.active_count() == before  # no worker outlives the call
 
 
 def test_substream_index_and_stream_bounds():

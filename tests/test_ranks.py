@@ -34,13 +34,29 @@ def test_ranks_from_scores_examples():
 
 
 def test_ranks_from_scores_ties_and_nonfinite():
-    with pytest.raises(TieError) as err:
+    # without a path the texts name no file (load_csv adds the path)
+    with pytest.raises(TieError, match=r"^tied scores in row 0$") as err:
         ranks_from_scores([[1.0, 1.0, 3.0]])
     assert err.value.row == 0
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match=r"^scores contain non-finite entries$"):
         ranks_from_scores([[1.0, float("nan"), 3.0]])
     with pytest.raises(NonFiniteError):
         ranks_from_scores([[1.0, float("inf"), 3.0]])
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("a,b,c\n1,2,3\n4,5,4\n", TieError, "tied scores in row 1"),
+    ("1,2,3\n4,5,6\n7,8,inf\n1,nan,2\n", NonFiniteError, "row 2 has a non-finite score"),
+    ("1,2,3\n-inf,5,6\n", NonFiniteError, "row 1 has a non-finite score"),
+])
+def test_load_csv_score_errors_name_the_path_and_the_row(tmp_path, text, error, message):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        load_csv(path, "scores")
+    assert str(err.value) == f"{path}: {message}"
+    if error is TieError:
+        assert err.value.row == int(message.rsplit(" ", 1)[1])
 
 
 def test_score_vector_examples():

@@ -61,8 +61,22 @@ def test_ab_calls_times_one_call_on_both_trees(capsys):
     root = str(TOOL.parents[1])
     assert ab_calls.main(["--rounds", "2", root, root, "--", "bounds", "--n", "5", "--r", "3"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["tree", "wall_s", "in_call_s", "codes"]
+    assert header.split() == ["tree", "wall_s", "in_call_s", "cpu_s", "codes"]
     assert [row.split()[:2] for row in rows] == [["A", root], ["B", root]]
     for row in rows:
-        wall, in_call, codes = row.split()[2:]
+        wall, in_call, cpu, codes = row.split()[2:]
         assert 0 < float(in_call) < float(wall) and codes == "[0]"
+        # the child's own CPU time, not the parent's nor an earlier child's: an
+        # interpreter start costs some, and `bounds` runs on one thread
+        assert 0 < float(cpu) < 2 * float(wall)
+
+
+def test_ab_calls_cpu_time_counts_the_child_alone(monkeypatch):
+    spec = importlib.util.spec_from_file_location("ab_calls", TOOL.parent / "ab_calls.py")
+    ab_calls = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_calls)
+    readings = iter([10.0, 10.25])  # children's CPU seconds before and after the call
+    monkeypatch.setattr(ab_calls, "cpu_seconds", lambda: next(readings))
+    root = str(TOOL.parents[1])
+    wall, in_call, cpu, code = ab_calls.one_call(root, ["bounds", "--n", "5", "--r", "3"])
+    assert cpu == 0.25 and code == 0 and 0 < in_call < wall

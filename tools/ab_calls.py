@@ -6,15 +6,19 @@ Each round runs ``friedman_bounds.cli.main(ARGV)`` once with TREE_A/src and
 once with TREE_B/src on the path, in a new interpreter each time; the tree
 that goes first alternates between rounds, so drift in the machine's speed
 falls on both.  Per tree it prints the median whole-call wall time (interpreter
-start to exit) and the median in-call time (``main`` alone, its imports
-included), over the rounds, and the exit codes ``main`` returned.  Standard
-library only; relative paths in ARGV are read from the current directory.
+start to exit), the median in-call time (``main`` alone, its imports
+included) and the median CPU time (the interpreter's user plus system
+seconds, all threads), over the rounds, and the exit codes ``main`` returned.
+A change that moves work onto more threads trades CPU time for wall time, so
+both are shown.  Standard library only (``resource`` makes it Unix only);
+relative paths in ARGV are read from the current directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -31,15 +35,21 @@ print(time.perf_counter() - start, code)
 """
 
 
-def one_call(tree: str, argv: list[str]) -> tuple[float, float, int]:
-    """(whole-call wall s, in-call s, exit code) of one fresh interpreter."""
+def cpu_seconds() -> float:
+    """User plus system seconds of every child waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def one_call(tree: str, argv: list[str]) -> tuple[float, float, float, int]:
+    """(whole-call wall s, in-call s, CPU s, exit code) of one fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
-    start = time.perf_counter()
+    cpu, start = cpu_seconds(), time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
                           capture_output=True, text=True, check=True)
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, cpu_seconds() - cpu
     in_call, code = proc.stdout.split()
-    return wall, float(in_call), int(code)
+    return wall, float(in_call), cpu, int(code)
 
 
 def main(args: list[str]) -> int:
@@ -48,15 +58,16 @@ def main(args: list[str]) -> int:
     parser.add_argument("trees", nargs=2, metavar="TREE")
     parser.add_argument("argv", nargs="+", help="the CLI call, after --")
     ns = parser.parse_args(args)
-    runs: list[list[tuple[float, float, int]]] = [[], []]
+    runs: list[list[tuple[float, float, float, int]]] = [[], []]
     for i in range(ns.rounds):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             runs[side].append(one_call(ns.trees[side], ns.argv))
-    print(f"{'tree':<40} {'wall_s':>8} {'in_call_s':>10}  codes")
+    print(f"{'tree':<40} {'wall_s':>8} {'in_call_s':>10} {'cpu_s':>8}  codes")
     for label, tree, side in zip("AB", ns.trees, runs):
-        wall, in_call, codes = zip(*side)
+        wall, in_call, cpu, codes = zip(*side)
         print(f"{label + ' ' + tree:<40} {statistics.median(wall):>8.4f} "
-              f"{statistics.median(in_call):>10.4f}  {sorted(set(codes))}")
+              f"{statistics.median(in_call):>10.4f} {statistics.median(cpu):>8.4f}  "
+              f"{sorted(set(codes))}")
     return 0
 
 
