@@ -16,7 +16,9 @@ process has CPUs to run on, unless --threads or the variable says fewer.
 Each handler imports the modules it runs, so `bounds` loads no numpy.  No
 subcommand loads scipy: the package imports numpy only, and its chi-square
 tail is a closed form (see ``chisq``).  A flag that a call would ignore, such
-as --t without a cos or sin test function, is a usage error.  `verify` checks
+as --t without a cos or sin test function, or --samples, --seed or --threads
+with --mode exact, which draws nothing, is a usage error.  `distance` is one
+``montecarlo.distance`` call whatever the metric and mode.  `verify` checks
 its flags and prints: each suite, with its budget skips and pass rules, lives
 in the module whose identities it checks (exact, coupling, stein).
 """
@@ -191,30 +193,28 @@ def _cmd_verify(args) -> int:
 # distance / rate
 # ---------------------------------------------------------------------------
 
+def _sampling(args):
+    """(samples, rng, threads) of --samples, --seed and --threads; with --mode
+    exact, which draws nothing, giving any of them is a usage error."""
+    from .montecarlo import RngContract
+
+    given = [f"--{k}" for k in ("samples", "seed", "threads") if vars(args)[k] is not None]
+    if args.mode == "exact" and given:
+        raise DomainError(f"--mode exact draws nothing, so {', '.join(given)} would be ignored")
+    samples = 1_000_000 if args.samples is None else args.samples
+    return samples, RngContract(seed=args.seed or 0), _thread_cap(args.threads)
+
+
 def _cmd_distance(args) -> int:
     from . import montecarlo
 
     t = _frequency(args.t, args.metric == "cos", f"--metric {args.metric}")
-    threads = _thread_cap(args.threads)
-    rng = montecarlo.RngContract(seed=args.seed)
-    norms = bounds_mod.SmoothNorms()
-    if args.metric == "kolmogorov":
-        if args.mode == "exact":
-            est = montecarlo.exact_kolmogorov(args.n, args.r)
-        else:
-            est = montecarlo.estimate_kolmogorov(args.n, args.r, args.samples, rng,
-                                                 threads=threads)
-    elif args.metric == "cos":
-        h = _test_function("cos", t)
+    samples, rng, threads = _sampling(args)
+    metric, h, norms = args.metric, None, bounds_mod.SmoothNorms()
+    if args.metric == "cos":
+        metric, h = "smooth", _test_function("cos", t)
         norms = bounds_mod.SmoothNorms(h.norm(1), h.norm(2), h.norm(3))
-        est = montecarlo.smooth_gap(args.n, args.r, h, args.mode, args.samples, rng,
-                                    threads=threads)
-    else:  # argparse restricts --metric to the three names
-        if args.r != 2:
-            raise DomainError("the Wasserstein diagnostic is available for r = 2 only")
-        if args.mode != "mc":
-            raise DomainError(f"--metric wasserstein must run with --mode mc, got {args.mode!r}")
-        est = montecarlo.estimate_wasserstein(args.n, args.samples, rng, threads=threads)
+    est = montecarlo.distance(metric, args.n, args.r, args.mode, samples, rng, threads, h)
     report = bounds_mod.bound_report(args.n, args.r, norms)
     bound = {"kolmogorov": report.kolmogorov, "cos": report.selected,
              "wasserstein": report.wasserstein_r2}[args.metric]
@@ -240,7 +240,7 @@ def _cmd_rate(args) -> int:
     from . import montecarlo
 
     t = _frequency(args.t, args.h in ("cos", "sin"), f"--h {args.h}")
-    threads = _thread_cap(args.threads)
+    samples, rng, threads = _sampling(args)
     try:
         n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
     except ValueError as exc:
@@ -248,10 +248,8 @@ def _cmd_rate(args) -> int:
     if not n_list or any(n < 1 for n in n_list):
         raise DomainError(f"bad --n list {args.n!r}")
     h = _test_function(args.h, t)
-    rows = montecarlo.rate_experiment(args.r, n_list, h, mode=args.mode,
-                                      samples=args.samples,
-                                      rng=montecarlo.RngContract(seed=args.seed),
-                                      threads=threads)
+    rows = montecarlo.rate_experiment(args.r, n_list, h, mode=args.mode, samples=samples,
+                                      rng=rng, threads=threads)
     for row in rows:
         print(_dump(row))
     return EXIT_CHECK_FAILED if any(row["gap_below_bound"] is False for row in rows) else EXIT_OK
@@ -298,8 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--metric", choices=("kolmogorov", "cos", "wasserstein"),
                         default="kolmogorov")
     p_dist.add_argument("--mode", choices=("exact", "mc"), default="mc")
-    p_dist.add_argument("--samples", type=int, default=1_000_000)
-    p_dist.add_argument("--seed", type=int, default=0)
+    p_dist.add_argument("--samples", type=int, help="Monte Carlo draws (default 1000000)")
+    p_dist.add_argument("--seed", type=int, help="Philox key word (default 0)")
     p_dist.add_argument("--t", type=float, help="cos frequency (default 1)")
     p_dist.add_argument("--threads", type=int, help="sampling threads (default: the usable CPUs)")
     p_dist.set_defaults(fn=_cmd_distance)
@@ -310,8 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--t", type=float, help="cos or sin frequency (default 1)")
     p_rate.add_argument("--n", type=str, required=True, help="comma-separated trial counts")
     p_rate.add_argument("--mode", choices=("auto", "exact", "mc"), default="auto")
-    p_rate.add_argument("--samples", type=int, default=1_000_000)
-    p_rate.add_argument("--seed", type=int, default=0)
+    p_rate.add_argument("--samples", type=int, help="Monte Carlo draws (default 1000000)")
+    p_rate.add_argument("--seed", type=int, help="Philox key word (default 0)")
     p_rate.add_argument("--threads", type=int, help="sampling threads (default: the usable CPUs)")
     p_rate.set_defaults(fn=_cmd_rate)
     return parser

@@ -45,14 +45,18 @@ many workers (the calling thread one of them, never more than the chunks)
 take chunk indices from one shared iterator, and the results are
 concatenated in chunk order.
 
-Kolmogorov distances, exact or sampled, take both one-sided gaps at every
-atom of the step function; sampled ones carry a DKW error bar.  The
-Wasserstein diagnostic is the exact integral of |ECDF - CDF|.  smooth_gap
-computes smooth test-function gaps exactly, by Monte Carlo, or ('auto')
-exactly whenever the exact engine fits its budget (exact_law.BUDGET_CAP
-enumerated terms), with the method recorded in the result.  A result's
-``samples`` counts its Monte Carlo draws, or on an exact row the sorted
-column-sum states the exact engine summed over (exact_law.FLaw.states).
+Every distance reads one law of F_r as weighted atoms, and _law is the one
+place that chooses it: 'exact' reads exact_law.f_law (BudgetError past
+exact_law.BUDGET_CAP enumerated terms), 'mc' draws samples, and 'auto' reads
+the exact law wherever it fits its budget and draws otherwise.  distance has
+one reader per metric on that view: the Kolmogorov distance takes both
+one-sided gaps at every atom, the smooth gap |E h(F_r) - E h(Y)| is an fsum
+over the atoms, and the Wasserstein diagnostic (r = 2) is the exact integral
+of |F - CDF|.  Only a sampled law carries an error bar (DKW, CLT, or DKW
+times a cutoff).  A result records its method, and its ``samples`` counts
+the Monte Carlo draws, or on an exact row the sorted column-sum states the
+exact engine summed over (exact_law.FLaw.states).  The estimate_*, exact_*
+and smooth_gap entries are distance with the metric and mode fixed.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ __all__ = [
     "RngContract",
     "DistanceEstimate",
     "uniform_rows",
+    "distance",
     "estimate_kolmogorov",
     "exact_kolmogorov",
     "exact_smooth_gap",
@@ -347,106 +352,57 @@ def _dkw_half_width(samples: int) -> float:
     return math.sqrt(math.log(2.0 / (1.0 - _DKW_CONFIDENCE)) / (2.0 * samples))
 
 
-def _sup_gap(atoms: np.ndarray, after: np.ndarray, jumps: np.ndarray, p: int) -> float:
-    """Exact sup |F - CDF| for a step function F on sorted atoms, with F equal
-    to ``after`` at each atom and to ``after - jumps`` just before it."""
-    cdf = chisq_cdf_array(ChiSquareLaw(p), atoms)
-    return float(np.max(np.maximum(after - cdf, cdf - (after - jumps))))
+def _law(n: int, r: int, mode: str, samples: int | None, rng: RngContract | None,
+         threads: int = 1):
+    """The law of F_r as weighted atoms: (atoms, masses, levels, count, method).
 
-
-def _exact_row(n: int, r: int, statistic) -> DistanceEstimate:
-    """An exact row: ``statistic(values, probs)`` of the atoms of F_r and their
-    probabilities as floats, each correctly rounded from its exact value, with
-    the states the exact engine summed over as its ``samples``."""
-    from .exact_law import f_law, law_floats
-
-    law = f_law(n, r)
-    return DistanceEstimate(statistic(*law_floats(law, n, r)), 0.0, law.states,
-                            "exact-enumeration")
-
-
-def estimate_kolmogorov(n: int, r: int, samples: int, rng: RngContract,
-                        threads: int = 1) -> DistanceEstimate:
-    """MC Kolmogorov distance between L(F_r) and chi-square(r-1), with DKW bar."""
-    values = _sample_statistics(n, r, samples, rng, threads=threads)
-    uniq, counts = np.unique(values, return_counts=True)
-    return DistanceEstimate(value=_sup_gap(uniq, np.cumsum(counts) / samples,
-                                           counts / samples, r - 1),
-                            half_width=_dkw_half_width(samples), samples=samples,
-                            method="monte-carlo")
-
-
-def exact_kolmogorov(n: int, r: int) -> DistanceEstimate:
-    """Exact d_K via enumeration of the atom law of F_r (budget permitting)."""
-    return _exact_row(n, r, lambda xs, probs: _sup_gap(xs, np.cumsum(probs), probs, r - 1))
-
-
-def _chisq_side(h: TestFunction, p: int) -> float:
-    if h.chisq_closed_form is not None:
-        return h.chisq_closed_form(p)
-    return chisq_expectation(ChiSquareLaw(p), h)
-
-
-def _exact_smooth_row(n: int, r: int, h: TestFunction) -> DistanceEstimate:
-    return _exact_row(n, r, lambda xs, probs: abs(math.fsum(probs * h.fn(xs))
-                                                  - _chisq_side(h, r - 1)))
-
-
-def exact_smooth_gap(n: int, r: int, h: TestFunction) -> float:
-    """|E[h(F_r)] - E[h(Y_{r-1})]| with the first term an exact atom average."""
-    return _exact_smooth_row(n, r, h).value
-
-
-def estimate_smooth_gap(n: int, r: int, h: TestFunction, samples: int,
-                        rng: RngContract, threads: int = 1) -> DistanceEstimate:
-    """MC |E[h(F_r)] - E[h(Y)]| with a 99% CLT half-width."""
-    values = _sample_statistics(n, r, samples, rng, threads=threads)
-    hv = h.fn(values)
-    mean = float(hv.mean())
-    half = 2.576 * float(hv.std(ddof=1)) / math.sqrt(samples)
-    return DistanceEstimate(value=abs(mean - _chisq_side(h, r - 1)),
-                            half_width=half, samples=samples, method="monte-carlo")
-
-
-def smooth_gap(n: int, r: int, h: TestFunction, mode: str, samples: int,
-               rng: RngContract, threads: int = 1) -> DistanceEstimate:
-    """|E[h(F_r)] - E[h(Y_{r-1})]|, exact or sampled.
-
-    mode 'exact' enumerates (BudgetError beyond the exact engine's budget),
-    'mc' samples, and 'auto' enumerates and falls back to sampling on
+    The atoms are sorted, masses are their probabilities and levels the law's
+    CDF at each atom.  mode 'exact' reads exact_law.f_law (BudgetError beyond
+    its budget): atoms and masses each correctly rounded from the exact value,
+    levels their running sum, count the states the engine summed over.  'mc'
+    draws ``samples`` values: atoms and counts from np.unique, masses and
+    levels the counts and their running sum over ``samples``, count the
+    samples.  'auto' reads the exact law and falls back to drawing on
     BudgetError.
     """
     if mode not in ("exact", "mc", "auto"):
         raise DomainError(f"unknown mode {mode!r}")
     if mode != "mc":
+        from .exact_law import f_law, law_floats
+
         try:
-            return _exact_smooth_row(n, r, h)
+            law = f_law(n, r)
         except BudgetError:
             if mode == "exact":
                 raise
-    return estimate_smooth_gap(n, r, h, samples, rng, threads=threads)
+        else:
+            atoms, masses = law_floats(law, n, r)
+            return atoms, masses, np.cumsum(masses), law.states, "exact-enumeration"
+    draws = _sample_statistics(n, r, samples, rng, threads=threads)
+    atoms, counts = np.unique(draws, return_counts=True)
+    size = draws.size  # the samples, as a Python int
+    return atoms, counts / size, np.cumsum(counts) / size, size, "monte-carlo"
 
 
-def _ecdf_l1_distance(values: np.ndarray, p: int) -> float:
-    """Exact integral over [0, inf) of |ECDF - CDF| for chi-square(p).
+def _l1_distance(atoms: np.ndarray, levels: np.ndarray, p: int) -> float:
+    """Exact integral over [0, inf) of |F - CDF| for chi-square(p), F the step
+    function equal to ``levels`` from each of the sorted ``atoms`` on.
 
     With H(z) = E[(Y - z)^+] = p Q_{p+2}(z) - z Q_p(z), int_0^z F_p = z - p + H(z).
-    The ECDF level c on a step [a, b) meets F_p at the point t where
-    F_p(t) = c, or at the end of the step nearer that point, and the step
-    contributes H(a) + H(b) - 2 H(t) + (1 - c)(a + b - 2t).  That sum is
-    stationary in t at the crossing, so t is bisected _BISECTIONS times inside
-    [a, b].  Past the largest atom u the ECDF is 1 and the tail contributes H(u).
+    The level c on a step [a, b) meets F_p at the point t where F_p(t) = c,
+    or at the end of the step nearer that point, and the step contributes
+    H(a) + H(b) - 2 H(t) + (1 - c)(a + b - 2t).  That sum is stationary in t
+    at the crossing, so t is bisected _BISECTIONS times inside [a, b].  Past
+    the largest atom u, F is taken as 1 and the tail contributes H(u).
     """
-    uniq, counts = np.unique(values, return_counts=True)
-    level = np.cumsum(counts) / values.size
     law, law2 = ChiSquareLaw(p), ChiSquareLaw(p + 2)
 
     def excess(z):
         return p * chisq_tail(law2, z) - z * chisq_tail(law, z)
 
-    a = np.concatenate(([0.0], uniq[:-1]))
-    b = uniq
-    c = np.concatenate(([0.0], level[:-1]))
+    a = np.concatenate(([0.0], atoms[:-1]))
+    b = atoms
+    c = np.concatenate(([0.0], levels[:-1]))
     at_a = chisq_cdf_array(law, a)
     cross = (at_a < c) & (c < chisq_cdf_array(law, b))
     lo, hi = a[cross], b[cross]
@@ -457,28 +413,87 @@ def _ecdf_l1_distance(values: np.ndarray, p: int) -> float:
     t = np.where(c <= at_a, a, b)
     t[cross] = 0.5 * (lo + hi)
     steps = excess(a) + excess(b) - 2.0 * excess(t) + (1.0 - c) * (a + b - 2.0 * t)
-    return float(math.fsum(steps) + excess(uniq[-1]))
+    return float(math.fsum(steps) + excess(atoms[-1]))
+
+
+def distance(metric: str, n: int, r: int, mode: str = "mc", samples: int | None = None,
+             rng: RngContract | None = None, threads: int = 1,
+             h: TestFunction | None = None) -> DistanceEstimate:
+    """One distance between L(F_r) and chi-square(r-1), read off the law that
+    _law(n, r, mode, samples, rng, threads) chooses.
+
+    'kolmogorov' is sup |F - CDF| on both sides of every atom; 'smooth' is
+    |E[h(F_r)] - E[h(Y_{r-1})]| for the test function ``h``, given exactly
+    for this metric; 'wasserstein' (r = 2 only) is _l1_distance.  Each is
+    refused before any draw.  A sampled law carries a 99% error bar: the DKW
+    bar, the CLT bar 2.576 sd / sqrt(samples), or the DKW bar times a cutoff
+    past which both CDFs are 1 to 1e-12; an exact law carries none.
+    """
+    if metric not in ("kolmogorov", "smooth", "wasserstein"):
+        raise DomainError(f"unknown metric {metric!r}")
+    if (h is None) == (metric == "smooth"):
+        raise DomainError(f"h goes with the smooth metric and no other, got {metric!r}, h={h!r}")
+    if metric == "wasserstein" and r != 2:
+        raise DomainError("the Wasserstein diagnostic is available for r = 2 only")
+    atoms, masses, levels, count, method = _law(n, r, mode, samples, rng, threads)
+    sampled = method == "monte-carlo"
+    if metric == "kolmogorov":
+        cdf = chisq_cdf_array(ChiSquareLaw(r - 1), atoms)
+        value = float(np.max(np.maximum(levels - cdf, cdf - (levels - masses))))
+        half = _dkw_half_width(count) if sampled else 0.0
+    elif metric == "smooth":
+        hv = h.fn(atoms)
+        mean = math.fsum(masses * hv)
+        closed = h.chisq_closed_form
+        side = closed(r - 1) if closed else chisq_expectation(ChiSquareLaw(r - 1), h)
+        value = abs(mean - side)
+        variance = math.fsum(masses * (hv - mean) ** 2)  # divided by count, not count - 1
+        half = 2.576 * math.sqrt(variance / (count - 1)) if sampled else 0.0
+    else:
+        value = _l1_distance(atoms, levels, 1)
+        cutoff = max(float(atoms[-1]), 1.0 + 40.0 * math.sqrt(2.0)) + 1.0
+        half = _dkw_half_width(count) * cutoff if sampled else 0.0
+    return DistanceEstimate(value, half, count, method)
+
+
+def estimate_kolmogorov(n: int, r: int, samples: int, rng: RngContract,
+                        threads: int = 1) -> DistanceEstimate:
+    """Sampled Kolmogorov distance with its DKW bar."""
+    return distance("kolmogorov", n, r, "mc", samples, rng, threads)
+
+
+def exact_kolmogorov(n: int, r: int) -> DistanceEstimate:
+    """Exact Kolmogorov distance from the exact law (BudgetError past its budget)."""
+    return distance("kolmogorov", n, r, "exact")
+
+
+def exact_smooth_gap(n: int, r: int, h: TestFunction) -> float:
+    """|E[h(F_r)] - E[h(Y_{r-1})]| with the first term an exact atom average."""
+    return distance("smooth", n, r, "exact", h=h).value
+
+
+def estimate_smooth_gap(n: int, r: int, h: TestFunction, samples: int,
+                        rng: RngContract, threads: int = 1) -> DistanceEstimate:
+    """Sampled smooth gap with its 99% CLT bar."""
+    return distance("smooth", n, r, "mc", samples, rng, threads, h)
+
+
+def smooth_gap(n: int, r: int, h: TestFunction, mode: str, samples: int,
+               rng: RngContract, threads: int = 1) -> DistanceEstimate:
+    """The smooth gap on the law ``mode`` chooses: 'exact', 'mc' or 'auto' (see _law)."""
+    return distance("smooth", n, r, mode, samples, rng, threads, h)
 
 
 def estimate_wasserstein(n: int, samples: int, rng: RngContract,
                          threads: int = 1) -> DistanceEstimate:
-    """MC Wasserstein distance between L(F_2) and chi-square(1).
-
-    W1 equals the L1 distance between CDFs, integrated exactly over each
-    step of the ECDF.  The half-width is the conservative DKW sup bar times a
-    cutoff past which both CDFs are 1 to 1e-12 (r = 2 diagnostics only).
-    """
-    values = _sample_statistics(n, 2, samples, rng, threads=threads)
-    cutoff = max(float(values.max()), 1.0 + 40.0 * math.sqrt(2.0)) + 1.0
-    return DistanceEstimate(value=_ecdf_l1_distance(values, 1),
-                            half_width=_dkw_half_width(samples) * cutoff,
-                            samples=samples, method="monte-carlo")
+    """Sampled Wasserstein distance between L(F_2) and chi-square(1)."""
+    return distance("wasserstein", n, 2, "mc", samples, rng, threads)
 
 
 def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "auto",
                     samples: int = 1_000_000, rng: RngContract = RngContract(seed=0),
                     threads: int = 1) -> list[dict]:
-    """Gap-versus-bound table across n, one smooth_gap per n (see its modes;
+    """Gap-versus-bound table across n, one smooth_gap per n (modes as in _law;
     the row for n samples substream n of ``rng``, so every n is below 2**20,
     which is checked before any row is computed).
 

@@ -284,10 +284,41 @@ def test_cmd_distance_golden_stdout(capsys, argv, stdout):
     assert out == stdout
 
 
+ONE_TRIAL = [  # F_3 = 2 and F_2 = 1 with probability 1 at n = 1, so each distance is closed form
+    (("--metric", "kolmogorov", "--r", "3"), 1.0 - math.exp(-1.0)),
+    (("--metric", "cos", "--r", "3"), abs(math.cos(2.0) - 0.2)),  # E cos(Y_2) = Re 1/(1 - 2i)
+    (("--metric", "wasserstein", "--r", "2"),  # E|Y_1 - 1|
+     2.0 * math.sqrt(2.0 / math.pi) * math.exp(-0.5)),
+]
+
+
+@pytest.mark.parametrize("argv, value", ONE_TRIAL, ids=["kolmogorov", "cos", "wasserstein"])
+def test_cmd_distance_exact_at_one_trial(capsys, argv, value):
+    # one trial is one sorted column-sum state, so an exact row reads a one-atom law
+    code, out, err = run(capsys, "distance", "--mode", "exact", "--n", "1", *argv)
+    row = json.loads(out)
+    assert code == 0 and err == ""
+    assert (row["method"], row["samples"], row["half_width"]) == ("exact-enumeration", 1, 0.0)
+    assert row["estimate"] == pytest.approx(value, rel=1e-12)
+
+
+def test_cmd_distance_exact_wasserstein_is_gated_on_the_r2_bound(capsys):
+    code, out, _ = run(capsys, "distance", "--metric", "wasserstein", "--mode", "exact",
+                       "--r", "2", "--n", "100")
+    row = json.loads(out)
+    assert row["bound"] == bounds.bound_report(100, 2, bounds.SmoothNorms()).wasserstein_r2
+    assert (row["method"], row["samples"], row["half_width"]) == ("exact-enumeration", 51, 0.0)
+    assert code == 0 and row["within_bound"] is True and 0.0 < row["estimate"] <= row["bound"]
+
+
 def test_cmd_distance_wasserstein_requires_r2(capsys):
     code, _, err = run(capsys, "distance", "--r", "3", "--n", "5",
                        "--metric", "wasserstein", "--samples", "2000")
     assert code == 2
+    code, out, err = run(capsys, "distance", "--r", "3", "--n", "5", "--metric", "wasserstein",
+                         "--mode", "exact")
+    assert code == 2 and out == ""
+    assert "the Wasserstein diagnostic is available for r = 2 only" in err
 
 
 def test_cmd_verify_lemmas_suite(capsys):
@@ -329,7 +360,9 @@ def test_cmd_verify_coupling_golden_stdout(capsys):
 
 def test_results_golden_stdout(capsys, monkeypatch):
     # exit codes and stdout pinned before distance and rate shared one
-    # exact-or-sampled gap path, one exact record and one gate, and (the
+    # exact-or-sampled gap path, one exact record and one gate (the two Monte
+    # Carlo cos rows re-pinned when every distance came to read one weighted-atom
+    # law, whose mean is an fsum over the atoms), and (the
     # r-max 6 verify line) before the swap pass and the decomposition
     # trials became array passes; samples on the exact rows re-pinned when
     # it became the engine's state count, and the operator-link lhs when its
@@ -379,7 +412,7 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("argv,message", [
     (("distance", "--r", "2", "--n", "10", "--metric", "wasserstein", "--mode", "exact",
-      "--samples", "2000"), "--metric wasserstein must run with --mode mc, got 'exact'"),
+      "--samples", "2000"), "--mode exact draws nothing, so --samples would be ignored"),
     (("distance", "--r", "2", "--n", "10", "--samples", "2000", "--threads", "0"),
      "--threads must be an integer >= 1, got 0"),
     (("rate", "--r", "3", "--n", "5", "--mode", "mc", "--samples", "2000", "--threads", "-2"),
@@ -427,6 +460,16 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
     (("distance", "--r", "2", "--n", "5", "--metric", "wasserstein", "--samples", "2000",
       "--t", "2"),
      "--t applies to cos and sin test functions only, got --t 2.0 with --metric wasserstein"),
+    (("distance", "--mode", "exact", "--r", "4", "--n", "5", "--samples", "5000", "--seed", "3",
+      "--threads", "2"), "--mode exact draws nothing, so --samples, --seed, --threads would be"),
+    (("distance", "--mode", "exact", "--r", "4", "--n", "5", "--seed", "0"),
+     "--mode exact draws nothing, so --seed would be ignored"),
+    (("distance", "--mode", "exact", "--metric", "cos", "--r", "3", "--n", "4", "--threads", "1"),
+     "--mode exact draws nothing, so --threads would be ignored"),
+    (("rate", "--mode", "exact", "--r", "3", "--n", "2", "--samples", "10"),
+     "--mode exact draws nothing, so --samples would be ignored"),
+    (("rate", "--mode", "exact", "--r", "3", "--n", "2", "--seed", "1", "--threads", "2"),
+     "--mode exact draws nothing, so --seed, --threads would be ignored"),
 ])
 def test_ignored_flag_is_usage_error(capsys, argv, message):
     # flags that would otherwise be dropped or clamped without a word, or crash

@@ -69,6 +69,9 @@ COUNT_TAKERS = {
                              dict(n=3, r=3, samples=1000, rng=RNG), 2),
     "_sample_statistics:samples": (montecarlo._sample_statistics,
                                    dict(n=3, r=3, samples=1000, rng=RNG), 1000),
+    **{f"distance:{arg}": (montecarlo.distance, dict(metric="kolmogorov", n=3, r=3, mode="mc",
+                                                     samples=1000, rng=RNG), least)
+       for arg, least in (("n", 1), ("r", 2), ("samples", 1000))},
 }
 
 BELOW = object()  # stands for the integer just below the argument's range

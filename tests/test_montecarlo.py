@@ -13,9 +13,9 @@ from friedman_bounds import (BudgetError, ChiSquareLaw, DomainError, RankMatrix,
                              bound_kolmogorov, chisq_cdf, chisq_expectation, exact_law,
                              montecarlo)
 from friedman_bounds.exact import exact_f_distribution
-from friedman_bounds.montecarlo import (RngContract, _column_sums, _ecdf_l1_distance,
+from friedman_bounds.montecarlo import (RngContract, _column_sums, _l1_distance, _law,
                                         _permutation_table, _sample_statistics, _sampler_path,
-                                        _split_words, estimate_kolmogorov,
+                                        _split_words, distance, estimate_kolmogorov,
                                         estimate_smooth_gap, estimate_wasserstein,
                                         exact_kolmogorov, exact_smooth_gap, rate_experiment,
                                         smooth_gap, uniform_rows)
@@ -353,8 +353,8 @@ def test_samples_past_the_substreams_are_refused_before_any_draw(samples, monkey
 
 
 def test_wasserstein_integral_two_atom_law():
-    # ECDF of the exact F_2 law at n = 2 (atoms 0 and 2, mass 1/2 each)
-    values = np.array([0.0, 2.0] * 500)
+    # the exact F_2 law at n = 2: atoms 0 and 2, mass 1/2 each
+    atoms, levels = np.array([0.0, 2.0]), np.array([0.5, 1.0])
 
     def cdf1(t):
         return math.erf(math.sqrt(t / 2.0))
@@ -373,27 +373,24 @@ def test_wasserstein_integral_two_atom_law():
     below = median / 2.0 - antiderivative(median)
     between = antiderivative(2.0) - antiderivative(median) - (2.0 - median) / 2.0
     tail = (1.0 - cdf3(2.0)) - 2.0 * (1.0 - cdf1(2.0))
-    assert _ecdf_l1_distance(values, 1) == pytest.approx(below + between + tail, rel=1e-12)
+    assert _l1_distance(atoms, levels, 1) == pytest.approx(below + between + tail, rel=1e-12)
 
 
-def scipy_ecdf_l1_distance(values, p):
+def scipy_l1_distance(atoms, levels, p):
     """The Wasserstein integral as written with scipy's incomplete gamma: G(z) = z F_p - p F_{p+2},
     the crossing t from gammaincinv, clipped to the step."""
     from scipy.special import gammainc, gammaincc, gammaincinv
 
-    uniq, counts = np.unique(values, return_counts=True)
-    level = np.cumsum(counts) / values.size
-
     def antiderivative(z):
         return z * gammainc(p / 2.0, z / 2.0) - p * gammainc(p / 2.0 + 1.0, z / 2.0)
 
-    a = np.concatenate(([0.0], uniq[:-1]))
-    b = uniq
-    c = np.concatenate(([0.0], level[:-1]))
+    a = np.concatenate(([0.0], atoms[:-1]))
+    b = atoms
+    c = np.concatenate(([0.0], levels[:-1]))
     t = np.clip(2.0 * gammaincinv(p / 2.0, c), a, b)
     steps = (antiderivative(a) + antiderivative(b) - 2.0 * antiderivative(t)
              + c * (2.0 * t - a - b))
-    u = uniq[-1]
+    u = atoms[-1]
     tail = p * gammaincc(p / 2.0 + 1.0, u / 2.0) - u * gammaincc(p / 2.0, u / 2.0)
     return float(math.fsum(steps) + tail)
 
@@ -401,10 +398,49 @@ def scipy_ecdf_l1_distance(values, p):
 @pytest.mark.parametrize("n", [10, 100, 400])
 def test_wasserstein_integral_matches_scipy_formula(n):
     # the reference subtracts numbers of size z in z F_p - p F_{p+2}, so at n = 400 it
-    # carries most of the 7e-13 relative difference
+    # carries most of the 7e-13 relative difference; its ECDF is built from the draws
+    # here, and the sampled law's from the same draws inside distance
     values = _sample_statistics(n, 2, 100_000, RngContract(seed=n))
-    assert _ecdf_l1_distance(values, 1) == pytest.approx(scipy_ecdf_l1_distance(values, 1),
-                                                         rel=1e-12)
+    uniq, counts = np.unique(values, return_counts=True)
+    reference = scipy_l1_distance(uniq, np.cumsum(counts) / values.size, 1)
+    est = distance("wasserstein", n, 2, "mc", 100_000, RngContract(seed=n))
+    assert est.value == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100])
+def test_exact_wasserstein_matches_the_binomial_closed_form(n):
+    # at r = 2 the first column sum is n + K, K ~ Binomial(n, 1/2), so F_2 = (2K - n)^2 / n;
+    # the reference integrates that law against chi-square(1) with scipy
+    from scipy.stats import binom
+
+    k = np.arange(n + 1)
+    atoms, where = np.unique((2 * k - n) ** 2 / n, return_inverse=True)
+    masses = np.bincount(where, weights=binom.pmf(k, n, 0.5))
+    reference = scipy_l1_distance(atoms, np.cumsum(masses), 1)
+    est = distance("wasserstein", n, 2, "exact")
+    assert (est.method, est.half_width, est.samples) == ("exact-enumeration", 0.0, n // 2 + 1)
+    assert abs(est.value - reference) <= 1e-12
+
+
+def test_distance_refuses_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("F_r was sampled")
+
+    monkeypatch.setattr(montecarlo, "_sample_statistics", no_draw)
+    rng = RngContract(seed=1)
+    refusals = [
+        (("total variation", 5, 3), {}, "unknown metric 'total variation'"),
+        (("wasserstein", 5, 3), {}, "available for r = 2 only"),
+        (("smooth", 5, 3), {}, "h goes with the smooth metric and no other"),
+        (("kolmogorov", 5, 3), {"h": cosine(1.0)}, "h goes with the smooth metric and no other"),
+        (("wasserstein", 5, 2), {"h": cosine(1.0)}, "h goes with the smooth metric and no other"),
+    ]
+    for args, kwargs, message in refusals:
+        for mode in ("mc", "auto"):
+            with pytest.raises(DomainError, match=message):
+                distance(*args, mode, 2000, rng, **kwargs)
+    with pytest.raises(DomainError, match="unknown mode 'sampled'"):
+        distance("kolmogorov", 5, 3, "sampled", 2000, rng)
 
 
 def test_dkw_half_width_scaling():
@@ -496,18 +532,15 @@ def test_exact_rows_report_the_states_summed():
 
 @pytest.mark.parametrize("r, n", [(2, 1), (2, 200), (3, 32), (4, 5), (5, 3), (6, 3), (7, 1)])
 def test_exact_row_floats_are_the_rounded_rational_atoms(r, n):
-    # the float atoms and probabilities of an exact row are float() of the
-    # exact rationals, bit for bit, also where counts pass 2^63 (r = 3, n = 32)
-    seen = {}
-
-    def statistic(values, probs):
-        seen["values"], seen["probs"] = values, probs
-        return 0.0
-
-    montecarlo._exact_row(n, r, statistic)
-    atoms = exact_f_distribution(n, r)
-    assert seen["values"].tolist() == [float(a) for a, _ in atoms]
-    assert seen["probs"].tolist() == [float(p) for _, p in atoms]
+    # the atoms and masses of the exact law every exact row reads are float() of
+    # the exact rationals, bit for bit, also where counts pass 2^63 (r = 3, n = 32),
+    # its levels their running sum and its count the engine's states
+    atoms, masses, levels, count, method = _law(n, r, "exact", None, None)
+    exact = exact_f_distribution(n, r)
+    assert atoms.tolist() == [float(a) for a, _ in exact]
+    assert masses.tolist() == [float(p) for _, p in exact]
+    assert levels.tolist() == np.cumsum(masses).tolist()
+    assert (count, method) == (exact_law.f_law(n, r).states, "exact-enumeration")
 
 
 def test_wasserstein_below_prop_bound():

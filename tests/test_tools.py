@@ -1,19 +1,31 @@
-"""tools/src_lines.py, the code-line count that tracks the size of src/."""
+"""tools/src_lines.py, the code-line count that tracks the size of src/, and
+tools/ab_calls.py, the A/B timer of one CLI call."""
 
 import importlib.util
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
 
 
-@pytest.fixture(scope="module")
-def src_lines():
-    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
+def load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def src_lines():
+    return load(TOOL)
+
+
+@pytest.fixture(scope="module")
+def ab_calls():
+    return load(TOOL.parent / "ab_calls.py")
 
 
 MODULE = '''"""A module docstring
@@ -54,13 +66,10 @@ def test_total_is_the_sum_of_the_module_rows(src_lines, capsys):
         assert int(total[column]) == sum(int(row[column]) for row in modules)
 
 
-def test_ab_calls_times_one_call_on_both_trees(capsys):
-    spec = importlib.util.spec_from_file_location("ab_calls", TOOL.parent / "ab_calls.py")
-    ab_calls = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab_calls)
+def test_ab_calls_times_one_call_on_both_trees(ab_calls, capsys):
     root = str(TOOL.parents[1])
     assert ab_calls.main(["--rounds", "2", root, root, "--", "bounds", "--n", "5", "--r", "3"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    header, *rows, bare = capsys.readouterr().out.splitlines()
     assert header.split() == ["tree", "wall_s", "in_call_s", "cpu_s", "codes"]
     assert [row.split()[:2] for row in rows] == [["A", root], ["B", root]]
     for row in rows:
@@ -69,12 +78,42 @@ def test_ab_calls_times_one_call_on_both_trees(capsys):
         # the child's own CPU time, not the parent's nor an earlier child's: an
         # interpreter start costs some, and `bounds` runs on one thread
         assert 0 < float(cpu) < 2 * float(wall)
+    # the third row is the interpreter's start-up alone, timed in the same rounds
+    assert bare.split()[:4] == ["bare", "python3", "-c", "pass"]
+    wall, in_call, cpu, codes = bare.split()[4:]
+    assert in_call == "-" and codes == "[0]"
+    assert 0 < float(wall) and 0 < float(cpu) < 2 * float(wall)
 
 
-def test_ab_calls_cpu_time_counts_the_child_alone(monkeypatch):
-    spec = importlib.util.spec_from_file_location("ab_calls", TOOL.parent / "ab_calls.py")
-    ab_calls = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab_calls)
+def test_ab_calls_alternates_the_trees_and_the_bare_start(ab_calls, monkeypatch, capsys):
+    order = []
+
+    def one_call(tree, argv):
+        order.append(tree)
+        return 0.5, (0.25 if tree else math.nan), 0.5, 0
+
+    monkeypatch.setattr(ab_calls, "one_call", one_call)
+    assert ab_calls.main(["--rounds", "3", "ta", "tb", "--", "bounds"]) == 0
+    assert order == ["ta", "tb", None, None, "tb", "ta", "ta", "tb", None]
+    bare = capsys.readouterr().out.splitlines()[-1]
+    assert bare.split() == ["bare", "python3", "-c", "pass", "0.5000", "-", "0.5000", "[0]"]
+
+
+def test_ab_calls_bare_start_imports_no_tree(ab_calls, monkeypatch):
+    seen = {}
+
+    def run(cmd, env, **kwargs):
+        seen["cmd"], seen["env"] = cmd, env
+        return SimpleNamespace(returncode=0, stdout="")
+
+    monkeypatch.setattr(ab_calls.subprocess, "run", run)
+    monkeypatch.setenv("PYTHONPATH", "/elsewhere")
+    wall, in_call, cpu, code = ab_calls.one_call(None, ["bounds"])
+    assert seen["cmd"][1:] == ["-c", "pass"] and seen["env"]["PYTHONPATH"] == "/elsewhere"
+    assert code == 0 and math.isnan(in_call) and wall >= 0
+
+
+def test_ab_calls_cpu_time_counts_the_child_alone(ab_calls, monkeypatch):
     readings = iter([10.0, 10.25])  # children's CPU seconds before and after the call
     monkeypatch.setattr(ab_calls, "cpu_seconds", lambda: next(readings))
     root = str(TOOL.parents[1])
