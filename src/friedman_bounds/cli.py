@@ -18,9 +18,11 @@ subcommand loads scipy: the package imports numpy only, and its chi-square
 tail is a closed form (see ``chisq``).  A flag that a call would ignore, such
 as --t without a cos or sin test function, or --samples, --seed or --threads
 with --mode exact, which draws nothing, is a usage error.  `distance` is one
-``montecarlo.distance`` call whatever the metric and mode.  `verify` checks
-its flags and prints: each suite, with its budget skips and pass rules, lives
-in the module whose identities it checks (exact, coupling, stein).
+``montecarlo.distance`` call whatever the metric and mode.  `verify` holds
+one table of the flags each suite reads, refuses a given flag that no chosen
+suite reads, and prints: each suite, with its range checks, budget and pass
+rules, lives in the module whose identities it checks (exact, coupling,
+stein), and the budget, not a fixed r, bounds it.
 """
 
 from __future__ import annotations
@@ -158,32 +160,30 @@ def _cmd_bounds(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+# each suite's calls as (suite, module, function, the flags it reads in call order);
+# a module is imported when it runs
+_VERIFY_CALLS = (("lemmas", "exact", "verify_lemma_formulas", ("r_max", "n_max")),
+                 ("lemmas", "exact", "verify_inequalities", ("r_max",)),
+                 ("identities", "exact", "verify_identities", ("r_max", "trials", "seed")),
+                 ("coupling", "coupling", "verify_suite", ("r_max", "n_max")),
+                 ("stein", "stein", "verify_suite", ("p_max",)))
+_VERIFY_DEFAULTS = {"r_max": 6, "n_max": 4, "p_max": 6, "trials": 100, "seed": 0}
+
+
 def _cmd_verify(args) -> int:
     from .exact_law import all_pass
 
-    if args.r_max < 2 or args.n_max < 1 or args.p_max < 1 or args.trials < 1:
-        raise DomainError(f"need --r-max >= 2, --n-max >= 1, --p-max >= 1 and --trials >= 1, "
-                          f"got {args.r_max}, {args.n_max}, {args.p_max} and {args.trials}")
-    if args.suite == "identities" and args.r_max < 3:
-        raise DomainError(f"--suite identities needs --r-max >= 3, got {args.r_max}")
-    if args.suite in ("lemmas", "all") and args.r_max > 10:
-        raise DomainError(f"--suite {args.suite} needs --r-max <= 10, got {args.r_max}")
-    if not 0 <= args.seed < 2 ** 64:  # the identities draws take a Philox key
-        raise DomainError(f"--seed must be {'>= 0' if args.seed < 0 else '< 2**64'}, "
-                          f"got {args.seed}")
-    # suite -> its calls as (module, function, arguments); a module is imported when it runs
-    suites = {
-        "lemmas": [("exact", "verify_lemma_formulas", (args.r_max, args.n_max)),
-                   ("exact", "verify_inequalities", (args.r_max,))],
-        "identities": [("exact", "verify_index_decomposition", (r, args.trials, args.seed))
-                       for r in range(3, min(args.r_max, 6) + 1)],
-        "coupling": [("coupling", "verify_suite", (args.r_max, args.n_max))],
-        "stein": [("stein", "verify_suite", (args.p_max,))],
-    }
+    calls = [call for call in _VERIFY_CALLS if args.suite in ("all", call[0])]
+    read = {flag for *_, flags in calls for flag in flags}
+    given = {k: vars(args)[k] for k in _VERIFY_DEFAULTS if vars(args)[k] is not None}
+    ignored = [f"--{k.replace('_', '-')}" for k in given if k not in read]
+    if ignored:
+        raise DomainError(f"--suite {args.suite} does not read {', '.join(ignored)}, "
+                          f"which would be ignored")
+    values = {**_VERIFY_DEFAULTS, **given}
     report = []
-    for name in suites if args.suite == "all" else [args.suite]:
-        for module, fn, fn_args in suites[name]:
-            report += getattr(import_module(f".{module}", __package__), fn)(*fn_args)
+    for _, module, fn, flags in calls:
+        report += getattr(import_module(f".{module}", __package__), fn)(*map(values.get, flags))
     for entry in report:
         print(_dump(entry))
     return EXIT_OK if all_pass(report) else EXIT_CHECK_FAILED
@@ -245,7 +245,7 @@ def _cmd_rate(args) -> int:
         n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
     except ValueError as exc:
         raise DomainError(f"bad --n list {args.n!r}: {exc}") from exc
-    if not n_list or any(n < 1 for n in n_list):
+    if not n_list:
         raise DomainError(f"bad --n list {args.n!r}")
     h = _test_function(args.h, t)
     rows = montecarlo.rate_experiment(args.r, n_list, h, mode=args.mode, samples=samples,
@@ -281,13 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(fn=_cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="run the exact verification suites")
-    p_verify.add_argument("--suite", choices=("lemmas", "coupling", "stein", "identities", "all"),
+    p_verify.add_argument("--suite", choices=(*dict.fromkeys(c[0] for c in _VERIFY_CALLS), "all"),
                           default="all")
-    p_verify.add_argument("--r-max", type=int, default=6, dest="r_max")
-    p_verify.add_argument("--n-max", type=int, default=4, dest="n_max")
-    p_verify.add_argument("--p-max", type=int, default=6, dest="p_max")
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=0)
+    for flag, default in _VERIFY_DEFAULTS.items():
+        p_verify.add_argument(f"--{flag.replace('_', '-')}", type=int, help=f"default {default}")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_dist = sub.add_parser("distance", help="distance estimate gated on its bound")

@@ -20,7 +20,11 @@ moments are exact fractions.  The claims are covered by:
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 of ``exact_law`` (_check_terms raises BudgetError naming the cell, the term
-count and the cap).
+count and the cap).  The budget, not a fixed r, bounds every suite: the
+lemma and inequality suites charge their largest tuple enumeration up
+front (the lemmas run to r = 22), each decomposition check charges the r!
+terms of the overlap law before any draw, and verify_identities reports an
+r past the budget as one skipped entry (the decompositions run to r = 8).
 
 Every verify_* function returns a list of JSON-ready entries
 {identity, r, n, status, lhs, rhs} in the format of ``exact_law._entry``
@@ -45,6 +49,7 @@ __all__ = [
     "verify_lemma_formulas",
     "verify_inequalities",
     "verify_index_decomposition",
+    "verify_identities",
     "exact_f_distribution",
     "point_mass_at_zero",
     "rho_moment",
@@ -234,20 +239,21 @@ def closed_s2s2(r: int, n: int) -> Fraction:
     return Fraction(num, 5 * n * r * r * (r + 1))
 
 
-def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
+def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
     """Check every exact moment equality behind the error bounds.
 
-    Single-trial identities run for r in 2..r_max, r_max <= 10; column-law
-    identities (variance, S-moment closed forms) and the F_r and T_m
-    identities for every n in 1..n_max, at a cost that does not depend on n.
-    The F_r identities read the S moments alone.  The T_m identities need the
-    r! terms of the overlap law: from r = 9 on, each cell's are one skipped
-    entry naming that count.  Infeasible identities (three distinct
-    coordinates at r = 2) are reported as skipped, not failed.
+    Single-trial identities run for r in 2..r_max; the largest enumeration,
+    the r_max!/(r_max-4)! four-coordinate tuples, is charged to the budget
+    before any other (r_max <= 22 fits).  Column-law identities (variance,
+    S-moment closed forms) and the F_r and T_m identities run for every n in
+    1..n_max, at a cost that does not depend on n.  The F_r identities read
+    the S moments alone.  The T_m identities need the r! terms of the
+    overlap law: from r = 9 on, each cell's are one skipped entry naming
+    that count.  Infeasible identities (three distinct coordinates at r = 2)
+    are reported as skipped, not failed.
     """
     r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")
-    if r_max > 10:
-        raise DomainError(f"single-trial enumeration supports r <= 10, got {r_max}")
+    _check_terms(f"the enumeration of four-coordinate tuples at r={r_max}", math.perm(r_max, 4))
     out: list[dict] = []
     for r in range(2, r_max + 1):
         rr = Fraction(r)
@@ -366,17 +372,18 @@ def verify_lemma_formulas(r_max: int = 6, n_max: int = 5) -> list[dict]:
     return out
 
 
-def verify_inequalities(r_max: int = 8) -> list[dict]:
+def verify_inequalities(r_max: int) -> list[dict]:
     """Check every single-trial moment inequality used by the remainder estimates.
 
+    Runs r in 2..r_max; the largest enumeration, the r_max!/(r_max-3)!
+    three-coordinate tuples, is charged to the budget before any other.
     Equalities are exact rational comparisons; chains mixing square or cube
     roots (the treatment-sum chains, with the S-moment caps E[S^2] <= 1,
     E[S^4] <= 3, E[S^6] <= 15 substituted as in the proofs) are evaluated in
     floating point from exact rho moments.
     """
     r_max = check_count(r_max, 2, "r_max")
-    if r_max > 10:
-        raise DomainError(f"single-trial enumeration supports r <= 10, got {r_max}")
+    _check_terms(f"the enumeration of three-coordinate tuples at r={r_max}", math.perm(r_max, 3))
     out: list[dict] = []
     for r in range(2, r_max + 1):
         rr = Fraction(r)
@@ -573,7 +580,9 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     draw in [-50, 50] per multiset of indices, f[t] = g[sorted(t)]), the
     all-ones counting case, and the fourth-moment instance
     f(l,j,s,t) = (E[rho(l)rho(j)rho(s)rho(t)])^2, whose decomposed total is
-    cross-checked against a direct two-permutation enumeration.
+    cross-checked against a direct two-permutation enumeration.  That
+    enumeration reads the r! terms of the overlap law, which are charged to
+    the budget before any draw (BudgetError from r = 9 on).
 
     The draws come from one Philox generator keyed by (seed, 0), so seed
     lies in [0, 2**64); each arity draws its trials in blocks of at most
@@ -585,10 +594,9 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
 
     r, trials = check_count(r, 3, "r"), check_count(trials, 1, "trials")
     seed = check_count(seed, 0, "seed")
-    if r > 6:
-        raise DomainError(f"decomposition check supports 3 <= r <= 6, got {r}")
     if seed >= 2 ** 64:
         raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    direct = beta_fourth_moment_direct(r)  # the r! overlap terms, charged before any draw
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     out: list[dict] = []
     for arity in (2, 3, 4):
@@ -613,6 +621,17 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     lhs = Fraction(sum(map(math.prod, zip(full, numerators))), denominator)
     rhs = Fraction(sum(map(math.prod, zip(regrouped, numerators))), denominator)
     out.append(_eq_entry("4-index decomposition, f = (E[rho^(4 indices)])^2", r, None, lhs, rhs))
-    out.append(_eq_entry("E[beta^4] tuple sum = direct enumeration", r, None,
-                         lhs, beta_fourth_moment_direct(r)))
+    out.append(_eq_entry("E[beta^4] tuple sum = direct enumeration", r, None, lhs, direct))
+    return out
+
+
+def verify_identities(r_max: int, trials: int, seed: int) -> list[dict]:
+    """verify_index_decomposition at every r in 3..r_max; an r past the
+    budget is one skipped entry naming its cost."""
+    out = []
+    for r in range(3, check_count(r_max, 3, "r_max") + 1):
+        try:
+            out += verify_index_decomposition(r, trials, seed)
+        except BudgetError as exc:
+            out.append(_entry("index decompositions", r, None, "skip", "-", "-", str(exc)))
     return out

@@ -55,8 +55,8 @@ over the atoms, and the Wasserstein diagnostic (r = 2) is the exact integral
 of |F - CDF|.  Only a sampled law carries an error bar (DKW, CLT, or DKW
 times a cutoff).  A result records its method, and its ``samples`` counts
 the Monte Carlo draws, or on an exact row the sorted column-sum states the
-exact engine summed over (exact_law.FLaw.states).  The estimate_*, exact_*
-and smooth_gap entries are distance with the metric and mode fixed.
+exact engine summed over (exact_law.FLaw.states).  The estimate_* and
+exact_* entries are distance with the metric and mode fixed.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ __all__ = [
     "exact_kolmogorov",
     "exact_smooth_gap",
     "estimate_smooth_gap",
-    "smooth_gap",
     "estimate_wasserstein",
     "rate_experiment",
 ]
@@ -478,12 +477,6 @@ def estimate_smooth_gap(n: int, r: int, h: TestFunction, samples: int,
     return distance("smooth", n, r, "mc", samples, rng, threads, h)
 
 
-def smooth_gap(n: int, r: int, h: TestFunction, mode: str, samples: int,
-               rng: RngContract, threads: int = 1) -> DistanceEstimate:
-    """The smooth gap on the law ``mode`` chooses: 'exact', 'mc' or 'auto' (see _law)."""
-    return distance("smooth", n, r, mode, samples, rng, threads, h)
-
-
 def estimate_wasserstein(n: int, samples: int, rng: RngContract,
                          threads: int = 1) -> DistanceEstimate:
     """Sampled Wasserstein distance between L(F_2) and chi-square(1)."""
@@ -493,7 +486,7 @@ def estimate_wasserstein(n: int, samples: int, rng: RngContract,
 def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "auto",
                     samples: int = 1_000_000, rng: RngContract = RngContract(seed=0),
                     threads: int = 1) -> list[dict]:
-    """Gap-versus-bound table across n, one smooth_gap per n (modes as in _law;
+    """Gap-versus-bound table across n, one smooth distance per n (modes as in _law;
     the row for n samples substream n of ``rng``, so every n is below 2**20,
     which is checked before any row is computed).
 
@@ -509,7 +502,7 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
     norms = bounds_mod.SmoothNorms(h1=h.norm(1), h2=h.norm(2), h3=h.norm(3))
     rows = []
     for n in n_list:
-        est = smooth_gap(n, r, h, mode, samples, rng.substream(n), threads=threads)
+        est = distance("smooth", n, r, mode, samples, rng.substream(n), threads, h)
         report = bounds_mod.bound_report(n, r, norms)
         ok = None if report.selected is None else est.within(report.selected)
         rows.append({

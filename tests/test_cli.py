@@ -434,10 +434,9 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
      f"seed and stream must lie in [0, 2**64), got {2 ** 64} and 0"),
     (("rate", "--r", "3", "--n", "5", "--seed", "-1"),
      "need seed >= 0, got -1"),
-    (("verify", "--suite", "identities", "--seed", "-3"), "--seed must be >= 0, got -3"),
-    (("verify", "--suite", "lemmas", "--r-max", "11"),
-     "--suite lemmas needs --r-max <= 10, got 11"),
-    (("verify", "--r-max", "11"), "--suite all needs --r-max <= 10, got 11"),
+    (("verify", "--suite", "identities", "--seed", "-3"), "need seed >= 0, got -3"),
+    (("verify", "--suite", "lemmas", "--r-max", "23"), "r=23 needs 212520 enumerated terms"),
+    (("verify", "--r-max", "23"), "r=23 needs 212520 enumerated terms"),
     (("distance", "--r", "3", "--n", "4", "--metric", "cos", "--t", "inf"),
      "frequency t must be finite with a finite t^4, got inf"),
     (("distance", "--r", "3", "--n", "4", "--metric", "cos", "--mode", "exact", "--t", "1e300"),
@@ -470,6 +469,20 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
      "--mode exact draws nothing, so --samples would be ignored"),
     (("rate", "--mode", "exact", "--r", "3", "--n", "2", "--seed", "1", "--threads", "2"),
      "--mode exact draws nothing, so --seed, --threads would be ignored"),
+    (("verify", "--suite", "stein", "--r-max", "4"),
+     "--suite stein does not read --r-max, which would be ignored"),
+    (("verify", "--suite", "lemmas", "--seed", "1"),
+     "--suite lemmas does not read --seed, which would be ignored"),
+    (("verify", "--suite", "coupling", "--trials", "5"),
+     "--suite coupling does not read --trials, which would be ignored"),
+    (("verify", "--suite", "coupling", "--seed", "5", "--trials", "7"),
+     "--suite coupling does not read --trials, --seed, which would be ignored"),
+    (("verify", "--suite", "identities", "--n-max", "2", "--p-max", "3"),
+     "--suite identities does not read --n-max, --p-max, which would be ignored"),
+    (("rate", "--r", "3", "--n", "2,0"), "need n >= 1, got 0"),
+    (("rate", "--r", "3", "--n", ","), "bad --n list ','"),
+    (("bounds", "--n", "5", "--r", "3", "--h1", "-1"), "derivative norms must be >= 0, got -1.0"),
+    (("bounds", "--n", "5", "--r", "3", "--h2", "nan"), "derivative norms must be >= 0, got nan"),
 ])
 def test_ignored_flag_is_usage_error(capsys, argv, message):
     # flags that would otherwise be dropped or clamped without a word, or crash
@@ -486,9 +499,28 @@ def test_cmd_verify_seed_is_a_philox_key_word(capsys, seed, code):
     assert got == code
     if code:
         assert out == ""
-        assert f"--seed must be {'>= 0' if seed < 0 else '< 2**64'}, got {seed}" in err
+        assert (f"need seed >= 0, got {seed}" if seed < 0
+                else f"seed must lie in [0, 2**64), got {seed}") in err
     else:
         assert all(json.loads(line)["status"] == "pass" for line in out.splitlines())
+
+
+def test_cmd_verify_identities_run_to_the_budget(capsys):
+    # r = 3..8 fit; the r = 9 check needs the 9! terms of the overlap law
+    code, out, _ = run(capsys, "verify", "--suite", "identities", "--r-max", "9",
+                       "--trials", "10")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and {e["r"] for e in lines} == set(range(3, 10))
+    assert all(e["status"] == "pass" for e in lines if e["r"] <= 8)
+    [skip] = [e for e in lines if e["r"] == 9]
+    assert skip["status"] == "skip" and "362880 enumerated terms" in skip["note"]
+
+
+def test_cmd_verify_lemmas_run_past_r10(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--r-max", "12", "--n-max", "2")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and max(e["r"] for e in lines) == 12
+    assert all(e["status"] != "fail" for e in lines)
 
 
 def test_cmd_verify_stein_suite(capsys):
@@ -542,7 +574,7 @@ def test_cmd_rate_n_past_the_substreams_is_refused_before_any_row(capsys, monkey
     def no_row(*args, **kwargs):
         raise AssertionError("a row was computed before the n list was checked")
 
-    monkeypatch.setattr(montecarlo, "smooth_gap", no_row)
+    monkeypatch.setattr(montecarlo, "distance", no_row)
     code, out, err = run(capsys, "rate", "--r", "3", "--n", f"2,{2 ** 20}", "--mode", "mc",
                          "--samples", "1000")
     assert code == 2 and out == ""

@@ -44,6 +44,9 @@ COUNT_TAKERS = {
                                           dict(r=3, trials=2, seed=0), 1),
     "verify_index_decomposition:seed": (exact.verify_index_decomposition,
                                         dict(r=3, trials=2, seed=0), 0),
+    **{f"verify_identities:{arg}": (exact.verify_identities,
+                                    dict(r_max=3, trials=2, seed=0), least)
+       for arg, least in (("r_max", 3), ("trials", 1), ("seed", 0))},
     "f_law:n": (exact_law.f_law, dict(n=3, r=3), 1),
     "f_law:r": (exact_law.f_law, dict(n=3, r=3), 2),
     **{f"{fn.__name__}:{arg}": (fn, dict(r=3, n=2), least)

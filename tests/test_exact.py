@@ -46,10 +46,14 @@ def test_marginal_enumeration_equals_full_permutation_sum(r):
         assert rho_moment(r, powers) == brute
 
 
-def test_single_trial_domain():
-    # the lemma suite refuses r > 10 before it enumerates anything
-    with pytest.raises(DomainError, match="supports r <= 10, got 11"):
-        verify_lemma_formulas(r_max=11, n_max=1)
+def test_single_trial_domain(monkeypatch):
+    # the single-trial suites charge their largest tuple enumeration to the
+    # budget before they enumerate anything
+    monkeypatch.setattr(exact, "rho_moment", None)
+    with pytest.raises(BudgetError, match="r=23 needs 212520 enumerated terms"):
+        verify_lemma_formulas(r_max=23, n_max=1)
+    with pytest.raises(BudgetError, match="r=60 needs 205320 enumerated terms"):
+        verify_inequalities(60)
     with pytest.raises(DomainError):
         rho_moment(2, (1, 1, 1))
 
@@ -61,6 +65,8 @@ def test_single_trial_domain():
                  id="<lambda>-n_max=0"),
     pytest.param(lambda: verify_inequalities(1), "need r_max >= 2, got 1",
                  id="<lambda>-r_max=1_1"),
+    pytest.param(lambda: exact.verify_identities(2, 10, 0), "need r_max >= 3, got 2",
+                 id="verify_identities-r_max=2"),
 ])
 def test_vacuous_ranges_are_refused(call, match):
     # an empty range would return no entry (or no column-law cell), which
@@ -184,18 +190,20 @@ def test_beta_fourth_moment_budget():
 
 
 def test_joint_cell_over_budget_is_a_skip(monkeypatch):
-    # under a cap of 100 the r = 5 overlap law (120 terms) is over budget, so
-    # each r = 5 cell's T_m identities are one skip entry naming the count,
-    # while the column-law and F identities, which have no budget, still
-    # pass; the law, cached here under the default cap, does not bypass it
-    joint_moments(5, 1)
-    monkeypatch.setattr(exact_law, "BUDGET_CAP", 100)
-    report = verify_lemma_formulas(r_max=5, n_max=3)
+    # under a cap of 500 the r = 6 four-coordinate tuples (360) fit but the
+    # r = 6 overlap law (720 terms) does not, so each r = 6 cell's T_m
+    # identities are one skip entry naming the count, while the column-law
+    # and F identities, which have no budget, still pass; the law, cached
+    # here under the default cap, does not bypass it
+    joint_moments(6, 1)
+    monkeypatch.setattr(exact_law, "BUDGET_CAP", 500)
+    report = verify_lemma_formulas(r_max=6, n_max=3)
     assert all_pass(report)
-    cells = [e for e in report if e["r"] == 5 and e["n"] is not None]
+    cells = [e for e in report if e["r"] == 6 and e["n"] is not None]
     skips = [e for e in cells if e["status"] == "skip"]
     assert [(e["identity"], e["n"]) for e in skips] == [("T_m identities", n) for n in (1, 2, 3)]
-    assert all("r=5 needs 120 enumerated terms" in e["note"] for e in skips)
+    assert all("r=6 needs 720 enumerated terms" in e["note"] for e in skips)
+    assert not any(e["status"] == "skip" for e in report if e["r"] == 5)
     assert len(cells) == 3 * (7 + 3 + 1) and all(e["status"] == "pass" for e in cells
                                                   if e not in skips)
     assert [e["identity"] for e in cells if e["n"] == 2][-4:] == [
@@ -419,6 +427,14 @@ def test_decomposition_does_not_depend_on_the_trial_block(monkeypatch):
     assert all(e["status"] == "fail" for rep in blocked for e in rep
                if "random symmetric f" in e["identity"])
     assert counts != ["0 exact"] * len(counts)
+
+
+def test_decomposition_is_charged_the_overlap_law_before_any_draw(monkeypatch):
+    # r = 7 and 8 fit the budget; at r = 9 the 9! overlap terms do not
+    assert all_pass(verify_index_decomposition(8, trials=3, seed=1))
+    monkeypatch.setattr(exact, "_multiset_weights", None)
+    with pytest.raises(BudgetError, match="r=9 needs 362880 enumerated terms"):
+        verify_index_decomposition(9, trials=1, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])

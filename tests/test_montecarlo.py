@@ -18,7 +18,7 @@ from friedman_bounds.montecarlo import (RngContract, _column_sums, _l1_distance,
                                         _split_words, distance, estimate_kolmogorov,
                                         estimate_smooth_gap, estimate_wasserstein,
                                         exact_kolmogorov, exact_smooth_gap, rate_experiment,
-                                        smooth_gap, uniform_rows)
+                                        uniform_rows)
 from friedman_bounds.testfunctions import (constant, cosine, identity, power, sine,
                                            smoothing_indicator)
 
@@ -489,7 +489,7 @@ def test_smooth_gap_without_a_closed_form_integrates_the_chisq_side(alpha, z):
     assert chisq_cdf(ChiSquareLaw(2), z - alpha) < chisq_side < chisq_cdf(ChiSquareLaw(2), z)
     expected = abs(math.fsum(probs * h.fn(values)) - chisq_side)
     assert exact_smooth_gap(4, 3, h) == expected
-    est = smooth_gap(4, 3, h, "auto", 2000, RngContract(seed=1))
+    est = distance("smooth", 4, 3, "auto", 2000, RngContract(seed=1), h=h)
     assert (est.value, est.method) == (expected, "exact-enumeration")
 
 
@@ -522,7 +522,7 @@ def test_rate_experiment_table():
 def test_exact_rows_report_the_states_summed():
     # samples on an exact row is the engine's sorted column-sum states, not (r!)^n
     assert exact_kolmogorov(5, 4).samples == len(exact_law._sum_counts(4, 5)) == 131
-    est = smooth_gap(4, 3, cosine(1.0), "exact", 2000, RngContract(seed=1))
+    est = distance("smooth", 4, 3, "exact", h=cosine(1.0))
     assert est.samples == len(exact_law._sum_counts(3, 4))
     rows = rate_experiment(3, [2, 32], power(2))
     assert [row["method"] for row in rows] == ["exact-enumeration"] * 2

@@ -42,6 +42,8 @@ def test_ranks_from_scores_ties_and_nonfinite():
         ranks_from_scores([[1.0, float("nan"), 3.0]])
     with pytest.raises(NonFiniteError):
         ranks_from_scores([[1.0, float("inf"), 3.0]])
+    with pytest.raises(DomainError, match="score matrix must be two-dimensional"):
+        ranks_from_scores(np.array([0.5, 0.1, 0.9]))
 
 
 @pytest.mark.parametrize("text,error,message", [
@@ -84,6 +86,8 @@ def test_rank_matrix_validation():
         RankMatrix([[1.0, 2.0, 3.0], [2.9, 1.0, 3.0]])  # never truncated to [2, 1, 3]
     with pytest.raises(DomainError):
         RankMatrix([[1.0, float("nan")]])
+    with pytest.raises(DomainError, match="rank matrix must be two-dimensional"):
+        RankMatrix(np.array([1, 2, 3]))
 
 
 def test_theoretical_covariance_examples():
@@ -176,6 +180,11 @@ def test_load_csv_bad_row_in_the_first_half_is_named(tmp_path, bad, message):
     path = write(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=message):
         load_csv(path, "ranks")
+
+
+def test_load_csv_refuses_an_unknown_format_before_reading(tmp_path):
+    with pytest.raises(DomainError, match="unknown format 'json'"):
+        load_csv(tmp_path / "absent.csv", "json")
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "a,b,c\n", "a,b,c\n\n,,\n"])

@@ -66,6 +66,26 @@ def test_total_is_the_sum_of_the_module_rows(src_lines, capsys):
         assert int(total[column]) == sum(int(row[column]) for row in modules)
 
 
+@pytest.mark.parametrize("root", ["--help", "/nonexistent", "empty", "module.py"])
+def test_a_root_without_modules_is_refused(src_lines, tmp_path, capsys, root):
+    # once each of these printed "total 0 0" and exited 0
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "module.py").write_text(MODULE)
+    path = str(tmp_path / root) if root in ("empty", "module.py") else root
+    assert src_lines.main(["src_lines.py", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {path} is not a directory" in err
+
+
+@pytest.mark.parametrize("rounds", ["0", "-2"])
+def test_ab_calls_needs_a_round(ab_calls, capsys, rounds):
+    # once --rounds 0 ran nothing and crashed unpacking the empty medians
+    with pytest.raises(SystemExit) as exit_:
+        ab_calls.main(["--rounds", rounds, "ta", "tb", "--", "bounds"])
+    assert exit_.value.code == 2
+    assert f"--rounds must be >= 1, got {rounds}" in capsys.readouterr().err
+
+
 def test_ab_calls_times_one_call_on_both_trees(ab_calls, capsys):
     root = str(TOOL.parents[1])
     assert ab_calls.main(["--rounds", "2", root, root, "--", "bounds", "--n", "5", "--r", "3"]) == 0

@@ -71,6 +71,8 @@ def main(args: list[str]) -> int:
     parser.add_argument("trees", nargs=2, metavar="TREE")
     parser.add_argument("argv", nargs="+", help="the CLI call, after --")
     ns = parser.parse_args(args)
+    if ns.rounds < 1:
+        parser.error(f"--rounds must be >= 1, got {ns.rounds}")
     trees = [*ns.trees, None]  # None: the bare interpreter
     runs: list[list[tuple[float, float, float, int]]] = [[], [], []]
     for i in range(ns.rounds):

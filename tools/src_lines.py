@@ -7,7 +7,8 @@ them.  Standard library only:
 
     python3 tools/src_lines.py [ROOT]
 
-ROOT defaults to the src/ directory next to this script's parent.
+ROOT defaults to the src/ directory next to this script's parent; a ROOT
+that is not a directory, or holds no .py file, exits 2.
 """
 
 from __future__ import annotations
@@ -45,9 +46,13 @@ def count(path: Path) -> tuple[int, int]:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
+    paths = sorted(root.rglob("*.py")) if root.is_dir() else []
+    if not paths:
+        print(f"error: {root} is not a directory that holds a .py file", file=sys.stderr)
+        return 2
     total_file = total_code = 0
     print(f"{'module':<48} {'file':>6} {'code':>6}")
-    for path in sorted(root.rglob("*.py")):
+    for path in paths:
         file_lines, code_lines = count(path)
         total_file += file_lines
         total_code += code_lines
