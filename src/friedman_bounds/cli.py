@@ -7,12 +7,14 @@ Subcommands:
   distance  estimate a distance to the chi-square limit and gate it on its bound
   rate      gap-versus-bound table across a list of n
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 input/IO error.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 input/IO error,
+141 stdout closed by its reader before the output was written (quietly).
 Identical invocations (same flags, same seed) produce byte-identical output;
 --threads and the FRIEDMAN_BOUNDS_THREADS environment variable that caps it
 (each an integer >= 1, else a usage error) never affect any result.  The
 Monte Carlo work of `distance` and `rate` runs on as many threads as the
-process has CPUs to run on, unless --threads or the variable says fewer.
+process has CPUs to run on, unless --threads or the variable says fewer;
+the variable is read only by a call that may draw.
 Each handler imports the modules it runs, so `bounds` loads no numpy.  No
 subcommand loads scipy: the package imports numpy only, and its chi-square
 tail is a closed form (see ``chisq``).  A flag that a call would ignore, such
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader went away
 
 
 def _dump(obj) -> str:
@@ -55,8 +58,6 @@ def _thread_cap(requested: int | None) -> int:
             requested = len(os.sched_getaffinity(0))
         except AttributeError:  # no sched_getaffinity on this platform
             requested = os.cpu_count() or 1
-    if requested < 1:
-        raise DomainError(f"--threads must be an integer >= 1, got {requested}")
     cap = os.environ.get("FRIEDMAN_BOUNDS_THREADS")
     if cap is not None:
         try:
@@ -88,9 +89,7 @@ def _test_function(name: str, t: float):
         return testfunctions.sine(t)
     if name == "x":
         return testfunctions.identity()
-    if name == "x2":
-        return testfunctions.power(2)
-    raise DomainError(f"unknown test function {name!r}")
+    return testfunctions.power(2)  # "x2", the last of the argparse choices
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +194,16 @@ def _cmd_verify(args) -> int:
 
 def _sampling(args):
     """(samples, rng, threads) of --samples, --seed and --threads; with --mode
-    exact, which draws nothing, giving any of them is a usage error."""
+    exact, which draws nothing, giving any of them is a usage error, and the
+    thread count is not resolved."""
     from .montecarlo import RngContract
 
     given = [f"--{k}" for k in ("samples", "seed", "threads") if vars(args)[k] is not None]
     if args.mode == "exact" and given:
         raise DomainError(f"--mode exact draws nothing, so {', '.join(given)} would be ignored")
     samples = 1_000_000 if args.samples is None else args.samples
-    return samples, RngContract(seed=args.seed or 0), _thread_cap(args.threads)
+    threads = 1 if args.mode == "exact" else _thread_cap(args.threads)
+    return samples, RngContract(seed=args.seed or 0), threads
 
 
 def _cmd_distance(args) -> int:
@@ -316,7 +317,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # here, so that a reader gone early is caught below
+        return code
+    except BrokenPipeError:
+        # nothing more can be printed; point stdout at devnull so that the
+        # interpreter's own flush at exit cannot fail and print to stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (TieError, NonFiniteError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

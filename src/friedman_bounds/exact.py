@@ -13,6 +13,12 @@ moments are exact fractions.  The claims are covered by:
   times those of one trial, so the moments follow exactly at a cost that
   does not depend on n;
 
+* the 2-, 3- and 4-index distinct-sum decompositions behind E[beta^4]:
+  each regrouping is stated once, as (weight, index tuples) classes
+  (_index_classes), from which every multiset of indices gets two integer
+  weights (_multiset_weights), so each random symmetric f is two integer
+  dot products with per-multiset weights;
+
 * the law of F_r: the record of ``exact_law`` (f_law), read here as exact
   rational atoms (exact_f_distribution) and P(F_r = 0); tests/test_exact.py
   (test_f_law_moments_equal_joint_moments) checks its E[F], E[F^2] and
@@ -493,63 +499,40 @@ def verify_inequalities(r_max: int) -> list[dict]:
 # four-index sum decomposition
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _decomposition(r: int, arity: int) -> tuple[tuple[int, ...], tuple]:
-    """The ordered arity-tuples over range(r), in product order, as positions.
-
-    Returns the index of each tuple's multiset in combinations_with_replacement
-    order, and the distinct-index regrouping as (weight, positions) classes:
-    for a symmetric f the full ordered sum equals the sum over the classes of
-    weight times the class's sum of f.
-    """
+def _index_classes(r: int, arity: int) -> tuple:
+    """The distinct-index regrouping of the ordered arity-tuples over range(r)
+    (arity 2, 3 or 4) as (weight, index tuples) classes: for a symmetric f the
+    full ordered sum equals the sum over the classes of weight times the
+    class's sum of f."""
     idxs = range(r)
-
-    def at(*t):
-        return sum(i * r ** k for k, i in enumerate(reversed(t)))
-
-    multisets = {m: i for i, m in enumerate(combinations_with_replacement(idxs, arity))}
-    index = tuple(multisets[tuple(sorted(t))] for t in iter_product(idxs, repeat=arity))
-    pairs = [(l, j) for l in idxs for j in idxs if j != l]
+    pairs = list(iter_permutations(idxs, 2))
     if arity == 2:
-        classes = [(1, [at(l, l) for l in idxs]), (1, [at(l, j) for l, j in pairs])]
-    elif arity == 3:
-        classes = [(1, [at(j, j, j) for j in idxs]), (3, [at(l, j, j) for l, j in pairs]),
-                   (1, [at(*t) for t in iter_permutations(idxs, 3)])]
-    elif arity == 4:
-        classes = [(1, [at(j, j, j, j) for j in idxs]),
-                   (4, [at(l, j, j, j) for l, j in pairs]),
-                   (3, [at(l, l, s, s) for l, s in pairs]),
-                   (6, [at(l, j, s, s) for l, j, s in iter_permutations(idxs, 3)]),
-                   (1, [at(*t) for t in iter_permutations(idxs, 4)])]
-    else:
-        raise DomainError(f"unsupported arity {arity}")
-    return index, tuple((w, tuple(pos)) for w, pos in classes)
-
-
-def _decompose_check(r: int, f: list, arity: int) -> tuple[Fraction, Fraction]:
-    """(full ordered sum, distinct-index regrouping) for a symmetric f given
-    as its values on the ordered tuples in product order."""
-    _, classes = _decomposition(r, arity)
-    return sum(f), sum(w * sum([f[i] for i in pos]) for w, pos in classes)
+        return (1, [(l, l) for l in idxs]), (1, pairs)
+    if arity == 3:
+        return ((1, [(j, j, j) for j in idxs]), (3, [(l, j, j) for l, j in pairs]),
+                (1, list(iter_permutations(idxs, 3))))
+    return ((1, [(j, j, j, j) for j in idxs]), (4, [(l, j, j, j) for l, j in pairs]),
+            (3, [(l, l, s, s) for l, s in pairs]),
+            (6, [(l, j, s, s) for l, j, s in iter_permutations(idxs, 3)]),
+            (1, list(iter_permutations(idxs, 4))))
 
 
 @lru_cache(maxsize=None)
 def _multiset_weights(r: int, arity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per multiset m: the ordered tuples that hold m, and the weight that the
-    distinct-index regrouping gives m.
+    """Per multiset of arity indices, in combinations_with_replacement order:
+    the count of ordered tuples that hold it, and the weight that the
+    regrouping of _index_classes gives it.
 
-    For f[t] = g[multiset of t] the two sums of _decompose_check are the dot
-    products of g with these two vectors.
+    For f[t] = g[multiset of t] the full and the regrouped sum of f are the
+    dot products of g with these two vectors.
     """
-    index, classes = _decomposition(r, arity)
-    full = [0] * (max(index) + 1)
-    regrouped = [0] * len(full)
-    for m in index:
-        full[m] += 1
-    for w, pos in classes:
-        for i in pos:
-            regrouped[index[i]] += w
-    return tuple(full), tuple(regrouped)
+    full = Counter(tuple(sorted(t)) for t in iter_product(range(r), repeat=arity))
+    regrouped: Counter = Counter()
+    for w, tuples in _index_classes(r, arity):
+        for t in tuples:
+            regrouped[tuple(sorted(t))] += w
+    multisets = list(combinations_with_replacement(range(r), arity))
+    return tuple(full[m] for m in multisets), tuple(regrouped[m] for m in multisets)
 
 
 def beta_fourth_moment_direct(r: int) -> Fraction:
@@ -563,14 +546,6 @@ def beta_fourth_moment_direct(r: int) -> Fraction:
 
 
 _TRIAL_BLOCK = 1 << 16  # random symmetric f drawn at once, which bounds the draws' memory
-
-
-def _trial_sums(r: int, arity: int, g):
-    """Each trial's (full ordered sum, regrouped sum) for f[t] = g[trial, multiset of t]."""
-    import numpy as np
-
-    full, regrouped = _multiset_weights(r, arity)
-    return g @ np.array(full, dtype=np.int64), g @ np.array(regrouped, dtype=np.int64)
 
 
 def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
@@ -600,12 +575,11 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     out: list[dict] = []
     for arity in (2, 3, 4):
-        multisets = len(_multiset_weights(r, arity)[0])
+        full, regrouped = (np.array(w, dtype=np.int64) for w in _multiset_weights(r, arity))
         failures = 0
         for start in range(0, trials, _TRIAL_BLOCK):
-            g = rng.integers(-50, 51, size=(min(_TRIAL_BLOCK, trials - start), multisets))
-            lhs, rhs = _trial_sums(r, arity, g)
-            failures += int(np.count_nonzero(lhs != rhs))
+            g = rng.integers(-50, 51, size=(min(_TRIAL_BLOCK, trials - start), full.size))
+            failures += int(np.count_nonzero(g @ full != g @ regrouped))
         out.append(_entry(f"{arity}-index decomposition, {trials} random symmetric f",
                           r, None, "pass" if failures == 0 else "fail",
                           f"{trials - failures} exact", f"{trials} required"))

@@ -249,6 +249,7 @@ def _packed_words(gen: np.random.Generator, rows: int, n: int, r: int) -> np.nda
 
 def uniform_rows(count: int, r: int, gen: np.random.Generator) -> np.ndarray:
     """``count`` independent uniform permutations of 1..r, one per row."""
+    count, r = check_count(count, 1, "count"), check_count(r, 2, "r")
     if r <= _TABLE_MAX_R:
         return _permutation_table(r)[gen.integers(math.factorial(r), size=count)]
     if r <= _PACKED_MAX_R:
@@ -308,6 +309,8 @@ def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
     """F_r samples in fixed chunk order, reproducible for any thread count."""
     n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
     samples = check_count(samples, 1000, "samples")
+    if not isinstance(rng, RngContract):
+        raise DomainError(f"a sampled law needs an RngContract, got rng={rng!r}")
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     if n_chunks > 1 << 20:  # one substream per chunk; refused before any chunk is drawn
         raise DomainError(f"{samples} samples need {n_chunks} chunks, over the 2**20 of a stream")
@@ -427,7 +430,9 @@ def distance(metric: str, n: int, r: int, mode: str = "mc", samples: int | None 
     refused before any draw.  A sampled law carries a 99% error bar: the DKW
     bar, the CLT bar 2.576 sd / sqrt(samples), or the DKW bar times a cutoff
     past which both CDFs are 1 to 1e-12; an exact law carries none.
+    ``threads`` is a count of at least 1, checked before any work.
     """
+    threads = check_count(threads, 1, "threads")
     if metric not in ("kolmogorov", "smooth", "wasserstein"):
         raise DomainError(f"unknown metric {metric!r}")
     if (h is None) == (metric == "smooth"):

@@ -63,6 +63,13 @@ def test_r2_special_examples():
         bound_r2_special(10, "smooth", SmoothNorms(math.inf, 1.0, 1.0))
 
 
+def test_r2_special_refuses_a_smooth_call_without_norms_and_an_unknown_variant():
+    with pytest.raises(DomainError, match="^smooth variant needs norms$"):
+        bound_r2_special(10, "smooth")
+    with pytest.raises(DomainError, match="^unknown variant 'kolmogorov'$"):
+        bound_r2_special(10, "kolmogorov", UNIT)
+
+
 def test_kolmogorov_examples():
     assert bound_kolmogorov(10000, 2) == pytest.approx(0.009496, abs=1e-15)
     assert bound_kolmogorov(1, 3) == pytest.approx(204.0, abs=1e-12)

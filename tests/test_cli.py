@@ -414,9 +414,9 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
     (("distance", "--r", "2", "--n", "10", "--metric", "wasserstein", "--mode", "exact",
       "--samples", "2000"), "--mode exact draws nothing, so --samples would be ignored"),
     (("distance", "--r", "2", "--n", "10", "--samples", "2000", "--threads", "0"),
-     "--threads must be an integer >= 1, got 0"),
+     "need threads >= 1, got 0"),
     (("rate", "--r", "3", "--n", "5", "--mode", "mc", "--samples", "2000", "--threads", "-2"),
-     "--threads must be an integer >= 1, got -2"),
+     "need threads >= 1, got -2"),
     (("distance", "--r", "3", "--n", "0"), "need n >= 1, got 0"),
     (("distance", "--r", "3", "--n", "0", "--mode", "exact"), "need n >= 1, got 0"),
     (("distance", "--r", "3", "--n", "0", "--metric", "cos"), "need n >= 1, got 0"),
@@ -664,6 +664,45 @@ def test_thread_env_invalid_is_usage_error(capsys, monkeypatch, value):
                          "--threads", "2")
     assert code == 2 and out == ""
     assert "FRIEDMAN_BOUNDS_THREADS" in err
+
+
+def test_rate_refuses_zero_threads_before_any_row(capsys, monkeypatch):
+    # montecarlo.distance owns the thread check and makes it before choosing a law
+    def no_law(*args):
+        raise AssertionError("a law was read")
+
+    monkeypatch.setattr(montecarlo, "_law", no_law)
+    code, out, err = run(capsys, "rate", "--mode", "auto", "--r", "3", "--n", "2,4",
+                         "--threads", "0")
+    assert code == 2 and out == "" and "need threads >= 1, got 0" in err
+
+
+def test_exact_distance_does_not_read_the_thread_variable(capsys, monkeypatch):
+    # --mode exact draws nothing, so a bad FRIEDMAN_BOUNDS_THREADS is never resolved
+    argv = ("distance", "--mode", "exact", "--r", "3", "--n", "4")
+    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS", raising=False)
+    clean = run(capsys, *argv)
+    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", "two")
+    assert run(capsys, *argv) == clean and clean[0] == 0 and clean[1] != ""
+
+
+def test_a_reader_gone_early_is_no_input_error():
+    # `verify ... | head -1`: the rest of the output (150 KB, more than a pipe
+    # holds) meets a closed pipe, which once printed "error: [Errno 32] Broken
+    # pipe" and exited 3
+    import subprocess
+    import sys
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen([sys.executable, "-m", "friedman_bounds.cli", "verify",
+                             "--suite", "lemmas", "--r-max", "14", "--n-max", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert json.loads(first)["identity"] == "E[rho] = 0"
+    assert proc.wait() == cli.EXIT_PIPE and err == b""
 
 
 def loads(modules: list[str], package: str) -> bool:

@@ -1,5 +1,5 @@
 """One count rule at every entry point that takes r, n, p, k, a seed, a stream
-or a number of trials, samples or cells.
+or a number of trials, samples, cells, threads, rows or grid points.
 
 errors.check_count takes any integer type (numpy's too) and refuses the rest
 with a DomainError that names the argument: int() would run 2.5 at 2 and
@@ -62,6 +62,7 @@ COUNT_TAKERS = {
     "derivative_bound_check:k": (stein.derivative_bound_check, dict(p=2, h=COS, k=2), 1),
     "stein.verify_suite:p_max": (stein.verify_suite, dict(p_max=1), 1),
     "standard_grid:p": (stein.standard_grid, dict(p=3), 1),
+    "standard_grid:points": (stein.standard_grid, dict(p=3, points=4), 1),
     "theoretical_covariance:r": (ranks.theoretical_covariance, dict(r=3), 2),
     "power:k": (testfunctions.power, dict(k=2), 1),
     "RngContract:seed": (montecarlo.RngContract, dict(seed=5, stream=2), 0),
@@ -73,8 +74,12 @@ COUNT_TAKERS = {
     "_sample_statistics:samples": (montecarlo._sample_statistics,
                                    dict(n=3, r=3, samples=1000, rng=RNG), 1000),
     **{f"distance:{arg}": (montecarlo.distance, dict(metric="kolmogorov", n=3, r=3, mode="mc",
-                                                     samples=1000, rng=RNG), least)
-       for arg, least in (("n", 1), ("r", 2), ("samples", 1000))},
+                                                     samples=1000, rng=RNG, threads=1), least)
+       for arg, least in (("n", 1), ("r", 2), ("samples", 1000), ("threads", 1))},
+    # a fresh generator per call, so that equal counts draw equal rows
+    **{f"uniform_rows:{arg}": (lambda count, r: montecarlo.uniform_rows(count, r, RNG.generator()),
+                               dict(count=3, r=3), least)
+       for arg, least in (("count", 1), ("r", 2))},
 }
 
 BELOW = object()  # stands for the integer just below the argument's range
@@ -130,10 +135,26 @@ def test_rate_experiment_counts_every_n_before_its_substream_cap(value):
 
 
 def test_derivative_orders_above_four_are_refused():
-    with pytest.raises(DomainError, match=r"^derivatives supported for k in 1\.\.4, got 5$"):
-        stein.SteinSolution(2, COS).derivative(5, 1.0)
-    with pytest.raises(DomainError, match=r"^k must be 1\.\.4, got 5$"):
-        stein.derivative_bound_check(2, COS, 5)
+    # one rule, one message: derivative_bound_check leaves the order to derivative
+    for refuse in (lambda: stein.SteinSolution(2, COS).derivative(5, 1.0),
+                   lambda: stein.derivative_bound_check(2, COS, 5)):
+        with pytest.raises(DomainError, match=r"^derivatives supported for k in 1\.\.4, got 5$"):
+            refuse()
+
+
+def test_bad_threads_are_refused_before_any_work(monkeypatch):
+    # threads=0 once divided by zero and -4 ran every slab one row long
+    monkeypatch.setattr(montecarlo, "_law", None)
+    for threads in (0, -4):
+        with pytest.raises(DomainError, match=f"^need threads >= 1, got {threads}$"):
+            montecarlo.distance("kolmogorov", 50, 3, "mc", 200_000, RNG, threads=threads)
+
+
+def test_a_sampled_law_needs_an_rng(monkeypatch):
+    # once an AttributeError inside a worker; now refused before any chunk is drawn
+    monkeypatch.setattr(montecarlo, "_column_sums", None)
+    with pytest.raises(DomainError, match="needs an RngContract, got rng=None"):
+        montecarlo.distance("kolmogorov", 5, 3, "mc", 2000)
 
 
 @pytest.mark.parametrize("build, field", [

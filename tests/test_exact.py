@@ -4,7 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -389,19 +389,24 @@ def test_decomposition_suite():
     assert counting[0]["lhs"] == "256"
 
 
+def _regrouped_sum(r, arity, f):
+    """Sum over the index-tuple classes of weight times the class's sum of f."""
+    return sum(w * sum(f[t] for t in tuples) for w, tuples in exact._index_classes(r, arity))
+
+
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
 def test_decomposition_trial_sums_match_the_gathered_f(r):
-    # each trial's two dot products equal both sums of _decompose_check on
-    # the f that the trial's multiset draws g give every ordered tuple
+    # on the f that a trial's multiset draws g give every ordered tuple, the
+    # full and the regrouped sums are the dot products of g with the weights
     import numpy as np
     g = np.random.Generator(np.random.Philox(key=r)).integers(-50, 51, size=(5, 126))
     for arity in (2, 3, 4):
-        index, _ = exact._decomposition(r, arity)
-        block = g[:, :len(exact._multiset_weights(r, arity)[0])]
-        lhs, rhs = exact._trial_sums(r, arity, block)
-        for t in range(len(block)):
-            f = [int(block[t, m]) for m in index]
-            assert exact._decompose_check(r, f, arity) == (lhs[t], rhs[t])
+        full, regrouped = exact._multiset_weights(r, arity)
+        multisets = {m: i for i, m in enumerate(combinations_with_replacement(range(r), arity))}
+        for row in g[:, :len(multisets)].tolist():
+            f = {t: row[multisets[tuple(sorted(t))]] for t in product(range(r), repeat=arity)}
+            assert sum(f.values()) == sum(map(math.prod, zip(row, full)))
+            assert _regrouped_sum(r, arity, f) == sum(map(math.prod, zip(row, regrouped)))
 
 
 def test_decomposition_does_not_depend_on_the_trial_block(monkeypatch):
@@ -446,8 +451,8 @@ def test_decomposition_seed_outside_the_philox_key_is_refused(seed):
 
 @pytest.mark.parametrize("r", [3, 4, 6])
 def test_decomposition_tables_match_the_tuple_loops(r):
-    # the cached positions pick the same tuples as loops over index tuples do:
-    # f is not symmetric here, so a wrong position changes the regrouped sum
+    # the index-tuple classes pick the same tuples as loops over index tuples do:
+    # f is not symmetric here, so a wrong class tuple changes the regrouped sum
     import random
     rng = random.Random(r)
     idxs = range(r)
@@ -464,10 +469,7 @@ def test_decomposition_tables_match_the_tuple_loops(r):
                    + 3 * sum(f[(l, l, s, s)] for l, s in pairs)
                    + 6 * sum(f[(l, j, s, s)] for l, j, s in permutations(idxs, 3))
                    + sum(f[t] for t in permutations(idxs, 4)))
-        assert exact._decompose_check(r, list(f.values()), arity) == (sum(f.values()), rhs)
-        index, _ = exact._decomposition(r, arity)
-        multisets = sorted({tuple(sorted(t)) for t in f})
-        assert [multisets[m] for m in index] == [tuple(sorted(t)) for t in f]
+        assert _regrouped_sum(r, arity, f) == rhs
 
 
 def test_beta_fourth_moment():

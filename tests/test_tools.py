@@ -105,7 +105,15 @@ def test_ab_calls_times_one_call_on_both_trees(ab_calls, capsys):
     assert 0 < float(wall) and 0 < float(cpu) < 2 * float(wall)
 
 
-def test_ab_calls_alternates_the_trees_and_the_bare_start(ab_calls, monkeypatch, capsys):
+def make_tree(path: Path, init: str = "") -> str:
+    """A source tree holding src/friedman_bounds, with ``init`` as its __init__.py."""
+    (path / "src" / "friedman_bounds").mkdir(parents=True)
+    (path / "src" / "friedman_bounds" / "__init__.py").write_text(init)
+    return str(path)
+
+
+def test_ab_calls_alternates_the_trees_and_the_bare_start(ab_calls, monkeypatch, capsys,
+                                                          tmp_path):
     order = []
 
     def one_call(tree, argv):
@@ -113,8 +121,9 @@ def test_ab_calls_alternates_the_trees_and_the_bare_start(ab_calls, monkeypatch,
         return 0.5, (0.25 if tree else math.nan), 0.5, 0
 
     monkeypatch.setattr(ab_calls, "one_call", one_call)
-    assert ab_calls.main(["--rounds", "3", "ta", "tb", "--", "bounds"]) == 0
-    assert order == ["ta", "tb", None, None, "tb", "ta", "ta", "tb", None]
+    ta, tb = make_tree(tmp_path / "ta"), make_tree(tmp_path / "tb")
+    assert ab_calls.main(["--rounds", "3", ta, tb, "--", "bounds"]) == 0
+    assert order == [ta, tb, None, None, tb, ta, ta, tb, None]
     bare = capsys.readouterr().out.splitlines()[-1]
     assert bare.split() == ["bare", "python3", "-c", "pass", "0.5000", "-", "0.5000", "[0]"]
 
@@ -139,3 +148,25 @@ def test_ab_calls_cpu_time_counts_the_child_alone(ab_calls, monkeypatch):
     root = str(TOOL.parents[1])
     wall, in_call, cpu, code = ab_calls.one_call(root, ["bounds", "--n", "5", "--r", "3"])
     assert cpu == 0.25 and code == 0 and 0 < in_call < wall
+
+
+def test_ab_calls_refuses_a_tree_without_the_package(ab_calls, monkeypatch, capsys, tmp_path):
+    # once the child's ModuleNotFoundError, hidden by capture_output, surfaced as
+    # a CalledProcessError traceback; now no call runs at all
+    monkeypatch.setattr(ab_calls, "one_call", None)
+    root = str(TOOL.parents[1])
+    for tree in ("/nonexistent", str(tmp_path)):
+        with pytest.raises(SystemExit) as exit_:
+            ab_calls.main(["--rounds", "1", root, tree, "--", "bounds", "--n", "3", "--r", "3"])
+        assert exit_.value.code == 2
+        assert f"TREE {tree} has no src/friedman_bounds" in capsys.readouterr().err
+
+
+def test_ab_calls_reports_a_failing_child(ab_calls, capsys, tmp_path):
+    # sys.exit with a message prints it to stderr and exits with status 1
+    broken = make_tree(tmp_path, 'raise ImportError("broken on purpose")\n')
+    root = str(TOOL.parents[1])
+    with pytest.raises(SystemExit) as exit_:
+        ab_calls.main(["--rounds", "1", root, broken, "--", "bounds", "--n", "3", "--r", "3"])
+    assert exit_.value.code == f"error: the call on {broken!r} failed: ImportError: broken on purpose"
+    assert capsys.readouterr().out == ""

@@ -15,7 +15,10 @@ interpreter's start-up alone, the floor under both trees' whole-call times,
 which moves with the machine from one session to the next.  A change that
 moves work onto more threads trades CPU time for wall time, so both are
 shown.  Standard library only (``resource`` makes it Unix only); relative
-paths in ARGV are read from the current directory.
+paths in ARGV are read from the current directory.  A TREE without
+src/friedman_bounds is a usage error (exit 2) before any run; a child
+interpreter that fails ends the timing with the last line of its stderr
+(exit 1).
 """
 
 from __future__ import annotations
@@ -57,7 +60,10 @@ def one_call(tree: str | None, argv: list[str]) -> tuple[float, float, float, in
         env["PYTHONPATH"] = str(Path(tree).resolve() / "src")
         cmd = [sys.executable, "-c", CHILD, *argv]
     cpu, start = cpu_seconds(), time.perf_counter()
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
+        sys.exit(f"error: the call on {tree or BARE!r} failed: {lines[-1]}")  # exit status 1
     wall, cpu = time.perf_counter() - start, cpu_seconds() - cpu
     if tree is None:
         return wall, math.nan, cpu, proc.returncode
@@ -73,6 +79,9 @@ def main(args: list[str]) -> int:
     ns = parser.parse_args(args)
     if ns.rounds < 1:
         parser.error(f"--rounds must be >= 1, got {ns.rounds}")
+    for tree in ns.trees:
+        if not (Path(tree) / "src" / "friedman_bounds").is_dir():
+            parser.error(f"TREE {tree} has no src/friedman_bounds")
     trees = [*ns.trees, None]  # None: the bare interpreter
     runs: list[list[tuple[float, float, float, int]]] = [[], [], []]
     for i in range(ns.rounds):
