@@ -9,9 +9,10 @@ moments are exact fractions.  The claims are covered by:
   tuples are enumerated directly (each stands for (r-k)! full permutations);
 
 * moments of sums of n i.i.d. trials (S_j, the pair (S_j, S_k), T_m, and
-  from them E[F_r] and E[F_r^2]): the joint cumulants of such a sum are n
-  times those of one trial, so the moments follow exactly at a cost that
-  does not depend on n;
+  from them E[F_r] and E[F_r^2]): the moment table of n trials is one
+  binomial product of two cached tables (n-1 trials and one, or n/2 twice),
+  so walking n upward costs one product per new n, and a single large n
+  about 2 log2(n) products;
 
 * the 2-, 3- and 4-index distinct-sum decompositions behind E[beta^4]:
   each regrouping is stated once, as (weight, index tuples) classes
@@ -99,51 +100,30 @@ def _tuple_mean(r: int, k: int, fn) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# sums of n i.i.d. trials: moments from cumulants
+# sums of n i.i.d. trials: one binomial product per table
 # ---------------------------------------------------------------------------
 
-def _recursion_rest(a: tuple[int, ...], kappa, m) -> Fraction:
-    """The terms with b != a-e of m_a = sum_{b <= a-e} C(a-e, b) k_{b+e} m_{a-e-b}.
-
-    Moments m and cumulants k are linked by that recursion, for the first
-    coordinate i with a_i > 0 and e its unit vector; its b = a-e term is k_a.
-    """
-    i = next(i for i, p in enumerate(a) if p)
-    top = a[:i] + (a[i] - 1,) + a[i + 1:]
-    return sum(math.prod(map(math.comb, top, b)) * kappa[b[:i] + (b[i] + 1,) + b[i + 1:]]
-               * m[tuple(t - s for t, s in zip(top, b))]
-               for b in iter_product(*(range(t + 1) for t in top)) if b != top)
-
-
 @lru_cache(maxsize=None)
-def _trial_cumulants(law: tuple, degrees: tuple[int, ...]) -> tuple:
-    """One trial's joint cumulants as (a, k_a) pairs for 0 < a <= degrees, b <= a first.
-
-    `law` is the trial's (value tuple, count) pairs, as a tuple so that the
-    cumulants, which do not depend on n, are computed once per law.
-    """
-    total = sum(c for _, c in law)
-    index = list(iter_product(*(range(d + 1) for d in degrees)))  # b <= a precedes a
-    trial = {a: Fraction(sum(c * math.prod(map(pow, x, a)) for x, c in law), total)
-             for a in index}
-    kappa: dict[tuple[int, ...], Fraction] = {}
-    for a in index[1:]:
-        kappa[a] = trial[a] - _recursion_rest(a, kappa, trial)
-    return tuple(kappa.items())
-
-
 def _iid_sum_moments(law: tuple, n: int, degrees: tuple[int, ...]) -> dict[tuple, Fraction]:
     """E[prod_i X_i^a_i] for every a <= degrees, X the sum of n i.i.d. trials.
 
-    The joint cumulants of the sum are n times those of one trial
-    (_trial_cumulants), so the cost does not depend on n.
+    `law` is one trial's (value tuple, count) pairs.  For independent X and
+    Y, E[(X+Y)^a] = sum_{b <= a} C(a, b) E[X^b] E[Y^(a-b)], so the table of
+    n >= 2 trials is one product of two cached tables: n-1 trials and one
+    when n is odd, n/2 trials twice when n is even.  Walking n upward costs
+    one product per new n; a single large n costs about 2 log2(n) products.
+    The dict is read-only by convention.
     """
-    n_kappa: dict[tuple[int, ...], Fraction] = {}
-    moments = {(0,) * len(degrees): Fraction(1)}
-    for a, kappa in _trial_cumulants(law, degrees):
-        n_kappa[a] = n * kappa
-        moments[a] = n_kappa[a] + _recursion_rest(a, n_kappa, moments)
-    return moments
+    index = list(iter_product(*(range(d + 1) for d in degrees)))
+    if n <= 1:  # the sum of no trials is the point mass at 0
+        law = law if n else (((0,) * len(degrees), 1),)
+        return {a: Fraction(sum(c * math.prod(map(pow, x, a)) for x, c in law),
+                            sum(c for _, c in law)) for a in index}
+    x = _iid_sum_moments(law, n - 1 if n % 2 else n // 2, degrees)
+    y = _iid_sum_moments(law, 1, degrees) if n % 2 else x
+    return {a: sum(math.prod(map(math.comb, a, b)) * x[b] * y[tuple(t - s for t, s in zip(a, b))]
+                   for b in iter_product(*(range(t + 1) for t in a)))
+            for a in index}
 
 
 @lru_cache(maxsize=None)
@@ -252,10 +232,10 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
     the r_max!/(r_max-4)! four-coordinate tuples, is charged to the budget
     before any other (r_max <= 22 fits).  Column-law identities (variance,
     S-moment closed forms) and the F_r and T_m identities run for every n in
-    1..n_max, at a cost that does not depend on n.  The F_r identities read
-    the S moments alone.  The T_m identities need the r! terms of the
-    overlap law: from r = 9 on, each cell's are one skipped entry naming
-    that count.  Infeasible identities (three distinct coordinates at r = 2)
+    1..n_max, each new n at the cost of one moment product per trial law.
+    The F_r identities read the S moments alone.  The T_m identities need
+    the r! terms of the overlap law: from r = 9 on, each cell's are one
+    skipped entry naming that count.  Infeasible identities (three distinct coordinates at r = 2)
     are reported as skipped, not failed.
     """
     r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")

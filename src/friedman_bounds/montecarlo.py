@@ -20,23 +20,27 @@ F_r sampler draws those sums by one of three paths, chosen from (r, n) alone:
   binomial draw.  c = 30 is where numpy draws each binomial by BTPE instead
   of by inversion, so the cost stops growing with n; c is 56 at r = 3 and
   38 at r = 4, where the block tables below keep the packed path cheaper
-  for longer (measured per chunk);
+  for longer (measured per chunk; at r = 6 the two-trial table below wins
+  up to about n = 21,700 and loses from 22,000 on, so c stays 30 there);
 * packed (r <= 12, and n < c r! for r <= 9): each permutation is packed into
   one 64-bit word (entries 1..r-1, minus 1, in b = 64 // (r-1) bit fields).
   For r <= 9 the words of k trials are one entry of a block table of
-  (r!)^k words, k the most with (r!)^k <= 2^16 (16, 6, 3, 2 at r = 2..5,
-  else 1): a uniform index names k independent uniform permutations, one
-  per base-r! digit, and n mod k trials left over read one more index
-  modulo (r!)^(n mod k).  For 10 <= r <= 12 a word is low[A, p] + high[A, q],
-  two table words whose fields are disjoint.  The words are summed over
+  (r!)^k words, k the most with (r!)^k <= 2^16 (16, 6, 3, 2 at r = 2..5),
+  except k = 2 at r = 6, and 1 from r = 7 on: a gather into the 4.1 MB
+  two-trial table at r = 6 costs less than a second bounded draw, while a
+  larger k at r <= 5 costs more (measured per draw).  A uniform index
+  names k independent uniform permutations, one per base-r! digit, and
+  n mod k trials left over read one more index modulo (r!)^(n mod k).  For
+  10 <= r <= 12 a word is low[A, p] + high[A, q], two table words whose
+  fields are disjoint.  The words are summed over
   blocks too short for a field to carry into the next, then unpacked; the
   last column is n r(r+1)/2 minus the others;
 * shuffle (r >= 13): n shuffled rows, summed.
 
-The paths draw the same law, not the same numbers.  Where k = 1 the packed
-path draws the same indices as uniform_rows, so its column sums equal
-summed uniform_rows rows.  Each chunk draws its rows in slabs of about
-_SLAB_WORDS / w words (indices, counts or rows), w the number of workers
+The paths draw the same law, not the same numbers.  Where k = 1 (7 <= r <=
+12) the packed path draws the same indices as uniform_rows, so its column
+sums equal summed uniform_rows rows.  Each chunk draws its rows in slabs of
+about _SLAB_WORDS / w words (indices, counts or rows), w the number of workers
 drawing chunks at once, so a call holds about _SLAB_WORDS words of draws
 whatever n, r! and the thread count are; a slab continues the generator where
 the last one stopped, so the draws do not depend on the slab size.  The
@@ -97,8 +101,9 @@ _TABLE_MAX_R = 9  # 9! x 9 int16 entries are 6.5 MB, the packed table's 9! words
                   # 2.9 MB; 10! x 10 would be 73 MB
 _PACKED_MAX_R = 12  # the split tables hold 665,280 words each at r = 12 (5.3 MB);
                     # at r = 13 the high one would hold 8.6M words (69 MB)
-# trials per packed index, k: the most with (r!)^k <= 2^16 (a 512 KB table), 1 for r >= 6
-_BLOCK_TRIALS = {2: 16, 3: 6, 4: 3, 5: 2}
+# trials per packed index, k: the most with (r!)^k <= 2^16 (a 512 KB table) for r <= 5,
+# 2 at r = 6 (a 4.1 MB table of 720^2 words, still cheaper than a second draw), else 1
+_BLOCK_TRIALS = {2: 16, 3: 6, 4: 3, 5: 2, 6: 2}
 _SLAB_WORDS = 1 << 22  # a call's chunks draw their rows in slabs of about this many words
 _MULTINOMIAL_FACTOR = {3: 56, 4: 38}  # multinomial from n = c r! on, c = 30 at other r <= 9
 

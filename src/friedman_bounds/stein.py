@@ -40,7 +40,7 @@ sweep in the tail form.
 Higher derivatives come from central finite differences of f' with step
 eps^(1/(k+2)) max(1, x), the five stencil points of every x in one f' call;
 a grid sup is a lower bound of the true sup-norm, so the derivative-cap
-checks can confirm but never refute the bounds
+checks can refute the bounds but never confirm them
 
     |f^(k)| <= (2/k) |h^(k)|
     |f^(k)| <= ((2 sqrt(pi) + sqrt(2)/e)/sqrt(p+2k-2) + 4/(p+2k-2)) |h^(k-1)|
@@ -258,7 +258,7 @@ def derivative_bound_check(p: int, h: TestFunction, k: int,
 
     Caps with an infinite h-norm are skipped (they hold vacuously).  The
     observed value is a grid maximum, hence a lower bound of the true sup:
-    this check can confirm the caps, never refute them.
+    this check can refute a cap, never confirm it.
     """
     k = check_count(k, 1, "k")  # SteinSolution.derivative refuses k > 4
     sol = SteinSolution(p, h)
