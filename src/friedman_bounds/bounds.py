@@ -64,10 +64,6 @@ class SmoothNorms:
             if not (v >= 0.0):  # rejects NaN and negatives
                 raise DomainError(f"derivative norms must be >= 0, got {v}")
 
-    @property
-    def all_finite(self) -> bool:
-        return all(map(math.isfinite, (self.h1, self.h2, self.h3)))
-
 
 @dataclass(frozen=True)
 class SharpCoefficients:
@@ -188,21 +184,25 @@ def bound_report(n: int, r: int, norms: SmoothNorms = SmoothNorms()) -> BoundRep
 
     ``selected`` is the minimum over the simultaneously valid smooth bounds
     (compact, sharp when n >= 2, trivial, and the r = 2 special); inapplicable
-    entries (infinite norms, n = 1 for the sharp bound) are omitted rather
-    than raised.
+    entries (n = 1 for the sharp bound, and any bound that refuses an
+    infinite norm it needs) are omitted rather than raised.
     """
     n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
-    finite123 = norms.all_finite
-    finite1 = math.isfinite(norms.h1)
-    finite12 = finite1 and math.isfinite(norms.h2)
 
-    compact = bound_compact(n, r, norms) if finite123 else None
+    def applies(bound, *args):
+        """The bound, or None where it refuses an infinite norm it needs."""
+        try:
+            return bound(*args)
+        except InfiniteNormError:
+            return None
+
+    compact = applies(bound_compact, n, r, norms)
     coefficients = sharp_coefficients(n, r) if n >= 2 else None
-    sharp = bound_sharp(n, r, norms) if (n >= 2 and finite123) else None
-    trivial = bound_trivial(r, norms.h1) if finite1 else None
+    sharp = applies(bound_sharp, n, r, norms) if n >= 2 else None
+    trivial = applies(bound_trivial, r, norms.h1)
     kol_raw = bound_kolmogorov(n, r)
     wass = bound_r2_special(n, "wasserstein") if r == 2 else None
-    smooth2 = bound_r2_special(n, "smooth", norms) if (r == 2 and finite12) else None
+    smooth2 = applies(bound_r2_special, n, "smooth", norms) if r == 2 else None
 
     candidates = [b for b in (compact, sharp, trivial, smooth2) if b is not None]
     selected = min(candidates) if candidates else None

@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, check_count
-from .exact_law import _check_terms, _entry, centered_doubled
+from .exact_law import _check_terms, _count_entry, _entry, _skip_entry, centered_doubled
 
 __all__ = [
     "verify_regression",
@@ -124,9 +124,8 @@ def verify_regression(r: int, n: int) -> list[dict]:
     """
     r, n = check_count(r, 2, "r"), check_count(n, 1, "n")
     t = _tally(r)
-    return [_entry("regression sum_draws dQ = -2r Q per configuration", r, n,
-                   "pass" if t.regression_bad == 0 else "fail",
-                   f"{t.rows - t.regression_bad} rows exact", f"{t.rows} required")]
+    return [_count_entry("regression sum_draws dQ = -2r Q per configuration", r, n,
+                         t.regression_bad, t.rows, " rows")]
 
 
 def verify_increment_moments(r: int, n: int) -> list[dict]:
@@ -170,17 +169,13 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
     r, n = check_count(r, 2, "r"), check_count(n, 1, "n")
     t = _tally(r)
     return [
-        _entry("increment support and swapped-path consistency", r, n,
-               "pass" if t.support_bad == 0 else "fail",
-               f"{t.draws - t.support_bad} draws exact", f"{t.draws} required"),
-        _entry("quartic product pattern (+d^4 on all-equal and 2-2, -d^4 on 3-1, 0 outside)",
-               r, n, "pass" if t.quartic_bad == 0 else "fail",
-               f"{t.draws - t.quartic_bad} draws exact", f"{t.draws} required",
-               "three-one splits are nonzero with sign -1"),
-        _entry("cubic product pattern (signed, 0 outside)", r, n,
-               "pass" if t.cubic_bad == 0 else "fail",
-               f"{t.draws - t.cubic_bad} draws exact", f"{t.draws} required",
-               "the all-L cube carries sign -1"),
+        _count_entry("increment support and swapped-path consistency", r, n,
+                     t.support_bad, t.draws, " draws"),
+        _count_entry("quartic product pattern (+d^4 on all-equal and 2-2, -d^4 on 3-1, 0 outside)",
+                     r, n, t.quartic_bad, t.draws, " draws",
+                     "three-one splits are nonzero with sign -1"),
+        _count_entry("cubic product pattern (signed, 0 outside)", r, n,
+                     t.cubic_bad, t.draws, " draws", "the all-L cube carries sign -1"),
     ]
 
 
@@ -195,5 +190,5 @@ def verify_suite(r_max: int, n_max: int) -> list[dict]:
                 out += (verify_regression(r, n) + verify_increment_moments(r, n)
                         + verify_triple_structure(r, n))
             except BudgetError as exc:
-                out.append(_entry("coupling identities", r, n, "skip", "-", "-", str(exc)))
+                out.append(_skip_entry("coupling identities", r, n, str(exc)))
     return out

@@ -6,7 +6,14 @@ moments are exact fractions.  The claims are covered by:
 * single-trial moments of rho-monomials in up to four distinct treatment
   coordinates: the marginal law of k coordinates of a uniform permutation is
   the uniform law on ordered k-tuples of distinct centered values, so those
-  tuples are enumerated directly (each stands for (r-k)! full permutations);
+  tuples are enumerated directly (each stands for (r-k)! full permutations).
+  The lemma suite's closed forms and the inequality suite's moment caps are
+  each one table of (identity, powers, value) rows read through rho_moment;
+
+* the expansions of sum_l (rho(k)-rho(l))^m in powers of rho(k), m = 4 and
+  6: their coefficients are written once (_spread_expansion), checked by the
+  lemma suite against the direct sum and read as floats by the proof chains
+  of verify_inequalities;
 
 * moments of sums of n i.i.d. trials (S_j, the pair (S_j, S_k), T_m, and
   from them E[F_r] and E[F_r^2]): the moment table of n trials is one
@@ -35,6 +42,7 @@ r past the budget as one skipped entry (the decompositions run to r = 8).
 
 Every verify_* function returns a list of JSON-ready entries
 {identity, r, n, status, lhs, rhs} in the format of ``exact_law._entry``
+(counted checks and skips through ``_count_entry`` and ``_skip_entry``)
 and never raises on a failed identity.
 """
 
@@ -49,7 +57,8 @@ from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
 from .errors import BudgetError, DomainError, check_count
-from .exact_law import _check_terms, _entry, all_pass, centered_doubled, f_law
+from .exact_law import (_check_terms, _count_entry, _entry, _skip_entry, all_pass,
+                        centered_doubled, f_law)
 
 __all__ = [
     "joint_moments",
@@ -225,6 +234,16 @@ def closed_s2s2(r: int, n: int) -> Fraction:
     return Fraction(num, 5 * n * r * r * (r + 1))
 
 
+def _spread_expansion(r: int, m: int) -> tuple[Fraction, ...]:
+    """The coefficients of sum_l (rho(k)-rho(l))^m in rho(k)^0, rho(k)^2, ...
+    for m = 4 or 6: the lemma suite proves them, and the proof chains of
+    verify_inequalities read them as floats."""
+    rr = Fraction(r)
+    return {4: (rr * (3 * rr ** 4 - 10 * rr ** 2 + 7) / 240, rr * (rr ** 2 - 1) / 2, rr),
+            6: (rr * (3 * rr ** 6 - 21 * rr ** 4 + 49 * rr ** 2 - 31) / 1344,
+                rr * (3 * rr ** 4 - 10 * rr ** 2 + 7) / 16, 5 * rr * (rr ** 2 - 1) / 4, rr)}[m]
+
+
 def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
     """Check every exact moment equality behind the error bounds.
 
@@ -264,8 +283,7 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
                  (rr + 1) * (5 * rr + 7) / 240)):
             if len(powers) > r:  # only E[rho rho' rho''] = 0 at r = 2 is reported, as a skip
                 if closed == 0:
-                    out.append(_entry(name, r, None, "skip", "-", "-",
-                                      "needs three distinct treatments"))
+                    out.append(_skip_entry(name, r, None, "needs three distinct treatments"))
                 continue
             val = rho_moment(r, powers)
             out.append(_eq_entry(name, r, None, abs(val) if name[0] == "|" else val, closed))
@@ -299,6 +317,7 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
 
         # deterministic per-row sums
         vals = [Fraction(v, 2) for v in centered_doubled(r)]
+        spread = {m: _spread_expansion(r, m) for m in (4, 6)}
         out.append(_eq_entry("sum_l rho(l)^2 = r(r^2-1)/12", r, None,
                              sum(v ** 2 for v in vals), rr * (rr ** 2 - 1) / 12))
         sum8 = sum((a - b) ** 8 for a in vals for b in vals)
@@ -308,17 +327,10 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
             cubic = sum((v - rho) ** 3 for v in vals)
             out.append(_eq_entry("sum_l (rho(l)-rho(k))^3 = -r(r^2-1)/4 rho - r rho^3",
                                  r, None, cubic, -rr * (rr ** 2 - 1) / 4 * rho - rr * rho ** 3))
-            quartic = sum((rho - v) ** 4 for v in vals)
-            out.append(_eq_entry(
-                "sum_l (rho(k)-rho(l))^4 expansion", r, None, quartic,
-                rr * (3 * rr ** 4 - 10 * rr ** 2 + 7) / 240
-                + rr * (rr ** 2 - 1) / 2 * rho ** 2 + rr * rho ** 4))
-            sextic = sum((rho - v) ** 6 for v in vals)
-            out.append(_eq_entry(
-                "sum_l (rho(k)-rho(l))^6 expansion", r, None, sextic,
-                rr * (3 * rr ** 6 - 21 * rr ** 4 + 49 * rr ** 2 - 31) / 1344
-                + rr * (3 * rr ** 4 - 10 * rr ** 2 + 7) / 16 * rho ** 2
-                + 5 * rr * (rr ** 2 - 1) / 4 * rho ** 4 + rr * rho ** 6))
+            for m, coeffs in spread.items():
+                expansion = sum(c * rho ** (2 * i) for i, c in enumerate(coeffs))
+                out.append(_eq_entry(f"sum_l (rho(k)-rho(l))^{m} expansion", r, None,
+                                     sum((rho - v) ** m for v in vals), expansion))
 
         # column laws: score covariance and the S-moment closed forms
         for n in range(1, n_max + 1):
@@ -344,7 +356,7 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
             try:
                 t_mean_sq, t2, t4 = _t_statistic_moments(n, r)
             except BudgetError as exc:
-                out.append(_entry("T_m identities", r, n, "skip", "-", "-", str(exc)))
+                out.append(_skip_entry("T_m identities", r, n, str(exc)))
                 continue
             out.append(_eq_entry("E[T]^2 = r(r+1)(r-1)^2/(12n)", r, n, t_mean_sq,
                                  rr * (rr + 1) * (rr - 1) ** 2 / (12 * nn)))
@@ -373,28 +385,24 @@ def verify_inequalities(r_max: int) -> list[dict]:
     out: list[dict] = []
     for r in range(2, r_max + 1):
         rr = Fraction(r)
-        m = {
-            4: rho_moment(r, (4,)),
-            6: rho_moment(r, (6,)),
-            8: rho_moment(r, (8,)),
-            12: rho_moment(r, (12,)),
-            16: rho_moment(r, (16,)),
-        }
-        out.append(_le_entry("E[rho^4] <= r^4/80", r, None, m[4], rr ** 4 / 80))
-        # the stated cap r^3/80 fails from r = 4 on (exact value (r+1)(3r^2-7)/240);
+        # (identity, powers of rho, rho', ... at distinct coordinates, cap, note);
+        # an identity in |...| caps the absolute value, and a row needing more
+        # coordinates than r is left out.  The stated cap r^3/80 on
+        # |E[rho^3 rho']| fails from r = 4 on (exact value (r+1)(3r^2-7)/240);
         # the derivation's own identity gives the valid cap r^2(r+1)/80
-        out.append(_le_entry("|E[rho^3 rho']| <= r^2(r+1)/80 (corrected cap)", r, None,
-                             abs(rho_moment(r, (3, 1))), rr ** 2 * (rr + 1) / 80,
-                             note="stated cap r^3/80 holds only for r <= 3"))
-        out.append(_le_entry("E[rho^2 rho'^2] <= r^4/144", r, None,
-                             rho_moment(r, (2, 2)), rr ** 4 / 144))
-        if r >= 3:
-            out.append(_le_entry("|E[rho^2 rho' rho'']| <= r^3/144", r, None,
-                                 abs(rho_moment(r, (2, 1, 1))), rr ** 3 / 144))
-        out.append(_le_entry("E[rho^6] <= r^6/448", r, None, m[6], rr ** 6 / 448))
-        out.append(_le_entry("E[rho^8] <= r^8/2304", r, None, m[8], rr ** 8 / 2304))
-        out.append(_le_entry("E[rho^12] <= r^12/53248", r, None, m[12], rr ** 12 / 53248))
-        out.append(_le_entry("E[rho^16] <= r^16/1114112", r, None, m[16], rr ** 16 / 1114112))
+        for name, powers, cap, note in (
+                ("E[rho^4] <= r^4/80", (4,), rr ** 4 / 80, ""),
+                ("|E[rho^3 rho']| <= r^2(r+1)/80 (corrected cap)", (3, 1), rr ** 2 * (rr + 1) / 80,
+                 "stated cap r^3/80 holds only for r <= 3"),
+                ("E[rho^2 rho'^2] <= r^4/144", (2, 2), rr ** 4 / 144, ""),
+                ("|E[rho^2 rho' rho'']| <= r^3/144", (2, 1, 1), rr ** 3 / 144, ""),
+                ("E[rho^6] <= r^6/448", (6,), rr ** 6 / 448, ""),
+                ("E[rho^8] <= r^8/2304", (8,), rr ** 8 / 2304, ""),
+                ("E[rho^12] <= r^12/53248", (12,), rr ** 12 / 53248, ""),
+                ("E[rho^16] <= r^16/1114112", (16,), rr ** 16 / 1114112, "")):
+            if len(powers) <= r:
+                val = rho_moment(r, powers)
+                out.append(_le_entry(name, r, None, abs(val) if name[0] == "|" else val, cap, note))
 
         lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 2 * v ** 2)
         out.append(_le_entry("E[((r^2-1)/4 rho + rho^3)^2 rho^2] <= 0.00234 r^8",
@@ -406,19 +414,18 @@ def verify_inequalities(r_max: int) -> list[dict]:
         out.append(_le_entry("E[((r^2-1)/4 rho + rho^3)^4] <= 1763 r^12/3843840",
                              r, None, lhs, Fraction(1763, 3843840) * rr ** 12))
 
-        # proof chains: deterministic sum expansion + Cauchy-Schwarz/Hoelder
+        # proof chains: the verified spread expansions + Cauchy-Schwarz/Hoelder
         # with the S-moment caps; rho moments are the exact enumerated values.
-        a4 = r * (3 * r ** 4 - 10 * r ** 2 + 7) / 240
-        a6 = r * (3 * r ** 6 - 21 * r ** 4 + 49 * r ** 2 - 31) / 1344
-        b2 = r * (r ** 2 - 1) / 2
-        chain1 = a4 + b2 * math.sqrt(3 * m[4]) + r * math.sqrt(3 * m[8])
+        m = {p: rho_moment(r, (p,)) for p in (4, 6, 8, 12)}
+        (c0, c2, c4), (d0, d2, d4, d6) = (map(float, _spread_expansion(r, p)) for p in (4, 6))
+        chain1 = c0 + c2 * math.sqrt(3 * m[4]) + c4 * math.sqrt(3 * m[8])
         out.append(_le_entry("chain: sum_l E[S^2 (rho(l)-rho(k))^4] <= 0.1455 r^5",
                              r, None, chain1, 0.1455 * r ** 5))
-        chain2 = 3 * a4 + b2 * (225 * m[6]) ** (1 / 3) + r * (225 * m[12]) ** (1 / 3)
+        chain2 = 3 * c0 + c2 * (225 * m[6]) ** (1 / 3) + c4 * (225 * m[12]) ** (1 / 3)
         out.append(_le_entry("chain: sum_l E[S^4 (rho(l)-rho(k))^4] <= 0.6717 r^5",
                              r, None, chain2, 0.6717 * r ** 5))
-        chain3 = (a6 + r * (3 * r ** 4 - 10 * r ** 2 + 7) / 16 * math.sqrt(3 * m[4])
-                  + 5 * r * (r ** 2 - 1) / 4 * math.sqrt(3 * m[8]) + r * math.sqrt(3 * m[12]))
+        chain3 = (d0 + d2 * math.sqrt(3 * m[4]) + d4 * math.sqrt(3 * m[8])
+                  + d6 * math.sqrt(3 * m[12]))
         out.append(_le_entry("chain: sum_l E[S^2 (rho(l)-rho(k))^6] <= 0.09116 r^7",
                              r, None, chain3, 0.09116 * r ** 7))
 
@@ -438,8 +445,8 @@ def verify_inequalities(r_max: int) -> list[dict]:
             out.append(_le_entry("E[((r^2-1)-12rho^2)^2 rho'^4 rho''^4] <= 0.00111 r^12",
                                  r, None, lhs, Fraction("0.00111") * rr ** 12))
         else:
-            out.append(_entry("E[((r^2-1)-12rho^2)^2 rho'^4 rho''^4] cap", r, None, "skip", "-", "-",
-                              "needs three distinct treatments"))
+            out.append(_skip_entry("E[((r^2-1)-12rho^2)^2 rho'^4 rho''^4] cap", r, None,
+                                   "needs three distinct treatments"))
 
         # squared normalized spread
         lhs = _tuple_mean(
@@ -471,7 +478,7 @@ def verify_inequalities(r_max: int) -> list[dict]:
             out.append(_le_entry("E[beta^4] <= 79 r^10/345600", r, None,
                                  beta_fourth_moment_direct(r), Fraction(79, 345600) * rr ** 10))
         except BudgetError as exc:
-            out.append(_entry("E[beta^4] <= 79 r^10/345600", r, None, "skip", "-", "-", str(exc)))
+            out.append(_skip_entry("E[beta^4] <= 79 r^10/345600", r, None, str(exc)))
     return out
 
 
@@ -560,9 +567,8 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
         for start in range(0, trials, _TRIAL_BLOCK):
             g = rng.integers(-50, 51, size=(min(_TRIAL_BLOCK, trials - start), full.size))
             failures += int(np.count_nonzero(g @ full != g @ regrouped))
-        out.append(_entry(f"{arity}-index decomposition, {trials} random symmetric f",
-                          r, None, "pass" if failures == 0 else "fail",
-                          f"{trials - failures} exact", f"{trials} required"))
+        out.append(_count_entry(f"{arity}-index decomposition, {trials} random symmetric f",
+                                r, None, failures, trials))
 
     full, regrouped = _multiset_weights(r, 4)
     out.append(_eq_entry("4-index decomposition, f = 1 (counting case)", r, None,
@@ -587,5 +593,5 @@ def verify_identities(r_max: int, trials: int, seed: int) -> list[dict]:
         try:
             out += verify_index_decomposition(r, trials, seed)
         except BudgetError as exc:
-            out.append(_entry("index decompositions", r, None, "skip", "-", "-", str(exc)))
+            out.append(_skip_entry("index decompositions", r, None, str(exc)))
     return out

@@ -20,6 +20,11 @@ states, the rational atoms and P(F_r = 0) in ``exact``, and the Stein
 half of the operator link in ``stein``.  law_floats is the one float view
 of the record, shared by the exact rows and the link.
 
+The verify entry format of every suite is owned here: _entry builds one
+entry, _count_entry a check counted over units ("N exact" against "N
+required", passing when no unit fails), and _skip_entry a check that cannot
+run at its cell, with the reason as its note.
+
 This module is small on purpose, and integer-only: `rate` and `distance
 --mode exact` read the law, and the coupling and Stein suites the verify
 entry format, without loading the verifiers in ``exact`` or ``fractions``.
@@ -46,6 +51,18 @@ def _entry(identity: str, r: int | None, n: int | None, status: str, lhs, rhs,
     if note:
         e["note"] = note
     return e
+
+
+def _count_entry(identity: str, r: int | None, n: int | None, bad: int, total: int,
+                 unit: str = "", note: str = "") -> dict:
+    """A check counted over `total` units, `bad` of them failing: passes when none fails."""
+    return _entry(identity, r, n, "fail" if bad else "pass",
+                  f"{total - bad}{unit} exact", f"{total} required", note)
+
+
+def _skip_entry(identity: str, r: int | None, n: int | None, note: str) -> dict:
+    """A check that cannot run at the cell, with the reason."""
+    return _entry(identity, r, n, "skip", "-", "-", note)
 
 
 def all_pass(report: list[dict]) -> bool:

@@ -156,3 +156,29 @@ def test_report_structure():
     assert rep.compact is None and rep.sharp is None
     assert rep.selected == rep.trivial == 4.0
     assert "C(r)" in rep.jensen
+
+
+# compact and sharp need all three norms, trivial h1, the r = 2 smooth bound h1 and h2
+_OMITTED = {("h1", 2): {"compact", "sharp", "trivial", "smooth_r2"},
+            ("h2", 2): {"compact", "sharp", "smooth_r2"},
+            ("h3", 2): {"compact", "sharp"},
+            ("h1", 3): {"compact", "sharp", "trivial", "smooth_r2"},
+            ("h2", 3): {"compact", "sharp", "smooth_r2"},
+            ("h3", 3): {"compact", "sharp", "smooth_r2"}}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("infinite", ["h1", "h2", "h3"])
+def test_report_omits_each_bound_that_needs_an_infinite_norm(infinite, r, n):
+    norms = SmoothNorms(**{"h1": 0.5, "h2": 0.5, "h3": 0.5, infinite: math.inf})
+    rep = bound_report(n, r, norms)
+    smooth = ("compact", "sharp", "trivial", "smooth_r2")
+    assert {name for name in smooth if getattr(rep, name) is None} == _OMITTED[infinite, r]
+    reported = [getattr(rep, name) for name in smooth if getattr(rep, name) is not None]
+    assert rep.selected == (min(reported) if reported else None)
+    assert (rep.coefficients is None) == (n == 1)
+    if rep.trivial is not None:
+        assert rep.trivial == bound_trivial(r, 0.5)
+    if rep.smooth_r2 is not None:
+        assert rep.smooth_r2 == bound_r2_special(n, "smooth", norms)

@@ -365,6 +365,65 @@ def test_inequality_suite_green():
     assert noted and all(e["status"] == "pass" for e in noted)
 
 
+_CHAINS = ("chain: sum_l E[S^2 (rho(l)-rho(k))^4] <= 0.1455 r^5",
+           "chain: sum_l E[S^4 (rho(l)-rho(k))^4] <= 0.6717 r^5",
+           "chain: sum_l E[S^2 (rho(l)-rho(k))^6] <= 0.09116 r^7")
+
+
+def _chain_lhs(report):
+    return {(e["r"], e["identity"]): e["lhs"] for e in report if e["identity"] in _CHAINS}
+
+
+def test_proof_chains_past_the_goldens():
+    # each chain evaluated here from the paper's coefficients of
+    # sum_l (rho(k)-rho(l))^m, in the suite's float order of operations
+    lhs = _chain_lhs(verify_inequalities(12))
+    for r in range(2, 13):
+        m = {p: rho_moment(r, (p,)) for p in (4, 6, 8, 12)}
+        a4 = r * (3 * r ** 4 - 10 * r ** 2 + 7) / 240
+        a6 = r * (3 * r ** 6 - 21 * r ** 4 + 49 * r ** 2 - 31) / 1344
+        b2 = r * (r ** 2 - 1) / 2
+        chains = (a4 + b2 * math.sqrt(3 * m[4]) + r * math.sqrt(3 * m[8]),
+                  3 * a4 + b2 * (225 * m[6]) ** (1 / 3) + r * (225 * m[12]) ** (1 / 3),
+                  a6 + r * (3 * r ** 4 - 10 * r ** 2 + 7) / 16 * math.sqrt(3 * m[4])
+                  + 5 * r * (r ** 2 - 1) / 4 * math.sqrt(3 * m[8]) + r * math.sqrt(3 * m[12]))
+        assert [lhs[r, name] for name in _CHAINS] == [str(c) for c in chains]
+
+
+def test_spread_expansion_has_one_owner(monkeypatch):
+    # one coefficient off: the lemma suite's expansion entries fail, and the
+    # first proof chain reads the same wrong coefficient
+    name = "sum_l (rho(k)-rho(l))^4 expansion"
+    before = _chain_lhs(verify_inequalities(4))
+    expansion = exact._spread_expansion
+
+    def off_by_one(r, m):
+        coeffs = expansion(r, m)
+        return (coeffs[0] + 1,) + coeffs[1:] if m == 4 else coeffs
+
+    monkeypatch.setattr(exact, "_spread_expansion", off_by_one)
+    report = verify_lemma_formulas(r_max=4, n_max=1)
+    quartic = [e for e in report if e["identity"] == name]
+    assert len(quartic) == 2 + 3 + 4 and all(e["status"] == "fail" for e in quartic)
+    assert all(e["status"] == "pass" for e in report if "^6 expansion" in e["identity"])
+    after = _chain_lhs(verify_inequalities(4))
+    for r in (2, 3, 4):
+        assert float(after[r, _CHAINS[0]]) == pytest.approx(float(before[r, _CHAINS[0]]) + 1)
+        assert after[r, _CHAINS[2]] == before[r, _CHAINS[2]]
+
+
+def test_count_and_skip_entries():
+    assert exact_law._count_entry("c", 3, 2, 0, 10, " rows") == {
+        "identity": "c", "r": 3, "n": 2, "status": "pass", "lhs": "10 rows exact",
+        "rhs": "10 required"}
+    assert exact_law._count_entry("c", 3, None, 4, 10, note="x") == {
+        "identity": "c", "r": 3, "n": None, "status": "fail", "lhs": "6 exact",
+        "rhs": "10 required", "note": "x"}
+    assert exact_law._skip_entry("s", 2, None, "why") == {
+        "identity": "s", "r": 2, "n": None, "status": "skip", "lhs": "-", "rhs": "-",
+        "note": "why"}
+
+
 def test_quartic_weight_identity_r5():
     rr = Fraction(5)
     vals = [Fraction(v, 2) for v in centered_doubled(5)]
