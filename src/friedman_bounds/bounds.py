@@ -75,6 +75,14 @@ class SharpCoefficients:
     beta3: float
 
 
+def _float_count(value, least: int, name: str, power: int = 1) -> int:
+    """check_count, refusing a count whose power-th power, as a bound forms it, has no float."""
+    count = check_count(value, least, name)
+    if count.bit_length() > 1023 // power:
+        raise DomainError(f"need {name} < 2**{1023 // power} to evaluate the bounds in floating point")
+    return count
+
+
 def _require_finite(*norms: float) -> None:
     if any(not math.isfinite(v) for v in norms):
         raise InfiniteNormError("bound requires finite derivative norms")
@@ -82,7 +90,7 @@ def _require_finite(*norms: float) -> None:
 
 def bound_compact(n: int, r: int, norms: SmoothNorms) -> float:
     """Compact smooth-test-function bound, valid for all n >= 1, r >= 2."""
-    n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
+    n, r = check_count(n, 1, "n"), _float_count(r, 2, "r")
     _require_finite(norms.h1, norms.h2, norms.h3)
     q = r / n
     return q * (293.0 * norms.h1 + (2269.0 + 431.0 * q) * norms.h2 + (3533.0 + 646.0 * q) * norms.h3)
@@ -90,7 +98,7 @@ def bound_compact(n: int, r: int, norms: SmoothNorms) -> float:
 
 def sharp_coefficients(n: int, r: int) -> SharpCoefficients:
     """Coefficient table of the sharper bound (defined for n >= 2)."""
-    n, r = check_count(n, 2, "n"), check_count(r, 2, "r")
+    n, r = _float_count(n, 2, "n", 2), _float_count(r, 2, "r", 2)
     a_n = 3.0 + 9.0 / (5.0 * n) - 21.0 / (5.0 * n * n)
     sq = math.sqrt(a_n)
     b_n = (
@@ -117,14 +125,14 @@ def bound_sharp(n: int, r: int, norms: SmoothNorms) -> float:
 
 def bound_trivial(r: int, h1: float) -> float:
     """Mean-value bound 2(r-1) h1, valid for every n."""
-    r = check_count(r, 2, "r")
+    r = _float_count(r, 2, "r")
     _require_finite(h1)
     return 2.0 * (r - 1) * h1
 
 
 def bound_r2_special(n: int, which: str, norms: Optional[SmoothNorms] = None) -> float:
     """r = 2 specials: 'wasserstein' needs no norms, 'smooth' needs h1, h2."""
-    n = check_count(n, 1, "n")
+    n = _float_count(n, 1, "n")
     if which == "wasserstein":
         return (87.0 + 48.0 / math.sqrt(n)) / math.sqrt(n)
     if which == "smooth":
@@ -137,7 +145,7 @@ def bound_r2_special(n: int, which: str, norms: Optional[SmoothNorms] = None) ->
 
 def bound_kolmogorov(n: int, r: int) -> float:
     """Raw (unclamped) Kolmogorov distance bound; three per-r regimes."""
-    n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
+    n, r = _float_count(n, 1, "n"), _float_count(r, 2, "r")
     if r == 2:
         return 0.9496 / math.sqrt(n)
     if r == 3:

@@ -24,7 +24,11 @@ with --mode exact, which draws nothing, is a usage error.  `distance` is one
 one table of the flags each suite reads, refuses a given flag that no chosen
 suite reads, and prints: each suite, with its range checks, budget and pass
 rules, lives in the module whose identities it checks (exact, coupling,
-stein), and the budget, not a fixed r, bounds it.
+stein).  The budget, not a fixed r, bounds each cell (a cell past it is one
+skip entry, at any r), but not the number of cells: --r-max, --n-max and
+--p-max set that alone.  A count too large for the exact engine, for the
+sampler's int64 sums or for the bounds' floats is a usage error, not a
+traceback.
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ an increment off the support rule also fails each product pattern it
 breaks.  It tallies everything the three verifiers report; they only
 format entries for (r, n).  The pass is cached
 on the rows, so each r is enumerated once per process whatever n, and its
-r! r^2 row draws are charged to the exact engine's budget on every call,
-before any array is built (BudgetError beyond it; verify_suite, which runs
-the three over a grid of cells, reports such a cell as one skipped entry).
+r! r^2 row draws are priced by exact_law._check_rows on every call, before
+any array is built (BudgetError beyond it, at once past r = 30;
+verify_suite, which runs the three over a grid of cells, reports such a
+cell through exact_law._within_budget as one skipped entry).
 
 The regression identity reads sum_draws dQ_j = -2 r Q_j for a
 configuration; summed over its trials, it holds for every configuration at
@@ -46,7 +47,6 @@ every row draw.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iter_permutations
@@ -54,8 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, check_count
-from .exact_law import _check_terms, _count_entry, _entry, _skip_entry, centered_doubled
+from .errors import check_count
+from .exact_law import _check_rows, _count_entry, _entry, _within_budget, centered_doubled
 
 __all__ = [
     "verify_regression",
@@ -108,8 +108,8 @@ def _swap_pass(rows: tuple[tuple[int, ...], ...]) -> _SwapTally:
 
 
 def _tally(r: int) -> _SwapTally:
-    """The swap pass at r; its r! r^2 row draws are charged on every call, cached or not."""
-    _check_terms(f"the coupling row draws at r={r}", math.factorial(r) * r * r)
+    """The swap pass at r; its r! r^2 row draws are priced on every call, cached or not."""
+    _check_rows(f"the coupling row draws at r={r}", r, r * r)
     return _swap_pass(tuple(iter_permutations(centered_doubled(r))))
 
 
@@ -183,12 +183,7 @@ def verify_suite(r_max: int, n_max: int) -> list[dict]:
     """The three verifiers at every cell r in 2..r_max, n in 1..n_max; a cell
     past the budget is one skipped entry naming its cost."""
     r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")
-    out = []
-    for r in range(2, r_max + 1):
-        for n in range(1, n_max + 1):
-            try:
-                out += (verify_regression(r, n) + verify_increment_moments(r, n)
-                        + verify_triple_structure(r, n))
-            except BudgetError as exc:
-                out.append(_skip_entry("coupling identities", r, n, str(exc)))
-    return out
+    return [e for r in range(2, r_max + 1) for n in range(1, n_max + 1)
+            for e in _within_budget("coupling identities", r, n, lambda: (
+                verify_regression(r, n) + verify_increment_moments(r, n)
+                + verify_triple_structure(r, n)))]

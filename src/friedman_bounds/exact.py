@@ -34,11 +34,13 @@ moments are exact fractions.  The claims are covered by:
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 of ``exact_law`` (_check_terms raises BudgetError naming the cell, the term
-count and the cap).  The budget, not a fixed r, bounds every suite: the
+count and the cap).  The budget, not a fixed r, bounds each cell: the
 lemma and inequality suites charge their largest tuple enumeration up
-front (the lemmas run to r = 22), each decomposition check charges the r!
-terms of the overlap law before any draw, and verify_identities reports an
-r past the budget as one skipped entry (the decompositions run to r = 8).
+front (the lemmas run to r = 22), and the overlap law behind T_m, E[beta^4]
+and each decomposition check is priced by exact_law._check_rows at one term
+per row of r!, before any draw.  A T_m cell, an E[beta^4] cap or a
+decomposition r past the budget is one skipped entry, built by
+exact_law._within_budget (the decompositions run to r = 8).
 
 Every verify_* function returns a list of JSON-ready entries
 {identity, r, n, status, lhs, rhs} in the format of ``exact_law._entry``
@@ -56,9 +58,9 @@ from itertools import combinations_with_replacement
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
-from .errors import BudgetError, DomainError, check_count
-from .exact_law import (_check_terms, _count_entry, _entry, _skip_entry, all_pass,
-                        centered_doubled, f_law)
+from .errors import DomainError, check_count
+from .exact_law import (_check_rows, _check_terms, _count_entry, _entry, _skip_entry,
+                        _within_budget, all_pass, centered_doubled, f_law)
 
 __all__ = [
     "joint_moments",
@@ -163,8 +165,8 @@ def _overlap_counts(r: int) -> tuple[tuple[tuple[int], int], ...]:
 
 def _overlap_law(r: int) -> tuple[tuple[tuple[int], int], ...]:
     """Counts of Y = sum_l v_l v_pi(l) over the r! permutations pi, with v
-    the doubled ranks; the budget is charged on every call, cached or not."""
-    _check_terms(f"the law of sum_l v_l v_pi(l) at r={r}", math.factorial(r))
+    the doubled ranks; one term per row is priced on every call, cached or not."""
+    _check_rows(f"the law of sum_l v_l v_pi(l) at r={r}", r, 1)
     return _overlap_counts(r)
 
 
@@ -353,20 +355,22 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
                                  rr ** 2 - 1 - 2 * (rr - 1) / nn))
             out.append(_eq_entry("Var(F) = 2(r-1)(1-1/n)", r, n, f["Var(F)"],
                                  2 * (rr - 1) * (1 - 1 / nn)))
-            try:
-                t_mean_sq, t2, t4 = _t_statistic_moments(n, r)
-            except BudgetError as exc:
-                out.append(_skip_entry("T_m identities", r, n, str(exc)))
-                continue
-            out.append(_eq_entry("E[T]^2 = r(r+1)(r-1)^2/(12n)", r, n, t_mean_sq,
-                                 rr * (rr + 1) * (rr - 1) ** 2 / (12 * nn)))
-            out.append(_eq_entry("E[T^2] = r(r^2-1)(1+(r-2)/n)/12", r, n, t2,
-                                 rr * (rr ** 2 - 1) / 12 * (1 + (rr - 2) / nn)))
-            if n >= 2:
-                out.append(_le_entry("E[T^2] <= r^3(1+r/n)/12", r, n, t2,
-                                     rr ** 3 / 12 * (1 + rr / nn)))
-                c_t = Fraction(7, 48) + rr ** 2 / (36 * nn ** 2) + Fraction(1, 5 * n)
-                out.append(_le_entry("E[T^4] <= C_T r^6", r, n, t4, c_t * rr ** 6))
+            out += _within_budget("T_m identities", r, n, lambda: _t_entries(r, n))
+    return out
+
+
+def _t_entries(r: int, n: int) -> list[dict]:
+    """The T_m identities at (r, n), from the r! terms of the overlap law."""
+    t_mean_sq, t2, t4 = _t_statistic_moments(n, r)
+    rr, nn = Fraction(r), Fraction(n)
+    out = [_eq_entry("E[T]^2 = r(r+1)(r-1)^2/(12n)", r, n, t_mean_sq,
+                     rr * (rr + 1) * (rr - 1) ** 2 / (12 * nn)),
+           _eq_entry("E[T^2] = r(r^2-1)(1+(r-2)/n)/12", r, n, t2,
+                     rr * (rr ** 2 - 1) / 12 * (1 + (rr - 2) / nn))]
+    if n >= 2:
+        c_t = Fraction(7, 48) + rr ** 2 / (36 * nn ** 2) + Fraction(1, 5 * n)
+        out += [_le_entry("E[T^2] <= r^3(1+r/n)/12", r, n, t2, rr ** 3 / 12 * (1 + rr / nn)),
+                _le_entry("E[T^4] <= C_T r^6", r, n, t4, c_t * rr ** 6)]
     return out
 
 
@@ -474,11 +478,9 @@ def verify_inequalities(r_max: int) -> list[dict]:
 
         # downstream consumer of the rho-moment caps: the fourth moment of
         # beta = sum_l rho(l) rho'(l) over two independent permutations
-        try:
-            out.append(_le_entry("E[beta^4] <= 79 r^10/345600", r, None,
-                                 beta_fourth_moment_direct(r), Fraction(79, 345600) * rr ** 10))
-        except BudgetError as exc:
-            out.append(_skip_entry("E[beta^4] <= 79 r^10/345600", r, None, str(exc)))
+        out += _within_budget("E[beta^4] <= 79 r^10/345600", r, None, lambda: [_le_entry(
+            "E[beta^4] <= 79 r^10/345600", r, None, beta_fourth_moment_direct(r),
+            Fraction(79, 345600) * rr ** 10)])
     return out
 
 
@@ -588,10 +590,6 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
 def verify_identities(r_max: int, trials: int, seed: int) -> list[dict]:
     """verify_index_decomposition at every r in 3..r_max; an r past the
     budget is one skipped entry naming its cost."""
-    out = []
-    for r in range(3, check_count(r_max, 3, "r_max") + 1):
-        try:
-            out += verify_index_decomposition(r, trials, seed)
-        except BudgetError as exc:
-            out.append(_skip_entry("index decompositions", r, None, str(exc)))
-    return out
+    return [e for r in range(3, check_count(r_max, 3, "r_max") + 1)
+            for e in _within_budget("index decompositions", r, None,
+                                    lambda: verify_index_decomposition(r, trials, seed))]

@@ -9,7 +9,15 @@ Python-int counts summed on an object array.
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 (_check_terms raises BudgetError naming the cell, the term count and the
-cap); every exact layer of the package charges it.
+cap); every exact layer of the package charges it, before any work.  Both of
+the budget's decisions live here.  The price of a cell that reads one
+trial's r! rows is one rule, _check_rows: m terms per row, m the engine's
+running state count, 1 for the overlap law behind T_m and r^2 for the
+coupling row draws.  It multiplies out r! only up to r = 30, where the count
+still prints in full, and past that refuses at once with the short note
+"more than 30!".  A verify suite runs each cell through _within_budget,
+which returns the cell's entries, or for a cell past the budget its one
+skip entry with the BudgetError as its note.
 
 f_law returns the law as one frozen record, FLaw: the integer keys |Q|^2
 (Q the doubled column sums, F_r = 3 |Q|^2 / (r(r+1)n)) in increasing order,
@@ -74,11 +82,30 @@ def centered_doubled(r: int) -> list[int]:
     return [2 * k - (r + 1) for k in range(1, r + 1)]
 
 
-def _check_terms(cell: str, terms: int) -> None:
-    """The one enumeration budget: BudgetError once a cell needs over BUDGET_CAP terms."""
-    if terms > BUDGET_CAP:
+def _check_terms(cell: str, terms: int | str) -> None:
+    """The one enumeration budget: BudgetError once a cell needs over BUDGET_CAP
+    terms (a str stands for a count known to be past any cap)."""
+    if isinstance(terms, str) or terms > BUDGET_CAP:
         raise BudgetError(f"{cell} needs {terms} enumerated terms, which exceeds "
                           f"the cap {BUDGET_CAP}")
+
+
+def _check_rows(cell: str, r: int, per_row: int) -> None:
+    """The one pricing rule: ``per_row`` terms on each of one trial's r! rows.
+
+    r! is multiplied out only up to r = 30, where the count still prints in
+    full; past it r! alone is beyond any cap, so the cell is refused at once
+    with a short note and r! is never formed.
+    """
+    _check_terms(cell, math.factorial(r) * per_row if r <= 30 else "more than 30!")
+
+
+def _within_budget(identity: str, r: int | None, n: int | None, check) -> list[dict]:
+    """check()'s entries, or for a cell past the budget its one skip entry naming the cost."""
+    try:
+        return check()
+    except BudgetError as exc:
+        return [_skip_entry(identity, r, n, str(exc))]
 
 
 def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -90,9 +117,9 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     is exact: the moves are closed under permuting coordinates, so sorting
     commutes with each trial, and the one caller, f_law, reads a state only
     through its sum of squares.  Before each trial the budget is charged
-    with the running total of states times the r! moves, so a cell past the
-    cap fails at the first trial that would exceed it; the moves are built
-    after the first charge.
+    r! moves per state summed over so far (_check_rows), so a cell past the
+    cap fails at the first trial that would exceed it; nothing is allocated
+    before the first charge.
 
     A trial is one array pass: every (state, move) sum is sorted along its
     row and keyed as one int64 in mixed radix 2n(r-1)+1 (a column sum lies
@@ -103,14 +130,14 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     import numpy as np
 
     radix = 2 * n * (r - 1) + 1
-    states, counts = np.zeros((1, r), np.int64), np.ones(1, object)
-    moves, charged = None, 0
-    for _ in range(n):
-        charged += len(states) * math.factorial(r)
-        _check_terms(f"the convolution of {r} column sums at r={r}, n={n}", charged)
-        if moves is None:
+    seen = 0  # states summed over so far, each charged r! moves
+    for trial in range(n):
+        seen += len(states) if trial else 1
+        _check_rows(f"the convolution of {r} column sums at r={r}, n={n}", r, seen)
+        if not trial:
             if radix ** r > np.iinfo(np.int64).max:
                 raise BudgetError(f"the state keys at r={r}, n={n} need {radix}^{r}, past int64")
+            states, counts = np.zeros((1, r), np.int64), np.ones(1, object)
             moves = np.array(list(iter_permutations(centered_doubled(r))), np.int64)
         sums = np.sort((states[:, None, :] + moves).reshape(-1, r), axis=1)
         keys = (sums + n * (r - 1)) @ radix ** np.arange(r - 1, -1, -1, dtype=np.int64)

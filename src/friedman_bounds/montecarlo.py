@@ -37,6 +37,10 @@ F_r sampler draws those sums by one of three paths, chosen from (r, n) alone:
   last column is n r(r+1)/2 minus the others;
 * shuffle (r >= 13): n shuffled rows, summed.
 
+Every path sums in int64, so a sampled (r, n) whose rank total n r(r+1)/2,
+which bounds every column sum, every count and the packed path's last
+column, is past int64 is a DomainError before any draw.
+
 The paths draw the same law, not the same numbers.  Where k = 1 (7 <= r <=
 12) the packed path draws the same indices as uniform_rows, so its column
 sums equal summed uniform_rows rows.  Each chunk draws its rows in slabs of
@@ -51,8 +55,9 @@ concatenated in chunk order.
 
 Every distance reads one law of F_r as weighted atoms, and _law is the one
 place that chooses it: 'exact' reads exact_law.f_law (BudgetError past
-exact_law.BUDGET_CAP enumerated terms), 'mc' draws samples, and 'auto' reads
-the exact law wherever it fits its budget and draws otherwise.  distance has
+exact_law.BUDGET_CAP enumerated terms, raised before the engine allocates
+anything), 'mc' draws samples, and 'auto' reads the exact law wherever it
+fits its budget and draws otherwise.  distance has
 one reader per metric on that view: the Kolmogorov distance takes both
 one-sided gaps at every atom, the smooth gap |E h(F_r) - E h(Y)| is an fsum
 over the atoms, and the Wasserstein diagnostic (r = 2) is the exact integral
@@ -299,11 +304,13 @@ def _column_sums(gen: np.random.Generator, size: int, n: int, r: int,
 
     The rows are drawn in slabs that hold at most about _SLAB_WORDS / workers
     words at once; a slab's draws continue the generator where the last one
-    stopped, so the sums do not depend on the slab size.
+    stopped, so the sums do not depend on the slab size.  Only the chosen
+    path's sample width is computed, so r! is formed on the multinomial path
+    alone.
     """
     path = _sampler_path(r, n)
-    width = {"shuffle": n * r, "multinomial": math.factorial(r),
-             "packed": -(-n // _BLOCK_TRIALS.get(r, 1))}[path]
+    width = (n * r if path == "shuffle" else math.factorial(r) if path == "multinomial"
+             else -(-n // _BLOCK_TRIALS.get(r, 1)))
     step = max(1, _SLAB_WORDS // workers // width)
     return np.concatenate([_slab_sums(gen, min(step, size - start), n, r, path)
                            for start in range(0, size, step)])
@@ -314,6 +321,9 @@ def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
     """F_r samples in fixed chunk order, reproducible for any thread count."""
     n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
     samples = check_count(samples, 1000, "samples")
+    if n * r * (r + 1) // 2 > np.iinfo(np.int64).max:  # bounds every column sum and count
+        raise DomainError("the rank total n r(r+1)/2 must lie below 2**63, the int64 range "
+                          "that the column sums are drawn in")
     if not isinstance(rng, RngContract):
         raise DomainError(f"a sampled law needs an RngContract, got rng={rng!r}")
     n_chunks = (samples + _CHUNK - 1) // _CHUNK

@@ -27,6 +27,22 @@ def test_compact_bound_errors():
         bound_compact(10, 1, UNIT)
 
 
+@pytest.mark.parametrize("n, r, name", [(10 ** 309, 3, "n"), (5, 10 ** 155, "r")],
+                         ids=["n=1e309", "r=1e155"])
+def test_counts_past_the_float_range_are_refused(n, r, name):
+    # the sharp coefficients form n^2 and r^2 as floats, the other bounds n or r
+    with pytest.raises(DomainError, match=f"need {name} < 2\\*\\*511"):
+        bound_report(n, r)
+
+
+def test_each_bound_refuses_a_count_it_cannot_hold_as_a_float():
+    for bound in (lambda: bound_kolmogorov(10 ** 309, 3), lambda: bound_kolmogorov(5, 10 ** 309),
+                  lambda: bound_trivial(10 ** 309, 1.0), lambda: bound_compact(5, 10 ** 309, UNIT),
+                  lambda: bound_r2_special(10 ** 309, "wasserstein")):
+        with pytest.raises(DomainError, match="< 2\\*\\*1023 to evaluate the bounds"):
+            bound()
+
+
 def test_sharp_coefficients_examples():
     assert sharp_coefficients(146, 3).beta1 == pytest.approx(292.45, abs=0.01)
     assert sharp_coefficients(2, 2).a_n == pytest.approx(2.85, abs=1e-12)

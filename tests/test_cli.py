@@ -4,6 +4,7 @@ import json
 import math
 import os
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -274,6 +275,11 @@ GOLDEN_DISTANCE = [
      '{"bound": 1.0, "estimate": 0.005763560782233612, "half_width": 0.011509037065006824, '
      '"method": "monte-carlo", "metric": "kolmogorov", "n": 200, "r": 5, "samples": 20000, '
      '"within_bound": true}\n'),
+    # n = 10^18: the rank total 6 10^18 still fits int64, so the multinomial path runs
+    (("--r", "3", "--n", str(10 ** 18), "--samples", "1000", "--seed", "1"),
+     '{"bound": 0.0009171275234094421, "estimate": 0.024488162264636126, '
+     '"half_width": 0.051469978465839845, "method": "monte-carlo", "metric": "kolmogorov", '
+     '"n": 1000000000000000000, "r": 3, "samples": 1000, "within_bound": true}\n'),
 ]
 
 
@@ -579,6 +585,41 @@ def test_cmd_rate_n_past_the_substreams_is_refused_before_any_row(capsys, monkey
                          "--samples", "1000")
     assert code == 2 and out == ""
     assert f"below 2**20, got n={2 ** 20}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "identities", "--r-max", "1800", "--trials", "1"),
+    ("verify", "--suite", "coupling", "--r-max", "1700", "--n-max", "1"),
+], ids=["identities", "coupling"])
+def test_cmd_verify_skips_any_r_past_the_budget_with_a_short_note(capsys, argv):
+    # past r = 30 the budget refuses without forming r!, whose count would
+    # pass Python's int print limit from r = 1559 on
+    code, out, _ = run(capsys, *argv)
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and all(len(e.get("note", "")) < 200 for e in lines)
+    assert lines[-1]["status"] == "skip" and "needs more than 30! enumerated" in lines[-1]["note"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "--mode", "exact", "--r", "1559", "--n", "1"),
+    ("distance", "--mode", "exact", "--r", str(10 ** 21), "--n", "2"),
+    ("distance", "--r", "3", "--n", str(2 ** 62), "--samples", "1000", "--seed", "1"),
+    ("distance", "--r", "2", "--n", str(2 ** 63), "--samples", "1000", "--seed", "1"),
+    ("bounds", "--n", str(10 ** 309), "--r", "3"),
+    ("bounds", "--n", "5", "--r", str(10 ** 155)),
+], ids=["exact-r1559", "exact-r1e21", "mc-n2^62", "mc-n2^63", "bounds-n1e309", "bounds-r1e155"])
+def test_extreme_counts_are_one_usage_error_before_any_work(capsys, monkeypatch, argv):
+    # the exact engine refuses before it allocates, the sampler before any
+    # chunk is drawn (its rank total n r(r+1)/2 would leave int64), and the
+    # bounds a count they cannot evaluate in floating point
+    def no_chunk(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(montecarlo, "_column_sums", no_chunk)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cmd_distance_exact_beyond_budget(capsys):

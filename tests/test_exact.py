@@ -424,6 +424,24 @@ def test_count_and_skip_entries():
         "note": "why"}
 
 
+def test_every_budget_skip_comes_from_the_one_runner(monkeypatch):
+    # exact_law._within_budget owns the budget skip: tagging its entry builder
+    # tags every skip that names enumerated terms, in each of the four suites
+    # that run cells past the budget
+    from friedman_bounds import coupling
+
+    skip_entry = exact_law._skip_entry
+    monkeypatch.setattr(exact_law, "_skip_entry",
+                        lambda identity, r, n, note: skip_entry(identity, r, n, note + " #owner"))
+    for suite, r in ((lambda: exact.verify_identities(9, 1, 0), 9),
+                     (lambda: coupling.verify_suite(7, 1), 7),
+                     (lambda: [e for e in verify_lemma_formulas(9, 1) if e["n"] == 1], 9),
+                     (lambda: verify_inequalities(9), 9)):
+        skips = [e for e in suite() if "enumerated terms" in e.get("note", "")]
+        assert skips and {e["r"] for e in skips} == {r}
+        assert all(e["status"] == "skip" and e["note"].endswith(" #owner") for e in skips)
+
+
 def test_quartic_weight_identity_r5():
     rr = Fraction(5)
     vals = [Fraction(v, 2) for v in centered_doubled(5)]
@@ -497,8 +515,9 @@ def test_decomposition_is_charged_the_overlap_law_before_any_draw(monkeypatch):
     # r = 7 and 8 fit the budget; at r = 9 the 9! overlap terms do not
     assert all_pass(verify_index_decomposition(8, trials=3, seed=1))
     monkeypatch.setattr(exact, "_multiset_weights", None)
-    with pytest.raises(BudgetError, match="r=9 needs 362880 enumerated terms"):
-        verify_index_decomposition(9, trials=1, seed=0)
+    for r, terms in ((9, 362880), (30, 265252859812191058636308480000000)):
+        with pytest.raises(BudgetError, match=f"r={r} needs {terms} enumerated terms"):
+            verify_index_decomposition(r, trials=1, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
