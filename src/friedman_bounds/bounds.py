@@ -83,6 +83,13 @@ def _float_count(value, least: int, name: str, power: int = 1) -> int:
     return count
 
 
+def _in_range(name: str, bound: float) -> float:
+    """``bound``, if it is a float; a bound past the float range is a DomainError."""
+    if not math.isfinite(bound):
+        raise DomainError(f"the {name} bound at these n, r and norms is past the float range")
+    return bound
+
+
 def _require_finite(*norms: float) -> None:
     if any(not math.isfinite(v) for v in norms):
         raise InfiniteNormError("bound requires finite derivative norms")
@@ -93,7 +100,8 @@ def bound_compact(n: int, r: int, norms: SmoothNorms) -> float:
     n, r = check_count(n, 1, "n"), _float_count(r, 2, "r")
     _require_finite(norms.h1, norms.h2, norms.h3)
     q = r / n
-    return q * (293.0 * norms.h1 + (2269.0 + 431.0 * q) * norms.h2 + (3533.0 + 646.0 * q) * norms.h3)
+    return _in_range("compact", q * (293.0 * norms.h1 + (2269.0 + 431.0 * q) * norms.h2
+                                     + (3533.0 + 646.0 * q) * norms.h3))
 
 
 def sharp_coefficients(n: int, r: int) -> SharpCoefficients:
@@ -120,14 +128,15 @@ def bound_sharp(n: int, r: int, norms: SmoothNorms) -> float:
     """Sharper coefficient bound (r/n)(beta1 h1 + beta2 h2 + beta3 h3), n >= 2."""
     coeff = sharp_coefficients(n, r)
     _require_finite(norms.h1, norms.h2, norms.h3)
-    return (r / n) * (coeff.beta1 * norms.h1 + coeff.beta2 * norms.h2 + coeff.beta3 * norms.h3)
+    return _in_range("sharp", (r / n) * (coeff.beta1 * norms.h1 + coeff.beta2 * norms.h2
+                                         + coeff.beta3 * norms.h3))
 
 
 def bound_trivial(r: int, h1: float) -> float:
     """Mean-value bound 2(r-1) h1, valid for every n."""
     r = _float_count(r, 2, "r")
     _require_finite(h1)
-    return 2.0 * (r - 1) * h1
+    return _in_range("trivial", 2.0 * (r - 1) * h1)
 
 
 def bound_r2_special(n: int, which: str, norms: Optional[SmoothNorms] = None) -> float:
@@ -139,7 +148,7 @@ def bound_r2_special(n: int, which: str, norms: Optional[SmoothNorms] = None) ->
         if norms is None:
             raise DomainError("smooth variant needs norms")
         _require_finite(norms.h1, norms.h2)
-        return (69.0 + 43.0 / n) * (norms.h1 + norms.h2) / n
+        return _in_range("r = 2 smooth", (69.0 + 43.0 / n) * (norms.h1 + norms.h2) / n)
     raise DomainError(f"unknown variant {which!r}")
 
 
@@ -193,7 +202,9 @@ def bound_report(n: int, r: int, norms: SmoothNorms = SmoothNorms()) -> BoundRep
     ``selected`` is the minimum over the simultaneously valid smooth bounds
     (compact, sharp when n >= 2, trivial, and the r = 2 special); inapplicable
     entries (n = 1 for the sharp bound, and any bound that refuses an
-    infinite norm it needs) are omitted rather than raised.
+    infinite norm it needs) are omitted rather than raised.  A bound whose
+    value leaves the float range is a DomainError, as is a count it cannot
+    hold as a float.
     """
     n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
 
@@ -204,8 +215,8 @@ def bound_report(n: int, r: int, norms: SmoothNorms = SmoothNorms()) -> BoundRep
         except InfiniteNormError:
             return None
 
+    coefficients = sharp_coefficients(n, r) if n >= 2 else None  # first: it refuses r >= 2**511
     compact = applies(bound_compact, n, r, norms)
-    coefficients = sharp_coefficients(n, r) if n >= 2 else None
     sharp = applies(bound_sharp, n, r, norms) if n >= 2 else None
     trivial = applies(bound_trivial, r, norms.h1)
     kol_raw = bound_kolmogorov(n, r)

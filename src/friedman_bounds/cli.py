@@ -25,10 +25,14 @@ one table of the flags each suite reads, refuses a given flag that no chosen
 suite reads, and prints: each suite, with its range checks, budget and pass
 rules, lives in the module whose identities it checks (exact, coupling,
 stein).  The budget, not a fixed r, bounds each cell (a cell past it is one
-skip entry, at any r), but not the number of cells: --r-max, --n-max and
---p-max set that alone.  A count too large for the exact engine, for the
-sampler's int64 sums or for the bounds' floats is a usage error, not a
-traceback.
+skip entry, at any r), and it prices the walks of three suites as one charge
+each, before any work: the lemma and inequality suites' tuples over every r
+up to --r-max, the lemma suite's moment products over every (r, n) up to
+--n-max, and the Stein suite's f' evaluations over every p up to --p-max.
+The identities and coupling suites' number of cells is not priced:
+--r-max, --n-max and --trials set it alone.  A count too large for the exact
+engine, for the sampler's int64 sums or for the bounds' floats, and a bound
+past the float range, is a usage error, not a traceback.
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ over (K, L), the product matrix is dQ^T dQ over all row draws, and the
 support, quartic and cubic rules are counted as masks on every draw, so
 an increment off the support rule also fails each product pattern it
 breaks.  It tallies everything the three verifiers report; they only
-format entries for (r, n).  The pass is cached
-on the rows, so each r is enumerated once per process whatever n, and its
-r! r^2 row draws are priced by exact_law._check_rows on every call, before
-any array is built (BudgetError beyond it, at once past r = 30;
+format entries for (r, n).  The rows are exact_law._trial_rows, which
+prices their r! r^2 row draws on every call, before any row or array is
+built, and the pass is cached on them, so each r is enumerated once per
+process whatever n (BudgetError beyond it, at once past r = 30;
 verify_suite, which runs the three over a grid of cells, reports such a
 cell through exact_law._within_budget as one skipped entry).
 
@@ -49,13 +49,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as iter_permutations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import check_count
-from .exact_law import _check_rows, _count_entry, _entry, _within_budget, centered_doubled
+from .exact_law import _count_entry, _entry, _trial_rows, _within_budget
 
 __all__ = [
     "verify_regression",
@@ -109,8 +108,7 @@ def _swap_pass(rows: tuple[tuple[int, ...], ...]) -> _SwapTally:
 
 def _tally(r: int) -> _SwapTally:
     """The swap pass at r; its r! r^2 row draws are priced on every call, cached or not."""
-    _check_rows(f"the coupling row draws at r={r}", r, r * r)
-    return _swap_pass(tuple(iter_permutations(centered_doubled(r))))
+    return _swap_pass(_trial_rows(f"the coupling row draws at r={r}", r, r * r))
 
 
 def verify_regression(r: int, n: int) -> list[dict]:

@@ -33,14 +33,15 @@ moments are exact fractions.  The claims are covered by:
   Var(F) against the moments above.
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
-of ``exact_law`` (_check_terms raises BudgetError naming the cell, the term
-count and the cap).  The budget, not a fixed r, bounds each cell: the
-lemma and inequality suites charge their largest tuple enumeration up
-front (the lemmas run to r = 22), and the overlap law behind T_m, E[beta^4]
-and each decomposition check is priced by exact_law._check_rows at one term
-per row of r!, before any draw.  A T_m cell, an E[beta^4] cap or a
-decomposition r past the budget is one skipped entry, built by
-exact_law._within_budget (the decompositions run to r = 8).
+of ``exact_law``, which forms every tuple count.  The budget, not a fixed r,
+bounds each cell: the lemma and inequality suites charge up front the
+four- and three-coordinate tuples of every r they walk (the lemmas run to
+r = 16, the inequalities to r = 30), and the lemma suite its moment
+products over every (r, n) cell.  The overlap law behind T_m, E[beta^4]
+and each decomposition check reads one trial's r! rows from
+exact_law._trial_rows at one term per row, before any draw.  A T_m cell,
+an E[beta^4] cap or a decomposition r past the budget is one skipped
+entry, built by exact_law._within_budget (the decompositions run to r = 8).
 
 Every verify_* function returns a list of JSON-ready entries
 {identity, r, n, status, lhs, rhs} in the format of ``exact_law._entry``
@@ -59,8 +60,8 @@ from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
 from .errors import DomainError, check_count
-from .exact_law import (_check_rows, _check_terms, _count_entry, _entry, _skip_entry,
-                        _within_budget, all_pass, centered_doubled, f_law)
+from .exact_law import (_check_terms, _check_walk, _count_entry, _entry, _skip_entry,
+                        _trial_rows, _within_budget, all_pass, centered_doubled, f_law)
 
 __all__ = [
     "joint_moments",
@@ -137,6 +138,11 @@ def _iid_sum_moments(law: tuple, n: int, degrees: tuple[int, ...]) -> dict[tuple
             for a in index}
 
 
+# binomial product terms per (r, n) cell of the lemma suite's n walk, one table
+# each: 28 for S_j to degree 6, 36 for (S_j, S_k) to (2, 2), 15 for Y to degree 4
+_CELL_PRODUCTS = 28 + 36 + 15
+
+
 @lru_cache(maxsize=None)
 def _s_moments(r: int, n: int) -> dict[str, Fraction]:
     """E[S^2], E[S^4], E[S^6], E[S_j S_k] and E[S_j^2 S_k^2] (j != k), exact.
@@ -156,18 +162,18 @@ def _s_moments(r: int, n: int) -> dict[str, Fraction]:
             "E[S_j S_k]": q * two[1, 1], "E[S_j^2 S_k^2]": q ** 2 * two[2, 2]}
 
 
-@lru_cache(maxsize=None)
-def _overlap_counts(r: int) -> tuple[tuple[tuple[int], int], ...]:
-    base = centered_doubled(r)
-    counts = Counter(sum(x * y for x, y in zip(base, row)) for row in iter_permutations(base))
-    return tuple(((y,), c) for y, c in sorted(counts.items()))
+_overlap_counts: dict[int, tuple[tuple[tuple[int], int], ...]] = {}
 
 
 def _overlap_law(r: int) -> tuple[tuple[tuple[int], int], ...]:
     """Counts of Y = sum_l v_l v_pi(l) over the r! permutations pi, with v
-    the doubled ranks; one term per row is priced on every call, cached or not."""
-    _check_rows(f"the law of sum_l v_l v_pi(l) at r={r}", r, 1)
-    return _overlap_counts(r)
+    the doubled ranks (the first row); one term per row is priced on every
+    call, and the counts are cached on r."""
+    rows = _trial_rows(f"the law of sum_l v_l v_pi(l) at r={r}", r, 1)
+    if r not in _overlap_counts:
+        counts = Counter(sum(x * y for x, y in zip(rows[0], row)) for row in rows)
+        _overlap_counts[r] = tuple(((y,), c) for y, c in sorted(counts.items()))
+    return _overlap_counts[r]
 
 
 def _t_statistic_moments(n: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -249,18 +255,22 @@ def _spread_expansion(r: int, m: int) -> tuple[Fraction, ...]:
 def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
     """Check every exact moment equality behind the error bounds.
 
-    Single-trial identities run for r in 2..r_max; the largest enumeration,
-    the r_max!/(r_max-4)! four-coordinate tuples, is charged to the budget
-    before any other (r_max <= 22 fits).  Column-law identities (variance,
-    S-moment closed forms) and the F_r and T_m identities run for every n in
-    1..n_max, each new n at the cost of one moment product per trial law.
-    The F_r identities read the S moments alone.  The T_m identities need
-    the r! terms of the overlap law: from r = 9 on, each cell's are one
-    skipped entry naming that count.  Infeasible identities (three distinct coordinates at r = 2)
-    are reported as skipped, not failed.
+    Single-trial identities run for r in 2..r_max; the four-coordinate
+    tuples of every r walked, the largest enumeration, are charged to the
+    budget before any other (r_max <= 16 fits), and then the moment products
+    of every (r, n) cell.  Column-law identities (variance, S-moment closed
+    forms) and the F_r and T_m identities run for every n in 1..n_max, each
+    new n at the cost of one moment product per trial law (_CELL_PRODUCTS
+    terms in all).  The F_r identities read the S moments alone.  The T_m
+    identities need the r! terms of the overlap law: from r = 9 on, each
+    cell's are one skipped entry naming that count.  Infeasible identities
+    (three distinct coordinates at r = 2) are reported as skipped, not
+    failed.
     """
     r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")
-    _check_terms(f"the enumeration of four-coordinate tuples at r={r_max}", math.perm(r_max, 4))
+    _check_walk(f"the four-coordinate tuples at r=2..{r_max}", r_max, 4)
+    _check_terms(f"the moment products at r=2..{r_max}, n=1..{n_max}",
+                 _CELL_PRODUCTS * (r_max - 1) * n_max)
     out: list[dict] = []
     for r in range(2, r_max + 1):
         rr = Fraction(r)
@@ -377,15 +387,15 @@ def _t_entries(r: int, n: int) -> list[dict]:
 def verify_inequalities(r_max: int) -> list[dict]:
     """Check every single-trial moment inequality used by the remainder estimates.
 
-    Runs r in 2..r_max; the largest enumeration, the r_max!/(r_max-3)!
-    three-coordinate tuples, is charged to the budget before any other.
-    Equalities are exact rational comparisons; chains mixing square or cube
+    Runs r in 2..r_max; the largest enumeration, the three-coordinate tuples
+    of every r walked, is charged to the budget before any other (r_max <= 30
+    fits).  Equalities are exact rational comparisons; chains mixing square or cube
     roots (the treatment-sum chains, with the S-moment caps E[S^2] <= 1,
     E[S^4] <= 3, E[S^6] <= 15 substituted as in the proofs) are evaluated in
     floating point from exact rho moments.
     """
     r_max = check_count(r_max, 2, "r_max")
-    _check_terms(f"the enumeration of three-coordinate tuples at r={r_max}", math.perm(r_max, 3))
+    _check_walk(f"the three-coordinate tuples at r=2..{r_max}", r_max, 3)
     out: list[dict] = []
     for r in range(2, r_max + 1):
         rr = Fraction(r)

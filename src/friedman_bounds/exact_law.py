@@ -10,14 +10,23 @@ Python-int counts summed on an object array.
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 (_check_terms raises BudgetError naming the cell, the term count and the
 cap); every exact layer of the package charges it, before any work.  Both of
-the budget's decisions live here.  The price of a cell that reads one
-trial's r! rows is one rule, _check_rows: m terms per row, m the engine's
-running state count, 1 for the overlap law behind T_m and r^2 for the
-coupling row draws.  It multiplies out r! only up to r = 30, where the count
-still prints in full, and past that refuses at once with the short note
-"more than 30!".  A verify suite runs each cell through _within_budget,
-which returns the cell's entries, or for a cell past the budget its one
-skip entry with the BudgetError as its note.
+the budget's decisions live here, and so does every tuple count they read.
+The price of a cell that walks one trial's ordered k-tuples of distinct
+values is one rule, _check_tuples: m terms per tuple of one trial size r.
+The lemma and inequality suites walk the tuples of every size 2..r, and
+_check_walk prices that sum in closed form.  One trial's r! rows are the
+case k = r, and _trial_rows is the one way the exact side reads them: it
+prices m terms per row, m the engine's running state count, 1 for the
+overlap law behind T_m and for the rows of the operator link, and r^2 for
+the coupling row draws, and then returns one cached tuple of the rows.  A
+count is multiplied out only for k <= 30, where it still prints in full;
+past that k! alone is beyond any cap, and the cell is refused at once with
+the short note "more than 30!".  The lemma suite's walk over n and the
+Stein suite's walk over p are no tuple counts: each suite charges
+_check_terms its own moment products or f' evaluations per step.  A verify
+suite runs each cell through _within_budget, which returns the cell's
+entries, or for a cell past the budget its one skip entry with the
+BudgetError as its note.
 
 f_law returns the law as one frozen record, FLaw: the integer keys |Q|^2
 (Q the doubled column sums, F_r = 3 |Q|^2 / (r(r+1)n)) in increasing order,
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations as iter_permutations
 from typing import NamedTuple
 
@@ -84,20 +94,44 @@ def centered_doubled(r: int) -> list[int]:
 
 def _check_terms(cell: str, terms: int | str) -> None:
     """The one enumeration budget: BudgetError once a cell needs over BUDGET_CAP
-    terms (a str stands for a count known to be past any cap)."""
+    terms (a str stands for a count known to be past any cap; a count past
+    2**256 is named as such, so that the note stays short at any size)."""
+    if not isinstance(terms, str) and terms > 2 ** 256:
+        terms = "more than 2**256"
     if isinstance(terms, str) or terms > BUDGET_CAP:
         raise BudgetError(f"{cell} needs {terms} enumerated terms, which exceeds "
                           f"the cap {BUDGET_CAP}")
 
 
-def _check_rows(cell: str, r: int, per_row: int) -> None:
-    """The one pricing rule: ``per_row`` terms on each of one trial's r! rows.
+def _check_tuples(cell: str, r: int, k: int, per_tuple: int = 1) -> None:
+    """The one pricing rule: ``per_tuple`` terms on each ordered k-tuple of
+    distinct values of one trial of size r, r!/(r-k)! of them (k = r: its r!
+    rows).
 
-    r! is multiplied out only up to r = 30, where the count still prints in
-    full; past it r! alone is beyond any cap, so the cell is refused at once
-    with a short note and r! is never formed.
+    The count is multiplied out only for k <= 30, where it still prints in
+    full; past it k! alone is beyond any cap, so the cell is refused at once
+    with a short note and no factorial is formed.
     """
-    _check_terms(cell, math.factorial(r) * per_row if r <= 30 else "more than 30!")
+    _check_terms(cell, "more than 30!" if k > 30 else per_tuple * math.perm(r, k))
+
+
+def _check_walk(cell: str, r: int, k: int) -> None:
+    """The price of a suite that walks the ordered k-tuples (k >= 2) of every
+    trial size 2..r: sum_s s!/(s-k)! = (r+1)!/(r-k)!/(k+1) terms."""
+    _check_terms(cell, math.perm(r + 1, k + 1) // (k + 1))
+
+
+# one trial's rows, built once per r, after their price: read through
+# _trial_rows, or by the engine after its own first-trial charge
+_rows = lru_cache(maxsize=None)(lambda r: tuple(iter_permutations(centered_doubled(r))))
+
+
+def _trial_rows(cell: str, r: int, per_row: int) -> tuple[tuple[int, ...], ...]:
+    """One trial's r! rows of doubled centered ranks, in permutations order
+    (the identity first), after ``per_row`` terms on each are charged: on
+    every call, cached or not, and before any row is built."""
+    _check_tuples(cell, r, r, per_row)
+    return _rows(r)
 
 
 def _within_budget(identity: str, r: int | None, n: int | None, check) -> list[dict]:
@@ -117,9 +151,11 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     is exact: the moves are closed under permuting coordinates, so sorting
     commutes with each trial, and the one caller, f_law, reads a state only
     through its sum of squares.  Before each trial the budget is charged
-    r! moves per state summed over so far (_check_rows), so a cell past the
-    cap fails at the first trial that would exceed it; nothing is allocated
-    before the first charge.
+    r! moves per state summed over so far (_check_tuples), so a cell past the
+    cap fails at the first trial that would exceed it.  The first trial is
+    charged before the key range is checked, and both before any row is
+    built, so the engine reads the cached rows once, after both, rather than
+    through _trial_rows, whose charge would come after the key check.
 
     A trial is one array pass: every (state, move) sum is sorted along its
     row and keyed as one int64 in mixed radix 2n(r-1)+1 (a column sum lies
@@ -133,12 +169,12 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     seen = 0  # states summed over so far, each charged r! moves
     for trial in range(n):
         seen += len(states) if trial else 1
-        _check_rows(f"the convolution of {r} column sums at r={r}, n={n}", r, seen)
+        _check_tuples(f"the convolution of {r} column sums at r={r}, n={n}", r, r, seen)
         if not trial:
             if radix ** r > np.iinfo(np.int64).max:
                 raise BudgetError(f"the state keys at r={r}, n={n} need {radix}^{r}, past int64")
             states, counts = np.zeros((1, r), np.int64), np.ones(1, object)
-            moves = np.array(list(iter_permutations(centered_doubled(r))), np.int64)
+            moves = np.array(_rows(r), np.int64)
         sums = np.sort((states[:, None, :] + moves).reshape(-1, r), axis=1)
         keys = (sums + n * (r - 1)) @ radix ** np.arange(r - 1, -1, -1, dtype=np.int64)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)

@@ -45,9 +45,10 @@ The paths draw the same law, not the same numbers.  Where k = 1 (7 <= r <=
 12) the packed path draws the same indices as uniform_rows, so its column
 sums equal summed uniform_rows rows.  Each chunk draws its rows in slabs of
 about _SLAB_WORDS / w words (indices, counts or rows), w the number of workers
-drawing chunks at once, so a call holds about _SLAB_WORDS words of draws
-whatever n, r! and the thread count are; a slab continues the generator where
-the last one stopped, so the draws do not depend on the slab size.  The
+drawing chunks at once, and a sample wider than that in pieces of its
+trials, so a call holds about _SLAB_WORDS words of draws whatever n, r! and
+the thread count are; a slab or piece continues the generator where the
+last one stopped, so the draws do not depend on the slab size.  The
 thread-count contract above holds on every path: with ``threads`` > 1, that
 many workers (the calling thread one of them, never more than the chunks)
 take chunk indices from one shared iterator, and the results are
@@ -73,7 +74,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -303,16 +304,23 @@ def _column_sums(gen: np.random.Generator, size: int, n: int, r: int,
     """Column sums of ``size`` independent uniform n x r rank matrices.
 
     The rows are drawn in slabs that hold at most about _SLAB_WORDS / workers
-    words at once; a slab's draws continue the generator where the last one
-    stopped, so the sums do not depend on the slab size.  Only the chosen
-    path's sample width is computed, so r! is formed on the multinomial path
-    alone.
+    words at once; a sample wider than a slab draws its trials in slab-sized
+    pieces (whole blocks of packed trials) and adds their column sums, and
+    only a multinomial sample, at most 9! counts, is drawn whole.  Every
+    slab or piece continues the generator where the last one stopped, so the
+    sums do not depend on the slab size.  Only the chosen path's sample
+    width is computed, so r! is formed on the multinomial path alone.
     """
-    path = _sampler_path(r, n)
+    path, block = _sampler_path(r, n), _BLOCK_TRIALS.get(r, 1)
     width = (n * r if path == "shuffle" else math.factorial(r) if path == "multinomial"
-             else -(-n // _BLOCK_TRIALS.get(r, 1)))
-    step = max(1, _SLAB_WORDS // workers // width)
-    return np.concatenate([_slab_sums(gen, min(step, size - start), n, r, path)
+             else -(-n // block))
+    slab = max(1, _SLAB_WORDS // workers)
+    step = max(1, slab // width)  # samples per slab
+    piece = (n if width <= slab or path == "multinomial"  # trials per piece of a sample
+             else slab * block if path == "packed" else max(1, slab // r))
+    return np.concatenate([reduce(np.add, (_slab_sums(gen, min(step, size - start),
+                                                      min(piece, n - t), r, path)
+                                           for t in range(0, n, piece)))
                            for start in range(0, size, step)])
 
 

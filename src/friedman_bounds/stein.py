@@ -54,20 +54,22 @@ atoms of the exact law f_law(n, r).
 
 verify_suite runs these checks and the operator link as verify entries, each
 with its own pass rule: residuals and the operator link within 1e-5, the
-h(t) = t equality case f' = -2 within 1e-8.
+h(t) = t equality case f' = -2 within 1e-8.  Its walk over p is charged to
+the exact budget first, at 900 f' evaluations per p, so p_max <= 222 fits.
+That price is linear in p_max while the cost is not: each residual grid
+costs more as p grows, and the walk's time grows about as p_max^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
 from .chisq import ChiSquareLaw, _converged_rule, chisq_expectation
 from .errors import ConvergenceError, DomainError, check_count
-from .exact_law import _entry, centered_doubled, f_law, law_floats
+from .exact_law import _check_terms, _entry, _trial_rows, f_law, law_floats
 from .ranks import theoretical_covariance
 from .testfunctions import TestFunction, cosine, identity, sine
 
@@ -315,7 +317,7 @@ def verify_operator_link(r: int, n: int, h: TestFunction) -> dict:
     fp, fpp = sol._derivatives(2, np.maximum(values, 1e-9))
     mean_chisq = float(probs @ (values * fpp + 0.5 * (p - values) * fp))
     gap_direct = float(probs @ h.fn(values)) - sol.chisq_h
-    rows = np.array(list(permutations(centered_doubled(r))), dtype=float)
+    rows = np.array(_trial_rows(f"the rows of one trial at r={r}", r, 1), dtype=float)
     sigma = theoretical_covariance(r)
     agree_ops = max(float(np.abs(rows @ sigma.T - rows).max()), abs(float(np.trace(sigma)) - p))
     agree_gap = abs(mean_chisq - gap_direct)
@@ -333,12 +335,20 @@ def verify_operator_link(r: int, n: int, h: TestFunction) -> dict:
 
 def verify_suite(p_max: int) -> list[dict]:
     """Residuals at p = 1..p_max, the f' = -2 equality case, two derivative-cap
-    checks and the operator link, as verify entries."""
-    p_max = check_count(p_max, 1, "p_max")
+    checks and the operator link, as verify entries.
+
+    The walk over p is charged to the exact budget before any work, at its
+    f' evaluations: five stencil points per grid point, 60 grid points per
+    test function, three test functions per p (linear in p_max, while the
+    time of the walk grows about as p_max^2).
+    """
+    p_max, points = check_count(p_max, 1, "p_max"), 60
     out = []
     functions = (cosine(1.0), sine(1.0), identity())
+    _check_terms(f"the f' evaluations of the residuals at p=1..{p_max}",
+                 len(_OFFSETS) * points * len(functions) * p_max)
     for p in range(1, p_max + 1):
-        grid = standard_grid(p, points=60)
+        grid = standard_grid(p, points=points)
         for h in functions:
             worst = float(stein_residual(p, h, grid).max())
             out.append(_entry("stein residual <= 1e-5 on grid", None, None,

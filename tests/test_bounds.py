@@ -43,6 +43,19 @@ def test_each_bound_refuses_a_count_it_cannot_hold_as_a_float():
             bound()
 
 
+@pytest.mark.parametrize("name, bound", [
+    ("compact", lambda: bound_compact(1, 10 ** 154, UNIT)),
+    ("sharp", lambda: bound_sharp(2, 2 ** 510, UNIT)),
+    ("trivial", lambda: bound_trivial(3, 1e308)),
+    ("r = 2 smooth", lambda: bound_r2_special(1, "smooth", SmoothNorms(1e308, 1e308, 1.0))),
+    ("compact", lambda: bound_report(1, 10 ** 154)),
+], ids=["compact", "sharp", "trivial", "r2-smooth", "report"])
+def test_a_bound_past_the_float_range_is_refused(name, bound):
+    # each count and norm is a float, but the bound they form is not
+    with pytest.raises(DomainError, match=f"the {name} bound at these n, r and norms is past"):
+        bound()
+
+
 def test_sharp_coefficients_examples():
     assert sharp_coefficients(146, 3).beta1 == pytest.approx(292.45, abs=0.01)
     assert sharp_coefficients(2, 2).a_n == pytest.approx(2.85, abs=1e-12)

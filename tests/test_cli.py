@@ -441,8 +441,8 @@ def test_mc_sample_floor_is_usage_error(capsys, argv):
     (("rate", "--r", "3", "--n", "5", "--seed", "-1"),
      "need seed >= 0, got -1"),
     (("verify", "--suite", "identities", "--seed", "-3"), "need seed >= 0, got -3"),
-    (("verify", "--suite", "lemmas", "--r-max", "23"), "r=23 needs 212520 enumerated terms"),
-    (("verify", "--r-max", "23"), "r=23 needs 212520 enumerated terms"),
+    (("verify", "--suite", "lemmas", "--r-max", "17"), "r=2..17 needs 205632 enumerated terms"),
+    (("verify", "--r-max", "17"), "r=2..17 needs 205632 enumerated terms"),
     (("distance", "--r", "3", "--n", "4", "--metric", "cos", "--t", "inf"),
      "frequency t must be finite with a finite t^4, got inf"),
     (("distance", "--r", "3", "--n", "4", "--metric", "cos", "--mode", "exact", "--t", "1e300"),
@@ -607,11 +607,19 @@ def test_cmd_verify_skips_any_r_past_the_budget_with_a_short_note(capsys, argv):
     ("distance", "--r", "2", "--n", str(2 ** 63), "--samples", "1000", "--seed", "1"),
     ("bounds", "--n", str(10 ** 309), "--r", "3"),
     ("bounds", "--n", "5", "--r", str(10 ** 155)),
-], ids=["exact-r1559", "exact-r1e21", "mc-n2^62", "mc-n2^63", "bounds-n1e309", "bounds-r1e155"])
+    ("bounds", "--json", "--n", "1", "--r", str(10 ** 154)),
+    ("verify", "--suite", "lemmas", "--r-max", "3", "--n-max", str(10 ** 30)),
+    ("verify", "--suite", "stein", "--p-max", str(10 ** 30)),
+    ("verify", "--suite", "lemmas", "--r-max", str(10 ** 900)),
+], ids=["exact-r1559", "exact-r1e21", "mc-n2^62", "mc-n2^63", "bounds-n1e309", "bounds-r1e155",
+        "bounds-r1e154", "verify-n1e30", "verify-p1e30", "verify-r1e900"])
 def test_extreme_counts_are_one_usage_error_before_any_work(capsys, monkeypatch, argv):
     # the exact engine refuses before it allocates, the sampler before any
-    # chunk is drawn (its rank total n r(r+1)/2 would leave int64), and the
-    # bounds a count they cannot evaluate in floating point
+    # chunk is drawn (its rank total n r(r+1)/2 would leave int64), the
+    # bounds a count they cannot evaluate in floating point or a bound past
+    # it, and the verify suites a walk over r, n or p past the budget (a
+    # count past 2**256, whose digits would pass Python's print limit at
+    # r = 10**900, is named as such)
     def no_chunk(*args):
         raise AssertionError("a chunk was drawn")
 

@@ -101,9 +101,14 @@ def test_triple_structure_exact(r, n):
     assert all_pass(verify_triple_structure(r, n))
 
 
+def _uncentered_rows(cell, r, per_row):
+    """The rows of ranks 1..r in place of the doubled centered ranks."""
+    return tuple(permutations(range(1, r + 1)))
+
+
 def test_regression_rejects_uncentered_rows(monkeypatch):
     # ranks 1..r do not sum to 0, so sum_{K,L} dQ(row) = 2 sum(row) - 2r row != -2r row
-    monkeypatch.setattr(coupling, "centered_doubled", lambda r: list(range(1, r + 1)))
+    monkeypatch.setattr(coupling, "_trial_rows", _uncentered_rows)
     for r, n in [(2, 1), (3, 2), (4, 3)]:
         [entry] = verify_regression(r, n)
         assert entry["status"] == "fail"
@@ -114,7 +119,7 @@ def test_regression_rejects_uncentered_rows_after_warm_cache(monkeypatch):
     # the swap pass is cached on the rows, not on r, so a warm r = 3 entry
     # must not hide rows that change under the same r
     assert all_pass(verify_regression(3, 1))
-    monkeypatch.setattr(coupling, "centered_doubled", lambda r: list(range(1, r + 1)))
+    monkeypatch.setattr(coupling, "_trial_rows", _uncentered_rows)
     [entry] = verify_regression(3, 1)
     assert entry["status"] == "fail"
     assert entry["lhs"] == "0 rows exact"

@@ -46,14 +46,34 @@ def test_marginal_enumeration_equals_full_permutation_sum(r):
         assert rho_moment(r, powers) == brute
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_tuple_walk_is_priced_at_the_sum_over_every_trial_size(k, monkeypatch):
+    # sum_{s=2..r} s!/(s-k)! in closed form, at every r_max up to 40
+    for r in range(2, 41):
+        terms = sum(math.perm(s, k) for s in range(2, r + 1))
+        monkeypatch.setattr(exact_law, "BUDGET_CAP", terms)
+        exact_law._check_walk("walk", r, k)  # exactly at the cap
+        if terms:
+            monkeypatch.setattr(exact_law, "BUDGET_CAP", terms - 1)
+            with pytest.raises(BudgetError, match=f"walk needs {terms} enumerated"):
+                exact_law._check_walk("walk", r, k)
+
+
+def test_the_n_walk_is_charged_before_any_moment(monkeypatch):
+    # 79 moment-product terms per (r, n) cell: at r_max = 3, n_max = 1265 fits
+    monkeypatch.setattr(exact, "_s_moments", None)
+    with pytest.raises(BudgetError, match=r"r=2\.\.3, n=1\.\.1266 needs 200028 enumerated"):
+        verify_lemma_formulas(3, 1266)
+
+
 def test_single_trial_domain(monkeypatch):
     # the single-trial suites charge their largest tuple enumeration to the
     # budget before they enumerate anything
     monkeypatch.setattr(exact, "rho_moment", None)
-    with pytest.raises(BudgetError, match="r=23 needs 212520 enumerated terms"):
-        verify_lemma_formulas(r_max=23, n_max=1)
-    with pytest.raises(BudgetError, match="r=60 needs 205320 enumerated terms"):
-        verify_inequalities(60)
+    with pytest.raises(BudgetError, match=r"r=2\.\.17 needs 205632 enumerated terms"):
+        verify_lemma_formulas(r_max=17, n_max=1)
+    with pytest.raises(BudgetError, match=r"r=2\.\.31 needs 215760 enumerated terms"):
+        verify_inequalities(31)
     with pytest.raises(DomainError):
         rho_moment(2, (1, 1, 1))
 
@@ -190,13 +210,15 @@ def test_beta_fourth_moment_budget():
 
 
 def test_joint_cell_over_budget_is_a_skip(monkeypatch):
-    # under a cap of 500 the r = 6 four-coordinate tuples (360) fit but the
-    # r = 6 overlap law (720 terms) does not, so each r = 6 cell's T_m
+    # under a cap of 600 the four-coordinate tuples of r = 2..6 (504) fit but
+    # the r = 6 overlap law (720 terms) does not, so each r = 6 cell's T_m
     # identities are one skip entry naming the count, while the column-law
-    # and F identities, which have no budget, still pass; the law, cached
-    # here under the default cap, does not bypass it
+    # and F identities, which are charged only as the n walk (priced at one
+    # term per cell here, so that it stays below the cap), still pass; the
+    # law, cached here under the default cap, does not bypass it
     joint_moments(6, 1)
-    monkeypatch.setattr(exact_law, "BUDGET_CAP", 500)
+    monkeypatch.setattr(exact_law, "BUDGET_CAP", 600)
+    monkeypatch.setattr(exact, "_CELL_PRODUCTS", 1)
     report = verify_lemma_formulas(r_max=6, n_max=3)
     assert all_pass(report)
     cells = [e for e in report if e["r"] == 6 and e["n"] is not None]

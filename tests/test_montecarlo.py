@@ -256,6 +256,31 @@ def test_column_sums_do_not_depend_on_the_slab_size(r, n, monkeypatch):
     assert whole.tobytes() == slabs.tobytes()
 
 
+@pytest.mark.parametrize("r, n", [(10, 40), (13, 8)])
+def test_a_sample_wider_than_the_slab_draws_the_same_numbers(r, n, monkeypatch):
+    # split packed words and shuffled rows, drawn 16 words at a time: each
+    # piece continues the generator, so every statistic is the same
+    whole = _sample_statistics(n, r, 1000, RngContract(seed=49))
+    monkeypatch.setattr(montecarlo, "_SLAB_WORDS", 16)
+    assert _sample_statistics(n, r, 1000, RngContract(seed=49)).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("r, n", [(10, 1 << 16), (13, 1 << 13)])
+def test_a_sample_wider_than_the_slab_is_held_a_piece_at_a_time(r, n, monkeypatch):
+    # one sample of 65,536 packed words or 106,496 shuffled entries against
+    # a slab of 4,096 words: drawn whole, it peaks at 26-48 slabs of bytes
+    whole = _column_sums(RngContract(seed=50).generator(), 4, n, r)
+    monkeypatch.setattr(montecarlo, "_SLAB_WORDS", 1 << 12)
+    tracemalloc.start()
+    try:
+        pieces = _column_sums(RngContract(seed=50).generator(), 4, n, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * montecarlo._SLAB_WORDS, peak
+    assert pieces.tobytes() == whole.tobytes()
+
+
 def test_chunk_memory_is_bounded_by_the_slab():
     # one slab of 1000 rows of 40,000 packed words would hold 320 MB
     assert _sampler_path(7, 40_000) == "packed"

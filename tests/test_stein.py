@@ -130,6 +130,13 @@ def test_operator_agreement_is_the_same_for_every_h():
         assert len(got) == 1, (r, n, got)
 
 
+def test_the_p_walk_is_charged_before_any_residual(monkeypatch):
+    # 900 f' evaluations per p: p_max = 222 fits
+    monkeypatch.setattr(stein, "standard_grid", None)
+    with pytest.raises(BudgetError, match=r"p=1\.\.223 needs 200700 enumerated terms"):
+        stein.verify_suite(223)
+
+
 def test_operator_link_refuses_bad_cells_before_building_rows(monkeypatch):
     def no_sigma(r):
         raise AssertionError("the covariance was read before the law")
