@@ -189,7 +189,9 @@ class BoundReport:
     jensen: str = JENSEN_FORMULA
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready fields; a norm declared infinite is None (null)."""
         d = asdict(self)
+        d["norms"] = {k: None if math.isinf(v) else v for k, v in d["norms"].items()}
         if self.coefficients is not None:
             for field, key in (("a_n", "A_n"), ("b_n", "B_n"), ("c_t", "C_T")):
                 d["coefficients"][key] = d["coefficients"].pop(field)

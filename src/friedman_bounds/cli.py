@@ -25,14 +25,17 @@ one table of the flags each suite reads, refuses a given flag that no chosen
 suite reads, and prints: each suite, with its range checks, budget and pass
 rules, lives in the module whose identities it checks (exact, coupling,
 stein).  The budget, not a fixed r, bounds each cell (a cell past it is one
-skip entry, at any r), and it prices the walks of three suites as one charge
+skip entry, at any r), and it prices the walk of every suite as one charge
 each, before any work: the lemma and inequality suites' tuples over every r
 up to --r-max, the lemma suite's moment products over every (r, n) up to
---n-max, and the Stein suite's f' evaluations over every p up to --p-max.
-The identities and coupling suites' number of cells is not priced:
---r-max, --n-max and --trials set it alone.  A count too large for the exact
-engine, for the sampler's int64 sums or for the bounds' floats, and a bound
-past the float range, is a usage error, not a traceback.
+--n-max, the identities suite's --trials at every r, the coupling suite's
+entries over every (r, n), and the Stein suite's f' evaluations over every
+p up to --p-max.  A count too large for the exact engine, for the sampler's
+int64 sums or memory or for the bounds' floats, and a bound past the float
+range, is a usage error, not a traceback.  Every JSON line is strict JSON:
+a norm declared infinite prints as null.  main sets OPENBLAS_NUM_THREADS=1
+where the environment leaves it unset, so that numpy's BLAS starts no
+worker thread beside the sampler's.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader went 
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+    return json.dumps(obj, sort_keys=True, allow_nan=False)  # a bare Infinity is not JSON
 
 
 def _thread_cap(requested: int | None) -> int:
@@ -322,6 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before any handler imports numpy: the package has no large float matrix
+    # product for OpenBLAS threads to split, and an idle one spins on a core
+    # that the sampler's workers need
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import check_count
-from .exact_law import _count_entry, _entry, _trial_rows, _within_budget
+from .exact_law import _check_terms, _count_entry, _entry, _trial_rows, _within_budget
 
 __all__ = [
     "verify_regression",
@@ -179,8 +179,11 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
 
 def verify_suite(r_max: int, n_max: int) -> list[dict]:
     """The three verifiers at every cell r in 2..r_max, n in 1..n_max; a cell
-    past the budget is one skipped entry naming its cost."""
+    past the budget is one skipped entry naming its cost.  The walk is
+    charged before any cell runs, one term per entry of a cell: one
+    regression, two moment and three pattern entries."""
     r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")
+    _check_terms(f"the coupling cells at r=2..{r_max}, n=1..{n_max}", 6 * (r_max - 1) * n_max)
     return [e for r in range(2, r_max + 1) for n in range(1, n_max + 1)
             for e in _within_budget("coupling identities", r, n, lambda: (
                 verify_regression(r, n) + verify_increment_moments(r, n)

@@ -7,8 +7,14 @@ moments are exact fractions.  The claims are covered by:
   coordinates: the marginal law of k coordinates of a uniform permutation is
   the uniform law on ordered k-tuples of distinct centered values, so those
   tuples are enumerated directly (each stands for (r-k)! full permutations).
-  The lemma suite's closed forms and the inequality suite's moment caps are
-  each one table of (identity, powers, value) rows read through rho_moment;
+  Every single-trial quantity that the lemma and inequality suites read is
+  defined once, in one cached per-r record (_trial_quantity): a rho-moment
+  by its powers (rho_moment), any other mean or sum over treatments by its
+  formula (_FORMULAS, read through _tuple_mean).  Each check that compares
+  one such quantity, or one moment of n trials, with a reference is one row
+  (identity, quantity, eq or le, reference[, note[, skip]]) of a table read
+  by _row_entries; the per-rho sums, the proof chains, the two pointwise max
+  caps, the sign record and the T_m and E[beta^4] budget cells are explicit;
 
 * the expansions of sum_l (rho(k)-rho(l))^m in powers of rho(k), m = 4 and
   6: their coefficients are written once (_spread_expansion), checked by the
@@ -36,8 +42,9 @@ Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 of ``exact_law``, which forms every tuple count.  The budget, not a fixed r,
 bounds each cell: the lemma and inequality suites charge up front the
 four- and three-coordinate tuples of every r they walk (the lemmas run to
-r = 16, the inequalities to r = 30), and the lemma suite its moment
-products over every (r, n) cell.  The overlap law behind T_m, E[beta^4]
+r = 16, the inequalities to r = 30), the lemma suite its moment
+products over every (r, n) cell, and the identities suite one term per
+trial at every r it walks.  The overlap law behind T_m, E[beta^4]
 and each decomposition check reads one trial's r! rows from
 exact_law._trial_rows at one term per row, before any draw.  A T_m cell,
 an E[beta^4] cap or a decomposition r past the budget is one skipped
@@ -54,10 +61,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
+from operator import eq, le
 
 from .errors import DomainError, check_count
 from .exact_law import (_check_terms, _check_walk, _count_entry, _entry, _skip_entry,
@@ -77,12 +85,9 @@ __all__ = [
 ]
 
 
-def _eq_entry(identity: str, r: int, n: int | None, lhs, rhs, note: str = "") -> dict:
-    return _entry(identity, r, n, "pass" if lhs == rhs else "fail", lhs, rhs, note)
-
-
-def _le_entry(identity: str, r: int, n: int | None, lhs, rhs, note: str = "") -> dict:
-    return _entry(identity, r, n, "pass" if lhs <= rhs else "fail", lhs, rhs, note)
+def _check(identity: str, r: int, n: int | None, lhs, holds, rhs, note: str = "") -> dict:
+    """An entry comparing lhs with rhs: it passes where holds(lhs, rhs), holds eq or le."""
+    return _entry(identity, r, n, "pass" if holds(lhs, rhs) else "fail", lhs, rhs, note)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +114,53 @@ def _tuple_mean(r: int, k: int, fn) -> Fraction:
     """Exact mean of fn over the ordered k-tuples of distinct centered ranks of one trial."""
     tuples = list(iter_permutations([Fraction(v, 2) for v in centered_doubled(r)], k))
     return sum(fn(*t) for t in tuples) / len(tuples)
+
+
+def _cubic(r: Fraction, v: Fraction) -> Fraction:
+    """c = (r^2-1)/4 rho + rho^3: sum_l (rho(l)-rho(k))^3 is -r c at rho = rho(k)."""
+    return (r ** 2 - 1) / 4 * v + v ** 3
+
+
+def _weight(r: Fraction, v: Fraction) -> Fraction:
+    """The quartic weight w = (r^2-1) - 12 rho^2."""
+    return (r ** 2 - 1) - 12 * v ** 2
+
+
+# one trial's quantities other than the rho-moments, each defined once and keyed
+# by its formula in c, w, d = rho(k)-rho(l) and the normalized spread
+# s = 6 d^2/(r(r+1)) - 1: (k, a function of r and k distinct centered ranks),
+# read as its mean over the ordered k-tuples; a sum over treatments is that
+# mean times the tuple count
+_FORMULAS = {
+    "E[c^2 rho^2]": (1, lambda r, x: _cubic(r, x) ** 2 * x ** 2),
+    "E[c^2 rho'^2]": (2, lambda r, x, y: _cubic(r, x) ** 2 * y ** 2),
+    "E[c^4]": (1, lambda r, x: _cubic(r, x) ** 4),
+    "E[w^2 rho^4]": (1, lambda r, x: _weight(r, x) ** 2 * x ** 4),
+    "E[w^4]": (1, lambda r, x: _weight(r, x) ** 4),
+    "E[w^2 rho'^4]": (2, lambda r, x, y: _weight(r, x) ** 2 * y ** 4),
+    "E[w^2 rho^2 rho'^2]": (2, lambda r, x, y: _weight(r, x) ** 2 * x ** 2 * y ** 2),
+    "E[w^2 rho'^4 rho''^4]": (3, lambda r, x, y, z: _weight(r, x) ** 2 * y ** 4 * z ** 4),
+    "E[d^2]": (2, lambda r, x, y: (x - y) ** 2),
+    "E[d^4]": (2, lambda r, x, y: (x - y) ** 4),
+    "E[s^2], k != l": (2, lambda r, x, y: (6 * (x - y) ** 2 / (r * (r + 1)) - 1) ** 2),
+    "E[s^2], k = l": (1, lambda r, x: Fraction(1)),  # d = 0, so s = -1
+    "sum_l rho^2": (1, lambda r, x: r * x ** 2),
+    "sum_{k,l} d^4": (2, lambda r, x, y: r * (r - 1) * (x - y) ** 4),
+    "sum_{k,l} d^6": (2, lambda r, x, y: r * (r - 1) * (x - y) ** 6),
+    "sum_{k,l} d^8": (2, lambda r, x, y: r * (r - 1) * (x - y) ** 8),
+}
+
+
+@lru_cache(maxsize=None)
+def _trial_quantity(r: int, key) -> Fraction | None:
+    """One trial's quantity at r, the per-r record that both single-trial
+    suites read, cached per (r, key): a tuple of powers is rho_moment(r, key),
+    a key of _FORMULAS the mean of its function; None where it needs more
+    distinct coordinates than r."""
+    k, fn = _FORMULAS[key] if isinstance(key, str) else (len(key), None)
+    if k > r:
+        return None
+    return rho_moment(r, key) if fn is None else _tuple_mean(r, k, partial(fn, Fraction(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +304,77 @@ def _spread_expansion(r: int, m: int) -> tuple[Fraction, ...]:
                 rr * (3 * rr ** 4 - 10 * rr ** 2 + 7) / 16, 5 * rr * (rr ** 2 - 1) / 4, rr)}[m]
 
 
+def _row_entries(rows: tuple, read, r: int, n: int | None = None):
+    """The entries of rows at the cell (r, n), in row order.
+
+    A row is (identity, quantity, holds, reference[, note[, skip]]), one
+    _check of read(quantity), its absolute value for an identity in |...|,
+    by holds (eq or le) against reference(Fraction r) on one trial or
+    reference(r, n) on n trials.  Where the quantity needs more treatments
+    than r (read returns None), the row is one skip entry named skip, or is
+    left out if it has none; only three-coordinate rows name a skip.
+    """
+    cell = (Fraction(r),) if n is None else (r, n)
+    for row in rows:
+        name, quantity, holds, reference, note, skip = (*row, "", "")[:6]
+        value = read(quantity)
+        if value is not None:
+            yield _check(name, r, n, abs(value) if name[0] == "|" else value, holds,
+                         reference(*cell), note)
+        elif skip:
+            yield _skip_entry(skip, r, n, "needs three distinct treatments")
+
+
+# the lemma suite's rows at each r: rho-moments, then (after the sign record)
+# the means and the sums over treatments
+_MOMENT_LEMMAS = (
+    ("E[rho] = 0", (1,), eq, lambda r: 0),
+    ("E[rho^3] = 0", (3,), eq, lambda r: 0),
+    ("E[rho^2 rho'] = 0", (2, 1), eq, lambda r: 0),
+    ("E[rho rho' rho''] = 0", (1, 1, 1), eq, lambda r: 0, "", "E[rho rho' rho''] = 0"),
+    ("E[rho^2] closed form", (2,), eq, lambda r: (r ** 2 - 1) / 12),
+    ("E[rho rho'] closed form", (1, 1), eq, lambda r: -(r + 1) / 12),
+    ("E[rho^4] closed form", (4,), eq, lambda r: (r ** 2 - 1) * (3 * r ** 2 - 7) / 240),
+    ("E[rho^3 rho'] closed form", (3, 1), eq, lambda r: -(r + 1) * (3 * r ** 2 - 7) / 240),
+    ("E[rho^2 rho'^2] closed form", (2, 2), eq,
+     lambda r: (r + 1) * (5 * r ** 3 - 9 * r ** 2 - 5 * r + 21) / 720),
+    ("E[rho^6] closed form", (6,), eq,
+     lambda r: (r ** 2 - 1) * (3 * r ** 4 - 18 * r ** 2 + 31) / 1344),
+    ("E[rho^2 rho' rho''] closed form", (2, 1, 1), eq,
+     lambda r: -(r - 3) * (r + 1) * (5 * r + 7) / 720),
+    ("|E[rho rho' rho'' rho''']| closed form", (1, 1, 1, 1), eq,
+     lambda r: (r + 1) * (5 * r + 7) / 240))
+_MEAN_LEMMAS = (
+    ("E[((r^2-1)/4 rho + rho^3)^2 rho^2] closed form", "E[c^2 rho^2]", eq,
+     lambda r: (r ** 2 - 1) * (47 * r ** 6 - 322 * r ** 4 + 875 * r ** 2 - 936) / 20160),
+    ("E[((r^2-1)-12rho^2)^2 rho^4] closed form", "E[w^2 rho^4]", eq,
+     lambda r: (r ** 2 - 1) * (r ** 2 - 4) * (9 * r ** 4 - 118 * r ** 2 + 445) / 420),
+    ("E[((r^2-1)-12rho^2)^4] closed form", "E[w^4]", eq,
+     lambda r: Fraction(48, 35) * (r ** 2 - 1) * (r ** 2 - 4) * (r ** 4 - 17 * r ** 2 + 100)),
+    ("E[(rho-rho')^2] = r(r+1)/6", "E[d^2]", eq, lambda r: r * (r + 1) / 6),
+    ("E[(rho-rho')^4] = r(r+1)(2r^2-3)/30", "E[d^4]", eq,
+     lambda r: r * (r + 1) * (2 * r ** 2 - 3) / 30),
+    ("E[(6(rho-rho')^2/(r(r+1)) - 1)^2] closed form", "E[s^2], k != l", eq,
+     lambda r: (r - 2) * (7 * r + 9) / (5 * r * (r + 1))),
+    ("sum_l rho(l)^2 = r(r^2-1)/12", "sum_l rho^2", eq, lambda r: r * (r ** 2 - 1) / 12),
+    ("sum_{k,l} (rho(k)-rho(l))^8 closed form", "sum_{k,l} d^8", eq,
+     lambda r: r ** 2 * (r ** 2 - 1) * (2 * r ** 2 - 3) * (r ** 4 - 5 * r ** 2 + 7) / 90))
+# the lemma suite's rows at each (r, n): the score covariance and the S-moment
+# closed forms, then E[F], E[F^2] and Var(F), read from the S moments alone
+_COLUMN_LAWS = (
+    ("Var(S_j) = (r-1)/r", "E[S^2]", eq, lambda r, n: Fraction(r - 1, r)),
+    ("Cov(S_j,S_k) = -1/r", "E[S_j S_k]", eq, lambda r, n: Fraction(-1, r)),
+    ("E[S^4] closed form", "E[S^4]", eq, closed_s4),
+    ("E[S^4] <= 3 - 6/(5n)", "E[S^4]", le, lambda r, n: 3 - Fraction(6, 5 * n)),
+    ("E[S^6] closed form", "E[S^6]", eq, closed_s6),
+    ("E[S^6] <= 15", "E[S^6]", le, lambda r, n: 15),
+    ("E[S_j^2 S_k^2] closed form", "E[S_j^2 S_k^2]", eq, closed_s2s2))
+_F_LAWS = (
+    ("E[F] = r-1", "E[F]", eq, lambda r, n: r - 1),
+    ("E[F^2] = r^2-1-2(r-1)/n", "E[F^2]", eq, lambda r, n: r * r - 1 - Fraction(2 * r - 2, n)),
+    ("Var(F) = 2(r-1)(1-1/n)", "Var(F)", eq, lambda r, n: 2 * (r - 1) * (1 - Fraction(1, n))))
+
+
 def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
     """Check every exact moment equality behind the error bounds.
 
@@ -265,7 +388,8 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
     identities need the r! terms of the overlap law: from r = 9 on, each
     cell's are one skipped entry naming that count.  Infeasible identities
     (three distinct coordinates at r = 2) are reported as skipped, not
-    failed.
+    failed.  Every check but the sign record, the per-rho sums and the T_m
+    cells is one row of a table read by _row_entries.
     """
     r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")
     _check_walk(f"the four-coordinate tuples at r=2..{r_max}", r_max, 4)
@@ -273,98 +397,27 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
                  _CELL_PRODUCTS * (r_max - 1) * n_max)
     out: list[dict] = []
     for r in range(2, r_max + 1):
-        rr = Fraction(r)
-        # (identity, powers of rho, rho', ... at distinct coordinates, closed form);
-        # an identity in |...| compares the absolute value
-        for name, powers, closed in (
-                ("E[rho] = 0", (1,), 0),
-                ("E[rho^3] = 0", (3,), 0),
-                ("E[rho^2 rho'] = 0", (2, 1), 0),
-                ("E[rho rho' rho''] = 0", (1, 1, 1), 0),
-                ("E[rho^2] closed form", (2,), (rr ** 2 - 1) / 12),
-                ("E[rho rho'] closed form", (1, 1), -(rr + 1) / 12),
-                ("E[rho^4] closed form", (4,), (rr ** 2 - 1) * (3 * rr ** 2 - 7) / 240),
-                ("E[rho^3 rho'] closed form", (3, 1), -(rr + 1) * (3 * rr ** 2 - 7) / 240),
-                ("E[rho^2 rho'^2] closed form", (2, 2),
-                 (rr + 1) * (5 * rr ** 3 - 9 * rr ** 2 - 5 * rr + 21) / 720),
-                ("E[rho^6] closed form", (6,),
-                 (rr ** 2 - 1) * (3 * rr ** 4 - 18 * rr ** 2 + 31) / 1344),
-                ("E[rho^2 rho' rho''] closed form", (2, 1, 1),
-                 -(rr - 3) * (rr + 1) * (5 * rr + 7) / 720),
-                ("|E[rho rho' rho'' rho''']| closed form", (1, 1, 1, 1),
-                 (rr + 1) * (5 * rr + 7) / 240)):
-            if len(powers) > r:  # only E[rho rho' rho''] = 0 at r = 2 is reported, as a skip
-                if closed == 0:
-                    out.append(_skip_entry(name, r, None, "needs three distinct treatments"))
-                continue
-            val = rho_moment(r, powers)
-            out.append(_eq_entry(name, r, None, abs(val) if name[0] == "|" else val, closed))
-        if r >= 4:  # val is the four-coordinate moment
+        rr, read = Fraction(r), partial(_trial_quantity, r)
+        out += _row_entries(_MOMENT_LEMMAS, read, r)
+        if r >= 4:  # its row compares the absolute value only
+            val = read((1, 1, 1, 1))
             out.append(_entry("sign of E[rho rho' rho'' rho''']", r, None, "pass",
                               "+" if val > 0 else ("0" if val == 0 else "-"),
                               "recorded", "the source states only the absolute value"))
-
-        # polynomial moment identities (single trial)
-        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 2 * v ** 2)
-        rhs = (rr ** 2 - 1) * (47 * rr ** 6 - 322 * rr ** 4 + 875 * rr ** 2 - 936) / 20160
-        out.append(_eq_entry("E[((r^2-1)/4 rho + rho^3)^2 rho^2] closed form", r, None, lhs, rhs))
-
-        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) - 12 * v ** 2) ** 2 * v ** 4)
-        rhs = (rr ** 2 - 1) * (rr ** 2 - 4) * (9 * rr ** 4 - 118 * rr ** 2 + 445) / 420
-        out.append(_eq_entry("E[((r^2-1)-12rho^2)^2 rho^4] closed form", r, None, lhs, rhs))
-
-        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) - 12 * v ** 2) ** 4)
-        rhs = Fraction(48, 35) * (rr ** 2 - 1) * (rr ** 2 - 4) * (rr ** 4 - 17 * rr ** 2 + 100)
-        out.append(_eq_entry("E[((r^2-1)-12rho^2)^4] closed form", r, None, lhs, rhs))
-
-        lhs = _tuple_mean(r, 2, lambda a, b: (a - b) ** 2)
-        out.append(_eq_entry("E[(rho-rho')^2] = r(r+1)/6", r, None, lhs, rr * (rr + 1) / 6))
-        lhs = _tuple_mean(r, 2, lambda a, b: (a - b) ** 4)
-        out.append(_eq_entry("E[(rho-rho')^4] = r(r+1)(2r^2-3)/30", r, None,
-                             lhs, rr * (rr + 1) * (2 * rr ** 2 - 3) / 30))
-        lhs = _tuple_mean(
-            r, 2, lambda a, b: (Fraction(6, r * (r + 1)) * (a - b) ** 2 - 1) ** 2)
-        out.append(_eq_entry("E[(6(rho-rho')^2/(r(r+1)) - 1)^2] closed form", r, None,
-                             lhs, (rr - 2) * (7 * rr + 9) / (5 * rr * (rr + 1))))
-
-        # deterministic per-row sums
+        out += _row_entries(_MEAN_LEMMAS, read, r)
         vals = [Fraction(v, 2) for v in centered_doubled(r)]
         spread = {m: _spread_expansion(r, m) for m in (4, 6)}
-        out.append(_eq_entry("sum_l rho(l)^2 = r(r^2-1)/12", r, None,
-                             sum(v ** 2 for v in vals), rr * (rr ** 2 - 1) / 12))
-        sum8 = sum((a - b) ** 8 for a in vals for b in vals)
-        out.append(_eq_entry("sum_{k,l} (rho(k)-rho(l))^8 closed form", r, None, sum8,
-                             rr ** 2 * (rr ** 2 - 1) * (2 * rr ** 2 - 3) * (rr ** 4 - 5 * rr ** 2 + 7) / 90))
-        for rho in vals:
-            cubic = sum((v - rho) ** 3 for v in vals)
-            out.append(_eq_entry("sum_l (rho(l)-rho(k))^3 = -r(r^2-1)/4 rho - r rho^3",
-                                 r, None, cubic, -rr * (rr ** 2 - 1) / 4 * rho - rr * rho ** 3))
+        for rho in vals:  # the per-rho sums over treatments
+            out.append(_check("sum_l (rho(l)-rho(k))^3 = -r(r^2-1)/4 rho - r rho^3", r, None,
+                              sum((v - rho) ** 3 for v in vals), eq, -rr * _cubic(rr, rho)))
             for m, coeffs in spread.items():
                 expansion = sum(c * rho ** (2 * i) for i, c in enumerate(coeffs))
-                out.append(_eq_entry(f"sum_l (rho(k)-rho(l))^{m} expansion", r, None,
-                                     sum((rho - v) ** m for v in vals), expansion))
-
-        # column laws: score covariance and the S-moment closed forms
+                out.append(_check(f"sum_l (rho(k)-rho(l))^{m} expansion", r, None,
+                                  sum((rho - v) ** m for v in vals), eq, expansion))
         for n in range(1, n_max + 1):
-            s = _s_moments(r, n)
-            out.append(_eq_entry("Var(S_j) = (r-1)/r", r, n, s["E[S^2]"], Fraction(r - 1, r)))
-            out.append(_eq_entry("Cov(S_j,S_k) = -1/r", r, n, s["E[S_j S_k]"], Fraction(-1, r)))
-            out.append(_eq_entry("E[S^4] closed form", r, n, s["E[S^4]"], closed_s4(r, n)))
-            out.append(_le_entry("E[S^4] <= 3 - 6/(5n)", r, n, s["E[S^4]"],
-                                 3 - Fraction(6, 5 * n)))
-            out.append(_eq_entry("E[S^6] closed form", r, n, s["E[S^6]"], closed_s6(r, n)))
-            out.append(_le_entry("E[S^6] <= 15", r, n, s["E[S^6]"], Fraction(15)))
-            out.append(_eq_entry("E[S_j^2 S_k^2] closed form", r, n, s["E[S_j^2 S_k^2]"],
-                                 closed_s2s2(r, n)))
-
-        # F_r from the S moments at every r; T_m from the overlap law, within the budget
-        for n in range(1, n_max + 1):
-            f, nn = _f_moments(r, n), Fraction(n)
-            out.append(_eq_entry("E[F] = r-1", r, n, f["E[F]"], rr - 1))
-            out.append(_eq_entry("E[F^2] = r^2-1-2(r-1)/n", r, n, f["E[F^2]"],
-                                 rr ** 2 - 1 - 2 * (rr - 1) / nn))
-            out.append(_eq_entry("Var(F) = 2(r-1)(1-1/n)", r, n, f["Var(F)"],
-                                 2 * (rr - 1) * (1 - 1 / nn)))
+            out += _row_entries(_COLUMN_LAWS, _s_moments(r, n).get, r, n)
+        for n in range(1, n_max + 1):  # T_m from the overlap law, within the budget
+            out += _row_entries(_F_LAWS, _f_moments(r, n).get, r, n)
             out += _within_budget("T_m identities", r, n, lambda: _t_entries(r, n))
     return out
 
@@ -373,15 +426,55 @@ def _t_entries(r: int, n: int) -> list[dict]:
     """The T_m identities at (r, n), from the r! terms of the overlap law."""
     t_mean_sq, t2, t4 = _t_statistic_moments(n, r)
     rr, nn = Fraction(r), Fraction(n)
-    out = [_eq_entry("E[T]^2 = r(r+1)(r-1)^2/(12n)", r, n, t_mean_sq,
-                     rr * (rr + 1) * (rr - 1) ** 2 / (12 * nn)),
-           _eq_entry("E[T^2] = r(r^2-1)(1+(r-2)/n)/12", r, n, t2,
-                     rr * (rr ** 2 - 1) / 12 * (1 + (rr - 2) / nn))]
+    out = [_check("E[T]^2 = r(r+1)(r-1)^2/(12n)", r, n, t_mean_sq, eq,
+                  rr * (rr + 1) * (rr - 1) ** 2 / (12 * nn)),
+           _check("E[T^2] = r(r^2-1)(1+(r-2)/n)/12", r, n, t2, eq,
+                  rr * (rr ** 2 - 1) / 12 * (1 + (rr - 2) / nn))]
     if n >= 2:
         c_t = Fraction(7, 48) + rr ** 2 / (36 * nn ** 2) + Fraction(1, 5 * n)
-        out += [_le_entry("E[T^2] <= r^3(1+r/n)/12", r, n, t2, rr ** 3 / 12 * (1 + rr / nn)),
-                _le_entry("E[T^4] <= C_T r^6", r, n, t4, c_t * rr ** 6)]
+        out += [_check("E[T^2] <= r^3(1+r/n)/12", r, n, t2, le, rr ** 3 / 12 * (1 + rr / nn)),
+                _check("E[T^4] <= C_T r^6", r, n, t4, le, c_t * rr ** 6)]
     return out
+
+
+def _cap(c: str, m: int):
+    """The reference c r^m, with c an exact decimal or ratio."""
+    return lambda r: Fraction(c) * r ** m
+
+
+# the inequality suite's rows at each r: the moment caps, then (after the proof
+# chains) the quartic-weight caps, the normalized spread and the sums.  The
+# stated cap r^3/80 on |E[rho^3 rho']| fails from r = 4 on (exact value
+# (r+1)(3r^2-7)/240); the derivation's own identity gives the valid cap r^2(r+1)/80
+_MOMENT_CAPS = (
+    ("E[rho^4] <= r^4/80", (4,), le, _cap("1/80", 4)),
+    ("|E[rho^3 rho']| <= r^2(r+1)/80 (corrected cap)", (3, 1), le,
+     lambda r: r ** 2 * (r + 1) / 80, "stated cap r^3/80 holds only for r <= 3"),
+    ("E[rho^2 rho'^2] <= r^4/144", (2, 2), le, _cap("1/144", 4)),
+    ("|E[rho^2 rho' rho'']| <= r^3/144", (2, 1, 1), le, _cap("1/144", 3)),
+    ("E[rho^6] <= r^6/448", (6,), le, _cap("1/448", 6)),
+    ("E[rho^8] <= r^8/2304", (8,), le, _cap("1/2304", 8)),
+    ("E[rho^12] <= r^12/53248", (12,), le, _cap("1/53248", 12)),
+    ("E[rho^16] <= r^16/1114112", (16,), le, _cap("1/1114112", 16)),
+    ("E[((r^2-1)/4 rho + rho^3)^2 rho^2] <= 0.00234 r^8", "E[c^2 rho^2]", le,
+     _cap("0.00234", 8)),
+    ("E[((r^2-1)/4 rho + rho^3)^2 rho'^2] <= 0.00240 r^8", "E[c^2 rho'^2]", le,
+     _cap("0.00240", 8)),
+    ("E[((r^2-1)/4 rho + rho^3)^4] <= 1763 r^12/3843840", "E[c^4]", le, _cap("1763/3843840", 12)))
+_WEIGHT_CAPS = (
+    ("E[((r^2-1)-12rho^2)^2 rho^4] <= 3r^8/140", "E[w^2 rho^4]", le, _cap("3/140", 8)),
+    ("E[((r^2-1)-12rho^2)^2 rho'^4] <= 0.02440 r^8", "E[w^2 rho'^4]", le, _cap("0.02440", 8)),
+    ("E[((r^2-1)-12rho^2)^2 rho^2 rho'^2] <= 0.02292 r^8", "E[w^2 rho^2 rho'^2]", le,
+     _cap("0.02292", 8)),
+    ("E[((r^2-1)-12rho^2)^2 rho'^4 rho''^4] <= 0.00111 r^12", "E[w^2 rho'^4 rho''^4]", le,
+     _cap("0.00111", 12), "", "E[((r^2-1)-12rho^2)^2 rho'^4 rho''^4] cap"),
+    ("normalized spread second moment closed form (k != l)", "E[s^2], k != l", eq,
+     lambda r: (r - 2) * (7 * r + 9) / (5 * r * (r + 1))),
+    ("normalized spread second moment <= 7/5 (k != l)", "E[s^2], k != l", le, _cap("7/5", 0)),
+    ("normalized spread second moment <= 7/5 (k = l)", "E[s^2], k = l", le, _cap("7/5", 0)),
+    ("sum_{k,l}(rho(k)-rho(l))^4 <= r^6/15", "sum_{k,l} d^4", le, _cap("1/15", 6)),
+    ("sum_{k,l}(rho(k)-rho(l))^6 <= r^8/28", "sum_{k,l} d^6", le, _cap("1/28", 8)),
+    ("sum_{k,l}(rho(k)-rho(l))^8 <= r^10/45", "sum_{k,l} d^8", le, _cap("1/45", 10)))
 
 
 def verify_inequalities(r_max: int) -> list[dict]:
@@ -392,104 +485,39 @@ def verify_inequalities(r_max: int) -> list[dict]:
     fits).  Equalities are exact rational comparisons; chains mixing square or cube
     roots (the treatment-sum chains, with the S-moment caps E[S^2] <= 1,
     E[S^4] <= 3, E[S^6] <= 15 substituted as in the proofs) are evaluated in
-    floating point from exact rho moments.
+    floating point from exact rho moments.  Every check but the chains, the
+    two pointwise max caps and the E[beta^4] cell is one row of a table.
     """
     r_max = check_count(r_max, 2, "r_max")
     _check_walk(f"the three-coordinate tuples at r=2..{r_max}", r_max, 3)
     out: list[dict] = []
     for r in range(2, r_max + 1):
-        rr = Fraction(r)
-        # (identity, powers of rho, rho', ... at distinct coordinates, cap, note);
-        # an identity in |...| caps the absolute value, and a row needing more
-        # coordinates than r is left out.  The stated cap r^3/80 on
-        # |E[rho^3 rho']| fails from r = 4 on (exact value (r+1)(3r^2-7)/240);
-        # the derivation's own identity gives the valid cap r^2(r+1)/80
-        for name, powers, cap, note in (
-                ("E[rho^4] <= r^4/80", (4,), rr ** 4 / 80, ""),
-                ("|E[rho^3 rho']| <= r^2(r+1)/80 (corrected cap)", (3, 1), rr ** 2 * (rr + 1) / 80,
-                 "stated cap r^3/80 holds only for r <= 3"),
-                ("E[rho^2 rho'^2] <= r^4/144", (2, 2), rr ** 4 / 144, ""),
-                ("|E[rho^2 rho' rho'']| <= r^3/144", (2, 1, 1), rr ** 3 / 144, ""),
-                ("E[rho^6] <= r^6/448", (6,), rr ** 6 / 448, ""),
-                ("E[rho^8] <= r^8/2304", (8,), rr ** 8 / 2304, ""),
-                ("E[rho^12] <= r^12/53248", (12,), rr ** 12 / 53248, ""),
-                ("E[rho^16] <= r^16/1114112", (16,), rr ** 16 / 1114112, "")):
-            if len(powers) <= r:
-                val = rho_moment(r, powers)
-                out.append(_le_entry(name, r, None, abs(val) if name[0] == "|" else val, cap, note))
-
-        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 2 * v ** 2)
-        out.append(_le_entry("E[((r^2-1)/4 rho + rho^3)^2 rho^2] <= 0.00234 r^8",
-                             r, None, lhs, Fraction("0.00234") * rr ** 8))
-        lhs = _tuple_mean(r, 2, lambda a, b: ((rr ** 2 - 1) / 4 * a + a ** 3) ** 2 * b ** 2)
-        out.append(_le_entry("E[((r^2-1)/4 rho + rho^3)^2 rho'^2] <= 0.00240 r^8",
-                             r, None, lhs, Fraction("0.00240") * rr ** 8))
-        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) / 4 * v + v ** 3) ** 4)
-        out.append(_le_entry("E[((r^2-1)/4 rho + rho^3)^4] <= 1763 r^12/3843840",
-                             r, None, lhs, Fraction(1763, 3843840) * rr ** 12))
-
+        rr, read = Fraction(r), partial(_trial_quantity, r)
+        out += _row_entries(_MOMENT_CAPS, read, r)
         # proof chains: the verified spread expansions + Cauchy-Schwarz/Hoelder
         # with the S-moment caps; rho moments are the exact enumerated values.
-        m = {p: rho_moment(r, (p,)) for p in (4, 6, 8, 12)}
         (c0, c2, c4), (d0, d2, d4, d6) = (map(float, _spread_expansion(r, p)) for p in (4, 6))
-        chain1 = c0 + c2 * math.sqrt(3 * m[4]) + c4 * math.sqrt(3 * m[8])
-        out.append(_le_entry("chain: sum_l E[S^2 (rho(l)-rho(k))^4] <= 0.1455 r^5",
-                             r, None, chain1, 0.1455 * r ** 5))
-        chain2 = 3 * c0 + c2 * (225 * m[6]) ** (1 / 3) + c4 * (225 * m[12]) ** (1 / 3)
-        out.append(_le_entry("chain: sum_l E[S^4 (rho(l)-rho(k))^4] <= 0.6717 r^5",
-                             r, None, chain2, 0.6717 * r ** 5))
-        chain3 = (d0 + d2 * math.sqrt(3 * m[4]) + d4 * math.sqrt(3 * m[8])
-                  + d6 * math.sqrt(3 * m[12]))
-        out.append(_le_entry("chain: sum_l E[S^2 (rho(l)-rho(k))^6] <= 0.09116 r^7",
-                             r, None, chain3, 0.09116 * r ** 7))
-
-        # quartic-weight inequalities
-        lhs = _tuple_mean(r, 1, lambda v: ((rr ** 2 - 1) - 12 * v ** 2) ** 2 * v ** 4)
-        out.append(_le_entry("E[((r^2-1)-12rho^2)^2 rho^4] <= 3r^8/140",
-                             r, None, lhs, 3 * rr ** 8 / 140))
-        lhs = _tuple_mean(r, 2, lambda a, b: ((rr ** 2 - 1) - 12 * a ** 2) ** 2 * b ** 4)
-        out.append(_le_entry("E[((r^2-1)-12rho^2)^2 rho'^4] <= 0.02440 r^8",
-                             r, None, lhs, Fraction("0.02440") * rr ** 8))
-        lhs = _tuple_mean(r, 2, lambda a, b: ((rr ** 2 - 1) - 12 * a ** 2) ** 2 * a ** 2 * b ** 2)
-        out.append(_le_entry("E[((r^2-1)-12rho^2)^2 rho^2 rho'^2] <= 0.02292 r^8",
-                             r, None, lhs, Fraction("0.02292") * rr ** 8))
-        if r >= 3:
-            lhs = _tuple_mean(
-                r, 3, lambda a, b, c: ((rr ** 2 - 1) - 12 * a ** 2) ** 2 * b ** 4 * c ** 4)
-            out.append(_le_entry("E[((r^2-1)-12rho^2)^2 rho'^4 rho''^4] <= 0.00111 r^12",
-                                 r, None, lhs, Fraction("0.00111") * rr ** 12))
-        else:
-            out.append(_skip_entry("E[((r^2-1)-12rho^2)^2 rho'^4 rho''^4] cap", r, None,
-                                   "needs three distinct treatments"))
-
-        # squared normalized spread
-        lhs = _tuple_mean(
-            r, 2, lambda a, b: (Fraction(6, r * (r + 1)) * (a - b) ** 2 - 1) ** 2)
-        out.append(_eq_entry("normalized spread second moment closed form (k != l)", r, None,
-                             lhs, (rr - 2) * (7 * rr + 9) / (5 * rr * (rr + 1))))
-        out.append(_le_entry("normalized spread second moment <= 7/5 (k != l)", r, None, lhs, Fraction(7, 5)))
-        out.append(_le_entry("normalized spread second moment <= 7/5 (k = l)", r, None, Fraction(1), Fraction(7, 5)))
-
-        # deterministic sums and pointwise caps used in the remainder bounds
-        vals = [Fraction(v, 2) for v in centered_doubled(r)]
-        s4 = sum((a - b) ** 4 for a in vals for b in vals)
-        out.append(_le_entry("sum_{k,l}(rho(k)-rho(l))^4 <= r^6/15", r, None, s4, rr ** 6 / 15))
-        s6 = sum((a - b) ** 6 for a in vals for b in vals)
-        out.append(_le_entry("sum_{k,l}(rho(k)-rho(l))^6 <= r^8/28", r, None, s6, rr ** 8 / 28))
-        s8 = sum((a - b) ** 8 for a in vals for b in vals)
-        out.append(_le_entry("sum_{k,l}(rho(k)-rho(l))^8 <= r^10/45", r, None, s8, rr ** 10 / 45))
-        cap = max(abs((rr ** 2 - 1) - 12 * v ** 2) for v in vals)
-        out.append(_le_entry("|(r^2-1)-12rho^2| <= 2(r+1)(r+2)", r, None,
-                             cap, 2 * (rr + 1) * (rr + 2)))
-        cap = max(abs(((rr ** 2 - 1) / 4 * a + a ** 3) * b)
-                  for a in vals for b in vals if a != b)
-        out.append(_le_entry("|((r^2-1)/4 rho + rho^3) rho'| <= r(r+1)^3/8", r, None,
-                             cap, rr * (rr + 1) ** 3 / 8))
-
+        chain1 = c0 + c2 * math.sqrt(3 * read((4,))) + c4 * math.sqrt(3 * read((8,)))
+        out.append(_check("chain: sum_l E[S^2 (rho(l)-rho(k))^4] <= 0.1455 r^5",
+                          r, None, chain1, le, 0.1455 * r ** 5))
+        chain2 = 3 * c0 + c2 * (225 * read((6,))) ** (1 / 3) + c4 * (225 * read((12,))) ** (1 / 3)
+        out.append(_check("chain: sum_l E[S^4 (rho(l)-rho(k))^4] <= 0.6717 r^5",
+                          r, None, chain2, le, 0.6717 * r ** 5))
+        chain3 = (d0 + d2 * math.sqrt(3 * read((4,))) + d4 * math.sqrt(3 * read((8,)))
+                  + d6 * math.sqrt(3 * read((12,))))
+        out.append(_check("chain: sum_l E[S^2 (rho(l)-rho(k))^6] <= 0.09116 r^7",
+                          r, None, chain3, le, 0.09116 * r ** 7))
+        out += _row_entries(_WEIGHT_CAPS, read, r)
+        vals = [Fraction(v, 2) for v in centered_doubled(r)]  # the pointwise caps
+        out.append(_check("|(r^2-1)-12rho^2| <= 2(r+1)(r+2)", r, None,
+                          max(abs(_weight(rr, v)) for v in vals), le, 2 * (rr + 1) * (rr + 2)))
+        out.append(_check("|((r^2-1)/4 rho + rho^3) rho'| <= r(r+1)^3/8", r, None,
+                          max(abs(_cubic(rr, a) * b) for a in vals for b in vals if a != b),
+                          le, rr * (rr + 1) ** 3 / 8))
         # downstream consumer of the rho-moment caps: the fourth moment of
         # beta = sum_l rho(l) rho'(l) over two independent permutations
-        out += _within_budget("E[beta^4] <= 79 r^10/345600", r, None, lambda: [_le_entry(
-            "E[beta^4] <= 79 r^10/345600", r, None, beta_fourth_moment_direct(r),
+        out += _within_budget("E[beta^4] <= 79 r^10/345600", r, None, lambda: [_check(
+            "E[beta^4] <= 79 r^10/345600", r, None, beta_fourth_moment_direct(r), le,
             Fraction(79, 345600) * rr ** 10)])
     return out
 
@@ -583,23 +611,26 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
                                 r, None, failures, trials))
 
     full, regrouped = _multiset_weights(r, 4)
-    out.append(_eq_entry("4-index decomposition, f = 1 (counting case)", r, None,
-                         sum(full), sum(regrouped)))
-    out.append(_eq_entry("f = 1 total = r^4", r, None, sum(full), r ** 4))
+    out.append(_check("4-index decomposition, f = 1 (counting case)", r, None,
+                      sum(full), eq, sum(regrouped)))
+    out.append(_check("f = 1 total = r^4", r, None, sum(full), eq, r ** 4))
 
     beta = [mono_moment(r, m) ** 2 for m in combinations_with_replacement(range(r), 4)]
     denominator = math.lcm(*(b.denominator for b in beta))
     numerators = [b.numerator * (denominator // b.denominator) for b in beta]
     lhs = Fraction(sum(map(math.prod, zip(full, numerators))), denominator)
     rhs = Fraction(sum(map(math.prod, zip(regrouped, numerators))), denominator)
-    out.append(_eq_entry("4-index decomposition, f = (E[rho^(4 indices)])^2", r, None, lhs, rhs))
-    out.append(_eq_entry("E[beta^4] tuple sum = direct enumeration", r, None, lhs, direct))
+    out.append(_check("4-index decomposition, f = (E[rho^(4 indices)])^2", r, None, lhs, eq, rhs))
+    out.append(_check("E[beta^4] tuple sum = direct enumeration", r, None, lhs, eq, direct))
     return out
 
 
 def verify_identities(r_max: int, trials: int, seed: int) -> list[dict]:
     """verify_index_decomposition at every r in 3..r_max; an r past the
-    budget is one skipped entry naming its cost."""
-    return [e for r in range(3, check_count(r_max, 3, "r_max") + 1)
+    budget is one skipped entry naming its cost.  The walk is charged one
+    term per trial at each r walked, before any r runs."""
+    r_max, trials = check_count(r_max, 3, "r_max"), check_count(trials, 1, "trials")
+    _check_terms(f"the decomposition trials at r=3..{r_max}", trials * (r_max - 2))
+    return [e for r in range(3, r_max + 1)
             for e in _within_budget("index decompositions", r, None,
                                     lambda: verify_index_decomposition(r, trials, seed))]

@@ -21,12 +21,13 @@ overlap law behind T_m and for the rows of the operator link, and r^2 for
 the coupling row draws, and then returns one cached tuple of the rows.  A
 count is multiplied out only for k <= 30, where it still prints in full;
 past that k! alone is beyond any cap, and the cell is refused at once with
-the short note "more than 30!".  The lemma suite's walk over n and the
-Stein suite's walk over p are no tuple counts: each suite charges
-_check_terms its own moment products or f' evaluations per step.  A verify
-suite runs each cell through _within_budget, which returns the cell's
-entries, or for a cell past the budget its one skip entry with the
-BudgetError as its note.
+the short note "more than 30!".  The other walks are no tuple counts, and
+each suite charges _check_terms its own units per step before any cell: the
+lemma suite's moment products over n, the identities suite's trials at
+each r, the coupling suite's entries per (r, n) cell and the Stein suite's
+f' evaluations over p.  A verify suite runs each cell through
+_within_budget, which returns the cell's entries, or for a cell past the
+budget its one skip entry with the BudgetError as its note.
 
 f_law returns the law as one frozen record, FLaw: the integer keys |Q|^2
 (Q the doubled column sums, F_r = 3 |Q|^2 / (r(r+1)n)) in increasing order,

@@ -39,7 +39,10 @@ F_r sampler draws those sums by one of three paths, chosen from (r, n) alone:
 
 Every path sums in int64, so a sampled (r, n) whose rank total n r(r+1)/2,
 which bounds every column sum, every count and the packed path's last
-column, is past int64 is a DomainError before any draw.
+column, is past int64 is a DomainError before any draw.  So is a sample
+count past the 2**20 chunks of one stream, and then one whose float64 F
+values, which a sampled law holds and sorts, pass _SAMPLE_BYTES (2**26
+samples).
 
 The paths draw the same law, not the same numbers.  Where k = 1 (7 <= r <=
 12) the packed path draws the same indices as uniform_rows, so its column
@@ -111,6 +114,7 @@ _PACKED_MAX_R = 12  # the split tables hold 665,280 words each at r = 12 (5.3 MB
 # 2 at r = 6 (a 4.1 MB table of 720^2 words, still cheaper than a second draw), else 1
 _BLOCK_TRIALS = {2: 16, 3: 6, 4: 3, 5: 2, 6: 2}
 _SLAB_WORDS = 1 << 22  # a call's chunks draw their rows in slabs of about this many words
+_SAMPLE_BYTES = 1 << 29  # a sampled law holds its float64 F values: 2**26 samples, 512 MiB
 _MULTINOMIAL_FACTOR = {3: 56, 4: 38}  # multinomial from n = c r! on, c = 30 at other r <= 9
 
 
@@ -337,6 +341,9 @@ def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     if n_chunks > 1 << 20:  # one substream per chunk; refused before any chunk is drawn
         raise DomainError(f"{samples} samples need {n_chunks} chunks, over the 2**20 of a stream")
+    if 8 * samples > _SAMPLE_BYTES:
+        raise DomainError(f"{samples} samples hold {8 * samples} bytes of float64 F values, "
+                          f"over the cap of {_SAMPLE_BYTES} (2**26 samples)")
     sizes = [min(_CHUNK, samples - i * _CHUNK) for i in range(n_chunks)]
     scale = 12.0 / (r * (r + 1) * n)
     workers = min(threads, n_chunks)

@@ -205,6 +205,41 @@ def test_cmd_bounds_values(capsys):
     assert rep["kolmogorov_raw"] == pytest.approx(0.009496, abs=1e-12)
 
 
+def test_cmd_bounds_json_is_strict_with_an_infinite_norm(capsys):
+    # an infinite norm once printed as a bare Infinity, which no strict parser reads
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    code, out, _ = run(capsys, "bounds", "--json", "--n", "5", "--r", "3", "--h1", "inf")
+    report = json.loads(out, parse_constant=no_constant)
+    assert code == 0 and report["norms"] == {"h1": None, "h2": 1.0, "h3": 1.0}
+    assert report["compact"] is None and report["trivial"] is None
+    with pytest.raises(ValueError):
+        cli._dump({"bound": math.inf})
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_main_sets_one_openblas_thread_only_where_unset(fresh_python, monkeypatch, given,
+                                                         expected):
+    # set before any handler imports numpy, whose OpenBLAS reads it at load:
+    # an idle BLAS worker spins on a core that the sampler's workers need
+    if given is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+    numpy_first, value, tasks = fresh_python(
+        "import json, os, sys\n"
+        "from friedman_bounds.cli import main\n"
+        "numpy_first = 'numpy' in sys.modules\n"
+        "assert main(['verify', '--suite', 'stein', '--p-max', '1']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        "print(json.dumps([numpy_first, os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n")
+    assert not numpy_first and value == expected
+    if given is None and tasks is not None:
+        assert tasks == 1  # the main thread alone: OpenBLAS started no worker
+
+
 def test_cmd_bounds_deterministic(capsys):
     _, out1, _ = run(capsys, "bounds", "--n", "37", "--r", "4", "--json")
     _, out2, _ = run(capsys, "bounds", "--n", "37", "--r", "4", "--json")
@@ -611,15 +646,20 @@ def test_cmd_verify_skips_any_r_past_the_budget_with_a_short_note(capsys, argv):
     ("verify", "--suite", "lemmas", "--r-max", "3", "--n-max", str(10 ** 30)),
     ("verify", "--suite", "stein", "--p-max", str(10 ** 30)),
     ("verify", "--suite", "lemmas", "--r-max", str(10 ** 900)),
+    ("verify", "--suite", "identities", "--r-max", "3", "--trials", str(10 ** 30)),
+    ("verify", "--suite", "coupling", "--r-max", "2", "--n-max", str(10 ** 30)),
+    ("distance", "--r", "3", "--n", "5", "--samples", str(2 ** 34), "--seed", "1"),
 ], ids=["exact-r1559", "exact-r1e21", "mc-n2^62", "mc-n2^63", "bounds-n1e309", "bounds-r1e155",
-        "bounds-r1e154", "verify-n1e30", "verify-p1e30", "verify-r1e900"])
+        "bounds-r1e154", "verify-n1e30", "verify-p1e30", "verify-r1e900", "verify-trials1e30",
+        "verify-coupling-n1e30", "mc-samples2^34"])
 def test_extreme_counts_are_one_usage_error_before_any_work(capsys, monkeypatch, argv):
     # the exact engine refuses before it allocates, the sampler before any
     # chunk is drawn (its rank total n r(r+1)/2 would leave int64), the
     # bounds a count they cannot evaluate in floating point or a bound past
-    # it, and the verify suites a walk over r, n or p past the budget (a
-    # count past 2**256, whose digits would pass Python's print limit at
-    # r = 10**900, is named as such)
+    # it, and the verify suites a walk over r, n, p or trials past the budget
+    # (a count past 2**256, whose digits would pass Python's print limit at
+    # r = 10**900, is named as such); 2**34 samples fit the 2**20 chunks of a
+    # stream, but their F values would hold 128 GiB
     def no_chunk(*args):
         raise AssertionError("a chunk was drawn")
 

@@ -434,6 +434,33 @@ def test_spread_expansion_has_one_owner(monkeypatch):
         assert after[r, _CHAINS[2]] == before[r, _CHAINS[2]]
 
 
+@pytest.mark.parametrize("key, lemma, caps", [
+    ("E[c^2 rho^2]", "E[((r^2-1)/4 rho + rho^3)^2 rho^2] closed form",
+     ("E[((r^2-1)/4 rho + rho^3)^2 rho^2] <= 0.00234 r^8",)),
+    ("E[w^2 rho^4]", "E[((r^2-1)-12rho^2)^2 rho^4] closed form",
+     ("E[((r^2-1)-12rho^2)^2 rho^4] <= 3r^8/140",)),
+    ("E[s^2], k != l", "E[(6(rho-rho')^2/(r(r+1)) - 1)^2] closed form",
+     ("normalized spread second moment closed form (k != l)",
+      "normalized spread second moment <= 7/5 (k != l)")),
+    ("sum_{k,l} d^8", "sum_{k,l} (rho(k)-rho(l))^8 closed form",
+     ("sum_{k,l}(rho(k)-rho(l))^8 <= r^10/45",)),
+])
+def test_each_shared_quantity_has_one_definition(monkeypatch, key, lemma, caps):
+    # the lemma and inequality suites read one record: a definition off by
+    # one fails the lemma's closed form and is the lhs of every cap row too
+    k, fn = exact._FORMULAS[key]
+    monkeypatch.setitem(exact._FORMULAS, key, (k, lambda r, *x: fn(r, *x) + 1))
+    exact._trial_quantity.cache_clear()
+    try:
+        report = verify_lemma_formulas(3, 1) + verify_inequalities(3)
+    finally:
+        exact._trial_quantity.cache_clear()
+    rows = [e for e in report if e["identity"] in (lemma, *caps)]
+    assert len(rows) == 2 * (1 + len(caps))  # at r = 2 and 3
+    assert all(e["status"] == "fail" for e in rows if e["identity"] == lemma)
+    assert all(len({e["lhs"] for e in rows if e["r"] == r}) == 1 for r in (2, 3))
+
+
 def test_count_and_skip_entries():
     assert exact_law._count_entry("c", 3, 2, 0, 10, " rows") == {
         "identity": "c", "r": 3, "n": 2, "status": "pass", "lhs": "10 rows exact",

@@ -382,6 +382,18 @@ def test_samples_past_the_substreams_are_refused_before_any_draw(samples, monkey
         estimate_kolmogorov(5, 3, samples, RngContract(seed=1))
 
 
+@pytest.mark.parametrize("samples", [2 ** 26 + 1, 2 ** 34])
+def test_samples_past_the_byte_cap_are_refused_before_any_draw(samples, monkeypatch):
+    # they fit the 2**20 chunks of a stream, but a sampled law holds every
+    # float64 F value: 2**34 of them would be 128 GiB
+    def no_draw(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(montecarlo, "_column_sums", no_draw)
+    with pytest.raises(DomainError, match=f"{samples} samples hold {8 * samples} bytes"):
+        _sample_statistics(5, 3, samples, RngContract(seed=1))
+
+
 def test_wasserstein_integral_two_atom_law():
     # the exact F_2 law at n = 2: atoms 0 and 2, mass 1/2 each
     atoms, levels = np.array([0.0, 2.0]), np.array([0.5, 1.0])
