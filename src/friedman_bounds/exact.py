@@ -44,7 +44,8 @@ bounds each cell: the lemma and inequality suites charge up front the
 four- and three-coordinate tuples of every r they walk (the lemmas run to
 r = 16, the inequalities to r = 30), the lemma suite its moment
 products over every (r, n) cell, and the identities suite one term per
-trial at every r it walks.  The overlap law behind T_m, E[beta^4]
+trial at every r it walks whose r! overlap rows fit (exact_law._rows_fit)
+and one term for each other r.  The overlap law behind T_m, E[beta^4]
 and each decomposition check reads one trial's r! rows from
 exact_law._trial_rows at one term per row, before any draw.  A T_m cell,
 an E[beta^4] cap or a decomposition r past the budget is one skipped
@@ -62,13 +63,13 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, takewhile
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from operator import eq, le
 
 from .errors import DomainError, check_count
-from .exact_law import (_check_terms, _check_walk, _count_entry, _entry, _skip_entry,
+from .exact_law import (_check_terms, _check_walk, _count_entry, _entry, _rows_fit, _skip_entry,
                         _trial_rows, _within_budget, all_pass, centered_doubled, f_law)
 
 __all__ = [
@@ -572,7 +573,7 @@ def beta_fourth_moment_direct(r: int) -> Fraction:
     return Fraction(total, math.factorial(r) * 4 ** 4)  # doubled twice: (2*2)^4
 
 
-_TRIAL_BLOCK = 1 << 16  # random symmetric f drawn at once, which bounds the draws' memory
+_BLOCK_WORDS = 1 << 20  # draws held at once: a block of trials is about this many words
 
 
 def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
@@ -588,9 +589,12 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
 
     The draws come from one Philox generator keyed by (seed, 0), so seed
     lies in [0, 2**64); each arity draws its trials in blocks of at most
-    _TRIAL_BLOCK.  Both sums of a trial are integer dot products of g with
-    the per-multiset weights of _multiset_weights, and the two fixed cases
-    sum exact integers (over a common denominator for the fourth-moment f).
+    _BLOCK_WORDS // multisets (at least one), one draw per multiset, and a
+    block continues the generator where the last one stopped, so the draws
+    do not depend on the block size.  Both sums of a trial are integer dot
+    products of g with the per-multiset weights of _multiset_weights, and the
+    two fixed cases sum exact integers (over a common denominator for the
+    fourth-moment f).
     """
     import numpy as np
 
@@ -604,8 +608,9 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     for arity in (2, 3, 4):
         full, regrouped = (np.array(w, dtype=np.int64) for w in _multiset_weights(r, arity))
         failures = 0
-        for start in range(0, trials, _TRIAL_BLOCK):
-            g = rng.integers(-50, 51, size=(min(_TRIAL_BLOCK, trials - start), full.size))
+        block = max(1, _BLOCK_WORDS // full.size)
+        for start in range(0, trials, block):
+            g = rng.integers(-50, 51, size=(min(block, trials - start), full.size))
             failures += int(np.count_nonzero(g @ full != g @ regrouped))
         out.append(_count_entry(f"{arity}-index decomposition, {trials} random symmetric f",
                                 r, None, failures, trials))
@@ -627,10 +632,12 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
 
 def verify_identities(r_max: int, trials: int, seed: int) -> list[dict]:
     """verify_index_decomposition at every r in 3..r_max; an r past the
-    budget is one skipped entry naming its cost.  The walk is charged one
-    term per trial at each r walked, before any r runs."""
+    budget is one skipped entry naming its cost.  Before any r runs, the walk
+    is charged one term per trial at each r whose r! overlap rows fit the
+    budget (the r that draw), and one term for the skip entry of each other r."""
     r_max, trials = check_count(r_max, 3, "r_max"), check_count(trials, 1, "trials")
-    _check_terms(f"the decomposition trials at r=3..{r_max}", trials * (r_max - 2))
+    drawn = sum(1 for _ in takewhile(_rows_fit, range(3, r_max + 1)))
+    _check_terms(f"the decomposition trials at r=3..{r_max}", (trials - 1) * drawn + r_max - 2)
     return [e for r in range(3, r_max + 1)
             for e in _within_budget("index decompositions", r, None,
                                     lambda: verify_index_decomposition(r, trials, seed))]

@@ -1,11 +1,16 @@
 """The exact null law of F_r, and the one enumeration budget.
 
-The law of F_r is one exact convolution across trials of the full
-column-sum vector, over sorted states, each weighted by its count of
+From r = 3 on, the law of F_r is one exact convolution across trials of the
+full column-sum vector, over sorted states, each weighted by its count of
 configurations, without touching the (r!)^n space.  Each trial is one numpy
 pass over the states times the r! moves: rows sorted, keyed as int64 in a
 mixed radix that keeps tuple order, merged by np.unique, with exact
-Python-int counts summed on an object array.
+Python-int counts summed on an object array.  At r = 2 the doubled column
+sums are Q = (q, -q), q = n - 2b with b ~ Bin(n, 1/2), so the law is one
+binomial row, built by the recurrence C(n, b+1) = C(n, b)(n-b)/(b+1) and
+charged (n+1) ceil(n/64) terms (n+1 counts of up to n bits, one term per
+64-bit word): it runs to n = 3570, where the convolution, about n^2 terms,
+stops at n = 631.  The convolution never runs at r = 2.
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 (_check_terms raises BudgetError naming the cell, the term count and the
@@ -24,15 +29,17 @@ past that k! alone is beyond any cap, and the cell is refused at once with
 the short note "more than 30!".  The other walks are no tuple counts, and
 each suite charges _check_terms its own units per step before any cell: the
 lemma suite's moment products over n, the identities suite's trials at
-each r, the coupling suite's entries per (r, n) cell and the Stein suite's
-f' evaluations over p.  A verify suite runs each cell through
+each r that draws (_rows_fit: its r! overlap rows fit the budget) and one
+term for each other r, the coupling suite's entries per (r, n) cell and
+the Stein suite's f' evaluations over p.  A verify suite runs each cell through
 _within_budget, which returns the cell's entries, or for a cell past the
 budget its one skip entry with the BudgetError as its note.
 
 f_law returns the law as one frozen record, FLaw: the integer keys |Q|^2
 (Q the doubled column sums, F_r = 3 |Q|^2 / (r(r+1)n)) in increasing order,
 their exact counts, the total (r!)^n and the number of sorted column-sum
-states the engine summed over.  Every exact consumer reads that record:
+states summed over (the engine's; at r = 2 the row's n//2 + 1 values of
+|q|, which are the engine's states there too).  Every exact consumer reads that record:
 the float atoms of the exact rows in ``montecarlo``, which report its
 states, the rational atoms and P(F_r = 0) in ``exact``, and the Stein
 half of the operator link in ``stein``.  law_floats is the one float view
@@ -53,7 +60,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations as iter_permutations
+from itertools import accumulate, permutations as iter_permutations
 from typing import NamedTuple
 
 from .errors import BudgetError, check_count
@@ -114,6 +121,12 @@ def _check_tuples(cell: str, r: int, k: int, per_tuple: int = 1) -> None:
     with a short note and no factorial is formed.
     """
     _check_terms(cell, "more than 30!" if k > 30 else per_tuple * math.perm(r, k))
+
+
+def _rows_fit(r: int) -> bool:
+    """Whether one trial's r! rows fit the budget at one term per row, the
+    price of the overlap law behind T_m and E[beta^4]."""
+    return math.factorial(r) <= BUDGET_CAP
 
 
 def _check_walk(cell: str, r: int, k: int) -> None:
@@ -191,13 +204,19 @@ class FLaw(NamedTuple):
     keys: tuple[int, ...]  # |Q|^2 in increasing order, Q the doubled column sums
     counts: tuple[int, ...]  # exact Python ints
     total: int  # (r!)^n
-    states: int  # the sorted column-sum states the engine summed over
+    states: int  # the sorted column-sum states summed over (r = 2: n//2 + 1)
 
 
 def f_law(n: int, r: int) -> FLaw:
-    """The exact null law of F_r, the record every exact consumer reads."""
+    """The exact null law of F_r, the record every exact consumer reads: at
+    r = 2 read off one binomial row, from r = 3 on summed by _sum_counts."""
     n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
-    law = _sum_counts(r, n)
+    if r == 2:  # Q = (-q, q) sorted, q = |n - 2b| with b ~ Bin(n, 1/2): one binomial row
+        _check_terms(f"the binomial row at r=2, n={n}", (n + 1) * -(-n // 64))
+        row = accumulate(range(n // 2), lambda c, b: c * (n - b) // (b + 1), initial=1)
+        law = [((2 * b - n, n - 2 * b), c << (2 * b != n)) for b, c in enumerate(row)]
+    else:
+        law = _sum_counts(r, n)
     sq_counts: Counter = Counter()
     for state, c in law:
         sq_counts[sum(q * q for q in state)] += c

@@ -60,16 +60,17 @@ concatenated in chunk order.
 Every distance reads one law of F_r as weighted atoms, and _law is the one
 place that chooses it: 'exact' reads exact_law.f_law (BudgetError past
 exact_law.BUDGET_CAP enumerated terms, raised before the engine allocates
-anything), 'mc' draws samples, and 'auto' reads the exact law wherever it
-fits its budget and draws otherwise.  distance has
-one reader per metric on that view: the Kolmogorov distance takes both
-one-sided gaps at every atom, the smooth gap |E h(F_r) - E h(Y)| is an fsum
-over the atoms, and the Wasserstein diagnostic (r = 2) is the exact integral
-of |F - CDF|.  Only a sampled law carries an error bar (DKW, CLT, or DKW
-times a cutoff).  A result records its method, and its ``samples`` counts
-the Monte Carlo draws, or on an exact row the sorted column-sum states the
-exact engine summed over (exact_law.FLaw.states).  The estimate_* and
-exact_* entries are distance with the metric and mode fixed.
+anything; at r = 2 one binomial row, exact to n = 3570), 'mc' draws samples,
+and 'auto' reads the exact law wherever it fits its budget and draws
+otherwise.  distance has one reader per metric on that view: the
+Kolmogorov distance takes both one-sided gaps at every atom, the smooth gap
+|E h(F_r) - E h(Y)| is an fsum over the atoms, and the Wasserstein
+diagnostic (r = 2) is the exact integral of |F - CDF|.  Only a sampled law
+carries an error bar (DKW, CLT, or DKW times a cutoff).  A result records
+its method, and its ``samples`` counts the Monte Carlo draws, or on an
+exact row the sorted column-sum states the exact law summed over
+(exact_law.FLaw.states).  The estimate_* and
+exact_kolmogorov entries are distance with the metric and mode fixed.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ __all__ = [
     "distance",
     "estimate_kolmogorov",
     "exact_kolmogorov",
-    "exact_smooth_gap",
     "estimate_smooth_gap",
     "estimate_wasserstein",
     "rate_experiment",
@@ -153,7 +153,7 @@ class RngContract:
 class DistanceEstimate:
     value: float
     half_width: float
-    samples: int  # Monte Carlo draws, or the exact engine's states on an exact row
+    samples: int  # Monte Carlo draws, or the exact law's states on an exact row
     method: str  # "exact-enumeration" or "monte-carlo"
 
     def within(self, bound: float) -> bool:
@@ -390,12 +390,14 @@ def _law(n: int, r: int, mode: str, samples: int | None, rng: RngContract | None
 
     The atoms are sorted, masses are their probabilities and levels the law's
     CDF at each atom.  mode 'exact' reads exact_law.f_law (BudgetError beyond
-    its budget): atoms and masses each correctly rounded from the exact value,
-    levels their running sum, count the states the engine summed over.  'mc'
-    draws ``samples`` values: atoms and counts from np.unique, masses and
-    levels the counts and their running sum over ``samples``, count the
-    samples.  'auto' reads the exact law and falls back to drawing on
-    BudgetError.
+    its budget: at r = 2 past n = 3570, where the law is one binomial row,
+    and from r = 3 on past the convolution's terms): atoms and masses each
+    correctly rounded from the exact value, levels their running sum, count
+    the law's states (FLaw.states).  'mc' draws ``samples`` values: atoms and
+    counts from np.unique, masses and levels the counts and their running
+    sum over ``samples``, count the samples.  'auto' reads the exact law and
+    falls back to drawing on BudgetError, so at r = 2 it is exact to
+    n = 3570 and draws from n = 3571 on.
     """
     if mode not in ("exact", "mc", "auto"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -499,11 +501,6 @@ def estimate_kolmogorov(n: int, r: int, samples: int, rng: RngContract,
 def exact_kolmogorov(n: int, r: int) -> DistanceEstimate:
     """Exact Kolmogorov distance from the exact law (BudgetError past its budget)."""
     return distance("kolmogorov", n, r, "exact")
-
-
-def exact_smooth_gap(n: int, r: int, h: TestFunction) -> float:
-    """|E[h(F_r)] - E[h(Y_{r-1})]| with the first term an exact atom average."""
-    return distance("smooth", n, r, "exact", h=h).value
 
 
 def estimate_smooth_gap(n: int, r: int, h: TestFunction, samples: int,

@@ -15,7 +15,7 @@ from friedman_bounds.exact import (all_pass, joint_moments, point_mass_at_zero,
                                    verify_lemma_formulas)
 from friedman_bounds.coupling import (verify_increment_moments, verify_regression,
                                       verify_triple_structure)
-from friedman_bounds.montecarlo import RngContract, estimate_kolmogorov, exact_smooth_gap
+from friedman_bounds.montecarlo import RngContract, distance, estimate_kolmogorov
 from friedman_bounds.stein import (SteinSolution, derivative_bound_check, standard_grid,
                                    stein_residual, verify_operator_link)
 from friedman_bounds.testfunctions import cosine, identity, sine
@@ -95,11 +95,11 @@ def test_criterion_05_compact_bound_domination():
         r = 3
         for n in range(2, 9):
             for t in (0.25, 0.5, 1.0):
-                gap = exact_smooth_gap(n, r, cosine(t))
+                gap = distance("smooth", n, r, "exact", h=cosine(t)).value
                 cap = bound_compact(n, r, SmoothNorms(t, t * t, t ** 3))
                 assert gap <= cap, (n, t, gap, cap)
             t = 0.01
-            gap = exact_smooth_gap(n, r, cosine(t))
+            gap = distance("smooth", n, r, "exact", h=cosine(t)).value
             leading = t * t * (r - 1) / n
             assert abs(gap - leading) <= 0.25 * leading, (n, gap, leading)
 

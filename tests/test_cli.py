@@ -407,7 +407,9 @@ def test_results_golden_stdout(capsys, monkeypatch):
     # r-max 6 verify line) before the swap pass and the decomposition
     # trials became array passes; samples on the exact rows re-pinned when
     # it became the engine's state count, and the operator-link lhs when its
-    # covariance half became a check on one trial's rows.  The `test` lines,
+    # covariance half became a check on one trial's rows; the r = 2 exact
+    # Wasserstein and auto rate lines before f_law read r = 2 off one
+    # binomial row instead of the sorted-state engine.  The `test` lines,
     # with their stderr, were pinned before rank files got an integer parse
     # and scores a plain argsort; their CSVs sit next to the golden file.
     golden = Path(__file__).parent / "golden"
@@ -557,6 +559,28 @@ def test_cmd_verify_identities_run_to_the_budget(capsys):
     assert skip["status"] == "skip" and "362880 enumerated terms" in skip["note"]
 
 
+def test_cmd_verify_identities_charge_trials_only_where_they_draw(capsys):
+    # r = 3..8 draw: 6 x 112 trials and one term for each of the 1,792 skips
+    code, out, _ = run(capsys, "verify", "--suite", "identities", "--r-max", "1800",
+                       "--trials", "112")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and {e["r"] for e in lines} == set(range(3, 1801))
+    assert all(e["status"] == "pass" for e in lines if e["r"] <= 8)
+    assert all(e["status"] == "skip" for e in lines if e["r"] > 8)
+
+
+@pytest.mark.parametrize("n, want", [(3570, 0), (3571, 2)])
+def test_cmd_distance_exact_r2_runs_to_its_budget(capsys, n, want):
+    code, out, err = run(capsys, "distance", "--mode", "exact", "--r", "2", "--n", str(n))
+    assert code == want
+    if want:
+        assert out == "" and f"the binomial row at r=2, n={n} needs" in err
+    else:
+        row = json.loads(out)
+        assert (row["method"], row["samples"], row["within_bound"]) == (
+            "exact-enumeration", n // 2 + 1, True)
+
+
 def test_cmd_verify_lemmas_run_past_r10(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--r-max", "12", "--n-max", "2")
     lines = [json.loads(line) for line in out.splitlines()]
@@ -647,11 +671,12 @@ def test_cmd_verify_skips_any_r_past_the_budget_with_a_short_note(capsys, argv):
     ("verify", "--suite", "stein", "--p-max", str(10 ** 30)),
     ("verify", "--suite", "lemmas", "--r-max", str(10 ** 900)),
     ("verify", "--suite", "identities", "--r-max", "3", "--trials", str(10 ** 30)),
+    ("verify", "--suite", "identities", "--r-max", str(10 ** 900)),
     ("verify", "--suite", "coupling", "--r-max", "2", "--n-max", str(10 ** 30)),
     ("distance", "--r", "3", "--n", "5", "--samples", str(2 ** 34), "--seed", "1"),
 ], ids=["exact-r1559", "exact-r1e21", "mc-n2^62", "mc-n2^63", "bounds-n1e309", "bounds-r1e155",
         "bounds-r1e154", "verify-n1e30", "verify-p1e30", "verify-r1e900", "verify-trials1e30",
-        "verify-coupling-n1e30", "mc-samples2^34"])
+        "verify-identities-r1e900", "verify-coupling-n1e30", "mc-samples2^34"])
 def test_extreme_counts_are_one_usage_error_before_any_work(capsys, monkeypatch, argv):
     # the exact engine refuses before it allocates, the sampler before any
     # chunk is drawn (its rank total n r(r+1)/2 would leave int64), the

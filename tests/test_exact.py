@@ -175,6 +175,59 @@ def test_array_engine_counts_stay_exact_past_int64():
     assert max(c for _, c in got) > 2 ** 63 and sum(c for _, c in got) == 6 ** 32
 
 
+def _engine_law(n, r):
+    """The FLaw the sorted-state engine's counts give, the reference for r = 2."""
+    law = exact_law._sum_counts(r, n)
+    sq_counts = Counter()
+    for state, c in law:
+        sq_counts[sum(q * q for q in state)] += c
+    keys, counts = zip(*sorted(sq_counts.items()))
+    return exact_law.FLaw(keys, counts, math.factorial(r) ** n, len(law))
+
+
+def test_r2_law_is_the_engine_record_read_off_one_binomial_row():
+    # keys 2q^2, counts C(n, b) (twice off q = 0), total 2^n, n//2 + 1 states:
+    # field for field the engine's record, at n <= 64 and the engine's last n
+    for n in [*range(1, 65), 631]:
+        law = exact_law.f_law(n, 2)
+        assert law == _engine_law(n, 2), n
+        assert {type(x) for x in (*law.keys, *law.counts, law.total, law.states)} == {int}
+
+
+def test_r2_law_runs_to_the_budget_by_the_recurrence(monkeypatch):
+    # (n + 1) ceil(n / 64) terms: n = 3570 is 199,976 and n = 3571 is 200,032;
+    # the row never runs the engine nor forms a binomial coefficient per entry
+    def no_call(*args):
+        raise AssertionError("called at r = 2")
+
+    monkeypatch.setattr(exact_law, "_sum_counts", no_call)
+    monkeypatch.setattr(math, "comb", no_call)
+    law = exact_law.f_law(3570, 2)
+    assert (law.states, law.total, sum(law.counts)) == (1786, 2 ** 3570, 2 ** 3570)
+    with pytest.raises(BudgetError, match=r"^the binomial row at r=2, n=3571 needs 200032 "
+                                          r"enumerated terms"):
+        exact_law.f_law(3571, 2)
+    monkeypatch.setattr(exact_law, "accumulate", no_call)
+    with pytest.raises(BudgetError, match=f"r=2, n={2 ** 63} needs"):
+        exact_law.f_law(2 ** 63, 2)
+
+
+def test_r2_point_mass_at_zero_is_the_central_binomial_term():
+    assert point_mass_at_zero(3570, 2) == Fraction(math.comb(3570, 1785), 2 ** 3570)
+    assert point_mass_at_zero(3569, 2) == 0
+
+
+@pytest.mark.parametrize("n", [1000, 2001, 3570])
+def test_r2_exact_kolmogorov_distance_within_the_bound(n):
+    # sqrt(n) d_K is about 0.798 against the bound's 0.9496
+    from friedman_bounds.bounds import bound_kolmogorov
+    from friedman_bounds.montecarlo import distance
+
+    est = distance("kolmogorov", n, 2, "exact")
+    assert est.method == "exact-enumeration" and est.samples == n // 2 + 1
+    assert 0 < est.value <= bound_kolmogorov(n, 2)
+
+
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_array_engine_refuses_where_the_reference_does(r):
     # the first over-budget n: same message, so the same term count
@@ -540,7 +593,9 @@ def test_decomposition_does_not_depend_on_the_trial_block(monkeypatch):
         return [verify_index_decomposition(r, trials=30, seed=5) for r in (3, 4, 5, 6)]
 
     whole = reports()
-    monkeypatch.setattr(exact, "_TRIAL_BLOCK", 7)
+    # 100 words: blocks of 16 down to 1 trial (6 to 126 multisets), most of
+    # them leaving a partial block at 30 trials
+    monkeypatch.setattr(exact, "_BLOCK_WORDS", 100)
     assert reports() == whole
     # with one regrouped weight off by one, a trial fails iff its draw for that
     # multiset is nonzero, so the failure counts read the draws themselves
@@ -552,12 +607,27 @@ def test_decomposition_does_not_depend_on_the_trial_block(monkeypatch):
 
     monkeypatch.setattr(exact, "_multiset_weights", off_by_one)
     blocked = reports()
-    monkeypatch.setattr(exact, "_TRIAL_BLOCK", 1 << 16)
+    monkeypatch.setattr(exact, "_BLOCK_WORDS", 1 << 20)
     assert reports() == blocked
     counts = [e["lhs"] for rep in blocked for e in rep if "random symmetric f" in e["identity"]]
     assert all(e["status"] == "fail" for rep in blocked for e in rep
                if "random symmetric f" in e["identity"])
     assert counts != ["0 exact"] * len(counts)
+
+
+def test_identities_walk_charges_trials_only_at_the_r_that_draw(monkeypatch):
+    # at r_max = 8 every r draws: 6 x 33,334 trials is 200,004 terms; under a
+    # cap of 7! = 5040, read from exact_law, only r = 3..7 draw, and r = 8 is
+    # one term for its skip entry
+    monkeypatch.setattr(exact, "verify_index_decomposition", None)  # no r runs
+    with pytest.raises(BudgetError, match=r"r=3\.\.8 needs 200004 enumerated"):
+        exact.verify_identities(8, 33334, 0)
+    monkeypatch.setattr(exact_law, "BUDGET_CAP", 5040)
+    with pytest.raises(BudgetError, match=r"r=3\.\.8 needs 5041 enumerated"):
+        exact.verify_identities(8, 1008, 0)
+    # one trial: one term per r walked, whether it draws or skips
+    with pytest.raises(BudgetError, match=r"r=3\.\.5043 needs 5041 enumerated"):
+        exact.verify_identities(5043, 1, 0)
 
 
 def test_decomposition_is_charged_the_overlap_law_before_any_draw(monkeypatch):

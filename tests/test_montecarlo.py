@@ -17,7 +17,7 @@ from friedman_bounds.montecarlo import (RngContract, _column_sums, _l1_distance,
                                         _permutation_table, _sample_statistics, _sampler_path,
                                         _split_words, distance, estimate_kolmogorov,
                                         estimate_smooth_gap, estimate_wasserstein,
-                                        exact_kolmogorov, exact_smooth_gap, rate_experiment,
+                                        exact_kolmogorov, rate_experiment,
                                         uniform_rows)
 from friedman_bounds.testfunctions import (constant, cosine, identity, power, sine,
                                            smoothing_indicator)
@@ -511,9 +511,9 @@ def test_kolmogorov_threads_do_not_change_result():
 
 
 def test_exact_smooth_gap_examples():
-    assert exact_smooth_gap(4, 3, identity()) == pytest.approx(0.0, abs=1e-12)
-    assert exact_smooth_gap(4, 3, power(2)) == pytest.approx(1.0, abs=1e-12)
-    gap = exact_smooth_gap(8, 3, cosine(0.01))
+    assert distance("smooth", 4, 3, "exact", h=identity()).value == pytest.approx(0.0, abs=1e-12)
+    assert distance("smooth", 4, 3, "exact", h=power(2)).value == pytest.approx(1.0, abs=1e-12)
+    gap = distance("smooth", 8, 3, "exact", h=cosine(0.01)).value
     target = 0.01 ** 2 * 2 / 8
     assert abs(gap - target) <= 0.25 * target
 
@@ -530,13 +530,13 @@ def test_smooth_gap_without_a_closed_form_integrates_the_chisq_side(alpha, z):
     # 1{x <= z - alpha} <= h(x) <= 1{x <= z}
     assert chisq_cdf(ChiSquareLaw(2), z - alpha) < chisq_side < chisq_cdf(ChiSquareLaw(2), z)
     expected = abs(math.fsum(probs * h.fn(values)) - chisq_side)
-    assert exact_smooth_gap(4, 3, h) == expected
+    assert distance("smooth", 4, 3, "exact", h=h).value == expected
     est = distance("smooth", 4, 3, "auto", 2000, RngContract(seed=1), h=h)
     assert (est.value, est.method) == (expected, "exact-enumeration")
 
 
 def test_estimate_smooth_gap_brackets_exact():
-    exact_gap = exact_smooth_gap(4, 3, cosine(1.0))
+    exact_gap = distance("smooth", 4, 3, "exact", h=cosine(1.0)).value
     est = estimate_smooth_gap(4, 3, cosine(1.0), 200_000, RngContract(seed=12))
     assert abs(est.value - exact_gap) <= est.half_width + 1e-3
 
@@ -661,7 +661,7 @@ def test_release_gate_gap_below_every_applicable_bound():
     funcs = [cosine(0.5), cosine(1.0), cosine(2.0)]
     for r, n in cases:
         for h in funcs:
-            gap = exact_smooth_gap(n, r, h)
+            gap = distance("smooth", n, r, "exact", h=h).value
             norms = SmoothNorms(h.norm(1), h.norm(2), h.norm(3))
             assert gap <= bound_compact(n, r, norms), (r, n, h.label)
             assert gap <= bound_trivial(r, norms.h1), (r, n, h.label)
