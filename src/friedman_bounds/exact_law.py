@@ -42,17 +42,26 @@ states summed over (the engine's; at r = 2 the row's n//2 + 1 values of
 |q|, which are the engine's states there too).  Every exact consumer reads that record:
 the float atoms of the exact rows in ``montecarlo``, which report its
 states, the rational atoms and P(F_r = 0) in ``exact``, and the Stein
-half of the operator link in ``stein``.  law_floats is the one float view
-of the record, shared by the exact rows and the link.
+half of the operator link in ``stein``.  A sampled law in ``montecarlo`` is
+the same record: its draws' |Q|^2 keys tallied, over its samples.
+
+f_of_key is the one place a float F_r is formed, rounded once from
+|Q|^2: the observed statistic in ``ranks`` and every atom, exact or
+sampled.  law_floats is the one float view of a record, shared by every
+distance and the link: atoms through f_of_key, and masses and CDF levels
+as the counts and their integer prefix sums over the total, each rounded
+once, so the last level is 1.0.
 
 The verify entry format of every suite is owned here: _entry builds one
 entry, _count_entry a check counted over units ("N exact" against "N
 required", passing when no unit fails), and _skip_entry a check that cannot
 run at its cell, with the reason as its note.
 
-This module is small on purpose, and integer-only: `rate` and `distance
---mode exact` read the law, and the coupling and Stein suites the verify
-entry format, without loading the verifiers in ``exact`` or ``fractions``.
+This module is small on purpose, and imports only the standard library
+(numpy where a float view or the engine runs): `rate` and `distance` read
+the law and its float view, `test` the float F_r, and the coupling and
+Stein suites the verify entry format, without loading the verifiers in
+``exact`` or ``fractions``.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ from typing import NamedTuple
 
 from .errors import BudgetError, check_count
 
-__all__ = ["BUDGET_CAP", "FLaw", "all_pass", "centered_doubled", "f_law", "law_floats"]
+__all__ = ["BUDGET_CAP", "FLaw", "all_pass", "centered_doubled", "f_law", "f_of_key", "law_floats"]
 
 BUDGET_CAP = 200_000
 
@@ -199,12 +208,14 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 class FLaw(NamedTuple):
-    """The exact null law of F_r: |Q|^2 = keys[i] with probability counts[i] / total."""
+    """The null law of F_r: |Q|^2 = keys[i] with probability counts[i] / total,
+    exact from f_law, or a sampled law's tally of its draws."""
 
     keys: tuple[int, ...]  # |Q|^2 in increasing order, Q the doubled column sums
     counts: tuple[int, ...]  # exact Python ints
     total: int  # (r!)^n
     states: int  # the sorted column-sum states summed over (r = 2: n//2 + 1)
+    # a tally of draws holds float64 keys and int64 counts, and its samples as total and states
 
 
 def f_law(n: int, r: int) -> FLaw:
@@ -224,12 +235,23 @@ def f_law(n: int, r: int) -> FLaw:
     return FLaw(keys, counts, math.factorial(r) ** n, len(law))
 
 
+def f_of_key(key, n: int, r: int):
+    """F_r = 3 |Q|^2 / (r(r+1)n) of ``key`` = |Q|^2, the one place a float
+    F_r is formed.  A Python int is divided as an int, so F_r is correctly
+    rounded at any size; a float64 array elementwise, correctly rounded
+    wherever 3 |Q|^2 and r(r+1)n lie below 2**53 (at every exact cell)."""
+    return 3 * key / (r * (r + 1) * n)
+
+
 def law_floats(law: FLaw, n: int, r: int):
-    """The atoms 3 keys / (r(r+1)n) of ``law`` = f_law(n, r) and their
-    probabilities counts / total, as float arrays, each correctly rounded
-    from its exact value (Python int division, no Fraction)."""
+    """(atoms, masses, levels) of ``law``, exact or sampled, as float arrays:
+    the atoms f_of_key(keys), the masses counts / total and the CDF
+    levels the integer prefix sums of the counts over the total, each
+    rounded once from its exact value (the last level is 1.0).  Below a
+    total of 2**53 every count and prefix is an exact float64, so they divide
+    as float64 (a sampled tally's path); past it they divide as Python ints."""
     import numpy as np
 
-    values = 3.0 * np.array(law.keys) / (r * (r + 1) * n)
-    probs = np.array([c / law.total for c in law.counts])
-    return values, probs
+    counts = np.asarray(law.counts, np.int64 if law.total < 2 ** 53 else object)
+    masses, levels = (np.array(part / law.total, float) for part in (counts, np.cumsum(counts)))
+    return f_of_key(np.asarray(law.keys, float), n, r), masses, levels

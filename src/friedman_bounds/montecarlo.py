@@ -40,9 +40,12 @@ F_r sampler draws those sums by one of three paths, chosen from (r, n) alone:
 Every path sums in int64, so a sampled (r, n) whose rank total n r(r+1)/2,
 which bounds every column sum, every count and the packed path's last
 column, is past int64 is a DomainError before any draw.  So is a sample
-count past the 2**20 chunks of one stream, and then one whose float64 F
-values, which a sampled law holds and sorts, pass _SAMPLE_BYTES (2**26
-samples).
+count past the 2**20 chunks of one stream, and then one whose float64
+|Q|^2 keys, which a sampled law holds and sorts, pass _SAMPLE_BYTES (2**26
+samples).  A sample's key is the sum of its squared doubled column sums
+Q = 2 colsum - n(r+1), formed in float64: exact while n^2 r(r^2-1)/3, the
+largest |Q|^2, is below 2**53, and rounded past it, so no admitted cell is
+refused.
 
 The paths draw the same law, not the same numbers.  Where k = 1 (7 <= r <=
 12) the packed path draws the same indices as uniform_rows, so its column
@@ -60,9 +63,11 @@ concatenated in chunk order.
 Every distance reads one law of F_r as weighted atoms, and _law is the one
 place that chooses it: 'exact' reads exact_law.f_law (BudgetError past
 exact_law.BUDGET_CAP enumerated terms, raised before the engine allocates
-anything; at r = 2 one binomial row, exact to n = 3570), 'mc' draws samples,
-and 'auto' reads the exact law wherever it fits its budget and draws
-otherwise.  distance has one reader per metric on that view: the
+anything; at r = 2 one binomial row, exact to n = 3570), 'mc' tallies the
+sampled keys into the same record, exact_law.FLaw, and 'auto' reads the
+exact law wherever it fits its budget and draws otherwise.  Either record
+is read through exact_law.law_floats, so a sampled atom is the exact atom
+of its key, bit for bit.  distance has one reader per metric on that view: the
 Kolmogorov distance takes both one-sided gaps at every atom, the smooth gap
 |E h(F_r) - E h(Y)| is an fsum over the atoms, and the Wasserstein
 diagnostic (r = 2) is the exact integral of |F - CDF|.  Only a sampled law
@@ -87,6 +92,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation, chisq_tail
 from .errors import BudgetError, DomainError, check_count
+from .exact_law import FLaw, f_law, law_floats
 
 if TYPE_CHECKING:  # annotations only, so a Kolmogorov or Wasserstein call loads no test functions
     from .testfunctions import TestFunction
@@ -114,7 +120,7 @@ _PACKED_MAX_R = 12  # the split tables hold 665,280 words each at r = 12 (5.3 MB
 # 2 at r = 6 (a 4.1 MB table of 720^2 words, still cheaper than a second draw), else 1
 _BLOCK_TRIALS = {2: 16, 3: 6, 4: 3, 5: 2, 6: 2}
 _SLAB_WORDS = 1 << 22  # a call's chunks draw their rows in slabs of about this many words
-_SAMPLE_BYTES = 1 << 29  # a sampled law holds its float64 F values: 2**26 samples, 512 MiB
+_SAMPLE_BYTES = 1 << 29  # a sampled law holds its float64 |Q|^2 keys: 2**26 samples, 512 MiB
 _MULTINOMIAL_FACTOR = {3: 56, 4: 38}  # multinomial from n = c r! on, c = 30 at other r <= 9
 
 
@@ -330,7 +336,8 @@ def _column_sums(gen: np.random.Generator, size: int, n: int, r: int,
 
 def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
                        threads: int = 1) -> np.ndarray:
-    """F_r samples in fixed chunk order, reproducible for any thread count."""
+    """The |Q|^2 keys of F_r samples as float64 (exact while n^2 r(r^2-1)/3 <
+    2**53), in fixed chunk order, reproducible for any thread count."""
     n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
     samples = check_count(samples, 1000, "samples")
     if n * r * (r + 1) // 2 > np.iinfo(np.int64).max:  # bounds every column sum and count
@@ -342,16 +349,15 @@ def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
     if n_chunks > 1 << 20:  # one substream per chunk; refused before any chunk is drawn
         raise DomainError(f"{samples} samples need {n_chunks} chunks, over the 2**20 of a stream")
     if 8 * samples > _SAMPLE_BYTES:
-        raise DomainError(f"{samples} samples hold {8 * samples} bytes of float64 F values, "
+        raise DomainError(f"{samples} samples hold {8 * samples} bytes of float64 |Q|^2 keys, "
                           f"over the cap of {_SAMPLE_BYTES} (2**26 samples)")
     sizes = [min(_CHUNK, samples - i * _CHUNK) for i in range(n_chunks)]
-    scale = 12.0 / (r * (r + 1) * n)
     workers = min(threads, n_chunks)
 
     def one_chunk(index: int) -> np.ndarray:
         colsum = _column_sums(rng.substream(index).generator(), sizes[index], n, r, workers)
-        centered = colsum - n * (r + 1) / 2.0
-        return scale * (centered * centered).sum(axis=1)
+        # |Q|^2 with Q in float64, as 2 colsum may pass int64 at r = 2
+        return np.square(2.0 * colsum - n * (r + 1)).sum(axis=1)
 
     parts: list = [None] * n_chunks
     errors: dict[int, BaseException] = {}
@@ -389,33 +395,28 @@ def _law(n: int, r: int, mode: str, samples: int | None, rng: RngContract | None
     """The law of F_r as weighted atoms: (atoms, masses, levels, count, method).
 
     The atoms are sorted, masses are their probabilities and levels the law's
-    CDF at each atom.  mode 'exact' reads exact_law.f_law (BudgetError beyond
-    its budget: at r = 2 past n = 3570, where the law is one binomial row,
-    and from r = 3 on past the convolution's terms): atoms and masses each
-    correctly rounded from the exact value, levels their running sum, count
-    the law's states (FLaw.states).  'mc' draws ``samples`` values: atoms and
-    counts from np.unique, masses and levels the counts and their running
-    sum over ``samples``, count the samples.  'auto' reads the exact law and
-    falls back to drawing on BudgetError, so at r = 2 it is exact to
-    n = 3570 and draws from n = 3571 on.
+    CDF at each atom, all read through exact_law.law_floats.  mode 'exact'
+    reads exact_law.f_law (BudgetError beyond its budget: at r = 2 past
+    n = 3570, where the law is one binomial row, and from r = 3 on past the
+    convolution's terms), and count is the law's states (FLaw.states).  'mc'
+    draws ``samples`` keys and tallies them by np.unique into the same
+    record, FLaw(keys, counts, samples, samples), so count is the samples.
+    'auto' reads the exact law and falls back to drawing on BudgetError, so
+    at r = 2 it is exact to n = 3570 and draws from n = 3571 on.
     """
     if mode not in ("exact", "mc", "auto"):
         raise DomainError(f"unknown mode {mode!r}")
-    if mode != "mc":
-        from .exact_law import f_law, law_floats
-
-        try:
-            law = f_law(n, r)
-        except BudgetError:
-            if mode == "exact":
-                raise
-        else:
-            atoms, masses = law_floats(law, n, r)
-            return atoms, masses, np.cumsum(masses), law.states, "exact-enumeration"
-    draws = _sample_statistics(n, r, samples, rng, threads=threads)
-    atoms, counts = np.unique(draws, return_counts=True)
-    size = draws.size  # the samples, as a Python int
-    return atoms, counts / size, np.cumsum(counts) / size, size, "monte-carlo"
+    try:
+        law = None if mode == "mc" else f_law(n, r)
+    except BudgetError:
+        if mode == "exact":
+            raise
+        law = None
+    method = "monte-carlo" if law is None else "exact-enumeration"
+    if law is None:  # a tally, whose total and states are its samples (a Python int)
+        draws = _sample_statistics(n, r, samples, rng, threads=threads)
+        law = FLaw(*np.unique(draws, return_counts=True), draws.size, draws.size)
+    return (*law_floats(law, n, r), law.states, method)
 
 
 def _l1_distance(atoms: np.ndarray, levels: np.ndarray, p: int) -> float:
@@ -475,7 +476,7 @@ def distance(metric: str, n: int, r: int, mode: str = "mc", samples: int | None 
     sampled = method == "monte-carlo"
     if metric == "kolmogorov":
         cdf = chisq_cdf_array(ChiSquareLaw(r - 1), atoms)
-        value = float(np.max(np.maximum(levels - cdf, cdf - (levels - masses))))
+        value = float(np.max(np.maximum(levels - cdf, cdf - np.append(0.0, levels[:-1]))))
         half = _dkw_half_width(count) if sampled else 0.0
     elif metric == "smooth":
         hv = h.fn(atoms)
@@ -519,22 +520,24 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
                     samples: int = 1_000_000, rng: RngContract = RngContract(seed=0),
                     threads: int = 1) -> list[dict]:
     """Gap-versus-bound table across n, one smooth distance per n (modes as in _law;
-    the row for n samples substream n of ``rng``, so every n is below 2**20,
-    which is checked before any row is computed).
+    in a mode that can draw, the row for n samples substream n of ``rng``, so
+    every n is below 2**20, which is checked before any row is computed;
+    'exact' draws nothing, and its law's own budget refuses a large n).
 
     Each row records the gap, n*gap, the applicable smooth bounds, and
     whether the gap stays below the selected bound (None when no smooth
     bound applies to this h).
     """
     n_list = [check_count(n, 1, "n") for n in n_list]
-    for n in n_list:  # before any row is computed
-        if n >= 2 ** 20:
-            raise DomainError(f"the row for n draws from substream n, so n must be "
-                              f"below 2**20, got n={n}")
+    draws = mode != "exact"
+    if draws and max(n_list) >= 2 ** 20:  # before any row is computed
+        raise DomainError(f"the row for n draws from substream n, so n must be "
+                          f"below 2**20, got n={max(n_list)}")
     norms = bounds_mod.SmoothNorms(h1=h.norm(1), h2=h.norm(2), h3=h.norm(3))
     rows = []
     for n in n_list:
-        est = distance("smooth", n, r, mode, samples, rng.substream(n), threads, h)
+        est = distance("smooth", n, r, mode, samples, rng.substream(n) if draws else None,
+                       threads, h)
         report = bounds_mod.bound_report(n, r, norms)
         ok = None if report.selected is None else est.within(report.selected)
         rows.append({

@@ -4,12 +4,14 @@ The data model: ``n`` independent trials each rank ``r`` treatments, so row
 ``i`` of a rank matrix is a permutation ``pi_i`` of ``{1, ..., r}``.  The
 statistic depends on the matrix only through its column sums: with centered
 ranks ``rho_i(j) = pi_i(j) - (r+1)/2``, the doubled column sums
-``2 sum_i rho_i(j) = 2 sum_i pi_i(j) - n(r+1)`` are exact integers, and
+``Q_j = 2 sum_i rho_i(j) = 2 sum_i pi_i(j) - n(r+1)`` are exact integers, and
 floating point enters only in the standardized scores
 
     S_j = sqrt(12 / (r (r+1) n)) * sum_i rho_i(j),
 
-and the Friedman statistic ``F_r = sum_j S_j**2``.  A CSV goes from the file
+and in the Friedman statistic ``F_r = sum_j S_j**2 = 3 |Q|^2 / (r (r+1) n)``,
+which ``exact_law.f_of_key`` rounds once from the Python-int ``|Q|^2``,
+as it rounds every atom of the exact and sampled laws.  A CSV goes from the file
 to ``F_r`` without a Python loop over its rows: one ``np.loadtxt`` parse of
 the file past its header, one column sum, and between them, for scores, one
 ``argsort`` whose ordered view also finds ties, or, for ranks, one row sort
@@ -31,6 +33,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, ParseError, TieError, check_count
+from .exact_law import f_of_key
 
 __all__ = [
     "RankMatrix",
@@ -131,12 +134,13 @@ def ranks_from_scores(scores) -> RankMatrix:
 
 
 def friedman_statistic(ranks: RankMatrix) -> ScoreVector:
-    """Standardized column sums S_j and the statistic F_r = sum_j S_j^2."""
+    """Standardized column sums S_j and the statistic F_r = sum_j S_j^2, the
+    latter rounded once from the integer |Q|^2 (exact_law.f_of_key)."""
     n, r = ranks.n, ranks.r
     scale = math.sqrt(12.0 / (r * (r + 1) * n))
     col = 2 * ranks.ranks.sum(axis=0) - n * (r + 1)  # exact integers, = 2 * sum_i rho_i(j)
     s = scale * (col / 2.0)
-    return ScoreVector(s=_frozen(s), f_r=float(np.dot(s, s)), n=n, r=r)
+    return ScoreVector(s=_frozen(s), f_r=f_of_key(sum(q * q for q in col.tolist()), n, r), n=n, r=r)
 
 
 def theoretical_covariance(r: int) -> np.ndarray:

@@ -310,7 +310,7 @@ def verify_operator_link(r: int, n: int, h: TestFunction) -> dict:
     built.  Both numbers must be within 1e-5.
     """
     p = r - 1
-    values, probs = law_floats(f_law(n, r), n, r)
+    values, probs, _ = law_floats(f_law(n, r), n, r)
     sol = SteinSolution(p, h)
     # The atom F = 0 needs f'(0+), realized by x = 1e-9: there F f'' drops out
     # and the chi-square generator is (r-1) f'(0)/2.

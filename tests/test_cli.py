@@ -325,6 +325,25 @@ def test_cmd_distance_golden_stdout(capsys, argv, stdout):
     assert out == stdout
 
 
+# W1(F_2, chi-square(1)) by mpmath at 30 digits: exact rational levels
+# prefix / 2^n over the binomial row, and on each step [a, b) with level c one
+# quadrature of |c - G| split at the crossing G^{-1}(c) = 2 erfinv(c)^2
+# (G the chi-square(1) CDF), plus the tail past the last atom; the closed
+# form int_0^z G = z G(z) - G_3(z) gives the same 17 digits
+EXACT_W1 = [(631, 0.031779393706202871), (3570, 0.013354405337231749)]
+
+
+@pytest.mark.parametrize("n, reference", EXACT_W1)
+def test_cmd_exact_wasserstein_is_within_1e_14_of_mpmath(capsys, n, reference):
+    # levels formed as a float running sum of the masses drift from their
+    # exact values, which once put n = 3570 7.7e-13 off
+    code, out, _ = run(capsys, "distance", "--mode", "exact", "--metric", "wasserstein",
+                       "--r", "2", "--n", str(n))
+    row = json.loads(out)
+    assert code == 0 and row["method"] == "exact-enumeration"
+    assert abs(row["estimate"] - reference) <= 1e-14
+
+
 ONE_TRIAL = [  # F_3 = 2 and F_2 = 1 with probability 1 at n = 1, so each distance is closed form
     (("--metric", "kolmogorov", "--r", "3"), 1.0 - math.exp(-1.0)),
     (("--metric", "cos", "--r", "3"), abs(math.cos(2.0) - 0.2)),  # E cos(Y_2) = Re 1/(1 - 2i)
@@ -409,7 +428,9 @@ def test_results_golden_stdout(capsys, monkeypatch):
     # it became the engine's state count, and the operator-link lhs when its
     # covariance half became a check on one trial's rows; the r = 2 exact
     # Wasserstein and auto rate lines before f_law read r = 2 off one
-    # binomial row instead of the sorted-state engine.  The `test` lines,
+    # binomial row instead of the sorted-state engine, and that Wasserstein
+    # line again when exact CDF levels became prefix sums over the total
+    # rather than a float running sum.  The `test` lines,
     # with their stderr, were pinned before rank files got an integer parse
     # and scores a plain argsort; their CSVs sit next to the golden file.
     golden = Path(__file__).parent / "golden"
@@ -646,6 +667,14 @@ def test_cmd_rate_n_past_the_substreams_is_refused_before_any_row(capsys, monkey
     assert f"below 2**20, got n={2 ** 20}" in err
 
 
+def test_cmd_rate_exact_takes_any_n_to_the_law_budget(capsys):
+    # exact mode draws nothing, so no substream bound applies: once this n was
+    # refused with "the row for n draws from substream n"
+    code, out, err = run(capsys, "rate", "--mode", "exact", "--r", "3", "--n", str(2 ** 20))
+    assert code == 2 and out == ""
+    assert f"r=3, n={2 ** 20}" in err and "substream" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "identities", "--r-max", "1800", "--trials", "1"),
     ("verify", "--suite", "coupling", "--r-max", "1700", "--n-max", "1"),
@@ -684,7 +713,7 @@ def test_extreme_counts_are_one_usage_error_before_any_work(capsys, monkeypatch,
     # it, and the verify suites a walk over r, n, p or trials past the budget
     # (a count past 2**256, whose digits would pass Python's print limit at
     # r = 10**900, is named as such); 2**34 samples fit the 2**20 chunks of a
-    # stream, but their F values would hold 128 GiB
+    # stream, but their |Q|^2 keys would hold 128 GiB
     def no_chunk(*args):
         raise AssertionError("a chunk was drawn")
 
@@ -853,15 +882,17 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv, monkeypat
     # chisq_expectation is imported where it runs, so ingest loads no test functions
     assert not loads(loaded[calls[0]], "friedman_bounds.testfunctions")
     assert loads(loaded[calls[-1]], "friedman_bounds.testfunctions")
-    # a Monte Carlo distance runs no exact law, executor or quadrature, also
-    # where its chunks run on worker threads (40,000 samples are three chunks)
+    # a Monte Carlo distance runs no verifier, executor or quadrature, also
+    # where its chunks run on worker threads (40,000 samples are three chunks);
+    # it reads its tally through exact_law's float view, which imports only
+    # the standard library
     threaded = ("distance", "--r", "3", "--n", "5", "--samples", "40000")
     mc_distance = calls[1:3] + (("distance", "--metric", "cos", "--r", "4", "--n", "6",
                                  "--samples", "2000"), threaded)
     for argv in mc_distance:
         modules = loaded.get(argv) or modules_loaded_by(*argv)
-        for name in ("friedman_bounds.exact", "friedman_bounds.exact_law", "fractions",
-                     "concurrent.futures", "numpy.polynomial"):
+        for name in ("friedman_bounds.exact", "fractions", "concurrent.futures",
+                     "numpy.polynomial"):
             assert not loads(modules, name), (argv, name)
     # test functions are loaded by the calls that evaluate one: not by a
     # Kolmogorov or Wasserstein distance, sampled or exact

@@ -4,7 +4,8 @@ import math
 import threading
 import time
 import tracemalloc
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import accumulate, combinations, permutations
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from friedman_bounds import (BudgetError, ChiSquareLaw, DomainError, RankMatrix,
                              bound_kolmogorov, chisq_cdf, chisq_expectation, exact_law,
                              montecarlo)
+from friedman_bounds.chisq import chisq_cdf_array
 from friedman_bounds.exact import exact_f_distribution
 from friedman_bounds.montecarlo import (RngContract, _column_sums, _l1_distance, _law,
                                         _permutation_table, _sample_statistics, _sampler_path,
@@ -183,9 +185,10 @@ def test_sampler_path_matches_exact_law(path, r, n, seed):
     # chi-square goodness of fit of the sampled atoms against the exact law
     assert _sampler_path(r, n) == path
     draws = 200_000
-    values = _sample_statistics(n, r, draws, RngContract(seed=seed))
-    # F_r * r(r+1)n/3 = 4 * sum of squared centered column sums, an integer
-    keys = np.rint(values * (r * (r + 1) * n / 3.0)).astype(np.int64)
+    # the sampled keys are |Q|^2 = F_r r(r+1)n/3, integers held exactly in float64
+    keys = _sample_statistics(n, r, draws, RngContract(seed=seed))
+    assert np.array_equal(keys, np.rint(keys))
+    keys = keys.astype(np.int64)
     atoms = exact_f_distribution(n, r)
     atom_keys = []
     for atom, _ in atoms:
@@ -214,7 +217,7 @@ def test_sampler_path_matches_exact_law(path, r, n, seed):
 def assert_f_moments(r, n, seed):
     # no exact law: z-tests of E[F_r] = r - 1 and Var(F_r) = 2(r-1)(1-1/n)
     draws = 100_000
-    values = _sample_statistics(n, r, draws, RngContract(seed=seed))
+    values = exact_law.f_of_key(_sample_statistics(n, r, draws, RngContract(seed=seed)), n, r)
     mean_target = r - 1.0
     var_target = 2.0 * (r - 1) * (1.0 - 1.0 / n)
     mean = float(values.mean())
@@ -385,7 +388,7 @@ def test_samples_past_the_substreams_are_refused_before_any_draw(samples, monkey
 @pytest.mark.parametrize("samples", [2 ** 26 + 1, 2 ** 34])
 def test_samples_past_the_byte_cap_are_refused_before_any_draw(samples, monkeypatch):
     # they fit the 2**20 chunks of a stream, but a sampled law holds every
-    # float64 F value: 2**34 of them would be 128 GiB
+    # float64 |Q|^2 key: 2**34 of them would be 128 GiB
     def no_draw(*args):
         raise AssertionError("a chunk was drawn")
 
@@ -442,9 +445,9 @@ def test_wasserstein_integral_matches_scipy_formula(n):
     # the reference subtracts numbers of size z in z F_p - p F_{p+2}, so at n = 400 it
     # carries most of the 7e-13 relative difference; its ECDF is built from the draws
     # here, and the sampled law's from the same draws inside distance
-    values = _sample_statistics(n, 2, 100_000, RngContract(seed=n))
-    uniq, counts = np.unique(values, return_counts=True)
-    reference = scipy_l1_distance(uniq, np.cumsum(counts) / values.size, 1)
+    keys = _sample_statistics(n, 2, 100_000, RngContract(seed=n))
+    uniq, counts = np.unique(keys, return_counts=True)
+    reference = scipy_l1_distance(exact_law.f_of_key(uniq, n, 2), np.cumsum(counts) / keys.size, 1)
     est = distance("wasserstein", n, 2, "mc", 100_000, RngContract(seed=n))
     assert est.value == pytest.approx(reference, rel=1e-12)
 
@@ -572,17 +575,48 @@ def test_exact_rows_report_the_states_summed():
                                                 for n in (2, 32)] == [5, 545]
 
 
-@pytest.mark.parametrize("r, n", [(2, 1), (2, 200), (3, 32), (4, 5), (5, 3), (6, 3), (7, 1)])
+@pytest.mark.parametrize("r, n", [(2, 1), (2, 200), (3, 32), (3, 50), (4, 5), (5, 3), (6, 3),
+                                  (7, 1)])
 def test_exact_row_floats_are_the_rounded_rational_atoms(r, n):
-    # the atoms and masses of the exact law every exact row reads are float() of
-    # the exact rationals, bit for bit, also where counts pass 2^63 (r = 3, n = 32),
-    # its levels their running sum and its count the engine's states
+    # the atoms, masses and CDF levels of the exact law every exact row reads are
+    # float() of the exact rationals, bit for bit, also where counts pass 2^63
+    # (r = 3, n = 32), so the last level is 1.0 (a float running sum of the
+    # masses ended at 0.9999999999999992 at r = 3, n = 50); its count is the
+    # engine's states
     atoms, masses, levels, count, method = _law(n, r, "exact", None, None)
     exact = exact_f_distribution(n, r)
     assert atoms.tolist() == [float(a) for a, _ in exact]
     assert masses.tolist() == [float(p) for _, p in exact]
-    assert levels.tolist() == np.cumsum(masses).tolist()
-    assert (count, method) == (exact_law.f_law(n, r).states, "exact-enumeration")
+    law = exact_law.f_law(n, r)
+    prefix = list(accumulate(law.counts))
+    assert levels.tolist() == [float(Fraction(c, law.total)) for c in prefix]
+    assert levels[-1] == 1.0
+    assert (count, method) == (law.states, "exact-enumeration")
+
+
+@pytest.mark.parametrize("r, n", [(3, 3), (3, 5), (3, 50), (2, 3570)])
+def test_exact_kolmogorov_reads_both_sides_at_rounded_prefix_levels(r, n):
+    # the CDF just below an atom is the previous prefix over the total, rounded
+    # once, not the level minus the mass (one ulp off at 89 of 558 atoms at
+    # r = 3, n = 50, which moved d_K in its last digit at r = 3, n = 3 and 5)
+    law = exact_law.f_law(n, r)
+    atoms = exact_law.law_floats(law, n, r)[0]
+    cdf = chisq_cdf_array(ChiSquareLaw(r - 1), atoms)
+    levels = [float(Fraction(c, law.total)) for c in accumulate(law.counts, initial=0)]
+    gaps = [max(a - g, g - b) for a, b, g in zip(levels[1:], levels, cdf.tolist())]
+    assert exact_kolmogorov(n, r).value == max(gaps)
+
+
+@pytest.mark.parametrize("r, n", [(4, 5), (5, 4), (6, 3), (3, 50), (2, 400)])
+def test_every_sampled_atom_is_an_exact_atom_bit_for_bit(r, n):
+    # a sampled law and the exact one read their |Q|^2 keys through one float
+    # view, so each sampled atom is the exact law's atom of the same key (once
+    # 12/(r(r+1)n) times the centered sum of squares put 11 of 45 sampled
+    # atoms one ulp off at r = 4, n = 5)
+    atoms = _law(n, r, "mc", 200_000, RngContract(seed=r * n))[0]
+    exact = exact_law.law_floats(exact_law.f_law(n, r), n, r)[0]
+    assert np.isin(atoms.view(np.int64), exact.view(np.int64)).all()
+    assert len(atoms) > 10
 
 
 def test_wasserstein_below_prop_bound():

@@ -89,20 +89,22 @@ def test_ab_calls_needs_a_round(ab_calls, capsys, rounds):
 def test_ab_calls_times_one_call_on_both_trees(ab_calls, capsys):
     root = str(TOOL.parents[1])
     assert ab_calls.main(["--rounds", "2", root, root, "--", "bounds", "--n", "5", "--r", "3"]) == 0
-    header, *rows, bare = capsys.readouterr().out.splitlines()
-    assert header.split() == ["tree", "wall_s", "in_call_s", "cpu_s", "codes"]
+    header, *rows, bare, wins = capsys.readouterr().out.splitlines()
+    assert header.split() == ["tree", "wall_s", "q1", "q3", "in_call_s", "q1", "q3",
+                              "cpu_s", "q1", "q3", "codes"]
     assert [row.split()[:2] for row in rows] == [["A", root], ["B", root]]
     for row in rows:
-        wall, in_call, cpu, codes = row.split()[2:]
+        wall, _, _, in_call, _, _, cpu, _, _, codes = row.split()[2:]
         assert 0 < float(in_call) < float(wall) and codes == "[0]"
         # the child's own CPU time, not the parent's nor an earlier child's: an
         # interpreter start costs some, and `bounds` runs on one thread
         assert 0 < float(cpu) < 2 * float(wall)
     # the third row is the interpreter's start-up alone, timed in the same rounds
     assert bare.split()[:4] == ["bare", "python3", "-c", "pass"]
-    wall, in_call, cpu, codes = bare.split()[4:]
+    wall, _, _, in_call, _, _, cpu, _, _, codes = bare.split()[4:]
     assert in_call == "-" and codes == "[0]"
     assert 0 < float(wall) and 0 < float(cpu) < 2 * float(wall)
+    assert wins.startswith("B below A in whole-call wall time: ") and wins.endswith(" of 2 rounds")
 
 
 def make_tree(path: Path, init: str = "") -> str:
@@ -124,8 +126,37 @@ def test_ab_calls_alternates_the_trees_and_the_bare_start(ab_calls, monkeypatch,
     ta, tb = make_tree(tmp_path / "ta"), make_tree(tmp_path / "tb")
     assert ab_calls.main(["--rounds", "3", ta, tb, "--", "bounds"]) == 0
     assert order == [ta, tb, None, None, tb, ta, ta, tb, None]
-    bare = capsys.readouterr().out.splitlines()[-1]
-    assert bare.split() == ["bare", "python3", "-c", "pass", "0.5000", "-", "0.5000", "[0]"]
+    bare = capsys.readouterr().out.splitlines()[-2]
+    assert bare.split() == ["bare", "python3", "-c", "pass", "0.5000", "0.5000", "0.5000",
+                            "-", "-", "-", "0.5000", "0.5000", "0.5000", "[0]"]
+
+
+def test_ab_calls_prints_quartiles_and_the_rounds_b_won(ab_calls, monkeypatch, capsys,
+                                                         tmp_path):
+    # the gain rule reads off one run: B's wins over the paired rounds (a tie
+    # counts for neither) and each tree's quartiles next to its median
+    ta, tb = make_tree(tmp_path / "ta"), make_tree(tmp_path / "tb")
+    walls = {ta: iter([1.0, 2.0, 3.0, 4.0, 5.0]), tb: iter([0.5, 2.0, 2.5, 3.0, 6.0]),
+             None: iter([0.1] * 5)}
+
+    def one_call(tree, argv):
+        wall = next(walls[tree])
+        return wall, (wall / 2 if tree else math.nan), 2 * wall, 0
+
+    monkeypatch.setattr(ab_calls, "one_call", one_call)
+    assert ab_calls.main(["--rounds", "5", ta, tb, "--", "bounds"]) == 0
+    header, a, b, bare, wins = capsys.readouterr().out.splitlines()
+    # inclusive quartiles of 1..5 are 2 and 4; of 0.5, 2, 2.5, 3, 6 they are 2 and 3
+    assert a.split()[2:] == ["3.0000", "2.0000", "4.0000", "1.5000", "1.0000", "2.0000",
+                             "6.0000", "4.0000", "8.0000", "[0]"]
+    assert b.split()[2:5] == ["2.5000", "2.0000", "3.0000"]
+    assert wins == "B below A in whole-call wall time: 3 of 5 rounds"
+
+
+def test_ab_calls_quartiles_of_one_round_are_its_value(ab_calls):
+    # statistics.quantiles needs two values; one round is its own median and quartiles
+    assert ab_calls.quartiles([0.25]) == (0.25, 0.25, 0.25)
+    assert ab_calls.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
 
 
 def test_ab_calls_bare_start_imports_no_tree(ab_calls, monkeypatch):

@@ -6,11 +6,17 @@ Each round runs ``friedman_bounds.cli.main(ARGV)`` once with TREE_A/src and
 once with TREE_B/src on the path, in a new interpreter each time, and once a
 bare ``python3 -c pass`` by the same interpreter, in the caller's environment
 with neither tree on the path; the order of the three reverses between
-rounds, so drift in the machine's speed falls on all of them.  Per tree it prints the median whole-call wall time
-(interpreter start to exit), the median in-call time (``main`` alone, its
-imports included) and the median CPU time (the interpreter's user plus
-system seconds, all threads), over the rounds, and the exit codes ``main``
-returned.  The bare row has no in-call time: its wall and CPU times are the
+rounds, so drift in the machine's speed falls on all of them.  Per tree it
+prints the median whole-call wall time (interpreter start to exit), the
+median in-call time (``main`` alone, its imports included) and the median
+CPU time (the interpreter's user plus system seconds, all threads), each
+followed by its lower and upper quartile over the rounds
+(``statistics.quantiles``, inclusive method), and the exit codes ``main``
+returned.  A last line counts the rounds in which TREE_B's whole-call wall
+time was below TREE_A's (a tie counts for neither), so a gain claimed for
+TREE_B reads off one run: B wins in at least nine tenths of the rounds,
+and the medians differ by more than A's q3 - q1.  The bare row has no
+in-call time: its wall and CPU times are the
 interpreter's start-up alone, the floor under both trees' whole-call times,
 which moves with the machine from one session to the next.  A change that
 moves work onto more threads trades CPU time for wall time, so both are
@@ -71,6 +77,14 @@ def one_call(tree: str | None, argv: list[str]) -> tuple[float, float, float, in
     return wall, float(in_call), cpu, int(code)
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3) of ``values``; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
 def main(args: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=12)
@@ -87,13 +101,22 @@ def main(args: list[str]) -> int:
     for i in range(ns.rounds):
         for side in ((0, 1, 2) if i % 2 == 0 else (2, 1, 0)):
             runs[side].append(one_call(trees[side], ns.argv))
-    print(f"{'tree':<40} {'wall_s':>8} {'in_call_s':>10} {'cpu_s':>8}  codes")
+    names = ("wall_s", "in_call_s", "cpu_s")
+    print(f"{'tree':<40}" + "".join(f" {name:>10} {'q1':>7} {'q3':>7}" for name in names)
+          + "  codes")
     for label, tree, side in zip(["A", "B", "bare"], trees, runs):
         wall, in_call, cpu, codes = zip(*side)
         label += " " + (BARE if tree is None else tree)
-        in_call_s = "-" if tree is None else f"{statistics.median(in_call):.4f}"
-        print(f"{label:<40} {statistics.median(wall):>8.4f} {in_call_s:>10} "
-              f"{statistics.median(cpu):>8.4f}  {sorted(set(codes))}")
+        cells = ""
+        for values in (wall, in_call, cpu):
+            if math.isnan(values[0]):  # the bare row's in-call time
+                cells += f" {'-':>10} {'-':>7} {'-':>7}"
+            else:
+                q1, median, q3 = quartiles(list(values))
+                cells += f" {median:>10.4f} {q1:>7.4f} {q3:>7.4f}"
+        print(f"{label:<40}{cells}  {sorted(set(codes))}")
+    wins = sum(b[0] < a[0] for a, b in zip(runs[0], runs[1]))
+    print(f"B below A in whole-call wall time: {wins} of {ns.rounds} rounds")
     return 0
 
 
