@@ -10,11 +10,10 @@ Subcommands:
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 input/IO error,
 141 stdout closed by its reader before the output was written (quietly).
 Identical invocations (same flags, same seed) produce byte-identical output;
---threads and the FRIEDMAN_BOUNDS_THREADS environment variable that caps it
-(each an integer >= 1, else a usage error) never affect any result.  The
-Monte Carlo work of `distance` and `rate` runs on as many threads as the
-process has CPUs to run on, unless --threads or the variable says fewer;
-the variable is read only by a call that may draw.
+--threads (an integer >= 1, else a usage error) never affects any result.
+The Monte Carlo work of `distance` and `rate` runs on --threads threads, or
+without it on as many as the process has CPUs to run on; no environment
+variable sets that count.
 Each handler imports the modules it runs, so `bounds` loads no numpy.  No
 subcommand loads scipy: the package imports numpy only, and its chi-square
 tail is a closed form (see ``chisq``).  A flag that a call would ignore, such
@@ -62,23 +61,14 @@ def _dump(obj) -> str:
 
 
 def _thread_cap(requested: int | None) -> int:
-    """--threads, or without it the CPUs this process may run on, capped by
-    FRIEDMAN_BOUNDS_THREADS."""
-    if requested is None:
-        try:
-            requested = len(os.sched_getaffinity(0))
-        except AttributeError:  # no sched_getaffinity on this platform
-            requested = os.cpu_count() or 1
-    cap = os.environ.get("FRIEDMAN_BOUNDS_THREADS")
-    if cap is not None:
-        try:
-            limit = int(cap)
-        except ValueError:
-            limit = 0
-        if limit < 1:
-            raise DomainError(f"FRIEDMAN_BOUNDS_THREADS must be an integer >= 1, got {cap!r}")
-        requested = min(requested, limit)
-    return requested
+    """--threads, or without it the CPUs this process may run on (which
+    honours taskset and cgroup cpusets)."""
+    if requested is not None:
+        return requested
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _frequency(t: float | None, uses_t: bool, flags: str) -> float:
@@ -205,16 +195,14 @@ def _cmd_verify(args) -> int:
 
 def _sampling(args):
     """(samples, rng, threads) of --samples, --seed and --threads; with --mode
-    exact, which draws nothing, giving any of them is a usage error, and the
-    thread count is not resolved."""
+    exact, which draws nothing, giving any of them is a usage error."""
     from .montecarlo import RngContract
 
     given = [f"--{k}" for k in ("samples", "seed", "threads") if vars(args)[k] is not None]
     if args.mode == "exact" and given:
         raise DomainError(f"--mode exact draws nothing, so {', '.join(given)} would be ignored")
     samples = 1_000_000 if args.samples is None else args.samples
-    threads = 1 if args.mode == "exact" else _thread_cap(args.threads)
-    return samples, RngContract(seed=args.seed or 0), threads
+    return samples, RngContract(seed=args.seed or 0), _thread_cap(args.threads)
 
 
 def _cmd_distance(args) -> int:
@@ -276,6 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="friedman-bounds",
         description="Friedman's chi-square test with explicit approximation-error bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
+    sampling = argparse.ArgumentParser(add_help=False)  # the flags of distance and rate
+    sampling.add_argument("--samples", type=int, help="Monte Carlo draws (default 1000000)")
+    sampling.add_argument("--seed", type=int, help="Philox key word (default 0)")
+    sampling.add_argument("--threads", type=int, help="sampling threads (default: the usable CPUs)")
 
     p_test = sub.add_parser("test", help="run the rank test on a CSV file")
     p_test.add_argument("input", help="CSV path: rows are trials, columns treatments")
@@ -299,27 +291,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p_verify.add_argument(f"--{flag.replace('_', '-')}", type=int, help=f"default {default}")
     p_verify.set_defaults(fn=_cmd_verify)
 
-    p_dist = sub.add_parser("distance", help="distance estimate gated on its bound")
+    p_dist = sub.add_parser("distance", parents=[sampling],
+                            help="distance estimate gated on its bound")
     p_dist.add_argument("--r", type=int, required=True)
     p_dist.add_argument("--n", type=int, required=True)
     p_dist.add_argument("--metric", choices=("kolmogorov", "cos", "wasserstein"),
                         default="kolmogorov")
     p_dist.add_argument("--mode", choices=("exact", "mc"), default="mc")
-    p_dist.add_argument("--samples", type=int, help="Monte Carlo draws (default 1000000)")
-    p_dist.add_argument("--seed", type=int, help="Philox key word (default 0)")
     p_dist.add_argument("--t", type=float, help="cos frequency (default 1)")
-    p_dist.add_argument("--threads", type=int, help="sampling threads (default: the usable CPUs)")
     p_dist.set_defaults(fn=_cmd_distance)
 
-    p_rate = sub.add_parser("rate", help="gap-versus-bound table across n")
+    p_rate = sub.add_parser("rate", parents=[sampling],
+                            help="gap-versus-bound table across n")
     p_rate.add_argument("--r", type=int, required=True)
     p_rate.add_argument("--h", choices=("x", "x2", "cos", "sin"), default="x2")
     p_rate.add_argument("--t", type=float, help="cos or sin frequency (default 1)")
     p_rate.add_argument("--n", type=str, required=True, help="comma-separated trial counts")
     p_rate.add_argument("--mode", choices=("auto", "exact", "mc"), default="auto")
-    p_rate.add_argument("--samples", type=int, help="Monte Carlo draws (default 1000000)")
-    p_rate.add_argument("--seed", type=int, help="Philox key word (default 0)")
-    p_rate.add_argument("--threads", type=int, help="sampling threads (default: the usable CPUs)")
     p_rate.set_defaults(fn=_cmd_rate)
     return parser
 

@@ -524,6 +524,12 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
     every n is below 2**20, which is checked before any row is computed;
     'exact' draws nothing, and its law's own budget refuses a large n).
 
+    Rows are computed once per distinct n, from the largest down, and
+    returned in the order of ``n_list``.  At fixed r each exact source's price grows with n (the
+    engine's states grow with every trial, and the binomial row charges
+    (n+1) ceil(n/64)), so an n past the budget is refused before any other
+    row is built.  No row depends on another: each reads its own substream.
+
     Each row records the gap, n*gap, the applicable smooth bounds, and
     whether the gap stays below the selected bound (None when no smooth
     bound applies to this h).
@@ -534,13 +540,13 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
         raise DomainError(f"the row for n draws from substream n, so n must be "
                           f"below 2**20, got n={max(n_list)}")
     norms = bounds_mod.SmoothNorms(h1=h.norm(1), h2=h.norm(2), h3=h.norm(3))
-    rows = []
-    for n in n_list:
+    rows = {}
+    for n in sorted(set(n_list), reverse=True):
         est = distance("smooth", n, r, mode, samples, rng.substream(n) if draws else None,
                        threads, h)
         report = bounds_mod.bound_report(n, r, norms)
         ok = None if report.selected is None else est.within(report.selected)
-        rows.append({
+        rows[n] = {
             "n": n,
             "r": r,
             "h": h.label,
@@ -554,5 +560,5 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
             "bound_trivial": report.trivial,
             "bound_selected": report.selected,
             "gap_below_bound": ok,
-        })
-    return rows
+        }
+    return [rows[n] for n in n_list]

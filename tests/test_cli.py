@@ -675,6 +675,29 @@ def test_cmd_rate_exact_takes_any_n_to_the_law_budget(capsys):
     assert f"r=3, n={2 ** 20}" in err and "substream" not in err
 
 
+def test_cmd_rate_refuses_an_over_budget_exact_n_before_any_other_row(capsys, monkeypatch):
+    # rows are built from the largest n down: once n = 2 and 4 were built first
+    real, built = montecarlo.f_law, []
+
+    def f_law(n, r):
+        built.append(n)
+        return real(n, r)
+
+    monkeypatch.setattr(montecarlo, "f_law", f_law)
+    code, out, err = run(capsys, "rate", "--mode", "exact", "--r", "3", "--h", "x2",
+                         "--n", "2,4,60")
+    assert (code, out, built) == (2, "", [60]) and "r=3, n=60" in err
+
+
+def test_cmd_rate_auto_is_exact_to_n_57_at_r_3(capsys):
+    # f_law(58, 3) needs 200,268 terms, past the budget
+    code, out, _ = run(capsys, "rate", "--mode", "auto", "--r", "3", "--h", "x2",
+                       "--n", "57,58", "--samples", "1000", "--seed", "1")
+    assert code == 0
+    assert [json.loads(line)["method"] for line in out.splitlines()] == [
+        "exact-enumeration", "monte-carlo"]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "identities", "--r-max", "1800", "--trials", "1"),
     ("verify", "--suite", "coupling", "--r-max", "1700", "--n-max", "1"),
@@ -730,16 +753,6 @@ def test_cmd_distance_exact_beyond_budget(capsys):
     assert code == 2 and "exceeds" in err
 
 
-def test_thread_env_cap_does_not_change_results(capsys, monkeypatch):
-    args = ("distance", "--r", "2", "--n", "10", "--metric", "kolmogorov",
-            "--samples", "40000", "--seed", "3", "--threads", "8")
-    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS", raising=False)
-    _, out1, _ = run(capsys, *args)
-    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", "1")
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
-
-
 # three chunks of samples or more, so that the workers really run
 THREADED_CALLS = [
     ("distance", "--r", "8", "--n", "20", "--samples", "40000", "--seed", "11"),
@@ -751,18 +764,14 @@ THREADED_CALLS = [
 
 
 @pytest.mark.parametrize("argv", THREADED_CALLS, ids=lambda argv: " ".join(argv[:4]))
-def test_default_threads_print_the_one_thread_bytes(capsys, monkeypatch, argv):
-    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS", raising=False)
+def test_default_threads_print_the_one_thread_bytes(capsys, argv):
     results = [run(capsys, *argv), run(capsys, *argv, "--threads", "1"),
                run(capsys, *argv, "--threads", "3")]
-    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", "1")
-    results.append(run(capsys, *argv))
     assert results[0][1] != "" and results[0][2] == ""
     assert all(result == results[0] for result in results), results
 
 
-def test_default_threads_are_the_usable_cpus_capped_by_the_env(capsys, monkeypatch):
-    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS", raising=False)
+def test_default_threads_are_the_usable_cpus(capsys, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert cli._thread_cap(None) == 3
@@ -788,25 +797,10 @@ def test_default_threads_are_the_usable_cpus_capped_by_the_env(capsys, monkeypat
     assert workers_for(4 * chunk) == 3
     assert workers_for(2 * chunk) == 2  # never more workers than chunks
     assert workers_for(chunk) == 1
-    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", "2")
-    assert cli._thread_cap(None) == 2
-    assert workers_for(4 * chunk) == 2
-    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", "8")
-    assert cli._thread_cap(None) == 3  # the cap does not raise the default
-    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS")
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert cli._thread_cap(None) == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._thread_cap(None) == 1
-
-
-@pytest.mark.parametrize("value", ["two", "0", "-3", ""])
-def test_thread_env_invalid_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", value)
-    code, out, err = run(capsys, "distance", "--r", "2", "--n", "10", "--samples", "2000",
-                         "--threads", "2")
-    assert code == 2 and out == ""
-    assert "FRIEDMAN_BOUNDS_THREADS" in err
 
 
 def test_rate_refuses_zero_threads_before_any_row(capsys, monkeypatch):
@@ -820,13 +814,19 @@ def test_rate_refuses_zero_threads_before_any_row(capsys, monkeypatch):
     assert code == 2 and out == "" and "need threads >= 1, got 0" in err
 
 
-def test_exact_distance_does_not_read_the_thread_variable(capsys, monkeypatch):
-    # --mode exact draws nothing, so a bad FRIEDMAN_BOUNDS_THREADS is never resolved
-    argv = ("distance", "--mode", "exact", "--r", "3", "--n", "4")
-    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS", raising=False)
-    clean = run(capsys, *argv)
-    monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", "two")
-    assert run(capsys, *argv) == clean and clean[0] == 0 and clean[1] != ""
+def test_the_old_thread_variable_changes_no_output_and_no_thread_count(capsys, monkeypatch):
+    # --threads or the usable CPUs set the thread count; FRIEDMAN_BOUNDS_THREADS,
+    # once a cap on it, is not read, so neither a bad nor a low value counts
+    calls = (("distance", "--r", "3", "--n", "5", "--samples", "40000", "--seed", "2"),
+             ("distance", "--mode", "exact", "--r", "3", "--n", "4"),
+             ("rate", "--mode", "auto", "--r", "3", "--n", "4,60", "--samples", "40000"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    clean = [run(capsys, *argv) for argv in calls]
+    assert all(code == 0 and out != "" and err == "" for code, out, err in clean)
+    for value in ("two", "1"):
+        monkeypatch.setenv("FRIEDMAN_BOUNDS_THREADS", value)
+        assert [run(capsys, *argv) for argv in calls] == clean, value
+        assert cli._thread_cap(None) == 3
 
 
 def test_a_reader_gone_early_is_no_input_error():
@@ -852,8 +852,7 @@ def loads(modules: list[str], package: str) -> bool:
     return any(m == package or m.startswith(package + ".") for m in modules)
 
 
-def test_subcommands_load_only_what_they_run(fresh_python, scores_csv, monkeypatch):
-    monkeypatch.delenv("FRIEDMAN_BOUNDS_THREADS", raising=False)  # calls run on the default threads
+def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
     def modules_loaded_by(*argv):
         code, modules = fresh_python("import json, sys\n"
                                      "from friedman_bounds.cli import main\n"

@@ -564,6 +564,15 @@ def test_rate_experiment_table():
         rate_experiment(6, [8], power(2), mode="exact")
 
 
+@pytest.mark.parametrize("mode", ["auto", "mc"])
+def test_rate_experiment_rows_are_the_single_n_rows_in_the_given_order(mode):
+    # rows are built from the largest n down, each from its own substream
+    rng = RngContract(seed=4)
+    rows = rate_experiment(3, [9, 2, 40], power(2), mode, samples=20_000, rng=rng)
+    assert rows == [rate_experiment(3, [n], power(2), mode, samples=20_000, rng=rng)[0]
+                    for n in (9, 2, 40)]
+
+
 def test_exact_rows_report_the_states_summed():
     # samples on an exact row is the engine's sorted column-sum states, not (r!)^n
     assert exact_kolmogorov(5, 4).samples == len(exact_law._sum_counts(4, 5)) == 131
