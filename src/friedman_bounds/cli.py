@@ -25,13 +25,17 @@ suite reads, and prints: each suite, with its range checks, budget and pass
 rules, lives in the module whose identities it checks (exact, coupling,
 stein).  The budget, not a fixed r, bounds each cell (a cell past it is one
 skip entry, at any r), and it prices the walk of every suite as one charge
-each, before any work: the lemma and inequality suites' tuples over every r
-up to --r-max, the lemma suite's moment products over every (r, n) up to
---n-max, the identities suite's --trials at every r, the coupling suite's
-entries over every (r, n), and the Stein suite's f' evaluations over every
-p up to --p-max.  A count too large for the exact engine, for the sampler's
-int64 sums or memory or for the bounds' floats, and a bound past the float
-range, is a usage error, not a traceback.  Every JSON line is strict JSON:
+each: the lemma and inequality suites' tuples over every r up to --r-max,
+the lemma suite's moment products over every (r, n) up to --n-max, the
+identities suite's --trials at every r, the coupling suite's entries over
+every (r, n), and the Stein suite's f' evaluations over every p up to
+--p-max.  Each suite's flag checks and walk price are one function of its
+module (the table's walk column), which the suite calls first; `verify`
+calls it for every chosen suite before any suite runs, so a refused flag or
+walk exits 2 before any work, whichever suite refuses it.  A count too
+large for the exact engine, for the sampler's int64 sums or memory or for
+the bounds' floats, and a bound past the float range, is a usage error, not
+a traceback.  Every JSON line is strict JSON:
 a norm declared infinite prints as null.  main sets OPENBLAS_NUM_THREADS=1
 where the environment leaves it unset, so that numpy's BLAS starts no
 worker thread beside the sampler's.
@@ -160,13 +164,14 @@ def _cmd_bounds(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-# each suite's calls as (suite, module, function, the flags it reads in call order);
-# a module is imported when it runs
-_VERIFY_CALLS = (("lemmas", "exact", "verify_lemma_formulas", ("r_max", "n_max")),
-                 ("lemmas", "exact", "verify_inequalities", ("r_max",)),
-                 ("identities", "exact", "verify_identities", ("r_max", "trials", "seed")),
-                 ("coupling", "coupling", "verify_suite", ("r_max", "n_max")),
-                 ("stein", "stein", "verify_suite", ("p_max",)))
+# each suite's calls as (suite, module, function, its walk's check and price,
+# the flags both read in call order); a module is imported when it is chosen
+_VERIFY_CALLS = (
+    ("lemmas", "exact", "verify_lemma_formulas", "_lemma_walk", ("r_max", "n_max")),
+    ("lemmas", "exact", "verify_inequalities", "_inequality_walk", ("r_max",)),
+    ("identities", "exact", "verify_identities", "_identity_walk", ("r_max", "trials", "seed")),
+    ("coupling", "coupling", "verify_suite", "_suite_walk", ("r_max", "n_max")),
+    ("stein", "stein", "verify_suite", "_suite_walk", ("p_max",)))
 _VERIFY_DEFAULTS = {"r_max": 6, "n_max": 4, "p_max": 6, "trials": 100, "seed": 0}
 
 
@@ -181,9 +186,11 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"--suite {args.suite} does not read {', '.join(ignored)}, "
                           f"which would be ignored")
     values = {**_VERIFY_DEFAULTS, **given}
-    report = []
-    for _, module, fn, flags in calls:
-        report += getattr(import_module(f".{module}", __package__), fn)(*map(values.get, flags))
+    runs = [(import_module(f".{module}", __package__), fn, walk, [*map(values.get, flags)])
+            for _, module, fn, walk, flags in calls]
+    for module, _, walk, argv in runs:  # every chosen walk is checked before any suite runs
+        getattr(module, walk)(*argv)
+    report = [e for module, fn, _, argv in runs for e in getattr(module, fn)(*argv)]
     for entry in report:
         print(_dump(entry))
     return EXIT_OK if all_pass(report) else EXIT_CHECK_FAILED

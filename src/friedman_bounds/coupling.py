@@ -20,12 +20,14 @@ over (K, L), the product matrix is dQ^T dQ over all row draws, and the
 support, quartic and cubic rules are counted as masks on every draw, so
 an increment off the support rule also fails each product pattern it
 breaks.  It tallies everything the three verifiers report; they only
-format entries for (r, n).  The rows are exact_law._trial_rows, which
-prices their r! r^2 row draws on every call, before any row or array is
-built, and the pass is cached on them, so each r is enumerated once per
-process whatever n (BudgetError beyond it, at once past r = 30;
-verify_suite, which runs the three over a grid of cells, reports such a
-cell through exact_law._within_budget as one skipped entry).
+format entries for (r, n).  The rows are exact_law._trial_rows, the one
+table of one trial's rows doubled and centered, which prices their r! r^2
+row draws on every call, before any row or array is built; the pass is
+cached on r, so each r is enumerated once per process whatever n, and no
+row is hashed (BudgetError beyond it, at once past r = 30;
+verify_suite, which runs the three over a grid of cells after its walk is
+checked and priced by _suite_walk, reports such a cell through
+exact_law._within_budget as one skipped entry).
 
 The regression identity reads sum_draws dQ_j = -2 r Q_j for a
 configuration; summed over its trials, it holds for every configuration at
@@ -48,7 +50,6 @@ every row draw.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -74,8 +75,7 @@ class _SwapTally(NamedTuple):
     cubic_bad: int
 
 
-@lru_cache(maxsize=None)
-def _swap_pass(rows: tuple[tuple[int, ...], ...]) -> _SwapTally:
+def _swap_pass(rows) -> _SwapTally:
     """The one array pass over the rows of a trial and the r^2 (K, L) swap draws of each."""
     row = np.array(rows, dtype=np.int64)
     r = row.shape[1]
@@ -106,9 +106,13 @@ def _swap_pass(rows: tuple[tuple[int, ...], ...]) -> _SwapTally:
                       int(np.count_nonzero(quartic)), int(np.count_nonzero(cubic)))
 
 
+_tallies: dict[int, _SwapTally] = {}  # the swap pass of each r, run once
+
+
 def _tally(r: int) -> _SwapTally:
-    """The swap pass at r; its r! r^2 row draws are priced on every call, cached or not."""
-    return _swap_pass(_trial_rows(f"the coupling row draws at r={r}", r, r * r))
+    """The swap pass at r, run once per r; its r! r^2 row draws are priced on every call."""
+    rows = _trial_rows(f"the coupling row draws at r={r}", r, r * r)
+    return _tallies[r] if r in _tallies else _tallies.setdefault(r, _swap_pass(rows))
 
 
 def verify_regression(r: int, n: int) -> list[dict]:
@@ -177,13 +181,19 @@ def verify_triple_structure(r: int, n: int) -> list[dict]:
     ]
 
 
-def verify_suite(r_max: int, n_max: int) -> list[dict]:
-    """The three verifiers at every cell r in 2..r_max, n in 1..n_max; a cell
-    past the budget is one skipped entry naming its cost.  The walk is
-    charged before any cell runs, one term per entry of a cell: one
-    regression, two moment and three pattern entries."""
+def _suite_walk(r_max: int, n_max: int) -> tuple[int, int]:
+    """Check the coupling suite's r_max and n_max and charge its walk one term
+    per entry of a cell: one regression, two moment and three pattern
+    entries.  Returns the checked flags."""
     r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")
     _check_terms(f"the coupling cells at r=2..{r_max}, n=1..{n_max}", 6 * (r_max - 1) * n_max)
+    return r_max, n_max
+
+
+def verify_suite(r_max: int, n_max: int) -> list[dict]:
+    """The three verifiers at every cell r in 2..r_max, n in 1..n_max, after
+    _suite_walk; a cell past the budget is one skipped entry naming its cost."""
+    r_max, n_max = _suite_walk(r_max, n_max)
     return [e for r in range(2, r_max + 1) for n in range(1, n_max + 1)
             for e in _within_budget("coupling identities", r, n, lambda: (
                 verify_regression(r, n) + verify_increment_moments(r, n)

@@ -45,9 +45,15 @@ four- and three-coordinate tuples of every r they walk (the lemmas run to
 r = 16, the inequalities to r = 30), the lemma suite its moment
 products over every (r, n) cell, and the identities suite one term per
 trial at every r it walks whose r! overlap rows fit (exact_law._rows_fit)
-and one term for each other r.  The overlap law behind T_m, E[beta^4]
-and each decomposition check reads one trial's r! rows from
-exact_law._trial_rows at one term per row, before any draw.  A T_m cell,
+and one term for each other r.  Each suite checks its flags and charges
+its walk in one function that it calls first (_lemma_walk, _inequality_walk,
+_identity_walk; the seed's [0, 2**64) rule is _check_seed, which each
+decomposition also applies), and `verify` calls it for every chosen suite
+before any runs.  The overlap law behind T_m, E[beta^4]
+and each decomposition check is charged one term per row of one trial's r!
+(exact_law._check_tuples), before any draw, and then streams the
+permutations, keeping only its counts, so these suites load no numpy
+(the decomposition draws do).  A T_m cell,
 an E[beta^4] cap or a decomposition r past the budget is one skipped
 entry, built by exact_law._within_budget (the decompositions run to r = 8).
 
@@ -69,8 +75,8 @@ from itertools import product as iter_product
 from operator import eq, le
 
 from .errors import DomainError, check_count
-from .exact_law import (_check_terms, _check_walk, _count_entry, _entry, _rows_fit, _skip_entry,
-                        _trial_rows, _within_budget, all_pass, centered_doubled, f_law)
+from .exact_law import (_check_terms, _check_tuples, _check_walk, _count_entry, _entry, _rows_fit,
+                        _skip_entry, _within_budget, all_pass, centered_doubled, f_law)
 
 __all__ = [
     "joint_moments",
@@ -220,11 +226,12 @@ _overlap_counts: dict[int, tuple[tuple[tuple[int], int], ...]] = {}
 
 def _overlap_law(r: int) -> tuple[tuple[tuple[int], int], ...]:
     """Counts of Y = sum_l v_l v_pi(l) over the r! permutations pi, with v
-    the doubled ranks (the first row); one term per row is priced on every
-    call, and the counts are cached on r."""
-    rows = _trial_rows(f"the law of sum_l v_l v_pi(l) at r={r}", r, 1)
+    the doubled ranks; one term per permutation is priced on every call, and
+    the counts, streamed over the permutations, are cached on r."""
+    _check_tuples(f"the law of sum_l v_l v_pi(l) at r={r}", r, r)
     if r not in _overlap_counts:
-        counts = Counter(sum(x * y for x, y in zip(rows[0], row)) for row in rows)
+        v = centered_doubled(r)
+        counts = Counter(sum(x * y for x, y in zip(v, row)) for row in iter_permutations(v))
         _overlap_counts[r] = tuple(((y,), c) for y, c in sorted(counts.items()))
     return _overlap_counts[r]
 
@@ -376,6 +383,17 @@ _F_LAWS = (
     ("Var(F) = 2(r-1)(1-1/n)", "Var(F)", eq, lambda r, n: 2 * (r - 1) * (1 - Fraction(1, n))))
 
 
+def _lemma_walk(r_max: int, n_max: int) -> tuple[int, int]:
+    """Check the lemma suite's r_max and n_max and charge its walk: the
+    four-coordinate tuples of every r, then the moment products of every
+    (r, n) cell.  Returns the checked flags."""
+    r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")
+    _check_walk(f"the four-coordinate tuples at r=2..{r_max}", r_max, 4)
+    _check_terms(f"the moment products at r=2..{r_max}, n=1..{n_max}",
+                 _CELL_PRODUCTS * (r_max - 1) * n_max)
+    return r_max, n_max
+
+
 def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
     """Check every exact moment equality behind the error bounds.
 
@@ -392,10 +410,7 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
     failed.  Every check but the sign record, the per-rho sums and the T_m
     cells is one row of a table read by _row_entries.
     """
-    r_max, n_max = check_count(r_max, 2, "r_max"), check_count(n_max, 1, "n_max")
-    _check_walk(f"the four-coordinate tuples at r=2..{r_max}", r_max, 4)
-    _check_terms(f"the moment products at r=2..{r_max}, n=1..{n_max}",
-                 _CELL_PRODUCTS * (r_max - 1) * n_max)
+    r_max, n_max = _lemma_walk(r_max, n_max)
     out: list[dict] = []
     for r in range(2, r_max + 1):
         rr, read = Fraction(r), partial(_trial_quantity, r)
@@ -478,6 +493,14 @@ _WEIGHT_CAPS = (
     ("sum_{k,l}(rho(k)-rho(l))^8 <= r^10/45", "sum_{k,l} d^8", le, _cap("1/45", 10)))
 
 
+def _inequality_walk(r_max: int) -> int:
+    """Check the inequality suite's r_max and charge the three-coordinate
+    tuples of every r it walks.  Returns the checked r_max."""
+    r_max = check_count(r_max, 2, "r_max")
+    _check_walk(f"the three-coordinate tuples at r=2..{r_max}", r_max, 3)
+    return r_max
+
+
 def verify_inequalities(r_max: int) -> list[dict]:
     """Check every single-trial moment inequality used by the remainder estimates.
 
@@ -489,9 +512,7 @@ def verify_inequalities(r_max: int) -> list[dict]:
     floating point from exact rho moments.  Every check but the chains, the
     two pointwise max caps and the E[beta^4] cell is one row of a table.
     """
-    r_max = check_count(r_max, 2, "r_max")
-    _check_walk(f"the three-coordinate tuples at r=2..{r_max}", r_max, 3)
-    out: list[dict] = []
+    r_max, out = _inequality_walk(r_max), []
     for r in range(2, r_max + 1):
         rr, read = Fraction(r), partial(_trial_quantity, r)
         out += _row_entries(_MOMENT_CAPS, read, r)
@@ -573,6 +594,14 @@ def beta_fourth_moment_direct(r: int) -> Fraction:
     return Fraction(total, math.factorial(r) * 4 ** 4)  # doubled twice: (2*2)^4
 
 
+def _check_seed(seed: int) -> int:
+    """The seed of the decomposition draws, a Philox key word in [0, 2**64)."""
+    seed = check_count(seed, 0, "seed")
+    if seed >= 2 ** 64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 _BLOCK_WORDS = 1 << 20  # draws held at once: a block of trials is about this many words
 
 
@@ -599,9 +628,7 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     import numpy as np
 
     r, trials = check_count(r, 3, "r"), check_count(trials, 1, "trials")
-    seed = check_count(seed, 0, "seed")
-    if seed >= 2 ** 64:
-        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    seed = _check_seed(seed)
     direct = beta_fourth_moment_direct(r)  # the r! overlap terms, charged before any draw
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     out: list[dict] = []
@@ -630,14 +657,21 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     return out
 
 
-def verify_identities(r_max: int, trials: int, seed: int) -> list[dict]:
-    """verify_index_decomposition at every r in 3..r_max; an r past the
-    budget is one skipped entry naming its cost.  Before any r runs, the walk
-    is charged one term per trial at each r whose r! overlap rows fit the
-    budget (the r that draw), and one term for the skip entry of each other r."""
+def _identity_walk(r_max: int, trials: int, seed: int) -> tuple[int, int, int]:
+    """Check the identities suite's r_max and trials, charge its walk one
+    term per trial at each r whose r! overlap rows fit the budget (the r that
+    draw) and one term for the skip entry of each other r, and then check the
+    seed.  Returns the checked flags."""
     r_max, trials = check_count(r_max, 3, "r_max"), check_count(trials, 1, "trials")
     drawn = sum(1 for _ in takewhile(_rows_fit, range(3, r_max + 1)))
     _check_terms(f"the decomposition trials at r=3..{r_max}", (trials - 1) * drawn + r_max - 2)
+    return r_max, trials, _check_seed(seed)
+
+
+def verify_identities(r_max: int, trials: int, seed: int) -> list[dict]:
+    """verify_index_decomposition at every r in 3..r_max, after
+    _identity_walk; an r past the budget is one skipped entry naming its cost."""
+    r_max, trials, seed = _identity_walk(r_max, trials, seed)
     return [e for r in range(3, r_max + 1)
             for e in _within_budget("index decompositions", r, None,
                                     lambda: verify_index_decomposition(r, trials, seed))]

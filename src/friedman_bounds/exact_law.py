@@ -10,7 +10,10 @@ sums are Q = (q, -q), q = n - 2b with b ~ Bin(n, 1/2), so the law is one
 binomial row, built by the recurrence C(n, b+1) = C(n, b)(n-b)/(b+1) and
 charged (n+1) ceil(n/64) terms (n+1 counts of up to n bits, one term per
 64-bit word): it runs to n = 3570, where the convolution, about n^2 terms,
-stops at n = 631.  The convolution never runs at r = 2.
+stops at n = 631.  The convolution never runs at r = 2.  The first trial
+needs no move: from the zero state every row sorts to the sorted row, so the
+engine starts from that one state with count r!, and reads rows from the
+second trial on.
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 (_check_terms raises BudgetError naming the cell, the term count and the
@@ -20,10 +23,15 @@ The price of a cell that walks one trial's ordered k-tuples of distinct
 values is one rule, _check_tuples: m terms per tuple of one trial size r.
 The lemma and inequality suites walk the tuples of every size 2..r, and
 _check_walk prices that sum in closed form.  One trial's r! rows are the
-case k = r, and _trial_rows is the one way the exact side reads them: it
-prices m terms per row, m the engine's running state count, 1 for the
-overlap law behind T_m and for the rows of the operator link, and r^2 for
-the coupling row draws, and then returns one cached tuple of the rows.  A
+case k = r.  They are one table, _permutation_table: the r! permutations of
+1..r as int16 rows in permutations order, built once per r, which the
+sampler in ``montecarlo`` reads as it is (0.62 MB at r = 8, where a tuple of
+row tuples held 4.3 MB).  _trial_rows is the one way the exact side reads
+it: it prices m terms per row, m the engine's running state count, 1 for
+the rows of the operator link, and r^2 for the coupling row draws, and then
+returns the doubled centered rows 2 table - (r+1).  The overlap law behind
+T_m is priced by the same rule at one term per row, but streams the
+permutations and keeps no row, so the lemma suites load no numpy.  A
 count is multiplied out only for k <= 30, where it still prints in full;
 past that k! alone is beyond any cap, and the cell is refused at once with
 the short note "more than 30!".  The other walks are no tuple counts, and
@@ -58,8 +66,8 @@ required", passing when no unit fails), and _skip_entry a check that cannot
 run at its cell, with the reason as its note.
 
 This module is small on purpose, and imports only the standard library
-(numpy where a float view or the engine runs): `rate` and `distance` read
-the law and its float view, `test` the float F_r, and the coupling and
+(numpy where the table, a float view or the engine runs): `rate` and
+`distance` read the law and its float view, `test` the float F_r, and the coupling and
 Stein suites the verify entry format, without loading the verifiers in
 ``exact`` or ``fractions``.
 """
@@ -69,7 +77,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, permutations as iter_permutations
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BudgetError, check_count
@@ -144,17 +152,31 @@ def _check_walk(cell: str, r: int, k: int) -> None:
     _check_terms(cell, math.perm(r + 1, k + 1) // (k + 1))
 
 
-# one trial's rows, built once per r, after their price: read through
-# _trial_rows, or by the engine after its own first-trial charge
-_rows = lru_cache(maxsize=None)(lambda r: tuple(iter_permutations(centered_doubled(r))))
+@lru_cache(maxsize=None)
+def _permutation_table(r: int):
+    """All r! permutations of 1..r as int16 rows in lexicographic order, read-only.
+
+    Rows with first entry f are f followed by the (r-1)-table with its
+    entries >= f shifted up by one, which keeps the order lexicographic.
+    """
+    import numpy as np
+
+    table = np.ones((1, 1), dtype=np.int16)
+    for m in range(2, r + 1):
+        first = np.repeat(np.arange(1, m + 1, dtype=np.int16), table.shape[0])[:, None]
+        rest = np.tile(table, (m, 1))
+        rest += rest >= first
+        table = np.concatenate([first, rest], axis=1)
+    table.setflags(write=False)
+    return table
 
 
-def _trial_rows(cell: str, r: int, per_row: int) -> tuple[tuple[int, ...], ...]:
-    """One trial's r! rows of doubled centered ranks, in permutations order
-    (the identity first), after ``per_row`` terms on each are charged: on
-    every call, cached or not, and before any row is built."""
+def _trial_rows(cell: str, r: int, per_row: int):
+    """One trial's r! rows of doubled centered ranks, 2 _permutation_table(r)
+    - (r+1), in permutations order (the identity first), after ``per_row``
+    terms on each are charged: on every call, and before any row is built."""
     _check_tuples(cell, r, r, per_row)
-    return _rows(r)
+    return 2 * _permutation_table(r) - (r + 1)
 
 
 def _within_budget(identity: str, r: int | None, n: int | None, check) -> list[dict]:
@@ -175,10 +197,11 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     commutes with each trial, and the one caller, f_law, reads a state only
     through its sum of squares.  Before each trial the budget is charged
     r! moves per state summed over so far (_check_tuples), so a cell past the
-    cap fails at the first trial that would exceed it.  The first trial is
-    charged before the key range is checked, and both before any row is
-    built, so the engine reads the cached rows once, after both, rather than
-    through _trial_rows, whose charge would come after the key check.
+    cap fails at the first trial that would exceed it.  The first trial's
+    law is known without a row: from the zero state every move sorts to the
+    sorted row, so it is that one state with count r!.  The engine charges
+    it, checks the key range, and starts from it; each later trial reads its
+    moves through _trial_rows, which makes that trial's charge.
 
     A trial is one array pass: every (state, move) sum is sorted along its
     row and keyed as one int64 in mixed radix 2n(r-1)+1 (a column sum lies
@@ -188,16 +211,16 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """
     import numpy as np
 
-    radix = 2 * n * (r - 1) + 1
-    seen = 0  # states summed over so far, each charged r! moves
-    for trial in range(n):
-        seen += len(states) if trial else 1
-        _check_tuples(f"the convolution of {r} column sums at r={r}, n={n}", r, r, seen)
-        if not trial:
-            if radix ** r > np.iinfo(np.int64).max:
-                raise BudgetError(f"the state keys at r={r}, n={n} need {radix}^{r}, past int64")
-            states, counts = np.zeros((1, r), np.int64), np.ones(1, object)
-            moves = np.array(_rows(r), np.int64)
+    cell, radix = f"the convolution of {r} column sums at r={r}, n={n}", 2 * n * (r - 1) + 1
+    _check_tuples(cell, r, r)  # the first trial: r! moves from the zero state
+    if radix ** r > np.iinfo(np.int64).max:
+        raise BudgetError(f"the state keys at r={r}, n={n} need {radix}^{r}, past int64")
+    # after it every state is the sorted row, reached r! ways
+    states = np.array([centered_doubled(r)], np.int64)
+    counts, seen = np.array([math.factorial(r)], object), 1
+    for _ in range(1, n):
+        seen += len(states)  # states summed over so far, each charged r! moves
+        moves = _trial_rows(cell, r, seen)
         sums = np.sort((states[:, None, :] + moves).reshape(-1, r), axis=1)
         keys = (sums + n * (r - 1)) @ radix ** np.arange(r - 1, -1, -1, dtype=np.int64)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)

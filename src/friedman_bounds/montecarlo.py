@@ -6,7 +6,9 @@ is split into fixed-size chunks, chunk c uses substream (stream << 20) + 1 + c,
 and the reduction runs in chunk order.
 
 A uniform row permutation of 1..r is one uniform index into r!.  For
-r <= 9 it indexes a table of all r! permutations, built on first use.  For
+r <= 9 it indexes a table of all r! permutations, built on first use:
+exact_law._permutation_table, the one table of one trial's rows, which the
+exact side reads doubled and centered.  For
 10 <= r <= 12 no r!-entry table fits, so the index is split: with
 k = r // 2, values 1..k go to a uniform k-subset A of the columns, in an
 order p from the k! table, and values k+1..r go to the other columns, in an
@@ -92,7 +94,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation, chisq_tail
 from .errors import BudgetError, DomainError, check_count
-from .exact_law import FLaw, f_law, law_floats
+from .exact_law import FLaw, _permutation_table, f_law, law_floats
 
 if TYPE_CHECKING:  # annotations only, so a Kolmogorov or Wasserstein call loads no test functions
     from .testfunctions import TestFunction
@@ -165,23 +167,6 @@ class DistanceEstimate:
     def within(self, bound: float) -> bool:
         """The gate: the value is at most the bound plus the error bar."""
         return bool(self.value <= bound + self.half_width)
-
-
-@lru_cache(maxsize=None)
-def _permutation_table(r: int) -> np.ndarray:
-    """All r! permutations of 1..r as rows in lexicographic order, read-only.
-
-    Rows with first entry f are f followed by the (r-1)-table with its
-    entries >= f shifted up by one, which keeps the order lexicographic.
-    """
-    table = np.ones((1, 1), dtype=np.int16)
-    for m in range(2, r + 1):
-        first = np.repeat(np.arange(1, m + 1, dtype=np.int16), table.shape[0])[:, None]
-        rest = np.tile(table, (m, 1))
-        rest += rest >= first
-        table = np.concatenate([first, rest], axis=1)
-    table.setflags(write=False)
-    return table
 
 
 def _field_weights(r: int) -> np.ndarray:

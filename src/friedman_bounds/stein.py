@@ -55,7 +55,8 @@ atoms of the exact law f_law(n, r).
 verify_suite runs these checks and the operator link as verify entries, each
 with its own pass rule: residuals and the operator link within 1e-5, the
 h(t) = t equality case f' = -2 within 1e-8.  Its walk over p is charged to
-the exact budget first, at 900 f' evaluations per p, so p_max <= 222 fits.
+the exact budget first (_suite_walk, which `verify` also calls before any
+suite runs), at 900 f' evaluations per p, so p_max <= 222 fits.
 That price is linear in p_max while the cost is not: each residual grid
 costs more as p grows, and the walk's time grows about as p_max^2.
 """
@@ -333,23 +334,28 @@ def verify_operator_link(r: int, n: int, h: TestFunction) -> dict:
     }
 
 
+_SUITE_POINTS, _SUITE_FUNCTIONS = 60, (cosine(1.0), sine(1.0), identity())
+
+
+def _suite_walk(p_max: int) -> int:
+    """Check the Stein suite's p_max and charge its walk over p to the exact
+    budget at its f' evaluations: five stencil points per grid point,
+    _SUITE_POINTS grid points per test function, three test functions per p
+    (linear in p_max, while the time of the walk grows about as p_max^2).
+    Returns the checked p_max."""
+    p_max = check_count(p_max, 1, "p_max")
+    _check_terms(f"the f' evaluations of the residuals at p=1..{p_max}",
+                 len(_OFFSETS) * _SUITE_POINTS * len(_SUITE_FUNCTIONS) * p_max)
+    return p_max
+
+
 def verify_suite(p_max: int) -> list[dict]:
     """Residuals at p = 1..p_max, the f' = -2 equality case, two derivative-cap
-    checks and the operator link, as verify entries.
-
-    The walk over p is charged to the exact budget before any work, at its
-    f' evaluations: five stencil points per grid point, 60 grid points per
-    test function, three test functions per p (linear in p_max, while the
-    time of the walk grows about as p_max^2).
-    """
-    p_max, points = check_count(p_max, 1, "p_max"), 60
-    out = []
-    functions = (cosine(1.0), sine(1.0), identity())
-    _check_terms(f"the f' evaluations of the residuals at p=1..{p_max}",
-                 len(_OFFSETS) * points * len(functions) * p_max)
+    checks and the operator link, as verify entries, after _suite_walk."""
+    p_max, out = _suite_walk(p_max), []
     for p in range(1, p_max + 1):
-        grid = standard_grid(p, points=points)
-        for h in functions:
+        grid = standard_grid(p, points=_SUITE_POINTS)
+        for h in _SUITE_FUNCTIONS:
             worst = float(stein_residual(p, h, grid).max())
             out.append(_entry("stein residual <= 1e-5 on grid", None, None,
                               "pass" if worst <= 1e-5 else "fail",

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from friedman_bounds import bounds, cli, coupling, exact, montecarlo
+from friedman_bounds import bounds, cli, coupling, exact, montecarlo, stein
 from friedman_bounds.cli import main
 
 
@@ -442,10 +442,34 @@ def test_results_golden_stdout(capsys, monkeypatch):
         assert err == call.get("stderr", err), call["argv"]
 
 
-def test_coupling_suite_runs_the_swap_pass_once_per_r():
-    coupling._swap_pass.cache_clear()
+def test_coupling_suite_runs_the_swap_pass_once_per_r(monkeypatch):
+    swap_pass, rows_read = coupling._swap_pass, []
+    monkeypatch.setattr(coupling, "_tallies", {})
+    monkeypatch.setattr(coupling, "_swap_pass",
+                        lambda rows: rows_read.append(len(rows)) or swap_pass(rows))
     coupling.verify_suite(5, 4)
-    assert coupling._swap_pass.cache_info().misses == 4  # r = 2..5, whatever n
+    assert rows_read == [2, 6, 24, 120]  # r = 2..5, whatever n
+
+
+@pytest.mark.parametrize("alone,extra", [
+    (("stein", "--p-max", "0"), ()),
+    (("stein", "--p-max", "300"), ("--r-max", "12", "--n-max", "6")),
+    (("identities", "--seed", str(2 ** 64)), ())])
+def test_verify_checks_every_chosen_walk_before_any_suite_runs(monkeypatch, capsys, alone, extra):
+    # each call is refused by one suite's flags or walk price, a suite that runs
+    # after the lemma suites: with --suite all it must exit 2 with that suite's
+    # own error, and before any suite's cell runs
+    suite, *flags = alone
+    code, out, err = run(capsys, "verify", "--suite", suite, *flags)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a suite ran a cell before every walk was checked")
+
+    for module, cell in ((exact, "_row_entries"), (exact, "verify_index_decomposition"),
+                         (coupling, "_tally"), (stein, "stein_residual")):
+        monkeypatch.setattr(module, cell, no_cell)
+    assert run(capsys, "verify", "--suite", "all", *flags, *extra) == (2, "", err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -863,6 +887,9 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
 
     bounds = modules_loaded_by("bounds", "--n", "100", "--r", "3", "--json")
     assert not loads(bounds, "numpy") and not loads(bounds, "scipy")
+    # the lemma suites stream one trial's permutations and read no table
+    lemmas = modules_loaded_by("verify", "--suite", "lemmas", "--r-max", "8", "--n-max", "2")
+    assert not loads(lemmas, "numpy")
     # the chi-square tail is a closed form and every chi-square integral is the
     # package's own panel rule, so no call loads scipy, not even one that reports a CDF value
     calls = (("test", scores_csv, "--json"),

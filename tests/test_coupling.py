@@ -7,7 +7,7 @@ from itertools import permutations, product
 
 import pytest
 
-from friedman_bounds import DomainError, coupling
+from friedman_bounds import DomainError, coupling, exact_law
 from friedman_bounds.coupling import (verify_increment_moments, verify_regression,
                                       verify_triple_structure)
 from friedman_bounds.exact import all_pass, centered_doubled
@@ -58,8 +58,8 @@ def _reference_swap_pass(rows):
 @pytest.mark.parametrize("r", range(2, 7))
 @pytest.mark.parametrize("values", ["centered", "uncentered", "random"])
 def test_swap_pass_matches_the_reference_loop(r, values):
-    # "uncentered" are the rows of the monkeypatched tests below, whose
-    # regression fails; "random" rows are arbitrary integers, not permutations
+    # "uncentered" rows, like the shifted table of the monkeypatched tests
+    # below, fail the regression; "random" rows are arbitrary integers, not permutations
     if values == "centered":
         rows = tuple(permutations(centered_doubled(r)))
     elif values == "uncentered":
@@ -101,14 +101,16 @@ def test_triple_structure_exact(r, n):
     assert all_pass(verify_triple_structure(r, n))
 
 
-def _uncentered_rows(cell, r, per_row):
-    """The rows of ranks 1..r in place of the doubled centered ranks."""
-    return tuple(permutations(range(1, r + 1)))
+def _uncentered_table(monkeypatch):
+    """Shift the one table to ranks 2..r+1, so that its doubled rows are not centered."""
+    table = exact_law._permutation_table
+    monkeypatch.setattr(exact_law, "_permutation_table", lambda r: table(r) + 1)
 
 
 def test_regression_rejects_uncentered_rows(monkeypatch):
-    # ranks 1..r do not sum to 0, so sum_{K,L} dQ(row) = 2 sum(row) - 2r row != -2r row
-    monkeypatch.setattr(coupling, "_trial_rows", _uncentered_rows)
+    # the shifted rows do not sum to 0, so sum_{K,L} dQ(row) = 2 sum(row) - 2r row != -2r row
+    _uncentered_table(monkeypatch)
+    monkeypatch.setattr(coupling, "_tallies", {})
     for r, n in [(2, 1), (3, 2), (4, 3)]:
         [entry] = verify_regression(r, n)
         assert entry["status"] == "fail"
@@ -116,10 +118,12 @@ def test_regression_rejects_uncentered_rows(monkeypatch):
 
 
 def test_regression_rejects_uncentered_rows_after_warm_cache(monkeypatch):
-    # the swap pass is cached on the rows, not on r, so a warm r = 3 entry
-    # must not hide rows that change under the same r
+    # the swap pass is cached on r, not on the rows: a warm r = 3 entry keeps
+    # its tally when the table changes, and an emptied cache reads the new rows
     assert all_pass(verify_regression(3, 1))
-    monkeypatch.setattr(coupling, "_trial_rows", _uncentered_rows)
+    _uncentered_table(monkeypatch)
+    assert all_pass(verify_regression(3, 1))
+    monkeypatch.setattr(coupling, "_tallies", {})
     [entry] = verify_regression(3, 1)
     assert entry["status"] == "fail"
     assert entry["lhs"] == "0 rows exact"

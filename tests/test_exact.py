@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friedman_bounds import (BudgetError, DomainError, RankMatrix, exact, exact_law,
-                            friedman_statistic)
+                            friedman_statistic, montecarlo)
 from friedman_bounds.exact import (all_pass, beta_fourth_moment_direct, centered_doubled,
                                    closed_s2s2, closed_s4, closed_s6,
                                    exact_f_distribution, joint_moments, mono_moment,
@@ -118,13 +118,29 @@ def test_joint_budget():
     assert not hasattr(exact, "BUDGET_CAP")
 
 
+@pytest.mark.parametrize("r", range(2, 9))
+def test_exact_rows_are_the_one_table(r):
+    # one table of one trial's rows: the exact side reads it doubled and
+    # centered, row for row in permutations order, the sampler as it is, and
+    # the overlap law streams the same permutations
+    import numpy as np
+
+    rows, table = exact_law._trial_rows("rows", r, 1), exact_law._permutation_table(r)
+    assert np.array_equal(rows, 2 * table - (r + 1))
+    assert rows.tolist() == [list(row) for row in permutations(centered_doubled(r))]
+    assert montecarlo._permutation_table is exact_law._permutation_table
+    assert exact._overlap_law(r) == tuple(((y,), c) for y, c in
+                                          sorted(Counter((rows @ rows[0]).tolist()).items()))
+    assert not hasattr(exact_law, "_rows")
+
+
 def test_convolution_over_budget_builds_no_moves(monkeypatch):
     # r = 12 has 479001600 moves, far too many to hold: the budget must
     # refuse the first trial before any move is drawn
     def no_moves(*args):
         raise AssertionError("a move was built before the budget check")
 
-    monkeypatch.setattr(exact_law, "iter_permutations", no_moves)
+    monkeypatch.setattr(exact_law, "_permutation_table", no_moves)
     with pytest.raises(BudgetError, match="r=12, n=1 needs 479001600 enumerated terms"):
         exact_f_distribution(1, 12)
 
@@ -248,7 +264,7 @@ def test_state_keys_fit_int64_at_every_admitted_cell(monkeypatch):
     assert _admitted_laws(9) == ()
     # past int64 the engine refuses before it builds a move
     monkeypatch.setattr(exact_law, "BUDGET_CAP", 10 ** 12)
-    monkeypatch.setattr(exact_law, "iter_permutations", None)
+    monkeypatch.setattr(exact_law, "_permutation_table", None)
     with pytest.raises(BudgetError, match=r"r=14, n=1 need 27\^14, past int64"):
         exact_law._sum_counts(14, 1)
 

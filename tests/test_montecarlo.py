@@ -15,8 +15,9 @@ from friedman_bounds import (BudgetError, ChiSquareLaw, DomainError, RankMatrix,
                              montecarlo)
 from friedman_bounds.chisq import chisq_cdf_array
 from friedman_bounds.exact import exact_f_distribution
+from friedman_bounds.exact_law import _permutation_table
 from friedman_bounds.montecarlo import (RngContract, _column_sums, _l1_distance, _law,
-                                        _permutation_table, _sample_statistics, _sampler_path,
+                                        _sample_statistics, _sampler_path,
                                         _split_words, distance, estimate_kolmogorov,
                                         estimate_smooth_gap, estimate_wasserstein,
                                         exact_kolmogorov, rate_experiment,
