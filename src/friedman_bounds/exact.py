@@ -47,15 +47,15 @@ products over every (r, n) cell, and the identities suite one term per
 trial at every r it walks whose r! overlap rows fit (exact_law._rows_fit)
 and one term for each other r.  Each suite checks its flags and charges
 its walk in one function that it calls first (_lemma_walk, _inequality_walk,
-_identity_walk; the seed's [0, 2**64) rule is _check_seed, which each
-decomposition also applies), and `verify` calls it for every chosen suite
-before any runs.  The overlap law behind T_m, E[beta^4]
-and each decomposition check is charged one term per row of one trial's r!
-(exact_law._check_tuples), before any draw, and then streams the
-permutations, keeping only its counts, so these suites load no numpy
-(the decomposition draws do).  A T_m cell,
-an E[beta^4] cap or a decomposition r past the budget is one skipped
-entry, built by exact_law._within_budget (the decompositions run to r = 8).
+_identity_walk, which checks the seed by building its exact_law.RngContract,
+the one owner of a seed and of the key of the decomposition draws), and
+`verify` calls it for every chosen suite before any runs.  The overlap law
+behind T_m, E[beta^4] and each decomposition check is charged one term per
+row of one trial's r! (exact_law._check_tuples), before any draw, and then
+streams the permutations, keeping only its counts, so these suites load no
+numpy (the decomposition draws do).  A T_m cell, an E[beta^4] cap or a
+decomposition r past the budget is one skipped entry, built by
+exact_law._within_budget (the decompositions run to r = 8).
 
 Every verify_* function returns a list of JSON-ready entries
 {identity, r, n, status, lhs, rhs} in the format of ``exact_law._entry``
@@ -75,8 +75,8 @@ from itertools import product as iter_product
 from operator import eq, le
 
 from .errors import DomainError, check_count
-from .exact_law import (_check_terms, _check_tuples, _check_walk, _count_entry, _entry, _rows_fit,
-                        _skip_entry, _within_budget, all_pass, centered_doubled, f_law)
+from .exact_law import (RngContract, _check_terms, _check_tuples, _check_walk, _count_entry, _entry,
+                        _rows_fit, _skip_entry, _within_budget, all_pass, centered_doubled, f_law)
 
 __all__ = [
     "joint_moments",
@@ -594,14 +594,6 @@ def beta_fourth_moment_direct(r: int) -> Fraction:
     return Fraction(total, math.factorial(r) * 4 ** 4)  # doubled twice: (2*2)^4
 
 
-def _check_seed(seed: int) -> int:
-    """The seed of the decomposition draws, a Philox key word in [0, 2**64)."""
-    seed = check_count(seed, 0, "seed")
-    if seed >= 2 ** 64:
-        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
-
-
 _BLOCK_WORDS = 1 << 20  # draws held at once: a block of trials is about this many words
 
 
@@ -616,11 +608,11 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     enumeration reads the r! terms of the overlap law, which are charged to
     the budget before any draw (BudgetError from r = 9 on).
 
-    The draws come from one Philox generator keyed by (seed, 0), so seed
-    lies in [0, 2**64); each arity draws its trials in blocks of at most
-    _BLOCK_WORDS // multisets (at least one), one draw per multiset, and a
-    block continues the generator where the last one stopped, so the draws
-    do not depend on the block size.  Both sums of a trial are integer dot
+    The draws come from exact_law.RngContract(seed).generator(), keyed by
+    (seed, 0), so seed lies in [0, 2**64); each arity draws its trials in
+    blocks of at most _BLOCK_WORDS // multisets (at least one), one draw per
+    multiset, and a block continues the generator where the last one
+    stopped, so the draws do not depend on the block size.  Both sums of a trial are integer dot
     products of g with the per-multiset weights of _multiset_weights, and the
     two fixed cases sum exact integers (over a common denominator for the
     fourth-moment f).
@@ -628,9 +620,9 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     import numpy as np
 
     r, trials = check_count(r, 3, "r"), check_count(trials, 1, "trials")
-    seed = _check_seed(seed)
+    contract = RngContract(seed)
     direct = beta_fourth_moment_direct(r)  # the r! overlap terms, charged before any draw
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = contract.generator()
     out: list[dict] = []
     for arity in (2, 3, 4):
         full, regrouped = (np.array(w, dtype=np.int64) for w in _multiset_weights(r, arity))
@@ -665,7 +657,7 @@ def _identity_walk(r_max: int, trials: int, seed: int) -> tuple[int, int, int]:
     r_max, trials = check_count(r_max, 3, "r_max"), check_count(trials, 1, "trials")
     drawn = sum(1 for _ in takewhile(_rows_fit, range(3, r_max + 1)))
     _check_terms(f"the decomposition trials at r=3..{r_max}", (trials - 1) * drawn + r_max - 2)
-    return r_max, trials, _check_seed(seed)
+    return r_max, trials, RngContract(seed).seed
 
 
 def verify_identities(r_max: int, trials: int, seed: int) -> list[dict]:

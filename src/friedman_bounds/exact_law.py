@@ -60,27 +60,34 @@ distance and the link: atoms through f_of_key, and masses and CDF levels
 as the counts and their integer prefix sums over the total, each rounded
 once, so the last level is 1.0.
 
+RngContract, the (seed, stream) key of a Philox stream, each word in
+[0, 2**64), is owned here too: every seeded draw of the package comes from
+its generator, the sampler's chunks in ``montecarlo`` (which re-exports it)
+and the decomposition draws of the identities suite in ``exact`` (keyed by
+(seed, 0)), so a seed means the same stream on both sides.
+
 The verify entry format of every suite is owned here: _entry builds one
 entry, _count_entry a check counted over units ("N exact" against "N
 required", passing when no unit fails), and _skip_entry a check that cannot
 run at its cell, with the reason as its note.
 
 This module is small on purpose, and imports only the standard library
-(numpy where the table, a float view or the engine runs): `rate` and
-`distance` read the law and its float view, `test` the float F_r, and the coupling and
-Stein suites the verify entry format, without loading the verifiers in
-``exact`` or ``fractions``.
+(numpy where the table, a float view, a generator or the engine runs):
+`rate` and `distance` read the law and its float view, `test` the float
+F_r, and the coupling and Stein suites the verify entry format, without
+loading the verifiers in ``exact`` or ``fractions``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import BudgetError, check_count
+from .errors import BudgetError, DomainError, check_count
 
 __all__ = ["BUDGET_CAP", "FLaw", "all_pass", "centered_doubled", "f_law", "f_of_key", "law_floats"]
 
@@ -169,6 +176,40 @@ def _permutation_table(r: int):
         table = np.concatenate([first, rest], axis=1)
     table.setflags(write=False)
     return table
+
+
+@dataclass(frozen=True)
+class RngContract:
+    """Counter-mode RNG handle: (seed, stream), each in [0, 2**64), fixes all draws."""
+
+    seed: int
+    stream: int = 0
+
+    def __post_init__(self):
+        seed, stream = check_count(self.seed, 0, "seed"), check_count(self.stream, 0, "stream")
+        if max(seed, stream) >= 2 ** 64:
+            raise DomainError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream", stream)
+
+    def generator(self):
+        """The Philox generator keyed by (seed, stream); numpy loads here, on first use."""
+        import numpy as np
+
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    def substream(self, index: int) -> "RngContract":
+        """Chunk substream, disjoint from every other (stream, index) pair.
+
+        Keys stay distinct only while (stream << 20) + 1 + index fits in 64
+        bits, so the index must lie in [0, 2**20) and the stream in [0, 2**44).
+        """
+        key = (self.stream << 20) + 1 + index
+        if not (0 <= index < 2 ** 20 and key < 2 ** 64):
+            raise DomainError(f"substream {index} of stream {self.stream} does not fit in "
+                              "64 bits: need 0 <= index < 2**20 and 0 <= stream < 2**44")
+        return RngContract(seed=self.seed, stream=key)
 
 
 def _trial_rows(cell: str, r: int, per_row: int):

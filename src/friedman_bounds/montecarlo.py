@@ -3,7 +3,9 @@
 Every draw comes from a counter-mode Philox stream, so any result is
 bit-reproducible from (seed, stream) and independent of worker count: work
 is split into fixed-size chunks, chunk c uses substream (stream << 20) + 1 + c,
-and the reduction runs in chunk order.
+and the reduction runs in chunk order.  The (seed, stream) handle is
+RngContract, defined in ``exact_law`` (which the identities suite's draws
+read too) and re-exported here.
 
 A uniform row permutation of 1..r is one uniform index into r!.  For
 r <= 9 it indexes a table of all r! permutations, built on first use:
@@ -58,9 +60,10 @@ trials, so a call holds about _SLAB_WORDS words of draws whatever n, r! and
 the thread count are; a slab or piece continues the generator where the
 last one stopped, so the draws do not depend on the slab size.  The
 thread-count contract above holds on every path: with ``threads`` > 1, that
-many workers (the calling thread one of them, never more than the chunks)
-take chunk indices from one shared iterator, and the results are
-concatenated in chunk order.
+many workers (the calling thread one of them, never more than the chunks,
+and fewer where the OS refuses a thread: no helper is started after the
+first refusal) take chunk indices from one shared iterator, and the results
+are concatenated in chunk order.
 
 Every distance reads one law of F_r as weighted atoms, and _law is the one
 place that chooses it: 'exact' reads exact_law.f_law (BudgetError past
@@ -94,7 +97,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .chisq import ChiSquareLaw, chisq_cdf_array, chisq_expectation, chisq_tail
 from .errors import BudgetError, DomainError, check_count
-from .exact_law import FLaw, _permutation_table, f_law, law_floats
+from .exact_law import FLaw, RngContract, _permutation_table, f_law, law_floats
 
 if TYPE_CHECKING:  # annotations only, so a Kolmogorov or Wasserstein call loads no test functions
     from .testfunctions import TestFunction
@@ -124,37 +127,6 @@ _BLOCK_TRIALS = {2: 16, 3: 6, 4: 3, 5: 2, 6: 2}
 _SLAB_WORDS = 1 << 22  # a call's chunks draw their rows in slabs of about this many words
 _SAMPLE_BYTES = 1 << 29  # a sampled law holds its float64 |Q|^2 keys: 2**26 samples, 512 MiB
 _MULTINOMIAL_FACTOR = {3: 56, 4: 38}  # multinomial from n = c r! on, c = 30 at other r <= 9
-
-
-@dataclass(frozen=True)
-class RngContract:
-    """Counter-mode RNG handle: (seed, stream), each in [0, 2**64), fixes all draws."""
-
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        seed, stream = check_count(self.seed, 0, "seed"), check_count(self.stream, 0, "stream")
-        if max(seed, stream) >= 2 ** 64:
-            raise DomainError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "stream", stream)
-
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, index: int) -> "RngContract":
-        """Chunk substream, disjoint from every other (stream, index) pair.
-
-        Keys stay distinct only while (stream << 20) + 1 + index fits in 64
-        bits, so the index must lie in [0, 2**20) and the stream in [0, 2**44).
-        """
-        key = (self.stream << 20) + 1 + index
-        if not (0 <= index < 2 ** 20 and key < 2 ** 64):
-            raise DomainError(f"substream {index} of stream {self.stream} does not fit in "
-                              "64 bits: need 0 <= index < 2**20 and 0 <= stream < 2**44")
-        return RngContract(seed=self.seed, stream=key)
 
 
 @dataclass(frozen=True)
@@ -359,10 +331,16 @@ def _sample_statistics(n: int, r: int, samples: int, rng: RngContract,
             except BaseException as exc:
                 errors[index] = exc
 
-    # the calling thread is a worker too, so one worker runs every chunk inline
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
+    # the calling thread is a worker too, so one worker runs every chunk inline;
+    # a helper the OS refuses is not retried, the running workers take its chunks
+    helpers: list[threading.Thread] = []
+    for _ in range(workers - 1):
+        helper = threading.Thread(target=work)
+        try:
+            helper.start()
+        except RuntimeError:  # can't start new thread
+            break
+        helpers.append(helper)
     work()
     for helper in helpers:
         helper.join()

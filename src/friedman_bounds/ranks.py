@@ -18,13 +18,17 @@ the file past its header, one column sum, and between them, for scores, one
 that checks the permutations.  A rank file is parsed as int64 first, so a
 file of plain integers needs no float parse and no integral check.  Only a
 file that the float parse refuses has its data lines picked out by a regular
-expression, which drops blank-field rows or names the bad row.  Every check
+expression, which drops blank-field rows or names the bad row.  Wherever a
+line's fields are counted or read outside the parse (the header rule, the bad
+row's message), they are split by the stdlib csv reader with the parse's
+own quote rule, so a quoted comma stays inside its field.  Every check
 is a reduction over the whole array; the bad row is looked for only once a
 check fails.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 from dataclasses import dataclass
@@ -157,6 +161,14 @@ def _parse(source, skiprows: int = 0, dtype=float) -> np.ndarray:
                       ndmin=2, skiprows=skiprows, encoding="utf-8-sig")
 
 
+def _fields(line: str) -> list[str]:
+    """The fields of one CSV line, split by _parse's own rule: a quoted field is one field."""
+    try:
+        return next(csv.reader([line], delimiter=",", quotechar='"'))
+    except csv.Error:  # a field past the reader's size limit: split on every comma
+        return line.split(",")
+
+
 def _first_bad_row(lines: list[str], width: int) -> int:
     """Index of the first line that is not ``width`` numbers, given that one is not.
 
@@ -179,9 +191,10 @@ def load_csv(path, fmt: str) -> RankMatrix:
     ``fmt='scores'`` ranks real values within each row; ``fmt='ranks'``
     expects integer permutations of 1..r.  A first row with a field that
     ``float()`` rejects is a header and is skipped, as are blank and
-    comma-only rows; fields may be quoted.  Errors start with the path and
-    name the 0-based data row (counted after the header and the skipped rows),
-    or for a file that is not UTF-8 the offset of its first bad byte.
+    comma-only rows; fields may be quoted, and a quoted field is one field,
+    commas and all.  Errors start with the path and name the 0-based data
+    row (counted after the header and the skipped rows), or for a file that
+    is not UTF-8 the offset of its first bad byte.
     """
     if fmt not in ("scores", "ranks"):
         raise DomainError(f"unknown format {fmt!r}")
@@ -213,7 +226,7 @@ def _read_numbers(path, integers: bool) -> np.ndarray:
         skip, first = next(data, (0, None))
         if first is not None:
             try:  # the header rule reads the first data line alone with float()
-                [float(t.strip().strip('"')) for t in first.split(",")]
+                [float(t.strip().strip('"')) for t in _fields(first)]
             except ValueError:
                 skip, first = next(data, (0, None))
     if first is None:
@@ -233,9 +246,9 @@ def _read_numbers(path, integers: bool) -> np.ndarray:
         try:
             return _parse(lines)
         except ValueError:
-            width = lines[0].count(",") + 1
+            width = len(_fields(lines[0]))
             i = _first_bad_row(lines, width)
-            fields = lines[i].count(",") + 1
+            fields = len(_fields(lines[i]))
             if fields != width:
                 raise ParseError(f"{path}: row {i} has {fields} fields, "
                                  f"expected {width}") from None

@@ -581,14 +581,15 @@ def test_ignored_flag_is_usage_error(capsys, argv, message):
 
 @pytest.mark.parametrize("seed, code", [(-1, 2), (0, 0), (2 ** 64 - 1, 0), (2 ** 64, 2)])
 def test_cmd_verify_seed_is_a_philox_key_word(capsys, seed, code):
-    # the identities draws are keyed by (seed, 0), so --seed lies in [0, 2**64)
+    # the identities draws are keyed by RngContract(seed), that is (seed, 0), so
+    # --seed lies in [0, 2**64) and is refused with the sampler's own message
     got, out, err = run(capsys, "verify", "--suite", "identities", "--r-max", "3",
                         "--trials", "3", "--seed", str(seed))
     assert got == code
     if code:
         assert out == ""
         assert (f"need seed >= 0, got {seed}" if seed < 0
-                else f"seed must lie in [0, 2**64), got {seed}") in err
+                else f"seed and stream must lie in [0, 2**64), got {seed} and 0") in err
     else:
         assert all(json.loads(line)["status"] == "pass" for line in out.splitlines())
 
@@ -950,3 +951,11 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
     for name in ("friedman_bounds.exact", "friedman_bounds.stein", "friedman_bounds.chisq",
                  "friedman_bounds.testfunctions"):
         assert not loads(pair, name), name
+    # the identities draws read RngContract from exact_law, so no verify suite
+    # loads the sampler: every suite alone, and all of them at once
+    identities = modules_loaded_by("verify", "--suite", "identities", "--r-max", "3",
+                                   "--trials", "3")
+    assert loads(identities, "numpy") and loads(identities, "friedman_bounds.exact_law")
+    every = loaded[("verify", "--suite", "all", "--r-max", "3", "--n-max", "2")]
+    for modules in (lemmas, identities, pair, stein, every):
+        assert not loads(modules, "friedman_bounds.montecarlo")

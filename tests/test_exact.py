@@ -134,6 +134,17 @@ def test_exact_rows_are_the_one_table(r):
     assert not hasattr(exact_law, "_rows")
 
 
+@pytest.mark.parametrize("r", range(3, 9))
+def test_two_trial_law_is_the_overlap_law(r):
+    # |Q|^2 of two trials is 2 sum v^2 + 2 d1.d2, and d1.d2 is Y of the overlap
+    # law for each of the r! first rows: the sorted-state engine and the streamed
+    # permutations are independent computations of one law
+    law, shift = exact_law.f_law(2, r), sum(v * v for v in centered_doubled(r))
+    overlap = exact._overlap_law(r)
+    assert law.keys == tuple(2 * shift + 2 * y for (y,), _ in overlap)
+    assert law.counts == tuple(c * math.factorial(r) for _, c in overlap)
+
+
 def test_convolution_over_budget_builds_no_moves(monkeypatch):
     # r = 12 has 479001600 moves, far too many to hold: the budget must
     # refuse the first trial before any move is drawn
@@ -655,9 +666,24 @@ def test_decomposition_is_charged_the_overlap_law_before_any_draw(monkeypatch):
             verify_index_decomposition(r, trials=1, seed=0)
 
 
+def test_decomposition_draws_from_the_rng_contract(monkeypatch):
+    # one owner of the draw key: the sampler's RngContract, at (seed, 0), built
+    # after the seed check and the overlap law's charge
+    assert exact.RngContract is montecarlo.RngContract is exact_law.RngContract
+    built, generator = [], exact_law.RngContract.generator
+    monkeypatch.setattr(exact_law.RngContract, "generator",
+                        lambda self: built.append(self) or generator(self))
+    assert all_pass(verify_index_decomposition(3, trials=2, seed=7))
+    assert built == [exact_law.RngContract(seed=7, stream=0)]
+    with pytest.raises(BudgetError, match="r=9 needs 362880 enumerated terms"):
+        verify_index_decomposition(9, trials=1, seed=7)
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_decomposition_seed_outside_the_philox_key_is_refused(seed):
-    match = "need seed >= 0, got -1" if seed < 0 else "seed must lie in"
+    match = ("need seed >= 0, got -1" if seed < 0
+             else r"seed and stream must lie in \[0, 2\*\*64\), got 18446744073709551616 and 0")
     with pytest.raises(DomainError, match=match):
         verify_index_decomposition(3, trials=1, seed=seed)
 

@@ -355,6 +355,28 @@ def test_a_failed_chunk_raises_after_every_worker_joins(monkeypatch, threads, fa
     assert threading.active_count() == before  # no worker outlives the call
 
 
+@pytest.mark.parametrize("refused", [1, 2])
+def test_a_thread_shortage_leaves_the_chunks_to_the_running_workers(monkeypatch, refused):
+    # the OS refuses the refused-th helper thread: the helpers already running
+    # and the calling thread take every chunk, are joined, and draw the same keys
+    samples = 6 * montecarlo._CHUNK
+    whole = _sample_statistics(5, 4, samples, RngContract(seed=51), threads=1)
+    real_start, starts = threading.Thread.start, []
+
+    def start(self):
+        starts.append(self)
+        if len(starts) == refused:
+            raise RuntimeError("can't start new thread")
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    before = threading.active_count()
+    keys = _sample_statistics(5, 4, samples, RngContract(seed=51), threads=4)
+    assert len(starts) == refused  # no start is tried after the first refusal
+    assert threading.active_count() == before  # no worker outlives the call
+    assert keys.tobytes() == whole.tobytes()
+
+
 def test_substream_index_and_stream_bounds():
     top = RngContract(seed=1, stream=2 ** 44 - 1)
     assert top.substream(2 ** 20 - 2).stream == 2 ** 64 - 1

@@ -52,6 +52,7 @@ def test_ranks_from_scores_ties_and_nonfinite():
     ("a,b,c\n1,2,3\n4,5,4\n", TieError, "tied scores in row 1"),
     ("1,2,3\n4,5,6\n7,8,inf\n1,nan,2\n", NonFiniteError, "row 2 has a non-finite score"),
     ("1,2,3\n-inf,5,6\n", NonFiniteError, "row 1 has a non-finite score"),
+    ('1,2,3\n3,"1,5",2\n', ParseError, "row 1: '3,\"1,5\",2' is not 3 numbers"),
 ])
 def test_load_csv_score_errors_name_the_path_and_the_row(tmp_path, text, error, message):
     path = tmp_path / "scores.csv"
@@ -165,6 +166,9 @@ def test_load_csv_header_blank_and_quoted_rows(tmp_path):
     assert load_csv(path, "scores").ranks.tolist() == [[2, 3, 1], [2, 3, 1]]
     path = write(tmp_path, "1,2\r\n\r\n2,1\r\n")
     assert load_csv(path, "ranks").ranks.tolist() == [[1, 2], [2, 1]]
+    # a header with a field past the csv reader's 131,072-character limit stays a header
+    path = write(tmp_path, "x" * 200_000 + ",b,c\n3,1,2\n")
+    assert load_csv(path, "ranks").ranks.tolist() == [[3, 1, 2]]
     # a UTF-8 byte-order mark does not turn the first data row into a header
     path = write(tmp_path, "\ufeff3,1,2\n2,1,3\n")
     assert load_csv(path, "ranks").ranks.tolist() == [[3, 1, 2], [2, 1, 3]]
@@ -177,6 +181,8 @@ def test_load_csv_header_blank_and_quoted_rows(tmp_path):
     ("1,2,3\n2,x,1\n", 1),                  # non-numeric token
     ("1,2\n3\x0c4,1\n", 1),                  # a form feed inside a row is no line break
     ("a,b,c\n1,2,3\n,,\n3,2,1\n2,1,oops\n", 2),
+    ('1,2,3\n3,"1,5",2\n', 1),             # a quoted comma is inside one field
+    ('"1,5",2,3\n3,1,2\n2,1\n', 1),        # so a first line holding one is a header
 ])
 def test_load_csv_bad_row_is_named(tmp_path, text, row):
     path = write(tmp_path, text)
@@ -186,7 +192,8 @@ def test_load_csv_bad_row_is_named(tmp_path, text, row):
 
 
 @pytest.mark.parametrize("bad,message", [("2,x,1", "row 3: '2,x,1' is not 3 numbers"),
-                                         ("2,1", "row 3 has 2 fields, expected 3")])
+                                         ("2,1", "row 3 has 2 fields, expected 3"),
+                                         ('3,"1,5",2', "row 3: '3,\"1,5\",2' is not 3 numbers")])
 def test_load_csv_bad_row_in_the_first_half_is_named(tmp_path, bad, message):
     # the bisection's first window already holds the bad row, so parsing that
     # window fails and the search narrows to the front of the file
