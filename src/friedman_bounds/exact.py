@@ -44,18 +44,19 @@ bounds each cell: the lemma and inequality suites charge up front the
 four- and three-coordinate tuples of every r they walk (the lemmas run to
 r = 16, the inequalities to r = 30), the lemma suite its moment
 products over every (r, n) cell, and the identities suite one term per
-trial at every r it walks whose r! overlap rows fit (exact_law._rows_fit)
-and one term for each other r.  Each suite checks its flags and charges
-its walk in one function that it calls first (_lemma_walk, _inequality_walk,
-_identity_walk, which checks the seed by building its exact_law.RngContract,
-the one owner of a seed and of the key of the decomposition draws), and
-`verify` calls it for every chosen suite before any runs.  The overlap law
-behind T_m, E[beta^4] and each decomposition check is charged one term per
-row of one trial's r! (exact_law._check_tuples), before any draw, and then
-streams the permutations, keeping only its counts, so these suites load no
-numpy (the decomposition draws do).  A T_m cell, an E[beta^4] cap or a
-decomposition r past the budget is one skipped entry, built by
-exact_law._within_budget (the decompositions run to r = 8).
+trial at every r it walks whose overlap law fits and one term for each
+other r; rho_moment charges its own tuples on every call that walks them.
+Each suite checks its flags and charges its walk in one function that it
+calls first (_lemma_walk, _inequality_walk, _identity_walk, which checks
+the seed by building its exact_law.RngContract, the one owner of a seed and
+of the key of the decomposition draws), and `verify` calls it for every
+chosen suite before any runs.  The overlap law behind T_m, E[beta^4] and
+each decomposition check is exact_law._overlap_law: the law of
+Y = sum_l v_l v_pi(l) by a pure-Python subset DP, charged its r 2^(r-1)
+moves (exact_law._overlap_moves) on every call, before any draw, so these
+suites load no numpy (the decomposition draws do).  A T_m cell, an
+E[beta^4] cap or a decomposition r past the budget is one skipped entry,
+built by exact_law._within_budget (all three run to r = 14).
 
 Every verify_* function returns a list of JSON-ready entries
 {identity, r, n, status, lhs, rhs} in the format of ``exact_law._entry``
@@ -76,7 +77,8 @@ from operator import eq, le
 
 from .errors import DomainError, check_count
 from .exact_law import (RngContract, _check_terms, _check_tuples, _check_walk, _count_entry, _entry,
-                        _rows_fit, _skip_entry, _within_budget, all_pass, centered_doubled, f_law)
+                        _fits, _overlap_law, _overlap_moves, _skip_entry, _within_budget, all_pass,
+                        centered_doubled, f_law)
 
 __all__ = [
     "joint_moments",
@@ -103,10 +105,12 @@ def _check(identity: str, r: int, n: int | None, lhs, holds, rhs, note: str = ""
 
 @lru_cache(maxsize=None, typed=True)  # typed: r = 3.0 must miss the entry of r = 3 and be refused
 def rho_moment(r: int, powers: tuple[int, ...]) -> Fraction:
-    """E[rho(1)^p1 * rho(2)^p2 * ...] over distinct coordinates of one trial."""
+    """E[rho(1)^p1 * rho(2)^p2 * ...] over distinct coordinates of one trial,
+    its ordered len(powers)-tuples charged to the budget before any is walked."""
     r = check_count(r, 2, "r")
     if len(powers) > r:
         raise DomainError(f"{len(powers)} distinct coordinates need r >= {len(powers)}")
+    _check_tuples(f"the {len(powers)}-coordinate tuples at r={r}", r, len(powers))
     tuples = list(iter_permutations(centered_doubled(r), len(powers)))
     total = sum(math.prod(v ** p for v, p in zip(tup, powers)) for tup in tuples)
     return Fraction(total, len(tuples) * 2 ** sum(powers))
@@ -221,29 +225,15 @@ def _s_moments(r: int, n: int) -> dict[str, Fraction]:
             "E[S_j S_k]": q * two[1, 1], "E[S_j^2 S_k^2]": q ** 2 * two[2, 2]}
 
 
-_overlap_counts: dict[int, tuple[tuple[tuple[int], int], ...]] = {}
-
-
-def _overlap_law(r: int) -> tuple[tuple[tuple[int], int], ...]:
-    """Counts of Y = sum_l v_l v_pi(l) over the r! permutations pi, with v
-    the doubled ranks; one term per permutation is priced on every call, and
-    the counts, streamed over the permutations, are cached on r."""
-    _check_tuples(f"the law of sum_l v_l v_pi(l) at r={r}", r, r)
-    if r not in _overlap_counts:
-        v = centered_doubled(r)
-        counts = Counter(sum(x * y for x, y in zip(v, row)) for row in iter_permutations(v))
-        _overlap_counts[r] = tuple(((y,), c) for y, c in sorted(counts.items()))
-    return _overlap_counts[r]
-
-
 def _t_statistic_moments(n: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
     """((E[T_m])^2, E[T_m^2], E[T_m^4]) exact, via T = (c/4) x.
 
     For trial m's doubled row d, x = sum_l Q_l d_l is |d|^2 plus n-1 i.i.d.
-    copies of Y = sum_l v_l v_pi(l), whose law does not depend on d.
+    copies of Y = sum_l v_l v_pi(l), whose law does not depend on d.  The
+    law is charged first, before any work that grows with r.
     """
-    shift = sum(v * v for v in centered_doubled(r))
     y = _iid_sum_moments(_overlap_law(r), n - 1, (4,))
+    shift = sum(v * v for v in centered_doubled(r))
     x = [sum(math.comb(k, j) * shift ** (k - j) * y[j,] for j in range(k + 1)) for k in range(5)]
     c2_over_16 = Fraction(3, 4 * r * (r + 1) * n)  # (c/4)^2 with c^2 = 12/(r(r+1)n)
     return c2_over_16 * x[1] ** 2, c2_over_16 * x[2], c2_over_16 ** 2 * x[4]
@@ -259,10 +249,12 @@ def _f_moments(r: int, n: int) -> dict[str, Fraction]:
 
 
 def joint_moments(r: int, n: int) -> dict[str, Fraction]:
-    """Exact joint moments of F_r, S_j and T_m at any n (the T_m law costs r! terms)."""
+    """Exact joint moments of F_r, S_j and T_m at any n; the T_m overlap law,
+    r 2^(r-1) terms, is charged before any S moment is built."""
     r, n = check_count(r, 2, "r"), check_count(n, 1, "n")
+    t = _t_statistic_moments(n, r)
     e = {**_f_moments(r, n), **_s_moments(r, n)}
-    e["E[T]^2"], e["E[T^2]"], e["E[T^4]"] = _t_statistic_moments(n, r)
+    e["E[T]^2"], e["E[T^2]"], e["E[T^4]"] = t
     return e
 
 
@@ -404,8 +396,8 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
     forms) and the F_r and T_m identities run for every n in 1..n_max, each
     new n at the cost of one moment product per trial law (_CELL_PRODUCTS
     terms in all).  The F_r identities read the S moments alone.  The T_m
-    identities need the r! terms of the overlap law: from r = 9 on, each
-    cell's are one skipped entry naming that count.  Infeasible identities
+    identities need the r 2^(r-1) terms of the overlap law: from r = 15 on,
+    each cell's are one skipped entry naming that count.  Infeasible identities
     (three distinct coordinates at r = 2) are reported as skipped, not
     failed.  Every check but the sign record, the per-rho sums and the T_m
     cells is one row of a table read by _row_entries.
@@ -439,7 +431,7 @@ def verify_lemma_formulas(r_max: int, n_max: int) -> list[dict]:
 
 
 def _t_entries(r: int, n: int) -> list[dict]:
-    """The T_m identities at (r, n), from the r! terms of the overlap law."""
+    """The T_m identities at (r, n), from the overlap law."""
     t_mean_sq, t2, t4 = _t_statistic_moments(n, r)
     rr, nn = Fraction(r), Fraction(n)
     out = [_check("E[T]^2 = r(r+1)(r-1)^2/(12n)", r, n, t_mean_sq, eq,
@@ -588,7 +580,7 @@ def beta_fourth_moment_direct(r: int) -> Fraction:
     """E[(sum_l rho(l) rho'(l))^4] over two independent permutations, direct.
 
     beta(pi, pi') = beta(id, pi' pi^-1) and pi' pi^-1 is uniform whatever pi
-    is, so beta = Y/4 with Y read from the r! terms of the overlap law.
+    is, so beta = Y/4 with Y read from the overlap law.
     """
     total = sum(c * y ** 4 for (y,), c in _overlap_law(r))
     return Fraction(total, math.factorial(r) * 4 ** 4)  # doubled twice: (2*2)^4
@@ -605,8 +597,8 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     all-ones counting case, and the fourth-moment instance
     f(l,j,s,t) = (E[rho(l)rho(j)rho(s)rho(t)])^2, whose decomposed total is
     cross-checked against a direct two-permutation enumeration.  That
-    enumeration reads the r! terms of the overlap law, which are charged to
-    the budget before any draw (BudgetError from r = 9 on).
+    enumeration reads the overlap law, whose r 2^(r-1) terms are charged to
+    the budget before any draw or numpy import (BudgetError from r = 15 on).
 
     The draws come from exact_law.RngContract(seed).generator(), keyed by
     (seed, 0), so seed lies in [0, 2**64); each arity draws its trials in
@@ -617,11 +609,11 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
     two fixed cases sum exact integers (over a common denominator for the
     fourth-moment f).
     """
-    import numpy as np
-
     r, trials = check_count(r, 3, "r"), check_count(trials, 1, "trials")
     contract = RngContract(seed)
-    direct = beta_fourth_moment_direct(r)  # the r! overlap terms, charged before any draw
+    direct = beta_fourth_moment_direct(r)  # the overlap law, charged before any draw
+    import numpy as np
+
     rng = contract.generator()
     out: list[dict] = []
     for arity in (2, 3, 4):
@@ -651,11 +643,12 @@ def verify_index_decomposition(r: int, trials: int, seed: int) -> list[dict]:
 
 def _identity_walk(r_max: int, trials: int, seed: int) -> tuple[int, int, int]:
     """Check the identities suite's r_max and trials, charge its walk one
-    term per trial at each r whose r! overlap rows fit the budget (the r that
-    draw) and one term for the skip entry of each other r, and then check the
-    seed.  Returns the checked flags."""
+    term per trial at each r whose overlap law fits the budget (the r that
+    draw, as exact_law._overlap_moves prices it) and one term for the skip
+    entry of each other r, and then check the seed.  Returns the checked
+    flags."""
     r_max, trials = check_count(r_max, 3, "r_max"), check_count(trials, 1, "trials")
-    drawn = sum(1 for _ in takewhile(_rows_fit, range(3, r_max + 1)))
+    drawn = sum(1 for _ in takewhile(lambda r: _fits(_overlap_moves(r)), range(3, r_max + 1)))
     _check_terms(f"the decomposition trials at r=3..{r_max}", (trials - 1) * drawn + r_max - 2)
     return r_max, trials, RngContract(seed).seed
 

@@ -29,19 +29,25 @@ sampler in ``montecarlo`` reads as it is (0.62 MB at r = 8, where a tuple of
 row tuples held 4.3 MB).  _trial_rows is the one way the exact side reads
 it: it prices m terms per row, m the engine's running state count, 1 for
 the rows of the operator link, and r^2 for the coupling row draws, and then
-returns the doubled centered rows 2 table - (r+1).  The overlap law behind
-T_m is priced by the same rule at one term per row, but streams the
-permutations and keeps no row, so the lemma suites load no numpy.  A
-count is multiplied out only for k <= 30, where it still prints in full;
-past that k! alone is beyond any cap, and the cell is refused at once with
-the short note "more than 30!".  The other walks are no tuple counts, and
-each suite charges _check_terms its own units per step before any cell: the
-lemma suite's moment products over n, the identities suite's trials at
-each r that draws (_rows_fit: its r! overlap rows fit the budget) and one
-term for each other r, the coupling suite's entries per (r, n) cell and
-the Stein suite's f' evaluations over p.  A verify suite runs each cell through
-_within_budget, which returns the cell's entries, or for a cell past the
-budget its one skip entry with the BudgetError as its note.
+returns the doubled centered rows 2 table - (r+1).  A count is multiplied
+out only for k <= 30, where it still prints in full; past that k! alone is
+beyond any cap, and the cell is refused at once with the short note "more
+than 30!".
+
+The overlap law behind T_m, E[beta^4] and the identities suite, the law of
+Y = sum_l v_l v_pi(l) over the r! permutations pi (Spearman's statistic up
+to an affine map), reads no row: _overlap_law builds it by a pure-Python
+subset DP over the positions, so the lemma suites load no numpy.  Its one
+price, _overlap_moves, is a term per (mask, value) move, r 2^(r-1) of
+them (about 1.3 us each): r <= 14 fits, r = 15 (245,760) does not.  The
+other walks are no tuple counts, and each suite charges _check_terms its
+own units per step before any cell: the lemma suite's moment products over
+n, the identities suite's trials at each r that draws (whose overlap law
+fits, by _overlap_moves) and one term for each other r, the coupling
+suite's entries per (r, n) cell and the Stein suite's f' evaluations over
+p.  A verify suite runs each cell through _within_budget, which returns the
+cell's entries, or for a cell past the budget its one skip entry with the
+BudgetError as its note.
 
 f_law returns the law as one frozen record, FLaw: the integer keys |Q|^2
 (Q the doubled column sums, F_r = 3 |Q|^2 / (r(r+1)n)) in increasing order,
@@ -124,13 +130,18 @@ def centered_doubled(r: int) -> list[int]:
     return [2 * k - (r + 1) for k in range(1, r + 1)]
 
 
+def _fits(terms: int | str) -> bool:
+    """Whether ``terms`` fits the budget (a str is a count past any cap)."""
+    return not isinstance(terms, str) and terms <= BUDGET_CAP
+
+
 def _check_terms(cell: str, terms: int | str) -> None:
     """The one enumeration budget: BudgetError once a cell needs over BUDGET_CAP
     terms (a str stands for a count known to be past any cap; a count past
     2**256 is named as such, so that the note stays short at any size)."""
     if not isinstance(terms, str) and terms > 2 ** 256:
         terms = "more than 2**256"
-    if isinstance(terms, str) or terms > BUDGET_CAP:
+    if not _fits(terms):
         raise BudgetError(f"{cell} needs {terms} enumerated terms, which exceeds "
                           f"the cap {BUDGET_CAP}")
 
@@ -147,10 +158,41 @@ def _check_tuples(cell: str, r: int, k: int, per_tuple: int = 1) -> None:
     _check_terms(cell, "more than 30!" if k > 30 else per_tuple * math.perm(r, k))
 
 
-def _rows_fit(r: int) -> bool:
-    """Whether one trial's r! rows fit the budget at one term per row, the
-    price of the overlap law behind T_m and E[beta^4]."""
-    return math.factorial(r) <= BUDGET_CAP
+def _overlap_moves(r: int) -> int | str:
+    """The one price of the overlap law at r: a term per (mask, value) move of
+    its subset DP, r 2^(r-1) of them.  From r = 256 on the count is past
+    2**256 and is not formed."""
+    return r << (r - 1) if r < 256 else "more than 2**256"
+
+
+def _overlap_law(r: int) -> tuple[tuple[tuple[int], int], ...]:
+    """Counts of Y = sum_l v_l v_pi(l) over the r! permutations pi, with v
+    the doubled ranks, in increasing y; _overlap_moves is charged on every
+    call, and the counts are cached on r."""
+    _check_terms(f"the law of sum_l v_l v_pi(l) at r={r}", _overlap_moves(r))
+    return _overlap_dp(r)
+
+
+@lru_cache(maxsize=None)
+def _overlap_dp(r: int) -> tuple[tuple[tuple[int], int], ...]:
+    """The overlap law by a subset DP over the positions k = 0..r-1.
+
+    A state is the bitmask of the values placed at positions 0..k-1; it
+    holds their counts over D = sum_k (k - pi(k))^2 packed into one int, one
+    slot of r!.bit_length() bits per D (no count exceeds r!).  The state of
+    mask sums, over each value j in it placed last (at k = |mask| - 1), the
+    state of mask without j shifted by (k - j)^2 slots; a mask is larger
+    than every mask it reads, so increasing order builds each first.  Then
+    Y = sum v^2 - 2 D with sum v^2 = r(r^2-1)/3, as v_l - v_pi(l) = 2 (l - pi(l)).
+    """
+    slot, full = math.factorial(r).bit_length(), (1 << r) - 1
+    polys = [1] + [0] * full
+    for mask in range(1, full + 1):
+        k = mask.bit_count() - 1
+        polys[mask] = sum(polys[mask ^ 1 << j] << slot * (k - j) ** 2 for j in range(r) if mask >> j & 1)
+    shift, poly, ones = r * (r * r - 1) // 3, polys[full], (1 << slot) - 1
+    return tuple(((shift - 2 * d,), c) for d in range(poly.bit_length() // slot, -1, -1)
+                 if (c := poly >> slot * d & ones))
 
 
 def _check_walk(cell: str, r: int, k: int) -> None:

@@ -430,7 +430,9 @@ def test_results_golden_stdout(capsys, monkeypatch):
     # Wasserstein and auto rate lines before f_law read r = 2 off one
     # binomial row instead of the sorted-state engine, and that Wasserstein
     # line again when exact CDF levels became prefix sums over the total
-    # rather than a float running sum.  The `test` lines,
+    # rather than a float running sum; the r-max 10 lemma line when the
+    # overlap law became a subset DP, its T_m and E[beta^4] skips at r = 9
+    # and 10 turning into passes, no other entry changed.  The `test` lines,
     # with their stderr, were pinned before rank files got an integer parse
     # and scores a plain argsort; their CSVs sit next to the golden file.
     golden = Path(__file__).parent / "golden"
@@ -595,24 +597,24 @@ def test_cmd_verify_seed_is_a_philox_key_word(capsys, seed, code):
 
 
 def test_cmd_verify_identities_run_to_the_budget(capsys):
-    # r = 3..8 fit; the r = 9 check needs the 9! terms of the overlap law
-    code, out, _ = run(capsys, "verify", "--suite", "identities", "--r-max", "9",
+    # r = 3..14 fit; the r = 15 check needs the 15 2^14 terms of the overlap law
+    code, out, _ = run(capsys, "verify", "--suite", "identities", "--r-max", "15",
                        "--trials", "10")
     lines = [json.loads(line) for line in out.splitlines()]
-    assert code == 0 and {e["r"] for e in lines} == set(range(3, 10))
-    assert all(e["status"] == "pass" for e in lines if e["r"] <= 8)
-    [skip] = [e for e in lines if e["r"] == 9]
-    assert skip["status"] == "skip" and "362880 enumerated terms" in skip["note"]
+    assert code == 0 and {e["r"] for e in lines} == set(range(3, 16))
+    assert all(e["status"] == "pass" for e in lines if e["r"] <= 14)
+    [skip] = [e for e in lines if e["r"] == 15]
+    assert skip["status"] == "skip" and "245760 enumerated terms" in skip["note"]
 
 
 def test_cmd_verify_identities_charge_trials_only_where_they_draw(capsys):
-    # r = 3..8 draw: 6 x 112 trials and one term for each of the 1,792 skips
+    # r = 3..14 draw: 12 x 112 trials and one term for each of the 1,786 skips
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--r-max", "1800",
                        "--trials", "112")
     lines = [json.loads(line) for line in out.splitlines()]
     assert code == 0 and {e["r"] for e in lines} == set(range(3, 1801))
-    assert all(e["status"] == "pass" for e in lines if e["r"] <= 8)
-    assert all(e["status"] == "skip" for e in lines if e["r"] > 8)
+    assert all(e["status"] == "pass" for e in lines if e["r"] <= 14)
+    assert all(e["status"] == "skip" for e in lines if e["r"] > 14)
 
 
 @pytest.mark.parametrize("n, want", [(3570, 0), (3571, 2)])
@@ -723,17 +725,19 @@ def test_cmd_rate_auto_is_exact_to_n_57_at_r_3(capsys):
         "exact-enumeration", "monte-carlo"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--suite", "identities", "--r-max", "1800", "--trials", "1"),
-    ("verify", "--suite", "coupling", "--r-max", "1700", "--n-max", "1"),
+@pytest.mark.parametrize("argv, count", [
+    (("verify", "--suite", "identities", "--r-max", "1800", "--trials", "1"), "2**256"),
+    (("verify", "--suite", "coupling", "--r-max", "1700", "--n-max", "1"), "30!"),
 ], ids=["identities", "coupling"])
-def test_cmd_verify_skips_any_r_past_the_budget_with_a_short_note(capsys, argv):
-    # past r = 30 the budget refuses without forming r!, whose count would
-    # pass Python's int print limit from r = 1559 on
+def test_cmd_verify_skips_any_r_past_the_budget_with_a_short_note(capsys, argv, count):
+    # past r = 30 (coupling) or r = 255 (identities) the budget refuses
+    # without forming r! or r 2^(r-1), whose count would pass Python's int
+    # print limit from r = 1559 or r = 14,272 on
     code, out, _ = run(capsys, *argv)
     lines = [json.loads(line) for line in out.splitlines()]
     assert code == 0 and all(len(e.get("note", "")) < 200 for e in lines)
-    assert lines[-1]["status"] == "skip" and "needs more than 30! enumerated" in lines[-1]["note"]
+    assert lines[-1]["status"] == "skip"
+    assert f"needs more than {count} enumerated" in lines[-1]["note"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -888,8 +892,8 @@ def test_subcommands_load_only_what_they_run(fresh_python, scores_csv):
 
     bounds = modules_loaded_by("bounds", "--n", "100", "--r", "3", "--json")
     assert not loads(bounds, "numpy") and not loads(bounds, "scipy")
-    # the lemma suites stream one trial's permutations and read no table
-    lemmas = modules_loaded_by("verify", "--suite", "lemmas", "--r-max", "8", "--n-max", "2")
+    # the lemma suites build the overlap law by a pure-Python DP and read no table
+    lemmas = modules_loaded_by("verify", "--suite", "lemmas", "--r-max", "14", "--n-max", "2")
     assert not loads(lemmas, "numpy")
     # the chi-square tail is a closed form and every chi-square integral is the
     # package's own panel rule, so no call loads scipy, not even one that reports a CDF value

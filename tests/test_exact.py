@@ -1,6 +1,7 @@
 """Exact enumeration oracle: moments, lemma suites, decompositions."""
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -78,6 +79,16 @@ def test_single_trial_domain(monkeypatch):
         rho_moment(2, (1, 1, 1))
 
 
+def test_rho_moment_charges_its_tuples_before_it_walks_them(monkeypatch):
+    # perm(70, 4) = 22,005,480 tuples: refused before any is enumerated, also
+    # through mono_moment, which reads it
+    monkeypatch.setattr(exact, "iter_permutations", None)
+    for call in (lambda: rho_moment(70, (1, 1, 1, 1)), lambda: mono_moment(70, (0, 1, 2, 3))):
+        with pytest.raises(BudgetError, match="the 4-coordinate tuples at r=70 needs "
+                                              f"{math.perm(70, 4)} enumerated terms"):
+            call()
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: verify_lemma_formulas(1, 3), "need r_max >= 2, got 1",
                  id="<lambda>-r_max=1_0"),
@@ -104,12 +115,12 @@ def test_joint_examples():
 
 
 def test_joint_budget():
-    # the joint moments cost the r! terms of the overlap law behind T_m, at
-    # any n: r = 7 fits where the F_r law at n = 3 used to be refused, and
-    # r = 9 does not
-    assert joint_moments(7, 3)["E[F]"] == 6
-    with pytest.raises(BudgetError, match="r=9 needs 362880 enumerated terms"):
-        joint_moments(9, 2)
+    # the joint moments cost the r 2^(r-1) terms of the overlap law behind
+    # T_m, at any n: r = 14 fits where the F_r law at n = 2 is refused, and
+    # r = 15 does not
+    assert joint_moments(14, 3)["E[F]"] == 13
+    with pytest.raises(BudgetError, match="r=15 needs 245760 enumerated terms"):
+        joint_moments(15, 2)
     with pytest.raises(BudgetError, match=r"r=5, n=100 needs \d+ enumerated terms, "
                                           r"which exceeds the cap 200000"):
         exact_f_distribution(100, 5)
@@ -122,27 +133,59 @@ def test_joint_budget():
 def test_exact_rows_are_the_one_table(r):
     # one table of one trial's rows: the exact side reads it doubled and
     # centered, row for row in permutations order, the sampler as it is, and
-    # the overlap law streams the same permutations
+    # the overlap law's DP equals a tally of its rows against the identity
     import numpy as np
 
     rows, table = exact_law._trial_rows("rows", r, 1), exact_law._permutation_table(r)
     assert np.array_equal(rows, 2 * table - (r + 1))
     assert rows.tolist() == [list(row) for row in permutations(centered_doubled(r))]
     assert montecarlo._permutation_table is exact_law._permutation_table
-    assert exact._overlap_law(r) == tuple(((y,), c) for y, c in
-                                          sorted(Counter((rows @ rows[0]).tolist()).items()))
+    assert exact_law._overlap_law(r) == tuple(((y,), c) for y, c in
+                                              sorted(Counter((rows @ rows[0]).tolist()).items()))
     assert not hasattr(exact_law, "_rows")
 
 
 @pytest.mark.parametrize("r", range(3, 9))
 def test_two_trial_law_is_the_overlap_law(r):
     # |Q|^2 of two trials is 2 sum v^2 + 2 d1.d2, and d1.d2 is Y of the overlap
-    # law for each of the r! first rows: the sorted-state engine and the streamed
-    # permutations are independent computations of one law
+    # law for each of the r! first rows: the sorted-state engine and the subset
+    # DP are independent computations of one law
     law, shift = exact_law.f_law(2, r), sum(v * v for v in centered_doubled(r))
-    overlap = exact._overlap_law(r)
+    overlap = exact_law._overlap_law(r)
     assert law.keys == tuple(2 * shift + 2 * y for (y,), _ in overlap)
     assert law.counts == tuple(c * math.factorial(r) for _, c in overlap)
+
+
+@pytest.mark.parametrize("r", range(3, 15))
+def test_overlap_law_moments_at_every_admitted_r(r):
+    # Y = sum_l v_l v_pi(l) over the r! permutations: Y and -Y have one law
+    # (pi composed with the reversal), E[Y] = 0 and E[Y^2] = (sum v^2)^2/(r-1)
+    law = exact_law._overlap_law(r)
+    counts, total = dict((y, c) for (y,), c in law), math.factorial(r)
+    assert sum(counts.values()) == total and list(counts) == sorted(counts)
+    assert all(counts.get(-y) == c for y, c in counts.items())
+    square = sum(v * v for v in centered_doubled(r))
+    assert sum(c * y for y, c in counts.items()) == 0
+    assert Fraction(sum(c * y * y for y, c in counts.items()), total) == Fraction(square ** 2, r - 1)
+
+
+def test_overlap_law_price(monkeypatch):
+    # one term per (mask, value) move of the DP, r 2^(r-1), charged on every
+    # call: r = 14 (114,688) fits the budget, r = 15 (245,760) does not, and a
+    # cap one below r = 14's price refuses it even once its counts are cached
+    assert [exact_law._overlap_moves(r) for r in (3, 14, 15)] == [12, 114688, 245760]
+    exact_law._overlap_law(14)
+    monkeypatch.setattr(exact_law, "BUDGET_CAP", 114687)
+    with pytest.raises(BudgetError, match="r=14 needs 114688 enumerated terms"):
+        exact_law._overlap_law(14)
+
+
+def test_joint_moments_charge_the_overlap_law_before_any_s_moment(monkeypatch):
+    # the r(r-1) pair law behind the S moments is not priced: at r = 1500 the
+    # overlap law's charge must refuse the call before it is built
+    monkeypatch.setattr(exact, "_s_moments", None)
+    with pytest.raises(BudgetError, match=r"r=1500 needs more than 2\*\*256 enumerated"):
+        joint_moments(1500, 1)
 
 
 def test_convolution_over_budget_builds_no_moves(monkeypatch):
@@ -281,31 +324,33 @@ def test_state_keys_fit_int64_at_every_admitted_cell(monkeypatch):
 
 
 def test_beta_fourth_moment_budget():
-    # one permutation is fixed, so the cost is r! terms: r = 8 fits, r = 9 does not
-    assert beta_fourth_moment_direct(8) <= Fraction(79, 345600) * 8 ** 10
-    with pytest.raises(BudgetError, match="r=9 needs 362880 enumerated terms"):
-        beta_fourth_moment_direct(9)
-    [entry] = [e for e in verify_inequalities(9) if "beta" in e["identity"] and e["r"] == 9]
-    assert entry["status"] == "skip" and "362880" in entry["note"]
+    # one permutation is fixed, so the cost is the overlap law's r 2^(r-1)
+    # terms: r = 14 fits, r = 15 does not
+    assert beta_fourth_moment_direct(14) <= Fraction(79, 345600) * 14 ** 10
+    with pytest.raises(BudgetError, match="r=15 needs 245760 enumerated terms"):
+        beta_fourth_moment_direct(15)
+    beta = [e for e in verify_inequalities(15) if "beta" in e["identity"]]
+    assert [e["status"] for e in beta] == ["pass"] * 13 + ["skip"]
+    assert beta[-1]["r"] == 15 and "245760" in beta[-1]["note"]
 
 
 def test_joint_cell_over_budget_is_a_skip(monkeypatch):
-    # under a cap of 600 the four-coordinate tuples of r = 2..6 (504) fit but
-    # the r = 6 overlap law (720 terms) does not, so each r = 6 cell's T_m
-    # identities are one skip entry naming the count, while the column-law
-    # and F identities, which are charged only as the n walk (priced at one
-    # term per cell here, so that it stays below the cap), still pass; the
-    # law, cached here under the default cap, does not bypass it
-    joint_moments(6, 1)
-    monkeypatch.setattr(exact_law, "BUDGET_CAP", 600)
+    # under a cap of 50,000 the four-coordinate tuples of r = 2..13 (48,048)
+    # fit but the r = 13 overlap law (53,248 terms) does not, so each r = 13
+    # cell's T_m identities are one skip entry naming the count, while the
+    # column-law and F identities, which are charged only as the n walk
+    # (priced at one term per cell here, so that it stays below the cap),
+    # still pass; the law, cached here under the default cap, does not bypass it
+    joint_moments(13, 1)
+    monkeypatch.setattr(exact_law, "BUDGET_CAP", 50_000)
     monkeypatch.setattr(exact, "_CELL_PRODUCTS", 1)
-    report = verify_lemma_formulas(r_max=6, n_max=3)
+    report = verify_lemma_formulas(r_max=13, n_max=3)
     assert all_pass(report)
-    cells = [e for e in report if e["r"] == 6 and e["n"] is not None]
+    cells = [e for e in report if e["r"] == 13 and e["n"] is not None]
     skips = [e for e in cells if e["status"] == "skip"]
     assert [(e["identity"], e["n"]) for e in skips] == [("T_m identities", n) for n in (1, 2, 3)]
-    assert all("r=6 needs 720 enumerated terms" in e["note"] for e in skips)
-    assert not any(e["status"] == "skip" for e in report if e["r"] == 5)
+    assert all("r=13 needs 53248 enumerated terms" in e["note"] for e in skips)
+    assert not any(e["status"] == "skip" for e in report if e["r"] == 12)
     assert len(cells) == 3 * (7 + 3 + 1) and all(e["status"] == "pass" for e in cells
                                                   if e not in skips)
     assert [e["identity"] for e in cells if e["n"] == 2][-4:] == [
@@ -313,15 +358,15 @@ def test_joint_cell_over_budget_is_a_skip(monkeypatch):
 
 
 def test_f_identities_run_past_the_overlap_budget():
-    # at r = 9 the overlap law behind T_m needs 9! terms, past the cap, but
-    # E[F], E[F^2] and Var(F) read the S moments alone and are checked
-    report = [e for e in verify_lemma_formulas(r_max=9, n_max=2) if e["r"] == 9]
+    # at r = 15 the overlap law behind T_m needs 15 2^14 terms, past the cap,
+    # but E[F], E[F^2] and Var(F) read the S moments alone and are checked
+    report = [e for e in verify_lemma_formulas(r_max=15, n_max=2) if e["r"] == 15]
     assert all_pass(report)
     f = [(e["n"], e["lhs"]) for e in report if e["identity"].startswith(("E[F", "Var(F"))]
-    assert f == [(1, "8"), (1, "64"), (1, "0"), (2, "8"), (2, "72"), (2, "8")]
+    assert f == [(1, "14"), (1, "196"), (1, "0"), (2, "14"), (2, "210"), (2, "14")]
     skips = [e for e in report if e["status"] == "skip"]
     assert [(e["identity"], e["n"]) for e in skips] == [("T_m identities", n) for n in (1, 2)]
-    assert all("r=9 needs 362880 enumerated terms" in e["note"] for e in skips)
+    assert all("r=15 needs 245760 enumerated terms" in e["note"] for e in skips)
 
 
 @pytest.mark.parametrize("r,n", [(3, 4), (4, 3), (5, 2)])
@@ -562,10 +607,10 @@ def test_every_budget_skip_comes_from_the_one_runner(monkeypatch):
     skip_entry = exact_law._skip_entry
     monkeypatch.setattr(exact_law, "_skip_entry",
                         lambda identity, r, n, note: skip_entry(identity, r, n, note + " #owner"))
-    for suite, r in ((lambda: exact.verify_identities(9, 1, 0), 9),
+    for suite, r in ((lambda: exact.verify_identities(15, 1, 0), 15),
                      (lambda: coupling.verify_suite(7, 1), 7),
-                     (lambda: [e for e in verify_lemma_formulas(9, 1) if e["n"] == 1], 9),
-                     (lambda: verify_inequalities(9), 9)):
+                     (lambda: [e for e in verify_lemma_formulas(15, 1) if e["n"] == 1], 15),
+                     (lambda: verify_inequalities(15), 15)):
         skips = [e for e in suite() if "enumerated terms" in e.get("note", "")]
         assert skips and {e["r"] for e in skips} == {r}
         assert all(e["status"] == "skip" and e["note"].endswith(" #owner") for e in skips)
@@ -643,26 +688,28 @@ def test_decomposition_does_not_depend_on_the_trial_block(monkeypatch):
 
 
 def test_identities_walk_charges_trials_only_at_the_r_that_draw(monkeypatch):
-    # at r_max = 8 every r draws: 6 x 33,334 trials is 200,004 terms; under a
-    # cap of 7! = 5040, read from exact_law, only r = 3..7 draw, and r = 8 is
-    # one term for its skip entry
+    # at r_max = 14 every r draws: 12 x 16,666 more trials and 12 terms is
+    # 200,004 terms; under a cap of 10 x 2^9 = 5120, the price of the r = 10
+    # overlap law read from exact_law, only r = 3..10 draw, and r = 11 is one
+    # term for its skip entry
     monkeypatch.setattr(exact, "verify_index_decomposition", None)  # no r runs
-    with pytest.raises(BudgetError, match=r"r=3\.\.8 needs 200004 enumerated"):
-        exact.verify_identities(8, 33334, 0)
-    monkeypatch.setattr(exact_law, "BUDGET_CAP", 5040)
-    with pytest.raises(BudgetError, match=r"r=3\.\.8 needs 5041 enumerated"):
-        exact.verify_identities(8, 1008, 0)
+    with pytest.raises(BudgetError, match=r"r=3\.\.14 needs 200004 enumerated"):
+        exact.verify_identities(14, 16667, 0)
+    monkeypatch.setattr(exact_law, "BUDGET_CAP", 5120)
+    with pytest.raises(BudgetError, match=r"r=3\.\.11 needs 5121 enumerated"):
+        exact.verify_identities(11, 640, 0)
     # one trial: one term per r walked, whether it draws or skips
-    with pytest.raises(BudgetError, match=r"r=3\.\.5043 needs 5041 enumerated"):
-        exact.verify_identities(5043, 1, 0)
+    with pytest.raises(BudgetError, match=r"r=3\.\.5123 needs 5121 enumerated"):
+        exact.verify_identities(5123, 1, 0)
 
 
 def test_decomposition_is_charged_the_overlap_law_before_any_draw(monkeypatch):
-    # r = 7 and 8 fit the budget; at r = 9 the 9! overlap terms do not
-    assert all_pass(verify_index_decomposition(8, trials=3, seed=1))
+    # r = 14 fits the budget; from r = 15 on the overlap law's r 2^(r-1)
+    # terms do not, and past r = 255 the count is named, not formed
+    assert all_pass(verify_index_decomposition(14, trials=3, seed=1))
     monkeypatch.setattr(exact, "_multiset_weights", None)
-    for r, terms in ((9, 362880), (30, 265252859812191058636308480000000)):
-        with pytest.raises(BudgetError, match=f"r={r} needs {terms} enumerated terms"):
+    for r, terms in ((15, 245760), (30, 16106127360), (10 ** 9, "more than 2**256")):
+        with pytest.raises(BudgetError, match=re.escape(f"r={r} needs {terms} enumerated terms")):
             verify_index_decomposition(r, trials=1, seed=0)
 
 
@@ -675,8 +722,8 @@ def test_decomposition_draws_from_the_rng_contract(monkeypatch):
                         lambda self: built.append(self) or generator(self))
     assert all_pass(verify_index_decomposition(3, trials=2, seed=7))
     assert built == [exact_law.RngContract(seed=7, stream=0)]
-    with pytest.raises(BudgetError, match="r=9 needs 362880 enumerated terms"):
-        verify_index_decomposition(9, trials=1, seed=7)
+    with pytest.raises(BudgetError, match="r=15 needs 245760 enumerated terms"):
+        verify_index_decomposition(15, trials=1, seed=7)
     assert len(built) == 1
 
 
