@@ -1,19 +1,34 @@
 """The exact null law of F_r, and the one enumeration budget.
 
-From r = 3 on, the law of F_r is one exact convolution across trials of the
-full column-sum vector, over sorted states, each weighted by its count of
-configurations, without touching the (r!)^n space.  Each trial is one numpy
-pass over the states times the r! moves: rows sorted, keyed as int64 in a
-mixed radix that keeps tuple order, merged by np.unique, with exact
-Python-int counts summed on an object array.  At r = 2 the doubled column
-sums are Q = (q, -q), q = n - 2b with b ~ Bin(n, 1/2), so the law is one
-binomial row, built by the recurrence C(n, b+1) = C(n, b)(n-b)/(b+1) and
-charged (n+1) ceil(n/64) terms (n+1 counts of up to n bits, one term per
-64-bit word): it runs to n = 3570, where the convolution, about n^2 terms,
-stops at n = 631.  The convolution never runs at r = 2.  The first trial
-needs no move: from the zero state every row sorts to the sorted row, so the
-engine starts from that one state with count r!, and reads rows from the
-second trial on.
+f_law reads the law from an ordered tuple of sources, _SOURCES, each
+(name, applies(n, r), build(n, r)): the first source that applies to the
+cell and whose build is not refused gives the law, and if every applicable
+source refuses, the first refusal is raised.  Each build charges its own
+price before any work.  In order:
+
+1. the binomial row (r = 2).  The doubled column sums are Q = (q, -q),
+   q = n - 2b with b ~ Bin(n, 1/2), so the law is one binomial row, built by
+   the recurrence C(n, b+1) = C(n, b)(n-b)/(b+1) and charged
+   (n+1) ceil(n/64) terms (n+1 counts of up to n bits, one term per 64-bit
+   word): it runs to n = 3570, where the engine, about n^2 terms, would
+   stop at n = 631.  The engine never runs at r = 2.
+2. the sorted-state engine _sum_counts (r >= 3): one exact convolution
+   across trials of the full column-sum vector, over sorted states, each
+   weighted by its count of configurations, without touching the (r!)^n
+   space.  Each trial is one numpy pass over the states times the r!
+   moves: rows sorted, keyed as int64 in a mixed radix that keeps tuple
+   order, merged by np.unique, with exact Python-int counts summed on an
+   object array.  The first trial needs no move: from the zero state every
+   row sorts to the sorted row, so the engine starts from that one state
+   with count r!, charged r terms for the one row it builds, and reads rows
+   from the second trial on.  So n = 1 is exact at every r up to the cap.
+3. the two-trial subset DP (n = 2).  |Q|^2 = 2 sum v^2 + 2Y with Y the
+   overlap law below, reached r! ways for each first row, so the law is
+   _overlap_law(r) re-keyed, count times r!, total (r!)^2, over its 2^r
+   subset states.  It runs to r = 14, where the engine stops at r = 8.
+
+The engine stays ahead of the DP, so every cell the engine admits reads
+the engine's law, its states included.
 
 Cost is counted in enumerated terms and capped by the one budget BUDGET_CAP
 (_check_terms raises BudgetError naming the cell, the term count and the
@@ -34,29 +49,30 @@ out only for k <= 30, where it still prints in full; past that k! alone is
 beyond any cap, and the cell is refused at once with the short note "more
 than 30!".
 
-The overlap law behind T_m, E[beta^4] and the identities suite, the law of
-Y = sum_l v_l v_pi(l) over the r! permutations pi (Spearman's statistic up
-to an affine map), reads no row: _overlap_law builds it by a pure-Python
-subset DP over the positions, so the lemma suites load no numpy.  Its one
-price, _overlap_moves, is a term per (mask, value) move, r 2^(r-1) of
-them (about 1.3 us each): r <= 14 fits, r = 15 (245,760) does not.  The
-other walks are no tuple counts, and each suite charges _check_terms its
-own units per step before any cell: the lemma suite's moment products over
-n, the identities suite's trials at each r that draws (whose overlap law
-fits, by _overlap_moves) and one term for each other r, the coupling
-suite's entries per (r, n) cell and the Stein suite's f' evaluations over
-p.  A verify suite runs each cell through _within_budget, which returns the
-cell's entries, or for a cell past the budget its one skip entry with the
-BudgetError as its note.
+The overlap law behind T_m, E[beta^4], the identities suite and the n = 2
+source, the law of Y = sum_l v_l v_pi(l) over the r! permutations pi
+(Spearman's statistic up to an affine map), reads no row: _overlap_law
+builds it by a pure-Python subset DP over the positions, so the lemma
+suites load no numpy.  Its one price, _overlap_moves, is a term per
+(mask, value) move, r 2^(r-1) of them (about 1.3 us each): r <= 14 fits,
+r = 15 (245,760) does not.  The other walks are no tuple counts, and each
+suite charges _check_terms its own units per step before any cell: the
+lemma suite's moment products over n, the identities suite's trials at
+each r that draws (whose overlap law fits, by _overlap_moves) and one term
+for each other r, the coupling suite's entries per (r, n) cell and the
+Stein suite's f' evaluations over p.  A verify suite runs each cell
+through _within_budget, which returns the cell's entries, or for a cell
+past the budget its one skip entry with the BudgetError as its note.
 
 f_law returns the law as one frozen record, FLaw: the integer keys |Q|^2
 (Q the doubled column sums, F_r = 3 |Q|^2 / (r(r+1)n)) in increasing order,
-their exact counts, the total (r!)^n and the number of sorted column-sum
-states summed over (the engine's; at r = 2 the row's n//2 + 1 values of
-|q|, which are the engine's states there too).  Every exact consumer reads that record:
-the float atoms of the exact rows in ``montecarlo``, which report its
-states, the rational atoms and P(F_r = 0) in ``exact``, and the Stein
-half of the operator link in ``stein``.  A sampled law in ``montecarlo`` is
+their exact counts, the total (r!)^n and the number of states its source
+summed over (the engine's sorted column-sum states; at r = 2 the row's
+n//2 + 1 values of |q|, which are the engine's states there too; the DP's
+2^r masks).  Every exact consumer reads that record: the float atoms of
+the exact rows in ``montecarlo``, which report its states, the rational
+atoms and P(F_r = 0) in ``exact``, and the Stein half of the operator link
+in ``stein``.  A sampled law in ``montecarlo`` is
 the same record: its draws' |Q|^2 keys tallied, over its samples.
 
 f_of_key is the one place a float F_r is formed, rounded once from
@@ -277,14 +293,14 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     so the law of the column sums is the n-fold convolution of that uniform
     law; total weight (r!)^n.  Each state is sorted after every trial, which
     is exact: the moves are closed under permuting coordinates, so sorting
-    commutes with each trial, and the one caller, f_law, reads a state only
-    through its sum of squares.  Before each trial the budget is charged
-    r! moves per state summed over so far (_check_tuples), so a cell past the
-    cap fails at the first trial that would exceed it.  The first trial's
-    law is known without a row: from the zero state every move sorts to the
-    sorted row, so it is that one state with count r!.  The engine charges
-    it, checks the key range, and starts from it; each later trial reads its
-    moves through _trial_rows, which makes that trial's charge.
+    commutes with each trial, and the one caller, _engine, reads a state only
+    through its sum of squares.  The first trial's law is known from one
+    row: from the zero state every move sorts to the sorted row, so it is
+    that one state with count r!.  The engine charges that row's r terms,
+    checks the key range (from n = 2 on; at n = 1 nothing merges), and
+    starts from it.  Before each later trial the budget is charged r! moves
+    per state summed over so far (_check_tuples, through _trial_rows), so a
+    cell past the cap fails at the first trial that would exceed it.
 
     A trial is one array pass: every (state, move) sum is sorted along its
     row and keyed as one int64 in mixed radix 2n(r-1)+1 (a column sum lies
@@ -295,12 +311,12 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     import numpy as np
 
     cell, radix = f"the convolution of {r} column sums at r={r}, n={n}", 2 * n * (r - 1) + 1
-    _check_tuples(cell, r, r)  # the first trial: r! moves from the zero state
-    if radix ** r > np.iinfo(np.int64).max:
+    _check_terms(cell, r)  # the first trial: the one sorted row it builds
+    if n > 1 and radix ** r > np.iinfo(np.int64).max:
         raise BudgetError(f"the state keys at r={r}, n={n} need {radix}^{r}, past int64")
     # after it every state is the sorted row, reached r! ways
     states = np.array([centered_doubled(r)], np.int64)
-    counts, seen = np.array([math.factorial(r)], object), 1
+    counts, seen = np.array([math.factorial(r)], object), 0
     for _ in range(1, n):
         seen += len(states)  # states summed over so far, each charged r! moves
         moves = _trial_rows(cell, r, seen)
@@ -320,25 +336,62 @@ class FLaw(NamedTuple):
     keys: tuple[int, ...]  # |Q|^2 in increasing order, Q the doubled column sums
     counts: tuple[int, ...]  # exact Python ints
     total: int  # (r!)^n
-    states: int  # the sorted column-sum states summed over (r = 2: n//2 + 1)
+    states: int  # the states its source summed over (r = 2: n//2 + 1; the DP: 2^r)
     # a tally of draws holds float64 keys and int64 counts, and its samples as total and states
 
 
+def _binomial_row(n: int, r: int) -> tuple[list[tuple[int, int]], int]:
+    """r = 2: Q = (-q, q) sorted, q = |n - 2b| with b ~ Bin(n, 1/2), so the
+    (|Q|^2, count) pairs are one binomial row, over its n//2 + 1 values of |q|."""
+    _check_terms(f"the binomial row at r=2, n={n}", (n + 1) * -(-n // 64))
+    row = accumulate(range(n // 2), lambda c, b: c * (n - b) // (b + 1), initial=1)
+    return [(2 * (n - 2 * b) ** 2, c << (2 * b != n)) for b, c in enumerate(row)], n // 2 + 1
+
+
+def _engine(n: int, r: int) -> tuple[list[tuple[int, int]], int]:
+    """The (|Q|^2, count) pairs of _sum_counts' sorted states, over those states."""
+    law = _sum_counts(r, n)
+    return [(sum(q * q for q in state), c) for state, c in law], len(law)
+
+
+def _two_trial_dp(n: int, r: int) -> tuple[list[tuple[int, int]], int]:
+    """n = 2: |Q|^2 = 2 sum v^2 + 2Y for the overlap Y of the second row
+    against the first, so each count of _overlap_law(r) is reached r! ways
+    (one per first row), over the DP's 2^r masks."""
+    law = _overlap_law(r)  # its price first
+    shift, first_rows = r * (r * r - 1) // 3, math.factorial(r)
+    return [(2 * shift + 2 * y, c * first_rows) for (y,), c in law], 1 << r
+
+
+# (name, applies(n, r), build(n, r)) in the order f_law tries them; a build
+# charges its price before any work and returns (|Q|^2, count) pairs and its states
+_SOURCES = (
+    ("binomial row", lambda n, r: r == 2, _binomial_row),
+    ("sorted-state engine", lambda n, r: r >= 3, _engine),
+    ("two-trial subset DP", lambda n, r: n == 2, _two_trial_dp),
+)
+
+
 def f_law(n: int, r: int) -> FLaw:
-    """The exact null law of F_r, the record every exact consumer reads: at
-    r = 2 read off one binomial row, from r = 3 on summed by _sum_counts."""
+    """The exact null law of F_r, the record every exact consumer reads, from
+    the first source of _SOURCES that applies and is not refused (if every
+    applicable source is refused, the first refusal is raised)."""
     n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
-    if r == 2:  # Q = (-q, q) sorted, q = |n - 2b| with b ~ Bin(n, 1/2): one binomial row
-        _check_terms(f"the binomial row at r=2, n={n}", (n + 1) * -(-n // 64))
-        row = accumulate(range(n // 2), lambda c, b: c * (n - b) // (b + 1), initial=1)
-        law = [((2 * b - n, n - 2 * b), c << (2 * b != n)) for b, c in enumerate(row)]
+    refusal = None
+    for _, applies, build in _SOURCES:
+        if applies(n, r):
+            try:
+                pairs, states = build(n, r)
+                break
+            except BudgetError as exc:
+                refusal = refusal or exc
     else:
-        law = _sum_counts(r, n)
+        raise refusal
     sq_counts: Counter = Counter()
-    for state, c in law:
-        sq_counts[sum(q * q for q in state)] += c
+    for key, c in pairs:
+        sq_counts[key] += c
     keys, counts = zip(*sorted(sq_counts.items()))
-    return FLaw(keys, counts, math.factorial(r) ** n, len(law))
+    return FLaw(keys, counts, math.factorial(r) ** n, states)
 
 
 def f_of_key(key, n: int, r: int):

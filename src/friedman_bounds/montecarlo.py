@@ -67,8 +67,9 @@ are concatenated in chunk order.
 
 Every distance reads one law of F_r as weighted atoms, and _law is the one
 place that chooses it: 'exact' reads exact_law.f_law (BudgetError past
-exact_law.BUDGET_CAP enumerated terms, raised before the engine allocates
-anything; at r = 2 one binomial row, exact to n = 3570), 'mc' tallies the
+exact_law.BUDGET_CAP enumerated terms, raised before a source allocates
+anything; at r = 2 one binomial row, exact to n = 3570, at n = 1 one row
+to r = 200,000, and at n = 2 the subset DP to r = 14), 'mc' tallies the
 sampled keys into the same record, exact_law.FLaw, and 'auto' reads the
 exact law wherever it fits its budget and draws otherwise.  Either record
 is read through exact_law.law_floats, so a sampled atom is the exact atom
@@ -78,9 +79,9 @@ Kolmogorov distance takes both one-sided gaps at every atom, the smooth gap
 diagnostic (r = 2) is the exact integral of |F - CDF|.  Only a sampled law
 carries an error bar (DKW, CLT, or DKW times a cutoff).  A result records
 its method, and its ``samples`` counts the Monte Carlo draws, or on an
-exact row the sorted column-sum states the exact law summed over
-(exact_law.FLaw.states).  The estimate_* and
-exact_kolmogorov entries are distance with the metric and mode fixed.
+exact row the states the exact law's source summed over
+(exact_law.FLaw.states).  The estimate_* and exact_kolmogorov entries are
+distance with the metric and mode fixed.
 """
 
 from __future__ import annotations
@@ -359,11 +360,13 @@ def _law(n: int, r: int, mode: str, samples: int | None, rng: RngContract | None
 
     The atoms are sorted, masses are their probabilities and levels the law's
     CDF at each atom, all read through exact_law.law_floats.  mode 'exact'
-    reads exact_law.f_law (BudgetError beyond its budget: at r = 2 past
-    n = 3570, where the law is one binomial row, and from r = 3 on past the
-    convolution's terms), and count is the law's states (FLaw.states).  'mc'
-    draws ``samples`` keys and tallies them by np.unique into the same
-    record, FLaw(keys, counts, samples, samples), so count is the samples.
+    reads exact_law.f_law (BudgetError once every source that applies is
+    past its budget: at r = 2 past n = 3570, where the law is one binomial
+    row, at n = 1 past r = 200,000, at n = 2 past r = 14, where the subset
+    DP stops, and elsewhere past the convolution's terms), and count is the
+    law's states (FLaw.states).  'mc' draws ``samples`` keys and tallies
+    them by np.unique into the same record, FLaw(keys, counts, samples,
+    samples), so count is the samples.
     'auto' reads the exact law and falls back to drawing on BudgetError, so
     at r = 2 it is exact to n = 3570 and draws from n = 3571 on.
     """
@@ -488,10 +491,13 @@ def rate_experiment(r: int, n_list: list[int], h: TestFunction, mode: str = "aut
     'exact' draws nothing, and its law's own budget refuses a large n).
 
     Rows are computed once per distinct n, from the largest down, and
-    returned in the order of ``n_list``.  At fixed r each exact source's price grows with n (the
-    engine's states grow with every trial, and the binomial row charges
-    (n+1) ceil(n/64)), so an n past the budget is refused before any other
-    row is built.  No row depends on another: each reads its own substream.
+    returned in the order of ``n_list``.  At fixed r each exact source's
+    price grows with n (the engine charges r terms at n = 1 and its states
+    grow with every trial after, the binomial row charges (n+1) ceil(n/64),
+    and the subset DP serves only n = 2, at r 2^(r-1) terms, which fit only
+    where n = 1 fits too), so an n past the budget is refused before any
+    other row is built.  No row depends on another: each reads its own
+    substream.
 
     Each row records the gap, n*gap, the applicable smooth bounds, and
     whether the gap stays below the selected bound (None when no smooth

@@ -716,6 +716,38 @@ def test_cmd_rate_refuses_an_over_budget_exact_n_before_any_other_row(capsys, mo
     assert (code, out, built) == (2, "", [60]) and "r=3, n=60" in err
 
 
+def test_cmd_rate_exact_at_r_9_refuses_n_3_before_the_two_trial_row(capsys):
+    # n = 2 is exact by the subset DP and n = 1 by the engine's one row, but
+    # n = 3 is past the budget, and it is built first
+    code, out, err = run(capsys, "rate", "--mode", "exact", "--r", "9", "--h", "x2",
+                         "--n", "1,2,3")
+    assert (code, out) == (2, "") and "r=9, n=3" in err
+    code, out, _ = run(capsys, "rate", "--mode", "exact", "--r", "9", "--h", "x2", "--n", "2,1")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and [(row["n"], row["method"]) for row in rows] == [
+        (2, "exact-enumeration"), (1, "exact-enumeration")]
+
+
+@pytest.mark.parametrize("argv", [
+    ("rate", "--mode", "auto", "--r", "10", "--h", "cos", "--n", "2"),
+    ("distance", "--mode", "exact", "--r", "14", "--n", "2"),
+], ids=["rate-auto-r10", "distance-exact-r14"])
+def test_cmd_two_trial_cells_past_the_engine_are_exact(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1) and json.loads(out.splitlines()[0])["method"] == "exact-enumeration"
+
+
+def test_cmd_distance_exact_reach_at_one_and_two_trials(capsys):
+    # n = 2 by the subset DP to r = 14, over its 2^r masks; n = 1 is one atom
+    for r in range(9, 15):
+        code, out, _ = run(capsys, "distance", "--mode", "exact", "--r", str(r), "--n", "2")
+        assert code == 0 and json.loads(out)["samples"] == 2 ** r, r
+    code, out, err = run(capsys, "distance", "--mode", "exact", "--r", "15", "--n", "2")
+    assert (code, out) == (2, "") and "r=15, n=2" in err
+    code, out, _ = run(capsys, "distance", "--mode", "exact", "--r", "9", "--n", "1")
+    assert code == 0 and json.loads(out)["samples"] == 1
+
+
 def test_cmd_rate_auto_is_exact_to_n_57_at_r_3(capsys):
     # f_law(58, 3) needs 200,268 terms, past the budget
     code, out, _ = run(capsys, "rate", "--mode", "auto", "--r", "3", "--h", "x2",
@@ -741,7 +773,7 @@ def test_cmd_verify_skips_any_r_past_the_budget_with_a_short_note(capsys, argv, 
 
 
 @pytest.mark.parametrize("argv", [
-    ("distance", "--mode", "exact", "--r", "1559", "--n", "1"),
+    ("distance", "--mode", "exact", "--r", "200001", "--n", "1"),
     ("distance", "--mode", "exact", "--r", str(10 ** 21), "--n", "2"),
     ("distance", "--r", "3", "--n", str(2 ** 62), "--samples", "1000", "--seed", "1"),
     ("distance", "--r", "2", "--n", str(2 ** 63), "--samples", "1000", "--seed", "1"),
@@ -755,7 +787,7 @@ def test_cmd_verify_skips_any_r_past_the_budget_with_a_short_note(capsys, argv, 
     ("verify", "--suite", "identities", "--r-max", str(10 ** 900)),
     ("verify", "--suite", "coupling", "--r-max", "2", "--n-max", str(10 ** 30)),
     ("distance", "--r", "3", "--n", "5", "--samples", str(2 ** 34), "--seed", "1"),
-], ids=["exact-r1559", "exact-r1e21", "mc-n2^62", "mc-n2^63", "bounds-n1e309", "bounds-r1e155",
+], ids=["exact-r200001", "exact-r1e21", "mc-n2^62", "mc-n2^63", "bounds-n1e309", "bounds-r1e155",
         "bounds-r1e154", "verify-n1e30", "verify-p1e30", "verify-r1e900", "verify-trials1e30",
         "verify-identities-r1e900", "verify-coupling-n1e30", "mc-samples2^34"])
 def test_extreme_counts_are_one_usage_error_before_any_work(capsys, monkeypatch, argv):

@@ -145,15 +145,51 @@ def test_exact_rows_are_the_one_table(r):
     assert not hasattr(exact_law, "_rows")
 
 
-@pytest.mark.parametrize("r", range(3, 9))
+@pytest.mark.parametrize("r", range(2, 15))
 def test_two_trial_law_is_the_overlap_law(r):
     # |Q|^2 of two trials is 2 sum v^2 + 2 d1.d2, and d1.d2 is Y of the overlap
-    # law for each of the r! first rows: the sorted-state engine and the subset
-    # DP are independent computations of one law
+    # law for each of the r! first rows: f_law(2, r) is the engine's record
+    # where it fits (r <= 8; at r = 2 the binomial row's, which is the same),
+    # and those are independent computations of one law there; from r = 9 on
+    # it is the subset DP's, over its 2^r masks, with the exact E F and E F^2
+    # of the moment tables
     law, shift = exact_law.f_law(2, r), sum(v * v for v in centered_doubled(r))
     overlap = exact_law._overlap_law(r)
     assert law.keys == tuple(2 * shift + 2 * y for (y,), _ in overlap)
     assert law.counts == tuple(c * math.factorial(r) for _, c in overlap)
+    assert law.total == sum(law.counts) == math.factorial(r) ** 2
+    if r <= 8:
+        assert law == _engine_law(2, r)
+    else:
+        assert law.states == 2 ** r
+        with pytest.raises(BudgetError, match=f"r={r}, n=2 need"):
+            exact_law._sum_counts(r, 2)
+    unit, moments = Fraction(3, r * (r + 1) * 2), exact._f_moments(r, 2)
+    for power, name in ((1, "E[F]"), (2, "E[F^2]")):
+        total = sum(c * (unit * k) ** power for k, c in zip(law.keys, law.counts))
+        assert total / law.total == moments[name], name
+
+
+def test_two_trial_law_past_the_subset_dp_is_one_refusal():
+    # at (15, 2) the engine's keys leave int64 and the DP needs 245,760
+    # moves: f_law raises the first refusal, the engine's
+    with pytest.raises(BudgetError, match=r"^the state keys at r=15, n=2 need 57\^15, past int64$"):
+        exact_law.f_law(2, 15)
+    with pytest.raises(BudgetError, match="r=15 needs 245760 enumerated terms"):
+        exact_law._two_trial_dp(2, 15)
+
+
+def test_one_trial_law_is_one_atom_at_every_r(monkeypatch):
+    # the first trial builds one row, the sorted one, and charges its r
+    # terms: n = 1 reads no table and forms no key, to r = BUDGET_CAP
+    monkeypatch.setattr(exact_law, "_permutation_table", None)
+    for r in range(9, 21):
+        one = math.factorial(r)
+        assert exact_law.f_law(1, r) == exact_law.FLaw((r * (r * r - 1) // 3,), (one,), one, 1)
+    monkeypatch.setattr(exact_law, "BUDGET_CAP", 99)
+    assert exact_law._sum_counts(99, 1) == ((tuple(centered_doubled(99)), math.factorial(99)),)
+    with pytest.raises(BudgetError, match="r=100, n=1 needs 100 enumerated terms"):
+        exact_law.f_law(1, 100)
 
 
 @pytest.mark.parametrize("r", range(3, 15))
@@ -189,26 +225,31 @@ def test_joint_moments_charge_the_overlap_law_before_any_s_moment(monkeypatch):
 
 
 def test_convolution_over_budget_builds_no_moves(monkeypatch):
-    # r = 12 has 479001600 moves, far too many to hold: the budget must
-    # refuse the first trial before any move is drawn
+    # r = 11 has 39916800 moves, 878 MB as int16 rows: the budget must refuse
+    # the second trial before any move is drawn; (8, 3) is refused at the
+    # third trial's (1 + 5270) 8! moves, with no charge for a first-trial move
     def no_moves(*args):
         raise AssertionError("a move was built before the budget check")
 
+    with pytest.raises(BudgetError, match="r=8, n=3 needs 212526720 enumerated terms"):
+        exact_law._sum_counts(8, 3)
     monkeypatch.setattr(exact_law, "_permutation_table", no_moves)
-    with pytest.raises(BudgetError, match="r=12, n=1 needs 479001600 enumerated terms"):
-        exact_f_distribution(1, 12)
+    with pytest.raises(BudgetError, match="r=11, n=2 needs 39916800 enumerated terms"):
+        exact_law._sum_counts(11, 2)
 
 
 def _reference_sum_counts(r, n):
     """The Counter loop the array engine replaced, as its reference: yields the
     sorted (state, count) law after each of n trials, charging the budget as
-    exact_law._sum_counts does."""
+    exact_law._sum_counts does (r terms for the first trial, whose one sorted
+    row the engine builds, then r! moves per state summed over so far)."""
     base = centered_doubled(r)
     law = (((0,) * r, 1),)
     charged = 0
-    for _ in range(n):
-        charged += len(law) * math.factorial(r)
-        exact_law._check_terms(f"the convolution of {r} column sums at r={r}, n={n}", charged)
+    for trial in range(n):
+        charged += len(law) * math.factorial(r) if trial else 0
+        exact_law._check_terms(f"the convolution of {r} column sums at r={r}, n={n}",
+                               charged if trial else r)
         nxt = Counter()
         for state, c in law:
             for move in permutations(base):
@@ -311,16 +352,16 @@ def test_array_engine_refuses_where_the_reference_does(r):
 
 def test_state_keys_fit_int64_at_every_admitted_cell(monkeypatch):
     # a cell's largest key is below radix^r, radix = 2n(r-1)+1; from r = 9 on
-    # the first trial's r! moves alone are over budget
+    # the second trial's r! moves alone are over budget, and n = 1 forms no key
     for r in range(2, 9):
         n = len(_admitted_laws(r))
-        assert n >= 1 and (2 * n * (r - 1) + 1) ** r <= 2 ** 63 - 1, r
-    assert _admitted_laws(9) == ()
+        assert n >= 2 and (2 * n * (r - 1) + 1) ** r <= 2 ** 63 - 1, r
     # past int64 the engine refuses before it builds a move
     monkeypatch.setattr(exact_law, "BUDGET_CAP", 10 ** 12)
     monkeypatch.setattr(exact_law, "_permutation_table", None)
-    with pytest.raises(BudgetError, match=r"r=14, n=1 need 27\^14, past int64"):
-        exact_law._sum_counts(14, 1)
+    with pytest.raises(BudgetError, match=r"r=14, n=2 need 53\^14, past int64"):
+        exact_law._sum_counts(14, 2)
+    assert len(exact_law._sum_counts(14, 1)) == 1  # 27^14 is past int64 too
 
 
 def test_beta_fourth_moment_budget():
