@@ -1,10 +1,11 @@
 """The exact null law of F_r, and the one enumeration budget.
 
 f_law reads the law from an ordered tuple of sources, _SOURCES, each
-(name, applies(n, r), build(n, r)): the first source that applies to the
-cell and whose build is not refused gives the law, and if every applicable
-source refuses, the first refusal is raised.  Each build charges its own
-price before any work.  In order:
+(applies(n, r), build(n, r)): the first source that applies to the cell
+and whose build is not refused gives the law.  Each build charges its own
+price before any work.  A later source reaches further at the cells it
+shares with an earlier one, so if every applicable source refuses, the last
+refusal is raised: it names the limit that binds the cell.  In order:
 
 1. the binomial row (r = 2).  The doubled column sums are Q = (q, -q),
    q = n - 2b with b ~ Bin(n, 1/2), so the law is one binomial row, built by
@@ -21,11 +22,13 @@ price before any work.  In order:
    object array.  The first trial needs no move: from the zero state every
    row sorts to the sorted row, so the engine starts from that one state
    with count r!, charged r terms for the one row it builds, and reads rows
-   from the second trial on.  So n = 1 is exact at every r up to the cap.
+   from the second trial on, whose r! moves are charged before any state
+   key is formed.  So n = 1 is exact at every r up to the cap.
 3. the two-trial subset DP (n = 2).  |Q|^2 = 2 sum v^2 + 2Y with Y the
    overlap law below, reached r! ways for each first row, so the law is
-   _overlap_law(r) re-keyed, count times r!, total (r!)^2, over its 2^r
-   subset states.  It runs to r = 14, where the engine stops at r = 8.
+   the overlap law re-keyed, count times r!, total (r!)^2, over its 2^r
+   subset states, charged the overlap law's price under its own cell.  It
+   runs to r = 14, where the engine stops at r = 8.
 
 The engine stays ahead of the DP, so every cell the engine admits reads
 the engine's law, its states included.
@@ -66,8 +69,8 @@ past the budget its one skip entry with the BudgetError as its note.
 
 f_law returns the law as one frozen record, FLaw: the integer keys |Q|^2
 (Q the doubled column sums, F_r = 3 |Q|^2 / (r(r+1)n)) in increasing order,
-their exact counts, the total (r!)^n and the number of states its source
-summed over (the engine's sorted column-sum states; at r = 2 the row's
+their exact counts, their sum the total (r!)^n, and the number of states
+its source summed over (the engine's sorted column-sum states; at r = 2 the row's
 n//2 + 1 values of |q|, which are the engine's states there too; the DP's
 2^r masks).  Every exact consumer reads that record: the float atoms of
 the exact rows in ``montecarlo``, which report its states, the rational
@@ -296,11 +299,13 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     commutes with each trial, and the one caller, _engine, reads a state only
     through its sum of squares.  The first trial's law is known from one
     row: from the zero state every move sorts to the sorted row, so it is
-    that one state with count r!.  The engine charges that row's r terms,
-    checks the key range (from n = 2 on; at n = 1 nothing merges), and
-    starts from it.  Before each later trial the budget is charged r! moves
-    per state summed over so far (_check_tuples, through _trial_rows), so a
-    cell past the cap fails at the first trial that would exceed it.
+    that one state with count r!.  The engine charges that row's r terms
+    and starts from it.  From n = 2 on it charges the second trial's r!
+    moves and only then checks the key range, so a refused cell forms no
+    radix^r (at n = 1 nothing merges, and no key is formed).  Before each
+    later trial the budget is charged r! moves per state summed over so far
+    (_check_tuples, through _trial_rows), so a cell past the cap fails at
+    the first trial that would exceed it.
 
     A trial is one array pass: every (state, move) sum is sorted along its
     row and keyed as one int64 in mixed radix 2n(r-1)+1 (a column sum lies
@@ -312,8 +317,10 @@ def _sum_counts(r: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
     cell, radix = f"the convolution of {r} column sums at r={r}, n={n}", 2 * n * (r - 1) + 1
     _check_terms(cell, r)  # the first trial: the one sorted row it builds
-    if n > 1 and radix ** r > np.iinfo(np.int64).max:
-        raise BudgetError(f"the state keys at r={r}, n={n} need {radix}^{r}, past int64")
+    if n > 1:
+        _check_tuples(cell, r, r)  # the second trial's r! moves, before radix^r is formed
+        if radix ** r > np.iinfo(np.int64).max:
+            raise BudgetError(f"the state keys at r={r}, n={n} need {radix}^{r}, past int64")
     # after it every state is the sorted row, reached r! ways
     states = np.array([centered_doubled(r)], np.int64)
     counts, seen = np.array([math.factorial(r)], object), 0
@@ -356,42 +363,44 @@ def _engine(n: int, r: int) -> tuple[list[tuple[int, int]], int]:
 
 def _two_trial_dp(n: int, r: int) -> tuple[list[tuple[int, int]], int]:
     """n = 2: |Q|^2 = 2 sum v^2 + 2Y for the overlap Y of the second row
-    against the first, so each count of _overlap_law(r) is reached r! ways
-    (one per first row), over the DP's 2^r masks."""
-    law = _overlap_law(r)  # its price first
+    against the first, so each count of the overlap law is reached r! ways
+    (one per first row), over the DP's 2^r masks; the overlap law's price
+    is charged under this cell."""
+    _check_terms(f"the two-trial law at r={r}, n={n}", _overlap_moves(r))
     shift, first_rows = r * (r * r - 1) // 3, math.factorial(r)
-    return [(2 * shift + 2 * y, c * first_rows) for (y,), c in law], 1 << r
+    return [(2 * shift + 2 * y, c * first_rows) for (y,), c in _overlap_dp(r)], 1 << r
 
 
-# (name, applies(n, r), build(n, r)) in the order f_law tries them; a build
-# charges its price before any work and returns (|Q|^2, count) pairs and its states
+# (applies(n, r), build(n, r)) in the order f_law tries them; a build charges
+# its price before any work and returns (|Q|^2, count) pairs and its states
 _SOURCES = (
-    ("binomial row", lambda n, r: r == 2, _binomial_row),
-    ("sorted-state engine", lambda n, r: r >= 3, _engine),
-    ("two-trial subset DP", lambda n, r: n == 2, _two_trial_dp),
+    (lambda n, r: r == 2, _binomial_row),
+    (lambda n, r: r >= 3, _engine),
+    (lambda n, r: n == 2, _two_trial_dp),
 )
 
 
 def f_law(n: int, r: int) -> FLaw:
     """The exact null law of F_r, the record every exact consumer reads, from
     the first source of _SOURCES that applies and is not refused (if every
-    applicable source is refused, the first refusal is raised)."""
+    applicable source is refused, the last refusal is raised).  The total
+    (r!)^n is the counts' sum, so r! is formed once at n = 1."""
     n, r = check_count(n, 1, "n"), check_count(r, 2, "r")
     refusal = None
-    for _, applies, build in _SOURCES:
+    for applies, build in _SOURCES:
         if applies(n, r):
             try:
                 pairs, states = build(n, r)
                 break
             except BudgetError as exc:
-                refusal = refusal or exc
+                refusal = exc
     else:
         raise refusal
     sq_counts: Counter = Counter()
     for key, c in pairs:
         sq_counts[key] += c
     keys, counts = zip(*sorted(sq_counts.items()))
-    return FLaw(keys, counts, math.factorial(r) ** n, states)
+    return FLaw(keys, counts, sum(counts), states)
 
 
 def f_of_key(key, n: int, r: int):

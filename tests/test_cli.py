@@ -775,6 +775,7 @@ def test_cmd_verify_skips_any_r_past_the_budget_with_a_short_note(capsys, argv, 
 @pytest.mark.parametrize("argv", [
     ("distance", "--mode", "exact", "--r", "200001", "--n", "1"),
     ("distance", "--mode", "exact", "--r", str(10 ** 21), "--n", "2"),
+    ("distance", "--mode", "exact", "--r", "200000", "--n", str(10 ** 1000)),
     ("distance", "--r", "3", "--n", str(2 ** 62), "--samples", "1000", "--seed", "1"),
     ("distance", "--r", "2", "--n", str(2 ** 63), "--samples", "1000", "--seed", "1"),
     ("bounds", "--n", str(10 ** 309), "--r", "3"),
@@ -787,8 +788,8 @@ def test_cmd_verify_skips_any_r_past_the_budget_with_a_short_note(capsys, argv, 
     ("verify", "--suite", "identities", "--r-max", str(10 ** 900)),
     ("verify", "--suite", "coupling", "--r-max", "2", "--n-max", str(10 ** 30)),
     ("distance", "--r", "3", "--n", "5", "--samples", str(2 ** 34), "--seed", "1"),
-], ids=["exact-r200001", "exact-r1e21", "mc-n2^62", "mc-n2^63", "bounds-n1e309", "bounds-r1e155",
-        "bounds-r1e154", "verify-n1e30", "verify-p1e30", "verify-r1e900", "verify-trials1e30",
+], ids=["exact-r200001", "exact-r1e21", "exact-r200000-n1e1000", "mc-n2^62", "mc-n2^63",
+        "bounds-n1e309", "bounds-r1e155", "bounds-r1e154", "verify-n1e30", "verify-p1e30", "verify-r1e900", "verify-trials1e30",
         "verify-identities-r1e900", "verify-coupling-n1e30", "mc-samples2^34"])
 def test_extreme_counts_are_one_usage_error_before_any_work(capsys, monkeypatch, argv):
     # the exact engine refuses before it allocates, the sampler before any

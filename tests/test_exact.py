@@ -171,12 +171,13 @@ def test_two_trial_law_is_the_overlap_law(r):
 
 
 def test_two_trial_law_past_the_subset_dp_is_one_refusal():
-    # at (15, 2) the engine's keys leave int64 and the DP needs 245,760
-    # moves: f_law raises the first refusal, the engine's
-    with pytest.raises(BudgetError, match=r"^the state keys at r=15, n=2 need 57\^15, past int64$"):
+    # at (15, 2) the engine's second trial needs 15! moves and the DP 245,760:
+    # f_law raises the last refusal, the DP's, the limit that binds n = 2
+    with pytest.raises(BudgetError, match=r"r=15, n=2 needs 1307674368000 enumerated terms"):
+        exact_law._sum_counts(15, 2)
+    with pytest.raises(BudgetError, match=r"^the two-trial law at r=15, n=2 needs 245760 "
+                                          r"enumerated terms, which exceeds the cap 200000$"):
         exact_law.f_law(2, 15)
-    with pytest.raises(BudgetError, match="r=15 needs 245760 enumerated terms"):
-        exact_law._two_trial_dp(2, 15)
 
 
 def test_one_trial_law_is_one_atom_at_every_r(monkeypatch):
